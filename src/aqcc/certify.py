@@ -40,11 +40,9 @@ from .css import AqccParameters, assemble_stabilizer, build_nested_pair, derive_
 from .errors import AqccError, ContainmentFailed, NotBasic
 from .gf import FiniteField
 from .matrix import MatrixGF, vstack
-from .trellis import FreeDistanceResult, free_distance
+from .trellis import DEFAULT_STATE_BUDGET, DEFAULT_WORK_BUDGET, FreeDistanceResult, free_distance
 
 DEFAULT_ENUM_BUDGET = 10 ** 6
-DEFAULT_STATE_BUDGET = 1 << 20
-DEFAULT_WORK_BUDGET = 1 << 26
 FULL_ENUM_BUDGET = 1 << 22
 
 EFFORTS = ("structure", "desk", "full")
@@ -58,6 +56,11 @@ class Budgets:
     enum: int = DEFAULT_ENUM_BUDGET
     state: int = DEFAULT_STATE_BUDGET
     work: int = DEFAULT_WORK_BUDGET
+
+    def __post_init__(self):
+        for name in ("enum", "state", "work"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} budget must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -229,6 +232,7 @@ def certify_plan(
     if fault == "swap-blocks":
         assemble_stabilizer(h1, _fault_swap_columns(h1, g2, seed))
         raise AqccError("fault injection failed to break the symplectic check")
+    v2_dual = dual_generator(g2)
 
     kappa1, kappa2 = g1.rows, g2.rows
     deg1 = degree_accounting(g1)
@@ -264,7 +268,7 @@ def certify_plan(
         raise AqccError("computed chain bound fell below its designed floor")
 
     if effort == "structure":
-        par = derive_aqcc(pair)
+        par = derive_aqcc(pair, h1=h1, v2_dual=v2_dual)
         d1f = FreeDistanceResult(max(d_dual.lower, 1), None, "designed", deg1.gamma)
         d2f = FreeDistanceResult(chain_lo, None, "designed", deg2.gamma)
     else:
@@ -274,14 +278,13 @@ def certify_plan(
             work_budget=budgets.work,
             lower_hint=max(d_dual.lower, 1),
         )
-        v2_dual = dual_generator(g2)
         d2f = free_distance(
             v2_dual,
             state_budget=budgets.state,
             work_budget=budgets.work,
             lower_hint=chain_lo,
         )
-        par = derive_aqcc(pair, v1_distance=d1f, v2perp_distance=d2f)
+        par = derive_aqcc(pair, v1_distance=d1f, v2perp_distance=d2f, h1=h1, v2_dual=v2_dual)
 
     # closed-form cross checks; any miss means the layout or the formula
     # table is wrong, and certifying anyway would hide the defect

@@ -17,8 +17,6 @@ from . import selftest
 from .certify import (
     Budgets,
     DEFAULT_ENUM_BUDGET,
-    DEFAULT_STATE_BUDGET,
-    DEFAULT_WORK_BUDGET,
     EFFORTS,
     FAULTS,
     certify_params,
@@ -34,7 +32,7 @@ from .families import (
     enumerate_family,
 )
 from .matrix import field_from_order
-from .trellis import free_distance
+from .trellis import DEFAULT_STATE_BUDGET, DEFAULT_WORK_BUDGET, free_distance
 
 RANGE_NAMES = ("n", "k", "i", "t")
 

@@ -5,11 +5,20 @@ zero polynomial is the empty tuple and pdeg returns -1 for it (standing in
 for degree minus infinity).  PolyMatrix wraps an immutable grid of such
 tuples.
 
-The algebra here is the standard module toolkit: Smith normal form with
-unimodular transforms (and their inverses, so unimodularity is witnessed,
-not assumed), predicates for basic and reduced generator matrices, row
-reduction to a reduced form, external degree accounting, duals, and
-membership witnesses for code containment.
+The algebra here is the standard module toolkit: predicates for basic and
+reduced generator matrices, row reduction to a reduced form, external
+degree accounting, duals, membership witnesses for code containment, and
+Smith normal form with unimodular transforms (and their inverses, so
+unimodularity is witnessed, not assumed).
+
+Facts are proved witness-first: each predicate looks for a constant
+witness with one scalar solve and confirms it with one exact polynomial
+product.  A constant right inverse R with G @ R == I proves G basic.  For
+a reduced outer generator, the predictable-degree property (Forney 1970,
+"Convolutional codes I: algebraic structure") bounds the degree of every
+membership coefficient, so containment is one scalar system per inner
+row.  The Smith form is the fallback for inputs without such a witness,
+and it still computes the dual.
 
 Duality convention: the dual pairs sequences in the time domain over all
 shifts, which for generator matrices G and H reads G(D) @ H(1/D).T == 0.
@@ -33,7 +42,7 @@ from .errors import (
     RankDeficient,
 )
 from .gf import FiniteField
-from .matrix import MatrixGF, field_from_order
+from .matrix import MatrixGF, field_from_order, solve_left, vstack
 
 Poly = tuple[int, ...]
 
@@ -461,8 +470,35 @@ def rank_poly(m: PolyMatrix) -> int:
     return smith_form(m).rank
 
 
+def constant_right_inverse(m: PolyMatrix) -> PolyMatrix | None:
+    """Constant R with m @ R == I, or None when no constant one exists.
+
+    m @ R == I asks m_0 @ R == I and m_i @ R == 0 for i >= 1, one scalar
+    system on the stacked coefficient matrices.  The solution is confirmed
+    by the polynomial product before it is returned.
+    """
+    f = m.field
+    k = m.rows
+    mu = max(m.max_degree, 0)
+    stacked = vstack([m.coefficient(i) for i in range(mu + 1)])
+    target = np.zeros((k, (mu + 1) * k), dtype=np.int32)
+    target[:, :k] = np.eye(k, dtype=np.int32)
+    x = solve_left(stacked.T, MatrixGF(f, target))
+    if x is None:
+        return None
+    r = PolyMatrix.from_coefficients(f, [x.a.T])
+    if m @ r != PolyMatrix.identity(f, k):
+        raise AssertionError("right inverse witness failed to reproduce the identity")
+    return r
+
+
 def is_basic(m: PolyMatrix) -> bool:
-    """Full row rank with all invariant factors equal to 1."""
+    """Full row rank with all invariant factors equal to 1.
+
+    A constant right inverse proves it; without one the Smith form decides.
+    """
+    if constant_right_inverse(m) is not None:
+        return True
     sf = smith_form(m)
     return sf.rank == m.rows and all(p == (1,) for p in sf.invariant_factors)
 
@@ -566,11 +602,57 @@ def contains(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
     """Module membership witness X with X @ outer == inner.
 
     Raises ContainmentFailed when some inner row is not a polynomial
-    combination of outer rows.
+    combination of outer rows.  A reduced outer generator takes the
+    predictable-degree route; any other goes through its Smith form.
     """
     outer._check(inner)
     if outer.cols != inner.cols:
         raise ValueError("column counts differ")
+    if is_reduced(outer):
+        x = _membership_reduced(outer, inner)
+    else:
+        x = _membership_smith(outer, inner)
+    if x @ outer != inner:
+        raise AssertionError("containment witness failed to reproduce the rows")
+    return x
+
+
+def _membership_reduced(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
+    """X with X @ outer == inner for a reduced outer generator.
+
+    By the predictable-degree property, v = sum_j x_j outer_j has degree
+    max_j(deg x_j + nu_j), so deg x_j <= deg v - nu_j.  The coefficients of
+    every x_j then solve one scalar system whose rows are the shifts
+    D**t outer_j, flattened degree-major.
+    """
+    f = outer.field
+    n = outer.cols
+    nu = outer.row_degrees
+    mu = max(outer.max_degree, 0)
+    flat = np.concatenate([outer.coefficient(d).a for d in range(mu + 1)], axis=1)
+    xp = []
+    for i, row in enumerate(inner.e):
+        dv = max((pdeg(p) for p in row), default=-1)
+        shifts = [(j, t) for j in range(outer.rows) for t in range(dv - nu[j] + 1)]
+        width = n * (dv + 1)
+        a = np.zeros((len(shifts), width), dtype=np.int32)
+        for r, (j, t) in enumerate(shifts):
+            span = n * (nu[j] + 1)
+            a[r, t * n : t * n + span] = flat[j, :span]
+        v = np.zeros((1, width), dtype=np.int32)
+        for c, p in enumerate(row):
+            v[0, c : c + n * len(p) : n] = p
+        x = solve_left(MatrixGF(f, a), MatrixGF(f, v))
+        if x is None:
+            raise ContainmentFailed(f"row {i} has residue outside the module")
+        coeffs = [[] for _ in range(outer.rows)]
+        for (j, _), c in zip(shifts, x.a[0]):
+            coeffs[j].append(int(c))
+        xp.append(coeffs)
+    return PolyMatrix(f, xp, cols=outer.rows)
+
+
+def _membership_smith(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
     f = outer.field
     sf = smith_form(outer)
     w = inner @ sf.v
@@ -588,10 +670,7 @@ def contains(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
                 xp[i][j] = q
             elif entry:
                 raise ContainmentFailed(f"row {i} has residue outside the module")
-    x = PolyMatrix(f, xp, cols=outer.rows) @ sf.u
-    if x @ outer != inner:
-        raise AssertionError("containment witness failed to reproduce the rows")
-    return x
+    return PolyMatrix(f, xp, cols=outer.rows) @ sf.u
 
 
 def poly_vector_weight(row: tuple[Poly, ...]) -> int:

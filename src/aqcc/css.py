@@ -188,15 +188,21 @@ class NestedPair:
 
 
 def build_nested_pair(outer: PolyMatrix, inner: PolyMatrix) -> NestedPair:
+    """Check full row rank of both generators and witness inner <= outer.
+
+    A reduced generator has full rank because its leading-row matrix does,
+    so the Smith-based rank is only computed for generators that are not
+    reduced.  The containment witness X satisfies X @ outer == inner.
+    """
     if outer.field != inner.field:
         raise FieldMismatch("outer and inner generators live over different fields")
     if outer.cols != inner.cols:
         raise ValueError(f"column counts differ: {outer.cols} vs {inner.cols}")
     if inner.rows == 0:
         raise ValueError("inner generator needs at least one row")
-    if rank_poly(outer) != outer.rows:
+    if not is_reduced(outer) and rank_poly(outer) != outer.rows:
         raise RankDeficient("outer generator has dependent rows")
-    if rank_poly(inner) != inner.rows:
+    if not is_reduced(inner) and rank_poly(inner) != inner.rows:
         raise RankDeficient("inner generator has dependent rows")
     witness = contains(outer, inner)
     if witness @ outer != inner:
@@ -227,20 +233,28 @@ def derive_aqcc(
     orientation: str = "standard",
     v1_distance: FreeDistanceResult | None = None,
     v2perp_distance: FreeDistanceResult | None = None,
+    h1: PolyMatrix | None = None,
+    v2_dual: PolyMatrix | None = None,
 ) -> AqccParameters:
     """Assemble the stabilizer of a nested pair and collect its parameters.
 
     Distances are optional: when both sides are supplied, the larger one
     is reported as dz and the smaller as dx, matching the convention that
     the Z distance carries the heavier protection.
+
+    h1 and v2_dual are the duals of the outer and inner generators.  A
+    caller that already holds them passes them in; otherwise they are
+    computed here with dual_generator.
     """
     k1, k2 = pair.outer.rows, pair.inner.rows
     logical = k1 - k2
     if logical <= 0:
         raise ZeroLogicalDimension(f"k1 = {k1} and k2 = {k2} leave no logical stream")
-    h1 = dual_generator(pair.outer)
+    if h1 is None:
+        h1 = dual_generator(pair.outer)
+    if v2_dual is None:
+        v2_dual = dual_generator(pair.inner)
     g2 = pair.inner if is_reduced(pair.inner) else reduce(pair.inner)
-    v2_dual = dual_generator(pair.inner)
     stab = assemble_stabilizer(h1, g2, orientation=orientation)
     gamma = 0
     if h1.rows:

@@ -5,7 +5,9 @@ coordinate vector over GF(p) is (c0, c1, ..., c_{l-1}), with c0 the constant
 term, gets the index sum(c_i * p**i).  Indices run from 0 to q - 1 where
 q = p**l.  All arithmetic is table driven; every operation accepts plain
 ints or numpy integer arrays and broadcasts the way numpy fancy indexing
-does.
+does.  Scalar operations on in-range Python ints skip numpy: addition is
+XOR for p = 2 and (a + b) % p over a prime field, multiplication and
+inversion go through log/exp lists of O(q) length.
 
 The canonical modulus for GF(p**l) is the monic irreducible polynomial of
 degree l whose own packed index is smallest.  For GF(16) that is
@@ -239,6 +241,11 @@ class FiniteField:
         inv[exp] = exp[(-np.arange(q - 1)) % (q - 1)]
         self._INV = inv
 
+        # the int fast path: exp doubled so a sum of two logs needs no mod
+        self._exp_list = exp.tolist() * 2
+        self._log_list = log.tolist()
+        self._neg_list = self._NEG.tolist()
+
     # --- arithmetic --------------------------------------------------------
 
     @staticmethod
@@ -247,19 +254,44 @@ class FiniteField:
             return int(r)
         return r
 
+    # Each op first takes the int fast path when every operand is a Python
+    # int in range(q); anything else (arrays, numpy scalars, out-of-range
+    # values) goes through the numpy tables as before.
+
     def add(self, a, b):
+        if type(a) is int and type(b) is int and 0 <= a < self.q and 0 <= b < self.q:
+            if self.p == 2:
+                return a ^ b
+            if self.l == 1:
+                return (a + b) % self.p
+            return self._ADD.item(a, b)
         return self._out(self._ADD[a, b])
 
     def sub(self, a, b):
+        if type(a) is int and type(b) is int and 0 <= a < self.q and 0 <= b < self.q:
+            if self.p == 2:
+                return a ^ b
+            if self.l == 1:
+                return (a - b) % self.p
+            return self._ADD.item(a, self._neg_list[b])
         return self._out(self._ADD[a, self._NEG[b]])
 
     def neg(self, a):
+        if type(a) is int and 0 <= a < self.q:
+            return self._neg_list[a]
         return self._out(self._NEG[a])
 
     def mul(self, a, b):
+        if type(a) is int and type(b) is int and 0 <= a < self.q and 0 <= b < self.q:
+            if a and b:
+                log = self._log_list
+                return self._exp_list[log[a] + log[b]]
+            return 0
         return self._out(self._MUL[a, b])
 
     def inv(self, a):
+        if type(a) is int and 0 < a < self.q:
+            return self._exp_list[self.q - 1 - self._log_list[a]]
         if np.any(np.asarray(a) == 0):
             raise ZeroDivisionError("0 has no inverse")
         return self._out(self._INV[a])

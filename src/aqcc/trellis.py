@@ -24,6 +24,7 @@ import numpy as np
 from .block import BlockCode
 from .convo import (
     PolyMatrix,
+    constant_right_inverse,
     degree_accounting,
     is_reduced,
     padd,
@@ -72,14 +73,20 @@ def free_distance(
     put zero-weight cycles in the state graph.  Non-reduced input is
     reduced first, which changes neither the code nor the answer.
     """
-    f = g.field
-    sf = smith_form(g)
-    if sf.rank < g.rows:
-        raise RankDeficient(f"generator rank {sf.rank} < {g.rows} rows")
-    if any(p != (1,) for p in sf.invariant_factors):
-        raise CatastrophicEncoder(
-            f"invariant factors {[list(p) for p in sf.invariant_factors]} are not all 1"
+    if state_budget < 1 or work_budget < 1:
+        raise ValueError(
+            f"budgets must be at least 1, got state {state_budget} and work {work_budget}"
         )
+    f = g.field
+    if constant_right_inverse(g) is None:
+        # no cheap witness: the Smith form decides, and explains a refusal
+        sf = smith_form(g)
+        if sf.rank < g.rows:
+            raise RankDeficient(f"generator rank {sf.rank} < {g.rows} rows")
+        if any(p != (1,) for p in sf.invariant_factors):
+            raise CatastrophicEncoder(
+                f"invariant factors {[list(p) for p in sf.invariant_factors]} are not all 1"
+            )
     if not is_reduced(g):
         g = reduce_matrix(g)
     info = degree_accounting(g)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from aqcc import Budgets
 from aqcc.cli import main
 
 
@@ -138,6 +139,17 @@ class TestCertify:
             "gamma1": 2, "gamma2": 1, "gamma": 3, "mu": 1, "mu_star": 1,
         }
 
+    def test_negative_state_budget_exits_two(self):
+        rc, out, err = run("certify", "--family", "III-T6", "--q", "5", "--n", "5",
+                           "--k", "1", "--t", "1", "--state-budget", "-1")
+        assert rc == 2 and out == ""
+        assert "parameter error" in err and "state budget" in err
+
+    @pytest.mark.parametrize("field", ["enum", "state", "work"])
+    def test_budgets_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} budget"):
+            Budgets(**{field: 0})
+
     def test_family_i_requires_partition(self):
         rc, _, err = run("certify", "--family", "I", "--q", "5", "--n", "6")
         assert rc == 2
@@ -182,6 +194,13 @@ class TestDistance:
         assert rc == 0
         assert "bounds [1," in out
         assert "(bounded)" in out
+
+
+    def test_zero_work_budget_exits_two(self, tmp_path):
+        path = self.write(tmp_path, "q=2\n(1) (0,1)\n")
+        rc, out, err = run("distance", path, "--work-budget", "0")
+        assert rc == 2 and out == ""
+        assert "parameter error" in err and "budgets must be at least 1" in err
 
 
 class TestTable:

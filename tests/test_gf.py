@@ -20,6 +20,7 @@ from aqcc.gf import (
     poly_is_irreducible,
     prime_factors,
 )
+from aqcc.matrix import field_from_order
 
 
 def packed(coeffs, p):
@@ -276,3 +277,33 @@ def test_prime_factors():
     assert prime_factors(15) == [3, 5]
     assert prime_factors(1024) == [2]
     assert prime_factors(255) == [3, 5, 17]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16, 17, 25, 27, 32])
+def test_int_path_matches_tables_exhaustive(q):
+    # plain ints take the list/XOR/mod path, arrays the numpy tables
+    f = field_from_order(q)
+    elems = np.arange(q)
+    a, b = np.meshgrid(elems, elems, indexing="ij")
+    nz = np.arange(1, q)
+    an, bn = np.meshgrid(elems, nz, indexing="ij")
+    for op, x, y in (("add", a, b), ("sub", a, b), ("mul", a, b), ("div", an, bn)):
+        fn = getattr(f, op)
+        scalar = [[fn(int(u), int(v)) for u, v in zip(ru, rv)] for ru, rv in zip(x, y)]
+        assert np.array_equal(np.array(scalar), fn(x, y)), op
+        assert type(scalar[-1][-1]) is int
+    assert [f.neg(int(u)) for u in elems] == f.neg(elems).tolist()
+    assert [f.inv(int(u)) for u in nz] == f.inv(nz).tolist()
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        f.div(1, 0)
+
+
+def test_non_int_operands_keep_the_numpy_path(gf16):
+    assert gf16.mul(np.int64(3), 7) == gf16.mul(3, 7)
+    assert gf16.add(-1, 0) == int(gf16._ADD[-1, 0])  # numpy wraps negatives
+    with pytest.raises(IndexError):
+        gf16.add(16, 0)
+    with pytest.raises(ZeroDivisionError):
+        gf16.inv(np.int64(0))

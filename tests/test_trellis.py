@@ -128,6 +128,11 @@ class TestGuards:
         with pytest.raises(AqccError):
             free_distance(g, state_budget=1, lower_hint=6)
 
+    @pytest.mark.parametrize("budgets", [{"state_budget": 0}, {"work_budget": -1}])
+    def test_budgets_below_one_rejected(self, gf2, budgets):
+        with pytest.raises(ValueError):
+            free_distance(PolyMatrix(gf2, [[(1,), (0, 1)]]), **budgets)
+
     def test_result_formatting(self):
         assert "d_free = 3" in str(FreeDistanceResult(3, 3, "dijkstra", 1))
         assert "<=" in str(FreeDistanceResult(2, 4, "bounded", 1))
