@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import (
     ContainmentFailed,
+    ContainmentUnverified,
     FieldMismatch,
     NotBasic,
     PartitionInvalid,
@@ -603,7 +604,9 @@ def contains(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
 
     Raises ContainmentFailed when some inner row is not a polynomial
     combination of outer rows.  A reduced outer generator takes the
-    predictable-degree route; any other goes through its Smith form.
+    predictable-degree route; any other goes through its Smith form.  The
+    witness is checked by one product, and ContainmentUnverified reports
+    a witness that does not reproduce the inner rows.
     """
     outer._check(inner)
     if outer.cols != inner.cols:
@@ -613,7 +616,7 @@ def contains(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
     else:
         x = _membership_smith(outer, inner)
     if x @ outer != inner:
-        raise AssertionError("containment witness failed to reproduce the rows")
+        raise ContainmentUnverified("witness does not reproduce the inner generator")
     return x
 
 

@@ -8,6 +8,17 @@ state with a nonzero input and first return to it, which a Dijkstra run
 finds exactly: edge weights are nonnegative and the first pop of the zero
 state is optimal.
 
+The search settles each state once: a popped state that is already
+settled is skipped, and a target is pushed only when its distance strictly
+improves, so at most q**gamma - 1 nonzero states are expanded.  The output
+of a branch is out0[u] + out_s, the message part plus the state part, so
+the weight of every message u is n minus the number of columns c with
+out0[u, c] == -out_s[c].  Each column keeps its messages sorted by output
+symbol, and one expansion counts those matches with a single bincount
+instead of adding q**k output rows.  Messages that differ only in rows with
+nu_i = 0 reach the same next state; they are grouped once, and an expansion
+relaxes each distinct next state with the least weight of its group.
+
 Feasibility is gated twice: q**gamma states must fit the state budget and
 q**(gamma + k) scanned edges must fit the work budget.  Outside the budget
 the result degrades to a certified bracket: the caller's lower bound plus
@@ -28,7 +39,6 @@ from .convo import (
     degree_accounting,
     is_reduced,
     padd,
-    poly_vector_weight,
     pscale,
     pshift,
     smith_form,
@@ -43,6 +53,9 @@ _MEM_ELEMENTS = 1 << 24
 
 @dataclass(frozen=True)
 class FreeDistanceResult:
+    """A free distance bracket; states counts the nonzero trellis states
+    the exact search settled and expanded, never more than q**gamma."""
+
     lower: int
     upper: int
     method: str  # "dijkstra", "block" or "bounded"
@@ -105,12 +118,12 @@ def free_distance(
     if states > state_budget or states * q ** k > work_budget or q ** k * n > _MEM_ELEMENTS:
         return _bounded(g, lower_hint)
 
-    d, pops = _dijkstra(f, g, info)
+    d, settled = _dijkstra(f, g, info)
     if lower_hint > d:
         raise AqccError(f"caller lower bound {lower_hint} exceeds the exact distance {d}")
     probe_w, probe_v = _probe_upper(g)
     wit = probe_v if probe_w == d else None
-    return FreeDistanceResult(d, d, "dijkstra", gamma, states=pops, witness=wit)
+    return FreeDistanceResult(d, d, "dijkstra", gamma, states=settled, witness=wit)
 
 
 def _bounded(g: PolyMatrix, lower_hint: int) -> FreeDistanceResult:
@@ -124,35 +137,44 @@ def _bounded(g: PolyMatrix, lower_hint: int) -> FreeDistanceResult:
 
 
 def _probe_upper(g: PolyMatrix) -> tuple[int, tuple]:
-    """Least weight over rows and two-row combinations with small delays."""
+    """Least weight over rows and two-row combinations with small delays.
+
+    The candidates are each row i, then row_i + c * D**s * row_j over
+    (i, j, s, c) in that loop order, leaving out (i, i, 0, c); the first
+    candidate of least nonzero weight wins.
+    """
     f = g.field
     q = f.q
     k, n = g.shape
     mu = max(g.max_degree, 0)
-    best_w = None
-    best_v = None
-
-    def consider(vec):
-        nonlocal best_w, best_v
-        w = poly_vector_weight(tuple(vec))
-        if w and (best_w is None or w < best_w):
-            best_w, best_v = w, tuple(vec)
-
-    for i in range(k):
-        consider(g.e[i])
-    for i in range(k):
-        for j in range(k):
-            for s in range(mu + 1):
-                if i == j and s == 0:
-                    continue
-                for c in range(1, q):
-                    consider(
-                        tuple(
-                            padd(f, g.e[i][t], pshift(pscale(f, g.e[j][t], c), s))
-                            for t in range(n)
-                        )
-                    )
-    return best_w, best_v
+    span = 2 * mu + 1
+    a = np.zeros((k, n, span), dtype=np.int32)
+    for i, row in enumerate(g.e):
+        for t, p in enumerate(row):
+            a[i, t, : len(p)] = p
+    row_w = (a != 0).sum(axis=(1, 2))
+    combo_w = np.empty((k, k, mu + 1, q - 1), dtype=np.int64)
+    for s in range(mu + 1):
+        shifted = np.zeros_like(a)
+        shifted[:, :, s:] = a[:, :, : span - s]
+        # scaled[c - 1, j] = c * D**s * row_j
+        scaled = f._MUL[np.arange(1, q)[:, None, None, None], shifted[None]]
+        for i in range(k):
+            combo_w[i, :, s, :] = (f._ADD[a[i], scaled] != 0).sum(axis=(2, 3)).T
+    none = n * span + 1
+    combo_w[np.arange(k), np.arange(k), 0, :] = none
+    combo_w[combo_w == 0] = none
+    row_w[row_w == 0] = none
+    # argmin returns the first least entry, which is the old loop's winner
+    best_i = int(np.argmin(row_w))
+    best = int(np.argmin(combo_w))
+    if row_w[best_i] <= combo_w.flat[best]:
+        if row_w[best_i] == none:
+            return None, None
+        return int(row_w[best_i]), tuple(g.e[best_i])
+    i, j, s, c = (int(x) for x in np.unravel_index(best, combo_w.shape))
+    vec = tuple(padd(f, g.e[i][t], pshift(pscale(f, g.e[j][t], c + 1), s)) for t in range(n))
+    return int(combo_w.flat[best]), vec
 
 
 def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
@@ -186,45 +208,79 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
         [q ** starts[i] if nu[i] > 0 else 0 for i in range(k)], dtype=np.int64
     )
     next0 = (udig * place[None, :]).sum(axis=1)
+    del udig
 
-    gw = q ** np.arange(gamma, dtype=np.int64)
+    # messages in next-state order (message 0 stays first), so that each
+    # group of messages reaching one next state is a contiguous run
+    perm = np.argsort(next0, kind="stable")
+    out0 = out0[perm]
+    next_states, group_start = np.unique(next0[perm], return_index=True)
+    # column c lists its messages by output symbol; symbol v owns the run
+    # by_symbol[c, bounds[c, v]:bounds[c, v + 1]].  Symbols fit uint16
+    # (q <= MAX_Q), which numpy sorts stably by radix; one column at a time
+    # keeps the int64 sort output to m entries.
+    by_symbol = np.empty((n, m), dtype=np.int32)
+    bounds = np.zeros((n, q + 1), dtype=np.int64)
+    for c in range(n):
+        col = out0[:, c].astype(np.uint16)
+        by_symbol[c] = np.argsort(col, kind="stable")
+        bounds[c, 1:] = np.cumsum(np.bincount(col, minlength=q))
+    bounds = bounds.tolist()
+
     shift_w = np.zeros(gamma, dtype=np.int64)
     for i in range(k):
         for d in range(1, nu[i]):  # digit (i, d) moves one delay deeper
             p = starts[i] + d - 1
             shift_w[p] = q ** (p + 1)
 
+    # -out_s and the shifted next state are sums over the state digits, so
+    # both are tabulated for the low and the high half of the digits; state
+    # s = lo + split * hi then needs one lookup in each half
+    half = gamma // 2
+    split = q ** half
+    tables = []
+    for digits in (range(half), range(half, gamma)):
+        neg_out = np.zeros((1, n), dtype=np.int32)
+        moved = np.zeros(1, dtype=np.int64)
+        for p in digits:  # digit p becomes the slowest index of the half
+            part = field._NEG[field._MUL[np.arange(q)[:, None], state_rows[p][None, :]]]
+            neg_out = field._ADD[part[:, None, :], neg_out[None, :, :]].reshape(-1, n)
+            moved = (np.arange(q)[:, None] * shift_w[p] + moved[None, :]).reshape(-1)
+        tables.append((neg_out, moved.tolist()))
+    (neg_lo, moved_lo), (neg_hi, moved_hi) = tables
+
     INF = np.iinfo(np.int64).max
     dist = np.full(q ** gamma, INF, dtype=np.int64)
+    settled = np.zeros(q ** gamma, dtype=bool)
     heap: list[tuple[int, int]] = []
 
-    def relax(base_dist: int, targets: np.ndarray, weights: np.ndarray):
-        w = weights + base_dist
-        old = dist[targets].copy()
-        np.minimum.at(dist, targets, w)
-        for u in np.nonzero(w < old)[0]:
-            tt = int(targets[u])
-            if dist[tt] == w[u]:
-                heapq.heappush(heap, (int(w[u]), tt))
+    def relax(base_dist: int, base_state: int, weights: np.ndarray):
+        cand = np.minimum.reduceat(weights, group_start) + base_dist
+        targets = next_states + base_state
+        better = cand < dist[targets]
+        targets, cand = targets[better], cand[better]
+        dist[targets] = cand
+        for t, d in zip(targets.tolist(), cand.tolist()):
+            heapq.heappush(heap, (d, t))
 
     w0 = (out0 != 0).sum(axis=1).astype(np.int64)
-    relax(0, next0[1:], w0[1:])
+    w0[0] = INF  # leaving the zero state needs a nonzero message
+    relax(0, 0, w0)
+    del out0, w0
 
-    pops = 0
+    states = 0
     while heap:
         dcur, s = heapq.heappop(heap)
         if s == 0:
-            return dcur, pops
-        if dcur > dist[s]:
+            return dcur, states
+        if settled[s]:
             continue
-        pops += 1
-        sd = (s // gw) % q
-        out_s = np.zeros(n, dtype=np.int32)
-        for p in range(gamma):
-            if sd[p]:
-                out_s = field._ADD[out_s, field._MUL[int(sd[p]), state_rows[p]]]
-        y = field._ADD[out0, out_s[None, :]]
-        w = (y != 0).sum(axis=1).astype(np.int64)
-        base = int((sd * shift_w).sum())
-        relax(dcur, base + next0, w)
+        settled[s] = True
+        states += 1
+        hi, lo = divmod(s, split)
+        want = field._ADD[neg_lo[lo], neg_hi[hi]].tolist()
+        hits = np.concatenate(
+            [by_symbol[c, b[v]:b[v + 1]] for c, (b, v) in enumerate(zip(bounds, want))]
+        )
+        relax(dcur, moved_lo[lo] + moved_hi[hi], n - np.bincount(hits, minlength=m))
     raise AqccError("zero state unreachable; the encoder graph is disconnected")

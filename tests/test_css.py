@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aqcc import convo
 from aqcc.convo import PolyMatrix
 from aqcc.css import (
     assemble_stabilizer,
@@ -12,6 +13,7 @@ from aqcc.css import (
 )
 from aqcc.errors import (
     ContainmentFailed,
+    ContainmentUnverified,
     FieldMismatch,
     RankDeficient,
     SymplecticViolation,
@@ -64,6 +66,14 @@ class TestAssembly:
         stray = PolyMatrix(f2, [[(1,), (), ()]])
         with pytest.raises(ContainmentFailed):
             build_nested_pair(pair.outer, stray)
+
+    def test_wrong_witness_is_unverified(self, f2, pair, monkeypatch):
+        wrong = PolyMatrix(f2, [[(1,), ()]])
+        monkeypatch.setattr(convo, "_membership_reduced", lambda outer, inner: wrong)
+        with pytest.raises(ContainmentUnverified):
+            convo.contains(pair.outer, pair.inner)
+        with pytest.raises(ContainmentUnverified):
+            build_nested_pair(pair.outer, pair.inner)
 
     def test_rank_deficient_outer(self, f2):
         outer = PolyMatrix(f2, [[(1,), (1,)], [(1,), (1,)]])

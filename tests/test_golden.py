@@ -6,17 +6,27 @@ change to any byte is a change to what aqcc certifies, so the files may be
 regenerated only together with an explanation of the diff:
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+tests/golden/probe.json holds, for the outer generator G1 and the inner
+dual dual(G2) of every reference row, the (weight, witness) pair of the
+trellis upper-bound probe.  ``aqcc distance`` prints that witness, so it is
+pinned the same way and rewritten by the same command.
 """
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 from aqcc import FamilyParams, certify_params
+from aqcc.convo import dual_generator
+from aqcc.families import layout
 from aqcc.selftest import REFERENCE_ROWS
+from aqcc.trellis import _probe_upper
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+PROBE_PATH = GOLDEN_DIR / "probe.json"
 
 CASES = [("structure", row[:3]) for row in REFERENCE_ROWS] + [
     ("desk", row[:3]) for row in REFERENCE_ROWS if row[1] <= 8
@@ -40,6 +50,21 @@ def test_certificate_matches_golden(effort, row):
     assert certificate_text(effort, *row) == want
 
 
+def probe_text() -> str:
+    out = {}
+    for family, q, kw in (row[:3] for row in REFERENCE_ROWS):
+        g1, g2 = layout(FamilyParams(family, q, **kw)).generators()
+        label = golden_path("probe", family, q, kw).stem
+        for side, g in (("g1", g1), ("v2_dual", dual_generator(g2))):
+            out[f"{label} {side}"] = json.dumps(_probe_upper(g))
+    # one entry per line, so that a diff names the generator that moved
+    return "{\n" + ",\n".join(f'"{key}": {out[key]}' for key in sorted(out)) + "\n}\n"
+
+
+def test_probe_matches_golden():
+    assert probe_text() == PROBE_PATH.read_text()
+
+
 def test_golden_set_is_complete():
     assert len(CASES) == 32
     on_disk = {p.relative_to(GOLDEN_DIR) for p in GOLDEN_DIR.glob("*/*.json")}
@@ -54,3 +79,5 @@ if __name__ == "__main__":
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(certificate_text(effort, *row))
         print(path.relative_to(GOLDEN_DIR))
+    PROBE_PATH.write_text(probe_text())
+    print(PROBE_PATH.relative_to(GOLDEN_DIR))

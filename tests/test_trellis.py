@@ -1,12 +1,27 @@
+import heapq
+import itertools
+import random
+
 import numpy as np
 import pytest
 
+from aqcc import FamilyParams, selftest
 from aqcc.errors import AqccError, CatastrophicEncoder, RankDeficient
 from aqcc.block import rs_parity
-from aqcc.convo import PolyMatrix, split_to_generator
+from aqcc.convo import (
+    PolyMatrix,
+    degree_accounting,
+    padd,
+    poly_vector_weight,
+    pscale,
+    pshift,
+    reduce,
+    split_to_generator,
+)
+from aqcc.families import layout
 from aqcc.gf import FiniteField
 from aqcc.matrix import MatrixGF
-from aqcc.trellis import FreeDistanceResult, free_distance
+from aqcc.trellis import FreeDistanceResult, _probe_upper, free_distance
 
 
 @pytest.fixture(scope="module")
@@ -136,3 +151,160 @@ class TestGuards:
     def test_result_formatting(self):
         assert "d_free = 3" in str(FreeDistanceResult(3, 3, "dijkstra", 1))
         assert "<=" in str(FreeDistanceResult(2, 4, "bounded", 1))
+
+
+def scalar_free_distance(g: PolyMatrix) -> int:
+    """Free distance by a plain per-edge Dijkstra with scalar field ops.
+
+    A state holds, for each row i, its last nu_i inputs, newest first; an
+    edge appends one input symbol per row and costs the Hamming weight of
+    the n output symbols it emits.
+    """
+    f = g.field
+    k, n = g.shape
+    nu = g.row_degrees
+    zero = tuple((0,) * d for d in nu)
+
+    def coef(i, c, d):
+        p = g.e[i][c]
+        return p[d] if d < len(p) else 0
+
+    def edge(state, u):
+        weight = 0
+        for c in range(n):
+            y = 0
+            for i in range(k):
+                for d, x in enumerate((u[i],) + state[i]):
+                    y = f.add(y, f.mul(x, coef(i, c, d)))
+            weight += y != 0
+        nxt = tuple(((u[i],) + state[i])[: nu[i]] for i in range(k))
+        return weight, nxt
+
+    msgs = list(itertools.product(range(f.q), repeat=k))
+    heap = []
+    for u in msgs[1:]:  # leave the zero state with a nonzero message
+        heap.append(edge(zero, u))
+    heapq.heapify(heap)
+    done = set()
+    while heap:
+        d, s = heapq.heappop(heap)
+        if s == zero:
+            return d
+        if s in done:
+            continue
+        done.add(s)
+        for u in msgs:
+            w, t = edge(s, u)
+            if t not in done:
+                heapq.heappush(heap, (d + w, t))
+    raise AssertionError("zero state unreachable")
+
+
+def loop_probe(g: PolyMatrix):
+    """The trellis probe as plain loops: rows, then row_i + c * D**s * row_j."""
+    f = g.field
+    k, n = g.shape
+    best = (None, None)
+    cands = [tuple(g.e[i]) for i in range(k)] + [
+        tuple(padd(f, g.e[i][t], pshift(pscale(f, g.e[j][t], c), s)) for t in range(n))
+        for i in range(k)
+        for j in range(k)
+        for s in range(max(g.max_degree, 0) + 1)
+        if i != j or s
+        for c in range(1, f.q)
+    ]
+    for vec in cands:
+        w = poly_vector_weight(vec)
+        if w and (best[0] is None or w < best[0]):
+            best = (w, vec)
+    return best
+
+
+@pytest.fixture(scope="module")
+def split_gens():
+    """Basic reduced generators from the split-plan selftest's generator."""
+    rng = random.Random(20260817)
+    out = []
+    while len(out) < 100:
+        for g in selftest._random_plan(rng).generators():
+            if g.field.q ** (degree_accounting(g).gamma + g.rows) <= 2 ** 12:
+                out.append(g)
+    return out[:100]
+
+
+@pytest.fixture(scope="module")
+def odd_gens():
+    """Basic encoders over GF(3) and GF(5) with row degrees up to 3.
+
+    Their weights depend on signs (out0 + out_s against out0 - out_s), which
+    binary encoders and the split generators above rarely expose.
+    """
+    rng = random.Random(5)
+    out = []
+    while len(out) < 40:
+        f = FiniteField.get(rng.choice((3, 5)), 1)
+        k, n = rng.choice(((1, 2), (1, 3), (2, 3)))
+        g = PolyMatrix(f, [
+            [tuple(rng.randrange(f.q) for _ in range(rng.randint(1, 4))) for _ in range(n)]
+            for _ in range(k)
+        ])
+        try:
+            gamma = free_distance(g, state_budget=1).gamma
+        except (CatastrophicEncoder, RankDeficient):
+            continue
+        if f.q ** (gamma + k) <= 2 ** 12:
+            out.append(g)
+    return out
+
+
+def octal_row(*gens):
+    """Binary generators in octal, the high bit being the D**0 coefficient."""
+    return [tuple(int(b) for b in bin(int(o, 8))[2:]) for o in gens]
+
+
+TEXTBOOK = [  # rate 1/2, memory m = 2..6, maximum free distance
+    (("5", "7"), 5),
+    (("15", "17"), 6),
+    (("23", "35"), 7),
+    (("53", "75"), 8),
+    (("133", "171"), 10),
+]
+
+
+class TestAgainstScalarSearch:
+    def test_random_split_generators(self, split_gens):
+        assert len(split_gens) == 100
+        searched = 0
+        for g in split_gens:
+            r = free_distance(g)
+            assert r.exact
+            assert r.lower == scalar_free_distance(g)
+            assert r.states <= g.field.q ** r.gamma
+            searched += r.method == "dijkstra"
+        assert searched > 50
+
+    def test_random_odd_characteristic_encoders(self, odd_gens):
+        for g in odd_gens:
+            r = free_distance(g)
+            assert r.exact
+            assert r.lower == scalar_free_distance(reduce(g))
+            assert r.states <= g.field.q ** r.gamma
+
+    def test_probe_against_loops(self, split_gens, odd_gens):
+        for g in split_gens + odd_gens:
+            assert _probe_upper(g) == loop_probe(g)
+
+    @pytest.mark.parametrize("gens,d", TEXTBOOK, ids=[f"m{m}" for m in range(2, 7)])
+    def test_textbook_encoders(self, gf2, gens, d):
+        g = PolyMatrix(gf2, [octal_row(*gens)])
+        r = free_distance(g)
+        assert r.exact and r.method == "dijkstra"
+        assert r.lower == d == scalar_free_distance(g)
+        assert r.states <= 2 ** r.gamma
+
+    def test_reference_row_settles_each_state_once(self):
+        # III-T5a q=11 i=6: 11**2 states; the search settles 120 of them
+        g1, _ = layout(FamilyParams("III-T5a", 11, i=6, t=1)).generators()
+        r = free_distance(g1)
+        assert r.exact and r.lower == 8 and r.method == "dijkstra"
+        assert r.states == 120
