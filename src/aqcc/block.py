@@ -12,6 +12,12 @@ Minimum distances come from one of three certified routes:
   * otherwise a carried lower bound (from the construction) and a short
     codeword witness for the upper bound.
 The result always states which route produced it.
+
+Enumeration splits the rows into low rows, whose q**a codewords are
+tabulated once with each column sorted by symbol, and high rows.  For each
+high codeword h the weights of all low + h are n minus the number of
+columns where low equals -h: one bincount over the matching symbol runs,
+about n/q of the entries a gather would touch.  Only the witness is built.
 """
 
 from __future__ import annotations
@@ -147,31 +153,74 @@ class BlockCode:
         return int(weights[i]), red.a[i]
 
 
+def codeword_table(field: FiniteField, gen: np.ndarray) -> np.ndarray:
+    """All q**k combinations of the rows of gen, in message order (digit t
+    of the message weighs q**t).  Each row adds one gather: its q multiples
+    become the slowest index of the table."""
+    n = gen.shape[1]
+    cw = np.zeros((1, n), dtype=np.int32)
+    for row in gen:
+        mult = field._MUL[np.arange(field.q)[:, None], row[None, :]]
+        cw = field._ADD[mult[:, None, :], cw[None, :, :]].reshape(-1, n)
+    return cw
+
+
+class SymbolRuns:
+    """The rows of a table sorted by symbol, one column at a time.
+
+    matches(want)[u] counts the columns c with table[u, c] == want[c] by one
+    bincount over the run of symbol want[c] in each column, about n * rows / q
+    entries.  Symbols fit uint16 (q <= MAX_Q), which numpy sorts stably by
+    radix; sorting one column at a time keeps the int64 sort output small.
+    """
+
+    def __init__(self, table: np.ndarray, q: int):
+        self.rows, n = table.shape
+        self.by_symbol = np.empty((n, self.rows), dtype=np.int32)
+        bounds = np.zeros((n, q + 1), dtype=np.int64)
+        for c in range(n):
+            col = table[:, c].astype(np.uint16)
+            self.by_symbol[c] = np.argsort(col, kind="stable")
+            bounds[c, 1:] = np.cumsum(np.bincount(col, minlength=q))
+        self.bounds = bounds.tolist()
+
+    def matches(self, want) -> np.ndarray:
+        runs = [self.by_symbol[c, b[v]:b[v + 1]] for c, (b, v) in enumerate(zip(self.bounds, want))]
+        return np.bincount(np.concatenate(runs), minlength=self.rows)
+
+
+def _split(field: FiniteField, gen: np.ndarray):
+    """The codeword table of the low rows 0..a-1, with a the most rows that
+    keep q**a <= _CHUNK (at least one), and an iterator over the codewords
+    of the high rows a..k-1 in message order, which holds at most _CHUNK of
+    them at a time."""
+    a = min(len(gen), 1)
+    while a < len(gen) and field.q ** (a + 1) <= _CHUNK:
+        a += 1
+    low = codeword_table(field, gen[:a])
+    if a == len(gen):
+        return low, iter(np.zeros((1, gen.shape[1]), dtype=np.int32))  # no high rows
+    high_low, highs = _split(field, gen[a:])
+    return low, (field._ADD[hl, h] for h in highs for hl in high_low)
+
+
 def _enumerate_weights(field: FiniteField, gen: np.ndarray):
-    """Weight counts over all q**k codewords, plus a minimum-weight witness."""
-    k, n = gen.shape
-    q = field.q
-    total = q ** k
+    """Weight counts over all q**k codewords, plus the first codeword of
+    least weight over the nonzero messages, in message order."""
+    n = gen.shape[1]
+    low, highs = _split(field, gen)
+    runs = SymbolRuns(low, field.q)
     counts = np.zeros(n + 1, dtype=np.int64)
-    best_w = n + 1
-    best = None
-    place = q ** np.arange(k, dtype=np.int64)
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        msgs = np.arange(start, stop, dtype=np.int64)
-        digits = (msgs[:, None] // place[None, :]) % q
-        cw = np.zeros((stop - start, n), dtype=np.int32)
-        for t in range(k):
-            cw = field._ADD[cw, field._MUL[digits[:, t, None], gen[None, t, :]]]
-        w = (cw != 0).sum(axis=1)
+    best_w, best = n + 1, None
+    for block, h in enumerate(highs):
+        # messages low + q**a * block weigh n - #{c : low_cw[c] == -h[c]}
+        w = n - runs.matches(field._NEG[h].tolist())
         counts += np.bincount(w, minlength=n + 1)
-        if start == 0:
-            w = w.copy()
+        if block == 0:
             w[0] = n + 1  # zero message
         i = int(np.argmin(w))
         if w[i] < best_w:
-            best_w = int(w[i])
-            best = cw[i].copy()
+            best_w, best = int(w[i]), field._ADD[low[i], h]
     return counts, best_w, best
 
 

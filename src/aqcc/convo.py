@@ -333,13 +333,11 @@ class PolyMatrix:
 
 @dataclass(eq=False)
 class SmithForm:
-    """u @ m @ v == s with unimodular u, v; inverses included as witnesses."""
+    """u @ m @ v == s with unimodular u, v."""
 
     s: PolyMatrix
     u: PolyMatrix
     v: PolyMatrix
-    u_inv: PolyMatrix
-    v_inv: PolyMatrix
 
     @property
     def invariant_factors(self) -> tuple[Poly, ...]:
@@ -360,53 +358,39 @@ def smith_form(m: PolyMatrix) -> SmithForm:
     rows, cols = m.shape
     a = [[m.entry(i, j) for j in range(cols)] for i in range(rows)]
     u = [[(1,) if i == j else () for j in range(rows)] for i in range(rows)]
-    ui = [[(1,) if i == j else () for j in range(rows)] for i in range(rows)]
     v = [[(1,) if i == j else () for j in range(cols)] for i in range(cols)]
-    vi = [[(1,) if i == j else () for j in range(cols)] for i in range(cols)]
 
     def row_sub(i, j, q):  # row_i -= q * row_j
         for c in range(cols):
             a[i][c] = psub(f, a[i][c], pmul(f, q, a[j][c]))
         for c in range(rows):
             u[i][c] = psub(f, u[i][c], pmul(f, q, u[j][c]))
-        for r in range(rows):  # ui: col_j += q * col_i
-            ui[r][j] = padd(f, ui[r][j], pmul(f, q, ui[r][i]))
 
     def col_sub(i, j, q):  # col_i -= q * col_j
         for r in range(rows):
             a[r][i] = psub(f, a[r][i], pmul(f, q, a[r][j]))
         for r in range(cols):
             v[r][i] = psub(f, v[r][i], pmul(f, q, v[r][j]))
-        for c in range(cols):  # vi: row_j += q * row_i
-            vi[j][c] = padd(f, vi[j][c], pmul(f, q, vi[i][c]))
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
-        for r in range(rows):
-            ui[r][i], ui[r][j] = ui[r][j], ui[r][i]
 
     def col_swap(i, j):
         for r in range(rows):
             a[r][i], a[r][j] = a[r][j], a[r][i]
         for r in range(cols):
             v[r][i], v[r][j] = v[r][j], v[r][i]
-        vi[i], vi[j] = vi[j], vi[i]
 
     def row_scale(i, c):
         a[i] = [pscale(f, p, c) for p in a[i]]
         u[i] = [pscale(f, p, c) for p in u[i]]
-        cinv = f.inv(c)
-        for r in range(rows):
-            ui[r][i] = pscale(f, ui[r][i], cinv)
 
     def row_add(i, j):  # row_i += row_j
         for c in range(cols):
             a[i][c] = padd(f, a[i][c], a[j][c])
         for c in range(rows):
             u[i][c] = padd(f, u[i][c], u[j][c])
-        for r in range(rows):  # ui: col_j -= col_i
-            ui[r][j] = psub(f, ui[r][j], ui[r][i])
 
     for t in range(min(rows, cols)):
         while True:
@@ -454,13 +438,7 @@ def smith_form(m: PolyMatrix) -> SmithForm:
         if a[t][t] and a[t][t][-1] != 1:
             row_scale(t, f.inv(a[t][t][-1]))
 
-    return SmithForm(
-        s=PolyMatrix(f, a),
-        u=PolyMatrix(f, u),
-        v=PolyMatrix(f, v),
-        u_inv=PolyMatrix(f, ui),
-        v_inv=PolyMatrix(f, vi),
-    )
+    return SmithForm(s=PolyMatrix(f, a), u=PolyMatrix(f, u), v=PolyMatrix(f, v))
 
 
 # --- generator-matrix predicates ------------------------------------------------
@@ -475,8 +453,9 @@ def constant_right_inverse(m: PolyMatrix) -> PolyMatrix | None:
     """Constant R with m @ R == I, or None when no constant one exists.
 
     m @ R == I asks m_0 @ R == I and m_i @ R == 0 for i >= 1, one scalar
-    system on the stacked coefficient matrices.  The solution is confirmed
-    by the polynomial product before it is returned.
+    system on the stacked coefficient matrices.  Coefficient i of m @ R is
+    m_i @ R, so one scalar product of the stack with R confirms the
+    solution before it is returned.
     """
     f = m.field
     k = m.rows
@@ -487,10 +466,9 @@ def constant_right_inverse(m: PolyMatrix) -> PolyMatrix | None:
     x = solve_left(stacked.T, MatrixGF(f, target))
     if x is None:
         return None
-    r = PolyMatrix.from_coefficients(f, [x.a.T])
-    if m @ r != PolyMatrix.identity(f, k):
+    if stacked @ x.T != MatrixGF(f, target.T):
         raise AssertionError("right inverse witness failed to reproduce the identity")
-    return r
+    return PolyMatrix.from_coefficients(f, [x.a.T])
 
 
 def is_basic(m: PolyMatrix) -> bool:

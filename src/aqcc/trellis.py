@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import BlockCode
+from .block import BlockCode, SymbolRuns, codeword_table
 from .convo import (
     PolyMatrix,
     constant_right_inverse,
@@ -177,6 +177,15 @@ def _probe_upper(g: PolyMatrix) -> tuple[int, tuple]:
     return int(combo_w.flat[best]), vec
 
 
+def _digit_sums(q: int, weights) -> np.ndarray:
+    """sums[u] = sum_t u_t * weights[t] over the base-q digits of u, in the
+    order of block.codeword_table (digit t weighs q**t)."""
+    sums = np.zeros(1, dtype=np.int64)
+    for w in weights:
+        sums = (np.arange(q)[:, None] * w + sums[None, :]).reshape(-1)
+    return sums
+
+
 def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
     q = field.q
     k, n = g.shape
@@ -184,48 +193,19 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
     gamma = info.gamma
     coef = [g.coefficient(d).a for d in range(info.mu + 1)]
 
-    starts = []
-    acc = 0
-    for i in range(k):
-        starts.append(acc)
-        acc += nu[i]
+    starts = [sum(nu[:i]) for i in range(k)]  # row i's first state digit
+    # state digit p, the input of row i from d steps back, adds coef[d][i]
+    state_rows = np.array([coef[d][i] for i in range(k) for d in range(1, nu[i] + 1)])
 
-    state_rows = np.zeros((gamma, n), dtype=np.int64)
-    pos = 0
-    for i in range(k):
-        for d in range(1, nu[i] + 1):
-            state_rows[pos] = coef[d][i]
-            pos += 1
-
-    m = q ** k
-    msgs = np.arange(m, dtype=np.int64)
-    kw = q ** np.arange(k, dtype=np.int64)
-    udig = (msgs[:, None] // kw[None, :]) % q
-    out0 = np.zeros((m, n), dtype=np.int32)
-    for i in range(k):
-        out0 = field._ADD[out0, field._MUL[udig[:, i, None], coef[0][i][None, :]]]
-    place = np.array(
-        [q ** starts[i] if nu[i] > 0 else 0 for i in range(k)], dtype=np.int64
-    )
-    next0 = (udig * place[None, :]).sum(axis=1)
-    del udig
+    out0 = codeword_table(field, coef[0])
+    next0 = _digit_sums(q, [q ** starts[i] if nu[i] > 0 else 0 for i in range(k)])
 
     # messages in next-state order (message 0 stays first), so that each
     # group of messages reaching one next state is a contiguous run
     perm = np.argsort(next0, kind="stable")
     out0 = out0[perm]
     next_states, group_start = np.unique(next0[perm], return_index=True)
-    # column c lists its messages by output symbol; symbol v owns the run
-    # by_symbol[c, bounds[c, v]:bounds[c, v + 1]].  Symbols fit uint16
-    # (q <= MAX_Q), which numpy sorts stably by radix; one column at a time
-    # keeps the int64 sort output to m entries.
-    by_symbol = np.empty((n, m), dtype=np.int32)
-    bounds = np.zeros((n, q + 1), dtype=np.int64)
-    for c in range(n):
-        col = out0[:, c].astype(np.uint16)
-        by_symbol[c] = np.argsort(col, kind="stable")
-        bounds[c, 1:] = np.cumsum(np.bincount(col, minlength=q))
-    bounds = bounds.tolist()
+    runs = SymbolRuns(out0, q)
 
     shift_w = np.zeros(gamma, dtype=np.int64)
     for i in range(k):
@@ -238,16 +218,10 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
     # s = lo + split * hi then needs one lookup in each half
     half = gamma // 2
     split = q ** half
-    tables = []
-    for digits in (range(half), range(half, gamma)):
-        neg_out = np.zeros((1, n), dtype=np.int32)
-        moved = np.zeros(1, dtype=np.int64)
-        for p in digits:  # digit p becomes the slowest index of the half
-            part = field._NEG[field._MUL[np.arange(q)[:, None], state_rows[p][None, :]]]
-            neg_out = field._ADD[part[:, None, :], neg_out[None, :, :]].reshape(-1, n)
-            moved = (np.arange(q)[:, None] * shift_w[p] + moved[None, :]).reshape(-1)
-        tables.append((neg_out, moved.tolist()))
-    (neg_lo, moved_lo), (neg_hi, moved_hi) = tables
+    neg_rows = field._NEG[state_rows.reshape(gamma, n)]
+    neg_lo, neg_hi = codeword_table(field, neg_rows[:half]), codeword_table(field, neg_rows[half:])
+    moved_lo = _digit_sums(q, shift_w[:half]).tolist()
+    moved_hi = _digit_sums(q, shift_w[half:]).tolist()
 
     INF = np.iinfo(np.int64).max
     dist = np.full(q ** gamma, INF, dtype=np.int64)
@@ -279,8 +253,5 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
         states += 1
         hi, lo = divmod(s, split)
         want = field._ADD[neg_lo[lo], neg_hi[hi]].tolist()
-        hits = np.concatenate(
-            [by_symbol[c, b[v]:b[v + 1]] for c, (b, v) in enumerate(zip(bounds, want))]
-        )
-        relax(dcur, moved_lo[lo] + moved_hi[hi], n - np.bincount(hits, minlength=m))
+        relax(dcur, moved_lo[lo] + moved_hi[hi], n - runs.matches(want))
     raise AqccError("zero state unreachable; the encoder graph is disconnected")

@@ -10,15 +10,17 @@ from aqcc.errors import (
     RootOfUnityUnavailable,
     ZeroMultiplier,
 )
+from aqcc import block
 from aqcc.block import (
     BlockCode,
+    _enumerate_weights,
     bch_parity,
     grs_build,
     macwilliams_transform,
     rs_parity,
 )
 from aqcc.gf import FiniteField
-from aqcc.matrix import MatrixGF
+from aqcc.matrix import MatrixGF, field_from_order
 
 
 class TestReedSolomon:
@@ -208,3 +210,107 @@ class TestBlockCode:
         with pytest.raises(ValueError):
             code.min_distance()
         assert code.weight_distribution() == [1, 0, 0, 0]
+
+
+def reference_weights(field, gen):
+    """Loop-form reference enumerator: every message's codeword is built
+    from its base-q digits (digit t weighs q**t), 8192 messages at a time.
+    Returns the counts A_0..A_n, the least nonzero-message weight and the
+    first codeword of that weight in message order."""
+    k, n = gen.shape
+    q = field.q
+    counts = np.zeros(n + 1, dtype=np.int64)
+    best_w, best = n + 1, None
+    place = q ** np.arange(k, dtype=np.int64)
+    for start in range(0, q ** k, 8192):
+        msgs = np.arange(start, min(start + 8192, q ** k), dtype=np.int64)
+        digits = (msgs[:, None] // place[None, :]) % q
+        cw = np.zeros((len(msgs), n), dtype=np.int32)
+        for t in range(k):
+            cw = field._ADD[cw, field._MUL[digits[:, t, None], gen[None, t, :]]]
+        w = (cw != 0).sum(axis=1)
+        counts += np.bincount(w, minlength=n + 1)
+        if start == 0:
+            w[0] = n + 1  # zero message
+        i = int(np.argmin(w))
+        if w[i] < best_w:
+            best_w, best = int(w[i]), cw[i].copy()
+    return counts, best_w, best
+
+
+# (q, k, n): k = 1, a few rows, and q**k past 8192 so that the messages
+# span several blocks of low codewords
+ENUM_SHAPES = [
+    (2, 1, 5), (2, 6, 11), (2, 14, 18),
+    (3, 1, 4), (3, 4, 8), (3, 9, 12),
+    (4, 1, 6), (4, 3, 7), (4, 7, 10),
+    (5, 1, 3), (5, 3, 6), (5, 6, 9),
+    (7, 1, 7), (7, 3, 6), (7, 5, 8),
+    (8, 1, 4), (8, 2, 7), (8, 5, 7),
+    (9, 1, 5), (9, 3, 5), (9, 5, 7),
+    (11, 1, 10), (11, 3, 10), (11, 4, 8),
+    (16, 1, 6), (16, 2, 5), (16, 4, 6),
+    (17, 1, 8), (17, 3, 6), (17, 4, 6),
+]
+
+
+def enumeration_inputs(q, k, n, seed):
+    """A random generator, its parity matrix, and the generator with a zero
+    row and a repeated row (both give weight-0 nonzero messages)."""
+    f = field_from_order(q)
+    rng = np.random.default_rng(seed)
+    gen = rng.integers(0, q, size=(k, n)).astype(np.int32)
+    out = [gen]
+    code = BlockCode.from_generator(f, MatrixGF(f, gen))
+    if 0 < code.parity.rows and q ** code.parity.rows <= 1 << 17:
+        out.append(code.parity.a)
+    if k > 1:
+        out.append(np.concatenate([gen[:-1], np.zeros((1, n), dtype=np.int32)]))
+        out.append(np.concatenate([gen[:-1], gen[:1]]))
+    return f, out
+
+
+def assert_same_enumeration(f, gen):
+    counts, d, wit = _enumerate_weights(f, gen)
+    ref_counts, ref_d, ref_wit = reference_weights(f, gen)
+    assert counts.tolist() == ref_counts.tolist()
+    assert d == ref_d
+    if ref_wit is None:
+        assert wit is None
+    else:
+        assert wit.dtype == ref_wit.dtype and wit.tobytes() == ref_wit.tobytes()
+
+
+@pytest.mark.parametrize("q,k,n", ENUM_SHAPES, ids=[f"q{q}-k{k}-n{n}" for q, k, n in ENUM_SHAPES])
+def test_enumeration_matches_reference(q, k, n):
+    f, gens = enumeration_inputs(q, k, n, seed=1000 * q + 10 * k + n)
+    for gen in gens:
+        assert_same_enumeration(f, gen)
+
+
+@pytest.mark.parametrize("q,k,n", [(2, 11, 13), (3, 6, 8), (5, 4, 6), (17, 3, 5)])
+def test_enumeration_with_tiny_blocks_matches_reference(monkeypatch, q, k, n):
+    # with 16-row blocks the high codewords outgrow one block as well
+    monkeypatch.setattr(block, "_CHUNK", 16)
+    f, gens = enumeration_inputs(q, k, n, seed=7 * q + k)
+    for gen in gens:
+        assert_same_enumeration(f, gen)
+
+
+def test_enumeration_of_no_rows():
+    f = FiniteField.get(3, 1)
+    assert_same_enumeration(f, np.zeros((0, 4), dtype=np.int32))
+
+
+@pytest.mark.parametrize("q,k,n", [(2, 10, 13), (3, 6, 8), (4, 4, 7), (7, 3, 5), (11, 3, 4)])
+def test_weight_distribution_macwilliams_round_trip(q, k, n):
+    f = field_from_order(q)
+    gen = np.random.default_rng(q + k + n).integers(0, q, size=(k, n)).astype(np.int32)
+    code = BlockCode.from_generator(f, MatrixGF(f, gen))
+    r = n - code.k
+    assert code.k > r  # the parity side is the smaller one
+    direct = code.weight_distribution(budget=q ** code.k)
+    via_dual = code.weight_distribution(budget=q ** r)
+    assert direct == via_dual
+    assert sum(direct) == q ** code.k and direct[0] == 1
+    assert macwilliams_transform(via_dual, n, q) == code.dual().weight_distribution(budget=q ** r)

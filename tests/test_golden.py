@@ -11,8 +11,15 @@ tests/golden/probe.json holds, for the outer generator G1 and the inner
 dual dual(G2) of every reference row, the (weight, witness) pair of the
 trellis upper-bound probe.  ``aqcc distance`` prints that witness, so it is
 pinned the same way and rewritten by the same command.
+
+tests/golden/block_distance.txt is the ``aqcc distance`` output for the
+constant encoder tests/golden/block_encoder.txt ([10, 5] over GF(11)).  That
+encoder takes the block route, whose witness is the first minimum-weight
+codeword in message order, found past the first 8192 messages.
 """
 
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -20,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from aqcc import FamilyParams, certify_params
+from aqcc.cli import main
 from aqcc.convo import dual_generator
 from aqcc.families import layout
 from aqcc.selftest import REFERENCE_ROWS
@@ -27,6 +35,8 @@ from aqcc.trellis import _probe_upper
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 PROBE_PATH = GOLDEN_DIR / "probe.json"
+BLOCK_ENCODER = GOLDEN_DIR / "block_encoder.txt"
+BLOCK_DISTANCE = GOLDEN_DIR / "block_distance.txt"
 
 CASES = [("structure", row[:3]) for row in REFERENCE_ROWS] + [
     ("desk", row[:3]) for row in REFERENCE_ROWS if row[1] <= 8
@@ -65,6 +75,17 @@ def test_probe_matches_golden():
     assert probe_text() == PROBE_PATH.read_text()
 
 
+def block_distance_text() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["distance", str(BLOCK_ENCODER)]) == 0
+    return out.getvalue()
+
+
+def test_block_distance_matches_golden():
+    assert block_distance_text() == BLOCK_DISTANCE.read_text()
+
+
 def test_golden_set_is_complete():
     assert len(CASES) == 32
     on_disk = {p.relative_to(GOLDEN_DIR) for p in GOLDEN_DIR.glob("*/*.json")}
@@ -81,3 +102,5 @@ if __name__ == "__main__":
         print(path.relative_to(GOLDEN_DIR))
     PROBE_PATH.write_text(probe_text())
     print(PROBE_PATH.relative_to(GOLDEN_DIR))
+    BLOCK_DISTANCE.write_text(block_distance_text())
+    print(BLOCK_DISTANCE.relative_to(GOLDEN_DIR))

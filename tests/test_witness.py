@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from aqcc import selftest
+from aqcc import convo, selftest
 from aqcc.convo import (
     PolyMatrix,
     _membership_reduced,
@@ -20,6 +20,7 @@ from aqcc.convo import (
     smith_form,
 )
 from aqcc.errors import AqccError
+from aqcc.matrix import MatrixGF
 
 PLAN_COUNT = 200
 
@@ -75,6 +76,24 @@ def test_is_basic_agrees_with_smith(plans):
                     witnessed += 1
     # every split generator has a constant right inverse
     assert witnessed >= 2 * PLAN_COUNT
+
+
+def test_mutated_right_inverse_is_rejected(plans, monkeypatch):
+    solve = convo.solve_left
+
+    def first_column_zeroed(a, b):
+        x = solve(a, b)
+        if x is None:
+            return None
+        bad = x.a.copy()
+        bad[0] = 0  # row 0 of the solution is column 0 of R
+        return MatrixGF(x.field, bad)
+
+    monkeypatch.setattr(convo, "solve_left", first_column_zeroed)
+    for plan in plans[:10]:
+        for g in plan.generators():
+            with pytest.raises(AssertionError, match="right inverse witness failed"):
+                constant_right_inverse(g)
 
 
 def test_containment_agrees_with_smith(plans):
