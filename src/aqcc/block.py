@@ -37,7 +37,11 @@ from .errors import (
 from .gf import FiniteField, SubfieldBasis, multiplicative_order
 from .matrix import MatrixGF, vstack
 
-DEFAULT_ENUM_BUDGET = 1 << 22
+# Codeword enumeration caps.  FULL is the library default and the floor of
+# the certifier's full effort; DESK is the certifier's default, and it
+# decides which block-distance route each desk certificate records.
+FULL_ENUM_BUDGET = 1 << 22
+DESK_ENUM_BUDGET = 10 ** 6
 _CHUNK = 1 << 13
 
 
@@ -110,7 +114,7 @@ class BlockCode:
 
     # --- distance machinery ---------------------------------------------
 
-    def weight_distribution(self, budget: int = DEFAULT_ENUM_BUDGET) -> list[int] | None:
+    def weight_distribution(self, budget: int = FULL_ENUM_BUDGET) -> list[int] | None:
         """Exact weight distribution A_0..A_n, or None if over budget."""
         q = self.field.q
         if self.k == 0:
@@ -123,7 +127,7 @@ class BlockCode:
             return macwilliams_transform([int(c) for c in counts], self.n, q)
         return None
 
-    def min_distance(self, budget: int = DEFAULT_ENUM_BUDGET) -> DistanceBound:
+    def min_distance(self, budget: int = FULL_ENUM_BUDGET) -> DistanceBound:
         if self.k == 0:
             raise ValueError("the zero code has no minimum distance")
         q = self.field.q

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import families
-from .block import BlockCode
+from .block import DESK_ENUM_BUDGET, FULL_ENUM_BUDGET, BlockCode
 from .convo import (
     PolyMatrix,
     contains,
@@ -34,16 +34,12 @@ from .convo import (
     format_poly_matrix,
     is_basic,
     is_reduced,
-    split_to_generator,
 )
 from .css import AqccParameters, assemble_stabilizer, build_nested_pair, derive_aqcc, semi_infinite_expand
 from .errors import AqccError, ContainmentFailed, NotBasic
 from .gf import FiniteField
 from .matrix import MatrixGF, vstack
 from .trellis import DEFAULT_STATE_BUDGET, DEFAULT_WORK_BUDGET, FreeDistanceResult, free_distance
-
-DEFAULT_ENUM_BUDGET = 10 ** 6
-FULL_ENUM_BUDGET = 1 << 22
 
 EFFORTS = ("structure", "desk", "full")
 FAULTS = ("mutate-row", "rank-condition", "swap-blocks")
@@ -53,7 +49,7 @@ FAULTS = ("mutate-row", "rank-condition", "swap-blocks")
 class Budgets:
     """Caps for the three exhaustive searches the certifier may run."""
 
-    enum: int = DEFAULT_ENUM_BUDGET
+    enum: int = DESK_ENUM_BUDGET
     state: int = DEFAULT_STATE_BUDGET
     work: int = DEFAULT_WORK_BUDGET
 
@@ -105,14 +101,15 @@ class AqccCertificate:
         return self.data["distances"]["aqcc"]["dx_bound"]
 
 
-def _fault_rank_condition(blocks, placements):
-    """Move every degree-0 row behind the delay block so it outgrows kappa."""
-    if placements is not None:
+def _fault_rank_condition(plan: families.LayoutPlan) -> families.LayoutPlan:
+    """Move every degree-0 inner row behind the delay block so it outgrows kappa."""
+    if plan.placements2 is not None:
         raise AqccError("rank-condition injection expects default placements")
+    blocks = plan.blocks2
     b0 = blocks[0]
     empty = MatrixGF(b0.field, b0.a[:0])
     grown = vstack([blocks[1], b0]) if len(blocks) > 1 else b0
-    return (empty, grown) + tuple(blocks[2:]), None
+    return replace(plan, blocks2=(empty, grown) + tuple(blocks[2:]))
 
 
 def _fault_mutate_row(g1: PolyMatrix, g2: PolyMatrix, seed: int) -> PolyMatrix:
@@ -203,20 +200,14 @@ def certify_plan(
         raise ValueError(f"fault must be one of {FAULTS}, got {fault!r}")
     budgets = budgets or Budgets()
     if effort == "full":
-        budgets = Budgets(
-            enum=max(budgets.enum, FULL_ENUM_BUDGET),
-            state=budgets.state,
-            work=budgets.work,
-        )
+        budgets = replace(budgets, enum=max(budgets.enum, FULL_ENUM_BUDGET))
     field = plan.field
     expected = plan.expected
     notes = list(plan.notes)
 
-    blocks2, placements2 = plan.blocks2, plan.placements2
     if fault == "rank-condition":
-        blocks2, placements2 = _fault_rank_condition(blocks2, placements2)
-    g1 = split_to_generator(plan.blocks1, plan.placements1)
-    g2 = split_to_generator(blocks2, placements2)
+        plan = _fault_rank_condition(plan)
+    g1, g2 = plan.generators()
 
     if not is_basic(g1):
         raise NotBasic("outer generator is not basic")

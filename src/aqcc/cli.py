@@ -14,14 +14,8 @@ import os
 import sys
 
 from . import selftest
-from .certify import (
-    Budgets,
-    DEFAULT_ENUM_BUDGET,
-    EFFORTS,
-    FAULTS,
-    certify_params,
-    certify_plan,
-)
+from .block import DESK_ENUM_BUDGET
+from .certify import Budgets, EFFORTS, FAULTS, certify_params, certify_plan
 from .convo import parse_poly_matrix
 from .errors import AqccError, CatastrophicEncoder, ParamOutOfRange
 from .families import (
@@ -204,12 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     budgets = argparse.ArgumentParser(add_help=False)
-    budgets.add_argument("--enum-budget", type=int, default=DEFAULT_ENUM_BUDGET,
-                         help="codeword enumeration cap (default 10^6)")
+    budgets.add_argument("--enum-budget", type=int, default=DESK_ENUM_BUDGET,
+                         help="codeword enumeration cap (default %(default)s)")
     budgets.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET,
-                         help="trellis state cap (default 2^20)")
+                         help="trellis state cap (default %(default)s)")
     budgets.add_argument("--work-budget", type=int, default=DEFAULT_WORK_BUDGET,
-                         help="trellis edge cap (default 2^26)")
+                         help="trellis edge cap (default %(default)s)")
 
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", metavar="PATH", help="write output to a file")

@@ -8,17 +8,18 @@ tuples.
 The algebra here is the standard module toolkit: predicates for basic and
 reduced generator matrices, row reduction to a reduced form, external
 degree accounting, duals, membership witnesses for code containment, and
-Smith normal form with unimodular transforms (and their inverses, so
-unimodularity is witnessed, not assumed).
+Smith normal form with unimodular transforms u and v (u @ m @ v == s).
 
 Facts are proved witness-first: each predicate looks for a constant
-witness with one scalar solve and confirms it with one exact polynomial
-product.  A constant right inverse R with G @ R == I proves G basic.  For
-a reduced outer generator, the predictable-degree property (Forney 1970,
-"Convolutional codes I: algebraic structure") bounds the degree of every
-membership coefficient, so containment is one scalar system per inner
-row.  The Smith form is the fallback for inputs without such a witness,
-and it still computes the dual.
+witness with one scalar solve and confirms it with one exact product.  A
+constant right inverse R with G @ R == I proves G basic; since R is
+constant, one scalar product of the stacked coefficients [G_0; ...; G_mu]
+with R confirms it.  For a reduced outer generator, the
+predictable-degree property (Forney 1970, "Convolutional codes I:
+algebraic structure") bounds the degree of every membership coefficient,
+so containment is one scalar system per inner row, confirmed by the
+polynomial product X @ outer == inner.  The Smith form is the fallback
+for inputs without such a witness, and it still computes the dual.
 
 Duality convention: the dual pairs sequences in the time domain over all
 shifts, which for generator matrices G and H reads G(D) @ H(1/D).T == 0.
@@ -37,7 +38,6 @@ from .errors import (
     ContainmentFailed,
     ContainmentUnverified,
     FieldMismatch,
-    NotBasic,
     PartitionInvalid,
     RankConditionViolated,
     RankDeficient,
@@ -120,19 +120,6 @@ def pdivmod(f: FiniteField, a: Poly, b: Poly) -> tuple[Poly, Poly]:
         for j in range(db + 1):
             rem[i - db + j] = f.sub(rem[i - db + j], f.mul(qc, b[j]))
     return ptrim(quo), ptrim(rem)
-
-
-def pmonic(f: FiniteField, a: Poly) -> Poly:
-    if not a or a[-1] == 1:
-        return a
-    return pscale(f, a, f.inv(a[-1]))
-
-
-def peval(f: FiniteField, a: Poly, x: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = f.add(f.mul(acc, x), c)
-    return acc
 
 
 # --- polynomial matrices ------------------------------------------------------
@@ -298,35 +285,6 @@ class PolyMatrix:
                     arr[r, c] = p[-1]
         return MatrixGF(self.field, arr)
 
-    def eval_at(self, x: int) -> MatrixGF:
-        f = self.field
-        arr = [[peval(f, p, x) for p in row] for row in self.e]
-        return MatrixGF(f, np.array(arr, dtype=np.int32).reshape(self.shape))
-
-    # --- serialization ---------------------------------------------------
-
-    def to_text(self) -> str:
-        lines = [f"{self.field.q} {self.rows} {self.cols}"]
-        for r, row in enumerate(self.e):
-            for c, p in enumerate(row):
-                coeffs = " ".join(str(v) for v in p)
-                lines.append(f"{r} {c} : {coeffs}".rstrip())
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "PolyMatrix":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        q, rows, cols = (int(t) for t in lines[0].split())
-        field = field_from_order(q)
-        grid = [[() for _ in range(cols)] for _ in range(rows)]
-        if len(lines) - 1 != rows * cols:
-            raise ValueError("entry count does not match the declared shape")
-        for ln in lines[1:]:
-            pos, _, coeffs = ln.partition(":")
-            r, c = (int(t) for t in pos.split())
-            grid[r][c] = tuple(int(t) for t in coeffs.split())
-        return cls(field, grid, cols=cols)
-
 
 # --- Smith normal form -------------------------------------------------------
 
@@ -480,21 +438,6 @@ def is_basic(m: PolyMatrix) -> bool:
         return True
     sf = smith_form(m)
     return sf.rank == m.rows and all(p == (1,) for p in sf.invariant_factors)
-
-
-def right_inverse(m: PolyMatrix) -> PolyMatrix:
-    """Polynomial R with m @ R == I; exists exactly when m is basic."""
-    sf = smith_form(m)
-    if sf.rank < m.rows:
-        raise RankDeficient(f"rank {sf.rank} < {m.rows} rows")
-    if any(p != (1,) for p in sf.invariant_factors):
-        raise NotBasic(f"invariant factors {[list(p) for p in sf.invariant_factors]}")
-    cols = [[sf.v.entry(i, j) for j in range(m.rows)] for i in range(sf.v.rows)]
-    r = PolyMatrix(m.field, cols) @ sf.u
-    check = m @ r
-    if check != PolyMatrix.identity(m.field, m.rows):
-        raise AssertionError("right inverse verification failed")
-    return r
 
 
 def is_reduced(m: PolyMatrix) -> bool:
@@ -721,8 +664,6 @@ def format_poly_matrix(m: PolyMatrix, *, header: bool = True) -> str:
 
 def parse_poly_matrix(text: str):
     """Inverse of format_poly_matrix for headered text."""
-    from .matrix import field_from_order
-
     field = None
     rows = []
     width = None

@@ -2,10 +2,10 @@
 
 A nested pair V2 <= V1 of classical convolutional codes yields a
 quantum convolutional code: one block of stabilizer rows carries a
-parity check of V1 on one Pauli side, the other carries a generator of
-V2 on the opposite side.  Symplectic self-orthogonality of the
-assembled matrix is equivalent to the containment V2 <= V1, and this
-module verifies it explicitly instead of assuming it.
+parity check of V1 on the X side, the other carries a generator of V2 on
+the Z side.  Symplectic self-orthogonality of the assembled matrix is
+equivalent to the containment V2 <= V1, and this module verifies it
+explicitly instead of assuming it.
 """
 
 from __future__ import annotations
@@ -98,27 +98,19 @@ def _stack(top: PolyMatrix, bottom: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(top.field, top.e + bottom.e, cols=top.cols)
 
 
-def assemble_stabilizer(
-    h1: PolyMatrix, g2: PolyMatrix, *, orientation: str = "standard"
-) -> StabilizerMatrix:
+def assemble_stabilizer(h1: PolyMatrix, g2: PolyMatrix) -> StabilizerMatrix:
     """Build the block-diagonal stabilizer from a parity check and a generator.
 
-    ``standard`` places h1 on the X side and g2 on the Z side; ``swapped``
-    exchanges the two.  Both orientations are symplectic together, so the
-    choice only relabels the Pauli types.  Raises SymplecticViolation when
-    the two inputs fail the orthogonality check, which happens exactly when
-    the code g2 generates is not inside the code h1 checks.
+    h1 goes on the X side and g2 on the Z side.  Raises SymplecticViolation
+    when the two inputs fail the orthogonality check, which happens exactly
+    when the code g2 generates is not inside the code h1 checks.
     """
-    if orientation not in ("standard", "swapped"):
-        raise ValueError(f"unknown orientation {orientation!r}")
     if h1.field != g2.field:
         raise FieldMismatch("parity check and generator fields differ")
     if h1.cols != g2.cols:
         raise ValueError(f"column counts differ: {h1.cols} vs {g2.cols}")
     f = h1.field
     n = h1.cols
-    if orientation == "swapped":
-        h1, g2 = g2, h1
     x_part = _stack(h1, PolyMatrix.zeros(f, g2.rows, n))
     z_part = _stack(PolyMatrix.zeros(f, h1.rows, n), g2)
     res = symplectic_residual(x_part, z_part)
@@ -227,7 +219,6 @@ class AqccParameters:
 def derive_aqcc(
     pair: NestedPair,
     *,
-    orientation: str = "standard",
     v1_distance: FreeDistanceResult | None = None,
     v2perp_distance: FreeDistanceResult | None = None,
     h1: PolyMatrix | None = None,
@@ -252,7 +243,7 @@ def derive_aqcc(
     if v2_dual is None:
         v2_dual = dual_generator(pair.inner)
     g2 = pair.inner if is_reduced(pair.inner) else reduce(pair.inner)
-    stab = assemble_stabilizer(h1, g2, orientation=orientation)
+    stab = assemble_stabilizer(h1, g2)
     gamma = 0
     if h1.rows:
         gamma += degree_accounting(h1).gamma

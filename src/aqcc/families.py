@@ -23,7 +23,7 @@ from .errors import (
     PartitionInvalid,
     ZeroLogicalDimension,
 )
-from .gf import FiniteField
+from .gf import FiniteField, prime_power
 from .matrix import MatrixGF, field_from_order, vstack
 
 FAMILIES = (
@@ -122,27 +122,12 @@ class LayoutPlan:
         return g1, g2
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ParamOutOfRange(f"q = {q} is not a prime power")
-    p = 2
-    while q % p:
-        p += 1
-        if p * p > q:
-            p = q
-            break
-    l, m = 0, q
-    while m % p == 0:
-        m //= p
-        l += 1
-    if m != 1 or l == 0:
-        raise ParamOutOfRange(f"q = {q} is not a prime power")
-    return p, l
-
-
 def _family_field_ok(family: str, q: int) -> bool:
     """Does GF(q) satisfy the family's standing field assumption?"""
-    p, l = _prime_power(q)
+    try:
+        p, l = prime_power(q)
+    except ValueError as exc:
+        raise ParamOutOfRange(str(exc)) from None
     if family in ("II-T2", "II-T3a", "II-T3b"):
         return p == 2 and l >= 4
     if family in ("II-T4a", "II-T4b"):
@@ -255,7 +240,6 @@ def enumerate_family(family: str, q: int, ranges: dict | None = None):
         raise ValueError(f"unknown family {family!r}")
     if family == "I":
         raise ValueError("construction I has no parameter grid to enumerate")
-    _prime_power(q)
     if not _family_field_ok(family, q):
         return []
     ranges = ranges or {}

@@ -59,6 +59,23 @@ def prime_factors(m: int) -> list[int]:
     return out
 
 
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, l) with q == p**l, p prime and l >= 1.
+
+    Raises ValueError for q < 2 and for any q with two distinct prime
+    factors.  Trial division stops at the square root of q.
+    """
+    factors = prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    p = factors[0]
+    l = 0
+    while q > 1:
+        q //= p
+        l += 1
+    return p, l
+
+
 def multiplicative_order(q: int, n: int) -> int:
     """Smallest m >= 1 with q**m = 1 mod n.
 

@@ -11,22 +11,18 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FieldMismatch
-from .gf import FiniteField
+from .gf import MAX_Q, FiniteField, prime_power
 
 
 def field_from_order(q: int) -> FiniteField:
-    """The canonical GF(q) for a prime power q."""
-    p = 2
-    while q % p:
-        p += 1
-    l = 0
-    m = q
-    while m > 1 and m % p == 0:
-        m //= p
-        l += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return FiniteField.get(p, l)
+    """The canonical GF(q) for a prime power q.
+
+    A q past the table size is refused before it is factored, so a huge
+    header costs no trial division.
+    """
+    if q > MAX_Q:
+        raise ValueError(f"q = {q} exceeds the supported table size {MAX_Q}")
+    return FiniteField.get(*prime_power(q))
 
 
 class MatrixGF:
@@ -106,9 +102,6 @@ class MatrixGF:
     def __neg__(self) -> "MatrixGF":
         return MatrixGF(self.field, self.field._NEG[self.a])
 
-    def scale(self, c: int) -> "MatrixGF":
-        return MatrixGF(self.field, self.field._MUL[self.a, c])
-
     def __matmul__(self, other: "MatrixGF") -> "MatrixGF":
         self._check_field(other)
         if self.cols != other.rows:
@@ -156,24 +149,6 @@ class MatrixGF:
             return self
         return MatrixGF(self.field, self.a[list(keep)])
 
-    # --- serialization -------------------------------------------------------
-
-    def to_text(self) -> str:
-        head = f"{self.field.q} {self.rows} {self.cols}"
-        body = [" ".join(str(int(v)) for v in row) for row in self.a]
-        return "\n".join([head, *body]) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "MatrixGF":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        q, rows, cols = (int(t) for t in lines[0].split())
-        field = field_from_order(q)
-        data = [[int(t) for t in ln.split()] for ln in lines[1:]]
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError("matrix body does not match the declared shape")
-        arr = np.array(data, dtype=np.int32) if data else np.zeros((0, cols), np.int32)
-        return cls(field, arr)
-
 
 def _rref(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     m = np.array(a, dtype=np.int32)
@@ -202,11 +177,6 @@ def _rref(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...
 def vstack(mats: list[MatrixGF]) -> MatrixGF:
     field = mats[0].field
     return MatrixGF(field, np.concatenate([m.a for m in mats], axis=0))
-
-
-def hstack(mats: list[MatrixGF]) -> MatrixGF:
-    field = mats[0].field
-    return MatrixGF(field, np.concatenate([m.a for m in mats], axis=1))
 
 
 def solve_left(a: MatrixGF, b: MatrixGF) -> MatrixGF | None:

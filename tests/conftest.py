@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 
 from aqcc.gf import FiniteField
@@ -21,3 +23,17 @@ def gf256():
 @pytest.fixture(scope="session")
 def gf11():
     return FiniteField.get(11, 1)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs past 5 s instead of letting it hang the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError("test ran past its 5 s wall-clock guard")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -10,6 +10,12 @@ from aqcc import Budgets
 from aqcc.cli import main
 
 
+# field orders that are no prime power or pass the table size; a parser
+# that trial-divides with no q < 2 check and no square-root stop never
+# returns on 1, -1 or 1000000007
+BAD_ORDERS = (1, 0, -1, 1000000007, 1 << 40)
+
+
 def run(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -150,6 +156,13 @@ class TestCertify:
         with pytest.raises(ValueError, match=f"{field} budget"):
             Budgets(**{field: 0})
 
+    @pytest.mark.parametrize("q", BAD_ORDERS)
+    def test_family_i_bad_field_order_exits_two(self, q, deadline):
+        rc, out, err = run("certify", "--family", "I", "--q", str(q),
+                           "--n", "5", "--partition", "1,0,1,0")
+        assert rc == 2 and out == ""
+        assert "prime power" in err or "table size" in err
+
     def test_family_i_requires_partition(self):
         rc, _, err = run("certify", "--family", "I", "--q", "5", "--n", "6")
         assert rc == 2
@@ -183,6 +196,12 @@ class TestDistance:
         rc, _, err = run("distance", self.write(tmp_path, "(1) (0,1)\n"))
         assert rc == 2
         assert "q= header" in err
+
+    @pytest.mark.parametrize("q", BAD_ORDERS)
+    def test_bad_field_order_header_exits_two(self, tmp_path, q, deadline):
+        rc, out, err = run("distance", self.write(tmp_path, f"q={q}\n(1) (0,1)\n"))
+        assert rc == 2 and out == ""
+        assert "prime power" in err or "table size" in err
 
     def test_missing_file_exits_two(self, tmp_path):
         rc, _, err = run("distance", str(tmp_path / "missing.txt"))

@@ -97,24 +97,11 @@ class TestAssembly:
         assert stab.row_degrees == (1, 1)
         assert stab.gamma == 2
 
-    def test_swapped_orientation(self, f2):
-        h1 = PolyMatrix(f2, [[(0, 1), (1,), (0, 1)]])
-        g2 = PolyMatrix(f2, [[(1,), (1,), (1, 1)]])
-        stab = assemble_stabilizer(h1, g2, orientation="swapped")
-        assert stab.x_part.e[0] == g2.e[0]
-        assert stab.z_part.e[1] == h1.e[0]
-        assert check_symplectic(stab.x_part, stab.z_part)
-
     def test_violation_detected(self, f2):
         h1 = PolyMatrix(f2, [[(0, 1), (1,), (0, 1)]])
         stray = PolyMatrix(f2, [[(1,), (), ()]])
         with pytest.raises(SymplecticViolation):
             assemble_stabilizer(h1, stray)
-
-    def test_unknown_orientation(self, f2):
-        h1 = PolyMatrix(f2, [[(1,), (1,), (1,)]])
-        with pytest.raises(ValueError):
-            assemble_stabilizer(h1, h1, orientation="sideways")
 
 
 class TestExpansion:

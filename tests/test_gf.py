@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import sympy
@@ -19,6 +21,7 @@ from aqcc.gf import (
     multiplicative_order,
     poly_is_irreducible,
     prime_factors,
+    prime_power,
 )
 from aqcc.matrix import field_from_order
 
@@ -277,6 +280,29 @@ def test_prime_factors():
     assert prime_factors(15) == [3, 5]
     assert prime_factors(1024) == [2]
     assert prime_factors(255) == [3, 5, 17]
+
+
+def _reference_prime_power(q):
+    """(p, l) by the smallest divisor and repeated division, or None."""
+    if q < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    l = 0
+    while q % p == 0:
+        q //= p
+        l += 1
+    return (p, l) if q == 1 else None
+
+
+@pytest.mark.parametrize("orders", [range(-2, 2101), [1000000007, 1 << 40]])
+def test_prime_power_matches_reference(orders, deadline):
+    for q in orders:
+        want = _reference_prime_power(q)
+        if want is None:
+            with pytest.raises(ValueError, match="not a prime power"):
+                prime_power(q)
+        else:
+            assert prime_power(q) == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16, 17, 25, 27, 32])
