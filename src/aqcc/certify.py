@@ -121,11 +121,9 @@ def _fault_mutate_row(g1: PolyMatrix, g2: PolyMatrix, seed: int) -> PolyMatrix:
         r = rng.randrange(g2.rows)
         c = rng.randrange(g2.cols)
         delta = 1 + rng.randrange(field.q - 1)
-        entries = [list(row) for row in g2.e]
-        p = entries[r][c]
-        c0 = p[0] if p else 0
-        entries[r][c] = (int(field.add(c0, delta)),) + tuple(p[1:])
-        cand = PolyMatrix(field, entries, cols=g2.cols)
+        coeffs = g2.c.copy()
+        coeffs[0, r, c] = field.add(int(coeffs[0, r, c]), delta)
+        cand = PolyMatrix.from_coefficients(field, coeffs)
         try:
             contains(g1, cand)
         except ContainmentFailed:
@@ -133,19 +131,14 @@ def _fault_mutate_row(g1: PolyMatrix, g2: PolyMatrix, seed: int) -> PolyMatrix:
     raise AqccError("could not push the inner generator out of the outer code")
 
 
-def _swap_columns(m: PolyMatrix, j1: int, j2: int) -> PolyMatrix:
-    entries = [list(row) for row in m.e]
-    for row in entries:
-        row[j1], row[j2] = row[j2], row[j1]
-    return PolyMatrix(m.field, entries, cols=m.cols)
-
-
 def _fault_swap_columns(h1: PolyMatrix, g2: PolyMatrix, seed: int) -> PolyMatrix:
     """Swap two inner columns so the pair is no longer symplectically flat."""
     rng = random.Random(seed)
     for _ in range(64):
         j1, j2 = rng.sample(range(g2.cols), 2)
-        cand = _swap_columns(g2, j1, j2)
+        cols = list(range(g2.cols))
+        cols[j1], cols[j2] = j2, j1
+        cand = PolyMatrix.from_coefficients(g2.field, g2.c[:, :, cols])
         mu = max(h1.max_degree, cand.max_degree, 0)
         if (h1 @ cand.reverse(mu).T).max_degree >= 0:
             return cand
@@ -234,7 +227,7 @@ def certify_plan(
     # coefficient rows (whose distance floors the outer free distance)
     enum_budget = 0 if effort == "structure" else budgets.enum
     source_d = plan.source.min_distance(budget=enum_budget)
-    s1_rows = vstack([g1.coefficient(j) for j in range(g1.max_degree + 1)])
+    s1_rows = MatrixGF(field, g1.c.reshape(-1, g1.cols))
     s1 = BlockCode.from_generator(field, s1_rows, designed_lower=plan.v1_designed)
     d_dual = s1.min_distance(budget=enum_budget)
 
@@ -243,11 +236,7 @@ def certify_plan(
     ch = plan.chain_designed
     c0 = BlockCode(field, g2.coefficient(0), designed_lower=ch[0])
     cm = BlockCode(field, g2.coefficient(mu2), designed_lower=ch[1])
-    cs = BlockCode(
-        field,
-        vstack([g2.coefficient(j) for j in range(mu2 + 1)]),
-        designed_lower=ch[2],
-    )
+    cs = BlockCode(field, MatrixGF(field, g2.c.reshape(-1, g2.cols)), designed_lower=ch[2])
     if effort == "structure":
         chain_lo = min(ch[0] + ch[1], ch[2])
     else:

@@ -1,9 +1,15 @@
 """Convolutional codes as modules over GF(q)[D].
 
-A polynomial is a trimmed tuple of field indices, constant term first; the
-zero polynomial is the empty tuple and pdeg returns -1 for it (standing in
-for degree minus infinity).  PolyMatrix wraps an immutable grid of such
-tuples.
+PolyMatrix stores one read-only coefficient array c of shape (L, rows,
+cols), with c[d] the constant matrix multiplying D**d and trailing zero
+degrees trimmed (L == 1 for the zero matrix).  Sums, products, transposes,
+reversal and leading-row matrices are array operations on the field
+tables; a product is one scalar product with a block-Toeplitz matrix.
+
+Single polynomials, which the Smith form and the text format use, are
+trimmed tuples of field indices, constant term first; the zero polynomial
+is the empty tuple and pdeg returns -1 for it (standing in for degree
+minus infinity).  PolyMatrix.e views the entries as such tuples.
 
 The algebra here is the standard module toolkit: predicates for basic and
 reduced generator matrices, row reduction to a reduced form, external
@@ -43,11 +49,11 @@ from .errors import (
     RankDeficient,
 )
 from .gf import FiniteField
-from .matrix import MatrixGF, field_from_order, solve_left, vstack
+from .matrix import MatrixGF, field_from_order, solve_left
 
 Poly = tuple[int, ...]
 
-# --- polynomial arithmetic on coefficient tuples ---------------------------
+# --- single polynomials as coefficient tuples -------------------------------
 
 
 def ptrim(c) -> Poly:
@@ -72,12 +78,8 @@ def padd(f: FiniteField, a: Poly, b: Poly) -> Poly:
     return ptrim(out)
 
 
-def pneg(f: FiniteField, a: Poly) -> Poly:
-    return tuple(f.neg(c) for c in a)
-
-
 def psub(f: FiniteField, a: Poly, b: Poly) -> Poly:
-    return padd(f, a, pneg(f, b))
+    return padd(f, a, tuple(f.neg(c) for c in b))
 
 
 def pscale(f: FiniteField, a: Poly, c: int) -> Poly:
@@ -95,13 +97,6 @@ def pmul(f: FiniteField, a: Poly, b: Poly) -> Poly:
             for j, cb in enumerate(b):
                 out[i + j] = f.add(out[i + j], f.mul(ca, cb))
     return ptrim(out)
-
-
-def pshift(a: Poly, s: int) -> Poly:
-    """Multiply by D**s."""
-    if not a:
-        return ()
-    return (0,) * s + a
 
 
 def pdivmod(f: FiniteField, a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -126,85 +121,124 @@ def pdivmod(f: FiniteField, a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 
 class PolyMatrix:
-    __slots__ = ("field", "e", "_cols")
+    """Matrix over GF(q)[D], stored as one coefficient array.
+
+    c is a read-only int32 array of shape (L, rows, cols) whose slice c[d]
+    is the constant matrix multiplying D**d.  Trailing zero degrees are
+    trimmed, so L - 1 == max_degree, and the zero matrix keeps L == 1.
+    Arithmetic runs on the field tables: a sum adds coefficient arrays, a
+    product is one scalar product with a block-Toeplitz matrix.  e is a
+    grid of coefficient tuples, built from c on first use.
+    """
+
+    __slots__ = ("field", "c", "_e")
 
     def __init__(self, field: FiniteField, entries, cols: int | None = None):
-        self.field = field
-        self.e = tuple(tuple(ptrim(p) for p in row) for row in entries)
-        widths = {len(r) for r in self.e}
-        if len(widths) > 1:
+        """From a grid of coefficient tuples, constant term first."""
+        grid = [list(row) for row in entries]
+        width = len(grid[0]) if grid else cols or 0
+        if any(len(row) != width for row in grid):
             raise ValueError("ragged rows")
-        if widths:
-            self._cols = widths.pop()
-            if cols is not None and cols != self._cols:
-                raise ValueError("declared column count does not match rows")
-        else:
-            self._cols = cols if cols is not None else 0
+        if cols is not None and cols != width:
+            raise ValueError("declared column count does not match rows")
+        depth = max((len(p) for row in grid for p in row), default=0)
+        c = np.zeros((depth, len(grid), width), dtype=np.int32)
+        for i, row in enumerate(grid):
+            for j, p in enumerate(row):
+                c[: len(p), i, j] = p
+        self._bind(field, c)
 
-    @classmethod
-    def zeros(cls, field: FiniteField, rows: int, cols: int) -> "PolyMatrix":
-        return cls(field, [((),) * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def identity(cls, field: FiniteField, n: int) -> "PolyMatrix":
-        return cls(field, [[(1,) if i == j else () for j in range(n)] for i in range(n)])
+    def _bind(self, field: FiniteField, c):
+        c = np.asarray(c)
+        if c.ndim != 3:
+            raise ValueError("need a (degree, rows, cols) coefficient array")
+        if c.size and (c.min() < 0 or c.max() >= field.q):
+            raise ValueError("coefficient out of range for the field")
+        live = np.flatnonzero(c.any(axis=(1, 2)))
+        depth = int(live[-1]) + 1 if live.size else 1
+        trimmed = np.zeros((depth, *c.shape[1:]), dtype=np.int32)
+        trimmed[: len(c)] = c[:depth]
+        trimmed.setflags(write=False)
+        self.field = field
+        self.c = trimmed
+        self._e = None
 
     @classmethod
     def from_coefficients(cls, field: FiniteField, mats) -> "PolyMatrix":
-        """Sum of constant matrices mats[i] * D**i."""
-        arrs = [m.a if isinstance(m, MatrixGF) else np.asarray(m) for m in mats]
-        rows, cols = arrs[0].shape
-        ent = [
-            [ptrim([int(a[r, c]) for a in arrs]) for c in range(cols)]
-            for r in range(rows)
-        ]
-        return cls(field, ent, cols=cols)
+        """Sum of constant matrices mats[d] * D**d.
+
+        mats is a sequence of MatrixGF or 2-d arrays, or one 3-d array.
+        """
+        if not (isinstance(mats, np.ndarray) and mats.ndim == 3):
+            mats = np.stack([m.a if isinstance(m, MatrixGF) else np.asarray(m) for m in mats])
+        out = cls.__new__(cls)
+        out._bind(field, mats)
+        return out
+
+    @classmethod
+    def zeros(cls, field: FiniteField, rows: int, cols: int) -> "PolyMatrix":
+        return cls.from_coefficients(field, np.zeros((1, rows, cols), dtype=np.int32))
+
+    @classmethod
+    def identity(cls, field: FiniteField, n: int) -> "PolyMatrix":
+        return cls.from_coefficients(field, [np.eye(n, dtype=np.int32)])
 
     @property
     def rows(self) -> int:
-        return len(self.e)
+        return self.c.shape[1]
 
     @property
     def cols(self) -> int:
-        return self._cols
+        return self.c.shape[2]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+        return self.c.shape[1:]
+
+    @property
+    def e(self) -> tuple[tuple[Poly, ...], ...]:
+        """The entries as trimmed coefficient tuples."""
+        if self._e is None:
+            self._e = tuple(
+                tuple(ptrim(p) for p in row) for row in self.c.transpose(1, 2, 0).tolist()
+            )
+        return self._e
 
     def entry(self, i: int, j: int) -> Poly:
         return self.e[i][j]
 
     def coefficient(self, i: int) -> MatrixGF:
         """The constant matrix multiplying D**i."""
-        arr = np.zeros(self.shape, dtype=np.int32)
-        for r, row in enumerate(self.e):
-            for c, p in enumerate(row):
-                if i < len(p):
-                    arr[r, c] = p[i]
-        return MatrixGF(self.field, arr)
+        return MatrixGF(self.field, self.coefficients(i + 1)[i])
+
+    def coefficients(self, depth: int) -> np.ndarray:
+        """The first depth degrees of c, zero-padded to shape (depth, rows, cols)."""
+        if depth == len(self.c):
+            return self.c
+        out = np.zeros((depth, *self.shape), dtype=np.int32)
+        out[: len(self.c)] = self.c[:depth]
+        return out
 
     @property
     def max_degree(self) -> int:
-        return max((pdeg(p) for row in self.e for p in row), default=-1)
+        return len(self.c) - 1 if len(self.c) > 1 or self.c.any() else -1
 
     @property
     def row_degrees(self) -> tuple[int, ...]:
-        return tuple(max((pdeg(p) for p in row), default=-1) for row in self.e)
+        return tuple(_row_degrees(self.c).tolist())
 
     def is_zero(self) -> bool:
-        return all(not p for row in self.e for p in row)
+        return not self.c.any()
 
     def __eq__(self, other):
         return (
             isinstance(other, PolyMatrix)
             and self.field == other.field
-            and self.shape == other.shape
-            and self.e == other.e
+            and np.array_equal(self.c, other.c)
         )
 
     def __hash__(self):
-        return hash((self.field, self.e))
+        return hash((self.field, self.c.shape, self.c.tobytes()))
 
     def __repr__(self):
         return f"PolyMatrix({self.field!r}, shape={self.shape}, max_degree={self.max_degree})"
@@ -213,49 +247,40 @@ class PolyMatrix:
         if self.field != other.field:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+    def _pair(self, other: "PolyMatrix") -> tuple[np.ndarray, np.ndarray]:
         self._check(other)
-        f = self.field
-        return PolyMatrix(
-            f,
-            [
-                [padd(f, a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.e, other.e, strict=True)
-            ],
-        )
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        depth = max(len(self.c), len(other.c))
+        return self.coefficients(depth), other.coefficients(depth)
+
+    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+        a, b = self._pair(other)
+        return PolyMatrix.from_coefficients(self.field, self.field._ADD[a, b])
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._check(other)
+        a, b = self._pair(other)
         f = self.field
-        return PolyMatrix(
-            f,
-            [
-                [psub(f, a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.e, other.e, strict=True)
-            ],
-        )
+        return PolyMatrix.from_coefficients(f, f._ADD[a, f._NEG[b]])
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """[A_0 | A_1 | ...] times the block-Toeplitz stack whose block
+        (a, a + b) is B_b; block column d of the product is C_d."""
         self._check(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         f = self.field
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc: Poly = ()
-                for t in range(self.cols):
-                    acc = padd(f, acc, pmul(f, self.e[i][t], other.e[t][j]))
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(f, out, cols=other.cols)
+        depth = len(self.c) + len(other.c) - 1
+        left = self.c.transpose(1, 0, 2).reshape(self.rows, len(self.c) * self.cols)
+        band = block_toeplitz(other.c, len(self.c), depth)
+        prod = (MatrixGF(f, left) @ MatrixGF(f, band)).a
+        return PolyMatrix.from_coefficients(
+            f, prod.reshape(self.rows, depth, other.cols).transpose(1, 0, 2)
+        )
 
     @property
     def T(self) -> "PolyMatrix":
-        if self.rows == 0 or self.cols == 0:
-            return PolyMatrix.zeros(self.field, self.cols, self.rows)
-        return PolyMatrix(self.field, list(zip(*self.e)))
+        return PolyMatrix.from_coefficients(self.field, self.c.transpose(0, 2, 1))
 
     def reverse(self, mu: int | None = None) -> "PolyMatrix":
         """D**mu times self evaluated at 1/D; mu defaults to max_degree."""
@@ -263,27 +288,32 @@ class PolyMatrix:
             mu = max(self.max_degree, 0)
         if mu < self.max_degree:
             raise ValueError("mu smaller than the maximum entry degree")
-        out = []
-        for row in self.e:
-            new = []
-            for p in row:
-                width = mu + 1
-                padded = list(p) + [0] * (width - len(p))
-                new.append(ptrim(padded[::-1]))
-            out.append(new)
-        return PolyMatrix(self.field, out)
+        return PolyMatrix.from_coefficients(self.field, self.coefficients(mu + 1)[::-1])
 
     def leading_row_matrix(self) -> MatrixGF:
         """Row i holds the coefficients at that row's own degree."""
-        arr = np.zeros(self.shape, dtype=np.int32)
-        for r, row in enumerate(self.e):
-            d = max((pdeg(p) for p in row), default=-1)
-            if d < 0:
-                continue
-            for c, p in enumerate(row):
-                if pdeg(p) == d:
-                    arr[r, c] = p[-1]
-        return MatrixGF(self.field, arr)
+        degs = np.maximum(_row_degrees(self.c), 0)
+        return MatrixGF(self.field, self.c[degs, np.arange(self.rows)])
+
+
+def block_toeplitz(c: np.ndarray, blocks: int, width: int) -> np.ndarray:
+    """Scalar matrix whose block (t, t + d) is c[d], for block rows t < blocks.
+
+    Blocks of c are cut off at block column width.
+    """
+    depth, r, n = c.shape
+    band = c.transpose(1, 0, 2).reshape(r, depth * n)
+    out = np.zeros((blocks * r, width * n), dtype=np.int32)
+    for t in range(blocks):
+        span = min(depth, width - t) * n
+        out[t * r : (t + 1) * r, t * n : t * n + span] = band[:, :span]
+    return out
+
+
+def _row_degrees(c: np.ndarray) -> np.ndarray:
+    """Degree of each row of a coefficient array; -1 for a zero row."""
+    live = c.any(axis=2)[::-1]
+    return np.where(live.any(axis=0), len(c) - 1 - live.argmax(axis=0), -1)
 
 
 # --- Smith normal form -------------------------------------------------------
@@ -417,9 +447,8 @@ def constant_right_inverse(m: PolyMatrix) -> PolyMatrix | None:
     """
     f = m.field
     k = m.rows
-    mu = max(m.max_degree, 0)
-    stacked = vstack([m.coefficient(i) for i in range(mu + 1)])
-    target = np.zeros((k, (mu + 1) * k), dtype=np.int32)
+    stacked = MatrixGF(f, m.c.reshape(len(m.c) * k, m.cols))
+    target = np.zeros((k, len(m.c) * k), dtype=np.int32)
     target[:, :k] = np.eye(k, dtype=np.int32)
     x = solve_left(stacked.T, MatrixGF(f, target))
     if x is None:
@@ -448,37 +477,26 @@ def is_reduced(m: PolyMatrix) -> bool:
 def reduce(m: PolyMatrix) -> PolyMatrix:
     """Row-equivalent reduced matrix (greedy leading-row cancellation)."""
     f = m.field
-    rows = [list(r) for r in m.e]
-
-    def row_deg(r):
-        return max((pdeg(p) for p in rows[r]), default=-1)
-
+    c = np.array(m.c)
+    rows = np.arange(m.rows)
     while True:
-        lead = np.zeros((len(rows), m.cols), dtype=np.int32)
-        for r in range(len(rows)):
-            d = row_deg(r)
-            if d < 0:
-                raise RankDeficient("zero row while reducing; input lost rank")
-            for c, p in enumerate(rows[r]):
-                if pdeg(p) == d:
-                    lead[r, c] = p[-1]
-        ker = MatrixGF(f, lead).T.kernel()
+        degs = _row_degrees(c)
+        if np.any(degs < 0):
+            raise RankDeficient("zero row while reducing; input lost rank")
+        ker = MatrixGF(f, c[degs, rows]).T.kernel()
         if ker.rows == 0:
-            return PolyMatrix(f, rows)
+            return PolyMatrix.from_coefficients(f, c)
         coefs = ker.row(0)
-        support = [r for r in range(len(rows)) if coefs[r]]
-        j = max(support, key=lambda r: (row_deg(r), r))
-        dj = row_deg(j)
+        support = np.flatnonzero(coefs).tolist()
+        j = max(support, key=lambda r: (degs[r], r))
         cj_inv = f.inv(int(coefs[j]))
         for r in support:
             if r == j:
                 continue
             factor = f.mul(int(coefs[r]), cj_inv)
-            shift = dj - row_deg(r)
-            for c in range(m.cols):
-                rows[j][c] = padd(
-                    f, rows[j][c], pshift(pscale(f, rows[r][c], factor), shift)
-                )
+            shift = degs[j] - degs[r]
+            # row_j += factor * D**shift * row_r
+            c[shift:, j] = f._ADD[c[shift:, j], f._MUL[factor, c[: len(c) - shift, r]]]
 
 
 @dataclass(frozen=True)
@@ -510,9 +528,7 @@ def dual_generator(m: PolyMatrix) -> PolyMatrix:
     sf = smith_form(rev)
     if sf.rank < m.rows:
         raise RankDeficient("generator does not have full row rank")
-    n = m.cols
-    ker_cols = [[sf.v.entry(i, j) for j in range(sf.rank, n)] for i in range(n)]
-    h = PolyMatrix(m.field, ker_cols, cols=n - sf.rank).T
+    h = PolyMatrix.from_coefficients(m.field, sf.v.c[:, :, sf.rank :].transpose(0, 2, 1))
     if h.rows:
         h = reduce(h)
     if not (rev @ h.T).is_zero():
@@ -550,30 +566,20 @@ def _membership_reduced(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
     D**t outer_j, flattened degree-major.
     """
     f = outer.field
-    n = outer.cols
-    nu = outer.row_degrees
-    mu = max(outer.max_degree, 0)
-    flat = np.concatenate([outer.coefficient(d).a for d in range(mu + 1)], axis=1)
-    xp = []
-    for i, row in enumerate(inner.e):
-        dv = max((pdeg(p) for p in row), default=-1)
-        shifts = [(j, t) for j in range(outer.rows) for t in range(dv - nu[j] + 1)]
-        width = n * (dv + 1)
-        a = np.zeros((len(shifts), width), dtype=np.int32)
-        for r, (j, t) in enumerate(shifts):
-            span = n * (nu[j] + 1)
-            a[r, t * n : t * n + span] = flat[j, :span]
-        v = np.zeros((1, width), dtype=np.int32)
-        for c, p in enumerate(row):
-            v[0, c : c + n * len(p) : n] = p
-        x = solve_left(MatrixGF(f, a), MatrixGF(f, v))
-        if x is None:
+    k = outer.rows
+    nu = _row_degrees(outer.c)
+    dvs = inner.row_degrees
+    x = np.zeros((max((0, *dvs)) + 1, inner.rows, k), dtype=np.int32)
+    for i, dv in enumerate(dvs):
+        # rows D**t outer_j with t + nu_j <= dv; outer being reduced makes
+        # them independent, so the solution is unique
+        t, j = np.nonzero(np.arange(dv + 1)[:, None] + nu[None, :] <= dv)
+        a = block_toeplitz(outer.c, dv + 1, dv + 1)[t * k + j]
+        sol = solve_left(MatrixGF(f, a), MatrixGF(f, inner.c[: dv + 1, i].reshape(1, -1)))
+        if sol is None:
             raise ContainmentFailed(f"row {i} has residue outside the module")
-        coeffs = [[] for _ in range(outer.rows)]
-        for (j, _), c in zip(shifts, x.a[0]):
-            coeffs[j].append(int(c))
-        xp.append(coeffs)
-    return PolyMatrix(f, xp, cols=outer.rows)
+        x[t, i, j] = sol.a[0]
+    return PolyMatrix.from_coefficients(f, x)
 
 
 def _membership_smith(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:

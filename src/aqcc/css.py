@@ -10,12 +10,14 @@ explicitly instead of assuming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .convo import (
     PolyMatrix,
+    block_toeplitz,
     contains,
     degree_accounting,
     dual_generator,
@@ -94,10 +96,6 @@ class StabilizerMatrix:
         return sum(self.row_degrees)
 
 
-def _stack(top: PolyMatrix, bottom: PolyMatrix) -> PolyMatrix:
-    return PolyMatrix(top.field, top.e + bottom.e, cols=top.cols)
-
-
 def assemble_stabilizer(h1: PolyMatrix, g2: PolyMatrix) -> StabilizerMatrix:
     """Build the block-diagonal stabilizer from a parity check and a generator.
 
@@ -111,16 +109,15 @@ def assemble_stabilizer(h1: PolyMatrix, g2: PolyMatrix) -> StabilizerMatrix:
         raise ValueError(f"column counts differ: {h1.cols} vs {g2.cols}")
     f = h1.field
     n = h1.cols
-    x_part = _stack(h1, PolyMatrix.zeros(f, g2.rows, n))
-    z_part = _stack(PolyMatrix.zeros(f, h1.rows, n), g2)
+    x = np.zeros((max(len(h1.c), len(g2.c)), h1.rows + g2.rows, n), dtype=np.int32)
+    z = x.copy()
+    x[: len(h1.c), : h1.rows] = h1.c
+    z[: len(g2.c), h1.rows :] = g2.c
+    x_part, z_part = PolyMatrix.from_coefficients(f, x), PolyMatrix.from_coefficients(f, z)
     res = symplectic_residual(x_part, z_part)
     if not res.is_zero():
-        for i, row in enumerate(res.e):
-            for j, p in enumerate(row):
-                if p:
-                    raise SymplecticViolation(
-                        f"rows {i} and {j} have pairing {list(p)}"
-                    )
+        i, j = np.argwhere(res.c.any(axis=0))[0].tolist()
+        raise SymplecticViolation(f"rows {i} and {j} have pairing {list(res.entry(i, j))}")
     return StabilizerMatrix(x_part, z_part)
 
 
@@ -145,20 +142,12 @@ def semi_infinite_expand(stab: StabilizerMatrix, frames: int) -> ExpandedStabili
     mu = stab.mu_star
     if frames < mu + 1:
         raise TooFewFrames(f"window of {frames} frames cannot hold degree {mu}")
-    f = stab.field
-    r, n = stab.rows, stab.n
-    coeffs = [
-        np.hstack([stab.x_part.coefficient(d).a, stab.z_part.coefficient(d).a])
-        for d in range(mu + 1)
-    ]
-    big = np.zeros((frames * r, frames * 2 * n), dtype=np.int32)
-    for t in range(frames):
-        for d in range(mu + 1):
-            if t + d < frames:
-                big[t * r : (t + 1) * r, (t + d) * 2 * n : (t + d + 1) * 2 * n] = coeffs[d]
-    m = MatrixGF(f, big)
+    coeffs = np.concatenate(
+        [stab.x_part.coefficients(mu + 1), stab.z_part.coefficients(mu + 1)], axis=2
+    )
+    m = MatrixGF(stab.field, block_toeplitz(coeffs, frames, frames))
     rk = m.rank()
-    return ExpandedStabilizer(m, frames, rk, frames * r - rk)
+    return ExpandedStabilizer(m, frames, rk, frames * stab.rows - rk)
 
 
 @dataclass(frozen=True)
@@ -226,9 +215,13 @@ def derive_aqcc(
 ) -> AqccParameters:
     """Assemble the stabilizer of a nested pair and collect its parameters.
 
-    Distances are optional: when both sides are supplied, the larger one
-    is reported as dz and the smaller as dx, matching the convention that
-    the Z distance carries the heavier protection.
+    Distances are optional: when both sides are supplied, dz brackets the
+    larger of the two and dx the smaller, matching the convention that the
+    Z distance carries the heavier protection.  dz spans the larger lower
+    and the larger upper bound, dx the smaller ones; each keeps the method
+    and witness of the side that gives its upper bound.  dz_side names the
+    side whose bracket lies wholly above the other (ties go to "v1"), and
+    is "undecided" when the brackets overlap.
 
     h1 and v2_dual are the duals of the outer and inner generators.  A
     caller that already holds them passes them in; otherwise they are
@@ -252,11 +245,17 @@ def derive_aqcc(
         raise ValueError("supply both side distances or neither")
     dz = dx = dz_side = None
     if v1_distance is not None:
-        key = lambda r: (r.lower, r.upper)
-        if key(v1_distance) >= key(v2perp_distance):
-            dz, dx, dz_side = v1_distance, v2perp_distance, "v1"
+        a, b = v1_distance, v2perp_distance
+        top = lambda r: math.inf if r.upper is None else r.upper
+        high, low = (a, b) if top(a) >= top(b) else (b, a)
+        dz = replace(high, lower=max(a.lower, b.lower))
+        dx = replace(low, lower=min(a.lower, b.lower))
+        if a.lower >= top(b):
+            dz_side = "v1"
+        elif b.lower > top(a):
+            dz_side = "v2perp"
         else:
-            dz, dx, dz_side = v2perp_distance, v1_distance, "v2perp"
+            dz_side = "undecided"
     return AqccParameters(
         n=pair.n,
         logical=logical,

@@ -23,7 +23,7 @@ from .errors import (
     PartitionInvalid,
     ZeroLogicalDimension,
 )
-from .gf import FiniteField, prime_power
+from .gf import MAX_Q, FiniteField, prime_power
 from .matrix import MatrixGF, field_from_order, vstack
 
 FAMILIES = (
@@ -124,6 +124,8 @@ class LayoutPlan:
 
 def _family_field_ok(family: str, q: int) -> bool:
     """Does GF(q) satisfy the family's standing field assumption?"""
+    if q > MAX_Q:  # refused before factoring, which a huge q would stall
+        raise ParamOutOfRange(f"q = {q} exceeds the supported table size {MAX_Q}")
     try:
         p, l = prime_power(q)
     except ValueError as exc:

@@ -32,7 +32,7 @@ from .families import (
     layout,
 )
 from .gf import prime_power
-from .matrix import field_from_order, vstack
+from .matrix import MatrixGF, field_from_order
 from .trellis import free_distance
 
 # The parameter tuples printed in the source families, in print order:
@@ -184,7 +184,7 @@ def check_duality_chain(specs=DUALITY_SPECS, state_limit=2**16):
             if q**gamma > state_limit:
                 raise AssertionError(f"instance {q} {partition} {n} exceeds the state limit")
             mu = g.max_degree
-            stack = vstack([g.coefficient(j) for j in range(mu + 1)])
+            stack = MatrixGF(field, g.c.reshape(-1, g.cols))
             d0 = BlockCode(field, g.coefficient(0)).min_distance()
             dmu = BlockCode(field, g.coefficient(mu)).min_distance()
             d = BlockCode(field, stack).min_distance()

@@ -38,9 +38,6 @@ from .convo import (
     constant_right_inverse,
     degree_accounting,
     is_reduced,
-    padd,
-    pscale,
-    pshift,
     smith_form,
 )
 from .convo import reduce as reduce_matrix
@@ -148,10 +145,7 @@ def _probe_upper(g: PolyMatrix) -> tuple[int, tuple]:
     k, n = g.shape
     mu = max(g.max_degree, 0)
     span = 2 * mu + 1
-    a = np.zeros((k, n, span), dtype=np.int32)
-    for i, row in enumerate(g.e):
-        for t, p in enumerate(row):
-            a[i, t, : len(p)] = p
+    a = g.coefficients(span).transpose(1, 2, 0)
     row_w = (a != 0).sum(axis=(1, 2))
     combo_w = np.empty((k, k, mu + 1, q - 1), dtype=np.int64)
     for s in range(mu + 1):
@@ -173,8 +167,9 @@ def _probe_upper(g: PolyMatrix) -> tuple[int, tuple]:
             return None, None
         return int(row_w[best_i]), tuple(g.e[best_i])
     i, j, s, c = (int(x) for x in np.unravel_index(best, combo_w.shape))
-    vec = tuple(padd(f, g.e[i][t], pshift(pscale(f, g.e[j][t], c + 1), s)) for t in range(n))
-    return int(combo_w.flat[best]), vec
+    x = np.zeros((s + 1, 1, k), dtype=np.int32)  # row_i + (c + 1) * D**s * row_j
+    x[0, 0, i], x[s, 0, j] = 1, c + 1
+    return int(combo_w.flat[best]), (PolyMatrix.from_coefficients(f, x) @ g).e[0]
 
 
 def _digit_sums(q: int, weights) -> np.ndarray:
@@ -191,7 +186,7 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
     k, n = g.shape
     nu = info.row_degrees
     gamma = info.gamma
-    coef = [g.coefficient(d).a for d in range(info.mu + 1)]
+    coef = g.c
 
     starts = [sum(nu[:i]) for i in range(k)]  # row i's first state digit
     # state digit p, the input of row i from d steps back, adds coef[d][i]

@@ -62,6 +62,22 @@ class TestEnumerate:
         assert rc == 2
         assert "range" in err
 
+    def test_q64_grid_is_listed(self):
+        rc, out, _ = run("enumerate", "--family", "II-T3b", "--q", "64")
+        assert rc == 0
+        assert len(out.splitlines()) == 1 + 465
+
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--family", "III-T6", "--q", "1000000007"),
+        ("enumerate", "--family", "III-T6", "--q", str(2**61 - 1)),
+        ("certify", "--family", "III-T6", "--q", str(2**61 - 1),
+         "--n", "5", "--k", "1", "--t", "1"),
+    ])
+    def test_oversize_q_refused_before_factoring(self, argv, deadline):
+        rc, out, err = run(*argv)
+        assert rc == 2 and out == ""
+        assert "table size" in err
+
     def test_non_prime_power_exits_two(self):
         rc, _, err = run("enumerate", "--family", "III-T6", "--q", "12")
         assert rc == 2

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,13 +27,20 @@ from aqcc.convo import (
     pdivmod,
     pmul,
     poly_vector_weight,
-    pshift,
+    pscale,
+    psub,
+    ptrim,
     reduce,
     smith_form,
     split_to_generator,
 )
 from aqcc.gf import FiniteField
 from aqcc.matrix import MatrixGF
+
+
+def pshift(a, s):
+    """Multiply the coefficient tuple a by D**s."""
+    return (0,) * s + a if a else ()
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +67,11 @@ class TestPolyOps:
         with pytest.raises(ZeroDivisionError):
             pdivmod(gf3, (1,), ())
 
-    def test_shift_monic_eval(self):
+    def test_shift_monic_eval(self, gf3):
         assert pshift((1, 2), 2) == (0, 0, 1, 2)
         assert pshift((), 3) == ()
+        d2 = PolyMatrix(gf3, [[(0, 0, 1)]])
+        assert (PolyMatrix(gf3, [[(1, 2), ()]]).T @ d2).e == ((pshift((1, 2), 2),), ((),))
 
     def test_vector_weight(self):
         assert poly_vector_weight(((1, 0, 2), (), (3,))) == 3
@@ -333,3 +344,182 @@ class TestSplit:
                 [MatrixGF(f, eye.a[:2]), MatrixGF(f, eye.a[2:3])],
                 placements=[(1, 0), (0,)],
             )
+
+
+# --- tuple-grid references for the coefficient-array storage -------------
+#
+# Entry-by-entry arithmetic on grids of coefficient tuples, the plainest
+# statement of each operation, kept as oracles for the array versions.
+
+
+def tuple_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    f = a.field
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = ()
+            for t in range(a.cols):
+                acc = padd(f, acc, pmul(f, a.e[i][t], b.e[t][j]))
+            row.append(acc)
+        out.append(row)
+    return PolyMatrix(f, out, cols=b.cols)
+
+
+def tuple_add(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    f = a.field
+    return PolyMatrix(
+        f, [[padd(f, x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.e, b.e)], cols=a.cols
+    )
+
+
+def tuple_sub(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    f = a.field
+    return PolyMatrix(
+        f, [[psub(f, x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.e, b.e)], cols=a.cols
+    )
+
+
+def tuple_transpose(m: PolyMatrix) -> PolyMatrix:
+    if m.rows == 0 or m.cols == 0:
+        return PolyMatrix.zeros(m.field, m.cols, m.rows)
+    return PolyMatrix(m.field, list(zip(*m.e)))
+
+
+def tuple_reverse(m: PolyMatrix, mu: int) -> PolyMatrix:
+    out = []
+    for row in m.e:
+        new = []
+        for p in row:
+            padded = list(p) + [0] * (mu + 1 - len(p))
+            new.append(ptrim(padded[::-1]))
+        out.append(new)
+    return PolyMatrix(m.field, out, cols=m.cols)
+
+
+def tuple_row_degrees(m: PolyMatrix) -> tuple[int, ...]:
+    return tuple(max((pdeg(p) for p in row), default=-1) for row in m.e)
+
+
+def tuple_leading_row_matrix(m: PolyMatrix) -> MatrixGF:
+    arr = np.zeros(m.shape, dtype=np.int32)
+    for r, row in enumerate(m.e):
+        d = max((pdeg(p) for p in row), default=-1)
+        if d < 0:
+            continue
+        for c, p in enumerate(row):
+            if pdeg(p) == d:
+                arr[r, c] = p[-1]
+    return MatrixGF(m.field, arr)
+
+
+def tuple_reduce(m: PolyMatrix) -> PolyMatrix:
+    f = m.field
+    rows = [list(r) for r in m.e]
+
+    def row_deg(r):
+        return max((pdeg(p) for p in rows[r]), default=-1)
+
+    while True:
+        lead = np.zeros((len(rows), m.cols), dtype=np.int32)
+        for r in range(len(rows)):
+            d = row_deg(r)
+            if d < 0:
+                raise RankDeficient("zero row while reducing; input lost rank")
+            for c, p in enumerate(rows[r]):
+                if pdeg(p) == d:
+                    lead[r, c] = p[-1]
+        ker = MatrixGF(f, lead).T.kernel()
+        if ker.rows == 0:
+            return PolyMatrix(f, rows, cols=m.cols)
+        coefs = ker.row(0)
+        support = [r for r in range(len(rows)) if coefs[r]]
+        j = max(support, key=lambda r: (row_deg(r), r))
+        dj = row_deg(j)
+        cj_inv = f.inv(int(coefs[j]))
+        for r in support:
+            if r == j:
+                continue
+            factor = f.mul(int(coefs[r]), cj_inv)
+            shift = dj - row_deg(r)
+            for c in range(m.cols):
+                rows[j][c] = padd(f, rows[j][c], pshift(pscale(f, rows[r][c], factor), shift))
+
+
+DIFF_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4)]
+
+
+def random_polymatrix(rng, field, rows, cols, depth, density=0.6):
+    """Entries of degree < depth; each coefficient is nonzero with the given odds."""
+    return PolyMatrix(field, [
+        [
+            tuple(rng.randrange(1, field.q) if rng.random() < density else 0
+                  for _ in range(rng.randrange(depth + 1)))
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ], cols=cols)
+
+
+def diff_cases(seed):
+    """(field, a, b, c) with a: r x m, b: m x n, c shaped like a, over every
+    field of DIFF_FIELDS, including empty and all-zero shapes."""
+    rng = random.Random(seed)
+    out = []
+    for pl in DIFF_FIELDS:
+        f = FiniteField.get(*pl)
+        shapes = [(0, 2, 3), (2, 0, 3), (2, 3, 0), (1, 1, 1), (2, 3, 2), (3, 2, 4)]
+        shapes += [(rng.randrange(1, 4), rng.randrange(1, 4), rng.randrange(1, 5))
+                   for _ in range(4)]
+        for r, m, n in shapes:
+            depth = rng.randrange(0, 4)
+            out.append((f,
+                        random_polymatrix(rng, f, r, m, depth),
+                        random_polymatrix(rng, f, m, n, rng.randrange(0, 4)),
+                        random_polymatrix(rng, f, r, m, rng.randrange(0, 4))))
+        out.append((f, PolyMatrix.zeros(f, 2, 3), PolyMatrix.zeros(f, 3, 2),
+                    PolyMatrix.zeros(f, 2, 3)))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_array_arithmetic_matches_tuple_grid(seed):
+    for f, a, b, c in diff_cases(seed):
+        assert a @ b == tuple_matmul(a, b)
+        assert a + c == tuple_add(a, c)
+        assert a - c == tuple_sub(a, c)
+        assert a.T == tuple_transpose(a)
+        assert a.T.T == a
+        mu = max(a.max_degree, 0)
+        assert a.reverse() == tuple_reverse(a, mu)
+        assert a.reverse(mu + 2) == tuple_reverse(a, mu + 2)
+        assert a.row_degrees == tuple_row_degrees(a)
+        assert a.leading_row_matrix() == tuple_leading_row_matrix(a)
+        assert a.max_degree == max(a.row_degrees, default=-1)
+        assert a.is_zero() == all(not p for row in a.e for p in row)
+
+
+def test_product_with_a_zero_matrix_is_zero(gf3):
+    a = PolyMatrix(gf3, [[(1, 2), (0, 1)]])
+    z = PolyMatrix.zeros(gf3, 2, 3)
+    assert (a @ z).is_zero() and (a @ z).shape == (1, 3) and (a @ z).max_degree == -1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_array_reduce_matches_tuple_grid(seed):
+    rng = random.Random(100 + seed)
+    checked = 0
+    for pl in DIFF_FIELDS:
+        f = FiniteField.get(*pl)
+        for _ in range(12):
+            k = rng.randrange(0, 4)
+            m = random_polymatrix(rng, f, k, k + rng.randrange(0, 3), rng.randrange(1, 4))
+            try:
+                want = tuple_reduce(m)
+            except RankDeficient:
+                with pytest.raises(RankDeficient):
+                    reduce(m)
+                continue
+            assert reduce(m) == want
+            checked += 1
+    assert checked >= 20

@@ -235,6 +235,20 @@ class TestCertificates:
         # the inner-dual side must certify at least the stated 2t + 2
         assert conv["d2f_dual"]["lower"] >= 4
 
+    @pytest.mark.parametrize("family, q, kw", [
+        ("III-T6", 17, {"n": 17, "k": 3, "t": 5}),
+        ("II-T3b", 16, {"i": 6, "t": 1}),
+    ])
+    def test_overlapping_sides_leave_dz_open(self, family, q, kw):
+        # d1f is an open bracket reaching past the exact inner-dual side,
+        # so neither side is known to be the larger one
+        cert = certify_params(FamilyParams(family, q, **kw), effort="desk")
+        conv = cert.data["distances"]["convo"]
+        assert not conv["d1f"]["exact"] and conv["d2f_dual"]["exact"]
+        assert cert.aqcc.dz_side == "undecided"
+        assert "dz_exact" not in cert.data["distances"]["aqcc"]
+        assert cert.aqcc.dz.lower < cert.aqcc.dz.upper
+
     def test_certificates_are_byte_identical(self):
         a = certify_params(FamilyParams("III-T8", 7, n=7, k=2, t=2)).to_json()
         b = certify_params(FamilyParams("III-T8", 7, n=7, k=2, t=2)).to_json()

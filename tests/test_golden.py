@@ -16,11 +16,16 @@ tests/golden/block_distance.txt is the ``aqcc distance`` output for the
 constant encoder tests/golden/block_encoder.txt ([10, 5] over GF(11)).  That
 encoder takes the block route, whose witness is the first minimum-weight
 codeword in message order, found past the first 8192 messages.
+
+tests/golden/encoders_distance.txt is the ``aqcc distance`` output for each
+textbook encoder in perfbench/encoders/, which the benchmark reads; it is
+written here and never into perfbench/.
 """
 
 import contextlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -37,6 +42,8 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 PROBE_PATH = GOLDEN_DIR / "probe.json"
 BLOCK_ENCODER = GOLDEN_DIR / "block_encoder.txt"
 BLOCK_DISTANCE = GOLDEN_DIR / "block_distance.txt"
+ENCODER_DIR = GOLDEN_DIR.parent.parent / "perfbench" / "encoders"
+ENCODERS_DISTANCE = GOLDEN_DIR / "encoders_distance.txt"
 
 CASES = [("structure", row[:3]) for row in REFERENCE_ROWS] + [
     ("desk", row[:3]) for row in REFERENCE_ROWS if row[1] <= 8
@@ -75,15 +82,49 @@ def test_probe_matches_golden():
     assert probe_text() == PROBE_PATH.read_text()
 
 
-def block_distance_text() -> str:
+def distance_text(path: Path) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["distance", str(BLOCK_ENCODER)]) == 0
+        assert main(["distance", str(path)]) == 0
     return out.getvalue()
+
+
+def block_distance_text() -> str:
+    return distance_text(BLOCK_ENCODER)
+
+
+def encoders_distance_text() -> str:
+    paths = sorted(ENCODER_DIR.glob("*.txt"))
+    assert len(paths) == 14
+    return "".join(f"# {p.name}\n" + distance_text(p) for p in paths)
 
 
 def test_block_distance_matches_golden():
     assert block_distance_text() == BLOCK_DISTANCE.read_text()
+
+
+def test_encoders_distance_matches_golden():
+    assert encoders_distance_text() == ENCODERS_DISTANCE.read_text()
+
+
+def singleton_bound(n: int, k: int, gamma: int) -> int:
+    """Generalized Singleton bound on the free distance of an (n, k, gamma)
+    convolutional code (Rosenthal & Smarandache 1999)."""
+    return (n - k) * (gamma // k + 1) + gamma + 1
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*/*.json")), ids=lambda p: f"{p.parent.name}-{p.stem}")
+def test_golden_distances_respect_singleton(path):
+    data = json.loads(path.read_text())
+    n = int(re.match(r"\[\((\d+),", data["tuple"]).group(1))
+    ranks, degrees = data["checks"]["ranks"], data["checks"]["degrees"]
+    conv = data["distances"]["convo"]
+    for side, k, gamma in (
+        ("d1f", ranks["G1"], degrees["gamma1"]),
+        ("d2f_dual", n - ranks["G2"], degrees["gamma2"]),
+    ):
+        # an exact value is its own lower bound
+        assert conv[side]["lower"] <= singleton_bound(n, k, gamma), side
 
 
 def test_golden_set_is_complete():
@@ -104,3 +145,5 @@ if __name__ == "__main__":
     print(PROBE_PATH.relative_to(GOLDEN_DIR))
     BLOCK_DISTANCE.write_text(block_distance_text())
     print(BLOCK_DISTANCE.relative_to(GOLDEN_DIR))
+    ENCODERS_DISTANCE.write_text(encoders_distance_text())
+    print(ENCODERS_DISTANCE.relative_to(GOLDEN_DIR))

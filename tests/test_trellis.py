@@ -14,7 +14,6 @@ from aqcc.convo import (
     padd,
     poly_vector_weight,
     pscale,
-    pshift,
     reduce,
     split_to_generator,
 )
@@ -198,6 +197,11 @@ def scalar_free_distance(g: PolyMatrix) -> int:
             if t not in done:
                 heapq.heappush(heap, (d + w, t))
     raise AssertionError("zero state unreachable")
+
+
+def pshift(a, s):
+    """Multiply the coefficient tuple a by D**s."""
+    return (0,) * s + a if a else ()
 
 
 def loop_probe(g: PolyMatrix):
