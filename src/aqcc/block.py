@@ -108,24 +108,7 @@ class BlockCode:
         d._generator = self.parity
         return d
 
-    def contains_vector(self, v) -> bool:
-        syn = MatrixGF(self.field, np.asarray(v, dtype=np.int32).reshape(1, -1)) @ self.parity.T
-        return syn.is_zero()
-
     # --- distance machinery ---------------------------------------------
-
-    def weight_distribution(self, budget: int = FULL_ENUM_BUDGET) -> list[int] | None:
-        """Exact weight distribution A_0..A_n, or None if over budget."""
-        q = self.field.q
-        if self.k == 0:
-            return [1] + [0] * self.n
-        if q ** self.k <= budget:
-            counts, _, _ = _enumerate_weights(self.field, self.generator.a)
-            return [int(c) for c in counts]
-        if q ** (self.n - self.k) <= budget:
-            counts, _, _ = _enumerate_weights(self.field, self.parity.a)
-            return macwilliams_transform([int(c) for c in counts], self.n, q)
-        return None
 
     def min_distance(self, budget: int = FULL_ENUM_BUDGET) -> DistanceBound:
         if self.k == 0:

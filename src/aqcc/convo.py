@@ -25,13 +25,16 @@ predictable-degree property (Forney 1970, "Convolutional codes I:
 algebraic structure") bounds the degree of every membership coefficient,
 so containment is one scalar system per inner row, confirmed by the
 polynomial product X @ outer == inner.  The Smith form is the fallback
-for inputs without such a witness, and it still computes the dual.
+for inputs without such a witness.
+
+The dual is a minimal basis of a polynomial kernel, built from scalar
+kernels of block-Toeplitz matrices, in the Popov form fixed by the code.
 
 Duality convention: the dual pairs sequences in the time domain over all
 shifts, which for generator matrices G and H reads G(D) @ H(1/D).T == 0.
 Equivalently rev(G) @ H.T == 0 where rev reverses coefficients at the
 maximum entry degree.  The dual of [1, D] under this pairing is spanned by
-[1, -D].
+[1, -D], whose Popov form is [-1, D].
 """
 
 from __future__ import annotations
@@ -517,21 +520,35 @@ def degree_accounting(m: PolyMatrix) -> DegreeInfo:
 
 
 def dual_generator(m: PolyMatrix) -> PolyMatrix:
-    """Reduced basic generator of the dual code.
+    """Generator of the dual code in Popov form.
 
-    Pairing convention: rows h of the result satisfy m(D) @ h(1/D).T == 0.
-    The kernel columns come out of the Smith V matrix, which makes the
-    result saturated, hence basic.
+    Rows h satisfy m(D) @ h(1/D).T == 0: they span the polynomial kernel of
+    rev(m).  Its vectors of degree <= d are the left kernel of a
+    block-Toeplitz matrix (Forney 1975, "Minimal bases of rational vector
+    spaces"), taken for d = 0, 1, ... up to gamma of the reduced m, which
+    bounds the dual row degrees.  With the coefficient of D**t e_j at
+    position (t, j), kernel() returns the echelon basis whose vectors end
+    in a 1 at their own leading term and vanish at the others'.  Those
+    whose leading term is not D times another are the Popov basis (Kailath
+    1980, "Linear Systems", 6.7): minimal, hence basic and reduced, with
+    monic pivots and normalized pivot columns, the same for every
+    generator of the code.
     """
-    mu = max(m.max_degree, 0)
-    rev = m.reverse(mu)
-    sf = smith_form(rev)
-    if sf.rank < m.rows:
-        raise RankDeficient("generator does not have full row rank")
-    h = PolyMatrix.from_coefficients(m.field, sf.v.c[:, :, sf.rank :].transpose(0, 2, 1))
-    if h.rows:
-        h = reduce(h)
-    if not (rev @ h.T).is_zero():
+    f = m.field
+    n = m.cols
+    g = reduce(m)  # raises RankDeficient on a rank-deficient m
+    extra = n - g.rows
+    band = g.reverse().T.c
+    for d in range(sum(g.row_degrees) + 1):
+        ker = MatrixGF(f, block_toeplitz(band, d + 1, len(band) + d)).T.kernel().a
+        lead = ker.shape[1] - 1 - np.argmax(ker[:, ::-1] != 0, axis=1)
+        popov = ker[~np.isin(lead - n, lead)]
+        if len(popov) == extra:
+            break
+    else:
+        raise AssertionError("dual basis incomplete at the degree bound")
+    h = PolyMatrix.from_coefficients(f, popov.reshape(extra, d + 1, n).transpose(1, 0, 2))
+    if not (m.reverse() @ h.T).is_zero():
         raise AssertionError("dual residual is nonzero")
     return h
 
@@ -601,11 +618,6 @@ def _membership_smith(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
             elif entry:
                 raise ContainmentFailed(f"row {i} has residue outside the module")
     return PolyMatrix(f, xp, cols=outer.rows) @ sf.u
-
-
-def poly_vector_weight(row: tuple[Poly, ...]) -> int:
-    """Hamming weight of a polynomial vector across all coefficients."""
-    return sum(1 for p in row for c in p if c)
 
 
 # --- parity-check splitting ---------------------------------------------------

@@ -334,11 +334,6 @@ class FiniteField:
             raise ZeroDivisionError("log of 0")
         return int(self._LOG[a])
 
-    def order_of(self, a) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative order")
-        return (self.q - 1) // math.gcd(self.log(a), self.q - 1)
-
     def root_of_unity(self, n: int) -> int:
         """A primitive n-th root of unity, or OrderNotDividing."""
         if n < 1 or (self.q - 1) % n:

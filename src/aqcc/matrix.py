@@ -127,7 +127,11 @@ class MatrixGF:
         return len(self.rref()[1])
 
     def kernel(self) -> "MatrixGF":
-        """Rows span the right null space {x : self @ x = 0}."""
+        """Rows span the right null space {x : self @ x = 0}.
+
+        Row r ends in a 1 at the r-th free column and is 0 at the other
+        free columns: the reduced echelon basis read from the last column.
+        """
         f = self.field
         red, piv = _rref(f, self.a)
         n = self.cols

@@ -26,7 +26,6 @@ from aqcc.convo import (
     pdeg,
     pdivmod,
     pmul,
-    poly_vector_weight,
     pscale,
     psub,
     ptrim,
@@ -72,9 +71,6 @@ class TestPolyOps:
         assert pshift((), 3) == ()
         d2 = PolyMatrix(gf3, [[(0, 0, 1)]])
         assert (PolyMatrix(gf3, [[(1, 2), ()]]).T @ d2).e == ((pshift((1, 2), 2),), ((),))
-
-    def test_vector_weight(self):
-        assert poly_vector_weight(((1, 0, 2), (), (3,))) == 3
 
 
 class TestPolyMatrix:
@@ -237,8 +233,9 @@ class TestDual:
         h = dual_generator(g)
         assert h.rows == 1
         # pairing: sum_t g_t . h_t over all relative shifts must vanish;
-        # for row degree 1 that is c0.d0 + c1.d1 = 0 and the cross terms
-        assert h == PolyMatrix(gf3, [[(1,), (0, 2)]])
+        # for row degree 1 that is c0.d0 + c1.d1 = 0 and the cross terms;
+        # the Popov form scales [1, 2D] to a monic pivot
+        assert h == PolyMatrix(gf3, [[(2,), (0, 1)]])
 
     def test_dual_respects_time_pairing(self, gf3):
         g = PolyMatrix(gf3, [[(1,), (0, 1)]])
@@ -246,6 +243,16 @@ class TestDual:
         mu = max(g.max_degree, h.max_degree)
         assert (g.reverse(mu) @ h.T).is_zero()
         assert (h.reverse(mu) @ g.T).is_zero()
+
+    def test_rank_deficient_generator_is_refused(self, gf3):
+        # rank 1: the kernel has n - 1 rows, more than the n - k a loop
+        # that stops at n - k rows would return
+        for g in (
+            PolyMatrix(gf3, [[(1,), (0, 1)], [(0, 1), (0, 0, 1)]]),
+            PolyMatrix(gf3, [[(1,), (0, 1), (2,)], [(0, 1), (0, 0, 1), (0, 2)]]),
+        ):
+            with pytest.raises(RankDeficient):
+                dual_generator(g)
 
     def test_dual_of_full_rank_square_is_empty(self, gf3):
         h = dual_generator(PolyMatrix.identity(gf3, 2))

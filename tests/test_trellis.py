@@ -12,7 +12,6 @@ from aqcc.convo import (
     PolyMatrix,
     degree_accounting,
     padd,
-    poly_vector_weight,
     pscale,
     reduce,
     split_to_generator,
@@ -202,6 +201,15 @@ def scalar_free_distance(g: PolyMatrix) -> int:
 def pshift(a, s):
     """Multiply the coefficient tuple a by D**s."""
     return (0,) * s + a if a else ()
+
+
+def poly_vector_weight(row) -> int:
+    """Hamming weight of a polynomial vector across all coefficients."""
+    return sum(1 for p in row for c in p if c)
+
+
+def test_vector_weight():
+    assert poly_vector_weight(((1, 0, 2), (), (3,))) == 3
 
 
 def loop_probe(g: PolyMatrix):
