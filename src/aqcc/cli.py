@@ -17,7 +17,7 @@ from . import selftest
 from .block import DESK_ENUM_BUDGET
 from .certify import Budgets, EFFORTS, FAULTS, certify_params, certify_plan
 from .convo import parse_poly_matrix
-from .errors import AqccError, CatastrophicEncoder, ParamOutOfRange
+from .errors import AqccError, CatastrophicEncoder, ParamOutOfRange, RankDeficient
 from .families import (
     FAMILIES,
     FamilyParams,
@@ -153,9 +153,13 @@ def cmd_distance(args) -> int:
         g = parse_poly_matrix(text)
     except ValueError as exc:
         raise ParamOutOfRange(f"bad matrix file: {exc}") from None
-    res = free_distance(
-        g, state_budget=args.state_budget, work_budget=args.work_budget
-    )
+    try:
+        res = free_distance(
+            g, state_budget=args.state_budget, work_budget=args.work_budget
+        )
+    except RankDeficient as exc:
+        # dependent rows map a nonzero input to zero: refused as catastrophic
+        raise CatastrophicEncoder(str(exc)) from None
     lines = [f"q={g.field.q} rows={g.rows} cols={g.cols} gamma={res.gamma}"]
     if res.exact:
         lines.append(f"free distance: exact {res.lower} ({res.method})")

@@ -16,16 +16,17 @@ reduced generator matrices, row reduction to a reduced form, external
 degree accounting, duals, membership witnesses for code containment, and
 Smith normal form with unimodular transforms u and v (u @ m @ v == s).
 
-Facts are proved witness-first: each predicate looks for a constant
-witness with one scalar solve and confirms it with one exact product.  A
-constant right inverse R with G @ R == I proves G basic; since R is
-constant, one scalar product of the stacked coefficients [G_0; ...; G_mu]
-with R confirms it.  For a reduced outer generator, the
-predictable-degree property (Forney 1970, "Convolutional codes I:
-algebraic structure") bounds the degree of every membership coefficient,
-so containment is one scalar system per inner row, confirmed by the
-polynomial product X @ outer == inner.  The Smith form is the fallback
-for inputs without such a witness.
+Each fact has one route, and none takes a Smith form.  reduce is the rank
+test: it raises RankDeficient on a zero row.  A constant right inverse R
+with G @ R == I proves G basic, confirmed by one scalar product of the
+stacked coefficients [G_0; ...; G_mu] with R; without one, G is basic
+exactly when reduce(G) and its minimal dual have the same external degree
+(Forney 1975).  For a reduced outer generator, the predictable-degree
+property (Forney 1970, "Convolutional codes I: algebraic structure")
+bounds the degree of every membership coefficient, so containment is one
+scalar system per inner row; other outer generators are reduced first,
+with their unimodular transform.  One product X @ outer == inner confirms
+the witness.  The Smith form is only the reference the tests compare with.
 
 The dual is a minimal basis of a polynomial kernel, built from scalar
 kernels of block-Toeplitz matrices, in the Popov form fixed by the code.
@@ -462,14 +463,26 @@ def constant_right_inverse(m: PolyMatrix) -> PolyMatrix | None:
 
 
 def is_basic(m: PolyMatrix) -> bool:
-    """Full row rank with all invariant factors equal to 1.
+    """Full row rank with all invariant factors equal to 1: a zero degree gap."""
+    try:
+        return degree_gap(m) == 0
+    except RankDeficient:
+        return False
 
-    A constant right inverse proves it; without one the Smith form decides.
+
+def degree_gap(m: PolyMatrix) -> int:
+    """Degree of the gcd of the k x k minors of m; 0 exactly when m is basic.
+
+    A constant right inverse proves the gap 0.  Without one, reduce(m) has
+    the largest degree of the minors as its external degree, and its
+    minimal dual has the degree of a basic generator of the same code
+    (Forney 1975), so their difference is the degree of the gcd.  Raises
+    RankDeficient when the rows of m are dependent.
     """
     if constant_right_inverse(m) is not None:
-        return True
-    sf = smith_form(m)
-    return sf.rank == m.rows and all(p == (1,) for p in sf.invariant_factors)
+        return 0
+    g = reduce(m)
+    return sum(g.row_degrees) - sum(dual_generator(g).row_degrees)
 
 
 def is_reduced(m: PolyMatrix) -> bool:
@@ -478,9 +491,17 @@ def is_reduced(m: PolyMatrix) -> bool:
 
 
 def reduce(m: PolyMatrix) -> PolyMatrix:
-    """Row-equivalent reduced matrix (greedy leading-row cancellation)."""
+    """Row-equivalent reduced matrix (greedy leading-row cancellation); the
+    rank test, raising RankDeficient on a zero row."""
+    return _reduce(m)[0]
+
+
+def _reduce(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
+    """reduce(m) and the unimodular U with U @ m == reduce(m), built by the
+    same row steps on an identity array that grows with the shifts."""
     f = m.field
     c = np.array(m.c)
+    u = np.eye(m.rows, dtype=np.int32)[None]
     rows = np.arange(m.rows)
     while True:
         degs = _row_degrees(c)
@@ -488,7 +509,7 @@ def reduce(m: PolyMatrix) -> PolyMatrix:
             raise RankDeficient("zero row while reducing; input lost rank")
         ker = MatrixGF(f, c[degs, rows]).T.kernel()
         if ker.rows == 0:
-            return PolyMatrix.from_coefficients(f, c)
+            return PolyMatrix.from_coefficients(f, c), PolyMatrix.from_coefficients(f, u)
         coefs = ker.row(0)
         support = np.flatnonzero(coefs).tolist()
         j = max(support, key=lambda r: (degs[r], r))
@@ -498,8 +519,10 @@ def reduce(m: PolyMatrix) -> PolyMatrix:
                 continue
             factor = f.mul(int(coefs[r]), cj_inv)
             shift = degs[j] - degs[r]
-            # row_j += factor * D**shift * row_r
+            # row_j += factor * D**shift * row_r, in c and in u
             c[shift:, j] = f._ADD[c[shift:, j], f._MUL[factor, c[: len(c) - shift, r]]]
+            u = np.concatenate([u, np.zeros((shift, *u.shape[1:]), dtype=np.int32)])
+            u[shift:, j] = f._ADD[u[shift:, j], f._MUL[factor, u[: len(u) - shift, r]]]
 
 
 @dataclass(frozen=True)
@@ -557,18 +580,19 @@ def contains(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
     """Module membership witness X with X @ outer == inner.
 
     Raises ContainmentFailed when some inner row is not a polynomial
-    combination of outer rows.  A reduced outer generator takes the
-    predictable-degree route; any other goes through its Smith form.  The
-    witness is checked by one product, and ContainmentUnverified reports
-    a witness that does not reproduce the inner rows.
+    combination of outer rows, and RankDeficient when the outer rows are
+    dependent.  With U @ outer == reduce(outer), the predictable-degree
+    route solves X_r @ reduce(outer) == inner and X = X_r @ U (U = I for a
+    reduced outer, so no product).  ContainmentUnverified reports a
+    witness that does not reproduce the inner rows in the one check.
     """
     outer._check(inner)
     if outer.cols != inner.cols:
         raise ValueError("column counts differ")
-    if is_reduced(outer):
-        x = _membership_reduced(outer, inner)
-    else:
-        x = _membership_smith(outer, inner)
+    g, u = _reduce(outer)
+    x = _membership_reduced(g, inner)
+    if u != PolyMatrix.identity(outer.field, outer.rows):
+        x = x @ u
     if x @ outer != inner:
         raise ContainmentUnverified("witness does not reproduce the inner generator")
     return x
@@ -597,27 +621,6 @@ def _membership_reduced(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
             raise ContainmentFailed(f"row {i} has residue outside the module")
         x[t, i, j] = sol.a[0]
     return PolyMatrix.from_coefficients(f, x)
-
-
-def _membership_smith(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
-    f = outer.field
-    sf = smith_form(outer)
-    w = inner @ sf.v
-    r = sf.rank
-    xp = [[() for _ in range(outer.rows)] for _ in range(inner.rows)]
-    for j in range(outer.cols):
-        for i in range(inner.rows):
-            entry = w.entry(i, j)
-            if j < r:
-                q, rem = pdivmod(f, entry, sf.s.entry(j, j))
-                if rem:
-                    raise ContainmentFailed(
-                        f"row {i} is not divisible through invariant factor {j}"
-                    )
-                xp[i][j] = q
-            elif entry:
-                raise ContainmentFailed(f"row {i} has residue outside the module")
-    return PolyMatrix(f, xp, cols=outer.rows) @ sf.u
 
 
 # --- parity-check splitting ---------------------------------------------------

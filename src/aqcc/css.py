@@ -21,13 +21,10 @@ from .convo import (
     contains,
     degree_accounting,
     dual_generator,
-    is_reduced,
-    rank_poly,
     reduce,
 )
 from .errors import (
     FieldMismatch,
-    RankDeficient,
     SymplecticViolation,
     TooFewFrames,
     ZeroLogicalDimension,
@@ -170,10 +167,10 @@ class NestedPair:
 def build_nested_pair(outer: PolyMatrix, inner: PolyMatrix) -> NestedPair:
     """Check full row rank of both generators and witness inner <= outer.
 
-    A reduced generator has full rank because its leading-row matrix does,
-    so the Smith-based rank is only computed for generators that are not
-    reduced.  The containment witness X satisfies X @ outer == inner;
-    contains checks that product.
+    reduce is the rank test: it raises RankDeficient on dependent rows,
+    for the inner generator here and for the outer one inside contains.
+    The containment witness X satisfies X @ outer == inner; contains
+    checks that product.
     """
     if outer.field != inner.field:
         raise FieldMismatch("outer and inner generators live over different fields")
@@ -181,10 +178,7 @@ def build_nested_pair(outer: PolyMatrix, inner: PolyMatrix) -> NestedPair:
         raise ValueError(f"column counts differ: {outer.cols} vs {inner.cols}")
     if inner.rows == 0:
         raise ValueError("inner generator needs at least one row")
-    if not is_reduced(outer) and rank_poly(outer) != outer.rows:
-        raise RankDeficient("outer generator has dependent rows")
-    if not is_reduced(inner) and rank_poly(inner) != inner.rows:
-        raise RankDeficient("inner generator has dependent rows")
+    reduce(inner)
     return NestedPair(outer, inner, contains(outer, inner))
 
 
@@ -235,7 +229,7 @@ def derive_aqcc(
         h1 = dual_generator(pair.outer)
     if v2_dual is None:
         v2_dual = dual_generator(pair.inner)
-    g2 = pair.inner if is_reduced(pair.inner) else reduce(pair.inner)
+    g2 = reduce(pair.inner)
     stab = assemble_stabilizer(h1, g2)
     gamma = 0
     if h1.rows:

@@ -33,15 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .block import BlockCode, SymbolRuns, codeword_table
-from .convo import (
-    PolyMatrix,
-    constant_right_inverse,
-    degree_accounting,
-    is_reduced,
-    smith_form,
-)
+from .convo import PolyMatrix, degree_accounting, degree_gap
 from .convo import reduce as reduce_matrix
-from .errors import AqccError, CatastrophicEncoder, RankDeficient
+from .errors import AqccError, CatastrophicEncoder
 
 DEFAULT_STATE_BUDGET = 1 << 20
 DEFAULT_WORK_BUDGET = 1 << 26
@@ -80,25 +74,23 @@ def free_distance(
     """Free distance of the code generated by g.
 
     g must be basic (delay-free invertible); a catastrophic encoder would
-    put zero-weight cycles in the state graph.  Non-reduced input is
-    reduced first, which changes neither the code nor the answer.
+    put zero-weight cycles in the state graph.  g is reduced first, which
+    changes neither the code nor the answer and raises RankDeficient on
+    dependent rows.  A positive degree gap (convo.degree_gap, the test
+    behind convo.is_basic) refuses g with CatastrophicEncoder.
     """
     if state_budget < 1 or work_budget < 1:
         raise ValueError(
             f"budgets must be at least 1, got state {state_budget} and work {work_budget}"
         )
     f = g.field
-    if constant_right_inverse(g) is None:
-        # no cheap witness: the Smith form decides, and explains a refusal
-        sf = smith_form(g)
-        if sf.rank < g.rows:
-            raise RankDeficient(f"generator rank {sf.rank} < {g.rows} rows")
-        if any(p != (1,) for p in sf.invariant_factors):
-            raise CatastrophicEncoder(
-                f"invariant factors {[list(p) for p in sf.invariant_factors]} are not all 1"
-            )
-    if not is_reduced(g):
-        g = reduce_matrix(g)
+    g = reduce_matrix(g)
+    gap = degree_gap(g)
+    if gap:
+        raise CatastrophicEncoder(
+            f"degree gap {gap}: the gcd of the {g.rows}x{g.rows} minors has "
+            f"degree {gap}, so the encoder is not basic"
+        )
     info = degree_accounting(g)
     gamma = info.gamma
     k, n = g.shape

@@ -198,9 +198,26 @@ class TestDistance:
         assert "witness: (1) (0,1)" in out
 
     def test_non_basic_exits_four(self, tmp_path):
+        # square with determinant 1 + D
         rc, _, err = run("distance", self.write(tmp_path, "q=2\n(1,1)\n"))
         assert rc == 4
-        assert "invariant factors" in err
+        assert "degree gap 1" in err and "degree 1" in err
+
+    @pytest.mark.parametrize("rows, fragment", [
+        ("(0,1) (0,0,1)\n", "degree gap 1"),  # gcd D, no constant right inverse
+        ("(1) (1)\n(1) (1)\n", "lost rank"),
+        ("(1) (0,1)\n(0) (0)\n", "lost rank"),
+    ])
+    def test_refused_encoders_exit_four(self, tmp_path, rows, fragment):
+        rc, out, err = run("distance", self.write(tmp_path, "q=2\n" + rows))
+        assert rc == 4 and out == ""
+        assert "distance refused" in err and fragment in err
+
+    def test_square_with_constant_determinant(self, tmp_path):
+        rc, out, _ = run("distance", self.write(tmp_path, "q=2\n(1) (0,1)\n(0) (1)\n"))
+        assert rc == 0
+        assert "gamma=0" in out
+        assert "exact 1 (block)" in out
 
     def test_block_route_for_constant_matrix(self, tmp_path):
         rc, out, _ = run("distance", self.write(tmp_path, "q=3\n(1) (2) (1)\n"))

@@ -1,32 +1,38 @@
-"""Differential tests: witness-first predicates and Smith-free duals
-against the Smith-form path.
+"""Differential tests: the Smith-free predicates, containment and duals
+against the Smith form, which is kept in convo as their reference.
 
 The plans come from the random construction-I generator behind the
 split-plans selftest, with its default seed; the reference generators are
-G1 and G2 of the 25 printed rows.
+G1 and G2 of the 25 printed rows.  A last test makes the Smith form raise
+and runs the certifier, the free distance and containment without it.
 """
 
+import contextlib
+import io
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aqcc import FamilyParams, convo, selftest
+from aqcc import FamilyParams, certify_params, convo, free_distance, selftest
+from aqcc.cli import main
 from aqcc.convo import (
     PolyMatrix,
-    _membership_reduced,
-    _membership_smith,
     constant_right_inverse,
     contains,
     dual_generator,
     format_poly_matrix,
     is_basic,
     is_reduced,
+    parse_poly_matrix,
+    pdivmod,
     pmul,
     reduce,
     smith_form,
 )
-from aqcc.errors import AqccError
+from aqcc.errors import AqccError, ContainmentFailed
 from aqcc.families import layout
 from aqcc.matrix import MatrixGF
 
@@ -71,6 +77,48 @@ def times_one_plus_d(m: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(m.field, entries, cols=m.cols)
 
 
+def random_unimodular(f, k: int, rng: random.Random) -> PolyMatrix:
+    """Row permutation, nonzero row scales and three elementary row
+    additions with polynomial multipliers."""
+    perm = rng.sample(range(k), k)
+    u = PolyMatrix(f, [[(1 + rng.randrange(f.q - 1),) if j == perm[i] else () for j in range(k)]
+                       for i in range(k)])
+    for _ in range(3 if k > 1 else 0):
+        i, j = rng.sample(range(k), 2)
+        e = [[(1,) if a == b else () for b in range(k)] for a in range(k)]
+        e[i][j] = tuple(rng.randrange(f.q) for _ in range(rng.randint(1, 3)))
+        u = PolyMatrix(f, e) @ u
+    return u
+
+
+def duplicate_row(m: PolyMatrix) -> PolyMatrix:
+    """Append a copy of row 0, which makes the rows dependent."""
+    return PolyMatrix.from_coefficients(m.field, np.concatenate([m.c, m.c[:, :1]], axis=1))
+
+
+def membership_smith(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
+    """The membership oracle: X with X @ outer == inner from the Smith
+    form of outer, dividing inner @ v through the invariant factors."""
+    f = outer.field
+    sf = smith_form(outer)
+    w = inner @ sf.v
+    r = sf.rank
+    xp = [[() for _ in range(outer.rows)] for _ in range(inner.rows)]
+    for j in range(outer.cols):
+        for i in range(inner.rows):
+            entry = w.entry(i, j)
+            if j < r:
+                q, rem = pdivmod(f, entry, sf.s.entry(j, j))
+                if rem:
+                    raise ContainmentFailed(
+                        f"row {i} is not divisible through invariant factor {j}"
+                    )
+                xp[i][j] = q
+            elif entry:
+                raise ContainmentFailed(f"row {i} has residue outside the module")
+    return PolyMatrix(f, xp, cols=outer.rows) @ sf.u
+
+
 def membership(fn, outer, inner):
     try:
         return fn(outer, inner)
@@ -83,7 +131,9 @@ def test_is_basic_agrees_with_smith(plans):
     witnessed = 0
     for plan in plans:
         for g in plan.generators():
-            for m in (g, mutate_constant(g, rng), times_one_plus_d(g)):
+            image = random_unimodular(g.field, g.rows, rng) @ g
+            for m in (g, mutate_constant(g, rng), times_one_plus_d(g), image,
+                      duplicate_row(g), duplicate_row(image)):
                 want = smith_is_basic(m)
                 assert is_basic(m) == want
                 r = constant_right_inverse(m)
@@ -115,20 +165,24 @@ def test_mutated_right_inverse_is_rejected(plans, monkeypatch):
 
 def test_containment_agrees_with_smith(plans):
     rng = random.Random(2)
-    failed = 0
+    failed = transformed = 0
     for plan in plans:
         g1, g2 = plan.generators()
         assert is_reduced(g1)
-        for inner in (g2, mutate_constant(g2, rng)):
-            fast = membership(_membership_reduced, g1, inner)
-            slow = membership(_membership_smith, g1, inner)
-            assert fast == slow
-            if isinstance(fast, PolyMatrix):
-                assert fast @ g1 == inner
-            else:
-                failed += 1
-        assert isinstance(membership(_membership_reduced, g1, g2), PolyMatrix)
+        mutated = mutate_constant(g2, rng)
+        for outer in (g1, random_unimodular(g1.field, g1.rows, rng) @ g1, times_one_plus_d(g1)):
+            for inner in (g2, mutated):
+                fast = membership(contains, outer, inner)
+                slow = membership(membership_smith, outer, inner)
+                assert fast == slow
+                if isinstance(fast, PolyMatrix):
+                    assert fast @ outer == inner
+                    transformed += not is_reduced(outer)
+                elif outer is g1:
+                    failed += 1
+        assert isinstance(membership(contains, g1, g2), PolyMatrix)
     assert failed > PLAN_COUNT // 2  # the mutations mostly leave the module
+    assert transformed > PLAN_COUNT // 2  # witnesses carried through a transform U
 
 
 def smith_dual(m: PolyMatrix) -> PolyMatrix:
@@ -165,20 +219,6 @@ def test_dual_agrees_with_smith(plans, reference_gens):
         assert_popov(h)
 
 
-def random_unimodular(f, k: int, rng: random.Random) -> PolyMatrix:
-    """Row permutation, nonzero row scales and three elementary row
-    additions with polynomial multipliers."""
-    perm = rng.sample(range(k), k)
-    u = PolyMatrix(f, [[(1 + rng.randrange(f.q - 1),) if j == perm[i] else () for j in range(k)]
-                       for i in range(k)])
-    for _ in range(3 if k > 1 else 0):
-        i, j = rng.sample(range(k), 2)
-        e = [[(1,) if a == b else () for b in range(k)] for a in range(k)]
-        e[i][j] = tuple(rng.randrange(f.q) for _ in range(rng.randint(1, 3)))
-        u = PolyMatrix(f, e) @ u
-    return u
-
-
 def test_dual_is_the_same_for_every_generator(plans, reference_gens):
     rng = random.Random(3)
     gens = reference_gens + [g for plan in plans[:50] for g in plan.generators()]
@@ -191,3 +231,47 @@ def test_dual_is_the_same_for_every_generator(plans, reference_gens):
             other = dual_generator(u @ g)
             assert other == h
             assert format_poly_matrix(other) == text
+
+
+REPO = Path(__file__).resolve().parents[1]
+# III-T6 q=5 (n, k, t) = (5, 1, 1), the small row of the benchmark
+SMALL_ROW = ("III-T6", 5, {"n": 5, "k": 1, "t": 1})
+REFUSED_ENCODERS = (
+    "q=2\n(1) (1)\n(1) (1)\n",  # a repeated row
+    "q=2\n(1) (0,1)\n(0) (0)\n",  # a zero row
+    "q=2\n(1,1)\n",  # square, determinant 1 + D
+    "q=2\n(0,1) (0,0,1)\n",  # gcd D: no constant right inverse
+)
+
+
+def test_certifier_runs_without_the_smith_form(monkeypatch, tmp_path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Smith form was called")
+
+    smith = (convo.smith_form, convo.rank_poly)
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "aqcc"]:
+        for name, value in list(vars(mod).items()):
+            if any(value is fn for fn in smith):
+                monkeypatch.setattr(mod, name, forbidden)
+
+    family, q, kw = SMALL_ROW
+    for effort in ("structure", "desk"):
+        golden = REPO / "tests" / "golden" / effort / "III-T6_q5_n5_k1_t1.json"
+        text = certify_params(FamilyParams(family, q, **kw), effort=effort).to_json()
+        assert text == golden.read_text()
+
+    g = parse_poly_matrix((REPO / "perfbench" / "encoders" / "r2m2.txt").read_text())
+    assert constant_right_inverse(g) is None
+    assert free_distance(g).lower == 5
+
+    f = g.field
+    outer = PolyMatrix(f, [[(1,), (0, 1)], [(0, 1), (1, 0, 1)]])  # leading rows agree
+    assert not is_reduced(outer)
+    inner = PolyMatrix(f, [[(1, 1), (1, 1, 1)]])  # the sum of the two rows
+    assert contains(outer, inner) == PolyMatrix(f, [[(1,), (1,)]])
+
+    for i, text in enumerate(REFUSED_ENCODERS):
+        path = tmp_path / f"m{i}.txt"
+        path.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["distance", str(path)]) == 4
