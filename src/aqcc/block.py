@@ -289,19 +289,19 @@ def expand_row(basis: SubfieldBasis, row_ext: np.ndarray) -> np.ndarray:
     return coords
 
 
-def cyclic_structure(field: FiniteField, n: int, exponents, *, closed: bool = True) -> CyclicStructure:
+def cyclic_structure(field: FiniteField, n: int, exponents) -> CyclicStructure:
     """Parity structure with rows zeta**(c*j) for each requested exponent c.
 
-    When closed is true the exponent set is closed under multiplication by
-    q mod n first, which is what makes the result a code over GF(q) with
-    the usual run bound.
+    The exponent set is first closed under multiplication by q mod n,
+    which is what makes the result a code over GF(q) with the usual run
+    bound.
     """
     q = field.q
     m = multiplicative_order(q, n)
     ext = FiniteField.get(field.p, field.l * m)
     zeta = ext.root_of_unity(n)
     basis = SubfieldBasis(field, ext)
-    defining = _closure(n, q, set(exponents)) if closed else tuple(sorted(set(e % n for e in exponents)))
+    defining = _closure(n, q, set(exponents))
     designed = _longest_circular_run(defining, n) + 1
 
     zpow = np.array([ext.pow(zeta, i) for i in range(n)], dtype=np.int64)
@@ -319,7 +319,7 @@ def bch_parity(field: FiniteField, n: int, delta: int, b: int = 0) -> CyclicStru
     """BCH code of designed distance delta: exponents b..b+delta-2, closed."""
     if not 2 <= delta <= n:
         raise InvalidDesignedDistance(f"need 2 <= delta <= n, got {delta}")
-    return cyclic_structure(field, n, range(b, b + delta - 1), closed=True)
+    return cyclic_structure(field, n, range(b, b + delta - 1))
 
 
 def rs_parity(field: FiniteField, n: int, delta: int, b: int = 0) -> CyclicStructure:
@@ -328,7 +328,7 @@ def rs_parity(field: FiniteField, n: int, delta: int, b: int = 0) -> CyclicStruc
         raise InvalidDesignedDistance(f"need 2 <= delta <= n, got {delta}")
     if n > 1 and (field.q - 1) % n:
         raise RootOfUnityUnavailable(f"{n} does not divide q - 1 = {field.q - 1}")
-    s = cyclic_structure(field, n, range(b, b + delta - 1), closed=True)
+    s = cyclic_structure(field, n, range(b, b + delta - 1))
     if s.m != 1:
         raise AqccError("unreachable: n | q - 1 forces extension degree 1")
     return s

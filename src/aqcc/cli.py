@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import selftest
@@ -39,17 +38,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _params_cell(params) -> str:
-    parts = []
-    for name in RANGE_NAMES:
-        v = getattr(params, name)
-        if v is not None:
-            parts.append(f"{name}={v}")
-    return " ".join(parts)
-
-
 def _rows_text(rows, fmt: str) -> str:
-    """rows: iterable of (family, q, params-ish, n, k, gamma, dz, dx)."""
+    """rows: iterable of (family, q, params dict, n, k, gamma, dz, dx)."""
     if fmt == "json":
         payload = [
             {
@@ -67,9 +57,8 @@ def _rows_text(rows, fmt: str) -> str:
         return json.dumps(payload, indent=2) + "\n"
     lines = ["family,q,params,n,k,gamma,dz,dx"]
     for family, q, params, n, k, gamma, dz, dx in rows:
-        if isinstance(params, dict):
-            params = " ".join(f"{a}={b}" for a, b in params.items())
-        lines.append(f"{family},{q},{params},{n},{k},{gamma},{dz},{dx}")
+        cell = " ".join(f"{a}={b}" for a, b in params.items())
+        lines.append(f"{family},{q},{cell},{n},{k},{gamma},{dz},{dx}")
     return "\n".join(lines) + "\n"
 
 
@@ -91,17 +80,11 @@ def _parse_ranges(pairs) -> dict | None:
 
 def cmd_enumerate(args) -> int:
     rows = enumerate_family(args.family, args.q, ranges=_parse_ranges(args.range))
-    flat = []
-    for params, e in rows:
-        cell = _params_cell(params) if args.format == "csv" else {
-            name: getattr(params, name)
-            for name in RANGE_NAMES
-            if getattr(params, name) is not None
-        }
-        flat.append(
-            (params.family, params.q, cell, e.n, e.k_formula, e.gamma_formula,
-             e.dz_bound, e.dx_bound)
-        )
+    flat = (
+        (p.family, p.q, {a: getattr(p, a) for a in RANGE_NAMES if getattr(p, a) is not None},
+         e.n, e.k_formula, e.gamma_formula, e.dz_bound, e.dx_bound)
+        for p, e in rows
+    )
     _emit(_rows_text(flat, args.format), args.out)
     return 0
 
@@ -109,8 +92,7 @@ def cmd_enumerate(args) -> int:
 def _interleaved_certificate(args, budgets):
     field = field_from_order(args.q)
     partition = [int(s) for s in args.partition.split(",")]
-    seed = int(os.environ.get("AQCC_SEED", args.seed))
-    vectors = demo_vectors(field, args.n, partition, seed=seed)
+    vectors = demo_vectors(field, args.n, partition, seed=args.seed)
     plan = construction_i_plan(field, vectors, partition)
     return certify_plan(
         plan,
@@ -179,14 +161,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_table(args) -> int:
-    flat = [
-        (family, q, dict(kw), n, k, gamma, dz, dx)
-        if args.format == "json"
-        else (family, q, " ".join(f"{a}={b}" for a, b in kw.items()),
-              n, k, gamma, dz, dx)
-        for family, q, kw, n, k, gamma, dz, dx in selftest.REFERENCE_ROWS
-    ]
-    _emit(_rows_text(flat, args.format), args.out)
+    _emit(_rows_text(selftest.REFERENCE_ROWS, args.format), args.out)
     return 0
 
 

@@ -122,23 +122,42 @@ class LayoutPlan:
         return g1, g2
 
 
-def _family_field_ok(family: str, q: int) -> bool:
-    """Does GF(q) satisfy the family's standing field assumption?"""
+def _field_need(family: str, q: int) -> str | None:
+    """The family's field assumption when GF(q) misses it, else None."""
     if q > MAX_Q:  # refused before factoring, which a huge q would stall
         raise ParamOutOfRange(f"q = {q} exceeds the supported table size {MAX_Q}")
     try:
         p, l = prime_power(q)
     except ValueError as exc:
         raise ParamOutOfRange(str(exc)) from None
-    if family in ("II-T2", "II-T3a", "II-T3b"):
-        return p == 2 and l >= 4
-    if family in ("II-T4a", "II-T4b"):
-        return p != 2 and l >= 2
-    if family in ("III-T5a", "III-T5b"):
-        return q >= 8
+    if family.startswith(("II-T2", "II-T3")):
+        return None if p == 2 and l >= 4 else "q = 2^s with s >= 4"
+    if family.startswith("II-T4"):
+        return None if p != 2 and l >= 2 else "q = p^l with p odd and l >= 2"
+    q_min = 8 if family.startswith("III-T5") else 5
+    return None if q >= q_min else f"a prime power q >= {q_min}"
+
+
+def _grid(family: str, q: int):
+    """The family's parameters in grid order, as (name, bounds) pairs.
+
+    bounds maps the values of the parameters before it to the inclusive
+    (lo, hi) range; this is the one statement of each family's hypotheses
+    on i, t or n, k, t.
+    """
+    # t <= i - gap (or n - k - gap) and i >= gap + 1
+    gap = 2 if family.endswith("a") or family == "III-T6" else 1
     if family in ("III-T6", "III-T8"):
-        return q >= 5
-    raise ValueError(f"unknown family {family!r}")
+        return (
+            ("n", lambda: (5, q)),
+            ("k", lambda n: (1, n - 4)),
+            ("t", lambda n, k: (1, n - k - gap)),
+        )
+    a = (q + 1) // 2 if family.startswith("II-T4") else q // 2
+    i_hi = q - 3 if family.startswith("III-T5") else a - 1
+    if family == "II-T2":
+        return (("i", lambda: (3, i_hi)),)
+    return (("i", lambda: (gap + 1, i_hi)), ("t", lambda i: (1, i - gap)))
 
 
 def validate_params(params: FamilyParams) -> None:
@@ -148,60 +167,23 @@ def validate_params(params: FamilyParams) -> None:
         raise ValueError(f"unknown family {fam!r}")
     if fam == "I":
         return  # construction I is validated against its explicit partition
-    if not _family_field_ok(fam, q):
-        need = {
-            "II-T2": "q = 2^s with s >= 4",
-            "II-T3a": "q = 2^s with s >= 4",
-            "II-T3b": "q = 2^s with s >= 4",
-            "II-T4a": "q = p^l with p odd and l >= 2",
-            "II-T4b": "q = p^l with p odd and l >= 2",
-            "III-T5a": "a prime power q >= 8",
-            "III-T5b": "a prime power q >= 8",
-            "III-T6": "a prime power q >= 5",
-            "III-T8": "a prime power q >= 5",
-        }[fam]
+    need = _field_need(fam, q)
+    if need is not None:
         raise ParamOutOfRange(f"{fam} needs {need}, got q = {q}")
-    i, t, n, k = params.i, params.t, params.n, params.k
-    if fam in ("II-T2", "II-T3a", "II-T3b", "II-T4a", "II-T4b"):
-        a = q // 2 if fam.startswith("II-T2") or fam.startswith("II-T3") else (q + 1) // 2
-        if fam == "II-T2":
-            if i is None:
-                raise ParamOutOfRange(f"{fam} needs i")
-            if not 3 <= i <= a - 1:
-                raise ParamOutOfRange(f"{fam} needs 3 <= i <= {a - 1}, got i = {i}")
-            return
-        if i is None or t is None:
-            raise ParamOutOfRange(f"{fam} needs both i and t")
-        lo_i, t_hi = (3, i - 2) if fam.endswith("a") else (2, i - 1)
-        if not lo_i <= i <= a - 1:
-            raise ParamOutOfRange(f"{fam} needs {lo_i} <= i <= {a - 1}, got i = {i}")
-        if not 1 <= t <= t_hi:
-            raise ParamOutOfRange(f"{fam} needs 1 <= t <= i - {i - t_hi}, got t = {t}")
-        return
-    if fam in ("III-T5a", "III-T5b"):
-        if i is None or t is None:
-            raise ParamOutOfRange(f"{fam} needs both i and t")
-        lo_i, t_hi = (3, i - 2) if fam.endswith("a") else (2, i - 1)
-        if not lo_i <= i <= q - 3:
-            raise ParamOutOfRange(f"{fam} needs {lo_i} <= i <= q - 3 = {q - 3}, got i = {i}")
-        if not 1 <= t <= t_hi:
-            raise ParamOutOfRange(f"{fam} needs 1 <= t <= i - {i - t_hi}, got t = {t}")
-        return
-    # III-T6 / III-T8
-    if n is None or k is None or t is None:
-        raise ParamOutOfRange(f"{fam} needs n, k and t")
-    if not 5 <= n <= q:
-        raise ParamOutOfRange(f"{fam} needs 5 <= n <= q = {q}, got n = {n}")
-    if not 1 <= k <= n - 4:
-        raise ParamOutOfRange(f"{fam} needs 1 <= k <= n - 4 = {n - 4}, got k = {k}")
-    t_hi = n - k - 2 if fam == "III-T6" else n - k - 1
-    if not 1 <= t <= t_hi:
-        raise ParamOutOfRange(f"{fam} needs 1 <= t <= {t_hi}, got t = {t}")
+    grid = _grid(fam, q)
+    values = [getattr(params, name) for name, _ in grid]
+    if any(v is None for v in values):
+        raise ParamOutOfRange(f"{fam} needs {', '.join(name for name, _ in grid)}")
+    for j, (name, bounds) in enumerate(grid):
+        lo, hi = bounds(*values[:j])
+        if not lo <= values[j] <= hi:
+            raise ParamOutOfRange(
+                f"{fam} needs {lo} <= {name} <= {hi}, got {name} = {values[j]}"
+            )
 
 
-def expected_tuple(params: FamilyParams) -> ExpectedTuple:
-    """Closed-form (n, k, gamma, dz, dx) for a validated parameter point."""
-    validate_params(params)
+def _closed_form(params: FamilyParams) -> ExpectedTuple:
+    """Closed-form tuple of a grid point the caller has already validated."""
     fam, q, i, t = params.family, params.q, params.i, params.t
     if fam == "II-T2":
         n = q + 1
@@ -230,6 +212,12 @@ def expected_tuple(params: FamilyParams) -> ExpectedTuple:
     raise ValueError(f"no closed-form tuple for family {fam!r}")
 
 
+def expected_tuple(params: FamilyParams) -> ExpectedTuple:
+    """Closed-form (n, k, gamma, dz, dx) for a validated parameter point."""
+    validate_params(params)
+    return _closed_form(params)
+
+
 def enumerate_family(family: str, q: int, ranges: dict | None = None):
     """All (params, expected) points of a family over GF(q).
 
@@ -242,44 +230,26 @@ def enumerate_family(family: str, q: int, ranges: dict | None = None):
         raise ValueError(f"unknown family {family!r}")
     if family == "I":
         raise ValueError("construction I has no parameter grid to enumerate")
-    if not _family_field_ok(family, q):
+    if _field_need(family, q) is not None:
         return []
     ranges = ranges or {}
+    grid = _grid(family, q)
+    names = [name for name, _ in grid]
 
-    def span(name: str, lo: int, hi: int):
+    def walk(prefix):
+        if len(prefix) == len(grid):
+            yield dict(zip(names, prefix))
+            return
+        name, bounds = grid[len(prefix)]
+        lo, hi = bounds(*prefix)
         lo2, hi2 = ranges.get(name, (lo, hi))
-        return range(max(lo, lo2), min(hi, hi2) + 1)
+        for x in range(max(lo, lo2), min(hi, hi2) + 1):
+            yield from walk(prefix + (x,))
 
     out = []
-
-    def emit(**kw):
-        p = FamilyParams(family=family, q=q, **kw)
-        out.append((p, expected_tuple(p)))
-
-    if family in ("II-T2", "II-T3a", "II-T3b", "II-T4a", "II-T4b"):
-        a = (q + 1) // 2 if family.startswith("II-T4") else q // 2
-        if family == "II-T2":
-            for i in span("i", 3, a - 1):
-                emit(i=i)
-            return out
-        lo_i = 3 if family.endswith("a") else 2
-        for i in span("i", lo_i, a - 1):
-            t_hi = i - 2 if family.endswith("a") else i - 1
-            for t in span("t", 1, t_hi):
-                emit(i=i, t=t)
-        return out
-    if family in ("III-T5a", "III-T5b"):
-        lo_i = 3 if family.endswith("a") else 2
-        for i in span("i", lo_i, q - 3):
-            t_hi = i - 2 if family.endswith("a") else i - 1
-            for t in span("t", 1, t_hi):
-                emit(i=i, t=t)
-        return out
-    for n in span("n", 5, q):
-        for k in span("k", 1, n - 4):
-            t_hi = n - k - 2 if family == "III-T6" else n - k - 1
-            for t in span("t", 1, t_hi):
-                emit(n=n, k=k, t=t)
+    for kw in walk(()):
+        p = FamilyParams(family, q, **kw)
+        out.append((p, _closed_form(p)))
     return out
 
 
@@ -326,7 +296,7 @@ def _split_degenerate_partner(field: FiniteField, group: np.ndarray):
     return np.array(r0), np.array(r1), ("top-degree slice of the merged row has a zero coordinate",)
 
 
-def _layout_bch_pairs(params: FamilyParams) -> LayoutPlan:
+def _layout_bch_pairs(params: FamilyParams, expected: ExpectedTuple) -> LayoutPlan:
     """Families II-T2, II-T3a, II-T3b over GF(2^s), length q + 1."""
     fam, q, i, t = params.family, params.q, params.i, params.t
     field = field_from_order(q)
@@ -351,7 +321,6 @@ def _layout_bch_pairs(params: FamilyParams) -> LayoutPlan:
         singles2 = list(range(a - 1, a - t, -1))
         chain = (2 * t + 1, 2, 2 * t + 3)
     b1, p1, b2, p2 = _pair_layout(field, groups, pairs1, singles1, pairs2, singles2)
-    expected = expected_tuple(params)
     return LayoutPlan(
         params=params,
         expected=expected,
@@ -368,7 +337,7 @@ def _layout_bch_pairs(params: FamilyParams) -> LayoutPlan:
     )
 
 
-def _layout_bch_merged(params: FamilyParams) -> LayoutPlan:
+def _layout_bch_merged(params: FamilyParams, expected: ExpectedTuple) -> LayoutPlan:
     """Families II-T4a, II-T4b over odd GF(p^l), length q + 1.
 
     n is even here, so the exponent a = n/2 contributes a single parity
@@ -408,7 +377,6 @@ def _layout_bch_merged(params: FamilyParams) -> LayoutPlan:
     const2 = [merged_const] + [groups[s] for s in singles2]
     blocks2 = _as_blocks(field, [const2, [p0[None, :]], [p1[None, :]]])
     d2_top = 2 if _everywhere_nonzero(p1) else 1
-    expected = expected_tuple(params)
     return LayoutPlan(
         params=params,
         expected=expected,
@@ -426,7 +394,7 @@ def _layout_bch_merged(params: FamilyParams) -> LayoutPlan:
     )
 
 
-def _layout_rs_pairs(params: FamilyParams) -> LayoutPlan:
+def _layout_rs_pairs(params: FamilyParams, expected: ExpectedTuple) -> LayoutPlan:
     """Families III-T5a, III-T5b: Reed-Solomon rows, length q - 1."""
     fam, q, i, t = params.family, params.q, params.i, params.t
     field = field_from_order(q)
@@ -442,7 +410,6 @@ def _layout_rs_pairs(params: FamilyParams) -> LayoutPlan:
     pairs2 = [(i, i - t)]
     singles2 = list(range(i - 1, i - t, -1))
     b1, p1, b2, p2 = _pair_layout(field, groups, pairs1, singles1, pairs2, singles2)
-    expected = expected_tuple(params)
     return LayoutPlan(
         params=params,
         expected=expected,
@@ -464,7 +431,7 @@ def default_grs_points(field: FiniteField, n: int) -> tuple[int, ...]:
     return (0,) + tuple(field.exp(j) for j in range(n - 1))
 
 
-def _layout_grs(params: FamilyParams) -> LayoutPlan:
+def _layout_grs(params: FamilyParams, expected: ExpectedTuple) -> LayoutPlan:
     """Families III-T6, III-T8: GRS parity rows, one per degree r."""
     fam, q, n, k, t = params.family, params.q, params.n, params.k, params.t
     field = field_from_order(q)
@@ -472,18 +439,10 @@ def _layout_grs(params: FamilyParams) -> LayoutPlan:
     groups = grs.row_groups
     r_top = n - k - 1
     if fam == "III-T6":
-        if n - k - 2 - t <= 0:
-            raise ZeroLogicalDimension(
-                f"t = {t} leaves no logical stream at n = {n}, k = {k}"
-            )
         lead = n - k - 3 if t != n - k - 3 else n - k - 2
         pairs1 = [(lead, r_top), (0, t)]
         singles1 = list(range(1, t)) + [r for r in range(t + 1, r_top) if r != lead]
     else:
-        if n - k - 1 - t <= 0:
-            raise ZeroLogicalDimension(
-                f"t = {t} leaves no logical stream at n = {n}, k = {k}"
-            )
         pairs1 = [(0, t)]
         singles1 = list(range(1, t)) + list(range(t + 1, r_top + 1))
     pairs2 = [(0, t)]
@@ -494,7 +453,6 @@ def _layout_grs(params: FamilyParams) -> LayoutPlan:
     # for t >= 1, which the chain bound absorbs without loss)
     row_t = grs.code.parity.a[t]
     d_mid = 2 if _everywhere_nonzero(row_t) else 1
-    expected = expected_tuple(params)
     return LayoutPlan(
         params=params,
         expected=expected,
@@ -521,15 +479,16 @@ def layout(params: FamilyParams) -> LayoutPlan:
     fam = params.family
     if fam == "I":
         raise ValueError("construction I builds from explicit vectors, not a grid point")
-    if expected_tuple(params).k_formula <= 0:
+    expected = _closed_form(params)
+    if expected.k_formula <= 0:
         raise ZeroLogicalDimension(f"{params.label()} has logical dimension <= 0")
     if fam in ("II-T2", "II-T3a", "II-T3b"):
-        return _layout_bch_pairs(params)
+        return _layout_bch_pairs(params, expected)
     if fam in ("II-T4a", "II-T4b"):
-        return _layout_bch_merged(params)
+        return _layout_bch_merged(params, expected)
     if fam in ("III-T5a", "III-T5b"):
-        return _layout_rs_pairs(params)
-    return _layout_grs(params)
+        return _layout_rs_pairs(params, expected)
+    return _layout_grs(params, expected)
 
 
 def construction_i_plan(field: FiniteField, vectors, partition) -> LayoutPlan:

@@ -33,17 +33,6 @@ from .errors import (
 MAX_Q = 2048
 
 
-def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def prime_factors(m: int) -> list[int]:
     """Distinct prime factors of m, ascending."""
     out = []
@@ -162,7 +151,7 @@ class FiniteField:
     _cache: dict[tuple[int, int], "FiniteField"] = {}
 
     def __init__(self, p: int, l: int = 1, modulus=None):
-        if not is_prime(p):
+        if prime_factors(p) != [p]:
             raise NonPrimeCharacteristic(f"{p} is not prime")
         if l < 1:
             raise ValueError("extension degree must be >= 1")
@@ -432,26 +421,22 @@ def _gf_p_inverse(mat: np.ndarray, p: int) -> np.ndarray:
 class SubfieldBasis:
     """Basis of GF(p**b) as a vector space over an embedded GF(p**a).
 
-    The default basis is (1, x, x**2, ..., x**(L-1)) where x is the
-    extension field's canonical root and L = b // a; that set is always
-    independent because x has degree exactly L over the subfield.
+    The basis is (1, x, x**2, ..., x**(L-1)) where x is the extension
+    field's canonical root and L = b // a; that set is always independent
+    because x has degree exactly L over the subfield.
     expand() writes an extension element as L subfield coordinates,
     combine() is the inverse map.
     """
 
-    def __init__(self, sub: FiniteField, ext: FiniteField, elements=None):
+    def __init__(self, sub: FiniteField, ext: FiniteField):
         emb = embedding(sub, ext)  # validates the pair
         self.sub = sub
         self.ext = ext
         self.L = ext.l // sub.l
-        if elements is None:
-            elements = [1]
-            for _ in range(self.L - 1):
-                elements.append(ext.mul(elements[-1], ext.p))
-        elements = tuple(int(e) for e in elements)
-        if len(elements) != self.L:
-            raise ValueError(f"need exactly {self.L} basis elements")
-        self.elements = elements
+        elements = [1]
+        for _ in range(self.L - 1):
+            elements.append(int(ext.mul(elements[-1], ext.p)))
+        self.elements = tuple(elements)
         self._emb = emb
 
         p, a, b = sub.p, sub.l, ext.l

@@ -145,17 +145,15 @@ class TestCertify:
         assert rc == 0 and out == ""
         assert json.loads(path.read_text())["family"] == "III-T6"
 
-    def test_family_i_uses_env_seed(self, monkeypatch):
+    def test_family_i_uses_seed_flag(self):
         argv = ("certify", "--family", "I", "--q", "5", "--n", "6",
                 "--partition", "1,1,1,1")
-        monkeypatch.setenv("AQCC_SEED", "3")
-        rc, with_env, _ = run(*argv)
+        rc, seeded, _ = run(*argv, "--seed", "3")
         assert rc == 0
-        monkeypatch.delenv("AQCC_SEED")
-        rc, without_env, _ = run(*argv)
+        rc, default, _ = run(*argv)
         assert rc == 0
-        assert with_env != without_env
-        data = json.loads(with_env)
+        assert seeded != default
+        data = json.loads(seeded)
         assert data["params"]["partition"] == [1, 1, 1, 1]
         assert data["checks"]["degrees"] == {
             "gamma1": 2, "gamma2": 1, "gamma": 3, "mu": 1, "mu_star": 1,

@@ -1,5 +1,6 @@
 """Family layouts, closed-form tuples, and the certification pipeline."""
 
+import itertools
 import json
 
 import pytest
@@ -143,6 +144,26 @@ class TestEnumeration:
     def test_construction_i_not_enumerable(self):
         with pytest.raises(ValueError, match="no parameter grid"):
             enumerate_family("I", 5)
+
+    # a spread of admissible and inadmissible orders; the III-T6/8 boxes
+    # grow as q^3, so those two families stop at q = 17
+    @pytest.mark.parametrize("family", FAMILIES[1:])
+    def test_grid_is_what_validation_accepts(self, family, deadline):
+        if family in ("III-T6", "III-T8"):
+            names, orders = ("n", "k", "t"), (4, 5, 7, 8, 9, 11, 16, 17)
+        else:
+            names = ("i",) if family == "II-T2" else ("i", "t")
+            orders = (4, 5, 7, 8, 9, 11, 16, 17, 25, 27, 32)
+        for q in orders:
+            want = []
+            for values in itertools.product(range(q + 2), repeat=len(names)):
+                params = FamilyParams(family, q, **dict(zip(names, values)))
+                try:
+                    validate_params(params)
+                except ParamOutOfRange:
+                    continue
+                want.append((params, expected_tuple(params)))
+            assert enumerate_family(family, q) == want, q
 
 
 class TestLayouts:

@@ -20,6 +20,10 @@ codeword in message order, found past the first 8192 messages.
 tests/golden/encoders_distance.txt is the ``aqcc distance`` output for each
 textbook encoder in perfbench/encoders/, which the benchmark reads; it is
 written here and never into perfbench/.
+
+tests/golden/enumerate.txt is the csv ``aqcc enumerate`` output of every
+family at its smallest admissible q and at q = 16, 17, 25, 27 and 32 where
+the field meets the family's assumption.
 """
 
 import contextlib
@@ -44,6 +48,18 @@ BLOCK_ENCODER = GOLDEN_DIR / "block_encoder.txt"
 BLOCK_DISTANCE = GOLDEN_DIR / "block_distance.txt"
 ENCODER_DIR = GOLDEN_DIR.parent.parent / "perfbench" / "encoders"
 ENCODERS_DISTANCE = GOLDEN_DIR / "encoders_distance.txt"
+ENUMERATE = GOLDEN_DIR / "enumerate.txt"
+ENUMERATE_CASES = [
+    (family, q)
+    for families, orders in (
+        (("II-T2", "II-T3a", "II-T3b"), (16, 32)),
+        (("II-T4a", "II-T4b"), (9, 25, 27)),
+        (("III-T5a", "III-T5b"), (8, 16, 17, 25, 27, 32)),
+        (("III-T6", "III-T8"), (5, 16, 17, 25, 27, 32)),
+    )
+    for family in families
+    for q in orders
+]
 
 CASES = [("structure", row[:3]) for row in REFERENCE_ROWS] + [
     ("desk", row[:3]) for row in REFERENCE_ROWS if row[1] <= 8
@@ -107,6 +123,20 @@ def test_encoders_distance_matches_golden():
     assert encoders_distance_text() == ENCODERS_DISTANCE.read_text()
 
 
+def enumerate_text() -> str:
+    chunks = []
+    for family, q in ENUMERATE_CASES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["enumerate", "--family", family, "--q", str(q)]) == 0
+        chunks.append(f"# {family} q={q}\n" + out.getvalue())
+    return "".join(chunks)
+
+
+def test_enumerate_matches_golden():
+    assert enumerate_text() == ENUMERATE.read_text()
+
+
 def singleton_bound(n: int, k: int, gamma: int) -> int:
     """Generalized Singleton bound on the free distance of an (n, k, gamma)
     convolutional code (Rosenthal & Smarandache 1999)."""
@@ -147,3 +177,5 @@ if __name__ == "__main__":
     print(BLOCK_DISTANCE.relative_to(GOLDEN_DIR))
     ENCODERS_DISTANCE.write_text(encoders_distance_text())
     print(ENCODERS_DISTANCE.relative_to(GOLDEN_DIR))
+    ENUMERATE.write_text(enumerate_text())
+    print(ENUMERATE.relative_to(GOLDEN_DIR))
