@@ -147,8 +147,8 @@ def codeword_table(field: FiniteField, gen: np.ndarray) -> np.ndarray:
     n = gen.shape[1]
     cw = np.zeros((1, n), dtype=np.int32)
     for row in gen:
-        mult = field._MUL[np.arange(field.q)[:, None], row[None, :]]
-        cw = field._ADD[mult[:, None, :], cw[None, :, :]].reshape(-1, n)
+        mult = field._vmul(np.arange(field.q, dtype=np.int32)[:, None], row[None, :])
+        cw = field._vadd(mult[:, None, :], cw[None, :, :]).reshape(-1, n)
     return cw
 
 
@@ -188,7 +188,7 @@ def _split(field: FiniteField, gen: np.ndarray):
     if a == len(gen):
         return low, iter(np.zeros((1, gen.shape[1]), dtype=np.int32))  # no high rows
     high_low, highs = _split(field, gen[a:])
-    return low, (field._ADD[hl, h] for h in highs for hl in high_low)
+    return low, (field._vadd(hl, h) for h in highs for hl in high_low)
 
 
 def _enumerate_weights(field: FiniteField, gen: np.ndarray):
@@ -201,13 +201,13 @@ def _enumerate_weights(field: FiniteField, gen: np.ndarray):
     best_w, best = n + 1, None
     for block, h in enumerate(highs):
         # messages low + q**a * block weigh n - #{c : low_cw[c] == -h[c]}
-        w = n - runs.matches(field._NEG[h].tolist())
+        w = n - runs.matches(field._vneg(h).tolist())
         counts += np.bincount(w, minlength=n + 1)
         if block == 0:
             w[0] = n + 1  # zero message
         i = int(np.argmin(w))
         if w[i] < best_w:
-            best_w, best = int(w[i]), field._ADD[low[i], h]
+            best_w, best = int(w[i]), field._vadd(low[i], h)
     return counts, best_w, best
 
 
@@ -370,19 +370,21 @@ def grs_build(field: FiniteField, points, multipliers, k: int) -> GrsCode:
         raise DuplicateEvaluationPoint("evaluation points must be distinct")
     if len(multipliers) != n:
         raise ValueError("need one multiplier per point")
+    if not all(0 <= x < field.q for x in points + multipliers):
+        raise ValueError(f"points and multipliers must be elements of {field!r}")
     if any(v == 0 for v in multipliers):
         raise ZeroMultiplier("column multipliers must be nonzero")
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n - 1, got k = {k}")
 
     f = field
-    pts = np.array(points, dtype=np.int64)
+    pts = np.array(points, dtype=np.int32)
     vpow = np.empty((max(k, n - k), n), dtype=np.int32)
     row = np.ones(n, dtype=np.int32)
     for r in range(vpow.shape[0]):
         vpow[r] = row
-        row = f._MUL[row, pts]
-    gen = f._MUL[vpow[:k], np.array(multipliers, dtype=np.int64)[None, :]]
+        row = f._vmul(row, pts)
+    gen = f._vmul(vpow[:k], np.array(multipliers, dtype=np.int32)[None, :])
 
     w = []
     for j in range(n):
@@ -391,7 +393,7 @@ def grs_build(field: FiniteField, points, multipliers, k: int) -> GrsCode:
             if i != j:
                 prod = f.mul(prod, f.sub(points[j], points[i]))
         w.append(f.inv(f.mul(multipliers[j], prod)))
-    par = f._MUL[vpow[:n - k], np.array(w, dtype=np.int64)[None, :]]
+    par = f._vmul(vpow[:n - k], np.array(w, dtype=np.int32)[None, :])
 
     g_m = MatrixGF(f, gen)
     h_m = MatrixGF(f, par)

@@ -232,14 +232,13 @@ def certify_plan(
     d_dual = s1.min_distance(budget=enum_budget)
 
     # chain pieces for the inner dual: first slice, top slice, full stack
-    mu2 = g2.max_degree
     ch = plan.chain_designed
-    c0 = BlockCode(field, g2.coefficient(0), designed_lower=ch[0])
-    cm = BlockCode(field, g2.coefficient(mu2), designed_lower=ch[1])
-    cs = BlockCode(field, MatrixGF(field, g2.c.reshape(-1, g2.cols)), designed_lower=ch[2])
     if effort == "structure":
         chain_lo = min(ch[0] + ch[1], ch[2])
     else:
+        c0 = BlockCode(field, g2.coefficient(0), designed_lower=ch[0])
+        cm = BlockCode(field, g2.coefficient(g2.max_degree), designed_lower=ch[1])
+        cs = BlockCode(field, MatrixGF(field, g2.c.reshape(-1, g2.cols)), designed_lower=ch[2])
         d0 = c0.min_distance(budget=budgets.enum)
         dm = cm.min_distance(budget=budgets.enum)
         ds = cs.min_distance(budget=budgets.enum)

@@ -3,10 +3,11 @@
 PolyMatrix stores one read-only coefficient array c of shape (L, rows,
 cols), with c[d] the constant matrix multiplying D**d and trailing zero
 degrees trimmed (L == 1 for the zero matrix).  Sums, products, transposes,
-reversal and leading-row matrices are array operations on the field
-tables; a product is one scalar product with a block-Toeplitz matrix.
+reversal and leading-row matrices are array operations on the field's
+array kernels; a product is one scalar product with a block-Toeplitz
+matrix.  The text format reads c directly.
 
-Single polynomials, which the Smith form and the text format use, are
+Single polynomials, which the Smith form uses, are
 trimmed tuples of field indices, constant term first; the zero polynomial
 is the empty tuple and pdeg returns -1 for it (standing in for degree
 minus infinity).  PolyMatrix.e views the entries as such tuples.
@@ -130,9 +131,9 @@ class PolyMatrix:
     c is a read-only int32 array of shape (L, rows, cols) whose slice c[d]
     is the constant matrix multiplying D**d.  Trailing zero degrees are
     trimmed, so L - 1 == max_degree, and the zero matrix keeps L == 1.
-    Arithmetic runs on the field tables: a sum adds coefficient arrays, a
-    product is one scalar product with a block-Toeplitz matrix.  e is a
-    grid of coefficient tuples, built from c on first use.
+    Arithmetic runs on the field's array kernels: a sum adds coefficient
+    arrays, a product is one scalar product with a block-Toeplitz matrix.
+    e is a grid of coefficient tuples, built from c on first use.
     """
 
     __slots__ = ("field", "c", "_e")
@@ -260,12 +261,11 @@ class PolyMatrix:
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         a, b = self._pair(other)
-        return PolyMatrix.from_coefficients(self.field, self.field._ADD[a, b])
+        return PolyMatrix.from_coefficients(self.field, self.field._vadd(a, b))
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         a, b = self._pair(other)
-        f = self.field
-        return PolyMatrix.from_coefficients(f, f._ADD[a, f._NEG[b]])
+        return PolyMatrix.from_coefficients(self.field, self.field._vsub(a, b))
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         """[A_0 | A_1 | ...] times the block-Toeplitz stack whose block
@@ -520,9 +520,9 @@ def _reduce(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
             factor = f.mul(int(coefs[r]), cj_inv)
             shift = degs[j] - degs[r]
             # row_j += factor * D**shift * row_r, in c and in u
-            c[shift:, j] = f._ADD[c[shift:, j], f._MUL[factor, c[: len(c) - shift, r]]]
+            c[shift:, j] = f._vadd(c[shift:, j], f._vmul(factor, c[: len(c) - shift, r]))
             u = np.concatenate([u, np.zeros((shift, *u.shape[1:]), dtype=np.int32)])
-            u[shift:, j] = f._ADD[u[shift:, j], f._MUL[factor, u[: len(u) - shift, r]]]
+            u[shift:, j] = f._vadd(u[shift:, j], f._vmul(factor, u[: len(u) - shift, r]))
 
 
 @dataclass(frozen=True)
@@ -676,9 +676,13 @@ def format_poly_matrix(m: PolyMatrix, *, header: bool = True) -> str:
     leave it off when the field is recorded elsewhere.
     """
     lines = [f"q={m.field.q}"] if header else []
-    for row in m.e:
+    # each entry's length: one past its last nonzero degree, 0 when zero
+    live = m.c[::-1] != 0
+    ends = np.where(live.any(axis=0), len(m.c) - live.argmax(axis=0), 0).tolist()
+    for row, row_ends in zip(m.c.transpose(1, 2, 0).tolist(), ends):
         lines.append(" ".join(
-            "(" + ",".join(str(c) for c in p) + ")" if p else "(0)" for p in row
+            "(" + ",".join(map(str, p[:end])) + ")" if end else "(0)"
+            for p, end in zip(row, row_ends)
         ))
     return "\n".join(lines)
 

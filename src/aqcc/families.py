@@ -171,9 +171,14 @@ def validate_params(params: FamilyParams) -> None:
     if need is not None:
         raise ParamOutOfRange(f"{fam} needs {need}, got q = {q}")
     grid = _grid(fam, q)
-    values = [getattr(params, name) for name, _ in grid]
+    names = [name for name, _ in grid]
+    values = [getattr(params, name) for name in names]
     if any(v is None for v in values):
-        raise ParamOutOfRange(f"{fam} needs {', '.join(name for name, _ in grid)}")
+        raise ParamOutOfRange(f"{fam} needs {', '.join(names)}")
+    extra = [name for name in ("n", "k", "i", "t", "partition")
+             if name not in names and getattr(params, name) is not None]
+    if extra:
+        raise ParamOutOfRange(f"{fam} takes only {', '.join(names)}, got {', '.join(extra)}")
     for j, (name, bounds) in enumerate(grid):
         lo, hi = bounds(*values[:j])
         if not lo <= values[j] <= hi:
@@ -223,18 +228,24 @@ def enumerate_family(family: str, q: int, ranges: dict | None = None):
 
     Returns an empty list when q falls outside the family's field
     assumption, and raises ParamOutOfRange only when q is not a prime
-    power at all.  Points whose logical dimension formula gives zero are
-    included; building them is what fails.
+    power at all or a range names a parameter outside the grid.  Points
+    whose logical dimension formula gives zero are included; building them
+    is what fails.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if family == "I":
         raise ValueError("construction I has no parameter grid to enumerate")
-    if _field_need(family, q) is not None:
-        return []
     ranges = ranges or {}
     grid = _grid(family, q)
     names = [name for name, _ in grid]
+    stray = [name for name in ranges if name not in names]
+    if stray:
+        raise ParamOutOfRange(
+            f"{family} ranges over {', '.join(names)} only, got {', '.join(stray)}"
+        )
+    if _field_need(family, q) is not None:
+        return []
 
     def walk(prefix):
         if len(prefix) == len(grid):

@@ -3,11 +3,28 @@
 Elements of GF(p**l) are packed integer indices: the element whose
 coordinate vector over GF(p) is (c0, c1, ..., c_{l-1}), with c0 the constant
 term, gets the index sum(c_i * p**i).  Indices run from 0 to q - 1 where
-q = p**l.  All arithmetic is table driven; every operation accepts plain
-ints or numpy integer arrays and broadcasts the way numpy fancy indexing
-does.  Scalar operations on in-range Python ints skip numpy: addition is
-XOR for p = 2 and (a + b) % p over a prime field, multiplication and
-inversion go through log/exp lists of O(q) length.
+q = p**l.
+
+The public operations (add, sub, neg, mul, inv, div) accept plain ints or
+numpy integer arrays, broadcast the way numpy fancy indexing does and index
+the q by q tables, so an out-of-range operand raises.  Scalar operations on
+in-range Python ints skip numpy: addition is XOR for p = 2 and (a + b) % p
+over a prime field, multiplication and inversion go through log/exp lists
+of O(q) length.
+
+The other modules do their array work through one private set of kernels
+(_vadd, _vsub, _vneg, _vinv, _vmul and the matrix product _vmatmul) on
+int32 arrays of in-range indices; only this module knows the table layout.
+Each kernel picks its arithmetic from the field.  For p = 2 the packed index
+is the GF(2) coordinate vector, so addition is XOR, and a matrix product
+gathers all its products at once and sums them by XOR.  Over a prime field
+(l = 1) sums and products are int32 ops reduced mod p in place, and a
+matrix product is one int64 matmul and one % p.  The other products, and
+sums over odd extension fields, are table gathers: one 1-d gather at
+a * q + b from the flattened table for operands of one shape, the 2-d index
+for a broadcast pair such as a column times a row, which builds no index
+array.  int32 holds a * q + b and (p - 1)**2 for q <= MAX_Q.  The kernels
+check nothing and return new int32 arrays.
 
 The canonical modulus for GF(p**l) is the monic irreducible polynomial of
 degree l whose own packed index is smallest.  For GF(16) that is
@@ -31,6 +48,8 @@ from .errors import (
 
 # Tables are q by q, so this bounds memory at a few dozen MB.
 MAX_Q = 2048
+# entries of the product array one step of _vmatmul builds over GF(2**l)
+_MATMUL_CHUNK = 1 << 18
 
 
 def prime_factors(m: int) -> list[int]:
@@ -304,6 +323,69 @@ class FiniteField:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    # --- array kernels: in-range int32 index arrays, int32 out ----------------
+
+    def _gather(self, table, a, b):
+        """table[a, b] for index arrays: operands of one shape take one 1-d
+        gather at a * q + b, a broadcast pair the 2-d index, which builds no
+        index array."""
+        if a.shape == b.shape:
+            return table.ravel()[a * self.q + b]
+        return table[a, b]
+
+    def _vadd(self, a, b):
+        if self.p == 2:
+            return np.bitwise_xor(a, b, dtype=np.int32)
+        if self.l == 1:
+            s = np.add(a, b, dtype=np.int32)
+            return np.remainder(s, self.p, out=s)
+        return self._gather(self._ADD, a, b)
+
+    def _vsub(self, a, b):
+        if self.p == 2:
+            return np.bitwise_xor(a, b, dtype=np.int32)
+        if self.l == 1:
+            s = np.subtract(a, b, dtype=np.int32)
+            return np.remainder(s, self.p, out=s)
+        return self._gather(self._ADD, a, self._NEG[b])
+
+    def _vneg(self, a):
+        if self.p == 2:
+            return np.array(a, dtype=np.int32)
+        if self.l == 1:
+            s = np.subtract(self.p, a, dtype=np.int32)
+            return np.remainder(s, self.p, out=s)
+        return self._NEG[a]
+
+    def _vinv(self, a):
+        return self._INV[a]
+
+    def _vmul(self, a, b):
+        if self.l == 1:
+            s = np.multiply(a, b, dtype=np.int32)
+            return np.remainder(s, self.p, out=s)
+        if type(a) is int:  # a scalar first: one table row scales all of b
+            return self._MUL[a][b]
+        return self._gather(self._MUL, a, b)
+
+    def _vmatmul(self, a, b):
+        """a @ b for 2-d index arrays."""
+        if self.l == 1:
+            s = np.matmul(a, b, dtype=np.int64)
+            return np.remainder(s, self.p, out=s).astype(np.int32)
+        acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int32)
+        if self.p == 2:
+            # all products a[i, s] * b[s, j] by one gather, summed by XOR over
+            # s; slices of s keep the product array near _MATMUL_CHUNK
+            step = max(1, _MATMUL_CHUNK // max(acc.size, 1))
+            for s in range(0, a.shape[1], step):
+                prod = self._MUL[a[:, s:s + step].T[:, :, None], b[s:s + step, None, :]]
+                acc ^= np.bitwise_xor.reduce(prod, axis=0)
+            return acc
+        for s in range(a.shape[1]):
+            acc = self._vadd(acc, self._vmul(a[:, s, None], b[None, s, :]))
+        return acc
 
     def pow(self, a: int, k: int) -> int:
         a = int(a)

@@ -1,9 +1,9 @@
 """Dense matrices over a small finite field.
 
 Entries are packed field indices (see gf).  MatrixGF instances are
-immutable; every operation returns a new matrix.  Row reduction, rank,
-kernels and left-division all run on the field's lookup tables, so results
-are exact.
+immutable; every operation returns a new matrix.  Sums, products, row
+reduction, rank, kernels and left-division all run on the field's array
+kernels (gf), so results are exact.
 """
 
 from __future__ import annotations
@@ -92,25 +92,20 @@ class MatrixGF:
 
     def __add__(self, other: "MatrixGF") -> "MatrixGF":
         self._check_field(other)
-        return MatrixGF(self.field, self.field._ADD[self.a, other.a])
+        return MatrixGF(self.field, self.field._vadd(self.a, other.a))
 
     def __sub__(self, other: "MatrixGF") -> "MatrixGF":
         self._check_field(other)
-        f = self.field
-        return MatrixGF(f, f._ADD[self.a, f._NEG[other.a]])
+        return MatrixGF(self.field, self.field._vsub(self.a, other.a))
 
     def __neg__(self) -> "MatrixGF":
-        return MatrixGF(self.field, self.field._NEG[self.a])
+        return MatrixGF(self.field, self.field._vneg(self.a))
 
     def __matmul__(self, other: "MatrixGF") -> "MatrixGF":
         self._check_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        f = self.field
-        acc = np.zeros((self.rows, other.cols), dtype=np.int32)
-        for s in range(self.cols):
-            acc = f._ADD[acc, f._MUL[self.a[:, s, None], other.a[None, s, :]]]
-        return MatrixGF(f, acc)
+        return MatrixGF(self.field, self.field._vmatmul(self.a, other.a))
 
     @property
     def T(self) -> "MatrixGF":
@@ -134,13 +129,13 @@ class MatrixGF:
         """
         f = self.field
         red, piv = _rref(f, self.a)
-        n = self.cols
-        free = [c for c in range(n) if c not in piv]
-        out = np.zeros((len(free), n), dtype=np.int32)
-        for r, j in enumerate(free):
-            out[r, j] = 1
-            for i, pc in enumerate(piv):
-                out[r, pc] = f._NEG[red[i, j]]
+        piv = list(piv)
+        is_free = np.ones(self.cols, dtype=bool)
+        is_free[piv] = False
+        free = is_free.nonzero()[0]
+        out = np.zeros((len(free), self.cols), dtype=np.int32)
+        out[np.arange(len(free)), free] = 1
+        out[:, piv] = f._vneg(red[: len(piv), free].T)
         return MatrixGF(f, out)
 
     def independent_row_indices(self) -> tuple[int, ...]:
@@ -155,6 +150,9 @@ class MatrixGF:
 
 
 def _rref(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Gauss-Jordan elimination.  Rows r and below are zero left of column
+    c, so the pivot row is too, and each step touches only columns >= c of
+    the rows with a nonzero entry in column c."""
     m = np.array(a, dtype=np.int32)
     rows, cols = m.shape
     piv = []
@@ -162,17 +160,20 @@ def _rref(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        nz = m[:, c].nonzero()[0]
+        i = nz.searchsorted(r)
+        if i == len(nz):
             continue
-        p0 = r + int(nz[0])
-        if p0 != r:
+        p0 = int(nz[i])
+        if p0 != r:  # row r is zero in column c, so the other hits stay put
             m[[r, p0]] = m[[p0, r]]
-        m[r] = field._MUL[m[r], field._INV[m[r, c]]]
-        f = m[:, c].copy()
-        f[r] = 0
-        if np.any(f):
-            m = field._ADD[m, field._MUL[f[:, None], field._NEG[m[r]][None, :]]]
+        lead = m[r, c]
+        if lead != 1:
+            m[r, c:] = field._vmul(int(field._vinv(lead)), m[r, c:])
+        if len(nz) > 1:
+            hit = nz[nz != p0]
+            block = m[hit, c:]
+            m[hit, c:] = field._vsub(block, field._vmul(block[:, :1], m[r, c:]))
         piv.append(c)
         r += 1
     return m, tuple(piv)

@@ -139,14 +139,16 @@ def _probe_upper(g: PolyMatrix) -> tuple[int, tuple]:
     span = 2 * mu + 1
     a = g.coefficients(span).transpose(1, 2, 0)
     row_w = (a != 0).sum(axis=(1, 2))
+    neg_a = f._vneg(a)
     combo_w = np.empty((k, k, mu + 1, q - 1), dtype=np.int64)
     for s in range(mu + 1):
         shifted = np.zeros_like(a)
         shifted[:, :, s:] = a[:, :, : span - s]
         # scaled[c - 1, j] = c * D**s * row_j
-        scaled = f._MUL[np.arange(1, q)[:, None, None, None], shifted[None]]
+        scaled = f._vmul(np.arange(1, q, dtype=np.int32)[:, None, None, None], shifted[None])
         for i in range(k):
-            combo_w[i, :, s, :] = (f._ADD[a[i], scaled] != 0).sum(axis=(2, 3)).T
+            # row_i + scaled is nonzero exactly where scaled != -row_i
+            combo_w[i, :, s, :] = (scaled != neg_a[i]).sum(axis=(2, 3)).T
     none = n * span + 1
     combo_w[np.arange(k), np.arange(k), 0, :] = none
     combo_w[combo_w == 0] = none
@@ -205,7 +207,7 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
     # s = lo + split * hi then needs one lookup in each half
     half = gamma // 2
     split = q ** half
-    neg_rows = field._NEG[state_rows.reshape(gamma, n)]
+    neg_rows = field._vneg(state_rows.reshape(gamma, n))
     neg_lo, neg_hi = codeword_table(field, neg_rows[:half]), codeword_table(field, neg_rows[half:])
     moved_lo = _digit_sums(q, shift_w[:half]).tolist()
     moved_hi = _digit_sums(q, shift_w[half:]).tolist()
@@ -239,6 +241,6 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
         settled[s] = True
         states += 1
         hi, lo = divmod(s, split)
-        want = field._ADD[neg_lo[lo], neg_hi[hi]].tolist()
+        want = field._vadd(neg_lo[lo], neg_hi[hi]).tolist()
         relax(dcur, moved_lo[lo] + moved_hi[hi], n - runs.matches(want))
     raise AqccError("zero state unreachable; the encoder graph is disconnected")

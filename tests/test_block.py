@@ -168,6 +168,11 @@ class TestGrs:
             grs_build(f, [0, 1, 2], [1, 0, 1], k=1)
         with pytest.raises(ValueError):
             grs_build(f, [0, 1, 2], [1, 1, 1], k=3)
+        # the array kernels check no range, so grs_build refuses non-elements
+        for points, multipliers in (([0, 1, 5], [1, 1, 1]), ([-1, 1, 2], [1, 1, 1]),
+                                    ([0, 1, 2], [1, 7, 1])):
+            with pytest.raises(ValueError, match="elements of GF"):
+                grs_build(f, points, multipliers, k=1)
 
 
 class TestDistributions:

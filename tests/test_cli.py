@@ -62,6 +62,13 @@ class TestEnumerate:
         assert rc == 2
         assert "range" in err
 
+    def test_range_outside_the_grid_exits_two(self):
+        # III-T6 has no i: a range on it narrowed nothing and printed 16 rows
+        rc, out, err = run("enumerate", "--family", "III-T6", "--q", "7",
+                           "--range", "i=1:1")
+        assert rc == 2 and out == ""
+        assert "n, k, t" in err
+
     def test_q64_grid_is_listed(self):
         rc, out, _ = run("enumerate", "--family", "II-T3b", "--q", "64")
         assert rc == 0
@@ -108,6 +115,13 @@ class TestCertify:
         rc, _, err = run("certify", "--family", "II-T2", "--q", "8", "--i", "3")
         assert rc == 2
         assert "q = 2^s" in err
+
+    def test_off_grid_parameter_exits_two(self):
+        # II-T2 takes only i; n and t were echoed into the certificate
+        rc, out, err = run("certify", "--family", "II-T2", "--q", "16", "--i", "3",
+                           "--t", "9", "--n", "4", "--effort", "structure")
+        assert rc == 2 and out == ""
+        assert "II-T2 takes only i" in err
 
     def test_zero_logical_dimension_exits_three(self):
         rc, _, err = run("certify", "--family", "III-T6", "--q", "5",

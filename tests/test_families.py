@@ -64,6 +64,18 @@ class TestValidation:
         with pytest.raises(ParamOutOfRange, match="k ="):
             validate_params(FamilyParams("III-T8", 7, n=7, k=4, t=1))
 
+    def test_parameters_outside_the_grid(self):
+        with pytest.raises(ParamOutOfRange, match="takes only i, got n, t"):
+            validate_params(FamilyParams("II-T2", 16, i=3, t=9, n=4))
+        with pytest.raises(ParamOutOfRange, match="takes only i, t, got k"):
+            validate_params(FamilyParams("III-T5a", 8, i=4, t=1, k=2))
+        with pytest.raises(ParamOutOfRange, match="takes only n, k, t, got i"):
+            validate_params(FamilyParams("III-T6", 7, n=6, k=1, t=1, i=0))
+        with pytest.raises(ParamOutOfRange, match="takes only i, got partition"):
+            validate_params(FamilyParams("II-T2", 16, i=3, partition=(1, 1)))
+        with pytest.raises(ParamOutOfRange, match="ranges over n, k, t only, got i"):
+            enumerate_family("III-T6", 7, {"i": (1, 1)})
+
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             validate_params(FamilyParams("IV-T9", 5))

@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aqcc import gf
 from aqcc.errors import (
     FieldMismatch,
     NonPrimeCharacteristic,
@@ -340,3 +341,44 @@ def test_non_int_operands_keep_the_numpy_path(gf16):
         gf16.add(16, 0)
     with pytest.raises(ZeroDivisionError):
         gf16.inv(np.int64(0))
+
+
+@pytest.mark.parametrize("q", [2, 32, 17, 2039, 9, 25, 27])
+def test_array_kernels_match_table_gathers(q):
+    f = field_from_order(q)
+    rng = np.random.default_rng(q)
+    a = rng.integers(0, q, (7, 9)).astype(np.int32)
+    b = rng.integers(0, q, (7, 9)).astype(np.int32)
+    col = rng.integers(0, q, (7, 1)).astype(np.int32)
+    c = rng.integers(0, q, (9, 5)).astype(np.int32)
+    want_matmul = np.zeros((7, 5), dtype=np.int32)
+    for s in range(9):
+        want_matmul = f._ADD[want_matmul, f._MUL[a[:, s, None], c[None, s, :]]]
+    cases = (
+        (f._vadd(a, b), f._ADD[a, b]),
+        (f._vsub(a, b), f._ADD[a, f._NEG[b]]),
+        (f._vneg(a), f._NEG[a]),
+        (f._vinv(a[a != 0]), f._INV[a[a != 0]]),
+        (f._vmul(a, b), f._MUL[a, b]),
+        (f._vmul(col, b[0]), f._MUL[col, b[0]]),  # broadcast outer product
+        (f._vmul(int(b[1, 2]), a), f._MUL[int(b[1, 2]), a]),  # scalar times array
+        (f._vmatmul(a, c), want_matmul),
+        (f._vmatmul(a[:, :0], c[:0]), np.zeros((7, 5), dtype=np.int32)),
+    )
+    for got, want in cases:
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
+
+
+def test_characteristic_two_matmul_in_slices(monkeypatch):
+    # one inner index per slice gives the same product as one slice for all
+    f = field_from_order(16)
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 16, (6, 11)).astype(np.int32)
+    b = rng.integers(0, 16, (11, 4)).astype(np.int32)
+    want = np.zeros((6, 4), dtype=np.int32)
+    for s in range(11):
+        want ^= f._MUL[a[:, s, None], b[None, s, :]]
+    assert np.array_equal(f._vmatmul(a, b), want)
+    monkeypatch.setattr(gf, "_MATMUL_CHUNK", 1)
+    assert np.array_equal(f._vmatmul(a, b), want)

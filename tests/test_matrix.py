@@ -3,7 +3,7 @@ import pytest
 
 from aqcc.errors import FieldMismatch
 from aqcc.gf import FiniteField
-from aqcc.matrix import MatrixGF, field_from_order, solve_left, vstack
+from aqcc.matrix import MatrixGF, _rref, field_from_order, solve_left, vstack
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +141,64 @@ class TestStackingAndText:
         a = MatrixGF(gf7, [[1, 2]])
         b = MatrixGF(gf7, [[3, 4]])
         assert vstack([a, b]) == MatrixGF(gf7, [[1, 2], [3, 4]])
+
+
+def _rref_table_loop(field, a):
+    """The table-gather elimination the array kernels replaced, kept as the
+    oracle: every pivot rewrites the whole matrix."""
+    m = np.array(a, dtype=np.int32)
+    rows, cols = m.shape
+    piv = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p0 = r + int(nz[0])
+        if p0 != r:
+            m[[r, p0]] = m[[p0, r]]
+        m[r] = field._MUL[m[r], field._INV[m[r, c]]]
+        f = m[:, c].copy()
+        f[r] = 0
+        if np.any(f):
+            m = field._ADD[m, field._MUL[f[:, None], field._NEG[m[r]][None, :]]]
+        piv.append(c)
+        r += 1
+    return m, tuple(piv)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9, 16, 17, 27, 32])
+def test_rref_matches_table_loop(q):
+    f = field_from_order(q)
+    rng = np.random.default_rng(q)
+    for shape in [(1, 1), (3, 8), (8, 3), (6, 6), (12, 5), (5, 12), (0, 4), (4, 0)]:
+        for _ in range(6):
+            m = rng.integers(0, q, shape).astype(np.int32)
+            if shape[1] > 2:
+                m[:, rng.integers(0, shape[1], 2)] = 0  # zero columns
+            if shape[0] > 2:  # rank deficient: one row is a combination of two
+                x, y = (int(v) for v in rng.integers(1, q, 2))
+                m[-1] = f._ADD[f._MUL[x, m[0]], f._MUL[y, m[1]]]
+            red, piv = _rref(f, m)
+            want_red, want_piv = _rref_table_loop(f, m)
+            assert piv == want_piv
+            assert np.array_equal(red, want_red)
+            assert red.dtype == np.int32
+
+
+def test_only_gf_indexes_the_field_tables():
+    import re
+    from pathlib import Path
+
+    import aqcc
+
+    table = re.compile(r"\._(ADD|MUL|NEG|INV)\b")
+    src = Path(aqcc.__file__).parent
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py")) if path.name != "gf.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1) if table.search(line)
+    ]
+    assert offenders == []
