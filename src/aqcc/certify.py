@@ -2,9 +2,16 @@
 
 certify_params drives one parameter point end to end: build the split
 plan, derive the generator pair, re-verify every structural claim
-(ranks, basicness, reducedness, containment, symplectic orthogonality,
+(ranks, reducedness, containment, symplectic orthogonality, basicness,
 degree accounting), attach whatever distance statements the requested
 effort can certify, and emit a deterministic JSON certificate.
+
+Each claim has one witness.  reduce proves the ranks, the leading-row
+matrices prove G1 and G2 reduced, and the containment witness proves
+V2 <= V1.  derive_aqcc builds the minimal duals once; a reduced generator
+is basic exactly when its minimal dual has the same external degree
+(Forney 1975), so those two sums prove basicness, and the dual of G1 is
+the parity check of the stabilizer.
 
 Effort levels:
   structure  no distance enumeration; designed bounds and witness rows only
@@ -26,15 +33,7 @@ from dataclasses import dataclass, replace
 
 from . import families
 from .block import DESK_ENUM_BUDGET, FULL_ENUM_BUDGET, BlockCode
-from .convo import (
-    PolyMatrix,
-    contains,
-    degree_accounting,
-    dual_generator,
-    format_poly_matrix,
-    is_basic,
-    is_reduced,
-)
+from .convo import PolyMatrix, contains, degree_accounting, format_poly_matrix, is_reduced
 from .css import AqccParameters, assemble_stabilizer, build_nested_pair, derive_aqcc, semi_infinite_expand
 from .errors import AqccError, ContainmentFailed, NotBasic
 from .gf import FiniteField
@@ -202,25 +201,25 @@ def certify_plan(
         plan = _fault_rank_condition(plan)
     g1, g2 = plan.generators()
 
-    if not is_basic(g1):
-        raise NotBasic("outer generator is not basic")
-    if not is_basic(g2):
-        raise NotBasic("inner generator is not basic")
     if not is_reduced(g1) or not is_reduced(g2):
         raise AqccError("split generator is not reduced")
 
     if fault == "mutate-row":
         g2 = _fault_mutate_row(g1, g2, seed)
-    pair = build_nested_pair(g1, g2)
-    h1 = dual_generator(g1)
+    par = derive_aqcc(build_nested_pair(g1, g2))
     if fault == "swap-blocks":
-        assemble_stabilizer(h1, _fault_swap_columns(h1, g2, seed))
+        assemble_stabilizer(par.h1, _fault_swap_columns(par.h1, g2, seed))
         raise AqccError("fault injection failed to break the symplectic check")
-    v2_dual = dual_generator(g2)
 
     kappa1, kappa2 = g1.rows, g2.rows
     deg1 = degree_accounting(g1)
     deg2 = degree_accounting(g2)
+    for name, deg, dual in (("outer", deg1, par.h1), ("inner", deg2, par.v2_dual)):
+        if sum(dual.row_degrees) != deg.gamma:
+            raise NotBasic(
+                f"{name} generator is not basic: external degree {deg.gamma}, "
+                f"minimal dual {sum(dual.row_degrees)}"
+            )
     mu = max(g1.max_degree, g2.max_degree, 0)
 
     # block-level distances: the source code and the span of the outer
@@ -247,7 +246,6 @@ def certify_plan(
         raise AqccError("computed chain bound fell below its designed floor")
 
     if effort == "structure":
-        par = derive_aqcc(pair, h1=h1, v2_dual=v2_dual)
         d1f = FreeDistanceResult(max(d_dual.lower, 1), None, "designed", deg1.gamma)
         d2f = FreeDistanceResult(chain_lo, None, "designed", deg2.gamma)
     else:
@@ -258,12 +256,12 @@ def certify_plan(
             lower_hint=max(d_dual.lower, 1),
         )
         d2f = free_distance(
-            v2_dual,
+            par.v2_dual,
             state_budget=budgets.state,
             work_budget=budgets.work,
             lower_hint=chain_lo,
         )
-        par = derive_aqcc(pair, v1_distance=d1f, v2perp_distance=d2f, h1=h1, v2_dual=v2_dual)
+        par = par.with_distances(d1f, d2f)
 
     # closed-form cross checks; any miss means the layout or the formula
     # table is wrong, and certifying anyway would hide the defect
@@ -274,11 +272,6 @@ def certify_plan(
     if par.gamma != expected.gamma_formula:
         raise AqccError(
             f"total degree {par.gamma} differs from the closed form {expected.gamma_formula}"
-        )
-    gamma1 = degree_accounting(par.h1).gamma if par.h1.rows else 0
-    if gamma1 != deg1.gamma:
-        raise AqccError(
-            f"dual degree {gamma1} differs from the outer generator degree {deg1.gamma}"
         )
     if d1f.exact and plan.v1_stated is not None and d1f.lower < plan.v1_stated:
         raise AqccError(
@@ -330,7 +323,7 @@ def certify_plan(
             "containment": "verified",
             "symplectic": "zero",
             "degrees": {
-                "gamma1": gamma1,
+                "gamma1": deg1.gamma,
                 "gamma2": deg2.gamma,
                 "gamma": par.gamma,
                 "mu": mu,

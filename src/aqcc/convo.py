@@ -529,14 +529,13 @@ def _reduce(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
 class DegreeInfo:
     row_degrees: tuple[int, ...]
     gamma: int  # external degree: sum of row degrees
-    mu: int  # memory: maximum row degree
 
 
 def degree_accounting(m: PolyMatrix) -> DegreeInfo:
     degs = m.row_degrees
     if any(d < 0 for d in degs):
         raise RankDeficient("zero rows have no degree")
-    return DegreeInfo(degs, sum(degs), max(degs, default=0))
+    return DegreeInfo(degs, sum(degs))
 
 
 # --- duality and containment ---------------------------------------------------

@@ -6,6 +6,11 @@ parity check of V1 on the X side, the other carries a generator of V2 on
 the Z side.  Symplectic self-orthogonality of the assembled matrix is
 equivalent to the containment V2 <= V1, and this module verifies it
 explicitly instead of assuming it.
+
+derive_aqcc builds the minimal duals of both generators once per pair:
+the dual of V1 is the parity check on the X side, and the dual of V2 is
+the code whose free distance bounds the other side.  Callers read them
+from the result instead of building their own.
 """
 
 from __future__ import annotations
@@ -15,14 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .convo import (
-    PolyMatrix,
-    block_toeplitz,
-    contains,
-    degree_accounting,
-    dual_generator,
-    reduce,
-)
+from .convo import PolyMatrix, block_toeplitz, contains, dual_generator, reduce
 from .errors import (
     FieldMismatch,
     SymplecticViolation,
@@ -198,68 +196,54 @@ class AqccParameters:
     dx: FreeDistanceResult | None = None
     dz_side: str | None = None
 
+    def with_distances(self, v1: FreeDistanceResult, v2perp: FreeDistanceResult) -> "AqccParameters":
+        """These parameters with dz and dx taken from the two side distances.
 
-def derive_aqcc(
-    pair: NestedPair,
-    *,
-    v1_distance: FreeDistanceResult | None = None,
-    v2perp_distance: FreeDistanceResult | None = None,
-    h1: PolyMatrix | None = None,
-    v2_dual: PolyMatrix | None = None,
-) -> AqccParameters:
-    """Assemble the stabilizer of a nested pair and collect its parameters.
+        dz brackets the larger of the two and dx the smaller, matching the
+        convention that the Z distance carries the heavier protection.  dz
+        spans the larger lower and the larger upper bound, dx the smaller
+        ones; each keeps the method and witness of the side that gives its
+        upper bound.  dz_side names the side whose bracket lies wholly above
+        the other (ties go to "v1"), and is "undecided" when the brackets
+        overlap.
+        """
+        top = lambda r: math.inf if r.upper is None else r.upper
+        high, low = (v1, v2perp) if top(v1) >= top(v2perp) else (v2perp, v1)
+        if v1.lower >= top(v2perp):
+            side = "v1"
+        elif v2perp.lower > top(v1):
+            side = "v2perp"
+        else:
+            side = "undecided"
+        return replace(
+            self,
+            dz=replace(high, lower=max(v1.lower, v2perp.lower)),
+            dx=replace(low, lower=min(v1.lower, v2perp.lower)),
+            dz_side=side,
+        )
 
-    Distances are optional: when both sides are supplied, dz brackets the
-    larger of the two and dx the smaller, matching the convention that the
-    Z distance carries the heavier protection.  dz spans the larger lower
-    and the larger upper bound, dx the smaller ones; each keeps the method
-    and witness of the side that gives its upper bound.  dz_side names the
-    side whose bracket lies wholly above the other (ties go to "v1"), and
-    is "undecided" when the brackets overlap.
 
-    h1 and v2_dual are the duals of the outer and inner generators.  A
-    caller that already holds them passes them in; otherwise they are
-    computed here with dual_generator.
+def derive_aqcc(pair: NestedPair) -> AqccParameters:
+    """Build both minimal duals and the stabilizer of a nested pair.
+
+    h1, the dual of the outer generator, goes on the X side of the
+    stabilizer and the reduced inner generator on the Z side; v2_dual is
+    the dual of the inner generator.  gamma is the external degree of the
+    stabilizer.  Distances are attached afterwards with with_distances.
     """
     k1, k2 = pair.outer.rows, pair.inner.rows
     logical = k1 - k2
     if logical <= 0:
         raise ZeroLogicalDimension(f"k1 = {k1} and k2 = {k2} leave no logical stream")
-    if h1 is None:
-        h1 = dual_generator(pair.outer)
-    if v2_dual is None:
-        v2_dual = dual_generator(pair.inner)
-    g2 = reduce(pair.inner)
-    stab = assemble_stabilizer(h1, g2)
-    gamma = 0
-    if h1.rows:
-        gamma += degree_accounting(h1).gamma
-    gamma += degree_accounting(g2).gamma
-    if (v1_distance is None) != (v2perp_distance is None):
-        raise ValueError("supply both side distances or neither")
-    dz = dx = dz_side = None
-    if v1_distance is not None:
-        a, b = v1_distance, v2perp_distance
-        top = lambda r: math.inf if r.upper is None else r.upper
-        high, low = (a, b) if top(a) >= top(b) else (b, a)
-        dz = replace(high, lower=max(a.lower, b.lower))
-        dx = replace(low, lower=min(a.lower, b.lower))
-        if a.lower >= top(b):
-            dz_side = "v1"
-        elif b.lower > top(a):
-            dz_side = "v2perp"
-        else:
-            dz_side = "undecided"
+    h1 = dual_generator(pair.outer)
+    stab = assemble_stabilizer(h1, reduce(pair.inner))
     return AqccParameters(
         n=pair.n,
         logical=logical,
-        gamma=gamma,
+        gamma=stab.gamma,
         mu_star=stab.mu_star,
         stabilizer=stab,
         pair=pair,
         h1=h1,
-        v2_dual=v2_dual,
-        dz=dz,
-        dx=dx,
-        dz_side=dz_side,
+        v2_dual=dual_generator(pair.inner),
     )

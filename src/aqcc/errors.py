@@ -16,10 +16,6 @@ class NonPrimeCharacteristic(AqccError):
     """The requested characteristic is not a prime number."""
 
 
-class ReducibleModulus(AqccError):
-    """A user-supplied modulus polynomial factors over GF(p)."""
-
-
 class OrderNotDividing(AqccError):
     """No element of the requested multiplicative order exists (n does not divide q - 1)."""
 

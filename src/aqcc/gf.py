@@ -5,12 +5,14 @@ coordinate vector over GF(p) is (c0, c1, ..., c_{l-1}), with c0 the constant
 term, gets the index sum(c_i * p**i).  Indices run from 0 to q - 1 where
 q = p**l.
 
-The public operations (add, sub, neg, mul, inv, div) accept plain ints or
-numpy integer arrays, broadcast the way numpy fancy indexing does and index
-the q by q tables, so an out-of-range operand raises.  Scalar operations on
-in-range Python ints skip numpy: addition is XOR for p = 2 and (a + b) % p
-over a prime field, multiplication and inversion go through log/exp lists
-of O(q) length.
+The public operations (add, sub, neg, mul, inv, div) accept plain ints,
+numpy integer scalars or numpy integer arrays, and broadcast the way numpy
+does.  Scalar operations on in-range Python ints skip numpy: addition is
+XOR for p = 2 and (a + b) % p over a prime field, multiplication and
+inversion go through log/exp lists of O(q) length.  Every other operand
+passes one range check, which raises IndexError for anything outside
+range(q), negatives included, and then goes through the array kernels
+below.  Only the kernels and the int path read the tables.
 
 The other modules do their array work through one private set of kernels
 (_vadd, _vsub, _vneg, _vinv, _vmul and the matrix product _vmatmul) on
@@ -26,9 +28,10 @@ for a broadcast pair such as a column times a row, which builds no index
 array.  int32 holds a * q + b and (p - 1)**2 for q <= MAX_Q.  The kernels
 check nothing and return new int32 arrays.
 
-The canonical modulus for GF(p**l) is the monic irreducible polynomial of
-degree l whose own packed index is smallest.  For GF(16) that is
-x**4 + x + 1, for GF(256) it is x**8 + x**4 + x**3 + x + 1.
+Every FiniteField uses the canonical modulus for GF(p**l): the monic
+irreducible polynomial of degree l whose own packed index is smallest.
+For GF(16) that is x**4 + x + 1, for GF(256) it is
+x**8 + x**4 + x**3 + x + 1.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ from .errors import (
     NonPrimeCharacteristic,
     NotCoprime,
     OrderNotDividing,
-    RankDeficient,
-    ReducibleModulus,
 )
 
 # Tables are q by q, so this bounds memory at a few dozen MB.
@@ -169,7 +170,7 @@ class FiniteField:
 
     _cache: dict[tuple[int, int], "FiniteField"] = {}
 
-    def __init__(self, p: int, l: int = 1, modulus=None):
+    def __init__(self, p: int, l: int = 1):
         if prime_factors(p) != [p]:
             raise NonPrimeCharacteristic(f"{p} is not prime")
         if l < 1:
@@ -177,18 +178,10 @@ class FiniteField:
         q = p ** l
         if q > MAX_Q:
             raise ValueError(f"q = {q} exceeds the supported table size {MAX_Q}")
-        if modulus is None:
-            modulus = default_modulus(p, l)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != l + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree l")
-            if not poly_is_irreducible(modulus, p):
-                raise ReducibleModulus(f"{list(modulus)} factors over GF({p})")
         self.p = p
         self.l = l
         self.q = q
-        self.modulus = modulus
+        self.modulus = default_modulus(p, l)
         self._build_tables()
 
     @classmethod
@@ -279,9 +272,18 @@ class FiniteField:
             return int(r)
         return r
 
+    def _index(self, a) -> np.ndarray:
+        """a as an int32 index array, or IndexError outside range(q)."""
+        arr = np.asarray(a)
+        if arr.dtype.kind not in "iu":
+            raise IndexError(f"field elements are integers, got {arr.dtype}")
+        if arr.size and (arr.min() < 0 or arr.max() >= self.q):
+            raise IndexError(f"operand outside range({self.q})")
+        return arr.astype(np.int32, copy=False)
+
     # Each op first takes the int fast path when every operand is a Python
     # int in range(q); anything else (arrays, numpy scalars, out-of-range
-    # values) goes through the numpy tables as before.
+    # values) passes _index and goes through the kernels.
 
     def add(self, a, b):
         if type(a) is int and type(b) is int and 0 <= a < self.q and 0 <= b < self.q:
@@ -290,7 +292,7 @@ class FiniteField:
             if self.l == 1:
                 return (a + b) % self.p
             return self._ADD.item(a, b)
-        return self._out(self._ADD[a, b])
+        return self._out(self._vadd(self._index(a), self._index(b)))
 
     def sub(self, a, b):
         if type(a) is int and type(b) is int and 0 <= a < self.q and 0 <= b < self.q:
@@ -299,12 +301,12 @@ class FiniteField:
             if self.l == 1:
                 return (a - b) % self.p
             return self._ADD.item(a, self._neg_list[b])
-        return self._out(self._ADD[a, self._NEG[b]])
+        return self._out(self._vsub(self._index(a), self._index(b)))
 
     def neg(self, a):
         if type(a) is int and 0 <= a < self.q:
             return self._neg_list[a]
-        return self._out(self._NEG[a])
+        return self._out(self._vneg(self._index(a)))
 
     def mul(self, a, b):
         if type(a) is int and type(b) is int and 0 <= a < self.q and 0 <= b < self.q:
@@ -312,14 +314,15 @@ class FiniteField:
                 log = self._log_list
                 return self._exp_list[log[a] + log[b]]
             return 0
-        return self._out(self._MUL[a, b])
+        return self._out(self._vmul(self._index(a), self._index(b)))
 
     def inv(self, a):
         if type(a) is int and 0 < a < self.q:
             return self._exp_list[self.q - 1 - self._log_list[a]]
-        if np.any(np.asarray(a) == 0):
+        a = self._index(a)
+        if np.any(a == 0):
             raise ZeroDivisionError("0 has no inverse")
-        return self._out(self._INV[a])
+        return self._out(self._vinv(a))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -478,36 +481,15 @@ def embedding(sub: FiniteField, ext: FiniteField) -> np.ndarray:
     return table
 
 
-def _gf_p_inverse(mat: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a square matrix over the prime field GF(p)."""
-    n = mat.shape[0]
-    aug = np.concatenate([mat % p, np.eye(n, dtype=np.int64)], axis=1)
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, n):
-            if aug[r, col] % p:
-                piv = r
-                break
-        if piv is None:
-            raise RankDeficient("matrix is singular over GF(p)")
-        aug[[row, piv]] = aug[[piv, row]]
-        aug[row] = (aug[row] * pow(int(aug[row, col]), -1, p)) % p
-        for r in range(n):
-            if r != row and aug[r, col]:
-                aug[r] = (aug[r] - aug[r, col] * aug[row]) % p
-        row += 1
-    return aug[:, n:] % p
-
-
 class SubfieldBasis:
     """Basis of GF(p**b) as a vector space over an embedded GF(p**a).
 
     The basis is (1, x, x**2, ..., x**(L-1)) where x is the extension
     field's canonical root and L = b // a; that set is always independent
-    because x has degree exactly L over the subfield.
-    expand() writes an extension element as L subfield coordinates,
-    combine() is the inverse map.
+    because x has degree exactly L over the subfield.  Every extension
+    element is sum_i emb(c_i) * x**i for exactly one coordinate tuple c, so
+    one table of all those sums, indexed by sum_i c_i * q_sub**i, and its
+    inverse permutation give combine() and expand() by lookup.
     """
 
     def __init__(self, sub: FiniteField, ext: FiniteField):
@@ -515,23 +497,15 @@ class SubfieldBasis:
         self.sub = sub
         self.ext = ext
         self.L = ext.l // sub.l
-        elements = [1]
+        self._weights = sub.q ** np.arange(self.L, dtype=np.int32)
+        # Horner's rule on whole tables: image <- x * image + emb(c), with
+        # the new digit c fastest, so digit i weighs q_sub**i
+        image = emb
         for _ in range(self.L - 1):
-            elements.append(int(ext.mul(elements[-1], ext.p)))
-        self.elements = tuple(elements)
-        self._emb = emb
-
-        p, a, b = sub.p, sub.l, ext.l
-        theta_pow = [1]
-        theta = int(emb[sub.p]) if sub.l > 1 else 0
-        for _ in range(a - 1):
-            theta_pow.append(ext.mul(theta_pow[-1], theta))
-        cols = []
-        for beta in elements:
-            for tp in theta_pow:
-                cols.append(ext.coeffs(ext.mul(tp, beta)))
-        m = np.array(cols, dtype=np.int64).T  # b x b over GF(p)
-        self._minv = _gf_p_inverse(m, p)
+            image = ext._vadd(ext._vmul(ext.p, image)[:, None], emb[None, :]).ravel()
+        self._image = image
+        self._coords = np.empty_like(image)
+        self._coords[image] = np.arange(ext.q, dtype=np.int32)
 
     def expand(self, e: int) -> tuple[int, ...]:
         """Subfield coordinates of one extension element."""
@@ -539,16 +513,12 @@ class SubfieldBasis:
 
     def expand_array(self, arr: np.ndarray) -> np.ndarray:
         """Vectorized expand; output shape is arr.shape + (L,)."""
-        p, a, b = self.sub.p, self.sub.l, self.ext.l
-        arr = np.asarray(arr, dtype=np.int64)
-        dig = (arr[..., None] // p ** np.arange(b, dtype=np.int64)) % p
-        coords = np.tensordot(dig, self._minv.T, axes=([-1], [0])) % p
-        coords = coords.reshape(arr.shape + (self.L, a))
-        weights = p ** np.arange(a, dtype=np.int64)
-        return (coords * weights).sum(axis=-1).astype(np.int32)
+        u = self._coords[self.ext._index(arr)]
+        return (u[..., None] // self._weights) % self.sub.q
 
     def combine(self, coords) -> int:
-        acc = 0
-        for c, beta in zip(coords, self.elements, strict=True):
-            acc = self.ext.add(acc, self.ext.mul(int(self._emb[c]), beta))
-        return int(acc)
+        """The extension element with these subfield coordinates."""
+        digits = self.sub._index(coords)
+        if digits.shape != (self.L,):
+            raise ValueError(f"need {self.L} coordinates, got shape {digits.shape}")
+        return int(self._image[digits @ self._weights])

@@ -222,7 +222,7 @@ class TestReduced:
     def test_degree_accounting(self, gf3):
         g = PolyMatrix(gf3, [[(1,), (0, 1), (0, 0, 1)], [(0, 1), (1,), ()]])
         info = degree_accounting(g)
-        assert info == DegreeInfo((2, 1), 3, 2)
+        assert info == DegreeInfo((2, 1), 3)
         with pytest.raises(RankDeficient):
             degree_accounting(PolyMatrix.zeros(gf3, 1, 2))
 
@@ -314,7 +314,7 @@ class TestSplit:
             [(), (1,), (), ()],
         ])
         assert is_basic(g) and is_reduced(g)
-        assert degree_accounting(g) == DegreeInfo((2, 0), 2, 2)
+        assert degree_accounting(g) == DegreeInfo((2, 0), 2)
 
     def test_placement_moves_partner_rows(self):
         f = FiniteField.get(5, 1)

@@ -148,16 +148,12 @@ class TestDerivation:
 
     def test_distance_normalization(self, pair):
         d1 = free_distance(pair.outer)
-        d2 = free_distance(derive_aqcc(pair).v2_dual)
+        base = derive_aqcc(pair)
+        d2 = free_distance(base.v2_dual)
         assert d1.lower == 2 and d2.lower == 2
-        par = derive_aqcc(pair, v1_distance=d1, v2perp_distance=d2)
+        par = base.with_distances(d1, d2)
         assert par.dz_side == "v1"  # ties keep the outer side on Z
         big = FreeDistanceResult(3, 3, "dijkstra", 1)
-        par = derive_aqcc(pair, v1_distance=d1, v2perp_distance=big)
+        par = base.with_distances(d1, big)
         assert par.dz_side == "v2perp"
         assert par.dz.lower == 3 and par.dx.lower == 2
-
-    def test_one_sided_distance_rejected(self, pair):
-        d1 = free_distance(pair.outer)
-        with pytest.raises(ValueError):
-            derive_aqcc(pair, v1_distance=d1)

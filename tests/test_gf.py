@@ -12,7 +12,6 @@ from aqcc.errors import (
     NonPrimeCharacteristic,
     NotCoprime,
     OrderNotDividing,
-    ReducibleModulus,
 )
 from aqcc.gf import (
     FiniteField,
@@ -75,16 +74,6 @@ class TestConstruction:
             FiniteField(4)
         with pytest.raises(NonPrimeCharacteristic):
             FiniteField(15, 1)
-
-    def test_rejects_reducible_modulus(self):
-        with pytest.raises(ReducibleModulus):
-            FiniteField(2, 4, modulus=(1, 0, 0, 0, 1))
-
-    def test_rejects_wrong_degree_modulus(self):
-        with pytest.raises(ValueError):
-            FiniteField(2, 4, modulus=(1, 1, 1))
-        with pytest.raises(ValueError):
-            FiniteField(2, 2, modulus=(1, 1, 2))  # reduces to non monic
 
     def test_get_shares_instances(self, gf16):
         assert FiniteField.get(2, 4) is gf16
@@ -336,11 +325,27 @@ def test_int_path_matches_tables_exhaustive(q):
 
 def test_non_int_operands_keep_the_numpy_path(gf16):
     assert gf16.mul(np.int64(3), 7) == gf16.mul(3, 7)
-    assert gf16.add(-1, 0) == int(gf16._ADD[-1, 0])  # numpy wraps negatives
+    with pytest.raises(IndexError):
+        gf16.add(-1, 0)
     with pytest.raises(IndexError):
         gf16.add(16, 0)
     with pytest.raises(ZeroDivisionError):
         gf16.inv(np.int64(0))
+
+
+@pytest.mark.parametrize("q", [2, 16, 7, 9])
+def test_out_of_range_operands_raise(q):
+    f = field_from_order(q)
+    for bad in (-1, q):
+        for form in (int, np.int64, lambda v: np.array([1, v, 1])):
+            x = form(bad)
+            for op, args in (
+                ("add", (x, 1)), ("add", (1, x)), ("sub", (x, 1)), ("sub", (1, x)),
+                ("mul", (x, 1)), ("mul", (1, x)), ("div", (x, 1)), ("div", (1, x)),
+                ("neg", (x,)), ("inv", (x,)),
+            ):
+                with pytest.raises(IndexError):
+                    getattr(f, op)(*args)
 
 
 @pytest.mark.parametrize("q", [2, 32, 17, 2039, 9, 25, 27])

@@ -3,8 +3,10 @@ against the Smith form, which is kept in convo as their reference.
 
 The plans come from the random construction-I generator behind the
 split-plans selftest, with its default seed; the reference generators are
-G1 and G2 of the 25 printed rows.  A last test makes the Smith form raise
-and runs the certifier, the free distance and containment without it.
+G1 and G2 of the 25 printed rows.  One test makes the Smith form raise
+and runs the certifier, the free distance and containment without it;
+two more pin which witnesses a certificate builds and that a non-basic
+generator is still refused.
 """
 
 import contextlib
@@ -32,8 +34,8 @@ from aqcc.convo import (
     reduce,
     smith_form,
 )
-from aqcc.errors import AqccError, ContainmentFailed
-from aqcc.families import layout
+from aqcc.errors import AqccError, ContainmentFailed, NotBasic
+from aqcc.families import LayoutPlan, layout
 from aqcc.matrix import MatrixGF
 
 PLAN_COUNT = 200
@@ -244,15 +246,22 @@ REFUSED_ENCODERS = (
 )
 
 
+def aqcc_bindings(fn):
+    """Every (module, name) of the aqcc package that binds fn."""
+    return [
+        (mod, name)
+        for key, mod in sorted(sys.modules.items()) if key.split(".")[0] == "aqcc"
+        for name, value in list(vars(mod).items()) if value is fn
+    ]
+
+
 def test_certifier_runs_without_the_smith_form(monkeypatch, tmp_path):
     def forbidden(*args, **kwargs):
         raise AssertionError("the Smith form was called")
 
-    smith = (convo.smith_form, convo.rank_poly)
-    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "aqcc"]:
-        for name, value in list(vars(mod).items()):
-            if any(value is fn for fn in smith):
-                monkeypatch.setattr(mod, name, forbidden)
+    for fn in (convo.smith_form, convo.rank_poly):
+        for mod, name in aqcc_bindings(fn):
+            monkeypatch.setattr(mod, name, forbidden)
 
     family, q, kw = SMALL_ROW
     for effort in ("structure", "desk"):
@@ -275,3 +284,43 @@ def test_certifier_runs_without_the_smith_form(monkeypatch, tmp_path):
         path.write_text(text)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["distance", str(path)]) == 4
+
+
+def test_structure_certificate_builds_two_duals_and_no_right_inverse(monkeypatch):
+    calls = {"dual_generator": 0, "constant_right_inverse": 0}
+    for name in calls:
+        fn = getattr(convo, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod, attr in aqcc_bindings(fn):
+            monkeypatch.setattr(mod, attr, counted)
+
+    family, q, kw = SMALL_ROW
+    certify_params(FamilyParams(family, q, **kw), effort="structure")
+    # the minimal duals of G1 and G2 are built once; basicness reads them
+    assert calls == {"dual_generator": 2, "constant_right_inverse": 0}
+
+
+def times_one_plus_d_all(m: PolyMatrix) -> PolyMatrix:
+    """Every row times 1 + D: still reduced, no longer basic."""
+    eye = np.eye(m.rows, dtype=np.int32)
+    return PolyMatrix.from_coefficients(m.field, [eye, eye]) @ m
+
+
+@pytest.mark.parametrize("effort", ["structure", "desk"])
+@pytest.mark.parametrize("culprit", ["inner", "outer"])
+def test_non_basic_generator_is_refused(monkeypatch, effort, culprit):
+    """G2, then both G1 and G2, times 1 + D: the first non-basic one is named."""
+    generators = LayoutPlan.generators
+
+    def scaled_generators(plan):
+        g1, g2 = generators(plan)
+        return (times_one_plus_d_all(g1) if culprit == "outer" else g1, times_one_plus_d_all(g2))
+
+    monkeypatch.setattr(LayoutPlan, "generators", scaled_generators)
+    family, q, kw = SMALL_ROW
+    with pytest.raises(NotBasic, match=f"^{culprit} generator is not basic"):
+        certify_params(FamilyParams(family, q, **kw), effort=effort)
