@@ -22,7 +22,6 @@ about n/q of the entries a gather would touch.  Only the witness is built.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,7 @@ from .errors import (
     ZeroMultiplier,
 )
 from .gf import FiniteField, SubfieldBasis, multiplicative_order
-from .matrix import MatrixGF, vstack
+from .matrix import MatrixGF
 
 # Codeword enumeration caps.  FULL is the library default and the floor of
 # the certifier's full effort; DESK is the certifier's default, and it
@@ -211,19 +210,27 @@ def _enumerate_weights(field: FiniteField, gen: np.ndarray):
     return counts, best_w, best
 
 
-def _krawtchouk(i: int, j: int, n: int, q: int) -> int:
-    return sum(
-        (-1) ** s * math.comb(j, s) * math.comb(n - j, i - s) * (q - 1) ** (i - s)
-        for s in range(0, min(i, j) + 1)
-    )
-
-
 def macwilliams_transform(counts: list[int], n: int, q: int) -> list[int]:
-    """Weight distribution of the dual code, exactly, from that of the code."""
+    """Weight distribution of the dual code, exactly, from that of the code.
+
+    The dual counts are the coefficients of
+    sum_j A_j (1 + (q-1) z)**(n-j) (1 - z)**j divided by the code size.
+    Horner's rule on Python ints builds the sum as P <- P (1 - z) + A_j a_j
+    for j from n down to 0, with a_j = (1 + (q-1) z)**(n-j) grown by one
+    factor per step: O(n) a step, O(n**2) in all.
+    """
     size = sum(counts)
+    poly = [0] * (n + 1)
+    apow = [1] + [0] * n
+    for j in range(n, -1, -1):
+        for i in range(n - j, 0, -1):
+            apow[i] += (q - 1) * apow[i - 1]
+        for i in range(n, 0, -1):
+            poly[i] -= poly[i - 1]
+        for i in range(n - j + 1):
+            poly[i] += counts[j] * apow[i]
     out = []
-    for i in range(n + 1):
-        s = sum(counts[j] * _krawtchouk(i, j, n, q) for j in range(n + 1))
+    for s in poly:
         if s % size:
             raise AqccError("MacWilliams sum not divisible by the code size")
         out.append(s // size)
@@ -309,7 +316,7 @@ def cyclic_structure(field: FiniteField, n: int, exponents) -> CyclicStructure:
     for c in defining:
         row_ext = zpow[(c * np.arange(n)) % n]
         groups[c] = expand_row(basis, row_ext)
-    parity = vstack([MatrixGF(field, groups[c]) for c in defining])
+    parity = MatrixGF(field, np.concatenate([groups[c] for c in defining], axis=0))
     code = BlockCode(field, parity, designed_lower=designed,
                      name=f"cyclic(n={n}, D={list(defining)})")
     return CyclicStructure(field, n, ext, zeta, m, defining, designed, groups, code)
@@ -386,14 +393,15 @@ def grs_build(field: FiniteField, points, multipliers, k: int) -> GrsCode:
         row = f._vmul(row, pts)
     gen = f._vmul(vpow[:k], np.array(multipliers, dtype=np.int32)[None, :])
 
-    w = []
-    for j in range(n):
-        prod = 1
-        for i in range(n):
-            if i != j:
-                prod = f.mul(prod, f.sub(points[j], points[i]))
-        w.append(f.inv(f.mul(multipliers[j], prod)))
-    par = f._vmul(vpow[:n - k], np.array(w, dtype=np.int32)[None, :])
+    # w_j = 1 / (v_j prod_{i != j} (x_j - x_i)): the differences with a 1
+    # on the diagonal, multiplied column by column
+    diff = f._vsub(pts[:, None], pts[None, :])
+    np.fill_diagonal(diff, 1)
+    prod = np.array(multipliers, dtype=np.int32)
+    for i in range(n):
+        prod = f._vmul(prod, diff[:, i])
+    w = f._vinv(prod)
+    par = f._vmul(vpow[:n - k], w[None, :])
 
     g_m = MatrixGF(f, gen)
     h_m = MatrixGF(f, par)
@@ -401,4 +409,4 @@ def grs_build(field: FiniteField, points, multipliers, k: int) -> GrsCode:
         raise AqccError("dual multiplier identity failed; GRS parity is wrong")
     code = BlockCode(f, h_m, designed_lower=n - k + 1, name=f"GRS(n={n}, k={k})")
     code._generator = g_m
-    return GrsCode(f, points, tuple(multipliers), k, tuple(int(x) for x in w), code)
+    return GrsCode(f, points, tuple(multipliers), k, tuple(w.tolist()), code)

@@ -6,9 +6,9 @@ plan, derive the generator pair, re-verify every structural claim
 degree accounting), attach whatever distance statements the requested
 effort can certify, and emit a deterministic JSON certificate.
 
-Each claim has one witness.  reduce proves the ranks, the leading-row
-matrices prove G1 and G2 reduced, and the containment witness proves
-V2 <= V1.  derive_aqcc builds the minimal duals once; a reduced generator
+Each claim has one witness.  The leading echelons, one elimination per
+generator that every later step reads, prove G1 and G2 reduced and hence
+of full rank, and the containment witness proves V2 <= V1.  derive_aqcc builds the minimal duals once; a reduced generator
 is basic exactly when its minimal dual has the same external degree
 (Forney 1975), so those two sums prove basicness, and the dual of G1 is
 the parity check of the stabilizer.

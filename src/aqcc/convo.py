@@ -17,17 +17,23 @@ reduced generator matrices, row reduction to a reduced form, external
 degree accounting, duals, membership witnesses for code containment, and
 Smith normal form with unimodular transforms u and v (u @ m @ v == s).
 
-Each fact has one route, and none takes a Smith form.  reduce is the rank
-test: it raises RankDeficient on a zero row.  A constant right inverse R
-with G @ R == I proves G basic, confirmed by one scalar product of the
-stacked coefficients [G_0; ...; G_mu] with R; without one, G is basic
-exactly when reduce(G) and its minimal dual have the same external degree
-(Forney 1975).  For a reduced outer generator, the predictable-degree
-property (Forney 1970, "Convolutional codes I: algebraic structure")
-bounds the degree of every membership coefficient, so containment is one
-scalar system per inner row; other outer generators are reduced first,
-with their unimodular transform.  One product X @ outer == inner confirms
-the witness.  The Smith form is only the reference the tests compare with.
+Each fact has one route, and none takes a Smith form.  Every PolyMatrix
+eliminates its leading-row matrix L once, on first use, into its pivot
+columns P and E = L[:, P]**-1 (leading_echelon); that elimination is the
+reducedness test, and reduce returns a reduced matrix as it is.  reduce
+is also the rank test: on a matrix that is not reduced its row steps
+raise RankDeficient on a zero row.  A constant right inverse R with
+G @ R == I proves G basic, confirmed by one scalar product of the stacked
+coefficients [G_0; ...; G_mu] with R; without one, G is basic exactly
+when reduce(G) and its minimal dual have the same external degree
+(Forney 1975).  The gap is kept on the matrix, and a minimal dual carries
+gap 0 from its construction.  For a reduced outer generator the
+predictable-degree property (Forney 1970, "Convolutional codes I:
+algebraic structure") makes containment a division, top degree first, by
+L through E, for all inner rows at once; other outer generators are
+reduced first, with their unimodular transform.  One product
+X @ outer == inner confirms the witness.  The Smith form is only the
+reference the tests compare with.
 
 The dual is a minimal basis of a polynomial kernel, built from scalar
 kernels of block-Toeplitz matrices, in the Popov form fixed by the code.
@@ -133,10 +139,11 @@ class PolyMatrix:
     trimmed, so L - 1 == max_degree, and the zero matrix keeps L == 1.
     Arithmetic runs on the field's array kernels: a sum adds coefficient
     arrays, a product is one scalar product with a block-Toeplitz matrix.
-    e is a grid of coefficient tuples, built from c on first use.
+    e is a grid of coefficient tuples and leading_echelon the inverted
+    pivot block of the leading-row matrix, each built on first use.
     """
 
-    __slots__ = ("field", "c", "_e")
+    __slots__ = ("field", "c", "_e", "_lead", "_gap")
 
     def __init__(self, field: FiniteField, entries, cols: int | None = None):
         """From a grid of coefficient tuples, constant term first."""
@@ -163,10 +170,13 @@ class PolyMatrix:
         depth = int(live[-1]) + 1 if live.size else 1
         trimmed = np.zeros((depth, *c.shape[1:]), dtype=np.int32)
         trimmed[: len(c)] = c[:depth]
-        trimmed.setflags(write=False)
+        self._set(field, trimmed)
+
+    def _set(self, field: FiniteField, c: np.ndarray):
+        c.setflags(write=False)
         self.field = field
-        self.c = trimmed
-        self._e = None
+        self.c = c
+        self._e = self._lead = self._gap = None
 
     @classmethod
     def from_coefficients(cls, field: FiniteField, mats) -> "PolyMatrix":
@@ -178,6 +188,18 @@ class PolyMatrix:
             mats = np.stack([m.a if isinstance(m, MatrixGF) else np.asarray(m) for m in mats])
         out = cls.__new__(cls)
         out._bind(field, mats)
+        return out
+
+    @classmethod
+    def _wrap(cls, field: FiniteField, c: np.ndarray) -> "PolyMatrix":
+        """A kernel result: a 3-d in-range int32 array nobody else writes,
+        trimmed by slicing and taken without a range check or a copy."""
+        live = np.flatnonzero(c.any(axis=(1, 2)))
+        out = cls.__new__(cls)
+        if not live.size:
+            out._set(field, np.zeros((1, *c.shape[1:]), dtype=np.int32))
+        else:
+            out._set(field, c[: int(live[-1]) + 1])
         return out
 
     @classmethod
@@ -261,11 +283,11 @@ class PolyMatrix:
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         a, b = self._pair(other)
-        return PolyMatrix.from_coefficients(self.field, self.field._vadd(a, b))
+        return PolyMatrix._wrap(self.field, self.field._vadd(a, b))
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         a, b = self._pair(other)
-        return PolyMatrix.from_coefficients(self.field, self.field._vsub(a, b))
+        return PolyMatrix._wrap(self.field, self.field._vsub(a, b))
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         """[A_0 | A_1 | ...] times the block-Toeplitz stack whose block
@@ -277,14 +299,12 @@ class PolyMatrix:
         depth = len(self.c) + len(other.c) - 1
         left = self.c.transpose(1, 0, 2).reshape(self.rows, len(self.c) * self.cols)
         band = block_toeplitz(other.c, len(self.c), depth)
-        prod = (MatrixGF(f, left) @ MatrixGF(f, band)).a
-        return PolyMatrix.from_coefficients(
-            f, prod.reshape(self.rows, depth, other.cols).transpose(1, 0, 2)
-        )
+        prod = f._vmatmul(left, band)
+        return PolyMatrix._wrap(f, prod.reshape(self.rows, depth, other.cols).transpose(1, 0, 2))
 
     @property
     def T(self) -> "PolyMatrix":
-        return PolyMatrix.from_coefficients(self.field, self.c.transpose(0, 2, 1))
+        return PolyMatrix._wrap(self.field, self.c.transpose(0, 2, 1))
 
     def reverse(self, mu: int | None = None) -> "PolyMatrix":
         """D**mu times self evaluated at 1/D; mu defaults to max_degree."""
@@ -292,12 +312,33 @@ class PolyMatrix:
             mu = max(self.max_degree, 0)
         if mu < self.max_degree:
             raise ValueError("mu smaller than the maximum entry degree")
-        return PolyMatrix.from_coefficients(self.field, self.coefficients(mu + 1)[::-1])
+        return PolyMatrix._wrap(self.field, self.coefficients(mu + 1)[::-1])
 
     def leading_row_matrix(self) -> MatrixGF:
         """Row i holds the coefficients at that row's own degree."""
         degs = np.maximum(_row_degrees(self.c), 0)
-        return MatrixGF(self.field, self.c[degs, np.arange(self.rows)])
+        return MatrixGF._wrap(self.field, self.c[degs, np.arange(self.rows)])
+
+    @property
+    def leading_echelon(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(P, E) with E = L[:, P]**-1 for the leading-row matrix L and its
+        pivot columns P, or None when L lacks full row rank; computed on
+        first use."""
+        if self._lead is None:
+            self._lead = _leading_echelon(self)
+        return self._lead or None
+
+
+def _leading_echelon(m: PolyMatrix) -> tuple:
+    """One elimination of [L | I]: when L has full row rank its pivots all
+    fall left of I, and the right half of the reduced form is the T with
+    T @ L[:, P] == I.  The empty tuple stands for a rank-deficient L."""
+    k, n = m.shape
+    aug = np.concatenate([m.leading_row_matrix().a, np.eye(k, dtype=np.int32)], axis=1)
+    red, piv = MatrixGF._wrap(m.field, aug).rref()
+    if any(p >= n for p in piv):
+        return ()
+    return np.array(piv, dtype=np.intp), red.a[:, n:]
 
 
 def block_toeplitz(c: np.ndarray, blocks: int, width: int) -> np.ndarray:
@@ -451,15 +492,16 @@ def constant_right_inverse(m: PolyMatrix) -> PolyMatrix | None:
     """
     f = m.field
     k = m.rows
-    stacked = MatrixGF(f, m.c.reshape(len(m.c) * k, m.cols))
+    stacked = MatrixGF._wrap(f, m.c.reshape(len(m.c) * k, m.cols))
     target = np.zeros((k, len(m.c) * k), dtype=np.int32)
     target[:, :k] = np.eye(k, dtype=np.int32)
-    x = solve_left(stacked.T, MatrixGF(f, target))
+    eye = MatrixGF._wrap(f, target)
+    x = solve_left(stacked.T, eye)
     if x is None:
         return None
-    if stacked @ x.T != MatrixGF(f, target.T):
+    if stacked @ x.T != eye.T:
         raise AssertionError("right inverse witness failed to reproduce the identity")
-    return PolyMatrix.from_coefficients(f, [x.a.T])
+    return PolyMatrix._wrap(f, x.a.T[None])
 
 
 def is_basic(m: PolyMatrix) -> bool:
@@ -477,29 +519,37 @@ def degree_gap(m: PolyMatrix) -> int:
     the largest degree of the minors as its external degree, and its
     minimal dual has the degree of a basic generator of the same code
     (Forney 1975), so their difference is the degree of the gcd.  Raises
-    RankDeficient when the rows of m are dependent.
+    RankDeficient when the rows of m are dependent.  The gap is kept on m;
+    dual_generator records 0 on the minimal bases it returns.
     """
-    if constant_right_inverse(m) is not None:
-        return 0
-    g = reduce(m)
-    return sum(g.row_degrees) - sum(dual_generator(g).row_degrees)
+    if m._gap is None:
+        if constant_right_inverse(m) is not None:
+            m._gap = 0
+        else:
+            g = reduce(m)
+            m._gap = sum(g.row_degrees) - sum(dual_generator(g).row_degrees)
+    return m._gap
 
 
 def is_reduced(m: PolyMatrix) -> bool:
     """Leading row coefficient matrix has full row rank."""
-    return m.leading_row_matrix().rank() == m.rows
+    return m.leading_echelon is not None
 
 
 def reduce(m: PolyMatrix) -> PolyMatrix:
     """Row-equivalent reduced matrix (greedy leading-row cancellation); the
-    rank test, raising RankDeficient on a zero row."""
+    rank test, raising RankDeficient on a zero row.  A reduced m is
+    returned as it is."""
     return _reduce(m)[0]
 
 
 def _reduce(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
     """reduce(m) and the unimodular U with U @ m == reduce(m), built by the
-    same row steps on an identity array that grows with the shifts."""
+    same row steps on an identity array that grows with the shifts.  A
+    reduced m, which its leading echelon shows, is its own reduction."""
     f = m.field
+    if m.leading_echelon is not None:
+        return m, PolyMatrix.identity(f, m.rows)
     c = np.array(m.c)
     u = np.eye(m.rows, dtype=np.int32)[None]
     rows = np.arange(m.rows)
@@ -507,9 +557,9 @@ def _reduce(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
         degs = _row_degrees(c)
         if np.any(degs < 0):
             raise RankDeficient("zero row while reducing; input lost rank")
-        ker = MatrixGF(f, c[degs, rows]).T.kernel()
+        ker = MatrixGF._wrap(f, c[degs, rows]).T.kernel()
         if ker.rows == 0:
-            return PolyMatrix.from_coefficients(f, c), PolyMatrix.from_coefficients(f, u)
+            return PolyMatrix._wrap(f, c), PolyMatrix._wrap(f, u)
         coefs = ker.row(0)
         support = np.flatnonzero(coefs).tolist()
         j = max(support, key=lambda r: (degs[r], r))
@@ -562,16 +612,17 @@ def dual_generator(m: PolyMatrix) -> PolyMatrix:
     extra = n - g.rows
     band = g.reverse().T.c
     for d in range(sum(g.row_degrees) + 1):
-        ker = MatrixGF(f, block_toeplitz(band, d + 1, len(band) + d)).T.kernel().a
+        ker = MatrixGF._wrap(f, block_toeplitz(band, d + 1, len(band) + d)).T.kernel().a
         lead = ker.shape[1] - 1 - np.argmax(ker[:, ::-1] != 0, axis=1)
         popov = ker[~np.isin(lead - n, lead)]
         if len(popov) == extra:
             break
     else:
         raise AssertionError("dual basis incomplete at the degree bound")
-    h = PolyMatrix.from_coefficients(f, popov.reshape(extra, d + 1, n).transpose(1, 0, 2))
+    h = PolyMatrix._wrap(f, popov.reshape(extra, d + 1, n).transpose(1, 0, 2))
     if not (m.reverse() @ h.T).is_zero():
         raise AssertionError("dual residual is nonzero")
+    h._gap = 0  # a minimal basis is basic
     return h
 
 
@@ -581,16 +632,17 @@ def contains(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
     Raises ContainmentFailed when some inner row is not a polynomial
     combination of outer rows, and RankDeficient when the outer rows are
     dependent.  With U @ outer == reduce(outer), the predictable-degree
-    route solves X_r @ reduce(outer) == inner and X = X_r @ U (U = I for a
-    reduced outer, so no product).  ContainmentUnverified reports a
-    witness that does not reproduce the inner rows in the one check.
+    division finds X_r @ reduce(outer) == inner and X = X_r @ U (a reduced
+    outer is its own reduction, so no product).  ContainmentUnverified
+    reports a witness that does not reproduce the inner rows in the one
+    check.
     """
     outer._check(inner)
     if outer.cols != inner.cols:
         raise ValueError("column counts differ")
     g, u = _reduce(outer)
     x = _membership_reduced(g, inner)
-    if u != PolyMatrix.identity(outer.field, outer.rows):
+    if g is not outer:
         x = x @ u
     if x @ outer != inner:
         raise ContainmentUnverified("witness does not reproduce the inner generator")
@@ -601,25 +653,38 @@ def _membership_reduced(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
     """X with X @ outer == inner for a reduced outer generator.
 
     By the predictable-degree property, v = sum_j x_j outer_j has degree
-    max_j(deg x_j + nu_j), so deg x_j <= deg v - nu_j.  The coefficients of
-    every x_j then solve one scalar system whose rows are the shifts
-    D**t outer_j, flattened degree-major.
+    max_j(deg x_j + nu_j), so the coefficient of D**delta in any residual
+    of degree <= delta is y @ L with y_j the coefficient of D**(delta -
+    nu_j) in x_j and L the leading-row matrix.  Division therefore runs
+    from the top inner degree down, for all inner rows at once: y is read
+    off the pivot columns through the leading echelon, and a row fails when
+    y needs a negative power of D or y @ L leaves part of the coefficient.
     """
     f = outer.field
-    k = outer.rows
+    k, n = outer.shape
+    piv, inv = outer.leading_echelon
     nu = _row_degrees(outer.c)
-    dvs = inner.row_degrees
-    x = np.zeros((max((0, *dvs)) + 1, inner.rows, k), dtype=np.int32)
-    for i, dv in enumerate(dvs):
-        # rows D**t outer_j with t + nu_j <= dv; outer being reduced makes
-        # them independent, so the solution is unique
-        t, j = np.nonzero(np.arange(dv + 1)[:, None] + nu[None, :] <= dv)
-        a = block_toeplitz(outer.c, dv + 1, dv + 1)[t * k + j]
-        sol = solve_left(MatrixGF(f, a), MatrixGF(f, inner.c[: dv + 1, i].reshape(1, -1)))
-        if sol is None:
-            raise ContainmentFailed(f"row {i} has residue outside the module")
-        x[t, i, j] = sol.a[0]
-    return PolyMatrix.from_coefficients(f, x)
+    top = max(inner.max_degree, 0)
+    res = np.array(inner.coefficients(top + 1))
+    # tail[s, j] is the coefficient of outer_j s degrees below its leading one
+    s_idx = np.arange(len(outer.c))[:, None]
+    tail = np.where((s_idx <= nu)[:, :, None], outer.c[np.maximum(nu - s_idx, 0), np.arange(k)], 0)
+    x = np.zeros((top + 1, inner.rows, k), dtype=np.int32)
+    for delta in range(top, -1, -1):
+        y = f._vmatmul(res[delta][:, piv], inv)
+        bad = y[:, nu > delta].any(axis=1)
+        if bad.any():
+            raise ContainmentFailed(f"row {int(bad.argmax())} has residue outside the module")
+        span = min(delta, len(tail) - 1) + 1
+        sub = f._vmatmul(y, tail[:span].transpose(1, 0, 2).reshape(k, span * n))
+        sub = sub.reshape(inner.rows, span, n).transpose(1, 0, 2)[::-1]
+        res[delta + 1 - span : delta + 1] = f._vsub(res[delta + 1 - span : delta + 1], sub)
+        left = res[delta].any(axis=1)
+        if left.any():
+            raise ContainmentFailed(f"row {int(left.argmax())} has residue outside the module")
+        live = np.flatnonzero(nu <= delta)
+        x[delta - nu[live], :, live] = y[:, live].T
+    return PolyMatrix._wrap(f, x)
 
 
 # --- parity-check splitting ---------------------------------------------------
@@ -642,7 +707,7 @@ def split_to_generator(blocks, placements=None) -> PolyMatrix:
     if any(b.cols != n for b in blocks):
         raise PartitionInvalid("blocks must share the code length")
     stacked = np.concatenate([b.a for b in blocks], axis=0)
-    total = MatrixGF(field, stacked)
+    total = MatrixGF._wrap(field, stacked)
     if total.rank() != total.rows:
         raise RankDeficient("stacked split blocks must be linearly independent")
     if placements is None:
@@ -665,7 +730,7 @@ def split_to_generator(blocks, placements=None) -> PolyMatrix:
         coeffs.append(arr)
     if list(placements[0]) != list(range(kappa)):
         raise PartitionInvalid("the degree-0 block must fill every row in order")
-    return PolyMatrix.from_coefficients(field, coeffs)
+    return PolyMatrix._wrap(field, np.stack(coeffs))
 
 
 def format_poly_matrix(m: PolyMatrix, *, header: bool = True) -> str:

@@ -165,10 +165,11 @@ class NestedPair:
 def build_nested_pair(outer: PolyMatrix, inner: PolyMatrix) -> NestedPair:
     """Check full row rank of both generators and witness inner <= outer.
 
-    reduce is the rank test: it raises RankDeficient on dependent rows,
-    for the inner generator here and for the outer one inside contains.
-    The containment witness X satisfies X @ outer == inner; contains
-    checks that product.
+    reduce is the rank test, for the inner generator here and for the
+    outer one inside contains: a reduced generator has full row rank,
+    which its leading echelon shows, and on any other one the row steps
+    raise RankDeficient on dependent rows.  The containment witness X
+    satisfies X @ outer == inner; contains checks that product.
     """
     if outer.field != inner.field:
         raise FieldMismatch("outer and inner generators live over different fields")

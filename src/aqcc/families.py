@@ -24,7 +24,11 @@ from .errors import (
     ZeroLogicalDimension,
 )
 from .gf import MAX_Q, FiniteField, prime_power
-from .matrix import MatrixGF, field_from_order, vstack
+from .matrix import MatrixGF, field_from_order
+
+# enumerate_family refuses a selection of more rows than this before it
+# builds any; III-T6 at q = 128 selects 333 250, at q = 256 over 2.7 million
+MAX_GRID_ROWS = 1 << 20
 
 FAMILIES = (
     "I",
@@ -228,9 +232,10 @@ def enumerate_family(family: str, q: int, ranges: dict | None = None):
 
     Returns an empty list when q falls outside the family's field
     assumption, and raises ParamOutOfRange only when q is not a prime
-    power at all or a range names a parameter outside the grid.  Points
-    whose logical dimension formula gives zero are included; building them
-    is what fails.
+    power at all, a range names a parameter outside the grid, or the
+    ranges select more than MAX_GRID_ROWS points, which is counted before
+    any point is built.  Points whose logical dimension formula gives zero
+    are included; building them is what fails.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -247,16 +252,34 @@ def enumerate_family(family: str, q: int, ranges: dict | None = None):
     if _field_need(family, q) is not None:
         return []
 
+    def span(prefix):
+        name, bounds = grid[len(prefix)]
+        lo, hi = bounds(*prefix)
+        lo2, hi2 = ranges.get(name, (lo, hi))
+        return range(max(lo, lo2), min(hi, hi2) + 1)
+
+    def count(prefix):
+        """Points below prefix, or a number past MAX_GRID_ROWS."""
+        if len(prefix) == len(grid) - 1:
+            return len(span(prefix))
+        total = 0
+        for x in span(prefix):
+            total += count(prefix + (x,))
+            if total > MAX_GRID_ROWS:
+                break
+        return total
+
     def walk(prefix):
         if len(prefix) == len(grid):
             yield dict(zip(names, prefix))
             return
-        name, bounds = grid[len(prefix)]
-        lo, hi = bounds(*prefix)
-        lo2, hi2 = ranges.get(name, (lo, hi))
-        for x in range(max(lo, lo2), min(hi, hi2) + 1):
+        for x in span(prefix):
             yield from walk(prefix + (x,))
 
+    if count(()) > MAX_GRID_ROWS:
+        raise ParamOutOfRange(
+            f"{family} over GF({q}) selects more than {MAX_GRID_ROWS} points; narrow the ranges"
+        )
     out = []
     for kw in walk(()):
         p = FamilyParams(family, q, **kw)
@@ -265,7 +288,8 @@ def enumerate_family(family: str, q: int, ranges: dict | None = None):
 
 
 def _as_blocks(field: FiniteField, stacks: list[list[np.ndarray]]) -> tuple[MatrixGF, ...]:
-    return tuple(vstack([MatrixGF(field, a) for a in rows]) for rows in stacks)
+    """Each list of row arrays stacked into one block."""
+    return tuple(MatrixGF(field, np.concatenate(rows, axis=0)) for rows in stacks)
 
 
 def _pair_layout(field, groups, pairs, singles1, pairs2, singles2):

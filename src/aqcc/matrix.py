@@ -3,7 +3,9 @@
 Entries are packed field indices (see gf).  MatrixGF instances are
 immutable; every operation returns a new matrix.  Sums, products, row
 reduction, rank, kernels and left-division all run on the field's array
-kernels (gf), so results are exact.
+kernels (gf), so results are exact.  The public constructor checks and
+copies its input; results of the methods here come from the kernels as
+fresh in-range int32 arrays and are wrapped by _wrap without either.
 """
 
 from __future__ import annotations
@@ -38,6 +40,16 @@ class MatrixGF:
         arr.setflags(write=False)
         self.field = field
         self.a = arr
+
+    @classmethod
+    def _wrap(cls, field: FiniteField, arr: np.ndarray) -> "MatrixGF":
+        """A kernel result: a 2-d in-range int32 array nobody else writes,
+        taken as it is and made read-only."""
+        out = cls.__new__(cls)
+        arr.setflags(write=False)
+        out.field = field
+        out.a = arr
+        return out
 
     @classmethod
     def zeros(cls, field: FiniteField, rows: int, cols: int) -> "MatrixGF":
@@ -92,31 +104,31 @@ class MatrixGF:
 
     def __add__(self, other: "MatrixGF") -> "MatrixGF":
         self._check_field(other)
-        return MatrixGF(self.field, self.field._vadd(self.a, other.a))
+        return MatrixGF._wrap(self.field, self.field._vadd(self.a, other.a))
 
     def __sub__(self, other: "MatrixGF") -> "MatrixGF":
         self._check_field(other)
-        return MatrixGF(self.field, self.field._vsub(self.a, other.a))
+        return MatrixGF._wrap(self.field, self.field._vsub(self.a, other.a))
 
     def __neg__(self) -> "MatrixGF":
-        return MatrixGF(self.field, self.field._vneg(self.a))
+        return MatrixGF._wrap(self.field, self.field._vneg(self.a))
 
     def __matmul__(self, other: "MatrixGF") -> "MatrixGF":
         self._check_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        return MatrixGF(self.field, self.field._vmatmul(self.a, other.a))
+        return MatrixGF._wrap(self.field, self.field._vmatmul(self.a, other.a))
 
     @property
     def T(self) -> "MatrixGF":
-        return MatrixGF(self.field, self.a.T)
+        return MatrixGF._wrap(self.field, self.a.T)
 
     # --- reduction -------------------------------------------------------
 
     def rref(self) -> tuple["MatrixGF", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
         m, piv = _rref(self.field, self.a)
-        return MatrixGF(self.field, m), piv
+        return MatrixGF._wrap(self.field, m), piv
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -136,7 +148,7 @@ class MatrixGF:
         out = np.zeros((len(free), self.cols), dtype=np.int32)
         out[np.arange(len(free)), free] = 1
         out[:, piv] = f._vneg(red[: len(piv), free].T)
-        return MatrixGF(f, out)
+        return MatrixGF._wrap(f, out)
 
     def independent_row_indices(self) -> tuple[int, ...]:
         """First maximal set of linearly independent rows, in order."""
@@ -146,14 +158,14 @@ class MatrixGF:
         keep = self.independent_row_indices()
         if len(keep) == self.rows:
             return self
-        return MatrixGF(self.field, self.a[list(keep)])
+        return MatrixGF._wrap(self.field, self.a[list(keep)])
 
 
 def _rref(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """Gauss-Jordan elimination.  Rows r and below are zero left of column
     c, so the pivot row is too, and each step touches only columns >= c of
     the rows with a nonzero entry in column c."""
-    m = np.array(a, dtype=np.int32)
+    m = np.array(a, dtype=np.int32, order="C")  # .T results arrive as views
     rows, cols = m.shape
     piv = []
     r = 0
@@ -181,7 +193,7 @@ def _rref(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...
 
 def vstack(mats: list[MatrixGF]) -> MatrixGF:
     field = mats[0].field
-    return MatrixGF(field, np.concatenate([m.a for m in mats], axis=0))
+    return MatrixGF._wrap(field, np.concatenate([m.a for m in mats], axis=0))
 
 
 def solve_left(a: MatrixGF, b: MatrixGF) -> MatrixGF | None:
@@ -200,4 +212,4 @@ def solve_left(a: MatrixGF, b: MatrixGF) -> MatrixGF | None:
         if pc >= a.rows:
             return None
         x[pc] = red[i, a.rows:]
-    return MatrixGF(f, x.T)
+    return MatrixGF._wrap(f, x.T)

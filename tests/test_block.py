@@ -1,9 +1,13 @@
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aqcc.errors import (
+    AqccError,
     DuplicateEvaluationPoint,
     InvalidDesignedDistance,
     NotCoprime,
@@ -160,6 +164,23 @@ class TestGrs:
         assert (g.code.n, g.code.k) == (8, 3)
         assert g.code.min_distance().lower == 6
 
+    @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 16, 17])
+    def test_dual_multipliers_match_the_scalar_loop(self, q):
+        f = field_from_order(q)
+        rng = random.Random(q)
+        for n in (3, q // 2 + 1, q):
+            points = rng.sample(range(q), n)
+            multipliers = [1 + rng.randrange(q - 1) for _ in range(n)]
+            want = []
+            for j in range(n):
+                prod = multipliers[j]
+                for i in range(n):
+                    if i != j:
+                        prod = f.mul(prod, f.sub(points[j], points[i]))
+                want.append(f.inv(prod))
+            g = grs_build(f, points, multipliers, k=max(1, n // 2))
+            assert g.dual_multipliers == tuple(want)
+
     def test_validation(self):
         f = FiniteField.get(5, 1)
         with pytest.raises(DuplicateEvaluationPoint):
@@ -173,6 +194,22 @@ class TestGrs:
                                     ([0, 1, 2], [1, 7, 1])):
             with pytest.raises(ValueError, match="elements of GF"):
                 grs_build(f, points, multipliers, k=1)
+
+
+def krawtchouk_transform(counts, n, q):
+    """The MacWilliams oracle: sum_j A_j K_i(j) / |C| term by term, with the
+    Krawtchouk values K_i(j) = sum_s (-1)^s C(j, s) C(n-j, i-s) (q-1)^(i-s)."""
+    size = sum(counts)
+    out = []
+    for i in range(n + 1):
+        s = sum(
+            counts[j] * (-1) ** t * math.comb(j, t) * math.comb(n - j, i - t) * (q - 1) ** (i - t)
+            for j in range(n + 1) for t in range(min(i, j) + 1)
+        )
+        if s % size:
+            return None
+        out.append(s // size)
+    return out
 
 
 class TestDistributions:
@@ -195,6 +232,41 @@ class TestDistributions:
         a = self.enumerated(code)
         q, n = code.field.q, code.n
         assert macwilliams_transform(macwilliams_transform(a, n, q), n, q) == a
+
+    def test_transform_matches_the_krawtchouk_sum(self):
+        # real weight counts: both sides of three codes and of random codes
+        codes = [
+            rs_parity(FiniteField.get(7, 1), 6, 4, b=1).code,
+            bch_parity(FiniteField.get(3, 2), 10, 4, b=3).code,
+            grs_build(FiniteField.get(17, 1), list(range(17)), [1] * 17, k=13).code.dual(),
+        ]
+        rng = np.random.default_rng(5)
+        for q, k, n in ((2, 4, 9), (3, 3, 7), (4, 2, 12), (5, 3, 6), (16, 2, 5), (17, 2, 20)):
+            f = field_from_order(q)
+            gen = rng.integers(0, q, size=(k, n)).astype(np.int32)
+            codes.append(BlockCode.from_generator(f, MatrixGF(f, gen)))
+        for code in codes:
+            for side in (code, code.dual()):
+                a = self.enumerated(side)
+                want = krawtchouk_transform(a, side.n, side.field.q)
+                assert want is not None
+                assert macwilliams_transform(a, side.n, side.field.q) == want
+        # random counts: the same dual counts, or both refuse the division
+        pick = random.Random(5)
+        for q, n in ((2, 1), (2, 9), (3, 7), (4, 12), (5, 6), (16, 5), (17, 20)):
+            for _ in range(20):
+                a = [1] + [pick.randrange(3) for _ in range(n)]
+                want = krawtchouk_transform(a, n, q)
+                if want is None:
+                    with pytest.raises(AqccError, match="not divisible"):
+                        macwilliams_transform(a, n, q)
+                else:
+                    assert macwilliams_transform(a, n, q) == want
+
+    def test_transform_refuses_a_non_divisible_sum(self):
+        assert krawtchouk_transform([1, 2, 0, 0], 3, 2) is None
+        with pytest.raises(AqccError, match="not divisible"):
+            macwilliams_transform([1, 2, 0, 0], 3, 2)
 
     def test_distribution_totals(self):
         code = bch_parity(FiniteField.get(3, 2), 10, 4, b=3).code

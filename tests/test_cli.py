@@ -74,6 +74,17 @@ class TestEnumerate:
         assert rc == 0
         assert len(out.splitlines()) == 1 + 465
 
+    def test_oversize_grid_refused_before_any_row(self, deadline):
+        # III-T6 over GF(256) has over 2.7 million points
+        rc, out, err = run("enumerate", "--family", "III-T6", "--q", "256")
+        assert rc == 2 and out == ""
+        assert "narrow the ranges" in err
+
+    def test_narrowed_oversize_grid_is_listed(self, deadline):
+        rc, out, _ = run("enumerate", "--family", "III-T6", "--q", "256", "--range", "n=5:20")
+        assert rc == 0
+        assert len(out.splitlines()) == 1 + sum((n - 3) * (n - 2) // 2 - 1 for n in range(5, 21))
+
     @pytest.mark.parametrize("argv", [
         ("enumerate", "--family", "III-T6", "--q", "1000000007"),
         ("enumerate", "--family", "III-T6", "--q", str(2**61 - 1)),

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from aqcc import families
 from aqcc.certify import (
     Budgets,
     build_construction_i,
@@ -152,6 +153,16 @@ class TestEnumeration:
     def test_ranges_narrow_the_grid(self):
         rows = enumerate_family("III-T5a", 11, ranges={"i": (6, 6), "t": (1, 2)})
         assert [(p.i, p.t) for p, _ in rows] == [(6, 1), (6, 2)]
+
+    def test_grid_ceiling(self, monkeypatch, deadline):
+        # the count runs before any point is built: with cheap points, the
+        # 333 250 of III-T6 at q = 128 pass and q = 256 is refused
+        monkeypatch.setattr(families, "FamilyParams", lambda family, q, **kw: kw)
+        monkeypatch.setattr(families, "_closed_form", lambda p: None)
+        assert len(enumerate_family("III-T6", 128)) == 333250 <= families.MAX_GRID_ROWS
+        with pytest.raises(ParamOutOfRange, match="more than 1048576 points"):
+            enumerate_family("III-T6", 256)
+        assert len(enumerate_family("III-T6", 256, {"n": (256, 256), "k": (1, 2)})) == 253 + 252  # t <= n - k - 2
 
     def test_construction_i_not_enumerable(self):
         with pytest.raises(ValueError, match="no parameter grid"):

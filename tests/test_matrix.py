@@ -202,3 +202,31 @@ def test_only_gf_indexes_the_field_tables():
         for n, line in enumerate(path.read_text().splitlines(), 1) if table.search(line)
     ]
     assert offenders == []
+
+
+@pytest.mark.parametrize("q", [2, 7, 9, 16])
+def test_kernel_results_are_read_only_int32(q):
+    """Results are wrapped without a copy or a range check, so each must
+    come out of the kernels as its own read-only int32 array."""
+    from aqcc.convo import PolyMatrix
+
+    f = field_from_order(q)
+    rng = np.random.default_rng(q)
+    a = MatrixGF(f, rng.integers(0, q, size=(3, 5)))
+    b = MatrixGF(f, rng.integers(0, q, size=(3, 5)))
+    square = MatrixGF(f, rng.integers(0, q, size=(5, 5)))
+    results = [
+        a + b, a - b, -a, a @ square, a.T, a.rref()[0], a.kernel(),
+        vstack([a, b, a]).remove_dependent_rows(), vstack([a, b]),
+        solve_left(square, a @ square),
+    ]
+    g = PolyMatrix.from_coefficients(f, rng.integers(0, q, size=(3, 2, 4)))
+    h = PolyMatrix.from_coefficients(f, rng.integers(0, q, size=(2, 2, 4)))
+    polys = [g + h, g - h, g @ h.T, g.T, g.reverse(3)]
+    arrays = [m.a for m in results] + [m.c for m in polys]
+    for arr in arrays:
+        assert arr.dtype == np.int32
+        assert not arr.flags.writeable
+        assert arr.size == 0 or (arr.min() >= 0 and arr.max() < q)
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0

@@ -3,10 +3,11 @@ against the Smith form, which is kept in convo as their reference.
 
 The plans come from the random construction-I generator behind the
 split-plans selftest, with its default seed; the reference generators are
-G1 and G2 of the 25 printed rows.  One test makes the Smith form raise
-and runs the certifier, the free distance and containment without it;
-two more pin which witnesses a certificate builds and that a non-basic
-generator is still refused.
+G1 and G2 of the 25 printed rows.  Containment, a division against the
+leading echelon, is also compared with one scalar solve per inner row.
+One test makes the Smith form raise and runs the certifier, the free
+distance and containment without it; the rest pin which witnesses a
+certificate builds and that a non-basic generator is still refused.
 """
 
 import contextlib
@@ -22,6 +23,8 @@ from aqcc import FamilyParams, certify_params, convo, free_distance, selftest
 from aqcc.cli import main
 from aqcc.convo import (
     PolyMatrix,
+    _reduce,
+    block_toeplitz,
     constant_right_inverse,
     contains,
     dual_generator,
@@ -36,7 +39,7 @@ from aqcc.convo import (
 )
 from aqcc.errors import AqccError, ContainmentFailed, NotBasic
 from aqcc.families import LayoutPlan, layout
-from aqcc.matrix import MatrixGF
+from aqcc.matrix import MatrixGF, solve_left
 
 PLAN_COUNT = 200
 
@@ -121,6 +124,26 @@ def membership_smith(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(f, xp, cols=outer.rows) @ sf.u
 
 
+def membership_rowwise(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
+    """The per-row oracle: reduce outer with its transform U, then solve
+    one scalar system per inner row whose rows are the shifts D**t outer_j
+    allowed by the predictable-degree bound deg x_j <= deg v - nu_j."""
+    f = outer.field
+    g, u = _reduce(outer)
+    k = g.rows
+    nu = np.array(g.row_degrees)
+    dvs = inner.row_degrees
+    x = np.zeros((max((0, *dvs)) + 1, inner.rows, k), dtype=np.int32)
+    for i, dv in enumerate(dvs):
+        t, j = np.nonzero(np.arange(dv + 1)[:, None] + nu[None, :] <= dv)
+        a = block_toeplitz(g.c, dv + 1, dv + 1)[t * k + j]
+        sol = solve_left(MatrixGF(f, a), MatrixGF(f, inner.c[: dv + 1, i].reshape(1, -1)))
+        if sol is None:
+            raise ContainmentFailed(f"row {i} has residue outside the module")
+        x[t, i, j] = sol.a[0]
+    return PolyMatrix.from_coefficients(f, x) @ u
+
+
 def membership(fn, outer, inner):
     try:
         return fn(outer, inner)
@@ -176,7 +199,7 @@ def test_containment_agrees_with_smith(plans):
             for inner in (g2, mutated):
                 fast = membership(contains, outer, inner)
                 slow = membership(membership_smith, outer, inner)
-                assert fast == slow
+                assert fast == slow == membership(membership_rowwise, outer, inner)
                 if isinstance(fast, PolyMatrix):
                     assert fast @ outer == inner
                     transformed += not is_reduced(outer)
@@ -216,7 +239,9 @@ def test_dual_agrees_with_smith(plans, reference_gens):
         assert sorted(h.row_degrees) == sorted(want.row_degrees)
         contains(h, want)
         contains(want, h)
-        assert is_reduced(h) and is_basic(h)
+        # is_basic(h) reads the fact dual_generator recorded; the Smith
+        # form proves it
+        assert is_reduced(h) and smith_is_basic(h)
         assert (g.reverse() @ h.T).is_zero()
         assert_popov(h)
 
@@ -286,9 +311,10 @@ def test_certifier_runs_without_the_smith_form(monkeypatch, tmp_path):
             assert main(["distance", str(path)]) == 4
 
 
-def test_structure_certificate_builds_two_duals_and_no_right_inverse(monkeypatch):
-    calls = {"dual_generator": 0, "constant_right_inverse": 0}
-    for name in calls:
+def count_calls(monkeypatch, names) -> dict:
+    """Count calls to the named convo functions under every aqcc binding."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         fn = getattr(convo, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -297,11 +323,47 @@ def test_structure_certificate_builds_two_duals_and_no_right_inverse(monkeypatch
 
         for mod, attr in aqcc_bindings(fn):
             monkeypatch.setattr(mod, attr, counted)
+    return calls
 
+
+def test_structure_certificate_builds_two_duals_and_no_right_inverse(monkeypatch):
+    calls = count_calls(monkeypatch, ("dual_generator", "constant_right_inverse", "solve_left"))
     family, q, kw = SMALL_ROW
     certify_params(FamilyParams(family, q, **kw), effort="structure")
-    # the minimal duals of G1 and G2 are built once; basicness reads them
-    assert calls == {"dual_generator": 2, "constant_right_inverse": 0}
+    # the minimal duals of G1 and G2 are built once; basicness reads them,
+    # and containment divides by G1's leading echelon with no scalar solve
+    assert calls == {"dual_generator": 2, "constant_right_inverse": 0, "solve_left": 0}
+
+
+@pytest.mark.parametrize("effort", ["structure", "desk"])
+def test_leading_echelon_is_computed_once_per_generator(monkeypatch, effort):
+    seen = []
+    compute = convo._leading_echelon
+
+    def counted(m):
+        seen.append(m)
+        return compute(m)
+
+    monkeypatch.setattr(convo, "_leading_echelon", counted)
+    family, q, kw = SMALL_ROW
+    cert = certify_params(FamilyParams(family, q, **kw), effort=effort)
+    assert len({id(m) for m in seen}) == len(seen)
+    assert seen[:2] == [cert.g1, cert.g2]
+    # desk adds the inner dual's, read by its free distance
+    assert len(seen) == (2 if effort == "structure" else 3)
+
+
+def test_free_distance_of_a_dual_reads_its_basicness(monkeypatch):
+    family, q, kw = SMALL_ROW
+    g1, g2 = layout(FamilyParams(family, q, **kw)).generators()
+    duals = [dual_generator(g1), dual_generator(g2)]
+    calls = count_calls(monkeypatch, ("dual_generator", "constant_right_inverse"))
+    results = [free_distance(h) for h in duals]
+    assert calls == {"dual_generator": 0, "constant_right_inverse": 0}
+    # an equal matrix built from the coefficients carries no recorded fact
+    copies = [PolyMatrix.from_coefficients(h.field, h.c) for h in duals]
+    assert [free_distance(h) for h in copies] == results
+    assert calls["constant_right_inverse"] == 2
 
 
 def times_one_plus_d_all(m: PolyMatrix) -> PolyMatrix:
