@@ -20,10 +20,6 @@ from .block import (
 from .certify import (
     AqccCertificate,
     Budgets,
-    build_construction_i,
-    build_construction_ii,
-    build_construction_iii_grs,
-    build_construction_iii_rs,
     certify_params,
     certify_plan,
 )
@@ -93,10 +89,6 @@ __all__ = [
     "SubfieldBasis",
     "assemble_stabilizer",
     "bch_parity",
-    "build_construction_i",
-    "build_construction_ii",
-    "build_construction_iii_grs",
-    "build_construction_iii_rs",
     "build_nested_pair",
     "certify_params",
     "certify_plan",

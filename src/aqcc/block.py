@@ -3,7 +3,8 @@
 Three constructors matter here: cyclic codes cut out by roots of unity
 (bch_parity, rs_parity) and generalized Reed-Solomon codes (grs_build).
 Each records per-exponent parity row groups because the convolutional
-splits downstream pick individual rows by exponent.
+splits downstream pick individual rows by exponent; a cyclic code keeps
+one group per cyclotomic coset, under the coset's smallest exponent.
 
 Minimum distances come from one of three certified routes:
   * direct codeword enumeration when q**k fits the budget,
@@ -36,9 +37,9 @@ from .errors import (
 from .gf import FiniteField, SubfieldBasis, multiplicative_order
 from .matrix import MatrixGF
 
-# Codeword enumeration caps.  FULL is the library default and the floor of
-# the certifier's full effort; DESK is the certifier's default, and it
-# decides which block-distance route each desk certificate records.
+# Codeword enumeration caps.  FULL is the library default; DESK is the
+# certifier's default, and it decides which block-distance route each desk
+# certificate records.
 FULL_ENUM_BUDGET = 1 << 22
 DESK_ENUM_BUDGET = 10 ** 6
 _CHUNK = 1 << 13
@@ -244,10 +245,10 @@ def macwilliams_transform(counts: list[int], n: int, q: int) -> list[int]:
 class CyclicStructure:
     """A cyclic-type code together with its per-exponent parity row groups.
 
-    row_groups[c] holds the base-field expansion of the parity row built
-    from zeta**c, zero rows dropped and dependent rows removed, in basis
-    coordinate order.  designed is the longest-circular-run bound on the
-    minimum distance implied by the defining set.
+    row_groups[c], for c the smallest member of each cyclotomic coset of
+    the defining set, is the base-field expansion of the parity row built
+    from zeta**c, zero and dependent rows removed, in basis coordinate
+    order.  designed is the longest-circular-run distance bound.
     """
 
     field: FiniteField
@@ -301,7 +302,8 @@ def cyclic_structure(field: FiniteField, n: int, exponents) -> CyclicStructure:
 
     The exponent set is first closed under multiplication by q mod n,
     which is what makes the result a code over GF(q) with the usual run
-    bound.
+    bound.  The rows of a coset's members c*q**j span one GF(q) space, so
+    the parity stacks one group per coset, its smallest member's.
     """
     q = field.q
     m = multiplicative_order(q, n)
@@ -314,9 +316,9 @@ def cyclic_structure(field: FiniteField, n: int, exponents) -> CyclicStructure:
     zpow = np.array([ext.pow(zeta, i) for i in range(n)], dtype=np.int64)
     groups: dict[int, np.ndarray] = {}
     for c in defining:
-        row_ext = zpow[(c * np.arange(n)) % n]
-        groups[c] = expand_row(basis, row_ext)
-    parity = MatrixGF(field, np.concatenate([groups[c] for c in defining], axis=0))
+        if min(_closure(n, q, {c})) == c:  # the smallest member of its coset
+            groups[c] = expand_row(basis, zpow[(c * np.arange(n)) % n])
+    parity = MatrixGF(field, np.concatenate(list(groups.values()), axis=0))
     code = BlockCode(field, parity, designed_lower=designed,
                      name=f"cyclic(n={n}, D={list(defining)})")
     return CyclicStructure(field, n, ext, zeta, m, defining, designed, groups, code)

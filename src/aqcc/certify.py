@@ -1,22 +1,22 @@
 """Certification pipeline for AQCC family instances.
 
-certify_params drives one parameter point end to end: build the split
-plan, derive the generator pair, re-verify every structural claim
-(ranks, reducedness, containment, symplectic orthogonality, basicness,
-degree accounting), attach whatever distance statements the requested
-effort can certify, and emit a deterministic JSON certificate.
+One build path: families.layout (or construction_i_plan) makes a
+LayoutPlan, and certify_plan derives the generator pair, re-verifies every
+structural claim (ranks, reducedness, containment, symplectic
+orthogonality, basicness, degree accounting), attaches whatever distance
+statements the requested effort can certify, and emits a deterministic
+JSON certificate.  certify_params is layout followed by certify_plan.
 
 Each claim has one witness.  The leading echelons, one elimination per
 generator that every later step reads, prove G1 and G2 reduced and hence
-of full rank, and the containment witness proves V2 <= V1.  derive_aqcc builds the minimal duals once; a reduced generator
-is basic exactly when its minimal dual has the same external degree
-(Forney 1975), so those two sums prove basicness, and the dual of G1 is
-the parity check of the stabilizer.
+of full rank, and the containment witness proves V2 <= V1.  derive_aqcc
+builds the minimal duals once, each recording its generator's degree gap,
+which is 0 exactly when the generator is basic (Forney 1975); the dual of
+G1 is the parity check of the stabilizer.
 
 Effort levels:
   structure  no distance enumeration; designed bounds and witness rows only
   desk       block and free distances within the given budgets
-  full       desk with the enumeration budget floored at 2**22
 
 Fault injection (for negative testing) corrupts the pipeline at three
 distinct stages and must surface as three distinct exceptions:
@@ -32,15 +32,14 @@ import random
 from dataclasses import dataclass, replace
 
 from . import families
-from .block import DESK_ENUM_BUDGET, FULL_ENUM_BUDGET, BlockCode
-from .convo import PolyMatrix, contains, degree_accounting, format_poly_matrix, is_reduced
+from .block import DESK_ENUM_BUDGET, BlockCode
+from .convo import PolyMatrix, contains, degree_accounting, degree_gap, format_poly_matrix, is_reduced
 from .css import AqccParameters, assemble_stabilizer, build_nested_pair, derive_aqcc, semi_infinite_expand
 from .errors import AqccError, ContainmentFailed, NotBasic
-from .gf import FiniteField
 from .matrix import MatrixGF, vstack
 from .trellis import DEFAULT_STATE_BUDGET, DEFAULT_WORK_BUDGET, FreeDistanceResult, free_distance
 
-EFFORTS = ("structure", "desk", "full")
+EFFORTS = ("structure", "desk")
 FAULTS = ("mutate-row", "rank-condition", "swap-blocks")
 
 
@@ -102,8 +101,6 @@ class AqccCertificate:
 
 def _fault_rank_condition(plan: families.LayoutPlan) -> families.LayoutPlan:
     """Move every degree-0 inner row behind the delay block so it outgrows kappa."""
-    if plan.placements2 is not None:
-        raise AqccError("rank-condition injection expects default placements")
     blocks = plan.blocks2
     b0 = blocks[0]
     empty = MatrixGF(b0.field, b0.a[:0])
@@ -191,8 +188,6 @@ def certify_plan(
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"fault must be one of {FAULTS}, got {fault!r}")
     budgets = budgets or Budgets()
-    if effort == "full":
-        budgets = replace(budgets, enum=max(budgets.enum, FULL_ENUM_BUDGET))
     field = plan.field
     expected = plan.expected
     notes = list(plan.notes)
@@ -214,12 +209,10 @@ def certify_plan(
     kappa1, kappa2 = g1.rows, g2.rows
     deg1 = degree_accounting(g1)
     deg2 = degree_accounting(g2)
-    for name, deg, dual in (("outer", deg1, par.h1), ("inner", deg2, par.v2_dual)):
-        if sum(dual.row_degrees) != deg.gamma:
-            raise NotBasic(
-                f"{name} generator is not basic: external degree {deg.gamma}, "
-                f"minimal dual {sum(dual.row_degrees)}"
-            )
+    for name, g in (("outer", g1), ("inner", g2)):
+        gap = degree_gap(g)  # recorded when derive_aqcc built its dual
+        if gap:
+            raise NotBasic(f"{name} generator is not basic: degree gap {gap}")
     mu = max(g1.max_degree, g2.max_degree, 0)
 
     # block-level distances: the source code and the span of the outer
@@ -273,13 +266,13 @@ def certify_plan(
         raise AqccError(
             f"total degree {par.gamma} differs from the closed form {expected.gamma_formula}"
         )
-    if d1f.exact and plan.v1_stated is not None and d1f.lower < plan.v1_stated:
+    if d1f.exact and expected.v1_stated is not None and d1f.lower < expected.v1_stated:
         raise AqccError(
-            f"exact outer free distance {d1f.lower} breaks the stated bound {plan.v1_stated}"
+            f"exact outer free distance {d1f.lower} breaks the stated bound {expected.v1_stated}"
         )
-    if d2f.exact and plan.v2perp_stated is not None and d2f.lower < plan.v2perp_stated:
+    if d2f.exact and expected.v2perp_stated is not None and d2f.lower < expected.v2perp_stated:
         raise AqccError(
-            f"exact inner-dual free distance {d2f.lower} breaks the stated bound {plan.v2perp_stated}"
+            f"exact inner-dual free distance {d2f.lower} breaks the stated bound {expected.v2perp_stated}"
         )
 
     if effort != "structure":
@@ -375,40 +368,3 @@ def certify_params(
     plan = families.layout(params)
     return certify_plan(plan, effort=effort, budgets=budgets, fault=fault, seed=seed)
 
-
-def build_construction_i(
-    field: FiniteField,
-    vectors,
-    partition,
-    *,
-    effort: str = "desk",
-    budgets: Budgets | None = None,
-    fault: str | None = None,
-    seed: int = 0,
-) -> AqccCertificate:
-    """Certify a construction-I instance from explicit rows."""
-    plan = families.construction_i_plan(field, vectors, partition)
-    return certify_plan(plan, effort=effort, budgets=budgets, fault=fault, seed=seed)
-
-
-def _family_params(family: str, allowed: tuple[str, ...], q: int, **kw) -> families.FamilyParams:
-    if family not in allowed:
-        raise ValueError(f"family {family!r} is not one of {allowed}")
-    return families.FamilyParams(family=family, q=q, **kw)
-
-
-def build_construction_ii(family: str, q: int, i: int, t: int | None = None, **opts) -> AqccCertificate:
-    params = _family_params(
-        family, ("II-T2", "II-T3a", "II-T3b", "II-T4a", "II-T4b"), q, i=i, t=t
-    )
-    return certify_params(params, **opts)
-
-
-def build_construction_iii_rs(family: str, q: int, i: int, t: int, **opts) -> AqccCertificate:
-    params = _family_params(family, ("III-T5a", "III-T5b"), q, i=i, t=t)
-    return certify_params(params, **opts)
-
-
-def build_construction_iii_grs(family: str, q: int, n: int, k: int, t: int, **opts) -> AqccCertificate:
-    params = _family_params(family, ("III-T6", "III-T8"), q, n=n, k=k, t=t)
-    return certify_params(params, **opts)

@@ -518,16 +518,16 @@ def degree_gap(m: PolyMatrix) -> int:
     A constant right inverse proves the gap 0.  Without one, reduce(m) has
     the largest degree of the minors as its external degree, and its
     minimal dual has the degree of a basic generator of the same code
-    (Forney 1975), so their difference is the degree of the gcd.  Raises
-    RankDeficient when the rows of m are dependent.  The gap is kept on m;
-    dual_generator records 0 on the minimal bases it returns.
+    (Forney 1975), so their difference is the degree of the gcd; building
+    the dual records it.  Raises RankDeficient when the rows of m are
+    dependent.  The gap is kept on m, so a matrix whose dual was built
+    already, and every minimal basis dual_generator returns, reads it.
     """
     if m._gap is None:
         if constant_right_inverse(m) is not None:
             m._gap = 0
         else:
-            g = reduce(m)
-            m._gap = sum(g.row_degrees) - sum(dual_generator(g).row_degrees)
+            dual_generator(m)  # records the gap on m
     return m._gap
 
 
@@ -604,7 +604,8 @@ def dual_generator(m: PolyMatrix) -> PolyMatrix:
     whose leading term is not D times another are the Popov basis (Kailath
     1980, "Linear Systems", 6.7): minimal, hence basic and reduced, with
     monic pivots and normalized pivot columns, the same for every
-    generator of the code.
+    generator of the code.  The external degree of the reduced m less that
+    of the dual is the degree gap of m, recorded on m when it has none yet.
     """
     f = m.field
     n = m.cols
@@ -623,6 +624,8 @@ def dual_generator(m: PolyMatrix) -> PolyMatrix:
     if not (m.reverse() @ h.T).is_zero():
         raise AssertionError("dual residual is nonzero")
     h._gap = 0  # a minimal basis is basic
+    if m._gap is None:
+        m._gap = sum(g.row_degrees) - sum(h.row_degrees)
     return h
 
 

@@ -3,10 +3,12 @@
 Every family follows the same recipe: take the parity-check matrix of a
 block code whose rows come in per-exponent groups, assign each group to a
 delay power, and split the result into an outer/inner generator pair.
-The pair layouts below fix which group lands where; the counting facts
-they rely on (group sizes, window coverage, containment of the inner row
-set in the outer one) are all re-verified downstream by the certifier,
-so a layout here is a plan, not a trusted claim.
+layout (or construction_i_plan, from explicit rows) returns the
+LayoutPlan that certify.certify_plan consumes.  The pair layouts below fix
+which group lands where; the counting facts they rely on (group sizes,
+window coverage, containment of the inner row set in the outer one) are
+all re-verified downstream by the certifier, so a layout here is a plan,
+not a trusted claim.
 """
 
 from __future__ import annotations
@@ -71,28 +73,25 @@ class FamilyParams:
 class ExpectedTuple:
     """Closed-form parameters a family instance is supposed to hit.
 
-    dz_stated / dx_stated keep the orientation the formulas are written
-    in; dz_bound / dx_bound apply the convention that the larger bound is
-    reported as the Z distance.
+    v1_stated and v2perp_stated are the paper's free-distance bounds for
+    the outer code V1 and the inner dual V2-perp, by side; dz_bound and
+    dx_bound apply the convention that the larger bound is reported as
+    the Z distance.  Construction I states neither; every family both.
     """
 
     n: int
     k_formula: int
     gamma_formula: int
-    dz_stated: int | None = None
-    dx_stated: int | None = None
+    v1_stated: int | None = None
+    v2perp_stated: int | None = None
 
     @property
     def dz_bound(self) -> int | None:
-        if self.dz_stated is None or self.dx_stated is None:
-            return self.dz_stated
-        return max(self.dz_stated, self.dx_stated)
+        return None if self.v1_stated is None else max(self.v1_stated, self.v2perp_stated)
 
     @property
     def dx_bound(self) -> int | None:
-        if self.dz_stated is None or self.dx_stated is None:
-            return self.dx_stated
-        return min(self.dz_stated, self.dx_stated)
+        return None if self.v1_stated is None else min(self.v1_stated, self.v2perp_stated)
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,9 @@ class LayoutPlan:
     of the inner generator (degree-0 slice, top-degree slice, and the
     stack of all slices); v1_designed is a certified lower bound for the
     code spanned by every outer coefficient row.  Both feed the free
-    distance search as trusted floors.
+    distance search as trusted floors.  placements1 places the outer
+    blocks' rows when the default placement does not; the inner blocks
+    always take the default.
     """
 
     params: FamilyParams
@@ -111,18 +112,15 @@ class LayoutPlan:
     field: FiniteField
     source: BlockCode
     blocks1: tuple[MatrixGF, ...]
-    placements1: tuple[tuple[int, ...], ...] | None
     blocks2: tuple[MatrixGF, ...]
-    placements2: tuple[tuple[int, ...], ...] | None
     v1_designed: int
     chain_designed: tuple[int, int, int]
-    v1_stated: int | None
-    v2perp_stated: int | None
+    placements1: tuple[tuple[int, ...], ...] | None = None
     notes: tuple[str, ...] = ()
 
     def generators(self) -> tuple[PolyMatrix, PolyMatrix]:
         g1 = split_to_generator(self.blocks1, self.placements1)
-        g2 = split_to_generator(self.blocks2, self.placements2)
+        g2 = split_to_generator(self.blocks2)
         return g1, g2
 
 
@@ -215,9 +213,9 @@ def _closed_form(params: FamilyParams) -> ExpectedTuple:
         return ExpectedTuple(q - 1, i - t, 2, q - i - 1, t + 2)
     n, k = params.n, params.k
     if fam == "III-T6":
-        return ExpectedTuple(n, n - k - t - 2, 3, t + 2, k + 1)
+        return ExpectedTuple(n, n - k - t - 2, 3, k + 1, t + 2)
     if fam == "III-T8":
-        return ExpectedTuple(n, n - k - t - 1, 2, t + 2, k + 1)
+        return ExpectedTuple(n, n - k - t - 1, 2, k + 1, t + 2)
     raise ValueError(f"no closed-form tuple for family {fam!r}")
 
 
@@ -292,22 +290,31 @@ def _as_blocks(field: FiniteField, stacks: list[list[np.ndarray]]) -> tuple[Matr
     return tuple(MatrixGF(field, np.concatenate(rows, axis=0)) for rows in stacks)
 
 
-def _pair_layout(field, groups, pairs, singles1, pairs2, singles2):
-    """Blocks for the standard layout: paired groups first, then singles.
+def _pair_layout(params, expected, source, groups, outer, inner, *, v1_designed,
+                 chain_designed) -> LayoutPlan:
+    """Plan of the standard layout: paired groups first, then singles.
 
-    pairs are (constant exponent, delay exponent); the default placement
-    already lines each delay group up with its partner because the paired
+    outer and inner are (pairs, singles) for G1 and G2; pairs are
+    (constant exponent, delay exponent).  The default placement already
+    lines each delay group up with its partner because the paired
     constant groups sit at the top of the generator.
     """
-    b1 = _as_blocks(field, [
-        [groups[c] for c, _ in pairs] + [groups[s] for s in singles1],
-        [groups[d] for _, d in pairs],
-    ])
-    b2 = _as_blocks(field, [
-        [groups[c] for c, _ in pairs2] + [groups[s] for s in singles2],
-        [groups[d] for _, d in pairs2],
-    ])
-    return b1, None, b2, None
+    def blocks(pairs, singles):
+        return _as_blocks(source.field, [
+            [groups[c] for c, _ in pairs] + [groups[s] for s in singles],
+            [groups[d] for _, d in pairs],
+        ])
+
+    return LayoutPlan(
+        params=params,
+        expected=expected,
+        field=source.field,
+        source=source,
+        blocks1=blocks(*outer),
+        blocks2=blocks(*inner),
+        v1_designed=v1_designed,
+        chain_designed=chain_designed,
+    )
 
 
 def _everywhere_nonzero(row: np.ndarray) -> bool:
@@ -355,21 +362,8 @@ def _layout_bch_pairs(params: FamilyParams, expected: ExpectedTuple) -> LayoutPl
         pairs2 = [(a, a - t)]
         singles2 = list(range(a - 1, a - t, -1))
         chain = (2 * t + 1, 2, 2 * t + 3)
-    b1, p1, b2, p2 = _pair_layout(field, groups, pairs1, singles1, pairs2, singles2)
-    return LayoutPlan(
-        params=params,
-        expected=expected,
-        field=field,
-        source=struct.code,
-        blocks1=b1,
-        placements1=p1,
-        blocks2=b2,
-        placements2=p2,
-        v1_designed=n - 2 * i - 1,
-        chain_designed=chain,
-        v1_stated=expected.dz_stated,
-        v2perp_stated=expected.dx_stated,
-    )
+    return _pair_layout(params, expected, struct.code, groups, (pairs1, singles1),
+                        (pairs2, singles2), v1_designed=n - 2 * i - 1, chain_designed=chain)
 
 
 def _layout_bch_merged(params: FamilyParams, expected: ExpectedTuple) -> LayoutPlan:
@@ -418,13 +412,10 @@ def _layout_bch_merged(params: FamilyParams, expected: ExpectedTuple) -> LayoutP
         field=field,
         source=struct.code,
         blocks1=blocks1,
-        placements1=placements1,
         blocks2=blocks2,
-        placements2=None,
         v1_designed=n - 2 * i,
         chain_designed=(2 * t, d2_top, 2 * t + 2),
-        v1_stated=expected.dz_stated,
-        v2perp_stated=expected.dx_stated,
+        placements1=placements1,
         notes=("layout-reconstructed",) + notes,
     )
 
@@ -444,21 +435,8 @@ def _layout_rs_pairs(params: FamilyParams, expected: ExpectedTuple) -> LayoutPla
         singles1 = list(range(i - 1, i - t, -1)) + list(range(i - t - 1, -1, -1))
     pairs2 = [(i, i - t)]
     singles2 = list(range(i - 1, i - t, -1))
-    b1, p1, b2, p2 = _pair_layout(field, groups, pairs1, singles1, pairs2, singles2)
-    return LayoutPlan(
-        params=params,
-        expected=expected,
-        field=field,
-        source=struct.code,
-        blocks1=b1,
-        placements1=p1,
-        blocks2=b2,
-        placements2=p2,
-        v1_designed=n - i,
-        chain_designed=(t + 1, 2, t + 2),
-        v1_stated=expected.dz_stated,
-        v2perp_stated=expected.dx_stated,
-    )
+    return _pair_layout(params, expected, struct.code, groups, (pairs1, singles1),
+                        (pairs2, singles2), v1_designed=n - i, chain_designed=(t + 1, 2, t + 2))
 
 
 def default_grs_points(field: FiniteField, n: int) -> tuple[int, ...]:
@@ -482,26 +460,14 @@ def _layout_grs(params: FamilyParams, expected: ExpectedTuple) -> LayoutPlan:
         singles1 = list(range(1, t)) + list(range(t + 1, r_top + 1))
     pairs2 = [(0, t)]
     singles2 = list(range(1, t))
-    b1, p1, b2, p2 = _pair_layout(field, groups, pairs1, singles1, pairs2, singles2)
     # the slice through delay one is the lone row t; its distance is two
     # exactly when that row has no zero coordinate (point zero kills it
     # for t >= 1, which the chain bound absorbs without loss)
     row_t = grs.code.parity.a[t]
     d_mid = 2 if _everywhere_nonzero(row_t) else 1
-    return LayoutPlan(
-        params=params,
-        expected=expected,
-        field=field,
-        source=grs.code,
-        blocks1=b1,
-        placements1=p1,
-        blocks2=b2,
-        placements2=p2,
-        v1_designed=k + 1,
-        chain_designed=(t + 1, d_mid, t + 2),
-        v1_stated=expected.dx_stated,
-        v2perp_stated=expected.dz_stated,
-    )
+    return _pair_layout(params, expected, grs.code, groups, (pairs1, singles1),
+                        (pairs2, singles2), v1_designed=k + 1,
+                        chain_designed=(t + 1, d_mid, t + 2))
 
 
 def layout(params: FamilyParams) -> LayoutPlan:
@@ -586,13 +552,10 @@ def construction_i_plan(field: FiniteField, vectors, partition) -> LayoutPlan:
         field=field,
         source=BlockCode(field, m, name=f"seed rows ({m.rows} x {m.cols})"),
         blocks1=blocks1,
-        placements1=placements1,
         blocks2=blocks2,
-        placements2=None,
         v1_designed=1,
         chain_designed=(1, 1, 1),
-        v1_stated=None,
-        v2perp_stated=None,
+        placements1=placements1,
     )
 
 

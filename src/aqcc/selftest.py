@@ -80,10 +80,10 @@ EXTRA_STABILIZERS = (
 )
 
 
-def check_reference_tuples(rows=REFERENCE_ROWS):
+def check_reference_tuples():
     """Reproduce every printed tuple through enumeration plus certification."""
     grids: dict = {}
-    for family, q, kw, n, k, gamma, dz, dx in rows:
+    for family, q, kw, n, k, gamma, dz, dx in REFERENCE_ROWS:
         key = (family, q)
         if key not in grids:
             grids[key] = {
@@ -103,7 +103,7 @@ def check_reference_tuples(rows=REFERENCE_ROWS):
             raise AssertionError(f"{params.label()}: certified {got}, expected {want}")
         if cert.data["checks"]["symplectic"] != "zero":
             raise AssertionError(f"{params.label()}: nonzero symplectic residual")
-    return f"{len(rows)} printed tuples reproduced"
+    return f"{len(REFERENCE_ROWS)} printed tuples reproduced"
 
 
 def _random_partition(rng):
@@ -165,7 +165,7 @@ DUALITY_SPECS = (
 )
 
 
-def check_duality_chain(specs=DUALITY_SPECS, state_limit=2**16):
+def check_duality_chain(specs=DUALITY_SPECS):
     """Exact free distances against the block-oracle chain inequalities.
 
     For a split generator G with slice span S: the dual free distance sits
@@ -181,8 +181,8 @@ def check_duality_chain(specs=DUALITY_SPECS, state_limit=2**16):
         plan = construction_i_plan(field, vectors, partition)
         for g in plan.generators():
             gamma = degree_accounting(g).gamma
-            if q**gamma > state_limit:
-                raise AssertionError(f"instance {q} {partition} {n} exceeds the state limit")
+            if q**gamma > 2**16:
+                raise AssertionError(f"instance {q} {partition} {n} exceeds 2**16 states")
             mu = g.max_degree
             stack = MatrixGF(field, g.c.reshape(-1, g.cols))
             d0 = BlockCode(field, g.coefficient(0)).min_distance()
@@ -209,10 +209,10 @@ def check_duality_chain(specs=DUALITY_SPECS, state_limit=2**16):
     return f"{instances} exact instances satisfy both chain inequalities"
 
 
-def check_mds_sources(qmax=11):
-    """Brute-force distance of every buildable source code at small q."""
+def check_mds_sources():
+    """Brute-force distance of every buildable source code at q <= 11."""
     prime_powers = []
-    for q in range(2, qmax + 1):
+    for q in range(2, 12):
         try:
             prime_power(q)
         except ValueError:
@@ -249,9 +249,9 @@ def check_mds_sources(qmax=11):
     return f"{checked} distinct source codes all meet the Singleton bound"
 
 
-def check_symplectic_extras(rows=EXTRA_STABILIZERS):
+def check_symplectic_extras():
     """Residual check on families the reference rows do not reach."""
-    for family, q, kw in rows:
+    for family, q, kw in EXTRA_STABILIZERS:
         cert = certify_params(FamilyParams(family, q, **kw), effort="structure")
         if cert.data["checks"]["symplectic"] != "zero":
             raise AssertionError(f"{family} q={q}: nonzero symplectic residual")
@@ -261,7 +261,7 @@ def check_symplectic_extras(rows=EXTRA_STABILIZERS):
         cert = certify_plan(plan, effort="structure")
         if cert.data["checks"]["symplectic"] != "zero":
             raise AssertionError(f"interleaved build q={q}: nonzero symplectic residual")
-    return f"{len(rows) + 2} additional stabilizers, residual identically zero"
+    return f"{len(EXTRA_STABILIZERS) + 2} additional stabilizers, residual identically zero"
 
 
 def check_degree_formulas(count=50, seed=61803):

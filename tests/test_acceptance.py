@@ -38,7 +38,7 @@ def test_criterion_3_duality_chain_inequalities_exact():
 
 
 def test_criterion_4_family_sources_meet_singleton_bound():
-    detail = timed(selftest.check_mds_sources, 120, qmax=11)
+    detail = timed(selftest.check_mds_sources, 120)
     assert int(detail.split()[0]) >= 20
 
 

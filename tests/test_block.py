@@ -24,7 +24,7 @@ from aqcc.block import (
     macwilliams_transform,
     rs_parity,
 )
-from aqcc.gf import FiniteField
+from aqcc.gf import FiniteField, SubfieldBasis
 from aqcc.matrix import MatrixGF, field_from_order
 
 
@@ -109,9 +109,13 @@ class TestBch:
         assert d.exact and d.lower == 6 and d.method == "enumeration"
 
     def test_conjugate_groups_span_same_space(self):
+        # 7 = 3 * 9 mod 10 shares the coset of 3, so only 3 keeps a group
         s = bch_parity(FiniteField.get(3, 2), 10, 4, b=3)
+        assert s.defining_set == (3, 4, 5, 6, 7)
+        assert sorted(s.row_groups) == [3, 4, 5]
+        row7 = [s.ext.pow(s.zeta, 7 * j % s.n) for j in range(s.n)]
         a = MatrixGF(s.field, s.row_groups[3])
-        b = MatrixGF(s.field, s.row_groups[7])
+        b = MatrixGF(s.field, block.expand_row(SubfieldBasis(s.field, s.ext), np.array(row7)))
         both = MatrixGF(s.field, np.concatenate([a.a, b.a]))
         assert a.rank() == b.rank() == both.rank() == 2
 

@@ -122,6 +122,13 @@ class TestCertify:
         assert rc == 0
         assert json.loads(out)["tuple"] == "[(17,2,1;6,dz>=10/dx>=3)]_16"
 
+    def test_full_effort_exits_two(self):
+        # a larger enumeration cap is --enum-budget, not a third effort
+        rc, out, err = run("certify", "--family", "II-T2", "--q", "16",
+                           "--i", "3", "--effort", "full")
+        assert rc == 2 and out == ""
+        assert "invalid choice" in err
+
     def test_out_of_range_exits_two(self):
         rc, _, err = run("certify", "--family", "II-T2", "--q", "8", "--i", "3")
         assert rc == 2

@@ -8,10 +8,6 @@ import pytest
 from aqcc import families
 from aqcc.certify import (
     Budgets,
-    build_construction_i,
-    build_construction_ii,
-    build_construction_iii_grs,
-    build_construction_iii_rs,
     certify_params,
     certify_plan,
 )
@@ -102,7 +98,7 @@ class TestExpectedTuples:
     def test_t2_formulas(self):
         e = expected_tuple(FamilyParams("II-T2", 16, i=3))
         assert (e.n, e.k_formula, e.gamma_formula) == (17, 2, 6)
-        assert (e.dz_stated, e.dx_stated) == (10, 3)
+        assert (e.v1_stated, e.v2perp_stated) == (10, 3)
         assert (e.dz_bound, e.dx_bound) == (10, 3)
 
     def test_t3_formulas(self):
@@ -113,14 +109,14 @@ class TestExpectedTuples:
 
     def test_t4_formulas(self):
         e = expected_tuple(FamilyParams("II-T4a", 9, i=4, t=1))
-        assert (e.n, e.k_formula, e.gamma_formula, e.dz_stated, e.dx_stated) == (10, 4, 6, 2, 4)
+        assert (e.n, e.k_formula, e.gamma_formula, e.v1_stated, e.v2perp_stated) == (10, 4, 6, 2, 4)
         assert (e.dz_bound, e.dx_bound) == (4, 2)
 
     def test_t5_swap_orientation(self):
         # when the inner-dual bound beats the outer one, the reported
         # pair swaps so that dz carries the max
         e = expected_tuple(FamilyParams("III-T5a", 11, i=7, t=2))
-        assert (e.dz_stated, e.dx_stated) == (3, 4)
+        assert (e.v1_stated, e.v2perp_stated) == (3, 4)
         assert (e.dz_bound, e.dx_bound) == (4, 3)
         e2 = expected_tuple(FamilyParams("III-T5b", 11, i=6, t=5))
         assert (e2.n, e2.k_formula, e2.gamma_formula) == (10, 1, 2)
@@ -129,6 +125,9 @@ class TestExpectedTuples:
     def test_grs_formulas(self):
         e = expected_tuple(FamilyParams("III-T6", 17, n=17, k=3, t=5))
         assert (e.n, e.k_formula, e.gamma_formula, e.dz_bound, e.dx_bound) == (17, 7, 3, 7, 4)
+        # by side: V1 is stated at k + 1, V2-perp at t + 2; certify checks
+        # each exact side distance against its own bound
+        assert (e.v1_stated, e.v2perp_stated) == (4, 7)
         e8 = expected_tuple(FamilyParams("III-T8", 7, n=7, k=2, t=2))
         assert (e8.n, e8.k_formula, e8.gamma_formula, e8.dz_bound, e8.dx_bound) == (7, 2, 2, 4, 3)
 
@@ -242,37 +241,37 @@ class TestLayouts:
 
 class TestCertificates:
     def test_t2_q16_tuple(self):
-        cert = build_construction_ii("II-T2", 16, 3, effort="structure")
+        cert = certify_params(FamilyParams("II-T2", 16, i=3), effort="structure")
         assert cert.tuple_str == "[(17,2,1;6,dz>=10/dx>=3)]_16"
 
     def test_t3a_q16_spec_point(self):
-        cert = build_construction_ii("II-T3a", 16, 5, 1, effort="desk")
+        cert = certify_params(FamilyParams("II-T3a", 16, i=5, t=1), effort="desk")
         assert (cert.n, cert.logical, cert.gamma) == (17, 6, 6)
         assert (cert.dz_bound, cert.dx_bound) == (6, 5)
         assert cert.data["checks"]["symplectic"] == "zero"
         assert cert.data["checks"]["containment"] == "verified"
 
     def test_t5_q11_desk_closes_small_instance(self):
-        cert = build_construction_iii_rs("III-T5a", 11, 4, 1, effort="desk")
+        cert = certify_params(FamilyParams("III-T5a", 11, i=4, t=1), effort="desk")
         aq = cert.data["distances"]["aqcc"]
         assert (cert.dz_bound, cert.dx_bound) == (6, 3)
         assert aq["dz_exact"] >= aq["dz_bound"]
         assert aq["dx_exact"] >= aq["dx_bound"]
 
     def test_t6_q5_exact_distances(self):
-        cert = build_construction_iii_grs("III-T6", 5, 5, 1, 1, effort="desk")
+        cert = certify_params(FamilyParams("III-T6", 5, n=5, k=1, t=1), effort="desk")
         aq = cert.data["distances"]["aqcc"]
         assert (cert.dz_bound, cert.dx_bound) == (3, 2)
         assert (aq["dz_exact"], aq["dx_exact"]) == (5, 3)
 
     def test_t8_q7_exact_distances(self):
-        cert = build_construction_iii_grs("III-T8", 7, 7, 2, 2, effort="desk")
+        cert = certify_params(FamilyParams("III-T8", 7, n=7, k=2, t=2), effort="desk")
         aq = cert.data["distances"]["aqcc"]
         assert (cert.n, cert.logical, cert.gamma, cert.mu_star) == (7, 2, 2, 1)
         assert aq["dz_exact"] >= 4 and aq["dx_exact"] >= 3
 
     def test_t4_q9_chain_certifies_formula(self):
-        cert = build_construction_ii("II-T4a", 9, 4, 1, effort="desk")
+        cert = certify_params(FamilyParams("II-T4a", 9, i=4, t=1), effort="desk")
         assert cert.mu_star == 2
         assert "layout-reconstructed" in cert.data["notes"]
         conv = cert.data["distances"]["convo"]
@@ -320,9 +319,10 @@ class TestCertificates:
         with pytest.raises(ZeroLogicalDimension):
             certify_params(FamilyParams("III-T6", 5, n=5, k=1, t=2))
 
-    def test_wrong_builder_for_family(self):
-        with pytest.raises(ValueError, match="not one of"):
-            build_construction_ii("III-T6", 7, 3, 1)
+    def test_full_effort_is_refused(self):
+        plan = layout(FamilyParams("III-T6", 5, n=5, k=1, t=1))
+        with pytest.raises(ValueError, match="effort"):
+            certify_plan(plan, effort="full")
 
 
 class TestFaultInjection:
@@ -369,7 +369,7 @@ class TestConstructionI:
     def test_two_row_main_blocks(self):
         f3 = field_from_order(3)
         vec = demo_vectors(f3, 9, [2, 1, 2, 1], seed=0)
-        cert = build_construction_i(f3, vec, [2, 1, 2, 1])
+        cert = certify_plan(construction_i_plan(f3, vec, [2, 1, 2, 1]))
         assert cert.logical == 2
         assert cert.gamma == 1 * 2 + 2 * 1  # mu*kappa + 2 * (aux sizes past the first)
 

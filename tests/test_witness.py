@@ -326,12 +326,14 @@ def count_calls(monkeypatch, names) -> dict:
     return calls
 
 
-def test_structure_certificate_builds_two_duals_and_no_right_inverse(monkeypatch):
+@pytest.mark.parametrize("effort", ["structure", "desk"])
+def test_structure_certificate_builds_two_duals_and_no_right_inverse(monkeypatch, effort):
     calls = count_calls(monkeypatch, ("dual_generator", "constant_right_inverse", "solve_left"))
     family, q, kw = SMALL_ROW
-    certify_params(FamilyParams(family, q, **kw), effort="structure")
-    # the minimal duals of G1 and G2 are built once; basicness reads them,
-    # and containment divides by G1's leading echelon with no scalar solve
+    certify_params(FamilyParams(family, q, **kw), effort=effort)
+    # the minimal duals of G1 and G2 are built once and record the degree
+    # gaps that basicness reads, at desk also the free distance of G1, and
+    # containment divides by G1's leading echelon with no scalar solve
     assert calls == {"dual_generator": 2, "constant_right_inverse": 0, "solve_left": 0}
 
 
