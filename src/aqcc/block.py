@@ -19,6 +19,15 @@ tabulated once with each column sorted by symbol, and high rows.  For each
 high codeword h the weights of all low + h are n minus the number of
 columns where low equals -h: one bincount over the matching symbol runs,
 about n/q of the entries a gather would touch.  Only the witness is built.
+
+The low table is closed under scaling, so low + lam * h = lam * (low / lam
++ h) has the weights of low + h for every scalar lam != 0.  The high block
+h = 0 is counted once, and of each other class GF(q)* * h only the member
+whose top nonzero message digit is 1 is visited, its counts taken q - 1
+times: (q**(k - a) - 1)/(q - 1) blocks instead of q**(k - a) - 1.  The
+member lam * h has top digit lam > 1, so it comes after h in message
+order; the first codeword of least weight therefore lies in block 0 or in
+a visited block, and the visited block's own bincount locates it.
 """
 
 from __future__ import annotations
@@ -77,21 +86,31 @@ class BlockCode:
 
     def __init__(self, field: FiniteField, parity: MatrixGF, *, name: str = "",
                  designed_lower: int | None = None):
-        parity = parity.remove_dependent_rows()
+        self._set(field, parity.remove_dependent_rows(), None, name, designed_lower)
+
+    @classmethod
+    def _independent(cls, field: FiniteField, parity: MatrixGF,
+                     generator: MatrixGF | None = None, **kw) -> "BlockCode":
+        """The code of parity rows that are independent by construction,
+        without the elimination that would drop none of them; generator,
+        when given, has independent rows spanning the kernel of parity."""
+        code = cls.__new__(cls)
+        code._set(field, parity, generator, **kw)
+        return code
+
+    def _set(self, field, parity, generator, name="", designed_lower=None):
         self.field = field
         self.parity = parity
         self.name = name
         self.n = parity.cols
         self.k = self.n - parity.rows
         self.designed_lower = designed_lower
-        self._generator: MatrixGF | None = None
+        self._generator = generator
 
     @classmethod
     def from_generator(cls, field: FiniteField, gen: MatrixGF, **kw) -> "BlockCode":
         gen = gen.remove_dependent_rows()
-        code = cls(field, gen.kernel(), **kw)
-        code._generator = gen
-        return code
+        return cls._independent(field, gen.kernel(), gen, **kw)
 
     @property
     def generator(self) -> MatrixGF:
@@ -104,9 +123,8 @@ class BlockCode:
         return f"<[{self.n}, {self.k}] code over {self.field!r}{tag}>"
 
     def dual(self) -> "BlockCode":
-        d = BlockCode(self.field, self.generator, name=f"dual({self.name})" if self.name else "")
-        d._generator = self.parity
-        return d
+        return BlockCode._independent(self.field, self.generator, self.parity,
+                                      name=f"dual({self.name})" if self.name else "")
 
     # --- distance machinery ---------------------------------------------
 
@@ -176,33 +194,51 @@ class SymbolRuns:
         return np.bincount(np.concatenate(runs), minlength=self.rows)
 
 
-def _split(field: FiniteField, gen: np.ndarray):
-    """The codeword table of the low rows 0..a-1, with a the most rows that
-    keep q**a <= _CHUNK (at least one), and an iterator over the codewords
-    of the high rows a..k-1 in message order, which holds at most _CHUNK of
-    them at a time."""
-    a = min(len(gen), 1)
-    while a < len(gen) and field.q ** (a + 1) <= _CHUNK:
+def _low_rows(q: int, k: int) -> int:
+    """The most rows a that keep q**a <= _CHUNK, at least one if k > 0."""
+    a = min(k, 1)
+    while a < k and q ** (a + 1) <= _CHUNK:
         a += 1
+    return a
+
+
+def _codewords(field: FiniteField, gen: np.ndarray):
+    """The combinations of the rows of gen one at a time, in message order.
+    Each level tabulates its low rows and one block of them plus a codeword
+    of its other rows, at most _CHUNK rows each."""
+    a = _low_rows(field.q, len(gen))
     low = codeword_table(field, gen[:a])
-    if a == len(gen):
-        return low, iter(np.zeros((1, gen.shape[1]), dtype=np.int32))  # no high rows
-    high_low, highs = _split(field, gen[a:])
-    return low, (field._vadd(hl, h) for h in highs for hl in high_low)
+    highs = _codewords(field, gen[a:]) if a < len(gen) else [np.zeros(gen.shape[1], np.int32)]
+    for h in highs:
+        yield from field._vadd(low, h[None, :])
+
+
+def _representatives(field: FiniteField, gen: np.ndarray):
+    """The zero codeword, then, in message order, the combinations of the
+    rows of gen whose top nonzero message digit is 1: row p plus each
+    combination of the rows below it, for p = 0, 1, ...  Every nonzero
+    combination is lam times exactly one of them, for one lam != 0."""
+    yield np.zeros(gen.shape[1], dtype=np.int32)
+    for p in range(len(gen)):
+        for h in _codewords(field, gen[:p]):
+            yield field._vadd(h, gen[p])
 
 
 def _enumerate_weights(field: FiniteField, gen: np.ndarray):
     """Weight counts over all q**k codewords, plus the first codeword of
     least weight over the nonzero messages, in message order."""
+    q = field.q
     n = gen.shape[1]
-    low, highs = _split(field, gen)
-    runs = SymbolRuns(low, field.q)
+    a = _low_rows(q, len(gen))
+    low = codeword_table(field, gen[:a])
+    runs = SymbolRuns(low, q)
     counts = np.zeros(n + 1, dtype=np.int64)
     best_w, best = n + 1, None
-    for block, h in enumerate(highs):
-        # messages low + q**a * block weigh n - #{c : low_cw[c] == -h[c]}
+    for block, h in enumerate(_representatives(field, gen[a:])):
+        # messages low + h weigh n - #{c : low_cw[c] == -h[c]}, and the
+        # blocks low + lam * h of h's multiples weigh the same
         w = n - runs.matches(field._vneg(h).tolist())
-        counts += np.bincount(w, minlength=n + 1)
+        counts += np.bincount(w, minlength=n + 1) * (1 if block == 0 else q - 1)
         if block == 0:
             w[0] = n + 1  # zero message
         i = int(np.argmin(w))
@@ -303,7 +339,8 @@ def cyclic_structure(field: FiniteField, n: int, exponents) -> CyclicStructure:
     The exponent set is first closed under multiplication by q mod n,
     which is what makes the result a code over GF(q) with the usual run
     bound.  The rows of a coset's members c*q**j span one GF(q) space, so
-    the parity stacks one group per coset, its smallest member's.
+    the parity stacks one group per coset, its smallest member's.  Distinct
+    cosets span independent spaces, so the stack has full row rank.
     """
     q = field.q
     m = multiplicative_order(q, n)
@@ -319,8 +356,8 @@ def cyclic_structure(field: FiniteField, n: int, exponents) -> CyclicStructure:
         if min(_closure(n, q, {c})) == c:  # the smallest member of its coset
             groups[c] = expand_row(basis, zpow[(c * np.arange(n)) % n])
     parity = MatrixGF(field, np.concatenate(list(groups.values()), axis=0))
-    code = BlockCode(field, parity, designed_lower=designed,
-                     name=f"cyclic(n={n}, D={list(defining)})")
+    code = BlockCode._independent(field, parity, designed_lower=designed,
+                                  name=f"cyclic(n={n}, D={list(defining)})")
     return CyclicStructure(field, n, ext, zeta, m, defining, designed, groups, code)
 
 
@@ -409,6 +446,5 @@ def grs_build(field: FiniteField, points, multipliers, k: int) -> GrsCode:
     h_m = MatrixGF(f, par)
     if not (g_m @ h_m.T).is_zero():
         raise AqccError("dual multiplier identity failed; GRS parity is wrong")
-    code = BlockCode(f, h_m, designed_lower=n - k + 1, name=f"GRS(n={n}, k={k})")
-    code._generator = g_m
+    code = BlockCode._independent(f, h_m, g_m, designed_lower=n - k + 1, name=f"GRS(n={n}, k={k})")
     return GrsCode(f, points, tuple(multipliers), k, tuple(w.tolist()), code)

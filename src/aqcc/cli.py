@@ -177,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     budgets = argparse.ArgumentParser(add_help=False)
-    budgets.add_argument("--enum-budget", type=int, default=DESK_ENUM_BUDGET,
-                         help="codeword enumeration cap (default %(default)s)")
     budgets.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET,
                          help="trellis state cap (default %(default)s)")
     budgets.add_argument("--work-budget", type=int, default=DEFAULT_WORK_BUDGET,
@@ -210,6 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-fault", nargs="?", const="mutate-row",
                    choices=FAULTS, help="deliberately break one build step")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--enum-budget", type=int, default=DESK_ENUM_BUDGET,
+                   help="codeword enumeration cap (default %(default)s)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("distance", parents=[budgets, output],

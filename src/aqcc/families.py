@@ -550,7 +550,7 @@ def construction_i_plan(field: FiniteField, vectors, partition) -> LayoutPlan:
         params=params,
         expected=expected,
         field=field,
-        source=BlockCode(field, m, name=f"seed rows ({m.rows} x {m.cols})"),
+        source=BlockCode._independent(field, m, name=f"seed rows ({m.rows} x {m.cols})"),
         blocks1=blocks1,
         blocks2=blocks2,
         v1_designed=1,

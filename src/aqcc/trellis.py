@@ -8,16 +8,25 @@ state with a nonzero input and first return to it, which a Dijkstra run
 finds exactly: edge weights are nonnegative and the first pop of the zero
 state is optimal.
 
-The search settles each state once: a popped state that is already
-settled is skipped, and a target is pushed only when its distance strictly
-improves, so at most q**gamma - 1 nonzero states are expanded.  The output
-of a branch is out0[u] + out_s, the message part plus the state part, so
-the weight of every message u is n minus the number of columns c with
-out0[u, c] == -out_s[c].  Each column keeps its messages sorted by output
-symbol, and one expansion counts those matches with a single bincount
-instead of adding q**k output rows.  Messages that differ only in rows with
-nu_i = 0 reach the same next state; they are grouped once, and an expansion
-relaxes each distinct next state with the least weight of its group.
+The encoder is linear, so for every scalar lam != 0 the inputs lam * u
+drive the state path lam * s with the same output weights: the states of
+one class GF(q)* * s lie at one distance from the zero state, and the
+branch s -> t weighs what lam * s -> lam * t does.  The search runs on
+these classes.  Each relaxation lands on the class's member whose lowest
+nonzero digit is 1, and each such member is settled once: a popped state
+that is already settled is skipped, and a target is pushed only when its
+distance strictly improves, so at most (q**gamma - 1)/(q - 1) states are
+expanded.
+
+The output of a branch is out0[u] + out_s, the message part plus the state
+part, so the weight of every message u is n minus the number of columns c
+with out0[u, c] == -out_s[c].  Each column keeps its messages sorted by
+output symbol, and one expansion counts those matches with a single
+bincount instead of adding q**k output rows.  The message table takes the
+rows with nu_i = 0 as its fastest digits, so the messages that reach one
+next state, which differ only in those rows, form one contiguous run; an
+expansion relaxes each run's target class with the least weight of the
+run, and a class that several runs reach with the least of theirs.
 
 Feasibility is gated twice: q**gamma states must fit the state budget and
 q**(gamma + k) scanned edges must fit the work budget.  Outside the budget
@@ -44,8 +53,9 @@ _MEM_ELEMENTS = 1 << 24
 
 @dataclass(frozen=True)
 class FreeDistanceResult:
-    """A free distance bracket; states counts the nonzero trellis states
-    the exact search settled and expanded, never more than q**gamma."""
+    """A free distance bracket; states counts the nonzero scalar classes of
+    trellis states the exact search settled and expanded, one state each,
+    never more than (q**gamma - 1)/(q - 1)."""
 
     lower: int
     upper: int
@@ -175,6 +185,24 @@ def _digit_sums(q: int, weights) -> np.ndarray:
     return sums
 
 
+def _class_representatives(field, gamma: int):
+    """rep(states): each state scaled digit by digit so that its lowest
+    nonzero digit is 1, the member of its class GF(q)* * s that the search
+    settles."""
+    q = field.q
+    if q == 2:
+        return lambda states: states
+    place = q ** np.arange(gamma, dtype=np.int64)
+
+    def rep(states):
+        digits = ((states[:, None] // place) % q).astype(np.int32)
+        low = digits[np.arange(len(digits)), (digits != 0).argmax(axis=1)]
+        lam = field._vinv(np.where(low == 0, 1, low))  # the zero state stays
+        return field._vmul(lam[:, None], digits) @ place
+
+    return rep
+
+
 def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
     q = field.q
     k, n = g.shape
@@ -186,14 +214,12 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
     # state digit p, the input of row i from d steps back, adds coef[d][i]
     state_rows = np.array([coef[d][i] for i in range(k) for d in range(1, nu[i] + 1)])
 
-    out0 = codeword_table(field, coef[0])
-    next0 = _digit_sums(q, [q ** starts[i] if nu[i] > 0 else 0 for i in range(k)])
-
-    # messages in next-state order (message 0 stays first), so that each
-    # group of messages reaching one next state is a contiguous run
-    perm = np.argsort(next0, kind="stable")
-    out0 = out0[perm]
-    next_states, group_start = np.unique(next0[perm], return_index=True)
+    # the rows with nu_i = 0 are the fastest message digits, so the messages
+    # that differ only in them, which reach one next state, are contiguous:
+    # run r of q**k0 messages feeds the memory rows the digits of r
+    order = sorted(range(k), key=lambda i: nu[i] > 0)
+    out0 = codeword_table(field, coef[0][order])
+    next_states = _digit_sums(q, [q ** starts[i] for i in order if nu[i] > 0])
     runs = SymbolRuns(out0, q)
 
     shift_w = np.zeros(gamma, dtype=np.int64)
@@ -211,6 +237,7 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
     neg_lo, neg_hi = codeword_table(field, neg_rows[:half]), codeword_table(field, neg_rows[half:])
     moved_lo = _digit_sums(q, shift_w[:half]).tolist()
     moved_hi = _digit_sums(q, shift_w[half:]).tolist()
+    rep = _class_representatives(field, gamma)
 
     INF = np.iinfo(np.int64).max
     dist = np.full(q ** gamma, INF, dtype=np.int64)
@@ -218,12 +245,13 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
     heap: list[tuple[int, int]] = []
 
     def relax(base_dist: int, base_state: int, weights: np.ndarray):
-        cand = np.minimum.reduceat(weights, group_start) + base_dist
-        targets = next_states + base_state
+        cand = weights.reshape(len(next_states), -1).min(axis=1) + base_dist
+        targets = rep(next_states + base_state)
         better = cand < dist[targets]
         targets, cand = targets[better], cand[better]
-        dist[targets] = cand
-        for t, d in zip(targets.tolist(), cand.tolist()):
+        np.minimum.at(dist, targets, cand)  # runs may land in one class
+        least = cand == dist[targets]
+        for d, t in set(zip(cand[least].tolist(), targets[least].tolist())):
             heapq.heappush(heap, (d, t))
 
     w0 = (out0 != 0).sum(axis=1).astype(np.int64)

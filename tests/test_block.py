@@ -398,6 +398,39 @@ def test_enumeration_with_tiny_blocks_matches_reference(monkeypatch, q, k, n):
         assert_same_enumeration(f, gen)
 
 
+def test_witness_comes_from_the_first_block_in_message_order():
+    # q = 7, k = 5: four low rows and one high row, whose multiples lam * row
+    # are blocks 1..6.  Block 0 misses the least weight 2; block 2 reaches
+    # it at a smaller low index than block 1, and block 1 comes first
+    f = field_from_order(7)
+    gen = np.random.default_rng(2).integers(0, 7, size=(5, 8)).astype(np.int32)
+    assert block._low_rows(7, 5) == 4
+    low = block.codeword_table(f, gen[:4])
+    first = {}
+    for lam in range(7):
+        w = (f._vadd(low, f._vmul(lam, gen[4])[None]) != 0).sum(axis=1)
+        if lam == 0:
+            w[0] = 9
+        first[lam] = int(np.argmax(w == 2)) if (w == 2).any() else None
+    assert first[0] is None and first[2] < first[1]
+    assert_same_enumeration(f, gen)
+    assert _enumerate_weights(f, gen)[2].tolist() == [4, 0, 1, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("q,k", [(2, 16), (7, 6), (17, 4)])
+def test_enumeration_visits_one_block_per_scalar_class(monkeypatch, q, k):
+    calls = []
+    matches = block.SymbolRuns.matches
+    monkeypatch.setattr(block.SymbolRuns, "matches",
+                        lambda runs, want: calls.append(want) or matches(runs, want))
+    f = field_from_order(q)
+    gen = np.random.default_rng(q + k).integers(0, q, size=(k, k + 3)).astype(np.int32)
+    _enumerate_weights(f, gen)
+    a = block._low_rows(q, k)
+    assert a < k  # there are high blocks to skip
+    assert len(calls) <= 2 + (q ** (k - a) - 1) // (q - 1)
+
+
 def test_enumeration_of_no_rows():
     f = FiniteField.get(3, 1)
     assert_same_enumeration(f, np.zeros((0, 4), dtype=np.int32))

@@ -255,6 +255,14 @@ class TestDistance:
         assert "gamma=0" in out
         assert "exact 3 (block)" in out
 
+    def test_enum_budget_is_refused(self, tmp_path):
+        # a gamma = 0 encoder's block distance never read the cap, so
+        # distance does not offer it; certify does
+        path = self.write(tmp_path, "q=3\n(1) (2) (1)\n")
+        rc, out, err = run("distance", "--enum-budget", "1", path)
+        assert rc == 2 and out == ""
+        assert "--enum-budget" in err
+
     def test_missing_header_exits_two(self, tmp_path):
         rc, _, err = run("distance", self.write(tmp_path, "(1) (0,1)\n"))
         assert rc == 2

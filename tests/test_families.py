@@ -32,6 +32,7 @@ from aqcc.families import (
     validate_params,
 )
 from aqcc.matrix import field_from_order
+from aqcc.selftest import REFERENCE_ROWS
 
 
 class TestValidation:
@@ -396,3 +397,30 @@ class TestConstructionI:
         doubled[3] = doubled[0]
         with pytest.raises(IndependenceViolated):
             construction_i_plan(f5, doubled, [1, 1, 1, 1])
+
+
+def source_plans():
+    """Plans of the 25 reference rows and of every mds-sources grid point."""
+    for family, q, kw, *_ in REFERENCE_ROWS:
+        yield layout(FamilyParams(family, q, **kw))
+    for family in FAMILIES[1:]:
+        for q in (2, 3, 4, 5, 7, 8, 9, 11):
+            for params, e in enumerate_family(family, q):
+                if e.k_formula > 0:
+                    yield layout(params)
+
+
+def test_source_parities_need_no_elimination():
+    # cyclic_structure, grs_build and the kernels behind generator and
+    # dual() build their codes without BlockCode's row elimination (as
+    # construction_i_plan does after its own rank check): their rows are
+    # independent by construction, so it would drop none
+    seen = set()
+    for plan in source_plans():
+        code = plan.source
+        if code.parity.a.tobytes() in seen:
+            continue
+        seen.add(code.parity.a.tobytes())
+        for m in (code.parity, code.generator, code.dual().generator):
+            assert m.remove_dependent_rows() is m, plan.params.label()
+    assert len(seen) >= 80

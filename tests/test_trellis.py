@@ -7,7 +7,7 @@ import pytest
 
 from aqcc import FamilyParams, selftest
 from aqcc.errors import AqccError, CatastrophicEncoder, RankDeficient
-from aqcc.block import rs_parity
+from aqcc.block import SymbolRuns, codeword_table, rs_parity
 from aqcc.convo import (
     PolyMatrix,
     degree_accounting,
@@ -18,8 +18,8 @@ from aqcc.convo import (
 )
 from aqcc.families import layout
 from aqcc.gf import FiniteField
-from aqcc.matrix import MatrixGF
-from aqcc.trellis import FreeDistanceResult, _probe_upper, free_distance
+from aqcc.matrix import MatrixGF, field_from_order
+from aqcc.trellis import FreeDistanceResult, _digit_sums, _dijkstra, _probe_upper, free_distance
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +198,79 @@ def scalar_free_distance(g: PolyMatrix) -> int:
     raise AssertionError("zero state unreachable")
 
 
+def all_states_dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
+    """The exact search that settles every nonzero state it reaches, not
+    one per scalar class: (free distance, states settled)."""
+    q = field.q
+    k, n = g.shape
+    nu = info.row_degrees
+    gamma = info.gamma
+    coef = g.c
+
+    starts = [sum(nu[:i]) for i in range(k)]  # row i's first state digit
+    # state digit p, the input of row i from d steps back, adds coef[d][i]
+    state_rows = np.array([coef[d][i] for i in range(k) for d in range(1, nu[i] + 1)])
+
+    out0 = codeword_table(field, coef[0])
+    next0 = _digit_sums(q, [q ** starts[i] if nu[i] > 0 else 0 for i in range(k)])
+
+    # messages in next-state order (message 0 stays first), so that each
+    # group of messages reaching one next state is a contiguous run
+    perm = np.argsort(next0, kind="stable")
+    out0 = out0[perm]
+    next_states, group_start = np.unique(next0[perm], return_index=True)
+    runs = SymbolRuns(out0, q)
+
+    shift_w = np.zeros(gamma, dtype=np.int64)
+    for i in range(k):
+        for d in range(1, nu[i]):  # digit (i, d) moves one delay deeper
+            p = starts[i] + d - 1
+            shift_w[p] = q ** (p + 1)
+
+    # -out_s and the shifted next state are sums over the state digits, so
+    # both are tabulated for the low and the high half of the digits; state
+    # s = lo + split * hi then needs one lookup in each half
+    half = gamma // 2
+    split = q ** half
+    neg_rows = field._vneg(state_rows.reshape(gamma, n))
+    neg_lo, neg_hi = codeword_table(field, neg_rows[:half]), codeword_table(field, neg_rows[half:])
+    moved_lo = _digit_sums(q, shift_w[:half]).tolist()
+    moved_hi = _digit_sums(q, shift_w[half:]).tolist()
+
+    INF = np.iinfo(np.int64).max
+    dist = np.full(q ** gamma, INF, dtype=np.int64)
+    settled = np.zeros(q ** gamma, dtype=bool)
+    heap: list[tuple[int, int]] = []
+
+    def relax(base_dist: int, base_state: int, weights: np.ndarray):
+        cand = np.minimum.reduceat(weights, group_start) + base_dist
+        targets = next_states + base_state
+        better = cand < dist[targets]
+        targets, cand = targets[better], cand[better]
+        dist[targets] = cand
+        for t, d in zip(targets.tolist(), cand.tolist()):
+            heapq.heappush(heap, (d, t))
+
+    w0 = (out0 != 0).sum(axis=1).astype(np.int64)
+    w0[0] = INF  # leaving the zero state needs a nonzero message
+    relax(0, 0, w0)
+    del out0, w0
+
+    states = 0
+    while heap:
+        dcur, s = heapq.heappop(heap)
+        if s == 0:
+            return dcur, states
+        if settled[s]:
+            continue
+        settled[s] = True
+        states += 1
+        hi, lo = divmod(s, split)
+        want = field._vadd(neg_lo[lo], neg_hi[hi]).tolist()
+        relax(dcur, moved_lo[lo] + moved_hi[hi], n - runs.matches(want))
+    raise AqccError("zero state unreachable; the encoder graph is disconnected")
+
+
 def pshift(a, s):
     """Multiply the coefficient tuple a by D**s."""
     return (0,) * s + a if a else ()
@@ -269,6 +342,49 @@ def odd_gens():
     return out
 
 
+@pytest.fixture(scope="module")
+def multi_row_gens():
+    """Basic encoders over GF(4), GF(7), GF(8) and GF(9) with k >= 2 rows of
+    mixed degrees, most with a memory-free row, and gamma >= 2.
+
+    Their scalar classes hold q - 1 >= 3 states, and their memory-free rows
+    make each next state the target of a run of several messages.
+    """
+    rng = random.Random(14)
+    out = []
+    for q in (4, 7, 8, 9):
+        f = field_from_order(q)
+        found = 0
+        while found < 5:
+            degs = rng.choice(((0, 2), (2, 1), (1, 2), (2, 0),
+                               (0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 1, 2), (2, 0, 1)))
+            k = len(degs)
+            n = k + rng.randint(2, 3)
+            g = PolyMatrix(f, [
+                [tuple(rng.randrange(q) for _ in range(d + 1)) for _ in range(n)]
+                for d in degs
+            ])
+            try:
+                nu = degree_accounting(reduce(g)).row_degrees
+                gamma = free_distance(g, state_budget=1).gamma
+            except (CatastrophicEncoder, RankDeficient):
+                continue
+            if gamma >= 2 and len(set(nu)) > 1 and q ** (gamma + k) <= 2 ** 15:
+                out.append(g)
+                found += 1
+    return out
+
+
+def assert_same_search(g):
+    g = reduce(g)
+    info = degree_accounting(g)
+    q = g.field.q
+    d, states = _dijkstra(g.field, g, info)
+    assert d == all_states_dijkstra(g.field, g, info)[0]
+    assert states <= (q ** info.gamma - 1) // (q - 1)
+    return states
+
+
 def octal_row(*gens):
     """Binary generators in octal, the high bit being the D**0 coefficient."""
     return [tuple(int(b) for b in bin(int(o, 8))[2:]) for o in gens]
@@ -291,7 +407,7 @@ class TestAgainstScalarSearch:
             r = free_distance(g)
             assert r.exact
             assert r.lower == scalar_free_distance(g)
-            assert r.states <= g.field.q ** r.gamma
+            assert r.states <= (g.field.q ** r.gamma - 1) // (g.field.q - 1)
             searched += r.method == "dijkstra"
         assert searched > 50
 
@@ -300,7 +416,7 @@ class TestAgainstScalarSearch:
             r = free_distance(g)
             assert r.exact
             assert r.lower == scalar_free_distance(reduce(g))
-            assert r.states <= g.field.q ** r.gamma
+            assert r.states <= (g.field.q ** r.gamma - 1) // (g.field.q - 1)
 
     def test_probe_against_loops(self, split_gens, odd_gens):
         for g in split_gens + odd_gens:
@@ -312,11 +428,26 @@ class TestAgainstScalarSearch:
         r = free_distance(g)
         assert r.exact and r.method == "dijkstra"
         assert r.lower == d == scalar_free_distance(g)
-        assert r.states <= 2 ** r.gamma
+        assert r.states <= 2 ** r.gamma - 1
 
     def test_reference_row_settles_each_state_once(self):
-        # III-T5a q=11 i=6: 11**2 states; the search settles 120 of them
+        # III-T5a q=11 i=6: 11**2 states in 12 = (11**2 - 1)/10 nonzero
+        # scalar classes; the search settles each class once
         g1, _ = layout(FamilyParams("III-T5a", 11, i=6, t=1)).generators()
         r = free_distance(g1)
         assert r.exact and r.lower == 8 and r.method == "dijkstra"
-        assert r.states == 120
+        assert r.states == 12
+
+
+class TestAgainstAllStatesSearch:
+    """The search over scalar classes against the one over every state."""
+
+    def test_split_and_odd_generators(self, split_gens, odd_gens):
+        for g in split_gens + odd_gens:
+            if degree_accounting(reduce(g)).gamma:
+                assert_same_search(g)
+
+    def test_multi_row_encoders(self, multi_row_gens):
+        assert len(multi_row_gens) == 20
+        for g in multi_row_gens:
+            assert_same_search(g)
