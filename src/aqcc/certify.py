@@ -9,10 +9,12 @@ JSON certificate.  certify_params is layout followed by certify_plan.
 
 Each claim has one witness.  The leading echelons, one elimination per
 generator that every later step reads, prove G1 and G2 reduced and hence
-of full rank, and the containment witness proves V2 <= V1.  derive_aqcc
-builds the minimal duals once, each recording its generator's degree gap,
-which is 0 exactly when the generator is basic (Forney 1975); the dual of
-G1 is the parity check of the stabilizer.
+of full rank, and the containment witness proves V2 <= V1.  G1's
+coefficient stack is eliminated once, by split_to_generator's
+independence check; the span code's kernel and witness row read that
+echelon.  derive_aqcc builds the minimal duals once, each recording its
+generator's degree gap, which is 0 exactly when the generator is basic
+(Forney 1975); the dual of G1 is the parity check of the stabilizer.
 
 Effort levels:
   structure  no distance enumeration; designed bounds and witness rows only
@@ -219,8 +221,9 @@ def certify_plan(
     # coefficient rows (whose distance floors the outer free distance)
     enum_budget = 0 if effort == "structure" else budgets.enum
     source_d = plan.source.min_distance(budget=enum_budget)
-    s1_rows = MatrixGF(field, g1.c.reshape(-1, g1.cols))
-    s1 = BlockCode.from_generator(field, s1_rows, designed_lower=plan.v1_designed)
+    # g1.stack carries the echelon split_to_generator proved independence
+    # on, which the kernel and any witness row read in turn
+    s1 = BlockCode.from_generator(field, g1.stack, designed_lower=plan.v1_designed)
     d_dual = s1.min_distance(budget=enum_budget)
 
     # chain pieces for the inner dual: first slice, top slice, full stack
@@ -230,7 +233,7 @@ def certify_plan(
     else:
         c0 = BlockCode(field, g2.coefficient(0), designed_lower=ch[0])
         cm = BlockCode(field, g2.coefficient(g2.max_degree), designed_lower=ch[1])
-        cs = BlockCode(field, MatrixGF(field, g2.c.reshape(-1, g2.cols)), designed_lower=ch[2])
+        cs = BlockCode(field, g2.stack, designed_lower=ch[2])
         d0 = c0.min_distance(budget=budgets.enum)
         dm = cm.min_distance(budget=budgets.enum)
         ds = cs.min_distance(budget=budgets.enum)

@@ -139,11 +139,12 @@ class PolyMatrix:
     trimmed, so L - 1 == max_degree, and the zero matrix keeps L == 1.
     Arithmetic runs on the field's array kernels: a sum adds coefficient
     arrays, a product is one scalar product with a block-Toeplitz matrix.
-    e is a grid of coefficient tuples and leading_echelon the inverted
-    pivot block of the leading-row matrix, each built on first use.
+    e is a grid of coefficient tuples, stack the coefficient matrices as
+    one MatrixGF (whose echelon it then keeps) and leading_echelon the
+    inverted pivot block of the leading-row matrix, each built on first use.
     """
 
-    __slots__ = ("field", "c", "_e", "_lead", "_gap")
+    __slots__ = ("field", "c", "_e", "_stack", "_lead", "_gap")
 
     def __init__(self, field: FiniteField, entries, cols: int | None = None):
         """From a grid of coefficient tuples, constant term first."""
@@ -176,7 +177,7 @@ class PolyMatrix:
         c.setflags(write=False)
         self.field = field
         self.c = c
-        self._e = self._lead = self._gap = None
+        self._e = self._stack = self._lead = self._gap = None
 
     @classmethod
     def from_coefficients(cls, field: FiniteField, mats) -> "PolyMatrix":
@@ -233,6 +234,13 @@ class PolyMatrix:
 
     def entry(self, i: int, j: int) -> Poly:
         return self.e[i][j]
+
+    @property
+    def stack(self) -> MatrixGF:
+        """The coefficient matrices stacked top to bottom, [c[0]; c[1]; ...]."""
+        if self._stack is None:
+            self._stack = MatrixGF._wrap(self.field, self.c.reshape(-1, self.cols))
+        return self._stack
 
     def coefficient(self, i: int) -> MatrixGF:
         """The constant matrix multiplying D**i."""
@@ -492,7 +500,7 @@ def constant_right_inverse(m: PolyMatrix) -> PolyMatrix | None:
     """
     f = m.field
     k = m.rows
-    stacked = MatrixGF._wrap(f, m.c.reshape(len(m.c) * k, m.cols))
+    stacked = m.stack
     target = np.zeros((k, len(m.c) * k), dtype=np.int32)
     target[:, :k] = np.eye(k, dtype=np.int32)
     eye = MatrixGF._wrap(f, target)
@@ -705,19 +713,36 @@ def split_to_generator(blocks, placements=None) -> PolyMatrix:
     """
     blocks = list(blocks)
     field = blocks[0].field
-    kappa = blocks[0].rows
     n = blocks[0].cols
     if any(b.cols != n for b in blocks):
         raise PartitionInvalid("blocks must share the code length")
-    stacked = np.concatenate([b.a for b in blocks], axis=0)
-    total = MatrixGF._wrap(field, stacked)
-    if total.rank() != total.rows:
-        raise RankDeficient("stacked split blocks must be linearly independent")
+    total = sum(b.rows for b in blocks)
+
+    def require_independent(stack: MatrixGF):
+        if stack.rank() != total:
+            raise RankDeficient("stacked split blocks must be linearly independent")
+
+    try:
+        g = PolyMatrix._wrap(field, _placed_blocks(blocks, placements))
+    except (PartitionInvalid, RankConditionViolated):
+        # dependent blocks are reported before any layout error
+        require_independent(MatrixGF._wrap(field, np.concatenate([b.a for b in blocks])))
+        raise
+    # G's stack holds the block rows and zero padding, so it has rank total
+    # exactly when the blocks are independent; its echelon stays on G
+    require_independent(g.stack)
+    return g
+
+
+def _placed_blocks(blocks, placements) -> np.ndarray:
+    """Coefficient array with blocks[i]'s rows at degree i, in the rows
+    placements[i] names."""
+    kappa, n = blocks[0].shape
     if placements is None:
         placements = [tuple(range(b.rows)) for b in blocks]
     if len(placements) != len(blocks):
         raise PartitionInvalid("one placement tuple per block")
-    coeffs = []
+    coeffs = np.zeros((len(blocks), kappa, n), dtype=np.int32)
     for i, (b, pl) in enumerate(zip(blocks, placements)):
         if b.rows > kappa:
             raise RankConditionViolated(
@@ -727,13 +752,10 @@ def split_to_generator(blocks, placements=None) -> PolyMatrix:
             not 0 <= t < kappa for t in pl
         ):
             raise PartitionInvalid(f"placement {pl} does not fit {b.rows} rows in {kappa}")
-        arr = np.zeros((kappa, n), dtype=np.int32)
-        for src, dst in enumerate(pl):
-            arr[dst] = b.a[src]
-        coeffs.append(arr)
+        coeffs[i, list(pl)] = b.a
     if list(placements[0]) != list(range(kappa)):
         raise PartitionInvalid("the degree-0 block must fill every row in order")
-    return PolyMatrix._wrap(field, np.stack(coeffs))
+    return coeffs
 
 
 def format_poly_matrix(m: PolyMatrix, *, header: bool = True) -> str:

@@ -285,6 +285,36 @@ def enumerate_family(family: str, q: int, ranges: dict | None = None):
     return out
 
 
+def source_key(params: FamilyParams) -> tuple:
+    """The arguments that fix a grid point's source code, led by its kind:
+    ("bch", q, i) for the II families, ("rs", q, i) for III-T5a/b and
+    ("grs", q, n, k) for III-T6/T8.  Points with one key share a source."""
+    fam, q = params.family, params.q
+    if fam.startswith("II-"):
+        return ("bch", q, params.i)
+    if fam.startswith("III-T5"):
+        return ("rs", q, params.i)
+    if fam in ("III-T6", "III-T8"):
+        return ("grs", q, params.n, params.k)
+    raise ValueError(f"{fam} has no family source code")
+
+
+def build_source(key: tuple):
+    """The source code a source_key names, with its per-exponent row groups
+    (a CyclicStructure or GrsCode: .code and .row_groups)."""
+    kind, q, *args = key
+    field = field_from_order(q)
+    if kind == "bch":  # length q + 1, exponents centred on a = n // 2
+        (i,) = args
+        n = q + 1
+        return bch_parity(field, n, i + 2, b=n // 2 - i)
+    if kind == "rs":
+        (i,) = args
+        return rs_parity(field, q - 1, i + 2, b=0)
+    n, k = args
+    return grs_build(field, default_grs_points(field, n), (1,) * n, k)
+
+
 def _as_blocks(field: FiniteField, stacks: list[list[np.ndarray]]) -> tuple[MatrixGF, ...]:
     """Each list of row arrays stacked into one block."""
     return tuple(MatrixGF(field, np.concatenate(rows, axis=0)) for rows in stacks)
@@ -341,9 +371,8 @@ def _split_degenerate_partner(field: FiniteField, group: np.ndarray):
 def _layout_bch_pairs(params: FamilyParams, expected: ExpectedTuple) -> LayoutPlan:
     """Families II-T2, II-T3a, II-T3b over GF(2^s), length q + 1."""
     fam, q, i, t = params.family, params.q, params.i, params.t
-    field = field_from_order(q)
     n, a = q + 1, q // 2
-    struct = bch_parity(field, n, i + 2, b=a - i)
+    struct = build_source(source_key(params))
     groups = struct.row_groups
     if fam == "II-T2":
         pairs1 = [(a - i + 2, a - i + 1), (a, a - i)]
@@ -375,10 +404,10 @@ def _layout_bch_merged(params: FamilyParams, expected: ExpectedTuple) -> LayoutP
     matrices.
     """
     fam, q, i, t = params.family, params.q, params.i, params.t
-    field = field_from_order(q)
     n = q + 1
     a = n // 2
-    struct = bch_parity(field, n, i + 2, b=a - i)
+    struct = build_source(source_key(params))
+    field = struct.field
     groups = struct.row_groups
     if groups[a].shape[0] != 1:
         raise AssertionError("exponent n/2 should expand to a single row")
@@ -422,10 +451,9 @@ def _layout_bch_merged(params: FamilyParams, expected: ExpectedTuple) -> LayoutP
 
 def _layout_rs_pairs(params: FamilyParams, expected: ExpectedTuple) -> LayoutPlan:
     """Families III-T5a, III-T5b: Reed-Solomon rows, length q - 1."""
-    fam, q, i, t = params.family, params.q, params.i, params.t
-    field = field_from_order(q)
-    n = q - 1
-    struct = rs_parity(field, n, i + 2, b=0)
+    fam, i, t = params.family, params.i, params.t
+    n = params.q - 1
+    struct = build_source(source_key(params))
     groups = struct.row_groups
     if fam == "III-T5a":
         pairs1 = [(i - t - 1, 0), (i, i - t)]
@@ -446,9 +474,8 @@ def default_grs_points(field: FiniteField, n: int) -> tuple[int, ...]:
 
 def _layout_grs(params: FamilyParams, expected: ExpectedTuple) -> LayoutPlan:
     """Families III-T6, III-T8: GRS parity rows, one per degree r."""
-    fam, q, n, k, t = params.family, params.q, params.n, params.k, params.t
-    field = field_from_order(q)
-    grs = grs_build(field, default_grs_points(field, n), (1,) * n, k)
+    fam, n, k, t = params.family, params.n, params.k, params.t
+    grs = build_source(source_key(params))
     groups = grs.row_groups
     r_top = n - k - 1
     if fam == "III-T6":
@@ -499,7 +526,8 @@ def construction_i_plan(field: FiniteField, vectors, partition) -> LayoutPlan:
     outer generator stacks sum(H_i D^i) over sum(H_i' D^i) and the inner
     generator keeps only the auxiliary band.  Requires equal |H_i|,
     nonincreasing |H_i'| with at least one row each, and independent rows
-    overall.
+    overall.  A MatrixGF keeps its echelon, so rows that demo_vectors
+    ranked are not eliminated again here.
     """
     m = vectors if isinstance(vectors, MatrixGF) else MatrixGF(field, np.asarray(vectors))
     sizes = [int(s) for s in partition]

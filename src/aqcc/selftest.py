@@ -26,13 +26,14 @@ from .errors import (
 )
 from .families import (
     FamilyParams,
+    build_source,
     construction_i_plan,
     demo_vectors,
     enumerate_family,
-    layout,
+    source_key,
 )
 from .gf import prime_power
-from .matrix import MatrixGF, field_from_order
+from .matrix import field_from_order
 from .trellis import free_distance
 
 # The parameter tuples printed in the source families, in print order:
@@ -184,7 +185,7 @@ def check_duality_chain(specs=DUALITY_SPECS):
             if q**gamma > 2**16:
                 raise AssertionError(f"instance {q} {partition} {n} exceeds 2**16 states")
             mu = g.max_degree
-            stack = MatrixGF(field, g.c.reshape(-1, g.cols))
+            stack = g.stack
             d0 = BlockCode(field, g.coefficient(0)).min_distance()
             dmu = BlockCode(field, g.coefficient(mu)).min_distance()
             d = BlockCode(field, stack).min_distance()
@@ -210,7 +211,12 @@ def check_duality_chain(specs=DUALITY_SPECS):
 
 
 def check_mds_sources():
-    """Brute-force distance of every buildable source code at q <= 11."""
+    """Brute-force distance of every buildable source code at q <= 11.
+
+    Grid points sharing a source_key share a source, so each key is built
+    once, without its layout; sources of distinct keys that still have the
+    same parity rows are measured once.
+    """
     prime_powers = []
     for q in range(2, 12):
         try:
@@ -218,32 +224,34 @@ def check_mds_sources():
         except ValueError:
             continue
         prime_powers.append(q)
-    seen = set()
-    checked = 0
+    keys = {}  # source key -> the first grid point with it, for messages
     for family in ("II-T2", "II-T3a", "II-T3b", "II-T4a", "II-T4b",
                    "III-T5a", "III-T5b", "III-T6", "III-T8"):
         for q in prime_powers:
             for params, e in enumerate_family(family, q):
-                if e.k_formula <= 0:
-                    continue
-                source = layout(params).source
-                key = (q, source.parity.a.tobytes())
-                if key in seen:
-                    continue
-                seen.add(key)
-                n, kc = source.n, source.k
-                if kc == 0:
-                    # a full-row-rank window leaves nothing to measure
-                    continue
-                d = source.min_distance()
-                if not d.exact:
-                    raise AssertionError(f"{params.label()}: source distance not exact")
-                if d.lower != n - kc + 1:
-                    raise AssertionError(
-                        f"{params.label()}: source [{n},{kc}] has d={d.lower}, "
-                        f"not {n - kc + 1}"
-                    )
-                checked += 1
+                if e.k_formula > 0:
+                    keys.setdefault(source_key(params), params)
+    seen = set()
+    checked = 0
+    for key, params in keys.items():
+        source = build_source(key).code
+        parity_key = (params.q, source.parity.a.tobytes())
+        if parity_key in seen:
+            continue
+        seen.add(parity_key)
+        n, kc = source.n, source.k
+        if kc == 0:
+            # a full-row-rank window leaves nothing to measure
+            continue
+        d = source.min_distance()
+        if not d.exact:
+            raise AssertionError(f"{params.label()}: source distance not exact")
+        if d.lower != n - kc + 1:
+            raise AssertionError(
+                f"{params.label()}: source [{n},{kc}] has d={d.lower}, "
+                f"not {n - kc + 1}"
+            )
+        checked += 1
     if checked < 10:
         raise AssertionError(f"only {checked} distinct sources found")
     return f"{checked} distinct source codes all meet the Singleton bound"

@@ -338,6 +338,31 @@ class TestSplit:
         with pytest.raises(RankDeficient):
             split_to_generator([rows])
 
+    def test_dependence_is_reported_before_layout_errors(self):
+        # the rank check runs on G's stack, which only a valid layout has;
+        # blocks that are both dependent and misplaced still raise RankDeficient
+        f = FiniteField.get(5, 1)
+        b0 = MatrixGF(f, [[1, 2, 0]])
+        oversize = MatrixGF(f, [[2, 4, 0], [0, 1, 0]])  # 2 * b0 and a second row
+        with pytest.raises(RankDeficient):
+            split_to_generator([b0, oversize])
+        with pytest.raises(RankDeficient):
+            split_to_generator([b0, MatrixGF(f, [[3, 1, 0]]), MatrixGF(f, [[0, 1, 0]])],
+                               placements=[(0,), (1,), (0,)])
+        with pytest.raises(RankDeficient):
+            split_to_generator([b0, b0], placements=[(0,)])
+        with pytest.raises(RankConditionViolated):
+            split_to_generator([b0, MatrixGF(f, [[0, 1, 0], [0, 0, 1]])])
+
+    def test_generator_stack_keeps_the_independence_echelon(self):
+        f = FiniteField.get(5, 1)
+        eye = MatrixGF.identity(f, 4)
+        g = split_to_generator([MatrixGF(f, eye.a[:2]), MatrixGF(f, eye.a[2:3])])
+        assert g.stack is g.stack
+        assert g.stack == MatrixGF(f, g.c.reshape(-1, g.cols))
+        red, piv = g.stack.rref()
+        assert g.stack.rref()[0] is red and piv == (0, 1, 2)
+
     def test_bad_placement_rejected(self):
         f = FiniteField.get(5, 1)
         eye = MatrixGF.identity(f, 4)

@@ -3,9 +3,11 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
-from aqcc import families
+from aqcc import families, matrix, selftest
+from aqcc.block import bch_parity, grs_build, rs_parity
 from aqcc.certify import (
     Budgets,
     certify_params,
@@ -424,3 +426,60 @@ def test_source_parities_need_no_elimination():
         for m in (code.parity, code.generator, code.dual().generator):
             assert m.remove_dependent_rows() is m, plan.params.label()
     assert len(seen) >= 80
+
+
+@pytest.mark.parametrize("effort", ["structure", "desk"])
+def test_outer_stack_is_eliminated_once(effort, monkeypatch):
+    # split_to_generator proves independence on G1's coefficient stack;
+    # the span code's kernel and its witness row read that same echelon
+    eliminated = []
+    rref = matrix._rref
+
+    def counted(field, a):
+        eliminated.append(np.array(a))
+        return rref(field, a)
+
+    monkeypatch.setattr(matrix, "_rref", counted)
+    cert = certify_params(FamilyParams("II-T3a", 16, i=5, t=1), effort=effort)
+
+    def nonzero_rows(a):
+        return a[a.any(axis=1)].tolist()
+
+    stack = nonzero_rows(cert.g1.c.reshape(-1, cert.g1.cols))
+    # 16**k and 16**(17 - k) both pass the desk budget, so the span code's
+    # distance takes the witness row from the echelon at either effort
+    assert min(len(stack), 17 - len(stack)) >= 5
+    assert sum(nonzero_rows(a) == stack for a in eliminated) == 1
+
+
+def test_source_key_fixes_the_source():
+    # the sources as each layout once built them, family by family; a
+    # source_key must name everything they depend on
+    for family in FAMILIES[1:]:
+        for q in (4, 5, 7, 8, 9, 16, 25):
+            field = field_from_order(q)
+            points = {}
+            for params, e in enumerate_family(family, q):
+                if e.k_formula > 0:
+                    points.setdefault(families.source_key(params), params)
+            for params in points.values():
+                i, n, k = params.i, params.n, params.k
+                if family in ("II-T2", "II-T3a", "II-T3b"):
+                    want = bch_parity(field, q + 1, i + 2, b=q // 2 - i)
+                elif family in ("II-T4a", "II-T4b"):
+                    want = bch_parity(field, q + 1, i + 2, b=(q + 1) // 2 - i)
+                elif family in ("III-T5a", "III-T5b"):
+                    want = rs_parity(field, q - 1, i + 2, b=0)
+                else:
+                    want = grs_build(field, families.default_grs_points(field, n), (1,) * n, k)
+                got = families.build_source(families.source_key(params))
+                assert got.code.parity == want.code.parity, params.label()
+                assert got.row_groups.keys() == want.row_groups.keys()
+
+
+def test_mds_sources_builds_each_source_once(monkeypatch):
+    built = []
+    build = families.build_source
+    monkeypatch.setattr(selftest, "build_source", lambda key: built.append(key) or build(key))
+    assert selftest.check_mds_sources() == "79 distinct source codes all meet the Singleton bound"
+    assert len(built) == len(set(built)) == 79

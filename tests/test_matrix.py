@@ -230,3 +230,58 @@ def test_kernel_results_are_read_only_int32(q):
         assert arr.size == 0 or (arr.min() >= 0 and arr.max() < q)
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 0
+
+
+def _kernel_from(field, a):
+    """The parent kernel: the reduced echelon basis from a fresh elimination."""
+    red, piv = _rref(field, a)
+    free = [c for c in range(a.shape[1]) if c not in piv]
+    out = np.zeros((len(free), a.shape[1]), dtype=np.int32)
+    for r, c in enumerate(free):
+        out[r, c] = 1
+        if piv:
+            out[r, list(piv)] = field._vneg(red[: len(piv), c].copy())
+    return out
+
+
+def _random_cases(q, rng):
+    """Wide, tall, square and empty matrices, some with zero rows and some
+    with a row that combines two others."""
+    f = field_from_order(q)
+    shapes = [(0, 0), (0, 5), (4, 0), (1, 1), (3, 9), (9, 3), (6, 6), (5, 12), (12, 5)]
+    for shape in shapes:
+        for variant in range(4):
+            a = rng.integers(0, q, shape).astype(np.int32)
+            rows = shape[0]
+            if variant in (1, 3) and rows >= 2:
+                a[rng.integers(0, rows, 1 + rows // 3)] = 0
+            if variant in (2, 3) and rows >= 3:
+                x, y = (int(v) for v in rng.integers(1, q, 2))
+                i, j, k = rng.permutation(rows)[:3]
+                a[k] = f._vadd(f._vmul(x, a[i]), f._vmul(y, a[j]))
+            yield f, a
+
+
+@pytest.mark.parametrize("q", [2, 4, 7, 9, 16, 17])
+def test_cached_echelon_matches_fresh_elimination(q):
+    rng = np.random.default_rng(1000 + q)
+    for f, a in _random_cases(q, rng):
+        m = MatrixGF(f, a)
+        want_red, want_piv = _rref(f, a)
+        want_keep = _rref(f, a.T)[1]  # the transpose route
+        red, piv = m.rref()
+        assert piv == want_piv and np.array_equal(red.a, want_red)
+        assert m.rref()[1] == piv and m.rref()[0] is red
+        assert m.rank() == len(want_piv)
+        assert np.array_equal(m.kernel().a, _kernel_from(f, a))
+        assert m.independent_row_indices() == want_keep
+        kept = m.remove_dependent_rows()
+        assert np.array_equal(kept.a, a[list(want_keep)])
+        # the kept rows span the row space, so they inherit the echelon
+        kept_red, kept_piv = kept.rref()
+        fresh_red, fresh_piv = _rref(f, kept.a)
+        assert kept_piv == fresh_piv == want_piv
+        assert np.array_equal(kept_red.a, fresh_red)
+        assert np.array_equal(kept.kernel().a, _kernel_from(f, kept.a))
+        for arr in (red.a, m.kernel().a, kept.a, kept_red.a, kept.kernel().a):
+            assert arr.dtype == np.int32 and not arr.flags.writeable
