@@ -63,7 +63,7 @@ from .families import (
 )
 from .gf import FiniteField, SubfieldBasis
 from .matrix import MatrixGF, field_from_order
-from .trellis import FreeDistanceResult, free_distance
+from .trellis import free_distance
 
 __version__ = "0.1.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "FAMILIES",
     "FamilyParams",
     "FiniteField",
-    "FreeDistanceResult",
     "GrsCode",
     "LayoutPlan",
     "MatrixGF",

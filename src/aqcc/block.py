@@ -56,15 +56,32 @@ _CHUNK = 1 << 13
 
 @dataclass(frozen=True)
 class DistanceBound:
-    """Certified bracket on a minimum distance.
+    """Certified bracket on a minimum or free distance.
 
-    witness, when present, is a codeword of weight equal to upper.
+    method names the route that produced the bracket: "enumeration",
+    "macwilliams" or "bounded" for a block code, "dijkstra", "block" or
+    "bounded" for a convolutional code, and "designed" when no search ran.
+    floor names where lower came from: the route itself when its search
+    proved an exact value, "designed" for a bound the constructor carries,
+    "d_dual" or "chain" for the certifier's bounds on the two side codes,
+    and "none" for 1.  upper is None when nothing was searched; witness,
+    when present, is a codeword of weight upper, as integers for a block
+    code and as coefficient tuples for a convolutional one.  states counts
+    the trellis states an exact search settled.
     """
 
     lower: int
-    upper: int
+    upper: int | None
     method: str
-    witness: tuple[int, ...] | None = None
+    floor: str
+    witness: tuple | None = None
+    states: int = 0
+
+    def __post_init__(self):
+        if self.witness is not None:
+            w = sum(c != 0 for e in self.witness for c in (e if isinstance(e, tuple) else (e,)))
+            if w != self.upper:
+                raise AqccError(f"witness of weight {w} does not prove the upper bound {self.upper}")
 
     @property
     def exact(self) -> bool:
@@ -134,20 +151,20 @@ class BlockCode:
         q = self.field.q
         if q ** self.k <= budget:
             _, d, wit = _enumerate_weights(self.field, self.generator.a)
-            return DistanceBound(d, d, "enumeration", tuple(int(v) for v in wit))
+            return DistanceBound(d, d, "enumeration", "enumeration", tuple(int(v) for v in wit))
         if q ** (self.n - self.k) <= budget:
             counts, _, _ = _enumerate_weights(self.field, self.parity.a)
             dist = macwilliams_transform([int(c) for c in counts], self.n, q)
             d = next(i for i in range(1, self.n + 1) if dist[i])
-            return DistanceBound(d, d, "macwilliams")
+            return DistanceBound(d, d, "macwilliams", "macwilliams")
         upper, wit = self._witness_upper()
-        lower = self.designed_lower if self.designed_lower is not None else 1
+        lower, floor = (1, "none") if self.designed_lower is None else (self.designed_lower, "designed")
         if lower > upper:
             raise AqccError(
                 f"designed bound {lower} exceeds witness weight {upper}; "
                 "the carried bound is wrong"
             )
-        return DistanceBound(lower, upper, "bounded", tuple(int(v) for v in wit))
+        return DistanceBound(lower, upper, "bounded", floor, tuple(int(v) for v in wit))
 
     def _witness_upper(self) -> tuple[int, np.ndarray]:
         # rref rows vanish on the other pivot positions, so each has

@@ -20,6 +20,12 @@ Effort levels:
   structure  no distance enumeration; designed bounds and witness rows only
   desk       block and free distances within the given budgets
 
+Every distance is a block.DistanceBound, and the certificate's provenance
+copies its route and floor.  Unless a search proves it exact, the free
+distance of G1 has floor d_dual, the distance of its coefficient span, and
+that of the inner dual has floor chain, min(d0 + dm, ds) over the slices
+of G2.  A stated bound above an upper bound, a codeword's weight, is refused.
+
 Fault injection (for negative testing) corrupts the pipeline at three
 distinct stages and must surface as three distinct exceptions:
   rank-condition  oversized delay block       -> RankConditionViolated
@@ -34,12 +40,12 @@ import random
 from dataclasses import dataclass, replace
 
 from . import families
-from .block import DESK_ENUM_BUDGET, BlockCode
+from .block import DESK_ENUM_BUDGET, BlockCode, DistanceBound
 from .convo import PolyMatrix, contains, degree_accounting, degree_gap, format_poly_matrix, is_reduced
 from .css import AqccParameters, assemble_stabilizer, build_nested_pair, derive_aqcc, semi_infinite_expand
 from .errors import AqccError, ContainmentFailed, NotBasic
 from .matrix import MatrixGF, vstack
-from .trellis import DEFAULT_STATE_BUDGET, DEFAULT_WORK_BUDGET, FreeDistanceResult, free_distance
+from .trellis import DEFAULT_STATE_BUDGET, DEFAULT_WORK_BUDGET, free_distance
 
 EFFORTS = ("structure", "desk")
 FAULTS = ("mutate-row", "rank-condition", "swap-blocks")
@@ -143,20 +149,16 @@ def _fault_swap_columns(h1: PolyMatrix, g2: PolyMatrix, seed: int) -> PolyMatrix
     raise AqccError("no column swap breaks the symplectic pairing here")
 
 
-def _distance_tag(b) -> str:
-    if b.exact:
-        return "exact-computed"
-    if b.lower > 1:
-        return "formula-from-paper"
-    return "bounded"
-
-
 def _bound_json(b) -> dict:
     return {
         "lower": int(b.lower),
         "upper": None if b.upper is None else int(b.upper),
         "exact": bool(b.exact),
     }
+
+
+def _provenance(b: DistanceBound) -> dict:
+    return {"route": b.method, "floor": b.floor}
 
 
 def _matrix_text(m) -> str:
@@ -241,22 +243,12 @@ def certify_plan(
     if chain_lo < min(ch[0] + ch[1], ch[2]):
         raise AqccError("computed chain bound fell below its designed floor")
 
-    if effort == "structure":
-        d1f = FreeDistanceResult(max(d_dual.lower, 1), None, "designed", deg1.gamma)
-        d2f = FreeDistanceResult(chain_lo, None, "designed", deg2.gamma)
-    else:
-        d1f = free_distance(
-            g1,
-            state_budget=budgets.state,
-            work_budget=budgets.work,
-            lower_hint=max(d_dual.lower, 1),
-        )
-        d2f = free_distance(
-            par.v2_dual,
-            state_budget=budgets.state,
-            work_budget=budgets.work,
-            lower_hint=chain_lo,
-        )
+    d1f = DistanceBound(max(d_dual.lower, 1), None, "designed", "d_dual")
+    d2f = DistanceBound(chain_lo, None, "designed", "chain")
+    if effort != "structure":
+        kw = {"state_budget": budgets.state, "work_budget": budgets.work}
+        d1f = free_distance(g1, lower_hint=d1f, **kw)
+        d2f = free_distance(par.v2_dual, lower_hint=d2f, **kw)
         par = par.with_distances(d1f, d2f)
 
     # closed-form cross checks; any miss means the layout or the formula
@@ -269,14 +261,12 @@ def certify_plan(
         raise AqccError(
             f"total degree {par.gamma} differs from the closed form {expected.gamma_formula}"
         )
-    if d1f.exact and expected.v1_stated is not None and d1f.lower < expected.v1_stated:
-        raise AqccError(
-            f"exact outer free distance {d1f.lower} breaks the stated bound {expected.v1_stated}"
-        )
-    if d2f.exact and expected.v2perp_stated is not None and d2f.lower < expected.v2perp_stated:
-        raise AqccError(
-            f"exact inner-dual free distance {d2f.lower} breaks the stated bound {expected.v2perp_stated}"
-        )
+    for name, b, stated in (("outer", d1f, expected.v1_stated),
+                            ("inner-dual", d2f, expected.v2perp_stated)):
+        if b.upper is not None and stated is not None and b.upper < stated:
+            raise AqccError(
+                f"{name} free distance is at most {b.upper}, below the stated bound {stated}"
+            )
 
     if effort != "structure":
         ex = semi_infinite_expand(par.stabilizer, frames=par.mu_star + 2)
@@ -330,18 +320,12 @@ def certify_plan(
             "block": {
                 "d": _bound_json(source_d),
                 "d_dual": _bound_json(d_dual),
-                "provenance": {
-                    "d": _distance_tag(source_d),
-                    "d_dual": _distance_tag(d_dual),
-                },
+                "provenance": {"d": _provenance(source_d), "d_dual": _provenance(d_dual)},
             },
             "convo": {
                 "d1f": _bound_json(d1f),
                 "d2f_dual": _bound_json(d2f),
-                "provenance": {
-                    "d1f": _distance_tag(d1f),
-                    "d2f_dual": _distance_tag(d2f),
-                },
+                "provenance": {"d1f": _provenance(d1f), "d2f_dual": _provenance(d2f)},
             },
             "aqcc": {
                 "dz_bound": dz_b,

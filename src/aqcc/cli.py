@@ -15,7 +15,7 @@ import sys
 from . import selftest
 from .block import DESK_ENUM_BUDGET
 from .certify import Budgets, EFFORTS, FAULTS, certify_params, certify_plan
-from .convo import parse_poly_matrix
+from .convo import degree_accounting, parse_poly_matrix, reduce
 from .errors import AqccError, CatastrophicEncoder, ParamOutOfRange, RankDeficient
 from .families import (
     FAMILIES,
@@ -136,13 +136,14 @@ def cmd_distance(args) -> int:
     except ValueError as exc:
         raise ParamOutOfRange(f"bad matrix file: {exc}") from None
     try:
+        g = reduce(g)  # free_distance takes a reduced g as it is
         res = free_distance(
             g, state_budget=args.state_budget, work_budget=args.work_budget
         )
     except RankDeficient as exc:
         # dependent rows map a nonzero input to zero: refused as catastrophic
         raise CatastrophicEncoder(str(exc)) from None
-    lines = [f"q={g.field.q} rows={g.rows} cols={g.cols} gamma={res.gamma}"]
+    lines = [f"q={g.field.q} rows={g.rows} cols={g.cols} gamma={degree_accounting(g).gamma}"]
     if res.exact:
         lines.append(f"free distance: exact {res.lower} ({res.method})")
     else:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .block import DistanceBound
 from .convo import PolyMatrix, block_toeplitz, contains, dual_generator, reduce
 from .errors import (
     FieldMismatch,
@@ -28,7 +29,6 @@ from .errors import (
     ZeroLogicalDimension,
 )
 from .matrix import MatrixGF
-from .trellis import FreeDistanceResult
 
 
 def symplectic_residual(x_part: PolyMatrix, z_part: PolyMatrix) -> PolyMatrix:
@@ -193,23 +193,24 @@ class AqccParameters:
     pair: NestedPair
     h1: PolyMatrix
     v2_dual: PolyMatrix
-    dz: FreeDistanceResult | None = None
-    dx: FreeDistanceResult | None = None
+    dz: DistanceBound | None = None
+    dx: DistanceBound | None = None
     dz_side: str | None = None
 
-    def with_distances(self, v1: FreeDistanceResult, v2perp: FreeDistanceResult) -> "AqccParameters":
+    def with_distances(self, v1: DistanceBound, v2perp: DistanceBound) -> "AqccParameters":
         """These parameters with dz and dx taken from the two side distances.
 
         dz brackets the larger of the two and dx the smaller, matching the
         convention that the Z distance carries the heavier protection.  dz
         spans the larger lower and the larger upper bound, dx the smaller
-        ones; each keeps the method and witness of the side that gives its
-        upper bound.  dz_side names the side whose bracket lies wholly above
-        the other (ties go to "v1"), and is "undecided" when the brackets
-        overlap.
+        ones; each keeps the floor of the side that gives its lower bound,
+        and the method and witness of the side that gives its upper bound.
+        dz_side names the side whose bracket lies wholly above the other,
+        or "undecided" when the brackets overlap; ties go to v1.
         """
         top = lambda r: math.inf if r.upper is None else r.upper
         high, low = (v1, v2perp) if top(v1) >= top(v2perp) else (v2perp, v1)
+        strong, weak = (v1, v2perp) if v1.lower >= v2perp.lower else (v2perp, v1)
         if v1.lower >= top(v2perp):
             side = "v1"
         elif v2perp.lower > top(v1):
@@ -218,8 +219,8 @@ class AqccParameters:
             side = "undecided"
         return replace(
             self,
-            dz=replace(high, lower=max(v1.lower, v2perp.lower)),
-            dx=replace(low, lower=min(v1.lower, v2perp.lower)),
+            dz=replace(high, lower=strong.lower, floor=strong.floor),
+            dx=replace(low, lower=weak.lower, floor=weak.floor),
             dz_side=side,
         )
 

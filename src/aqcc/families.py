@@ -19,17 +19,12 @@ import numpy as np
 
 from .block import BlockCode, bch_parity, grs_build, rs_parity
 from .convo import PolyMatrix, split_to_generator
-from .errors import (
-    IndependenceViolated,
-    ParamOutOfRange,
-    PartitionInvalid,
-    ZeroLogicalDimension,
-)
+from .errors import IndependenceViolated, ParamOutOfRange, PartitionInvalid
 from .gf import MAX_Q, FiniteField, prime_power
 from .matrix import MatrixGF, field_from_order
 
 # enumerate_family refuses a selection of more rows than this before it
-# builds any; III-T6 at q = 128 selects 333 250, at q = 256 over 2.7 million
+# builds any; III-T6 at q = 128 selects 325 500, at q = 256 about 2.7 million
 MAX_GRID_ROWS = 1 << 20
 
 FAMILIES = (
@@ -147,13 +142,14 @@ def _grid(family: str, q: int):
     (lo, hi) range; this is the one statement of each family's hypotheses
     on i, t or n, k, t.
     """
-    # t <= i - gap (or n - k - gap) and i >= gap + 1
+    # t <= i - gap (or n - k - gap - 1, the last t that leaves a logical
+    # qudit) and i >= gap + 1
     gap = 2 if family.endswith("a") or family == "III-T6" else 1
     if family in ("III-T6", "III-T8"):
         return (
             ("n", lambda: (5, q)),
             ("k", lambda n: (1, n - 4)),
-            ("t", lambda n, k: (1, n - k - gap)),
+            ("t", lambda n, k: (1, n - k - gap - 1)),
         )
     a = (q + 1) // 2 if family.startswith("II-T4") else q // 2
     i_hi = q - 3 if family.startswith("III-T5") else a - 1
@@ -232,8 +228,9 @@ def enumerate_family(family: str, q: int, ranges: dict | None = None):
     assumption, and raises ParamOutOfRange only when q is not a prime
     power at all, a range names a parameter outside the grid, or the
     ranges select more than MAX_GRID_ROWS points, which is counted before
-    any point is built.  Points whose logical dimension formula gives zero
-    are included; building them is what fails.
+    any point is built.  Every point has a logical qudit: for III-T6 and
+    III-T8 the paper's hypotheses admit one more t, where the closed form
+    gives k = 0, and the grid stops before it.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -498,18 +495,13 @@ def _layout_grs(params: FamilyParams, expected: ExpectedTuple) -> LayoutPlan:
 
 
 def layout(params: FamilyParams) -> LayoutPlan:
-    """Split plan for a validated parameter point.
-
-    Raises ZeroLogicalDimension for grid points whose logical dimension
-    formula is zero or negative; they enumerate fine but cannot build.
-    """
+    """Split plan for a validated parameter point; every grid point has a
+    logical dimension of at least 1."""
     validate_params(params)
     fam = params.family
     if fam == "I":
         raise ValueError("construction I builds from explicit vectors, not a grid point")
     expected = _closed_form(params)
-    if expected.k_formula <= 0:
-        raise ZeroLogicalDimension(f"{params.label()} has logical dimension <= 0")
     if fam in ("II-T2", "II-T3a", "II-T3b"):
         return _layout_bch_pairs(params, expected)
     if fam in ("II-T4a", "II-T4b"):

@@ -228,9 +228,8 @@ def check_mds_sources():
     for family in ("II-T2", "II-T3a", "II-T3b", "II-T4a", "II-T4b",
                    "III-T5a", "III-T5b", "III-T6", "III-T8"):
         for q in prime_powers:
-            for params, e in enumerate_family(family, q):
-                if e.k_formula > 0:
-                    keys.setdefault(source_key(params), params)
+            for params, _ in enumerate_family(family, q):
+                keys.setdefault(source_key(params), params)
     seen = set()
     checked = 0
     for key, params in keys.items():
@@ -327,7 +326,7 @@ def check_q32_sweep():
     enumerated = 0
     certified = 0
     for family in ("II-T2", "II-T3a", "II-T3b"):
-        rows = [(p, e) for p, e in enumerate_family(family, 32) if e.k_formula > 0]
+        rows = enumerate_family(family, 32)
         enumerated += len(rows)
         for idx, (params, e) in enumerate(rows):
             if idx % 7:

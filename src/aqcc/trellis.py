@@ -28,20 +28,25 @@ next state, which differ only in those rows, form one contiguous run; an
 expansion relaxes each run's target class with the least weight of the
 run, and a class that several runs reach with the least of theirs.
 
+Each relaxation also records, per class, the settled class it came from
+and the least-weight message of the winning run, an argmin taken next to
+the min over the runs that lowered a distance.  When the zero state pops, the path is rebuilt from it, each
+branch scaled back from the class representative to the state the path is
+in, and u(D) @ g is the exact result's witness, of weight d.
+
 Feasibility is gated twice: q**gamma states must fit the state budget and
 q**(gamma + k) scanned edges must fit the work budget.  Outside the budget
-the result degrades to a certified bracket: the caller's lower bound plus
-a genuine codeword witness for the upper bound.
+the result degrades to a certified bracket, "bounded": the caller's lower
+bound and floor, and a short probe's least codeword as the upper bound.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
-from .block import BlockCode, SymbolRuns, codeword_table
+from .block import BlockCode, DistanceBound, SymbolRuns, codeword_table
 from .convo import PolyMatrix, degree_accounting, degree_gap
 from .convo import reduce as reduce_matrix
 from .errors import AqccError, CatastrophicEncoder
@@ -51,37 +56,18 @@ DEFAULT_WORK_BUDGET = 1 << 26
 _MEM_ELEMENTS = 1 << 24
 
 
-@dataclass(frozen=True)
-class FreeDistanceResult:
-    """A free distance bracket; states counts the nonzero scalar classes of
-    trellis states the exact search settled and expanded, one state each,
-    never more than (q**gamma - 1)/(q - 1)."""
-
-    lower: int
-    upper: int
-    method: str  # "dijkstra", "block" or "bounded"
-    gamma: int
-    states: int = 0
-    witness: tuple | None = None
-
-    @property
-    def exact(self) -> bool:
-        return self.lower == self.upper
-
-    def __str__(self):
-        if self.exact:
-            return f"d_free = {self.lower} ({self.method})"
-        return f"{self.lower} <= d_free <= {self.upper} ({self.method})"
-
-
 def free_distance(
     g: PolyMatrix,
     *,
     state_budget: int = DEFAULT_STATE_BUDGET,
     work_budget: int = DEFAULT_WORK_BUDGET,
-    lower_hint: int = 1,
-) -> FreeDistanceResult:
+    lower_hint: DistanceBound | None = None,
+) -> DistanceBound:
     """Free distance of the code generated by g.
+
+    lower_hint, when given, is a bracket whose lower bound and floor a
+    bounded result keeps; a result whose upper bound lies below it raises,
+    whatever its route.
 
     g must be basic (delay-free invertible); a catastrophic encoder would
     put zero-weight cycles in the state graph.  g is reduced first, which
@@ -106,37 +92,26 @@ def free_distance(
     k, n = g.shape
     q = f.q
 
-    if gamma == 0:
-        if q ** k <= work_budget:
-            code = BlockCode.from_generator(f, g.coefficient(0))
-            d = code.min_distance(budget=work_budget)
-            return FreeDistanceResult(d.lower, d.upper, "block", 0, witness=d.witness)
-        return _bounded(g, lower_hint)
-
     states = q ** gamma
-    if states > state_budget or states * q ** k > work_budget or q ** k * n > _MEM_ELEMENTS:
-        return _bounded(g, lower_hint)
-
-    d, settled = _dijkstra(f, g, info)
-    if lower_hint > d:
-        raise AqccError(f"caller lower bound {lower_hint} exceeds the exact distance {d}")
-    probe_w, probe_v = _probe_upper(g)
-    wit = probe_v if probe_w == d else None
-    return FreeDistanceResult(d, d, "dijkstra", gamma, states=settled, witness=wit)
-
-
-def _bounded(g: PolyMatrix, lower_hint: int) -> FreeDistanceResult:
-    upper, wit = _probe_upper(g)
-    if lower_hint > upper:
-        raise AqccError(
-            f"caller lower bound {lower_hint} exceeds a genuine codeword weight {upper}"
-        )
-    return FreeDistanceResult(lower_hint, upper, "bounded", degree_accounting(g).gamma,
-                              witness=wit)
+    if gamma == 0 and q ** k <= work_budget:
+        b = BlockCode.from_generator(f, g.coefficient(0)).min_distance(budget=work_budget)
+        res = DistanceBound(b.lower, b.upper, "block", "block", b.witness)
+    elif gamma == 0 or states > state_budget or states * q ** k > work_budget or q ** k * n > _MEM_ELEMENTS:
+        upper, wit = _probe_upper(g)
+        hint = lower_hint or DistanceBound(1, None, "designed", "none")
+        res = DistanceBound(hint.lower, upper, "bounded", hint.floor, wit)
+    else:
+        d, settled, wit = _dijkstra(f, g, info)
+        res = DistanceBound(d, d, "dijkstra", "dijkstra", wit, settled)
+    if lower_hint is not None and lower_hint.lower > res.upper:
+        raise AqccError(f"caller lower bound {lower_hint.lower} exceeds {res.upper}, "
+                        "the weight of a codeword")
+    return res
 
 
 def _probe_upper(g: PolyMatrix) -> tuple[int, tuple]:
-    """Least weight over rows and two-row combinations with small delays.
+    """Least weight over rows and two-row combinations with small delays,
+    the upper bound of the bounded route.
 
     The candidates are each row i, then row_i + c * D**s * row_j over
     (i, j, s, c) in that loop order, leaving out (i, i, 0, c); the first
@@ -203,7 +178,7 @@ def _class_representatives(field, gamma: int):
     return rep
 
 
-def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
+def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
     q = field.q
     k, n = g.shape
     nu = info.row_degrees
@@ -242,33 +217,56 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
     INF = np.iinfo(np.int64).max
     dist = np.full(q ** gamma, INF, dtype=np.int64)
     settled = np.zeros(q ** gamma, dtype=bool)
+    # via[t] = s * q**k + u: the settled class s and the message u of the
+    # branch that last lowered dist[t]
+    via = np.zeros(q ** gamma, dtype=np.int64)
     heap: list[tuple[int, int]] = []
+    run_len = len(out0) // len(next_states)
 
-    def relax(base_dist: int, base_state: int, weights: np.ndarray):
-        cand = weights.reshape(len(next_states), -1).min(axis=1) + base_dist
+    def relax(base_dist: int, source: int, base_state: int, weights: np.ndarray):
+        w = weights.reshape(len(next_states), run_len)
+        cand = w.min(axis=1) + base_dist
         targets = rep(next_states + base_state)
-        better = cand < dist[targets]
+        better = np.flatnonzero(cand < dist[targets])
         targets, cand = targets[better], cand[better]
         np.minimum.at(dist, targets, cand)  # runs may land in one class
         least = cand == dist[targets]
+        won = better[least]  # the runs that set dist; their argmin is the message
+        via[targets[least]] = source * q ** k + won * run_len + w[won].argmin(axis=1)
         for d, t in set(zip(cand[least].tolist(), targets[least].tolist())):
             heapq.heappush(heap, (d, t))
 
+    def witness() -> tuple:
+        # c turns the representative s of each branch into the path's state
+        steps = [divmod(int(via[0]), q ** k)]
+        while steps[-1][0]:
+            steps.append(divmod(int(via[steps[-1][0]]), q ** k))
+        u = np.zeros((len(steps), 1, k), dtype=np.int32)
+        c = 1
+        for j, (s, m) in enumerate(reversed(steps)):
+            u[j, 0, order] = field._vmul(c, (m // q ** np.arange(k)) % q)
+            hi, lo = divmod(s, split)
+            t = int(next_states[m // run_len]) + moved_lo[lo] + moved_hi[hi]
+            while t and not t % q:
+                t //= q
+            c = field.mul(c, t % q or 1)  # rep(t) is t over its lowest nonzero digit
+        return (PolyMatrix.from_coefficients(field, u) @ g).e[0]
+
     w0 = (out0 != 0).sum(axis=1).astype(np.int64)
     w0[0] = INF  # leaving the zero state needs a nonzero message
-    relax(0, 0, w0)
+    relax(0, 0, 0, w0)
     del out0, w0
 
     states = 0
     while heap:
         dcur, s = heapq.heappop(heap)
         if s == 0:
-            return dcur, states
+            return dcur, states, witness()
         if settled[s]:
             continue
         settled[s] = True
         states += 1
         hi, lo = divmod(s, split)
         want = field._vadd(neg_lo[lo], neg_hi[hi]).tolist()
-        relax(dcur, moved_lo[lo] + moved_hi[hi], n - runs.matches(want))
+        relax(dcur, s, moved_lo[lo] + moved_hi[hi], n - runs.matches(want))
     raise AqccError("zero state unreachable; the encoder graph is disconnected")

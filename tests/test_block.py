@@ -18,6 +18,7 @@ from aqcc import block
 from aqcc.block import (
     FULL_ENUM_BUDGET,
     BlockCode,
+    DistanceBound,
     _enumerate_weights,
     bch_parity,
     grs_build,
@@ -396,6 +397,15 @@ def test_enumeration_with_tiny_blocks_matches_reference(monkeypatch, q, k, n):
     f, gens = enumeration_inputs(q, k, n, seed=7 * q + k)
     for gen in gens:
         assert_same_enumeration(f, gen)
+
+
+def test_witness_weight_must_be_the_upper_bound():
+    assert DistanceBound(2, 3, "bounded", "none", (1, 0, 2, 1)).witness == (1, 0, 2, 1)
+    assert DistanceBound(3, 3, "dijkstra", "dijkstra", ((1, 0, 1), (), (1,))).exact
+    with pytest.raises(AqccError, match="weight 2"):
+        DistanceBound(3, 3, "enumeration", "enumeration", (1, 0, 2))
+    with pytest.raises(AqccError, match="weight 4"):
+        DistanceBound(3, 3, "dijkstra", "dijkstra", ((1, 1), (1, 1)))
 
 
 def test_witness_comes_from_the_first_block_in_message_order():

@@ -75,7 +75,7 @@ class TestEnumerate:
         assert len(out.splitlines()) == 1 + 465
 
     def test_oversize_grid_refused_before_any_row(self, deadline):
-        # III-T6 over GF(256) has over 2.7 million points
+        # III-T6 over GF(256) has about 2.7 million points
         rc, out, err = run("enumerate", "--family", "III-T6", "--q", "256")
         assert rc == 2 and out == ""
         assert "narrow the ranges" in err
@@ -83,7 +83,8 @@ class TestEnumerate:
     def test_narrowed_oversize_grid_is_listed(self, deadline):
         rc, out, _ = run("enumerate", "--family", "III-T6", "--q", "256", "--range", "n=5:20")
         assert rc == 0
-        assert len(out.splitlines()) == 1 + sum((n - 3) * (n - 2) // 2 - 1 for n in range(5, 21))
+        # k from 1 to n - 4 and t from 1 to n - k - 3 for each n
+        assert len(out.splitlines()) == 1 + sum((n - 4) * (n - 3) // 2 for n in range(5, 21))
 
     @pytest.mark.parametrize("argv", [
         ("enumerate", "--family", "III-T6", "--q", "1000000007"),
@@ -141,11 +142,12 @@ class TestCertify:
         assert rc == 2 and out == ""
         assert "II-T2 takes only i" in err
 
-    def test_zero_logical_dimension_exits_three(self):
-        rc, _, err = run("certify", "--family", "III-T6", "--q", "5",
-                         "--n", "5", "--k", "1", "--t", "2")
-        assert rc == 3
-        assert "logical dimension" in err
+    def test_zero_logical_dimension_exits_two(self):
+        # t = 2 leaves no logical qudit, so it is off the grid
+        rc, out, err = run("certify", "--family", "III-T6", "--q", "5",
+                           "--n", "5", "--k", "1", "--t", "2")
+        assert rc == 2 and out == ""
+        assert "1 <= t <= 1" in err
 
     @pytest.mark.parametrize("fault,fragment", [
         ("mutate-row", "outside the module"),

@@ -21,7 +21,8 @@ from aqcc.errors import (
     ZeroLogicalDimension,
 )
 from aqcc.gf import FiniteField
-from aqcc.trellis import FreeDistanceResult, free_distance
+from aqcc.block import DistanceBound
+from aqcc.trellis import free_distance
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +154,16 @@ class TestDerivation:
         assert d1.lower == 2 and d2.lower == 2
         par = base.with_distances(d1, d2)
         assert par.dz_side == "v1"  # ties keep the outer side on Z
-        big = FreeDistanceResult(3, 3, "dijkstra", 1)
+        big = DistanceBound(3, 3, "dijkstra", "dijkstra")
         par = base.with_distances(d1, big)
         assert par.dz_side == "v2perp"
         assert par.dz.lower == 3 and par.dx.lower == 2
+
+    def test_distance_floors_follow_the_lower_bound(self, pair):
+        # dz takes its lower bound from v2perp and its upper bound from v1
+        v1 = DistanceBound(2, 9, "bounded", "d_dual")
+        v2perp = DistanceBound(4, 5, "bounded", "chain")
+        par = derive_aqcc(pair).with_distances(v1, v2perp)
+        assert (par.dz.lower, par.dz.upper, par.dz.floor) == (4, 9, "chain")
+        assert (par.dx.lower, par.dx.upper, par.dx.floor) == (2, 5, "d_dual")
+        assert par.dz_side == "undecided"

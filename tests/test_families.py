@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,13 +16,13 @@ from aqcc.certify import (
 )
 from aqcc.convo import degree_accounting, is_basic, is_reduced
 from aqcc.errors import (
+    AqccError,
     ContainmentFailed,
     IndependenceViolated,
     ParamOutOfRange,
     PartitionInvalid,
     RankConditionViolated,
     SymplecticViolation,
-    ZeroLogicalDimension,
 )
 from aqcc.families import (
     FAMILIES,
@@ -146,11 +147,15 @@ class TestEnumeration:
         assert enumerate_family("II-T2", 8) == []
         assert enumerate_family("II-T4a", 7) == []  # prime, needs l >= 2
 
-    def test_t6_q5_includes_zero_k_point(self):
+    def test_t6_q5_stops_before_zero_k_point(self):
+        # the paper's t <= n - k - 2 also admits (5, 1, 2), where k = 0
         rows = enumerate_family("III-T6", 5)
-        assert [(p.n, p.k, p.t, e.k_formula) for p, e in rows] == [
-            (5, 1, 1, 1), (5, 1, 2, 0),
-        ]
+        assert [(p.n, p.k, p.t, e.k_formula) for p, e in rows] == [(5, 1, 1, 1)]
+
+    def test_every_grid_point_has_a_logical_qudit(self):
+        for family in FAMILIES[1:]:
+            for q in (5, 7, 8, 9, 16, 17, 32):
+                assert all(e.k_formula >= 1 for _, e in enumerate_family(family, q))
 
     def test_ranges_narrow_the_grid(self):
         rows = enumerate_family("III-T5a", 11, ranges={"i": (6, 6), "t": (1, 2)})
@@ -158,13 +163,13 @@ class TestEnumeration:
 
     def test_grid_ceiling(self, monkeypatch, deadline):
         # the count runs before any point is built: with cheap points, the
-        # 333 250 of III-T6 at q = 128 pass and q = 256 is refused
+        # 325 500 of III-T6 at q = 128 pass and q = 256 is refused
         monkeypatch.setattr(families, "FamilyParams", lambda family, q, **kw: kw)
         monkeypatch.setattr(families, "_closed_form", lambda p: None)
-        assert len(enumerate_family("III-T6", 128)) == 333250 <= families.MAX_GRID_ROWS
+        assert len(enumerate_family("III-T6", 128)) == 325500 <= families.MAX_GRID_ROWS
         with pytest.raises(ParamOutOfRange, match="more than 1048576 points"):
             enumerate_family("III-T6", 256)
-        assert len(enumerate_family("III-T6", 256, {"n": (256, 256), "k": (1, 2)})) == 253 + 252  # t <= n - k - 2
+        assert len(enumerate_family("III-T6", 256, {"n": (256, 256), "k": (1, 2)})) == 252 + 251  # t <= n - k - 3
 
     def test_construction_i_not_enumerable(self):
         with pytest.raises(ValueError, match="no parameter grid"):
@@ -221,9 +226,10 @@ class TestLayouts:
         assert all(row in outer_rows for row in g2.e)
 
     def test_zero_logical_dimension_points_refuse_to_build(self):
-        with pytest.raises(ZeroLogicalDimension):
+        # off the grid: refused by validate_params before anything is built
+        with pytest.raises(ParamOutOfRange, match="t <= 1"):
             layout(FamilyParams("III-T6", 5, n=5, k=1, t=2))
-        with pytest.raises(ZeroLogicalDimension):
+        with pytest.raises(ParamOutOfRange, match="t <= 3"):
             layout(FamilyParams("III-T8", 7, n=7, k=2, t=4))
 
     def test_t4_merged_row_has_degree_two(self):
@@ -316,10 +322,23 @@ class TestCertificates:
         conv = cert.data["distances"]["convo"]
         assert conv["d1f"]["upper"] is None
         assert conv["d1f"]["lower"] == 6
-        assert conv["provenance"]["d1f"] == "formula-from-paper"
+        assert conv["provenance"]["d1f"] == {"route": "designed", "floor": "d_dual"}
+        assert conv["provenance"]["d2f_dual"] == {"route": "designed", "floor": "chain"}
+
+    def test_stated_bound_above_a_witness_is_refused(self):
+        # at desk d1f is the open bracket [4, 8]: a codeword of weight 8
+        # refutes any stated bound above 8, though nothing is exact
+        plan = layout(FamilyParams("III-T6", 17, n=17, k=3, t=5))
+        conv = certify_plan(plan).data["distances"]["convo"]
+        assert (conv["d1f"]["lower"], conv["d1f"]["upper"]) == (4, 8)
+        stated = lambda v1: replace(plan, expected=replace(plan.expected, v1_stated=v1))
+        certify_plan(stated(8))
+        with pytest.raises(AqccError, match="at most 8, below the stated bound 9"):
+            certify_plan(stated(9))
+        certify_plan(stated(9), effort="structure")  # no upper bound to refute it
 
     def test_zero_logical_dimension_certify(self):
-        with pytest.raises(ZeroLogicalDimension):
+        with pytest.raises(ParamOutOfRange):
             certify_params(FamilyParams("III-T6", 5, n=5, k=1, t=2))
 
     def test_full_effort_is_refused(self):
@@ -407,9 +426,8 @@ def source_plans():
         yield layout(FamilyParams(family, q, **kw))
     for family in FAMILIES[1:]:
         for q in (2, 3, 4, 5, 7, 8, 9, 11):
-            for params, e in enumerate_family(family, q):
-                if e.k_formula > 0:
-                    yield layout(params)
+            for params, _ in enumerate_family(family, q):
+                yield layout(params)
 
 
 def test_source_parities_need_no_elimination():
@@ -459,9 +477,8 @@ def test_source_key_fixes_the_source():
         for q in (4, 5, 7, 8, 9, 16, 25):
             field = field_from_order(q)
             points = {}
-            for params, e in enumerate_family(family, q):
-                if e.k_formula > 0:
-                    points.setdefault(families.source_key(params), params)
+            for params, _ in enumerate_family(family, q):
+                points.setdefault(families.source_key(params), params)
             for params in points.values():
                 i, n, k = params.i, params.n, params.k
                 if family in ("II-T2", "II-T3a", "II-T3b"):

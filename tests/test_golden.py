@@ -9,8 +9,9 @@ regenerated only together with an explanation of the diff:
 
 tests/golden/probe.json holds, for the outer generator G1 and the inner
 dual dual(G2) of every reference row, the (weight, witness) pair of the
-trellis upper-bound probe.  ``aqcc distance`` prints that witness, so it is
-pinned the same way and rewritten by the same command.
+trellis upper-bound probe.  A bounded free distance takes its upper bound
+and witness from it (an exact search rebuilds its own), so it is pinned the
+same way and rewritten by the same command.
 
 tests/golden/block_distance.txt is the ``aqcc distance`` output for the
 constant encoder tests/golden/block_encoder.txt ([10, 5] over GF(11)).  That

@@ -7,10 +7,11 @@ import pytest
 
 from aqcc import FamilyParams, selftest
 from aqcc.errors import AqccError, CatastrophicEncoder, RankDeficient
-from aqcc.block import SymbolRuns, codeword_table, rs_parity
+from aqcc.block import DistanceBound, SymbolRuns, codeword_table, rs_parity
 from aqcc.convo import (
     PolyMatrix,
     degree_accounting,
+    dual_generator,
     padd,
     pscale,
     reduce,
@@ -19,7 +20,7 @@ from aqcc.convo import (
 from aqcc.families import layout
 from aqcc.gf import FiniteField
 from aqcc.matrix import MatrixGF, field_from_order
-from aqcc.trellis import FreeDistanceResult, _digit_sums, _dijkstra, _probe_upper, free_distance
+from aqcc.trellis import _digit_sums, _dijkstra, _probe_upper, free_distance
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +33,20 @@ def gf3():
     return FiniteField.get(3, 1)
 
 
+def gamma(g: PolyMatrix) -> int:
+    return degree_accounting(reduce(g)).gamma
+
+
+def designed(lower: int) -> DistanceBound:
+    return DistanceBound(lower, None, "designed", "designed")
+
+
 class TestExactSearch:
     def test_unit_delay_pair_gf2(self, gf2):
-        r = free_distance(PolyMatrix(gf2, [[(1,), (0, 1)]]))
+        g = PolyMatrix(gf2, [[(1,), (0, 1)]])
+        r = free_distance(g)
         assert r.exact and r.lower == 2 and r.method == "dijkstra"
-        assert r.gamma == 1
+        assert gamma(g) == 1
 
     def test_two_output_encoder(self, gf2):
         r = free_distance(PolyMatrix(gf2, [[(1,), (1, 1)]]))
@@ -46,7 +56,7 @@ class TestExactSearch:
         # generators 1 + D**2 and 1 + D + D**2
         r = free_distance(PolyMatrix(gf2, [[(1, 0, 1), (1, 1, 1)]]))
         assert r.exact and r.lower == 5
-        assert r.gamma == 2
+        assert r.witness == ((1, 0, 1), (1, 1, 1))
 
     def test_unit_delay_pair_gf3(self, gf3):
         r = free_distance(PolyMatrix(gf3, [[(1,), (0, 1)]]))
@@ -55,8 +65,10 @@ class TestExactSearch:
     def test_zero_memory_becomes_block_distance(self, gf3):
         g = PolyMatrix(gf3, [[(1,), (), (1,)], [(), (1,), (2,)]])
         r = free_distance(g)
-        assert r.method == "block" and r.gamma == 0
+        assert r.method == "block" and gamma(g) == 0
         assert r.exact and r.lower == 2
+        with pytest.raises(AqccError, match="exceeds 2, the weight of a codeword"):
+            free_distance(g, lower_hint=designed(3))
 
     def test_reduction_happens_first(self, gf2):
         # rows [1+D, D], [1, 1] reduce to memory zero
@@ -88,8 +100,8 @@ class TestSplitOracles:
         b0 = MatrixGF(f, np.concatenate([s.row_groups[1], s.row_groups[2]]))
         b1 = MatrixGF(f, s.row_groups[3])
         g = split_to_generator([b0, b1])
-        hint = s.code.dual().min_distance().lower
-        assert hint == 4
+        hint = s.code.dual().min_distance()
+        assert hint.lower == 4
         r = free_distance(g, lower_hint=hint)
         assert r.exact and r.lower == 6
         assert r.method == "dijkstra"
@@ -100,7 +112,7 @@ class TestSplitOracles:
         g = split_to_generator([MatrixGF(f, s.row_groups[c]) for c in (1, 2, 3)])
         r = free_distance(g)
         assert r.exact and r.lower == 18
-        assert r.gamma == 2
+        assert gamma(g) == 2
 
     def test_lower_hint_is_respected(self, structure):
         s = structure
@@ -109,7 +121,7 @@ class TestSplitOracles:
         b1 = MatrixGF(f, s.row_groups[3])
         g = split_to_generator([b0, b1])
         with pytest.raises(AqccError):
-            free_distance(g, lower_hint=7)  # exact answer is 6
+            free_distance(g, lower_hint=designed(7))  # exact answer is 6
 
 
 class TestGuards:
@@ -129,17 +141,19 @@ class TestGuards:
         assert r.method == "bounded"
         assert not r.exact
         assert r.lower == 1 and r.upper == 5  # single row weight
+        assert r.floor == "none"
         assert r.witness is not None
 
     def test_budget_fallback_can_close(self, gf2):
         g = PolyMatrix(gf2, [[(1, 0, 1), (1, 1, 1)]])
-        r = free_distance(g, state_budget=1, lower_hint=5)
+        r = free_distance(g, state_budget=1, lower_hint=designed(5))
         assert r.method == "bounded" and r.exact and r.lower == 5
+        assert r.floor == "designed"
 
     def test_inconsistent_hint_detected_in_bounded_mode(self, gf2):
         g = PolyMatrix(gf2, [[(1, 0, 1), (1, 1, 1)]])
         with pytest.raises(AqccError):
-            free_distance(g, state_budget=1, lower_hint=6)
+            free_distance(g, state_budget=1, lower_hint=designed(6))
 
     @pytest.mark.parametrize("budgets", [{"state_budget": 0}, {"work_budget": -1}])
     def test_budgets_below_one_rejected(self, gf2, budgets):
@@ -147,8 +161,8 @@ class TestGuards:
             free_distance(PolyMatrix(gf2, [[(1,), (0, 1)]]), **budgets)
 
     def test_result_formatting(self):
-        assert "d_free = 3" in str(FreeDistanceResult(3, 3, "dijkstra", 1))
-        assert "<=" in str(FreeDistanceResult(2, 4, "bounded", 1))
+        assert "d = 3" in str(DistanceBound(3, 3, "dijkstra", "dijkstra"))
+        assert "<=" in str(DistanceBound(2, 4, "bounded", "none"))
 
 
 def scalar_free_distance(g: PolyMatrix) -> int:
@@ -334,10 +348,10 @@ def odd_gens():
             for _ in range(k)
         ])
         try:
-            gamma = free_distance(g, state_budget=1).gamma
+            free_distance(g, state_budget=1)
         except (CatastrophicEncoder, RankDeficient):
             continue
-        if f.q ** (gamma + k) <= 2 ** 12:
+        if f.q ** (gamma(g) + k) <= 2 ** 12:
             out.append(g)
     return out
 
@@ -366,10 +380,10 @@ def multi_row_gens():
             ])
             try:
                 nu = degree_accounting(reduce(g)).row_degrees
-                gamma = free_distance(g, state_budget=1).gamma
+                free_distance(g, state_budget=1)
             except (CatastrophicEncoder, RankDeficient):
                 continue
-            if gamma >= 2 and len(set(nu)) > 1 and q ** (gamma + k) <= 2 ** 15:
+            if sum(nu) >= 2 and len(set(nu)) > 1 and q ** (sum(nu) + k) <= 2 ** 15:
                 out.append(g)
                 found += 1
     return out
@@ -379,7 +393,7 @@ def assert_same_search(g):
     g = reduce(g)
     info = degree_accounting(g)
     q = g.field.q
-    d, states = _dijkstra(g.field, g, info)
+    d, states, _ = _dijkstra(g.field, g, info)
     assert d == all_states_dijkstra(g.field, g, info)[0]
     assert states <= (q ** info.gamma - 1) // (q - 1)
     return states
@@ -407,7 +421,7 @@ class TestAgainstScalarSearch:
             r = free_distance(g)
             assert r.exact
             assert r.lower == scalar_free_distance(g)
-            assert r.states <= (g.field.q ** r.gamma - 1) // (g.field.q - 1)
+            assert r.states <= (g.field.q ** gamma(g) - 1) // (g.field.q - 1)
             searched += r.method == "dijkstra"
         assert searched > 50
 
@@ -416,7 +430,7 @@ class TestAgainstScalarSearch:
             r = free_distance(g)
             assert r.exact
             assert r.lower == scalar_free_distance(reduce(g))
-            assert r.states <= (g.field.q ** r.gamma - 1) // (g.field.q - 1)
+            assert r.states <= (g.field.q ** gamma(g) - 1) // (g.field.q - 1)
 
     def test_probe_against_loops(self, split_gens, odd_gens):
         for g in split_gens + odd_gens:
@@ -428,7 +442,7 @@ class TestAgainstScalarSearch:
         r = free_distance(g)
         assert r.exact and r.method == "dijkstra"
         assert r.lower == d == scalar_free_distance(g)
-        assert r.states <= 2 ** r.gamma - 1
+        assert r.states <= 2 ** gamma(g) - 1
 
     def test_reference_row_settles_each_state_once(self):
         # III-T5a q=11 i=6: 11**2 states in 12 = (11**2 - 1)/10 nonzero
@@ -439,12 +453,24 @@ class TestAgainstScalarSearch:
         assert r.states == 12
 
 
+def test_search_witness_is_a_codeword(split_gens, odd_gens, multi_row_gens):
+    # the path the search rebuilt: weight d, and zero against the minimal
+    # dual h, w(D) h(1/D)^T = 0
+    for g in split_gens + odd_gens + multi_row_gens:
+        r = free_distance(g)
+        assert r.exact and r.witness is not None
+        w = PolyMatrix(g.field, [[p if isinstance(p, tuple) else (p,) for p in r.witness]])
+        assert poly_vector_weight(w.e[0]) == r.lower
+        h = dual_generator(g)
+        assert (w @ h.reverse(max(h.max_degree, 0)).T).is_zero()
+
+
 class TestAgainstAllStatesSearch:
     """The search over scalar classes against the one over every state."""
 
     def test_split_and_odd_generators(self, split_gens, odd_gens):
         for g in split_gens + odd_gens:
-            if degree_accounting(reduce(g)).gamma:
+            if gamma(g):
                 assert_same_search(g)
 
     def test_multi_row_encoders(self, multi_row_gens):
