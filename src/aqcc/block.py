@@ -15,10 +15,10 @@ Minimum distances come from one of three certified routes:
 The result always states which route produced it.
 
 Enumeration splits the rows into low rows, whose q**a codewords are
-tabulated once with each column sorted by symbol, and high rows.  For each
-high codeword h the weights of all low + h are n minus the number of
-columns where low equals -h: one bincount over the matching symbol runs,
-about n/q of the entries a gather would touch.  Only the witness is built.
+tabulated once, stored one row per code column, and high rows.  For each
+high codeword h the weight of every low + h is the number of columns where
+low differs from -h: mismatches compares the table with a batch of such
+rows one column at a time, and only the witness is built.
 
 The low table is closed under scaling, so low + lam * h = lam * (low / lam
 + h) has the weights of low + h for every scalar lam != 0.  The high block
@@ -27,7 +27,7 @@ whose top nonzero message digit is 1 is visited, its counts taken q - 1
 times: (q**(k - a) - 1)/(q - 1) blocks instead of q**(k - a) - 1.  The
 member lam * h has top digit lam > 1, so it comes after h in message
 order; the first codeword of least weight therefore lies in block 0 or in
-a visited block, and the visited block's own bincount locates it.
+a visited block, and the visited block's own counts locate it.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ from .matrix import MatrixGF
 FULL_ENUM_BUDGET = 1 << 22
 DESK_ENUM_BUDGET = 10 ** 6
 _CHUNK = 1 << 13
+# the most table entries one mismatches call compares against a batch
+_SCORE_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -178,37 +180,31 @@ class BlockCode:
 def codeword_table(field: FiniteField, gen: np.ndarray) -> np.ndarray:
     """All q**k combinations of the rows of gen, in message order (digit t
     of the message weighs q**t).  Each row adds one gather: its q multiples
-    become the slowest index of the table."""
+    become the slowest index of the table.  It is built by column and
+    returned transposed, so by_column only narrows its type."""
     n = gen.shape[1]
-    cw = np.zeros((1, n), dtype=np.int32)
+    cw = np.zeros((n, 1), dtype=np.int32)
     for row in gen:
-        mult = field._vmul(np.arange(field.q, dtype=np.int32)[:, None], row[None, :])
-        cw = field._vadd(mult[:, None, :], cw[None, :, :]).reshape(-1, n)
-    return cw
+        mult = field._vmul(row[:, None], np.arange(field.q, dtype=np.int32)[None, :])
+        cw = field._vadd(mult[:, :, None], cw[:, None, :]).reshape(n, -1)
+    return cw.T
 
 
-class SymbolRuns:
-    """The rows of a table sorted by symbol, one column at a time.
+def by_column(table: np.ndarray, q: int) -> np.ndarray:
+    """table stored one row per column, in the narrowest type of q symbols."""
+    return np.ascontiguousarray(table.T, dtype=np.min_scalar_type(q - 1))
 
-    matches(want)[u] counts the columns c with table[u, c] == want[c] by one
-    bincount over the run of symbol want[c] in each column, about n * rows / q
-    entries.  Symbols fit uint16 (q <= MAX_Q), which numpy sorts stably by
-    radix; sorting one column at a time keeps the int64 sort output small.
-    """
 
-    def __init__(self, table: np.ndarray, q: int):
-        self.rows, n = table.shape
-        self.by_symbol = np.empty((n, self.rows), dtype=np.int32)
-        bounds = np.zeros((n, q + 1), dtype=np.int64)
-        for c in range(n):
-            col = table[:, c].astype(np.uint16)
-            self.by_symbol[c] = np.argsort(col, kind="stable")
-            bounds[c, 1:] = np.cumsum(np.bincount(col, minlength=q))
-        self.bounds = bounds.tolist()
-
-    def matches(self, want) -> np.ndarray:
-        runs = [self.by_symbol[c, b[v]:b[v + 1]] for c, (b, v) in enumerate(zip(self.bounds, want))]
-        return np.bincount(np.concatenate(runs), minlength=self.rows)
+def mismatches(table_t: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """out[j, u] = #{c : table_t[c, u] != want[j, c]}, for a table stored by
+    by_column: one comparison and one add per column of b * rows entries,
+    counted in the narrowest type that holds n."""
+    n, rows = table_t.shape
+    want = np.asarray(want).astype(table_t.dtype)
+    out = np.zeros((len(want), rows), dtype=np.min_scalar_type(n))
+    for c in range(n):
+        out += table_t[c] != want[:, c, None]
+    return out
 
 
 def _low_rows(q: int, k: int) -> int:
@@ -219,26 +215,13 @@ def _low_rows(q: int, k: int) -> int:
     return a
 
 
-def _codewords(field: FiniteField, gen: np.ndarray):
-    """The combinations of the rows of gen one at a time, in message order.
-    Each level tabulates its low rows and one block of them plus a codeword
-    of its other rows, at most _CHUNK rows each."""
-    a = _low_rows(field.q, len(gen))
-    low = codeword_table(field, gen[:a])
-    highs = _codewords(field, gen[a:]) if a < len(gen) else [np.zeros(gen.shape[1], np.int32)]
-    for h in highs:
-        yield from field._vadd(low, h[None, :])
-
-
 def _representatives(field: FiniteField, gen: np.ndarray):
-    """The zero codeword, then, in message order, the combinations of the
-    rows of gen whose top nonzero message digit is 1: row p plus each
-    combination of the rows below it, for p = 0, 1, ...  Every nonzero
-    combination is lam times exactly one of them, for one lam != 0."""
-    yield np.zeros(gen.shape[1], dtype=np.int32)
+    """In message order, one table for each p = 0, 1, ...: row p plus each
+    combination of the rows below it, the combinations whose top nonzero
+    message digit is 1.  Every nonzero combination is lam times exactly
+    one of them, for one lam != 0."""
     for p in range(len(gen)):
-        for h in _codewords(field, gen[:p]):
-            yield field._vadd(h, gen[p])
+        yield field._vadd(codeword_table(field, gen[:p]), gen[p][None, :])
 
 
 def _enumerate_weights(field: FiniteField, gen: np.ndarray):
@@ -248,20 +231,24 @@ def _enumerate_weights(field: FiniteField, gen: np.ndarray):
     n = gen.shape[1]
     a = _low_rows(q, len(gen))
     low = codeword_table(field, gen[:a])
-    runs = SymbolRuns(low, q)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    best_w, best = n + 1, None
-    for block, h in enumerate(_representatives(field, gen[a:])):
-        # messages low + h weigh n - #{c : low_cw[c] == -h[c]}, and the
-        # blocks low + lam * h of h's multiples weigh the same
-        w = n - runs.matches(field._vneg(h).tolist())
-        counts += np.bincount(w, minlength=n + 1) * (1 if block == 0 else q - 1)
-        if block == 0:
-            w[0] = n + 1  # zero message
-        i = int(np.argmin(w))
-        if w[i] < best_w:
-            best_w, best = int(w[i]), field._vadd(low[i], h)
-    return counts, best_w, best
+    low_t = by_column(low, q)
+    w = (low != 0).sum(axis=1)  # block 0: the low codewords alone
+    counts = np.bincount(w, minlength=n + 1)
+    w[0] = n + 1  # zero message
+    i = int(np.argmin(w))
+    best_w, best = int(w[i]), low[i]
+    step = max(1, _SCORE_CHUNK // len(low))
+    for reps in _representatives(field, gen[a:]):
+        for s in range(0, len(reps), step):
+            # messages low + h weigh #{c : low[c] != -h[c]}, and the blocks
+            # low + lam * h of h's multiples weigh the same
+            h = reps[s:s + step]
+            w = mismatches(low_t, field._vneg(h))
+            counts += np.bincount(w.ravel(), minlength=n + 1) * (q - 1)
+            i = int(np.argmin(w))
+            if w.flat[i] < best_w:
+                best_w, best = int(w.flat[i]), field._vadd(low[i % len(low)], h[i // len(low)])
+    return counts, best_w, (best if best_w <= n else None)
 
 
 def macwilliams_transform(counts: list[int], n: int, q: int) -> list[int]:

@@ -711,6 +711,12 @@ def split_to_generator(blocks, placements=None) -> PolyMatrix:
     placements[i], when given, lists the target row of G for each row of
     blocks[i] (defaults to 0, 1, 2, ... which pads at the bottom).
     """
+    return _split(blocks, placements, None)
+
+
+def _split(blocks, placements, seed: MatrixGF | None) -> PolyMatrix:
+    """split_to_generator, where seed, when G's stack is its rows and zero
+    rows, lends the stack its echelon with the zero rows at the bottom."""
     blocks = list(blocks)
     field = blocks[0].field
     n = blocks[0].cols
@@ -730,7 +736,12 @@ def split_to_generator(blocks, placements=None) -> PolyMatrix:
         raise
     # G's stack holds the block rows and zero padding, so it has rank total
     # exactly when the blocks are independent; its echelon stays on G
-    require_independent(g.stack)
+    stack = g.stack
+    if seed is not None and np.array_equal(stack.a[stack.a.any(axis=1)], seed.a):
+        red, piv = seed._reduced()  # cached when the rows were ranked
+        pad = np.zeros((stack.rows - seed.rows, n), dtype=np.int32)
+        stack._echelon = MatrixGF._wrap(field, np.concatenate([red.a, pad])), piv
+    require_independent(stack)
     return g
 
 

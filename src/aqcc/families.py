@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .block import BlockCode, bch_parity, grs_build, rs_parity
-from .convo import PolyMatrix, split_to_generator
+from .convo import PolyMatrix, _split, split_to_generator
 from .errors import IndependenceViolated, ParamOutOfRange, PartitionInvalid
 from .gf import MAX_Q, FiniteField, prime_power
 from .matrix import MatrixGF, field_from_order
@@ -114,7 +114,10 @@ class LayoutPlan:
     notes: tuple[str, ...] = ()
 
     def generators(self) -> tuple[PolyMatrix, PolyMatrix]:
-        g1 = split_to_generator(self.blocks1, self.placements1)
+        # construction I stacks its seed rows in G1, whose stack takes the
+        # echelon that proved them independent
+        g1 = (_split(self.blocks1, self.placements1, self.source.parity) if self.params.family == "I"
+              else split_to_generator(self.blocks1, self.placements1))
         g2 = split_to_generator(self.blocks2)
         return g1, g2
 
@@ -519,7 +522,7 @@ def construction_i_plan(field: FiniteField, vectors, partition) -> LayoutPlan:
     generator keeps only the auxiliary band.  Requires equal |H_i|,
     nonincreasing |H_i'| with at least one row each, and independent rows
     overall.  A MatrixGF keeps its echelon, so rows that demo_vectors
-    ranked are not eliminated again here.
+    ranked are not eliminated again here, nor in G1's stack.
     """
     m = vectors if isinstance(vectors, MatrixGF) else MatrixGF(field, np.asarray(vectors))
     sizes = [int(s) for s in partition]

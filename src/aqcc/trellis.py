@@ -4,35 +4,30 @@ The encoder of a reduced generator matrix keeps, for each row i, the last
 nu_i input symbols (nu_i is the row degree).  States pack those symbols
 into one base-q integer; gamma = sum(nu_i) digits in total.  The free
 distance is the least total output weight over paths that leave the zero
-state with a nonzero input and first return to it, which a Dijkstra run
-finds exactly: edge weights are nonnegative and the first pop of the zero
-state is optimal.
+state with a nonzero input and first return to it.  Edge weights are small
+nonnegative integers, so a bucketed Dijkstra run (Dial 1969) finds it: it
+settles every class at the least pending distance d at once, relaxes all
+their branches, and stops when d is the zero state's distance, reporting
+the classes it settled, those below d.
 
 The encoder is linear, so for every scalar lam != 0 the inputs lam * u
-drive the state path lam * s with the same output weights: the states of
-one class GF(q)* * s lie at one distance from the zero state, and the
-branch s -> t weighs what lam * s -> lam * t does.  The search runs on
-these classes.  Each relaxation lands on the class's member whose lowest
-nonzero digit is 1, and each such member is settled once: a popped state
-that is already settled is skipped, and a target is pushed only when its
-distance strictly improves, so at most (q**gamma - 1)/(q - 1) states are
-expanded.
+drive the state path lam * s with the same output weights, and the search
+runs on the classes GF(q)* * s.  Each relaxation lands on the member whose
+lowest nonzero digit is 1, so at most (q**gamma - 1)/(q - 1) states are
+settled.  The weight of message u from state s is the number of columns
+c with out0[u, c] != -out_s[c]; block.mismatches scores a batch of settled
+classes against the message table at most _SCORE_CHUNK entries at a time.
+The table takes the rows with nu_i = 0 as its fastest digits, so the
+messages that reach one next state form one contiguous run, and each run
+offers its target class its least weight.
 
-The output of a branch is out0[u] + out_s, the message part plus the state
-part, so the weight of every message u is n minus the number of columns c
-with out0[u, c] == -out_s[c].  Each column keeps its messages sorted by
-output symbol, and one expansion counts those matches with a single
-bincount instead of adding q**k output rows.  The message table takes the
-rows with nu_i = 0 as its fastest digits, so the messages that reach one
-next state, which differ only in those rows, form one contiguous run; an
-expansion relaxes each run's target class with the least weight of the
-run, and a class that several runs reach with the least of theirs.
-
-Each relaxation also records, per class, the settled class it came from
-and the least-weight message of the winning run, an argmin taken next to
-the min over the runs that lowered a distance.  When the zero state pops, the path is rebuilt from it, each
-branch scaled back from the class representative to the state the path is
-in, and u(D) @ g is the exact result's witness, of weight d.
+Each class keeps the branch that gave it its distance, by a rule that does
+not depend on the order of the relaxations: among equal distances the
+source of least distance wins, then the least source class, then the
+first message of least weight.  A settled class takes no branch, so the
+branches lead back to the zero state; the path is rebuilt from there,
+each branch scaled back from the class representative to the path's
+state, and u(D) @ g is the witness.
 
 Feasibility is gated twice: q**gamma states must fit the state budget and
 q**(gamma + k) scanned edges must fit the work budget.  Outside the budget
@@ -42,11 +37,9 @@ bound and floor, and a short probe's least codeword as the upper bound.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
-from .block import BlockCode, DistanceBound, SymbolRuns, codeword_table
+from .block import _SCORE_CHUNK, BlockCode, DistanceBound, by_column, codeword_table, mismatches
 from .convo import PolyMatrix, degree_accounting, degree_gap
 from .convo import reduce as reduce_matrix
 from .errors import AqccError, CatastrophicEncoder
@@ -193,9 +186,8 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
     # that differ only in them, which reach one next state, are contiguous:
     # run r of q**k0 messages feeds the memory rows the digits of r
     order = sorted(range(k), key=lambda i: nu[i] > 0)
-    out0 = codeword_table(field, coef[0][order])
+    table = by_column(codeword_table(field, coef[0][order]), q)
     next_states = _digit_sums(q, [q ** starts[i] for i in order if nu[i] > 0])
-    runs = SymbolRuns(out0, q)
 
     shift_w = np.zeros(gamma, dtype=np.int64)
     for i in range(k):
@@ -210,63 +202,70 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
     split = q ** half
     neg_rows = field._vneg(state_rows.reshape(gamma, n))
     neg_lo, neg_hi = codeword_table(field, neg_rows[:half]), codeword_table(field, neg_rows[half:])
-    moved_lo = _digit_sums(q, shift_w[:half]).tolist()
-    moved_hi = _digit_sums(q, shift_w[half:]).tolist()
+    moved_lo, moved_hi = _digit_sums(q, shift_w[:half]), _digit_sums(q, shift_w[half:])
     rep = _class_representatives(field, gamma)
 
+    size, msgs = q ** gamma, q ** k
+    runs = len(next_states)
+    run_len = msgs // runs
+    # best[t] packs the branch that gave class t its distance d as
+    # ((d * (n + 1) + n - w) * size + s) * msgs + u: its weight w, settled
+    # source class s and message u.  Every state is at most max(nu) steps
+    # of weight <= n from zero, so d <= n * (max(nu) + 1)
     INF = np.iinfo(np.int64).max
-    dist = np.full(q ** gamma, INF, dtype=np.int64)
-    settled = np.zeros(q ** gamma, dtype=bool)
-    # via[t] = s * q**k + u: the settled class s and the message u of the
-    # branch that last lowered dist[t]
-    via = np.zeros(q ** gamma, dtype=np.int64)
-    heap: list[tuple[int, int]] = []
-    run_len = len(out0) // len(next_states)
+    radix = (n + 1) * size * msgs
+    if (n * (max(nu) + 1) + 1) * radix > INF:
+        raise AqccError(f"{size} states of {msgs} branches over {n} columns overflow the search key")
+    best = np.full(size, INF, dtype=np.int64)
+    settled = np.zeros(size, dtype=bool)
+    run_start = np.arange(runs) * run_len
 
-    def relax(base_dist: int, source: int, base_state: int, weights: np.ndarray):
-        w = weights.reshape(len(next_states), run_len)
-        cand = w.min(axis=1) + base_dist
-        targets = rep(next_states + base_state)
-        better = np.flatnonzero(cand < dist[targets])
-        targets, cand = targets[better], cand[better]
-        np.minimum.at(dist, targets, cand)  # runs may land in one class
-        least = cand == dist[targets]
-        won = better[least]  # the runs that set dist; their argmin is the message
-        via[targets[least]] = source * q ** k + won * run_len + w[won].argmin(axis=1)
-        for d, t in set(zip(cand[least].tolist(), targets[least].tolist())):
-            heapq.heappush(heap, (d, t))
+    def relax(d: int, sources: np.ndarray, bases: np.ndarray, weights: np.ndarray):
+        # every run of the classes sources, at distance d, whose state parts
+        # move to bases and whose messages weigh weights
+        w = weights.reshape(len(sources), runs, run_len)
+        least = w.min(axis=2).astype(np.int64)
+        key = ((((d + least) * (n + 1) + n - least) * size + sources[:, None]) * msgs
+               + run_start + w.argmin(axis=2)).ravel()
+        targets = rep((next_states + bases[:, None]).ravel())
+        keep = (least.ravel() <= n) & ~settled[targets]
+        np.minimum.at(best, targets[keep], key[keep])
 
     def witness() -> tuple:
         # c turns the representative s of each branch into the path's state
-        steps = [divmod(int(via[0]), q ** k)]
+        steps = [divmod(int(best[0]) % (size * msgs), msgs)]
         while steps[-1][0]:
-            steps.append(divmod(int(via[steps[-1][0]]), q ** k))
+            steps.append(divmod(int(best[steps[-1][0]]) % (size * msgs), msgs))
         u = np.zeros((len(steps), 1, k), dtype=np.int32)
         c = 1
         for j, (s, m) in enumerate(reversed(steps)):
             u[j, 0, order] = field._vmul(c, (m // q ** np.arange(k)) % q)
             hi, lo = divmod(s, split)
-            t = int(next_states[m // run_len]) + moved_lo[lo] + moved_hi[hi]
+            t = int(next_states[m // run_len] + moved_lo[lo] + moved_hi[hi])
             while t and not t % q:
                 t //= q
             c = field.mul(c, t % q or 1)  # rep(t) is t over its lowest nonzero digit
         return (PolyMatrix.from_coefficients(field, u) @ g).e[0]
 
-    w0 = (out0 != 0).sum(axis=1).astype(np.int64)
-    w0[0] = INF  # leaving the zero state needs a nonzero message
-    relax(0, 0, 0, w0)
-    del out0, w0
+    w0 = mismatches(table, np.zeros((1, n), dtype=np.int32)).astype(np.int64)
+    w0[0, 0] = n + 1  # the zero message never leaves the zero state
+    relax(0, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), w0)
 
+    step = max(1, _SCORE_CHUNK // msgs)
     states = 0
-    while heap:
-        dcur, s = heapq.heappop(heap)
-        if s == 0:
-            return dcur, states, witness()
-        if settled[s]:
-            continue
-        settled[s] = True
-        states += 1
-        hi, lo = divmod(s, split)
-        want = field._vadd(neg_lo[lo], neg_hi[hi]).tolist()
-        relax(dcur, s, moved_lo[lo] + moved_hi[hi], n - runs.matches(want))
-    raise AqccError("zero state unreachable; the encoder graph is disconnected")
+    while True:
+        pending = np.where(settled, INF, best)
+        least = int(pending.min())
+        if least == INF:
+            raise AqccError("zero state unreachable; the encoder graph is disconnected")
+        d = least // radix
+        if best[0] < (d + 1) * radix:
+            return d, states, witness()
+        popped = np.flatnonzero(pending < (d + 1) * radix)
+        settled[popped] = True
+        states += len(popped)
+        hi, lo = np.divmod(popped, split)
+        want = field._vadd(neg_lo[lo], neg_hi[hi])
+        bases = moved_lo[lo] + moved_hi[hi]
+        for j in range(0, len(popped), step):
+            relax(d, popped[j:j + step], bases[j:j + step], mismatches(table, want[j:j + step]))

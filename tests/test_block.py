@@ -392,8 +392,19 @@ def test_enumeration_matches_reference(q, k, n):
 
 @pytest.mark.parametrize("q,k,n", [(2, 11, 13), (3, 6, 8), (5, 4, 6), (17, 3, 5)])
 def test_enumeration_with_tiny_blocks_matches_reference(monkeypatch, q, k, n):
-    # with 16-row blocks the high codewords outgrow one block as well
+    # with 16-row low tables most rows are high rows
     monkeypatch.setattr(block, "_CHUNK", 16)
+    f, gens = enumeration_inputs(q, k, n, seed=7 * q + k)
+    for gen in gens:
+        assert_same_enumeration(f, gen)
+
+
+@pytest.mark.parametrize("q,k,n", [(2, 11, 13), (5, 4, 6), (17, 3, 5)])
+def test_enumeration_in_small_kernel_batches_matches_reference(monkeypatch, q, k, n):
+    # 40 table entries a kernel call score a few high blocks at a time, so
+    # the batches end inside each table of high blocks
+    monkeypatch.setattr(block, "_CHUNK", 16)
+    monkeypatch.setattr(block, "_SCORE_CHUNK", 40)
     f, gens = enumeration_inputs(q, k, n, seed=7 * q + k)
     for gen in gens:
         assert_same_enumeration(f, gen)
@@ -429,16 +440,29 @@ def test_witness_comes_from_the_first_block_in_message_order():
 
 @pytest.mark.parametrize("q,k", [(2, 16), (7, 6), (17, 4)])
 def test_enumeration_visits_one_block_per_scalar_class(monkeypatch, q, k):
-    calls = []
-    matches = block.SymbolRuns.matches
-    monkeypatch.setattr(block.SymbolRuns, "matches",
-                        lambda runs, want: calls.append(want) or matches(runs, want))
+    blocks = []
+    mismatches = block.mismatches
+    monkeypatch.setattr(block, "mismatches",
+                        lambda table_t, want: blocks.append(len(want)) or mismatches(table_t, want))
     f = field_from_order(q)
     gen = np.random.default_rng(q + k).integers(0, q, size=(k, k + 3)).astype(np.int32)
     _enumerate_weights(f, gen)
     a = block._low_rows(q, k)
     assert a < k  # there are high blocks to skip
-    assert len(calls) <= 2 + (q ** (k - a) - 1) // (q - 1)
+    assert sum(blocks) <= 2 + (q ** (k - a) - 1) // (q - 1)
+
+
+@pytest.mark.parametrize("q,rows,n", [(2, 5, 0), (3, 40, 7), (7, 30, 128), (2, 9, 300), (2048, 12, 20)])
+def test_mismatches_against_brute_force(q, rows, n):
+    # n = 300 > 255 needs the two-byte count: want[1] differs everywhere
+    rng = np.random.default_rng(q + rows + n)
+    table = rng.integers(0, q, size=(rows, n)).astype(np.int32)
+    want = rng.integers(0, q, size=(5, n)).astype(np.int32)
+    want[0], want[1] = table[0], (table[1] + 1) % q
+    got = block.mismatches(block.by_column(table, q), want)
+    assert got.shape == (5, rows)
+    assert got.tolist() == [[sum(int(a) != int(b) for a, b in zip(t, w)) for t in table] for w in want]
+    assert got[0, 0] == 0 and got[1, 1] == n
 
 
 def test_enumeration_of_no_rows():

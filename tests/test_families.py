@@ -22,6 +22,7 @@ from aqcc.errors import (
     ParamOutOfRange,
     PartitionInvalid,
     RankConditionViolated,
+    RankDeficient,
     SymplecticViolation,
 )
 from aqcc.families import (
@@ -34,7 +35,7 @@ from aqcc.families import (
     layout,
     validate_params,
 )
-from aqcc.matrix import field_from_order
+from aqcc.matrix import MatrixGF, field_from_order
 from aqcc.selftest import REFERENCE_ROWS
 
 
@@ -468,6 +469,39 @@ def test_outer_stack_is_eliminated_once(effort, monkeypatch):
     # distance takes the witness row from the echelon at either effort
     assert min(len(stack), 17 - len(stack)) >= 5
     assert sum(nonzero_rows(a) == stack for a in eliminated) == 1
+
+
+@pytest.mark.parametrize("effort", ["structure", "desk"])
+def test_seed_rows_are_eliminated_once(effort, monkeypatch):
+    # construction I's G1 stacks the seed rows, with a zero row where the
+    # second auxiliary block is shorter; it takes the echelon that drawing
+    # and ranking the rows computed
+    eliminated = []
+    rref = matrix._rref
+
+    def counted(field, a):
+        eliminated.append(np.array(a))
+        return rref(field, a)
+
+    monkeypatch.setattr(matrix, "_rref", counted)
+    f5 = field_from_order(5)
+    vec = demo_vectors(f5, 9, [2, 2, 2, 1], seed=3)
+    cert = certify_plan(construction_i_plan(f5, vec, [2, 2, 2, 1]), effort=effort)
+    stack = cert.g1.c.reshape(-1, cert.g1.cols)
+    assert len(stack) == 8 and stack.any(axis=1).sum() == 7
+    assert sum(a[a.any(axis=1)].tolist() == vec.a.tolist() for a in eliminated) == 1
+
+
+def test_outer_stack_takes_no_echelon_of_other_rows():
+    # G1's stack borrows the seed's echelon only when it holds the seed's
+    # rows: a plan whose outer blocks repeat a row still fails the split
+    f5 = field_from_order(5)
+    vec = demo_vectors(f5, 9, [2, 2, 2, 1], seed=3)
+    plan = construction_i_plan(f5, vec, [2, 2, 2, 1])
+    b0, b1 = plan.blocks1
+    repeated = MatrixGF(f5, np.concatenate([b1.a[:-1], b0.a[:1]]))
+    with pytest.raises(RankDeficient):
+        replace(plan, blocks1=(b0, repeated)).generators()
 
 
 def test_source_key_fixes_the_source():

@@ -1,18 +1,20 @@
 import heapq
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aqcc import FamilyParams, selftest
+from aqcc import FamilyParams, block, certify_params, selftest, trellis
 from aqcc.errors import AqccError, CatastrophicEncoder, RankDeficient
-from aqcc.block import DistanceBound, SymbolRuns, codeword_table, rs_parity
+from aqcc.block import DistanceBound, codeword_table, rs_parity
 from aqcc.convo import (
     PolyMatrix,
     degree_accounting,
     dual_generator,
     padd,
+    parse_poly_matrix,
     pscale,
     reduce,
     split_to_generator,
@@ -20,7 +22,10 @@ from aqcc.convo import (
 from aqcc.families import layout
 from aqcc.gf import FiniteField
 from aqcc.matrix import MatrixGF, field_from_order
-from aqcc.trellis import _digit_sums, _dijkstra, _probe_upper, free_distance
+from aqcc.trellis import _class_representatives, _digit_sums, _dijkstra, _probe_upper, free_distance
+
+
+ENCODER_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "encoders"
 
 
 @pytest.fixture(scope="module")
@@ -233,7 +238,6 @@ def all_states_dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
     perm = np.argsort(next0, kind="stable")
     out0 = out0[perm]
     next_states, group_start = np.unique(next0[perm], return_index=True)
-    runs = SymbolRuns(out0, q)
 
     shift_w = np.zeros(gamma, dtype=np.int64)
     for i in range(k):
@@ -268,7 +272,6 @@ def all_states_dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
     w0 = (out0 != 0).sum(axis=1).astype(np.int64)
     w0[0] = INF  # leaving the zero state needs a nonzero message
     relax(0, 0, w0)
-    del out0, w0
 
     states = 0
     while heap:
@@ -280,8 +283,104 @@ def all_states_dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
         settled[s] = True
         states += 1
         hi, lo = divmod(s, split)
-        want = field._vadd(neg_lo[lo], neg_hi[hi]).tolist()
-        relax(dcur, moved_lo[lo] + moved_hi[hi], n - runs.matches(want))
+        want = field._vadd(neg_lo[lo], neg_hi[hi])
+        relax(dcur, moved_lo[lo] + moved_hi[hi], (out0 != want).sum(axis=1))
+    raise AqccError("zero state unreachable; the encoder graph is disconnected")
+
+
+def heap_dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
+    """The search over scalar classes one heap pop at a time: (free
+    distance, classes settled before the zero class, witness).  Each
+    expansion weighs its q**k messages by plain comparison; a relaxation
+    records a class's branch only when it strictly lowers the distance."""
+    q = field.q
+    k, n = g.shape
+    nu = info.row_degrees
+    gamma = info.gamma
+    coef = g.c
+
+    starts = [sum(nu[:i]) for i in range(k)]  # row i's first state digit
+    # state digit p, the input of row i from d steps back, adds coef[d][i]
+    state_rows = np.array([coef[d][i] for i in range(k) for d in range(1, nu[i] + 1)])
+
+    # the rows with nu_i = 0 are the fastest message digits, so the messages
+    # that differ only in them, which reach one next state, are contiguous:
+    # run r of q**k0 messages feeds the memory rows the digits of r
+    order = sorted(range(k), key=lambda i: nu[i] > 0)
+    out0 = codeword_table(field, coef[0][order])
+    next_states = _digit_sums(q, [q ** starts[i] for i in order if nu[i] > 0])
+
+    shift_w = np.zeros(gamma, dtype=np.int64)
+    for i in range(k):
+        for d in range(1, nu[i]):  # digit (i, d) moves one delay deeper
+            p = starts[i] + d - 1
+            shift_w[p] = q ** (p + 1)
+
+    # -out_s and the shifted next state are sums over the state digits, so
+    # both are tabulated for the low and the high half of the digits; state
+    # s = lo + split * hi then needs one lookup in each half
+    half = gamma // 2
+    split = q ** half
+    neg_rows = field._vneg(state_rows.reshape(gamma, n))
+    neg_lo, neg_hi = codeword_table(field, neg_rows[:half]), codeword_table(field, neg_rows[half:])
+    moved_lo = _digit_sums(q, shift_w[:half]).tolist()
+    moved_hi = _digit_sums(q, shift_w[half:]).tolist()
+    rep = _class_representatives(field, gamma)
+
+    INF = np.iinfo(np.int64).max
+    dist = np.full(q ** gamma, INF, dtype=np.int64)
+    settled = np.zeros(q ** gamma, dtype=bool)
+    # via[t] = s * q**k + u: the settled class s and the message u of the
+    # branch that last lowered dist[t]
+    via = np.zeros(q ** gamma, dtype=np.int64)
+    heap: list[tuple[int, int]] = []
+    run_len = len(out0) // len(next_states)
+
+    def relax(base_dist: int, source: int, base_state: int, weights: np.ndarray):
+        w = weights.reshape(len(next_states), run_len)
+        cand = w.min(axis=1) + base_dist
+        targets = rep(next_states + base_state)
+        better = np.flatnonzero(cand < dist[targets])
+        targets, cand = targets[better], cand[better]
+        np.minimum.at(dist, targets, cand)  # runs may land in one class
+        least = cand == dist[targets]
+        won = better[least]  # the runs that set dist; their argmin is the message
+        via[targets[least]] = source * q ** k + won * run_len + w[won].argmin(axis=1)
+        for d, t in set(zip(cand[least].tolist(), targets[least].tolist())):
+            heapq.heappush(heap, (d, t))
+
+    def witness() -> tuple:
+        # c turns the representative s of each branch into the path's state
+        steps = [divmod(int(via[0]), q ** k)]
+        while steps[-1][0]:
+            steps.append(divmod(int(via[steps[-1][0]]), q ** k))
+        u = np.zeros((len(steps), 1, k), dtype=np.int32)
+        c = 1
+        for j, (s, m) in enumerate(reversed(steps)):
+            u[j, 0, order] = field._vmul(c, (m // q ** np.arange(k)) % q)
+            hi, lo = divmod(s, split)
+            t = int(next_states[m // run_len]) + moved_lo[lo] + moved_hi[hi]
+            while t and not t % q:
+                t //= q
+            c = field.mul(c, t % q or 1)  # rep(t) is t over its lowest nonzero digit
+        return (PolyMatrix.from_coefficients(field, u) @ g).e[0]
+
+    w0 = (out0 != 0).sum(axis=1).astype(np.int64)
+    w0[0] = INF  # leaving the zero state needs a nonzero message
+    relax(0, 0, 0, w0)
+
+    states = 0
+    while heap:
+        dcur, s = heapq.heappop(heap)
+        if s == 0:
+            return dcur, states, witness()
+        if settled[s]:
+            continue
+        settled[s] = True
+        states += 1
+        hi, lo = divmod(s, split)
+        want = field._vadd(neg_lo[lo], neg_hi[hi])
+        relax(dcur, s, moved_lo[lo] + moved_hi[hi], (out0 != want).sum(axis=1))
     raise AqccError("zero state unreachable; the encoder graph is disconnected")
 
 
@@ -389,11 +488,38 @@ def multi_row_gens():
     return out
 
 
+@pytest.fixture(scope="module")
+def heavy_gens():
+    """Basic reduced encoders with hundreds to thousands of scalar classes:
+    GF(2) with row degrees (6, 6), GF(4) with (2, 2, 2), GF(8) with (2, 1)."""
+    rng = random.Random(17)
+    out = []
+    for q, degs in ((2, (6, 6)), (4, (2, 2, 2)), (8, (2, 1))):
+        f = field_from_order(q)
+        while True:
+            g = PolyMatrix(f, [
+                [tuple(rng.randrange(q) for _ in range(d + 1)) for _ in range(len(degs) + 2)]
+                for d in degs
+            ])
+            try:
+                nu = degree_accounting(reduce(g)).row_degrees
+                free_distance(g, state_budget=1)
+            except (CatastrophicEncoder, RankDeficient):
+                continue
+            if tuple(nu) == degs:
+                out.append(g)
+                break
+    return out
+
+
 def assert_same_search(g):
+    """The bucketed search settles the classes the heap search settles
+    before the zero class, and agrees with the search over every state."""
     g = reduce(g)
     info = degree_accounting(g)
     q = g.field.q
     d, states, _ = _dijkstra(g.field, g, info)
+    assert (d, states) == heap_dijkstra(g.field, g, info)[:2]
     assert d == all_states_dijkstra(g.field, g, info)[0]
     assert states <= (q ** info.gamma - 1) // (q - 1)
     return states
@@ -453,10 +579,10 @@ class TestAgainstScalarSearch:
         assert r.states == 12
 
 
-def test_search_witness_is_a_codeword(split_gens, odd_gens, multi_row_gens):
+def test_search_witness_is_a_codeword(split_gens, odd_gens, multi_row_gens, heavy_gens):
     # the path the search rebuilt: weight d, and zero against the minimal
     # dual h, w(D) h(1/D)^T = 0
-    for g in split_gens + odd_gens + multi_row_gens:
+    for g in split_gens + odd_gens + multi_row_gens + heavy_gens:
         r = free_distance(g)
         assert r.exact and r.witness is not None
         w = PolyMatrix(g.field, [[p if isinstance(p, tuple) else (p,) for p in r.witness]])
@@ -466,7 +592,8 @@ def test_search_witness_is_a_codeword(split_gens, odd_gens, multi_row_gens):
 
 
 class TestAgainstAllStatesSearch:
-    """The search over scalar classes against the one over every state."""
+    """The bucketed search over scalar classes against the heap search over
+    them and the search over every state."""
 
     def test_split_and_odd_generators(self, split_gens, odd_gens):
         for g in split_gens + odd_gens:
@@ -477,3 +604,47 @@ class TestAgainstAllStatesSearch:
         assert len(multi_row_gens) == 20
         for g in multi_row_gens:
             assert_same_search(g)
+
+    def test_textbook_encoder_files(self):
+        # perfbench/encoders/, read only, as tests/test_brackets.py reads it
+        paths = sorted(ENCODER_DIR.glob("*.txt"))
+        assert len(paths) == 14
+        for path in paths:
+            assert_same_search(parse_poly_matrix(path.read_text()))
+
+    def test_heavier_encoders(self, heavy_gens):
+        assert len(heavy_gens) == 3
+        for g in heavy_gens:
+            assert_same_search(g)
+
+
+@pytest.mark.parametrize("classes", [1, 3])
+def test_bucket_scored_in_chunks(monkeypatch, multi_row_gens, heavy_gens, classes):
+    # a bucket scored a few classes per kernel call, against one call for
+    # the whole bucket: the same distance, classes settled and witness,
+    # since every class of a bucket is settled before any is relaxed
+    for g in multi_row_gens + heavy_gens:
+        g = reduce(g)
+        info = degree_accounting(g)
+        whole = _dijkstra(g.field, g, info)
+        with monkeypatch.context() as mp:
+            mp.setattr(trellis, "_SCORE_CHUNK", classes * g.field.q ** g.rows)
+            assert _dijkstra(g.field, g, info) == whole
+
+
+def test_kernel_batches_stay_small(monkeypatch):
+    # III-T5a q=11 i=6 at desk: the outer search weighs 11**5 messages, so
+    # a bucket goes to the kernel a few classes at a time, never more than
+    # 2**20 table entries at once
+    entries = []
+    kernel = block.mismatches
+
+    def recorded(table_t, want):
+        entries.append((len(want), table_t.shape[1]))
+        return kernel(table_t, want)
+
+    monkeypatch.setattr(block, "mismatches", recorded)
+    monkeypatch.setattr(trellis, "mismatches", recorded)
+    certify_params(FamilyParams("III-T5a", 11, i=6, t=1), effort="desk")
+    assert max(rows for _, rows in entries) == 11 ** 5
+    assert max(b * rows for b, rows in entries) <= 1 << 20
