@@ -46,10 +46,8 @@ from .errors import (
 from .gf import FiniteField, SubfieldBasis, multiplicative_order
 from .matrix import MatrixGF
 
-# Codeword enumeration caps.  FULL is the library default; DESK is the
-# certifier's default, and it decides which block-distance route each desk
-# certificate records.
-FULL_ENUM_BUDGET = 1 << 22
+# The codeword enumeration cap of min_distance, the certifier and the CLI;
+# it decides which block-distance route each desk certificate records.
 DESK_ENUM_BUDGET = 10 ** 6
 _CHUNK = 1 << 13
 # the most table entries one mismatches call compares against a batch
@@ -67,9 +65,11 @@ class DistanceBound:
     proved an exact value, "designed" for a bound the constructor carries,
     "d_dual" or "chain" for the certifier's bounds on the two side codes,
     and "none" for 1.  upper is None when nothing was searched; witness,
-    when present, is a codeword of weight upper, as integers for a block
-    code and as coefficient tuples for a convolutional one.  states counts
-    the trellis states an exact search settled.
+    when present, is a codeword of weight upper: a row of integers from
+    BlockCode.min_distance, a row of coefficient tuples, one per column and
+    () for zero, from every route of trellis.free_distance.  states counts
+    the trellis states an exact search settled.  The one text form of a
+    bracket is the line aqcc distance prints.
     """
 
     lower: int
@@ -88,11 +88,6 @@ class DistanceBound:
     @property
     def exact(self) -> bool:
         return self.lower == self.upper
-
-    def __str__(self):
-        if self.exact:
-            return f"d = {self.lower} ({self.method})"
-        return f"{self.lower} <= d <= {self.upper} ({self.method})"
 
 
 class BlockCode:
@@ -147,7 +142,7 @@ class BlockCode:
 
     # --- distance machinery ---------------------------------------------
 
-    def min_distance(self, budget: int = FULL_ENUM_BUDGET) -> DistanceBound:
+    def min_distance(self, budget: int = DESK_ENUM_BUDGET) -> DistanceBound:
         if self.k == 0:
             raise ValueError("the zero code has no minimum distance")
         q = self.field.q

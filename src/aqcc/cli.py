@@ -15,7 +15,7 @@ import sys
 from . import selftest
 from .block import DESK_ENUM_BUDGET
 from .certify import Budgets, EFFORTS, FAULTS, certify_params, certify_plan
-from .convo import degree_accounting, parse_poly_matrix, reduce
+from .convo import PolyMatrix, degree_accounting, format_poly_matrix, parse_poly_matrix, reduce
 from .errors import AqccError, CatastrophicEncoder, ParamOutOfRange, RankDeficient
 from .families import (
     FAMILIES,
@@ -151,12 +151,8 @@ def cmd_distance(args) -> int:
             f"free distance: bounds [{res.lower}, {res.upper}] ({res.method})"
         )
     if res.witness is not None:
-        # block-route witnesses are constants, trellis witnesses are polys
-        cells = [(e,) if isinstance(e, int) else e for e in res.witness]
-        entries = " ".join(
-            "(" + ",".join(str(c) for c in (e or (0,))) + ")" for e in cells
-        )
-        lines.append(f"witness: {entries}")
+        row = PolyMatrix(g.field, [res.witness])
+        lines.append(f"witness: {format_poly_matrix(row, header=False)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

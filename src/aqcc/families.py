@@ -20,7 +20,7 @@ import numpy as np
 from .block import BlockCode, bch_parity, grs_build, rs_parity
 from .convo import PolyMatrix, _split, split_to_generator
 from .errors import IndependenceViolated, ParamOutOfRange, PartitionInvalid
-from .gf import MAX_Q, FiniteField, prime_power
+from .gf import FiniteField, field_order
 from .matrix import MatrixGF, field_from_order
 
 # enumerate_family refuses a selection of more rows than this before it
@@ -124,10 +124,8 @@ class LayoutPlan:
 
 def _field_need(family: str, q: int) -> str | None:
     """The family's field assumption when GF(q) misses it, else None."""
-    if q > MAX_Q:  # refused before factoring, which a huge q would stall
-        raise ParamOutOfRange(f"q = {q} exceeds the supported table size {MAX_Q}")
     try:
-        p, l = prime_power(q)
+        p, l = field_order(q)  # refuses a huge q before factoring it
     except ValueError as exc:
         raise ParamOutOfRange(str(exc)) from None
     if family.startswith(("II-T2", "II-T3")):

@@ -85,6 +85,17 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, l
 
 
+def field_order(q: int) -> tuple[int, int]:
+    """prime_power(q) for a q the tables can hold.
+
+    A q past MAX_Q is refused with ValueError before it is factored, so a
+    huge order costs no trial division.
+    """
+    if q > MAX_Q:
+        raise ValueError(f"q = {q} exceeds the supported table size {MAX_Q}")
+    return prime_power(q)
+
+
 def multiplicative_order(q: int, n: int) -> int:
     """Smallest m >= 1 with q**m = 1 mod n.
 
@@ -176,8 +187,7 @@ class FiniteField:
         if l < 1:
             raise ValueError("extension degree must be >= 1")
         q = p ** l
-        if q > MAX_Q:
-            raise ValueError(f"q = {q} exceeds the supported table size {MAX_Q}")
+        field_order(q)  # refuses a field past the table size
         self.p = p
         self.l = l
         self.q = q

@@ -13,18 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FieldMismatch
-from .gf import MAX_Q, FiniteField, prime_power
+from .gf import FiniteField, field_order
 
 
 def field_from_order(q: int) -> FiniteField:
-    """The canonical GF(q) for a prime power q.
-
-    A q past the table size is refused before it is factored, so a huge
-    header costs no trial division.
-    """
-    if q > MAX_Q:
-        raise ValueError(f"q = {q} exceeds the supported table size {MAX_Q}")
-    return FiniteField.get(*prime_power(q))
+    """The canonical GF(q) for a prime power q (gf.field_order's gate)."""
+    return FiniteField.get(*field_order(q))
 
 
 class MatrixGF:

@@ -60,7 +60,9 @@ def free_distance(
 
     lower_hint, when given, is a bracket whose lower bound and floor a
     bounded result keeps; a result whose upper bound lies below it raises,
-    whatever its route.
+    whatever its route.  The witness, on every route, is a codeword as one
+    row of coefficient tuples: u(D) @ g, or the block codeword of g(0) for
+    gamma = 0, each symbol c as (c,).
 
     g must be basic (delay-free invertible); a catastrophic encoder would
     put zero-weight cycles in the state graph.  g is reduced first, which
@@ -88,7 +90,8 @@ def free_distance(
     states = q ** gamma
     if gamma == 0 and q ** k <= work_budget:
         b = BlockCode.from_generator(f, g.coefficient(0)).min_distance(budget=work_budget)
-        res = DistanceBound(b.lower, b.upper, "block", "block", b.witness)
+        wit = tuple((v,) if v else () for v in b.witness)
+        res = DistanceBound(b.lower, b.upper, "block", "block", wit)
     elif gamma == 0 or states > state_budget or states * q ** k > work_budget or q ** k * n > _MEM_ELEMENTS:
         upper, wit = _probe_upper(g)
         hint = lower_hint or DistanceBound(1, None, "designed", "none")

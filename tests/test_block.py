@@ -16,7 +16,6 @@ from aqcc.errors import (
 )
 from aqcc import block
 from aqcc.block import (
-    FULL_ENUM_BUDGET,
     BlockCode,
     DistanceBound,
     _enumerate_weights,
@@ -34,7 +33,7 @@ def contains_vector(code: BlockCode, v) -> bool:
     return syn.is_zero()
 
 
-def weight_distribution(code: BlockCode, budget: int = FULL_ENUM_BUDGET) -> list[int] | None:
+def weight_distribution(code: BlockCode, budget: int = 1 << 22) -> list[int] | None:
     """Exact weight distribution A_0..A_n, or None if over budget."""
     q = code.field.q
     if code.k == 0:

@@ -38,7 +38,7 @@ def assert_block_codeword(code: BlockCode, b):
 
 def assert_convolutional_codeword(g: PolyMatrix, b):
     """The witness times the minimal dual h, w(D) h(1/D)^T, vanishes."""
-    w = PolyMatrix(g.field, [[e if isinstance(e, tuple) else (e,) for e in b.witness]])
+    w = PolyMatrix(g.field, [b.witness])
     h = dual_generator(g)
     assert (w @ h.reverse(max(h.max_degree, 0)).T).is_zero()
     assert sum(c != 0 for p in w.e[0] for c in p) == b.upper

@@ -1,7 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
-from aqcc import convo
+from aqcc import FamilyParams, convo, selftest
+from aqcc.certify import certify_plan
 from aqcc.convo import PolyMatrix
 from aqcc.css import (
     assemble_stabilizer,
@@ -20,6 +23,7 @@ from aqcc.errors import (
     TooFewFrames,
     ZeroLogicalDimension,
 )
+from aqcc.families import layout
 from aqcc.gf import FiniteField
 from aqcc.block import DistanceBound
 from aqcc.trellis import free_distance
@@ -130,6 +134,20 @@ class TestExpansion:
         par = derive_aqcc(pair)
         with pytest.raises(TooFewFrames):
             semi_infinite_expand(par.stabilizer, 1)
+
+
+def test_certified_stabilizers_expand_without_defect():
+    """The certifier ranks no expansion: its window is block upper
+    triangular with diagonal blocks [H1(0) 0; 0 G2(0)], of full row rank
+    because H1 is a minimal basis and G2 is basic.  The stabilizer does
+    not depend on effort, so structure certificates show it."""
+    count, seed = selftest.check_split_plans.__defaults__
+    rng = random.Random(seed)
+    plans = [layout(FamilyParams(family, q, **kw)) for family, q, kw, *_ in selftest.REFERENCE_ROWS]
+    plans += [selftest._random_plan(rng) for _ in range(count)]
+    for plan in plans:
+        par = certify_plan(plan, effort="structure").aqcc
+        assert semi_infinite_expand(par.stabilizer, par.mu_star + 2).defect == 0, plan.params.label()
 
 
 class TestDerivation:

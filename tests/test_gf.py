@@ -18,6 +18,7 @@ from aqcc.gf import (
     SubfieldBasis,
     default_modulus,
     embedding,
+    field_order,
     multiplicative_order,
     poly_is_irreducible,
     prime_factors,
@@ -300,6 +301,19 @@ def test_prime_power_matches_reference(orders, deadline):
                 prime_power(q)
         else:
             assert prime_power(q) == want
+
+
+def test_field_order_refuses_past_the_table_size(deadline):
+    assert field_order(2048) == (2, 11)
+    with pytest.raises(ValueError, match="not a prime power"):
+        field_order(12)
+    # refused before factoring: 2**61 - 1 is prime, and its trial division
+    # would run far past the guard
+    for q in (2049, (1 << 61) - 1):
+        with pytest.raises(ValueError, match="table size"):
+            field_order(q)
+    with pytest.raises(ValueError, match="table size"):
+        FiniteField(2, 12)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16, 17, 25, 27, 32])

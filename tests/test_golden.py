@@ -38,10 +38,10 @@ import pytest
 
 from aqcc import FamilyParams, certify_params
 from aqcc.cli import main
-from aqcc.convo import dual_generator
+from aqcc.convo import PolyMatrix, dual_generator, format_poly_matrix, parse_poly_matrix
 from aqcc.families import layout
 from aqcc.selftest import REFERENCE_ROWS
-from aqcc.trellis import _probe_upper
+from aqcc.trellis import _probe_upper, free_distance
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 PROBE_PATH = GOLDEN_DIR / "probe.json"
@@ -118,6 +118,18 @@ def encoders_distance_text() -> str:
 
 def test_block_distance_matches_golden():
     assert block_distance_text() == BLOCK_DISTANCE.read_text()
+
+
+def test_block_route_witness_is_a_row_of_coefficient_tuples():
+    # the gamma = 0 route gives its witness the shape of the trellis routes,
+    # and the CLI prints it with the one matrix text format
+    g = parse_poly_matrix(BLOCK_ENCODER.read_text())
+    b = free_distance(g)
+    assert b.method == "block"
+    assert all(isinstance(e, tuple) for e in b.witness)
+    assert len(b.witness) == g.cols
+    row = format_poly_matrix(PolyMatrix(g.field, [b.witness]), header=False)
+    assert f"witness: {row}\n" in block_distance_text()
 
 
 def test_encoders_distance_matches_golden():

@@ -204,6 +204,18 @@ def test_only_gf_indexes_the_field_tables():
     assert offenders == []
 
 
+def test_only_gf_names_the_table_size():
+    # gf.field_order is the one q gate; every other module calls it
+    from pathlib import Path
+
+    import aqcc
+
+    src = Path(aqcc.__file__).parent
+    offenders = [path.name for path in sorted(src.glob("*.py"))
+                 if path.name != "gf.py" and "MAX_Q" in path.read_text()]
+    assert offenders == []
+
+
 @pytest.mark.parametrize("q", [2, 7, 9, 16])
 def test_kernel_results_are_read_only_int32(q):
     """Results are wrapped without a copy or a range check, so each must
