@@ -167,7 +167,7 @@ def _provenance(b: DistanceBound) -> dict:
 
 def _matrix_text(m) -> str:
     if isinstance(m, MatrixGF):
-        m = PolyMatrix.from_coefficients(m.field, [m.a])
+        m = PolyMatrix._wrap(m.field, m.a[None])
     return format_poly_matrix(m, header=False).replace("\n", "; ")
 
 

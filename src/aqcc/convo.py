@@ -47,6 +47,7 @@ maximum entry degree.  The dual of [1, D] under this pairing is spanned by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -606,7 +607,10 @@ def dual_generator(m: PolyMatrix) -> PolyMatrix:
     rev(m).  Its vectors of degree <= d are the left kernel of a
     block-Toeplitz matrix (Forney 1975, "Minimal bases of rational vector
     spaces"), taken for d = 0, 1, ... up to gamma of the reduced m, which
-    bounds the dual row degrees.  With the coefficient of D**t e_j at
+    bounds the dual row degrees.  At d = 0 its rows are those of the
+    reduced m's coefficient stack in reverse block order, so the kernel is
+    the stack's, read from the stack's cached echelon; each d >= 1 is
+    eliminated afresh.  With the coefficient of D**t e_j at
     position (t, j), kernel() returns the echelon basis whose vectors end
     in a 1 at their own leading term and vanish at the others'.  Those
     whose leading term is not D times another are the Popov basis (Kailath
@@ -621,9 +625,12 @@ def dual_generator(m: PolyMatrix) -> PolyMatrix:
     extra = n - g.rows
     band = g.reverse().T.c
     for d in range(sum(g.row_degrees) + 1):
-        ker = MatrixGF._wrap(f, block_toeplitz(band, d + 1, len(band) + d)).T.kernel().a
+        toeplitz = MatrixGF._wrap(f, block_toeplitz(band, d + 1, len(band) + d)).T if d else g.stack
+        ker = toeplitz.kernel().a
         lead = ker.shape[1] - 1 - np.argmax(ker[:, ::-1] != 0, axis=1)
-        popov = ker[~np.isin(lead - n, lead)]
+        shifted = np.zeros(n + ker.shape[1], dtype=bool)
+        shifted[lead + n] = True  # shifted[j]: j - n is a leading term
+        popov = ker[~shifted[lead]]
         if len(popov) == extra:
             break
     else:
@@ -773,18 +780,28 @@ def format_poly_matrix(m: PolyMatrix, *, header: bool = True) -> str:
     """Plain-text form: one row per line, entries as (c0,c1,...) tuples.
 
     The optional q= header line makes the text self-contained for files;
-    leave it off when the field is recorded elsewhere.
+    leave it off when the field is recorded elsewhere.  The entries are
+    built a degree at a time from the field's table of symbol strings, so
+    a zero entry is its constant term alone, (0).
     """
     lines = [f"q={m.field.q}"] if header else []
     # each entry's length: one past its last nonzero degree, 0 when zero
     live = m.c[::-1] != 0
-    ends = np.where(live.any(axis=0), len(m.c) - live.argmax(axis=0), 0).tolist()
-    for row, row_ends in zip(m.c.transpose(1, 2, 0).tolist(), ends):
-        lines.append(" ".join(
-            "(" + ",".join(map(str, p[:end])) + ")" if end else "(0)"
-            for p, end in zip(row, row_ends)
-        ))
+    ends = np.where(live.any(axis=0), len(m.c) - live.argmax(axis=0), 0)
+    opening, continued = _symbol_strings(m.field.q)
+    text = opening[m.c[0]]
+    for d in range(1, len(m.c)):
+        text = np.char.add(text, np.where(ends > d, continued[m.c[d]], ""))
+    lines.extend(" ".join(row) for row in np.char.add(text, ")").tolist())
     return "\n".join(lines)
+
+
+@functools.cache
+def _symbol_strings(q: int) -> np.ndarray:
+    """Rows of the strings "(v" and ",v" for the symbols v of GF(q), indexed by v."""
+    table = np.char.add([["("], [","]], np.arange(q).astype(str))
+    table.setflags(write=False)  # shared by every caller
+    return table
 
 
 def parse_poly_matrix(text: str):

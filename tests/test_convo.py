@@ -11,9 +11,11 @@ from aqcc.errors import (
     RankConditionViolated,
     RankDeficient,
 )
+from aqcc import matrix
 from aqcc.convo import (
     DegreeInfo,
     PolyMatrix,
+    block_toeplitz,
     constant_right_inverse,
     contains,
     degree_accounting,
@@ -33,6 +35,8 @@ from aqcc.convo import (
     smith_form,
     split_to_generator,
 )
+from aqcc.css import build_nested_pair, derive_aqcc
+from aqcc.families import FamilyParams, layout
 from aqcc.gf import FiniteField
 from aqcc.matrix import MatrixGF
 
@@ -555,3 +559,124 @@ def test_array_reduce_matches_tuple_grid(seed):
             assert reduce(m) == want
             checked += 1
     assert checked >= 20
+
+
+# --- minimal duals against a fresh elimination at every degree ----------------
+
+
+def dual_by_degree(m: PolyMatrix) -> PolyMatrix:
+    """Reference Popov dual: every block-Toeplitz kernel eliminated afresh,
+    d = 0 included, and the Popov rows picked with np.isin."""
+    f, n = m.field, m.cols
+    g = reduce(m)
+    extra = n - g.rows
+    band = g.reverse().T.c
+    for d in range(sum(g.row_degrees) + 1):
+        ker = MatrixGF._wrap(f, block_toeplitz(band, d + 1, len(band) + d)).T.kernel().a
+        lead = ker.shape[1] - 1 - np.argmax(ker[:, ::-1] != 0, axis=1)
+        popov = ker[~np.isin(lead - n, lead)]
+        if len(popov) == extra:
+            break
+    return PolyMatrix._wrap(f, popov.reshape(extra, d + 1, n).transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("pl", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3)])
+def test_dual_matches_per_degree_elimination(pl):
+    f = FiniteField.get(*pl)
+    rng = random.Random(f.q)
+    seen = {True: 0, False: 0}
+    for trial in range(40):
+        k = rng.randrange(1, 4)
+        m = random_polymatrix(rng, f, k, k + rng.randrange(1, 4), rng.randrange(1, 4))
+        if trial % 2 and k > 1 and is_reduced(m):
+            # row j += D**s row r with s past deg row j - deg row r: the
+            # same module, and both rows now lead with row r's leading row
+            j, r = rng.sample(range(k), 2)
+            degs = m.row_degrees
+            s = degs[j] - degs[r] + 1 + rng.randrange(2)
+            u = np.zeros((s + 1, k, k), dtype=np.int32)
+            u[0] = np.eye(k, dtype=np.int32)
+            u[s, j, r] = 1
+            m = PolyMatrix.from_coefficients(f, u) @ m
+        try:
+            want = dual_by_degree(m)
+        except RankDeficient:
+            with pytest.raises(RankDeficient):
+                dual_generator(m)
+            continue
+        reduced = is_reduced(m)
+        if not reduced:
+            # degree 0 then eliminates the stack of a fresh reduction
+            g = reduce(m)
+            assert g is not m and g != m and g.stack._echelon is None
+        assert dual_generator(m) == want
+        seen[reduced] += 1
+    assert seen[True] >= 10 and seen[False] >= 8, seen
+
+
+def test_dual_of_identity_matches_per_degree_elimination(gf3):
+    g = PolyMatrix.identity(gf3, 3)
+    assert dual_generator(g) == dual_by_degree(g)
+    assert dual_generator(g).shape == (0, 3)
+
+
+def test_dual_of_a_rate_half_encoder_reaches_degree_six():
+    # the (171, 133) octal encoder of memory 6
+    f = FiniteField.get(2, 1)
+    g = PolyMatrix(f, [[(1, 1, 1, 1, 0, 0, 1), (1, 0, 1, 1, 0, 1, 1)]])
+    h = dual_generator(g)
+    assert h.max_degree == 6
+    assert h == dual_by_degree(g)
+
+
+def test_reference_duals_eliminate_once_each(monkeypatch):
+    # split_to_generator eliminated both coefficient stacks, so degree 0
+    # of each dual reads that echelon; both duals stop at degree 1, whose
+    # block-Toeplitz matrix has 2n columns
+    g1, g2 = layout(FamilyParams("II-T3a", 16, i=5, t=1)).generators()
+    pair = build_nested_pair(g1, g2)
+    eliminated = []
+    rref = matrix._rref
+
+    def counted(field, a):
+        eliminated.append(np.shape(a))
+        return rref(field, a)
+
+    monkeypatch.setattr(matrix, "_rref", counted)
+    par = derive_aqcc(pair)
+    assert par.h1.max_degree == par.v2_dual.max_degree == 1
+    assert [cols for _, cols in eliminated] == [2 * pair.n, 2 * pair.n]
+
+
+# --- matrix text against one string per entry ---------------------------------
+
+
+def format_per_entry(m: PolyMatrix, *, header: bool = True) -> str:
+    """Reference text built with one Python string per entry."""
+    lines = [f"q={m.field.q}"] if header else []
+    live = m.c[::-1] != 0
+    ends = np.where(live.any(axis=0), len(m.c) - live.argmax(axis=0), 0).tolist()
+    for row, row_ends in zip(m.c.transpose(1, 2, 0).tolist(), ends):
+        lines.append(" ".join(
+            "(" + ",".join(map(str, p[:end])) + ")" if end else "(0)"
+            for p, end in zip(row, row_ends)
+        ))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("pl", [(2, 1), (11, 1), (2, 5), (2, 11)])
+def test_text_matches_per_entry_format(pl):
+    f = FiniteField.get(*pl)
+    rng = random.Random(f.q)
+    cases = [PolyMatrix.zeros(f, 2, 3), PolyMatrix.zeros(f, 0, 3), PolyMatrix.zeros(f, 2, 0)]
+    cases += [random_polymatrix(rng, f, rng.randrange(1, 5), rng.randrange(1, 6), rng.randrange(1, 5))
+              for _ in range(20)]
+    if f.q > 3:
+        top = f.q - 1
+        cases.append(PolyMatrix(f, [[(0, 3), (1, 0, 2), ()], [(top,), (), (0, 0, 0, top)]]))
+        assert format_poly_matrix(cases[-1], header=False) == f"(0,3) (1,0,2) (0)\n({top}) (0) (0,0,0,{top})"
+    for m in cases:
+        for header in (True, False):
+            assert format_poly_matrix(m, header=header) == format_per_entry(m, header=header)
+        if m.rows and m.cols:
+            assert parse_poly_matrix(format_poly_matrix(m)) == m
