@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("selftest", help="run the acceptance battery")
-    p.add_argument("--tier", choices=sorted(selftest.TIERS), default="quick")
+    p.add_argument("--tier", choices=sorted(selftest.TIERS), default="desk")
     p.set_defaults(func=cmd_selftest)
 
     return parser

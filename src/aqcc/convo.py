@@ -61,7 +61,7 @@ from .errors import (
     RankDeficient,
 )
 from .gf import FiniteField
-from .matrix import MatrixGF, field_from_order, solve_left
+from .matrix import MatrixGF, checked_entries, field_from_order, solve_left
 
 Poly = tuple[int, ...]
 
@@ -156,18 +156,18 @@ class PolyMatrix:
         if cols is not None and cols != width:
             raise ValueError("declared column count does not match rows")
         depth = max((len(p) for row in grid for p in row), default=0)
-        c = np.zeros((depth, len(grid), width), dtype=np.int32)
+        # in the dtype of the coefficients as given, which _bind checks
+        coeffs = np.asarray([v for row in grid for p in row for v in p])
+        c = np.zeros((depth, len(grid), width), dtype=coeffs.dtype)
         for i, row in enumerate(grid):
             for j, p in enumerate(row):
                 c[: len(p), i, j] = p
         self._bind(field, c)
 
     def _bind(self, field: FiniteField, c):
-        c = np.asarray(c)
+        c = checked_entries(field, c, "coefficient")
         if c.ndim != 3:
             raise ValueError("need a (degree, rows, cols) coefficient array")
-        if c.size and (c.min() < 0 or c.max() >= field.q):
-            raise ValueError("coefficient out of range for the field")
         live = np.flatnonzero(c.any(axis=(1, 2)))
         depth = int(live[-1]) + 1 if live.size else 1
         trimmed = np.zeros((depth, *c.shape[1:]), dtype=np.int32)
@@ -822,9 +822,12 @@ def parse_poly_matrix(text: str):
             raise ValueError(f"line {ln}: matrix text must start with a q= header")
         row = []
         for tok in line.split():
-            if not (tok.startswith("(") and tok.endswith(")")):
+            # plain decimal digits only: int() would also take "", "+1" and "1_0"
+            digits = tok[1:-1].split(",")
+            if not (tok.startswith("(") and tok.endswith(")")
+                    and all(c.isascii() and c.isdigit() for c in digits)):
                 raise ValueError(f"line {ln}: bad entry {tok!r}, expected (c0,c1,...)")
-            coeffs = tuple(int(c) for c in tok[1:-1].split(","))
+            coeffs = tuple(int(c) for c in digits)
             if any(not 0 <= c < field.q for c in coeffs):
                 raise ValueError(f"line {ln}: coefficient out of range in {tok!r}")
             row.append(coeffs)

@@ -5,14 +5,14 @@ coordinate vector over GF(p) is (c0, c1, ..., c_{l-1}), with c0 the constant
 term, gets the index sum(c_i * p**i).  Indices run from 0 to q - 1 where
 q = p**l.
 
-The public operations (add, sub, neg, mul, inv, div) accept plain ints,
-numpy integer scalars or numpy integer arrays, and broadcast the way numpy
-does.  Scalar operations on in-range Python ints skip numpy: addition is
-XOR for p = 2 and (a + b) % p over a prime field, multiplication and
-inversion go through log/exp lists of O(q) length.  Every other operand
-passes one range check, which raises IndexError for anything outside
-range(q), negatives included, and then goes through the array kernels
-below.  Only the kernels and the int path read the tables.
+The public operations (add, sub, neg, mul, inv, div, pow) accept plain
+ints, numpy integer scalars or numpy integer arrays, and the first six
+broadcast the way numpy does.  Scalar operations on in-range Python ints
+skip numpy: addition is XOR for p = 2 and (a + b) % p over a prime field,
+multiplication and inversion go through log/exp lists of O(q) length.
+Every other operand passes one range check, which raises IndexError for
+anything outside range(q), negatives included, and then goes through the
+array kernels below.  Only the kernels and the int path read the tables.
 
 The other modules do their array work through one private set of kernels
 (_vadd, _vsub, _vneg, _vinv, _vmul and the matrix product _vmatmul) on
@@ -28,6 +28,11 @@ for a broadcast pair such as a column times a row, which builds no index
 array.  int32 holds a * q + b and (p - 1)**2 for q <= MAX_Q.  The kernels
 check nothing and return new int32 arrays.
 
+So each kind of field builds only the tables its kernels read: a prime
+field holds the O(q) negation and inverse arrays alone, GF(2**l) adds the
+q by q product table _MUL, and an odd extension field both _MUL and the
+q by q sum table _ADD.
+
 Every FiniteField uses the canonical modulus for GF(p**l): the monic
 irreducible polynomial of degree l whose own packed index is smallest.
 For GF(16) that is x**4 + x + 1, for GF(256) it is
@@ -36,6 +41,7 @@ x**8 + x**4 + x**3 + x + 1.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -47,7 +53,8 @@ from .errors import (
     OrderNotDividing,
 )
 
-# Tables are q by q, so this bounds memory at a few dozen MB.
+# Extension fields hold a q by q product table (odd ones a sum table too),
+# so this bounds their memory at a few dozen MB; prime fields hold O(q).
 MAX_Q = 2048
 # entries of the product array one step of _vmatmul builds over GF(2**l)
 _MATMUL_CHUNK = 1 << 18
@@ -173,10 +180,10 @@ def default_modulus(p: int, l: int) -> tuple[int, ...]:
 
 
 class FiniteField:
-    """GF(p**l) with full addition and multiplication tables.
+    """GF(p**l) with the tables its kernels read (see the module docstring).
 
-    Use FiniteField.get(p, l) to share instances; construction builds
-    q by q tables which is the expensive part.
+    Use FiniteField.get(p, l) to share instances; construction of an
+    extension field builds q by q tables, which is the expensive part.
     """
 
     _cache: dict[tuple[int, int], "FiniteField"] = {}
@@ -231,9 +238,7 @@ class FiniteField:
         weights = p ** np.arange(l, dtype=np.int64)
         digits = (idx[:, None] // weights[None, :]) % p
 
-        if p == 2:
-            self._ADD = np.bitwise_xor.outer(idx, idx).astype(np.int32)
-        else:
+        if p > 2 and l > 1:  # the one kind whose sums are table gathers
             add = np.empty((q, q), dtype=np.int32)
             for start in range(0, q, 256):
                 blk = (digits[start:start + 256, None, :] + digits[None, :, :]) % p
@@ -255,16 +260,14 @@ class FiniteField:
         for i in range(q - 1):
             exp[i] = cur
             cur = self._mul_raw(cur, self.generator)
-        self._EXP = exp
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1)
-        self._LOG = log
 
-        mul = np.zeros((q, q), dtype=np.int32)
-        if q > 1:
+        if l > 1:  # products over a prime field are computed mod p
+            mul = np.zeros((q, q), dtype=np.int32)
             la = log[1:]
             mul[1:, 1:] = exp[(la[:, None] + la[None, :]) % (q - 1)]
-        self._MUL = mul
+            self._MUL = mul
         inv = np.zeros(q, dtype=np.int32)
         inv[exp] = exp[(-np.arange(q - 1)) % (q - 1)]
         self._INV = inv
@@ -400,40 +403,23 @@ class FiniteField:
             acc = self._vadd(acc, self._vmul(a[:, s, None], b[None, s, :]))
         return acc
 
-    def pow(self, a: int, k: int) -> int:
-        a = int(a)
+    def pow(self, a, k: int) -> int:
+        a = int(self._index(a))
         if a == 0:
             if k < 0:
                 raise ZeroDivisionError("0 to a negative power")
             return 0 if k else 1
-        e = (int(self._LOG[a]) * k) % (self.q - 1)
-        return int(self._EXP[e])
+        return self._exp_list[self._log_list[a] * k % (self.q - 1)]
 
     def exp(self, i: int) -> int:
         """generator**i, exponent taken mod q - 1."""
-        return int(self._EXP[i % (self.q - 1)])
-
-    def log(self, a) -> int:
-        if a == 0:
-            raise ZeroDivisionError("log of 0")
-        return int(self._LOG[a])
+        return self._exp_list[i % (self.q - 1)]
 
     def root_of_unity(self, n: int) -> int:
         """A primitive n-th root of unity, or OrderNotDividing."""
         if n < 1 or (self.q - 1) % n:
             raise OrderNotDividing(f"no element of order {n} in {self!r}")
         return self.exp((self.q - 1) // n)
-
-    # --- coordinates ---------------------------------------------------------
-
-    def element(self, coeffs) -> int:
-        """Pack a GF(p) coordinate vector, low degree first."""
-        if len(coeffs) > self.l:
-            raise ValueError(f"at most {self.l} coordinates")
-        return sum((int(c) % self.p) * self.p ** i for i, c in enumerate(coeffs))
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        return _unpack(int(a), self.p, self.l)
 
     # --- misc ------------------------------------------------------------------
 
@@ -452,9 +438,7 @@ class FiniteField:
 
 # --- subfield embedding -------------------------------------------------
 
-_EMBED_CACHE: dict[tuple, np.ndarray] = {}
-
-
+@functools.cache
 def embedding(sub: FiniteField, ext: FiniteField) -> np.ndarray:
     """Index table of the field embedding GF(p**a) -> GF(p**b), a | b.
 
@@ -466,28 +450,21 @@ def embedding(sub: FiniteField, ext: FiniteField) -> np.ndarray:
         raise FieldMismatch(f"different characteristic: {sub!r} vs {ext!r}")
     if ext.l % sub.l:
         raise FieldMismatch(f"{sub.l} does not divide {ext.l}")
-    key = (sub.p, sub.l, sub.modulus, ext.l, ext.modulus)
-    hit = _EMBED_CACHE.get(key)
-    if hit is not None:
-        return hit
 
-    y = np.arange(ext.q)
-    acc = np.full(ext.q, sub.modulus[-1], dtype=np.int64)
+    y = np.arange(ext.q, dtype=np.int32)
+    acc = np.full(ext.q, sub.modulus[-1], dtype=np.int32)
     for c in reversed(sub.modulus[:-1]):
-        acc = ext._ADD[ext._MUL[acc, y], c]
-    roots = np.nonzero(acc == 0)[0]
-    theta = int(roots[0])
+        acc = ext._vadd(ext._vmul(acc, y), np.full_like(acc, c))
+    theta = int(np.flatnonzero(acc == 0)[0])
 
     powers = [1]
     for _ in range(sub.l - 1):
         powers.append(ext.mul(powers[-1], theta))
-    sub_idx = np.arange(sub.q, dtype=np.int64)
+    sub_idx = np.arange(sub.q, dtype=np.int32)
     table = np.zeros(sub.q, dtype=np.int32)
     for i, pw in enumerate(powers):
         digit = (sub_idx // sub.p ** i) % sub.p
-        table = ext._ADD[table, ext._MUL[digit, pw]]
-    table = table.astype(np.int32)
-    _EMBED_CACHE[key] = table
+        table = ext._vadd(table, ext._vmul(pw, digit))
     return table
 
 
@@ -498,8 +475,8 @@ class SubfieldBasis:
     field's canonical root and L = b // a; that set is always independent
     because x has degree exactly L over the subfield.  Every extension
     element is sum_i emb(c_i) * x**i for exactly one coordinate tuple c, so
-    one table of all those sums, indexed by sum_i c_i * q_sub**i, and its
-    inverse permutation give combine() and expand() by lookup.
+    the inverse permutation of the table of all those sums, indexed by
+    sum_i c_i * q_sub**i, gives expand_array() by lookup.
     """
 
     def __init__(self, sub: FiniteField, ext: FiniteField):
@@ -513,22 +490,11 @@ class SubfieldBasis:
         image = emb
         for _ in range(self.L - 1):
             image = ext._vadd(ext._vmul(ext.p, image)[:, None], emb[None, :]).ravel()
-        self._image = image
         self._coords = np.empty_like(image)
         self._coords[image] = np.arange(ext.q, dtype=np.int32)
 
-    def expand(self, e: int) -> tuple[int, ...]:
-        """Subfield coordinates of one extension element."""
-        return tuple(int(v) for v in self.expand_array(np.asarray([e]))[0])
-
     def expand_array(self, arr: np.ndarray) -> np.ndarray:
-        """Vectorized expand; output shape is arr.shape + (L,)."""
+        """Subfield coordinates of extension elements; output shape is
+        arr.shape + (L,)."""
         u = self._coords[self.ext._index(arr)]
         return (u[..., None] // self._weights) % self.sub.q
-
-    def combine(self, coords) -> int:
-        """The extension element with these subfield coordinates."""
-        digits = self.sub._index(coords)
-        if digits.shape != (self.L,):
-            raise ValueError(f"need {self.L} coordinates, got shape {digits.shape}")
-        return int(self._image[digits @ self._weights])

@@ -21,6 +21,20 @@ def field_from_order(q: int) -> FiniteField:
     return FiniteField.get(*field_order(q))
 
 
+def checked_entries(field: FiniteField, values, what: str = "entry") -> np.ndarray:
+    """values as an array, or ValueError unless each is an integer in range(q).
+
+    As in FiniteField._index, dtype and range are checked on the values as
+    given, before any narrowing to int32; an empty array passes.
+    """
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"field {what} values are integers, got {arr.dtype}")
+    if arr.size and (arr.min() < 0 or arr.max() >= field.q):
+        raise ValueError(f"{what} out of range for the field")
+    return arr
+
+
 class MatrixGF:
     """An immutable matrix of field indices that caches one echelon.
 
@@ -34,12 +48,10 @@ class MatrixGF:
     __slots__ = ("field", "a", "_echelon")
 
     def __init__(self, field: FiniteField, rows):
-        arr = np.asarray(rows, dtype=np.int32)
+        arr = checked_entries(field, rows)
         if arr.ndim != 2:
             raise ValueError("need a 2d array of field indices")
-        if arr.size and (arr.min() < 0 or arr.max() >= field.q):
-            raise ValueError("entry out of range for the field")
-        arr = arr.copy()
+        arr = arr.astype(np.int32)
         arr.setflags(write=False)
         self.field = field
         self.a = arr

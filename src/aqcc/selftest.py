@@ -2,9 +2,8 @@
 
 Each check is a plain function that returns a one-line summary and raises
 on the first violation, so they can run under pytest or from the CLI.
-Three tiers trade coverage for time:
+Two tiers trade coverage for time:
 
-  quick  property spot checks over tiny fields, a few seconds
   desk   the full battery at documented scales
   full   desk plus a structure-certified sweep of the q = 32 grids
 """
@@ -131,17 +130,20 @@ def _random_plan(rng, qs=(2, 3, 4, 5)):
     return construction_i_plan(field, vectors, partition)
 
 
-def check_split_plans(count=200, seed=20260817):
+SPLIT_PLANS = 200
+
+
+def check_split_plans(seed=20260817):
     """Every random valid split yields basic and reduced generators."""
     rng = random.Random(seed)
-    for _ in range(count):
+    for _ in range(SPLIT_PLANS):
         plan = _random_plan(rng)
         for g in plan.generators():
             if not is_basic(g):
                 raise AssertionError(f"non-basic split output for {plan.params.label()}")
             if not is_reduced(g):
                 raise AssertionError(f"non-reduced split output for {plan.params.label()}")
-    return f"{count} random split plans all basic and reduced"
+    return f"{SPLIT_PLANS} random split plans all basic and reduced"
 
 
 # Duality-chain instances: (q, partition, columns, vector seed), sized so
@@ -166,7 +168,7 @@ DUALITY_SPECS = (
 )
 
 
-def check_duality_chain(specs=DUALITY_SPECS):
+def check_duality_chain():
     """Exact free distances against the block-oracle chain inequalities.
 
     For a split generator G with slice span S: the dual free distance sits
@@ -176,7 +178,7 @@ def check_duality_chain(specs=DUALITY_SPECS):
     generated by S.
     """
     instances = 0
-    for q, partition, n, seed in specs:
+    for q, partition, n, seed in DUALITY_SPECS:
         field = field_from_order(q)
         vectors = demo_vectors(field, n, partition, seed=seed)
         plan = construction_i_plan(field, vectors, partition)
@@ -271,10 +273,13 @@ def check_symplectic_extras():
     return f"{len(EXTRA_STABILIZERS) + 2} additional stabilizers, residual identically zero"
 
 
-def check_degree_formulas(count=50, seed=61803):
+DEGREE_PLANS = 50
+
+
+def check_degree_formulas(seed=61803):
     """Split degrees match mu*kappa + aux and aux closed forms."""
     rng = random.Random(seed)
-    for _ in range(count):
+    for _ in range(DEGREE_PLANS):
         plan = _random_plan(rng, qs=(2, 3, 4, 5, 7, 8, 9))
         sizes = plan.params.partition
         kappa = sizes[0]
@@ -286,7 +291,7 @@ def check_degree_formulas(count=50, seed=61803):
         want = (mu * kappa + aux, aux)
         if got != want:
             raise AssertionError(f"degrees {got} != {want} for partition {sizes}")
-    return f"{count} seeded builds match the closed-form degrees"
+    return f"{DEGREE_PLANS} seeded builds match the closed-form degrees"
 
 
 FAULT_CASES = (
@@ -294,13 +299,14 @@ FAULT_CASES = (
     ("rank-condition", RankConditionViolated, ("III-T6", 5, {"n": 5, "k": 1, "t": 1})),
     ("swap-blocks", SymplecticViolation, ("III-T5a", 8, {"i": 4, "t": 1})),
 )
+FAULT_SEEDS = range(10)
 
 
-def check_fault_injection(seeds=range(10)):
+def check_fault_injection():
     """Every injected defect is caught by its designated check."""
     detected = 0
     for kind, expected, (family, q, kw) in FAULT_CASES:
-        for seed in seeds:
+        for seed in FAULT_SEEDS:
             try:
                 certify_params(
                     FamilyParams(family, q, **kw),
@@ -317,7 +323,7 @@ def check_fault_injection(seeds=range(10)):
                 ) from exc
             else:
                 raise AssertionError(f"{kind} seed {seed}: defect went undetected")
-    total = len(FAULT_CASES) * len(list(seeds))
+    total = len(FAULT_CASES) * len(FAULT_SEEDS)
     return f"{detected}/{total} injected defects caught with the designated error"
 
 
@@ -348,29 +354,7 @@ class CheckOutcome:
     detail: str
 
 
-def _quick_split():
-    return check_split_plans(count=40, seed=7)
-
-
-def _quick_degrees():
-    return check_degree_formulas(count=12, seed=7)
-
-
-def _quick_faults():
-    return check_fault_injection(seeds=range(2))
-
-
-def _quick_duality():
-    return check_duality_chain(specs=DUALITY_SPECS[:4])
-
-
 TIERS = {
-    "quick": (
-        ("split-plans", _quick_split),
-        ("duality-chain", _quick_duality),
-        ("degree-formulas", _quick_degrees),
-        ("fault-injection", _quick_faults),
-    ),
     "desk": (
         ("reference-tuples", check_reference_tuples),
         ("split-plans", check_split_plans),

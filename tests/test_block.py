@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import field_reference as ref
 from aqcc.errors import (
     AqccError,
     DuplicateEvaluationPoint,
@@ -328,7 +329,7 @@ def reference_weights(field, gen):
         digits = (msgs[:, None] // place[None, :]) % q
         cw = np.zeros((len(msgs), n), dtype=np.int32)
         for t in range(k):
-            cw = field._ADD[cw, field._MUL[digits[:, t, None], gen[None, t, :]]]
+            cw = ref.add(field, cw, ref.mul(field, digits[:, t, None], gen[None, t, :]))
         w = (cw != 0).sum(axis=1)
         counts += np.bincount(w, minlength=n + 1)
         if start == 0:

@@ -276,6 +276,12 @@ class TestDistance:
         assert rc == 2 and out == ""
         assert "prime power" in err or "table size" in err
 
+    @pytest.mark.parametrize("entry", ["()", "(1,)", "(,1)", "(1,,2)", "(x)", "(+1)", "(1_0)", "(-1)"])
+    def test_bad_coefficient_names_its_line(self, tmp_path, entry):
+        rc, out, err = run("distance", self.write(tmp_path, f"q=2\n(1) (0,1)\n(1) {entry}\n"))
+        assert rc == 2 and out == ""
+        assert f"bad matrix file: line 3: bad entry '{entry}'" in err
+
     def test_missing_file_exits_two(self, tmp_path):
         rc, _, err = run("distance", str(tmp_path / "missing.txt"))
         assert rc == 2
@@ -315,11 +321,16 @@ class TestTable:
 
 
 class TestSelftest:
-    def test_quick_tier_passes(self, capsys):
-        rc = main(["selftest", "--tier", "quick"])
+    def test_desk_tier_is_the_default_and_passes(self, capsys):
+        rc = main(["selftest"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "tier quick: 4/4 checks passed" in out
+        assert "tier desk: 7/7 checks passed" in out
+
+    def test_quick_tier_is_gone(self):
+        rc, out, err = run("selftest", "--tier", "quick")
+        assert rc == 2 and out == ""
+        assert "invalid choice: 'quick'" in err
 
 
 class TestParsing:

@@ -101,6 +101,22 @@ class TestPolyMatrix:
         with pytest.raises(ValueError):
             PolyMatrix(gf3, [[(0, 0, 1)]]).reverse(1)
 
+    def test_grid_refuses_what_int32_would_narrow(self):
+        f = FiniteField.get(2, 4)
+        for bad in ([[(1.9,)]], [[(1, 2.0)]], [[(-2**32 + 1,)]], [[(2**40,)]], [[(True,)]]):
+            with pytest.raises(ValueError):
+                PolyMatrix(f, bad)
+        assert PolyMatrix(f, [[()]]) == PolyMatrix.zeros(f, 1, 1)
+        assert PolyMatrix(f, [], cols=2).shape == (0, 2)
+
+    def test_coefficients_refuse_what_int32_would_narrow(self):
+        f = FiniteField.get(2, 4)
+        for bad in (np.array([[[1.9]]]), [np.array([[1, 2.5]])], np.array([[[-2**32 + 1]]])):
+            with pytest.raises(ValueError):
+                PolyMatrix.from_coefficients(f, bad)
+        empty = PolyMatrix.from_coefficients(f, np.zeros((1, 0, 2)))  # float, size 0
+        assert empty.shape == (0, 2) and empty.c.dtype == np.int32
+
     def test_transpose_empty_shapes(self, gf3):
         z = PolyMatrix.zeros(gf3, 0, 3)
         assert z.T.shape == (3, 0)

@@ -141,10 +141,10 @@ def test_certified_stabilizers_expand_without_defect():
     triangular with diagonal blocks [H1(0) 0; 0 G2(0)], of full row rank
     because H1 is a minimal basis and G2 is basic.  The stabilizer does
     not depend on effort, so structure certificates show it."""
-    count, seed = selftest.check_split_plans.__defaults__
+    (seed,) = selftest.check_split_plans.__defaults__
     rng = random.Random(seed)
     plans = [layout(FamilyParams(family, q, **kw)) for family, q, kw, *_ in selftest.REFERENCE_ROWS]
-    plans += [selftest._random_plan(rng) for _ in range(count)]
+    plans += [selftest._random_plan(rng) for _ in range(selftest.SPLIT_PLANS)]
     for plan in plans:
         par = certify_plan(plan, effort="structure").aqcc
         assert semi_infinite_expand(par.stabilizer, par.mu_star + 2).defect == 0, plan.params.label()

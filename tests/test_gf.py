@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import field_reference as ref
 from aqcc import gf
 from aqcc.errors import (
     FieldMismatch,
@@ -32,10 +33,13 @@ def packed(coeffs, p):
 
 
 def order_of(field, a) -> int:
-    """Multiplicative order of a nonzero element."""
+    """Multiplicative order of a nonzero element, by repeated products."""
     if a == 0:
         raise ZeroDivisionError("0 has no multiplicative order")
-    return (field.q - 1) // math.gcd(field.log(a), field.q - 1)
+    m, x = 1, a
+    while x != 1:
+        m, x = m + 1, field.mul(x, a)
+    return m
 
 
 class TestModulusSelection:
@@ -129,11 +133,12 @@ class TestGeneratorAndLogs:
         assert FiniteField.get(3, 2).generator == 4  # x + 1 mod x**2 + 1
 
     def test_exp_log_roundtrip(self, gf16):
-        for a in range(1, 16):
-            assert gf16.exp(gf16.log(a)) == a
-        assert gf16.log(1) == 0
-        with pytest.raises(ZeroDivisionError):
-            gf16.log(0)
+        # exp walks every nonzero element once, so it has an inverse, log
+        log = {gf16.exp(i): i for i in range(15)}
+        assert sorted(log) == list(range(1, 16))
+        assert log[1] == 0
+        assert gf16.exp(15) == 1
+        assert gf16.exp(-1) == gf16.inv(gf16.generator)
 
     def test_order_of(self, gf16):
         assert order_of(gf16, 1) == 1
@@ -149,6 +154,9 @@ class TestGeneratorAndLogs:
         assert gf16.pow(0, 3) == 0
         with pytest.raises(ZeroDivisionError):
             gf16.pow(0, -2)
+        for bad in (-1, 16, 2.5):  # the range gate of the other public ops
+            with pytest.raises(IndexError):
+                gf16.pow(bad, 2)
 
 
 class TestOrders:
@@ -175,18 +183,6 @@ class TestOrders:
         z = gf11.root_of_unity(10)
         powers = {gf11.pow(z, i) for i in range(10)}
         assert len(powers) == 10
-
-
-class TestCoordinates:
-    def test_pack_unpack(self, gf16):
-        assert gf16.element((1, 1, 0, 0)) == 3
-        assert gf16.coeffs(3) == (1, 1, 0, 0)
-        for a in range(16):
-            assert gf16.element(gf16.coeffs(a)) == a
-
-    def test_element_reduces_mod_p(self):
-        f = FiniteField.get(3, 2)
-        assert f.element((4, 5)) == 1 + 2 * 3
 
 
 class TestEmbedding:
@@ -228,14 +224,26 @@ class TestEmbedding:
         assert np.array_equal(t[sub.mul(x, y)], ext.mul(t[x], t[y]))
 
 
+def combine(basis, coords) -> int:
+    """sum_i emb(c_i) * x**i, where the canonical root x of an extension
+    field has the packed index p."""
+    ext = basis.ext
+    emb = embedding(basis.sub, ext)
+    out, x_i = 0, 1
+    for c in coords:
+        out = ext.add(out, ext.mul(int(emb[c]), x_i))
+        x_i = ext.mul(x_i, ext.p)
+    return out
+
+
 class TestSubfieldBasis:
     def test_roundtrip_gf256_over_gf16(self, gf16, gf256):
         basis = SubfieldBasis(gf16, gf256)
         assert basis.L == 2
+        coords = basis.expand_array(np.arange(256))
+        assert coords.shape == (256, 2)
         for e in range(256):
-            coords = basis.expand(e)
-            assert len(coords) == 2
-            assert basis.combine(coords) == e
+            assert combine(basis, coords[e]) == e
 
     def test_expand_is_subfield_linear(self, gf16, gf256):
         basis = SubfieldBasis(gf16, gf256)
@@ -244,25 +252,23 @@ class TestSubfieldBasis:
         for _ in range(50):
             a, b = rng.integers(0, 256, 2)
             c = int(rng.integers(0, 16))
-            ea = np.array(basis.expand(int(a)))
-            eb = np.array(basis.expand(int(b)))
-            assert np.array_equal(
-                np.array(basis.expand(gf256.add(int(a), int(b)))), gf16.add(ea, eb)
-            )
+            ea = basis.expand_array(a)
+            eb = basis.expand_array(b)
+            assert np.array_equal(basis.expand_array(gf256.add(int(a), int(b))), gf16.add(ea, eb))
             scaled = gf256.mul(int(emb[c]), int(a))
-            assert np.array_equal(np.array(basis.expand(scaled)), gf16.mul(c, ea))
+            assert np.array_equal(basis.expand_array(scaled), gf16.mul(c, ea))
 
     def test_expand_array_matches_scalar(self, gf16, gf256):
         basis = SubfieldBasis(gf16, gf256)
         arr = np.arange(256).reshape(16, 16)
         out = basis.expand_array(arr)
         assert out.shape == (16, 16, 2)
-        assert tuple(out[3, 5]) == basis.expand(3 * 16 + 5)
+        assert out[3, 5].tolist() == basis.expand_array(3 * 16 + 5).tolist()
 
     def test_trivial_basis(self, gf16):
         basis = SubfieldBasis(gf16, gf16)
         assert basis.L == 1
-        assert basis.expand(9) == (9,)
+        assert basis.expand_array(9).tolist() == [9]
 
     def test_gf1024_over_gf32(self):
         sub = FiniteField.get(2, 5)
@@ -270,7 +276,7 @@ class TestSubfieldBasis:
         basis = SubfieldBasis(sub, ext)
         assert basis.L == 2
         for e in (0, 1, 2, 500, 1023):
-            assert basis.combine(basis.expand(e)) == e
+            assert combine(basis, basis.expand_array(e)) == e
 
 
 def test_prime_factors():
@@ -356,7 +362,7 @@ def test_out_of_range_operands_raise(q):
             for op, args in (
                 ("add", (x, 1)), ("add", (1, x)), ("sub", (x, 1)), ("sub", (1, x)),
                 ("mul", (x, 1)), ("mul", (1, x)), ("div", (x, 1)), ("div", (1, x)),
-                ("neg", (x,)), ("inv", (x,)),
+                ("neg", (x,)), ("inv", (x,)), ("pow", (x, 2)),
             ):
                 with pytest.raises(IndexError):
                     getattr(f, op)(*args)
@@ -364,24 +370,22 @@ def test_out_of_range_operands_raise(q):
 
 @pytest.mark.parametrize("q", [2, 32, 17, 2039, 9, 25, 27])
 def test_array_kernels_match_table_gathers(q):
+    # the kernels against table-free reference arithmetic (field_reference)
     f = field_from_order(q)
     rng = np.random.default_rng(q)
     a = rng.integers(0, q, (7, 9)).astype(np.int32)
     b = rng.integers(0, q, (7, 9)).astype(np.int32)
     col = rng.integers(0, q, (7, 1)).astype(np.int32)
     c = rng.integers(0, q, (9, 5)).astype(np.int32)
-    want_matmul = np.zeros((7, 5), dtype=np.int32)
-    for s in range(9):
-        want_matmul = f._ADD[want_matmul, f._MUL[a[:, s, None], c[None, s, :]]]
     cases = (
-        (f._vadd(a, b), f._ADD[a, b]),
-        (f._vsub(a, b), f._ADD[a, f._NEG[b]]),
-        (f._vneg(a), f._NEG[a]),
-        (f._vinv(a[a != 0]), f._INV[a[a != 0]]),
-        (f._vmul(a, b), f._MUL[a, b]),
-        (f._vmul(col, b[0]), f._MUL[col, b[0]]),  # broadcast outer product
-        (f._vmul(int(b[1, 2]), a), f._MUL[int(b[1, 2]), a]),  # scalar times array
-        (f._vmatmul(a, c), want_matmul),
+        (f._vadd(a, b), ref.add(f, a, b)),
+        (f._vsub(a, b), ref.sub(f, a, b)),
+        (f._vneg(a), ref.neg(f, a)),
+        (f._vinv(a[a != 0]), ref.inv(f, a[a != 0])),
+        (f._vmul(a, b), ref.mul(f, a, b)),
+        (f._vmul(col, b[0]), ref.mul(f, col, b[0])),  # broadcast outer product
+        (f._vmul(int(b[1, 2]), a), ref.mul(f, int(b[1, 2]), a)),  # scalar times array
+        (f._vmatmul(a, c), ref.matmul(f, a, c)),
         (f._vmatmul(a[:, :0], c[:0]), np.zeros((7, 5), dtype=np.int32)),
     )
     for got, want in cases:
@@ -395,9 +399,41 @@ def test_characteristic_two_matmul_in_slices(monkeypatch):
     rng = np.random.default_rng(5)
     a = rng.integers(0, 16, (6, 11)).astype(np.int32)
     b = rng.integers(0, 16, (11, 4)).astype(np.int32)
-    want = np.zeros((6, 4), dtype=np.int32)
-    for s in range(11):
-        want ^= f._MUL[a[:, s, None], b[None, s, :]]
+    want = ref.matmul(f, a, b)
     assert np.array_equal(f._vmatmul(a, b), want)
     monkeypatch.setattr(gf, "_MATMUL_CHUNK", 1)
     assert np.array_equal(f._vmatmul(a, b), want)
+
+
+@pytest.mark.parametrize("q", [2, 17, 2039, 4, 16, 1024, 9, 27])
+def test_square_tables_only_where_a_kernel_reads_them(q):
+    # prime fields compute mod p, characteristic 2 adds by XOR
+    f = field_from_order(q)
+    arrays = {k: v for k, v in vars(f).items() if isinstance(v, np.ndarray)}
+    want = set() if f.l == 1 else {"_MUL"} if f.p == 2 else {"_ADD", "_MUL"}
+    assert {k for k, v in arrays.items() if v.shape == (q, q)} == want
+    assert all(v.shape in ((q,), (q, q)) for v in arrays.values())
+
+
+def test_largest_prime_field_holds_under_64_kb():
+    f = field_from_order(2039)
+    assert sum(v.nbytes for v in vars(f).values() if isinstance(v, np.ndarray)) < 64 * 1024
+
+
+@pytest.mark.parametrize("q", [2, 16, 9])
+def test_public_ops_match_reference(q):
+    # every public op, on arrays and on the int path, against the
+    # table-free reference
+    f = field_from_order(q)
+    a, b = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+    nz = np.arange(1, q)
+    an, bn = np.meshgrid(np.arange(q), nz, indexing="ij")
+    for op, args in (("add", (a, b)), ("sub", (a, b)), ("mul", (a, b)), ("div", (an, bn)),
+                     ("neg", (a[0],)), ("inv", (nz,))):
+        want = getattr(ref, op)(f, *args)
+        assert np.array_equal(getattr(f, op)(*args), want), op
+        ints = [[int(v) for v in arg.ravel()] for arg in args]
+        assert [getattr(f, op)(*xs) for xs in zip(*ints)] == want.ravel().tolist(), op
+    for x in range(q):
+        for k in range(0 if x == 0 else -q, q + 2):
+            assert f.pow(x, k) == ref.power(f, x, k), (x, k)

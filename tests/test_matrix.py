@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import field_reference as ref
 from aqcc.errors import FieldMismatch
 from aqcc.gf import FiniteField
 from aqcc.matrix import MatrixGF, _rref, field_from_order, solve_left, vstack
@@ -17,6 +18,16 @@ class TestBasics:
             MatrixGF(gf7, [[7, 0]])
         with pytest.raises(ValueError):
             MatrixGF(gf7, [1, 2, 3])
+
+    def test_entries_are_checked_before_int32_narrows_them(self):
+        f = FiniteField.get(2, 4)
+        for bad in (np.array([[-2**32 + 1]]), [[1.7, 2]], np.array([[2**31]]), [[True]]):
+            with pytest.raises(ValueError):
+                MatrixGF(f, bad)
+        for empty in (np.zeros((0, 3)), [[]]):  # float dtype, size 0
+            m = MatrixGF(f, empty)
+            assert m.a.dtype == np.int32 and m.a.size == 0
+        assert MatrixGF(f, np.array([[15, 0]], dtype=np.uint8)).a.tolist() == [[15, 0]]
 
     def test_immutability(self, gf7):
         m = MatrixGF(gf7, [[1, 2]])
@@ -143,9 +154,10 @@ class TestStackingAndText:
         assert vstack([a, b]) == MatrixGF(gf7, [[1, 2], [3, 4]])
 
 
-def _rref_table_loop(field, a):
-    """The table-gather elimination the array kernels replaced, kept as the
-    oracle: every pivot rewrites the whole matrix."""
+def _rref_reference_loop(field, a):
+    """The whole-matrix elimination the array kernels replaced, kept as the
+    oracle on table-free reference arithmetic: every pivot rewrites the
+    whole matrix."""
     m = np.array(a, dtype=np.int32)
     rows, cols = m.shape
     piv = []
@@ -159,11 +171,11 @@ def _rref_table_loop(field, a):
         p0 = r + int(nz[0])
         if p0 != r:
             m[[r, p0]] = m[[p0, r]]
-        m[r] = field._MUL[m[r], field._INV[m[r, c]]]
+        m[r] = ref.mul(field, m[r], ref.inv(field, m[r, c]))
         f = m[:, c].copy()
         f[r] = 0
         if np.any(f):
-            m = field._ADD[m, field._MUL[f[:, None], field._NEG[m[r]][None, :]]]
+            m = ref.sub(field, m, ref.mul(field, f[:, None], m[r][None, :]))
         piv.append(c)
         r += 1
     return m, tuple(piv)
@@ -180,15 +192,16 @@ def test_rref_matches_table_loop(q):
                 m[:, rng.integers(0, shape[1], 2)] = 0  # zero columns
             if shape[0] > 2:  # rank deficient: one row is a combination of two
                 x, y = (int(v) for v in rng.integers(1, q, 2))
-                m[-1] = f._ADD[f._MUL[x, m[0]], f._MUL[y, m[1]]]
+                m[-1] = ref.add(f, ref.mul(f, x, m[0]), ref.mul(f, y, m[1]))
             red, piv = _rref(f, m)
-            want_red, want_piv = _rref_table_loop(f, m)
+            want_red, want_piv = _rref_reference_loop(f, m)
             assert piv == want_piv
             assert np.array_equal(red, want_red)
             assert red.dtype == np.int32
 
 
 def test_only_gf_indexes_the_field_tables():
+    import ast
     import re
     from pathlib import Path
 
@@ -201,6 +214,22 @@ def test_only_gf_indexes_the_field_tables():
         for path in sorted(src.glob("*.py")) if path.name != "gf.py"
         for n, line in enumerate(path.read_text().splitlines(), 1) if table.search(line)
     ]
+    # inside gf.py: the builder, the array kernels and the scalar int path
+    # (whose add and sub gather sums over odd extension fields)
+    readers = {"_build_tables", "_vadd", "_vsub", "_vneg", "_vinv", "_vmul", "_vmatmul",
+               "add", "sub"}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in ("_ADD", "_MUL", "_NEG", "_INV")
+                    and owner not in readers):
+                offenders.append(f"gf.py:{child.lineno} in {owner}")
+            visit(child, owner)
+
+    visit(ast.parse((src / "gf.py").read_text()), "<module>")
     assert offenders == []
 
 
