@@ -33,6 +33,12 @@ field holds the O(q) negation and inverse arrays alone, GF(2**l) adds the
 q by q product table _MUL, and an odd extension field both _MUL and the
 q by q sum table _ADD.
 
+Two list kernels (_lnormed and _lcleared) do the row operations of an
+elimination on Python lists of ints, for prime fields and GF(2**l) only.
+They read the int path's O(q) log/exp lists, whose zero padding lets a
+product with zero go through the lists without a branch; an odd extension
+field would need the q by q sum table, so its rows stay on the arrays.
+
 Every FiniteField uses the canonical modulus for GF(p**l): the monic
 irreducible polynomial of degree l whose own packed index is smallest.
 For GF(16) that is x**4 + x + 1, for GF(256) it is
@@ -272,9 +278,11 @@ class FiniteField:
         inv[exp] = exp[(-np.arange(q - 1)) % (q - 1)]
         self._INV = inv
 
-        # the int fast path: exp doubled so a sum of two logs needs no mod
-        self._exp_list = exp.tolist() * 2
-        self._log_list = log.tolist()
+        # the int path and the list kernels: exp doubled, so a sum of two logs
+        # needs no mod, then q - 1 zeros; log 0 = 2(q - 1) points into them, so
+        # a nonzero log plus the log of any element needs no zero test
+        self._exp_list = exp.tolist() * 2 + [0] * (q - 1)
+        self._log_list = [2 * (q - 1)] + log[1:].tolist()
         self._neg_list = self._NEG.tolist()
 
     # --- arithmetic --------------------------------------------------------
@@ -402,6 +410,30 @@ class FiniteField:
         for s in range(a.shape[1]):
             acc = self._vadd(acc, self._vmul(a[:, s, None], b[None, s, :]))
         return acc
+
+    # --- list kernels: rows as lists of in-range ints, prime fields and GF(2**l)
+
+    def _lnormed(self, row):
+        """row divided by its first entry, which is nonzero."""
+        exp, log = self._exp_list, self._log_list
+        if self.l == 1:
+            p = self.p
+            inv = exp[self.q - 1 - log[row[0]]]
+            return [x * inv % p for x in row]
+        s = -log[row[0]] % (self.q - 1)
+        return [exp[s + log[x]] for x in row]
+
+    def _lcleared(self, x, y):
+        """x minus x[0] times y, for rows of one length with x[0] nonzero."""
+        f = x[0]
+        if self.p == 2:
+            if f == 1:
+                return [a ^ b for a, b in zip(x, y)]
+            exp, log = self._exp_list, self._log_list
+            lf = log[f]
+            return [a ^ exp[lf + log[b]] for a, b in zip(x, y)]
+        p = self.p
+        return [(a - f * b) % p for a, b in zip(x, y)]
 
     def pow(self, a, k: int) -> int:
         a = int(self._index(a))

@@ -1,11 +1,14 @@
 """Dense matrices over a small finite field.
 
 Entries are packed field indices (see gf).  MatrixGF instances are
-immutable; every operation returns a new matrix.  Sums, products, row
-reduction, rank, kernels and left-division all run on the field's array
-kernels (gf), so results are exact.  The public constructor checks and
-copies its input; results of the methods here come from the kernels as
-fresh in-range int32 arrays and are wrapped by _wrap without either.
+immutable; every operation returns a new matrix.  Sums, products, kernels
+and left-division run on the field's array kernels (gf), so results are
+exact.  Row reduction has one entry point, _rref, and two kernels behind
+it: a small matrix over a prime field or GF(2**l) is eliminated on Python
+lists by gf's list kernels, anything else on the array kernels.  The
+public constructor checks and copies its input; results of the methods
+here come from the kernels as fresh in-range int32 arrays and are wrapped
+by _wrap without either.
 """
 
 from __future__ import annotations
@@ -198,10 +201,32 @@ class MatrixGF:
         return out
 
 
+# Entries up to which _rref eliminates on Python lists.  Measured on the
+# eliminations of the three benchmark workloads (sums of best-of-5 call
+# times, 2-vCPU Intel Xeon): any cut from 192 to 300 came within 2 ms of
+# the best, and the median matrix of a small-many pass has 48 entries.
+_LIST_RREF_MAX = 256
+
+
 def _rref(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Gauss-Jordan elimination.  Rows r and below are zero left of column
-    c, so the pivot row is too, and each step touches only columns >= c of
-    the rows with a nonzero entry in column c."""
+    """Gauss-Jordan elimination: the reduced echelon as a fresh int32 array
+    and the pivot columns.
+
+    Both kernels do the same row operations in the same order.  Up to
+    _LIST_RREF_MAX entries over a prime field or GF(2**l) the list kernel
+    runs, since a few dozen entries cost less in Python ints than the ten or
+    so numpy calls of each array pivot.  Larger matrices, and odd extension
+    fields, whose sums need the q by q table, take the array kernel.
+    """
+    if a.size <= _LIST_RREF_MAX and (field.p == 2 or field.l == 1):
+        return _rref_lists(field, a)
+    return _rref_arrays(field, a)
+
+
+def _rref_arrays(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Rows r and below are zero left of column c, so the pivot row is too,
+    and each step touches only columns >= c of the rows with a nonzero
+    entry in column c."""
     m = np.array(a, dtype=np.int32, order="C")  # .T results arrive as views
     rows, cols = m.shape
     piv = []
@@ -226,6 +251,35 @@ def _rref(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...
         piv.append(c)
         r += 1
     return m, tuple(piv)
+
+
+def _rref_lists(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The steps of _rref_arrays on a list of row lists, for a prime field
+    or GF(2**l): each hit row is rewritten from column c on by one call to
+    the field's list kernel."""
+    rows, cols = a.shape
+    m = a.tolist()
+    piv = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        for p0 in range(r, rows):
+            if m[p0][c]:
+                break
+        else:
+            continue
+        prow = m[p0]
+        m[p0], m[r] = m[r], prow
+        if prow[c] != 1:
+            prow[c:] = field._lnormed(prow[c:])
+        tail = prow[c:]
+        for row in m:
+            if row[c] and row is not prow:
+                row[c:] = field._lcleared(row[c:], tail)
+        piv.append(c)
+        r += 1
+    return np.array(m, dtype=np.int32).reshape(rows, cols), tuple(piv)
 
 
 def vstack(mats: list[MatrixGF]) -> MatrixGF:

@@ -369,7 +369,7 @@ def test_out_of_range_operands_raise(q):
 
 
 @pytest.mark.parametrize("q", [2, 32, 17, 2039, 9, 25, 27])
-def test_array_kernels_match_table_gathers(q):
+def test_array_kernels_match_reference_arithmetic(q):
     # the kernels against table-free reference arithmetic (field_reference)
     f = field_from_order(q)
     rng = np.random.default_rng(q)
@@ -391,6 +391,37 @@ def test_array_kernels_match_table_gathers(q):
     for got, want in cases:
         assert got.dtype == np.int32
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 17, 32, 2039])
+def test_list_kernels_match_reference_arithmetic(q):
+    # the row operations of matrix's list elimination, on every lead and
+    # every entry of the field
+    f = field_from_order(q)
+    rng = np.random.default_rng(q)
+    elems = np.arange(q)
+    for lead in (1, q - 1, int(rng.integers(1, q))):
+        row = np.concatenate(([lead], elems)).astype(np.int32)
+        want = ref.mul(f, row, ref.inv(f, lead))
+        assert f._lnormed(row.tolist()) == want.tolist()
+    y = np.concatenate(([1], rng.permutation(q))).astype(np.int32)
+    for lead in range(1, q):
+        x = np.concatenate(([lead], elems)).astype(np.int32)
+        want = ref.sub(f, x, ref.mul(f, lead, y))
+        got = f._lcleared(x.tolist(), y.tolist())
+        assert got == want.tolist() and got[0] == 0
+        assert all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize("q", [2048, 2039])
+def test_int_path_lists_stay_linear_in_q(q):
+    # the int path and the list kernels read flat int lists of O(q) length:
+    # no q by q Python table
+    f = field_from_order(q)
+    lists = {k: v for k, v in vars(f).items() if isinstance(v, list)}
+    assert set(lists) == {"_exp_list", "_log_list", "_neg_list"}
+    for v in lists.values():
+        assert len(v) <= 3 * q and all(type(x) is int for x in v)
 
 
 def test_characteristic_two_matmul_in_slices(monkeypatch):

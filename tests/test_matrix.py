@@ -4,6 +4,7 @@ import pytest
 import field_reference as ref
 from aqcc.errors import FieldMismatch
 from aqcc.gf import FiniteField
+from aqcc import matrix
 from aqcc.matrix import MatrixGF, _rref, field_from_order, solve_left, vstack
 
 
@@ -181,23 +182,80 @@ def _rref_reference_loop(field, a):
     return m, tuple(piv)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 7, 9, 16, 17, 27, 32])
-def test_rref_matches_table_loop(q):
-    f = field_from_order(q)
-    rng = np.random.default_rng(q)
-    for shape in [(1, 1), (3, 8), (8, 3), (6, 6), (12, 5), (5, 12), (0, 4), (4, 0)]:
+def _reference_cases(f, rng):
+    """Shapes on both sides of the list cut, with zero columns and with
+    rows that combine two earlier ones."""
+    q = f.q
+    shapes = [(0, 4), (4, 0), (1, 1), (3, 8), (8, 3), (6, 6), (4, 11), (5, 12), (12, 5),
+              (16, 16), (4, 60), (60, 4), (17, 16), (36, 66)]
+    for shape in shapes:
         for _ in range(6):
             m = rng.integers(0, q, shape).astype(np.int32)
             if shape[1] > 2:
-                m[:, rng.integers(0, shape[1], 2)] = 0  # zero columns
-            if shape[0] > 2:  # rank deficient: one row is a combination of two
-                x, y = (int(v) for v in rng.integers(1, q, 2))
-                m[-1] = ref.add(f, ref.mul(f, x, m[0]), ref.mul(f, y, m[1]))
-            red, piv = _rref(f, m)
-            want_red, want_piv = _rref_reference_loop(f, m)
-            assert piv == want_piv
-            assert np.array_equal(red, want_red)
-            assert red.dtype == np.int32
+                m[:, rng.integers(0, shape[1], 1 + shape[1] // 6)] = 0  # zero columns
+            rows = shape[0]
+            if rows > 2:  # rank deficient: the last quarter (at least one row)
+                for k in range(rows - max(1, rows // 4), rows):
+                    x, y = (int(v) for v in rng.integers(1, q, 2))
+                    i, j = rng.permutation(k)[:2]
+                    m[k] = ref.add(f, ref.mul(f, x, m[i]), ref.mul(f, y, m[j]))
+            m.setflags(write=False)  # as MatrixGF.a hands it over
+            yield m
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9, 16, 17, 27, 32, 2039])
+def test_rref_matches_reference_loop(q):
+    # the entry point and each kernel it can pick, called directly whatever
+    # the size: the echelon and pivots of the reference loop, as a fresh
+    # int32 array that _wrap may make read-only
+    f = field_from_order(q)
+    kernels = [_rref, matrix._rref_arrays]
+    if f.p == 2 or f.l == 1:
+        kernels.append(matrix._rref_lists)
+    rng = np.random.default_rng(q)
+    for m in _reference_cases(f, rng):
+        want_red, want_piv = _rref_reference_loop(f, m)
+        for kernel in kernels:
+            red, piv = kernel(f, m)
+            assert piv == want_piv, (kernel.__name__, m.shape)
+            assert np.array_equal(red, want_red), (kernel.__name__, m.shape)
+            assert red.dtype == np.int32 and red.shape == m.shape
+            assert red.flags.writeable and not np.shares_memory(red, m)
+
+
+@pytest.mark.parametrize("q, cut_routes_to_lists", [(2, True), (7, True), (16, True), (2039, True),
+                                                    (9, False), (27, False)])
+def test_rref_picks_the_kernel_by_entry_count_and_field(monkeypatch, q, cut_routes_to_lists):
+    f = field_from_order(q)
+    taken = []
+    for name in ("_rref_lists", "_rref_arrays"):
+        def record(field, a, name=name, kernel=getattr(matrix, name)):
+            taken.append(name)
+            return kernel(field, a)
+        monkeypatch.setattr(matrix, name, record)
+    cut = matrix._LIST_RREF_MAX
+    rng = np.random.default_rng(q)
+    for shape in [(1, 1), (4, cut // 4), (1, cut + 1), (cut + 1, 1), (36, 66)]:
+        taken.clear()
+        red, piv = _rref(f, rng.integers(0, q, shape).astype(np.int32))
+        small = shape[0] * shape[1] <= cut
+        assert taken == ["_rref_lists" if small and cut_routes_to_lists else "_rref_arrays"]
+
+
+def test_only_matrix_names_the_rref_kernels():
+    # _rref is the one entry point: callers, the elimination counters and
+    # the perfbench tracer all see it, so no other module reaches past it
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    kernels = ("_rref_lists", "_rref_arrays", "_LIST_RREF_MAX")
+    files = [*sorted((root / "src" / "aqcc").glob("*.py")), *sorted((root / "perfbench").glob("*.py")),
+             *sorted((root / "tests").glob("*.py"))]
+    assert len(files) > 20
+    allowed = {root / "src" / "aqcc" / "matrix.py", Path(__file__).resolve()}
+    offenders = [path.name for path in files
+                 if path not in allowed and any(k in path.read_text() for k in kernels)]
+    assert offenders == []
 
 
 def test_only_gf_indexes_the_field_tables():
@@ -207,25 +265,32 @@ def test_only_gf_indexes_the_field_tables():
 
     import aqcc
 
-    table = re.compile(r"\._(ADD|MUL|NEG|INV)\b")
+    tables = ("_ADD", "_MUL", "_NEG", "_INV")
+    lists = ("_exp_list", "_log_list", "_neg_list")
+    table = re.compile(r"\._(ADD|MUL|NEG|INV|exp_list|log_list|neg_list)\b")
     src = Path(aqcc.__file__).parent
     offenders = [
         f"{path.name}:{n}"
         for path in sorted(src.glob("*.py")) if path.name != "gf.py"
         for n, line in enumerate(path.read_text().splitlines(), 1) if table.search(line)
     ]
-    # inside gf.py: the builder, the array kernels and the scalar int path
-    # (whose add and sub gather sums over odd extension fields)
-    readers = {"_build_tables", "_vadd", "_vsub", "_vneg", "_vinv", "_vmul", "_vmatmul",
-               "add", "sub"}
+    # inside gf.py: the builder and the array kernels read the tables, as do
+    # add and sub of the int path, which gather sums over odd extension
+    # fields; the builder, the int path and the list kernels read the lists
+    readers = {
+        **dict.fromkeys(tables, {"_build_tables", "_vadd", "_vsub", "_vneg", "_vinv", "_vmul",
+                                 "_vmatmul", "add", "sub"}),
+        **dict.fromkeys(lists, {"_build_tables", "sub", "neg", "mul", "inv", "pow", "exp",
+                                "_lnormed", "_lcleared"}),
+    }
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.Lambda)):
                 visit(child, getattr(child, "name", "<lambda>"))
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr in ("_ADD", "_MUL", "_NEG", "_INV")
-                    and owner not in readers):
+            if (isinstance(child, ast.Attribute) and child.attr in readers
+                    and owner not in readers[child.attr]):
                 offenders.append(f"gf.py:{child.lineno} in {owner}")
             visit(child, owner)
 
