@@ -193,12 +193,18 @@ def by_column(table: np.ndarray, q: int) -> np.ndarray:
 def mismatches(table_t: np.ndarray, want: np.ndarray) -> np.ndarray:
     """out[j, u] = #{c : table_t[c, u] != want[j, c]}, for a table stored by
     by_column: one comparison and one add per column of b * rows entries,
-    counted in the narrowest type that holds n."""
+    counted in the narrowest type that holds n.  out is stored with its
+    longer axis contiguous, so both passes run long inner loops whether
+    the batch or the table is the larger."""
     n, rows = table_t.shape
-    want = np.asarray(want).astype(table_t.dtype)
-    out = np.zeros((len(want), rows), dtype=np.min_scalar_type(n))
+    order = "F" if len(want) > rows else "C"
+    want = np.asarray(want, dtype=table_t.dtype, order=order)
+    out = np.zeros((len(want), rows), dtype=np.min_scalar_type(n), order=order)
+    hit = np.empty(out.shape, dtype=bool, order=order)
+    hits = hit.view(np.uint8)  # added as numbers, without a cast per column
     for c in range(n):
-        out += table_t[c] != want[:, c, None]
+        np.not_equal(table_t[c], want[:, c, None], out=hit)
+        out += hits
     return out
 
 

@@ -587,13 +587,18 @@ def demo_vectors(field: FiniteField, n: int, partition, seed: int = 0) -> Matrix
     total = sum(int(s) for s in partition)
     if total > n:
         raise PartitionInvalid(f"{total} independent rows cannot fit in length {n}")
-    rng = random.Random(seed)
+    q = field.q
+    draw, bits = random.Random(seed).getrandbits, q.bit_length()
     for _ in range(256):
-        a = np.array(
-            [[rng.randrange(field.q) for _ in range(n)] for _ in range(total)],
-            dtype=np.int32,
-        )
-        m = MatrixGF(field, a)
+        # Random.randrange(q) for each entry, its rejection loop inlined: the
+        # same draws from the same stream, without a method call per entry
+        entries = []
+        for _ in range(total * n):
+            r = draw(bits)
+            while r >= q:
+                r = draw(bits)
+            entries.append(r)
+        m = MatrixGF(field, np.array(entries, dtype=np.int32).reshape(total, n))
         if m.rank() == total:
             return m
     raise IndependenceViolated(f"could not draw {total} independent rows of length {n}")

@@ -270,9 +270,13 @@ class FiniteField:
         log[exp] = np.arange(q - 1)
 
         if l > 1:  # products over a prime field are computed mod p
+            # log a + log b < 2(q - 1) indexes exp doubled with no mod; 256
+            # rows at a time keep the int32 index and product blocks small
             mul = np.zeros((q, q), dtype=np.int32)
-            la = log[1:]
-            mul[1:, 1:] = exp[(la[:, None] + la[None, :]) % (q - 1)]
+            exp2 = np.concatenate([exp, exp])
+            la = log[1:].astype(np.int32)
+            for start in range(0, q - 1, 256):
+                mul[1 + start:257 + start, 1:] = exp2[la[start:start + 256, None] + la[None, :]]
             self._MUL = mul
         inv = np.zeros(q, dtype=np.int32)
         inv[exp] = exp[(-np.arange(q - 1)) % (q - 1)]
@@ -349,6 +353,8 @@ class FiniteField:
         return self.mul(a, self.inv(b))
 
     # --- array kernels: in-range int32 index arrays, int32 out ----------------
+    # numpy returns a scalar for 0-d operands, which out= cannot take, so
+    # the prime-field kernels take the result back to an array first
 
     def _gather(self, table, a, b):
         """table[a, b] for index arrays: operands of one shape take one 1-d
@@ -362,7 +368,7 @@ class FiniteField:
         if self.p == 2:
             return np.bitwise_xor(a, b, dtype=np.int32)
         if self.l == 1:
-            s = np.add(a, b, dtype=np.int32)
+            s = np.asarray(np.add(a, b, dtype=np.int32))
             return np.remainder(s, self.p, out=s)
         return self._gather(self._ADD, a, b)
 
@@ -370,7 +376,7 @@ class FiniteField:
         if self.p == 2:
             return np.bitwise_xor(a, b, dtype=np.int32)
         if self.l == 1:
-            s = np.subtract(a, b, dtype=np.int32)
+            s = np.asarray(np.subtract(a, b, dtype=np.int32))
             return np.remainder(s, self.p, out=s)
         return self._gather(self._ADD, a, self._NEG[b])
 
@@ -378,7 +384,7 @@ class FiniteField:
         if self.p == 2:
             return np.array(a, dtype=np.int32)
         if self.l == 1:
-            s = np.subtract(self.p, a, dtype=np.int32)
+            s = np.asarray(np.subtract(self.p, a, dtype=np.int32))
             return np.remainder(s, self.p, out=s)
         return self._NEG[a]
 
@@ -387,7 +393,7 @@ class FiniteField:
 
     def _vmul(self, a, b):
         if self.l == 1:
-            s = np.multiply(a, b, dtype=np.int32)
+            s = np.asarray(np.multiply(a, b, dtype=np.int32))
             return np.remainder(s, self.p, out=s)
         if type(a) is int:  # a scalar first: one table row scales all of b
             return self._MUL[a][b]

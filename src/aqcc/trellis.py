@@ -14,12 +14,17 @@ The encoder is linear, so for every scalar lam != 0 the inputs lam * u
 drive the state path lam * s with the same output weights, and the search
 runs on the classes GF(q)* * s.  Each relaxation lands on the member whose
 lowest nonzero digit is 1, so at most (q**gamma - 1)/(q - 1) states are
-settled.  The weight of message u from state s is the number of columns
-c with out0[u, c] != -out_s[c]; block.mismatches scores a batch of settled
-classes against the message table at most _SCORE_CHUNK entries at a time.
-The table takes the rows with nu_i = 0 as its fastest digits, so the
-messages that reach one next state form one contiguous run, and each run
-offers its target class its least weight.
+settled.  The rows with nu_i = 0 are the fastest message digits, so the
+messages that reach one next state form one contiguous run of q**k0, and
+each run offers its target class its least weight.  A run's messages
+output the codewords of C0', the span of those rows' degree-0
+coefficients, each plus one offset r G0,mem from the other rows, so the
+weight of message u_free + q**k0 * r from state s is the number of
+columns c with C0'[u_free, c] != -out_s[c] - (r G0,mem)[c].
+block.mismatches scores each (class, run) pair against the q**k0
+codewords of C0', a few classes at a time, at most _SCORE_CHUNK message
+weights and wanted symbols per call; no table of all q**k messages is
+built.
 
 Each class keeps the branch that gave it its distance, by a rule that does
 not depend on the order of the relaxations: among equal distances the
@@ -29,8 +34,9 @@ branches lead back to the zero state; the path is rebuilt from there,
 each branch scaled back from the class representative to the path's
 state, and u(D) @ g is the witness.
 
-Feasibility is gated twice: q**gamma states must fit the state budget and
-q**(gamma + k) scanned edges must fit the work budget.  Outside the budget
+Feasibility is gated three times: q**gamma states must fit the state
+budget, q**(gamma + k) scanned edges the work budget, and one class's
+q**k message weights over n columns _MEM_ELEMENTS.  Outside the budget
 the result degrades to a certified bracket, "bounded": the caller's lower
 bound and floor, and a short probe's least codeword as the upper bound.
 """
@@ -46,6 +52,7 @@ from .errors import AqccError, CatastrophicEncoder
 
 DEFAULT_STATE_BUDGET = 1 << 20
 DEFAULT_WORK_BUDGET = 1 << 26
+# bounds one class's scoring batch: its q**k message weights, over n columns
 _MEM_ELEMENTS = 1 << 24
 
 
@@ -183,14 +190,20 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
 
     starts = [sum(nu[:i]) for i in range(k)]  # row i's first state digit
     # state digit p, the input of row i from d steps back, adds coef[d][i]
-    state_rows = np.array([coef[d][i] for i in range(k) for d in range(1, nu[i] + 1)])
+    state_rows = [coef[d][i] for i in range(k) for d in range(1, nu[i] + 1)]
 
     # the rows with nu_i = 0 are the fastest message digits, so the messages
     # that differ only in them, which reach one next state, are contiguous:
-    # run r of q**k0 messages feeds the memory rows the digits of r
+    # run r of q**k0 messages feeds the memory rows the digits of r.  Message
+    # u_free + q**k0 * r outputs the codeword u_free of C0', the span of the
+    # free rows' degree-0 coefficients, plus the offset r G0,mem of the
+    # memory rows', so class s weighs run r against C0' alone:
+    # #{c : C0'[u_free, c] != -out_s[c] - (r G0,mem)[c]}
     order = sorted(range(k), key=lambda i: nu[i] > 0)
-    table = by_column(codeword_table(field, coef[0][order]), q)
-    next_states = _digit_sums(q, [q ** starts[i] for i in order if nu[i] > 0])
+    k0 = list(nu).count(0)
+    table = by_column(codeword_table(field, coef[0][order[:k0]]), q)
+    next_states = _digit_sums(q, [q ** starts[i] for i in order[k0:]])
+    runs = len(next_states)
 
     shift_w = np.zeros(gamma, dtype=np.int64)
     for i in range(k):
@@ -198,18 +211,21 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
             p = starts[i] + d - 1
             shift_w[p] = q ** (p + 1)
 
-    # -out_s and the shifted next state are sums over the state digits, so
-    # both are tabulated for the low and the high half of the digits; state
-    # s = lo + split * hi then needs one lookup in each half
-    half = gamma // 2
+    # -out_s - r G0,mem is a sum over the state and run digits, tabulated
+    # for the low state digits and for the run digits, the faster, with the
+    # high ones: want_hi[hi, r].  The shifted next state is tabulated for
+    # the same two parts of the state digits, so state s = lo + split * hi
+    # needs one lookup in each.  The cut balances the two want tables at
+    # about the square root of q**(gamma + k - k0) rows each
+    half = min(gamma, (gamma + k - k0 + 1) // 2)
     split = q ** half
-    neg_rows = field._vneg(state_rows.reshape(gamma, n))
-    neg_lo, neg_hi = codeword_table(field, neg_rows[:half]), codeword_table(field, neg_rows[half:])
+    neg = field._vneg(np.array(state_rows[:half] + [coef[0][i] for i in order[k0:]] + state_rows[half:]))
+    want_lo = codeword_table(field, neg[:half])
+    want_hi = codeword_table(field, neg[half:]).reshape(-1, runs, n)
     moved_lo, moved_hi = _digit_sums(q, shift_w[:half]), _digit_sums(q, shift_w[half:])
     rep = _class_representatives(field, gamma)
 
     size, msgs = q ** gamma, q ** k
-    runs = len(next_states)
     run_len = msgs // runs
     # best[t] packs the branch that gave class t its distance d as
     # ((d * (n + 1) + n - w) * size + s) * msgs + u: its weight w, settled
@@ -250,11 +266,20 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
             c = field.mul(c, t % q or 1)  # rep(t) is t over its lowest nonzero digit
         return (PolyMatrix.from_coefficients(field, u) @ g).e[0]
 
-    w0 = mismatches(table, np.zeros((1, n), dtype=np.int32)).astype(np.int64)
-    w0[0, 0] = n + 1  # the zero message never leaves the zero state
-    relax(0, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), w0)
+    def scored(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        # the weights of C0' against -out_s - r G0,mem for the classes s = lo
+        # + split * hi, one row per (class, run): their q**k message weights
+        want = field._vadd(want_lo[lo][:, None, :], want_hi[hi])
+        return mismatches(table, want.reshape(-1, n))
 
-    step = max(1, _SCORE_CHUNK // msgs)
+    zero = np.zeros(1, dtype=np.int64)
+    w0 = scored(zero, zero).astype(np.int64)
+    w0[0, 0] = n + 1  # the zero message never leaves the zero state
+    relax(0, zero, zero, w0)
+
+    # a few classes per kernel call: at most _SCORE_CHUNK message weights,
+    # and as many wanted symbols, which outnumber them when k0 = 0
+    step = max(1, _SCORE_CHUNK // max(msgs, runs * n))
     states = 0
     while True:
         pending = np.where(settled, INF, best)
@@ -268,7 +293,6 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
         settled[popped] = True
         states += len(popped)
         hi, lo = np.divmod(popped, split)
-        want = field._vadd(neg_lo[lo], neg_hi[hi])
         bases = moved_lo[lo] + moved_hi[hi]
         for j in range(0, len(popped), step):
-            relax(d, popped[j:j + step], bases[j:j + step], mismatches(table, want[j:j + step]))
+            relax(d, popped[j:j + step], bases[j:j + step], scored(lo[j:j + step], hi[j:j + step]))

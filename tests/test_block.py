@@ -452,9 +452,11 @@ def test_enumeration_visits_one_block_per_scalar_class(monkeypatch, q, k):
     assert sum(blocks) <= 2 + (q ** (k - a) - 1) // (q - 1)
 
 
-@pytest.mark.parametrize("q,rows,n", [(2, 5, 0), (3, 40, 7), (7, 30, 128), (2, 9, 300), (2048, 12, 20)])
+@pytest.mark.parametrize("q,rows,n", [(2, 5, 0), (3, 40, 7), (7, 30, 128), (2, 9, 300), (2048, 12, 20),
+                                      (2, 3, 300), (7, 2, 20)])
 def test_mismatches_against_brute_force(q, rows, n):
-    # n = 300 > 255 needs the two-byte count: want[1] differs everywhere
+    # n = 300 > 255 needs the two-byte count: want[1] differs everywhere;
+    # fewer than 5 table rows put the batch on the Fortran-order side
     rng = np.random.default_rng(q + rows + n)
     table = rng.integers(0, q, size=(rows, n)).astype(np.int32)
     want = rng.integers(0, q, size=(5, n)).astype(np.int32)

@@ -534,3 +534,32 @@ def test_mds_sources_builds_each_source_once(monkeypatch):
     monkeypatch.setattr(selftest, "build_source", lambda key: built.append(key) or build(key))
     assert selftest.check_mds_sources() == "79 distinct source codes all meet the Singleton bound"
     assert len(built) == len(set(built)) == 79
+
+
+def randrange_vectors(field, n, partition, seed):
+    """demo_vectors with one Random.randrange call per entry: the draws
+    the inlined rejection loop must reproduce, and the attempts taken."""
+    import random
+
+    rng = random.Random(seed)
+    total = sum(partition)
+    for attempt in range(1, 257):
+        a = np.array([[rng.randrange(field.q) for _ in range(n)] for _ in range(total)],
+                     dtype=np.int32)
+        if MatrixGF(field, a).rank() == total:
+            return a, attempt
+    raise AssertionError("no independent draw")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
+def test_demo_vectors_draw_the_randrange_stream(q):
+    # square draws are often singular, so some seeds redraw; q = 3, 5, 7
+    # and 11 reject draws of q.bit_length() bits at or past q
+    f = field_from_order(q)
+    redrawn = 0
+    for seed in range(40):
+        for n, partition in ((3, [1, 1, 1]), (5, [2, 1, 1])):
+            want, attempts = randrange_vectors(f, n, partition, seed)
+            assert np.array_equal(demo_vectors(f, n, partition, seed=seed).a, want)
+            redrawn += attempts > 1
+    assert redrawn

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -468,3 +471,55 @@ def test_public_ops_match_reference(q):
     for x in range(q):
         for k in range(0 if x == 0 else -q, q + 2):
             assert f.pow(x, k) == ref.power(f, x, k), (x, k)
+
+
+@pytest.mark.parametrize("q", [4, 512, 2048])
+def test_product_table_built_in_row_blocks_matches_one_shot(q):
+    # the one-shot build the row blocks replaced: every sum of two logs,
+    # reduced mod q - 1, gathered from exp at once; 3, 511 and 2047 nonzero
+    # rows make one block, two, and seven and a partial last one
+    f = field_from_order(q)
+    exp = np.array([f.exp(i) for i in range(q - 1)], dtype=np.int32)
+    log = np.full(q, -1, dtype=np.int64)
+    log[exp] = np.arange(q - 1)
+    mul = np.zeros((q, q), dtype=np.int32)
+    la = log[1:]
+    mul[1:, 1:] = exp[(la[:, None] + la[None, :]) % (q - 1)]
+    assert f._MUL.dtype == np.int32 and np.array_equal(f._MUL, mul)
+
+
+def test_largest_field_build_stays_small():
+    # building GF(2048) in a fresh interpreter raises its peak resident
+    # memory by the 16 MB product table and a few MB of blocks; one
+    # (q - 1)**2 int64 temporary alone would add 32 MB.  The peak is the
+    # process's own VmHWM: ru_maxrss keeps the forking test runner's peak
+    # across exec
+    status = Path("/proc/self/status")
+    if not status.exists():
+        pytest.skip("needs /proc/self/status")
+    code = (
+        "import re, sys\n"
+        f"sys.path.insert(0, {str(Path(gf.__file__).parents[1])!r})\n"
+        "import aqcc\n"
+        "from aqcc.gf import FiniteField\n"
+        "def peak():\n"
+        "    return int(re.search(r'VmHWM:\\s+(\\d+)', open('/proc/self/status').read())[1])\n"
+        "before = peak()\n"
+        "FiniteField.get(2, 11)\n"
+        "print(peak() - before)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 40 * 1024  # kB
+
+
+@pytest.mark.parametrize("q", [3, 5, 17, 2039])
+def test_numpy_scalar_operands_over_prime_fields(q):
+    # numpy scalars go through the kernels, whose sums of 0-d operands
+    # come back from numpy as scalars
+    f = field_from_order(q)
+    for x, y in ((0, 0), (1, q - 1), (q - 1, q - 1), (q // 2, q - 2)):
+        for form in (np.int32, np.int64):
+            assert f.add(form(x), form(y)) == f.add(x, y)
+            assert f.sub(form(x), form(y)) == f.sub(x, y)
+            assert f.mul(form(x), form(y)) == f.mul(x, y)
+            assert f.neg(form(x)) == f.neg(x)

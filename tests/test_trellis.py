@@ -8,7 +8,7 @@ import pytest
 
 from aqcc import FamilyParams, block, certify_params, selftest, trellis
 from aqcc.errors import AqccError, CatastrophicEncoder, RankDeficient
-from aqcc.block import DistanceBound, codeword_table, rs_parity
+from aqcc.block import _SCORE_CHUNK, DistanceBound, by_column, codeword_table, mismatches, rs_parity
 from aqcc.convo import (
     PolyMatrix,
     degree_accounting,
@@ -623,15 +623,17 @@ def test_bucket_scored_in_chunks(monkeypatch, multi_row_gens, heavy_gens, classe
         g = reduce(g)
         info = degree_accounting(g)
         whole = _dijkstra(g.field, g, info)
+        runs = g.field.q ** (g.rows - memory_free_rows(g))
         with monkeypatch.context() as mp:
-            mp.setattr(trellis, "_SCORE_CHUNK", classes * g.field.q ** g.rows)
+            mp.setattr(trellis, "_SCORE_CHUNK", classes * max(g.field.q ** g.rows, runs * g.cols))
             assert _dijkstra(g.field, g, info) == whole
 
 
 def test_kernel_batches_stay_small(monkeypatch):
-    # III-T5a q=11 i=6 at desk: the outer search weighs 11**5 messages, so
-    # a bucket goes to the kernel a few classes at a time, never more than
-    # 2**20 table entries at once
+    # III-T5a q=11 i=6 at desk: the outer search weighs 11**5 messages per
+    # class, in runs scored against the 11**3 codewords of C0', so a bucket
+    # goes to the kernel a few classes at a time, never more than 2**20
+    # table entries at once; 11**3 is also the largest enumeration low table
     entries = []
     kernel = block.mismatches
 
@@ -642,5 +644,197 @@ def test_kernel_batches_stay_small(monkeypatch):
     monkeypatch.setattr(block, "mismatches", recorded)
     monkeypatch.setattr(trellis, "mismatches", recorded)
     certify_params(FamilyParams("III-T5a", 11, i=6, t=1), effort="desk")
-    assert max(rows for _, rows in entries) == 11 ** 5
+    assert max(rows for _, rows in entries) == 11 ** 3
     assert max(b * rows for b, rows in entries) <= 1 << 20
+
+
+def table_dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
+    """The bucketed search scoring every class against one table of all
+    q**k messages' degree-0 codewords, free rows the fastest digits: the
+    scoring the run-by-run search replaced, with the same packed key, so
+    the same (free distance, classes settled, witness).  It weighs the
+    messages by its own comparison, not by block.mismatches."""
+    q = field.q
+    k, n = g.shape
+    nu = info.row_degrees
+    gamma = info.gamma
+    coef = g.c
+
+    starts = [sum(nu[:i]) for i in range(k)]
+    state_rows = np.array([coef[d][i] for i in range(k) for d in range(1, nu[i] + 1)])
+    order = sorted(range(k), key=lambda i: nu[i] > 0)
+    out0 = codeword_table(field, coef[0][order])
+    next_states = _digit_sums(q, [q ** starts[i] for i in order if nu[i] > 0])
+
+    shift_w = np.zeros(gamma, dtype=np.int64)
+    for i in range(k):
+        for d in range(1, nu[i]):
+            p = starts[i] + d - 1
+            shift_w[p] = q ** (p + 1)
+
+    half = gamma // 2
+    split = q ** half
+    neg_rows = field._vneg(state_rows.reshape(gamma, n))
+    neg_lo, neg_hi = codeword_table(field, neg_rows[:half]), codeword_table(field, neg_rows[half:])
+    moved_lo, moved_hi = _digit_sums(q, shift_w[:half]), _digit_sums(q, shift_w[half:])
+    rep = _class_representatives(field, gamma)
+
+    size, msgs = q ** gamma, q ** k
+    runs = len(next_states)
+    run_len = msgs // runs
+    INF = np.iinfo(np.int64).max
+    radix = (n + 1) * size * msgs
+    best = np.full(size, INF, dtype=np.int64)
+    settled = np.zeros(size, dtype=bool)
+    run_start = np.arange(runs) * run_len
+
+    def relax(d, sources, bases, weights):
+        w = weights.reshape(len(sources), runs, run_len)
+        least = w.min(axis=2).astype(np.int64)
+        key = ((((d + least) * (n + 1) + n - least) * size + sources[:, None]) * msgs
+               + run_start + w.argmin(axis=2)).ravel()
+        targets = rep((next_states + bases[:, None]).ravel())
+        keep = (least.ravel() <= n) & ~settled[targets]
+        np.minimum.at(best, targets[keep], key[keep])
+
+    def witness():
+        steps = [divmod(int(best[0]) % (size * msgs), msgs)]
+        while steps[-1][0]:
+            steps.append(divmod(int(best[steps[-1][0]]) % (size * msgs), msgs))
+        u = np.zeros((len(steps), 1, k), dtype=np.int32)
+        c = 1
+        for j, (s, m) in enumerate(reversed(steps)):
+            u[j, 0, order] = field._vmul(c, (m // q ** np.arange(k)) % q)
+            hi, lo = divmod(s, split)
+            t = int(next_states[m // run_len] + moved_lo[lo] + moved_hi[hi])
+            while t and not t % q:
+                t //= q
+            c = field.mul(c, t % q or 1)
+        return (PolyMatrix.from_coefficients(field, u) @ g).e[0]
+
+    def weighed(want):
+        w = np.zeros((len(want), msgs), dtype=np.int64)
+        for c in range(n):
+            w += out0[:, c] != want[:, c, None]
+        return w
+
+    w0 = weighed(np.zeros((1, n), dtype=np.int32))
+    w0[0, 0] = n + 1
+    relax(0, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), w0)
+
+    step = max(1, _SCORE_CHUNK // msgs)
+    states = 0
+    while True:
+        pending = np.where(settled, INF, best)
+        d = int(pending.min()) // radix
+        if best[0] < (d + 1) * radix:
+            return d, states, witness()
+        popped = np.flatnonzero(pending < (d + 1) * radix)
+        settled[popped] = True
+        states += len(popped)
+        hi, lo = np.divmod(popped, split)
+        want = field._vadd(neg_lo[lo], neg_hi[hi])
+        bases = moved_lo[lo] + moved_hi[hi]
+        for j in range(0, len(popped), step):
+            relax(d, popped[j:j + step], bases[j:j + step], weighed(want[j:j + step]))
+
+
+RUN_FIELDS = (2, 3, 4, 5, 7, 8, 9)
+
+
+@pytest.fixture(scope="module")
+def run_gens():
+    """Basic reduced encoders over each of RUN_FIELDS with no memory-free
+    row (k0 = 0), one (k0 = 1) and two or three (k0 >= 2), so the runs hold
+    1, q and q**2 or more messages; q**(gamma + k) <= 2**14.  Row degrees
+    (3,) and (0, 3) put state digits on both sides of the table cut."""
+    rng = random.Random(22)
+    out = []
+    for q in RUN_FIELDS:
+        f = field_from_order(q)
+        for degs in ((1,), (3,), (1, 1), (0, 1), (0, 3), (1, 0, 2), (0, 2, 1), (0, 0, 1), (0, 1, 0, 1),
+                     (0, 0, 0, 1)):
+            gamma_k = sum(degs) + len(degs)
+            if q ** gamma_k > 2 ** 14:
+                continue
+            while True:
+                n = len(degs) + rng.randint(1, 3)
+                g = PolyMatrix(f, [
+                    [tuple(rng.randrange(q) for _ in range(d + 1)) for _ in range(n)]
+                    for d in degs
+                ])
+                try:
+                    free_distance(g, state_budget=1)
+                except (CatastrophicEncoder, RankDeficient):
+                    continue
+                g = reduce(g)
+                if degree_accounting(g).gamma:
+                    out.append(g)
+                    break
+    return out
+
+
+def memory_free_rows(g: PolyMatrix) -> int:
+    return list(degree_accounting(g).row_degrees).count(0)
+
+
+def t5a_outer_encoder() -> PolyMatrix:
+    g1, _ = layout(FamilyParams("III-T5a", 11, i=6, t=1)).generators()
+    return reduce(g1)
+
+
+def test_run_scoring_matches_table_scoring(run_gens):
+    # the same distance, classes settled and witness as scoring against
+    # the table of all q**k messages
+    seen = set()
+    for g in run_gens:
+        info = degree_accounting(g)
+        seen.add((g.field.q, min(memory_free_rows(g), 2)))
+        assert _dijkstra(g.field, g, info) == table_dijkstra(g.field, g, info)
+    assert seen == {(q, k0) for q in RUN_FIELDS for k0 in (0, 1, 2)}
+
+
+def test_run_scoring_matches_table_scoring_on_reference_row():
+    # III-T5a q=11 i=6: runs of 11**3 messages over 11**2 offsets
+    g = t5a_outer_encoder()
+    info = degree_accounting(g)
+    assert memory_free_rows(g) == 3 and g.shape == (5, 10)
+    assert _dijkstra(g.field, g, info) == table_dijkstra(g.field, g, info)
+
+
+def test_search_builds_no_message_table(monkeypatch, run_gens):
+    # with a memory-free row and fewer state digits than rows, so that no
+    # table of state digits alone reaches q**k rows either, no table the
+    # search builds or scores has a row per message; III-T5a q=11 i=6 also
+    # peaks below the int32 bytes of such a table (its old scoring peaked
+    # above them)
+    import tracemalloc
+
+    shapes = []
+
+    def recorded(field, gen):
+        table = codeword_table(field, gen)
+        shapes.append(table.shape)
+        return table
+
+    kernel = block.mismatches
+    monkeypatch.setattr(trellis, "codeword_table", recorded)
+    monkeypatch.setattr(trellis, "mismatches", lambda t, w: shapes.append(t.shape[::-1]) or kernel(t, w))
+    ref = t5a_outer_encoder()
+    checked = 0
+    for g in run_gens + [ref]:
+        if not memory_free_rows(g) or degree_accounting(g).gamma >= g.rows:
+            continue  # with k0 = 0 the offsets are the messages' codewords
+        shapes.clear()
+        _dijkstra(g.field, g, degree_accounting(g))
+        assert shapes and max(rows for rows, _ in shapes) < g.field.q ** g.rows
+        checked += 1
+    assert checked > len(RUN_FIELDS) * 2
+    info = degree_accounting(ref)
+    tracemalloc.start()
+    try:
+        _dijkstra(ref.field, ref, info)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 11 ** 5 * 10
