@@ -41,6 +41,7 @@ distinct stages and must surface as three distinct exceptions:
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import NoReturn
@@ -172,11 +173,7 @@ def _matrix_text(m) -> str:
 
 
 def _params_dict(params: families.FamilyParams) -> dict:
-    out = {}
-    for name in ("n", "k", "i", "t"):
-        v = getattr(params, name)
-        if v is not None:
-            out[name] = int(v)
+    out = params.coordinates()
     if params.partition is not None:
         out["partition"] = [int(s) for s in params.partition]
         out["mu"] = len(params.partition) // 2 - 1
@@ -251,7 +248,6 @@ def certify_plan(
         kw = {"state_budget": budgets.state, "work_budget": budgets.work}
         d1f = free_distance(g1, lower_hint=d1f, **kw)
         d2f = free_distance(par.v2_dual, lower_hint=d2f, **kw)
-        par = par.with_distances(d1f, d2f)
 
     # closed-form cross checks; any miss means the layout or the formula
     # table is wrong, and certifying anyway would hide the defect
@@ -270,9 +266,13 @@ def certify_plan(
                 f"{name} free distance is at most {b.upper}, below the stated bound {stated}"
             )
 
+    # dz, the larger side distance, lies between the larger lower and upper
+    # bound, dx between the smaller ones; no upper bound counts as infinite
+    lowers = (d1f.lower, d2f.lower)
+    uppers = tuple(math.inf if b.upper is None else b.upper for b in (d1f, d2f))
     dz_b, dx_b = expected.dz_bound, expected.dx_bound
-    dz_val = dz_b if dz_b is not None else (par.dz.lower if par.dz else 1)
-    dx_val = dx_b if dx_b is not None else (par.dx.lower if par.dx else 1)
+    dz_val = dz_b if dz_b is not None else (1 if effort == "structure" else max(lowers))
+    dx_val = dx_b if dx_b is not None else (1 if effort == "structure" else min(lowers))
     tuple_str = (
         f"[({par.n},{par.logical},{par.mu_star};{par.gamma},"
         f"dz>={dz_val}/dx>={dx_val})]_{field.q}"
@@ -331,10 +331,10 @@ def certify_plan(
         },
         "tuple": tuple_str,
     }
-    if par.dz is not None and par.dz.exact:
-        data["distances"]["aqcc"]["dz_exact"] = int(par.dz.lower)
-    if par.dx is not None and par.dx.exact:
-        data["distances"]["aqcc"]["dx_exact"] = int(par.dx.lower)
+    if max(lowers) == max(uppers):
+        data["distances"]["aqcc"]["dz_exact"] = int(max(lowers))
+    if min(lowers) == min(uppers):
+        data["distances"]["aqcc"]["dx_exact"] = int(min(lowers))
     if plan.notes:
         data["notes"] = list(plan.notes)
     return AqccCertificate(data=data, aqcc=par, expected=expected, g1=g1, g2=g2)

@@ -19,6 +19,7 @@ from .convo import PolyMatrix, degree_accounting, format_poly_matrix, parse_poly
 from .errors import AqccError, CatastrophicEncoder, ParamOutOfRange, RankDeficient
 from .families import (
     FAMILIES,
+    GRID_NAMES,
     FamilyParams,
     construction_i_plan,
     demo_vectors,
@@ -26,8 +27,6 @@ from .families import (
 )
 from .matrix import field_from_order
 from .trellis import DEFAULT_STATE_BUDGET, DEFAULT_WORK_BUDGET, free_distance
-
-RANGE_NAMES = ("n", "k", "i", "t")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -69,7 +68,7 @@ def _parse_ranges(pairs) -> dict | None:
     for item in pairs:
         name, _, span = item.partition("=")
         lo, colon, hi = span.partition(":")
-        if name not in RANGE_NAMES or not colon:
+        if name not in GRID_NAMES or not colon:
             raise ParamOutOfRange(f"range must look like i=3:5, got {item!r}")
         try:
             out[name] = (int(lo), int(hi))
@@ -81,8 +80,7 @@ def _parse_ranges(pairs) -> dict | None:
 def cmd_enumerate(args) -> int:
     rows = enumerate_family(args.family, args.q, ranges=_parse_ranges(args.range))
     flat = (
-        (p.family, p.q, {a: getattr(p, a) for a in RANGE_NAMES if getattr(p, a) is not None},
-         e.n, e.k_formula, e.gamma_formula, e.dz_bound, e.dx_bound)
+        (p.family, p.q, p.coordinates(), e.n, e.k_formula, e.gamma_formula, e.dz_bound, e.dx_bound)
         for p, e in rows
     )
     _emit(_rows_text(flat, args.format), args.out)

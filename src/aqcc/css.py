@@ -15,12 +15,10 @@ from the result instead of building their own.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .block import DistanceBound
 from .convo import PolyMatrix, block_toeplitz, contains, dual_generator, reduce
 from .errors import (
     FieldMismatch,
@@ -193,36 +191,6 @@ class AqccParameters:
     pair: NestedPair
     h1: PolyMatrix
     v2_dual: PolyMatrix
-    dz: DistanceBound | None = None
-    dx: DistanceBound | None = None
-    dz_side: str | None = None
-
-    def with_distances(self, v1: DistanceBound, v2perp: DistanceBound) -> "AqccParameters":
-        """These parameters with dz and dx taken from the two side distances.
-
-        dz brackets the larger of the two and dx the smaller, matching the
-        convention that the Z distance carries the heavier protection.  dz
-        spans the larger lower and the larger upper bound, dx the smaller
-        ones; each keeps the floor of the side that gives its lower bound,
-        and the method and witness of the side that gives its upper bound.
-        dz_side names the side whose bracket lies wholly above the other,
-        or "undecided" when the brackets overlap; ties go to v1.
-        """
-        top = lambda r: math.inf if r.upper is None else r.upper
-        high, low = (v1, v2perp) if top(v1) >= top(v2perp) else (v2perp, v1)
-        strong, weak = (v1, v2perp) if v1.lower >= v2perp.lower else (v2perp, v1)
-        if v1.lower >= top(v2perp):
-            side = "v1"
-        elif v2perp.lower > top(v1):
-            side = "v2perp"
-        else:
-            side = "undecided"
-        return replace(
-            self,
-            dz=replace(high, lower=strong.lower, floor=strong.floor),
-            dx=replace(low, lower=weak.lower, floor=weak.floor),
-            dz_side=side,
-        )
 
 
 def derive_aqcc(pair: NestedPair) -> AqccParameters:
@@ -231,7 +199,9 @@ def derive_aqcc(pair: NestedPair) -> AqccParameters:
     h1, the dual of the outer generator, goes on the X side of the
     stabilizer and the reduced inner generator on the Z side; v2_dual is
     the dual of the inner generator.  gamma is the external degree of the
-    stabilizer.  Distances are attached afterwards with with_distances.
+    stabilizer.  The free distances of the outer generator and of v2_dual
+    bound the two sides; certify.certify_plan computes them and reads dz
+    and dx from the two brackets.
     """
     k1, k2 = pair.outer.rows, pair.inner.rows
     logical = k1 - k2

@@ -39,6 +39,8 @@ FAMILIES = (
     "III-T6",
     "III-T8",
 )
+# the grid coordinates a family may set, in the order labels print them
+GRID_NAMES = ("n", "k", "i", "t")
 
 
 @dataclass(frozen=True)
@@ -53,12 +55,12 @@ class FamilyParams:
     k: int | None = None
     partition: tuple[int, ...] | None = None
 
+    def coordinates(self) -> dict[str, int]:
+        """The set ones of n, k, i and t, in that order."""
+        return {name: int(v) for name in GRID_NAMES if (v := getattr(self, name)) is not None}
+
     def label(self) -> str:
-        parts = [f"q={self.q}"]
-        for name in ("n", "k", "i", "t"):
-            v = getattr(self, name)
-            if v is not None:
-                parts.append(f"{name}={v}")
+        parts = [f"q={self.q}"] + [f"{a}={v}" for a, v in self.coordinates().items()]
         if self.partition is not None:
             parts.append(f"partition={list(self.partition)}")
         return f"{self.family}({', '.join(parts)})"
@@ -174,7 +176,7 @@ def validate_params(params: FamilyParams) -> None:
     values = [getattr(params, name) for name in names]
     if any(v is None for v in values):
         raise ParamOutOfRange(f"{fam} needs {', '.join(names)}")
-    extra = [name for name in ("n", "k", "i", "t", "partition")
+    extra = [name for name in (*GRID_NAMES, "partition")
              if name not in names and getattr(params, name) is not None]
     if extra:
         raise ParamOutOfRange(f"{fam} takes only {', '.join(names)}, got {', '.join(extra)}")

@@ -30,9 +30,9 @@ Each class keeps the branch that gave it its distance, by a rule that does
 not depend on the order of the relaxations: among equal distances the
 source of least distance wins, then the least source class, then the
 first message of least weight.  A settled class takes no branch, so the
-branches lead back to the zero state; the path is rebuilt from there,
-each branch scaled back from the class representative to the path's
-state, and u(D) @ g is the witness.
+branches lead back to the zero state; the path is rebuilt from there, and
+the witness u(D) @ g is read off its branches' outputs, each scaled back
+from the class representative to the path's state.
 
 Feasibility is gated three times: q**gamma states must fit the state
 budget, q**(gamma + k) scanned edges the work budget, and one class's
@@ -251,20 +251,23 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
         np.minimum.at(best, targets[keep], key[keep])
 
     def witness() -> tuple:
-        # c turns the representative s of each branch into the path's state
+        # branch (s, m) outputs C0'[u_free] - want, scaled by the c that
+        # turns its representative s into the path's state
         steps = [divmod(int(best[0]) % (size * msgs), msgs)]
         while steps[-1][0]:
             steps.append(divmod(int(best[steps[-1][0]]) % (size * msgs), msgs))
-        u = np.zeros((len(steps), 1, k), dtype=np.int32)
+        out = np.zeros((len(steps), 1, n), dtype=np.int32)
         c = 1
         for j, (s, m) in enumerate(reversed(steps)):
-            u[j, 0, order] = field._vmul(c, (m // q ** np.arange(k)) % q)
+            r, u_free = divmod(m, run_len)
             hi, lo = divmod(s, split)
-            t = int(next_states[m // run_len] + moved_lo[lo] + moved_hi[hi])
+            want = field._vadd(want_lo[lo], want_hi[hi, r])
+            out[j, 0] = field._vmul(c, field._vsub(table[:, u_free].astype(np.int32), want))
+            t = int(next_states[r] + moved_lo[lo] + moved_hi[hi])
             while t and not t % q:
                 t //= q
             c = field.mul(c, t % q or 1)  # rep(t) is t over its lowest nonzero digit
-        return (PolyMatrix.from_coefficients(field, u) @ g).e[0]
+        return PolyMatrix._wrap(field, out).e[0]
 
     def scored(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         # the weights of C0' against -out_s - r G0,mem for the classes s = lo

@@ -1,10 +1,13 @@
+import json
+import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aqcc import FamilyParams, convo, selftest
-from aqcc.certify import certify_plan
+from aqcc.certify import Budgets, certify_plan
 from aqcc.convo import PolyMatrix
 from aqcc.css import (
     assemble_stabilizer,
@@ -23,10 +26,11 @@ from aqcc.errors import (
     TooFewFrames,
     ZeroLogicalDimension,
 )
-from aqcc.families import layout
+from aqcc.families import construction_i_plan, demo_vectors, layout
 from aqcc.gf import FiniteField
-from aqcc.block import DistanceBound
-from aqcc.trellis import free_distance
+from aqcc.matrix import field_from_order
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -150,13 +154,30 @@ def test_certified_stabilizers_expand_without_defect():
         assert semi_infinite_expand(par.stabilizer, par.mu_star + 2).defect == 0, plan.params.label()
 
 
+def side_rule(data) -> tuple[int, int]:
+    """Check that the certificate's exact dz and dx follow its two side
+    brackets and return the larger and the smaller lower bound.  dz is
+    the larger side distance, so it is exact when the larger lower bound
+    meets the larger upper bound, and dx likewise with the smaller ones;
+    a missing upper bound counts as infinite."""
+    sides = data["distances"]["convo"]["d1f"], data["distances"]["convo"]["d2f_dual"]
+    lowers = [b["lower"] for b in sides]
+    uppers = [math.inf if b["upper"] is None else b["upper"] for b in sides]
+    aqcc = data["distances"]["aqcc"]
+    for key, pick in (("dz_exact", max), ("dx_exact", min)):
+        if pick(lowers) == pick(uppers):
+            assert aqcc[key] == pick(lowers), key
+        else:
+            assert key not in aqcc, key
+    return max(lowers), min(lowers)
+
+
 class TestDerivation:
     def test_parameters(self, pair):
         par = derive_aqcc(pair)
         assert (par.n, par.logical, par.gamma, par.mu_star) == (3, 1, 2, 1)
         assert par.h1.e == (((0, 1), (1,), (0, 1)),)
         assert par.v2_dual.rows == 2
-        assert par.dz is None and par.dx is None
 
     def test_zero_logical_dimension(self, f2):
         outer = PolyMatrix(f2, [[(1,), (0, 1)]])
@@ -165,23 +186,19 @@ class TestDerivation:
         with pytest.raises(ZeroLogicalDimension):
             derive_aqcc(p)
 
-    def test_distance_normalization(self, pair):
-        d1 = free_distance(pair.outer)
-        base = derive_aqcc(pair)
-        d2 = free_distance(base.v2_dual)
-        assert d1.lower == 2 and d2.lower == 2
-        par = base.with_distances(d1, d2)
-        assert par.dz_side == "v1"  # ties keep the outer side on Z
-        big = DistanceBound(3, 3, "dijkstra", "dijkstra")
-        par = base.with_distances(d1, big)
-        assert par.dz_side == "v2perp"
-        assert par.dz.lower == 3 and par.dx.lower == 2
+    @pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*/*.json")),
+                             ids=lambda p: f"{p.parent.name}-{p.stem}")
+    def test_golden_exact_distances_follow_the_sides(self, path):
+        side_rule(json.loads(path.read_text()))
 
-    def test_distance_floors_follow_the_lower_bound(self, pair):
-        # dz takes its lower bound from v2perp and its upper bound from v1
-        v1 = DistanceBound(2, 9, "bounded", "d_dual")
-        v2perp = DistanceBound(4, 5, "bounded", "chain")
-        par = derive_aqcc(pair).with_distances(v1, v2perp)
-        assert (par.dz.lower, par.dz.upper, par.dz.floor) == (4, 9, "chain")
-        assert (par.dx.lower, par.dx.upper, par.dx.floor) == (2, 5, "d_dual")
-        assert par.dz_side == "undecided"
+    @pytest.mark.parametrize("state, exact", [
+        (Budgets().state, {"dz_exact": 6, "dx_exact": 2}),
+        (1, {}),  # d1f is [1, 6] and d2f_dual [2, 2]: both sides stay open
+    ])
+    def test_construction_i_tuple_states_the_side_lowers(self, state, exact):
+        f5 = field_from_order(5)
+        plan = construction_i_plan(f5, demo_vectors(f5, 9, [2, 2, 2, 1], seed=3), [2, 2, 2, 1])
+        data = certify_plan(plan, effort="desk", budgets=Budgets(state=state)).data
+        dz, dx = side_rule(data)
+        assert data["tuple"] == f"[(9,2,1;4,dz>={dz}/dx>={dx})]_5"
+        assert {k: v for k, v in data["distances"]["aqcc"].items() if k.endswith("_exact")} == exact

@@ -298,9 +298,7 @@ class TestCertificates:
         cert = certify_params(FamilyParams(family, q, **kw), effort="desk")
         conv = cert.data["distances"]["convo"]
         assert not conv["d1f"]["exact"] and conv["d2f_dual"]["exact"]
-        assert cert.aqcc.dz_side == "undecided"
         assert "dz_exact" not in cert.data["distances"]["aqcc"]
-        assert cert.aqcc.dz.lower < cert.aqcc.dz.upper
 
     def test_certificates_are_byte_identical(self):
         a = certify_params(FamilyParams("III-T8", 7, n=7, k=2, t=2)).to_json()
