@@ -3,7 +3,8 @@
 Subcommands: enumerate parameter grids, certify one instance, compute a
 free distance from a matrix file, print the reference table, run the
 self test.  Exit codes: 0 success, 2 parameter or input error, 3 failed
-certification check, 4 refused distance computation.
+certification check, 4 refused distance computation (also a search that
+does not fit in memory).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import selftest
 from .block import DESK_ENUM_BUDGET
 from .certify import Budgets, EFFORTS, FAULTS, certify_params, certify_plan
 from .convo import PolyMatrix, degree_accounting, format_poly_matrix, parse_poly_matrix, reduce
-from .errors import AqccError, CatastrophicEncoder, ParamOutOfRange, RankDeficient
+from .errors import AqccError, CatastrophicEncoder, ParamOutOfRange, PartitionInvalid, RankDeficient
 from .families import (
     FAMILIES,
     GRID_NAMES,
@@ -90,8 +91,11 @@ def cmd_enumerate(args) -> int:
 def _interleaved_certificate(args, budgets):
     field = field_from_order(args.q)
     partition = [int(s) for s in args.partition.split(",")]
-    vectors = demo_vectors(field, args.n, partition, seed=args.seed)
-    plan = construction_i_plan(field, vectors, partition)
+    try:
+        vectors = demo_vectors(field, args.n, partition, seed=args.seed)
+        plan = construction_i_plan(field, vectors, partition)
+    except PartitionInvalid as exc:  # a request no plan fits, not a failed check
+        raise ParamOutOfRange(str(exc)) from None
     return certify_plan(
         plan,
         effort=args.effort,
@@ -237,6 +241,10 @@ def main(argv=None) -> int:
         return 2
     except CatastrophicEncoder as exc:
         print(f"distance refused: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("distance refused: the search does not fit in memory; "
+              "lower --state-budget or --work-budget", file=sys.stderr)
         return 4
     except AqccError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)

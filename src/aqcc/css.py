@@ -188,7 +188,6 @@ class AqccParameters:
     gamma: int
     mu_star: int
     stabilizer: StabilizerMatrix
-    pair: NestedPair
     h1: PolyMatrix
     v2_dual: PolyMatrix
 
@@ -215,7 +214,6 @@ def derive_aqcc(pair: NestedPair) -> AqccParameters:
         gamma=stab.gamma,
         mu_star=stab.mu_star,
         stabilizer=stab,
-        pair=pair,
         h1=h1,
         v2_dual=dual_generator(pair.inner),
     )

@@ -20,11 +20,13 @@ each run offers its target class its least weight.  A run's messages
 output the codewords of C0', the span of those rows' degree-0
 coefficients, each plus one offset r G0,mem from the other rows, so the
 weight of message u_free + q**k0 * r from state s is the number of
-columns c with C0'[u_free, c] != -out_s[c] - (r G0,mem)[c].
-block.mismatches scores each (class, run) pair against the q**k0
-codewords of C0', a few classes at a time, at most _SCORE_CHUNK message
-weights and wanted symbols per call; no table of all q**k messages is
-built.
+columns c with C0'[u_free, c] != -out_s[c] - (r G0,mem)[c].  A bucket's
+wanted symbols come from one product: the base-q digit rows of its
+classes times the state rows give every out_s, subtracted from the table
+of offsets -r G0,mem.  block.mismatches scores each (class, run) pair
+against the q**k0 codewords of C0', a few classes at a time, at most
+_SCORE_CHUNK message weights and wanted symbols per call; the search
+keeps those two tables only, and none of all q**k messages.
 
 Each class keeps the branch that gave it its distance, by a rule that does
 not depend on the order of the relaxations: among equal distances the
@@ -145,8 +147,6 @@ def _probe_upper(g: PolyMatrix) -> tuple[int, tuple]:
     best_i = int(np.argmin(row_w))
     best = int(np.argmin(combo_w))
     if row_w[best_i] <= combo_w.flat[best]:
-        if row_w[best_i] == none:
-            return None, None
         return int(row_w[best_i]), tuple(g.e[best_i])
     i, j, s, c = (int(x) for x in np.unravel_index(best, combo_w.shape))
     x = np.zeros((s + 1, 1, k), dtype=np.int32)  # row_i + (c + 1) * D**s * row_j
@@ -190,7 +190,7 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
 
     starts = [sum(nu[:i]) for i in range(k)]  # row i's first state digit
     # state digit p, the input of row i from d steps back, adds coef[d][i]
-    state_rows = [coef[d][i] for i in range(k) for d in range(1, nu[i] + 1)]
+    state_rows = np.array([coef[d][i] for i in range(k) for d in range(1, nu[i] + 1)])
 
     # the rows with nu_i = 0 are the fastest message digits, so the messages
     # that differ only in them, which reach one next state, are contiguous:
@@ -211,18 +211,11 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
             p = starts[i] + d - 1
             shift_w[p] = q ** (p + 1)
 
-    # -out_s - r G0,mem is a sum over the state and run digits, tabulated
-    # for the low state digits and for the run digits, the faster, with the
-    # high ones: want_hi[hi, r].  The shifted next state is tabulated for
-    # the same two parts of the state digits, so state s = lo + split * hi
-    # needs one lookup in each.  The cut balances the two want tables at
-    # about the square root of q**(gamma + k - k0) rows each
-    half = min(gamma, (gamma + k - k0 + 1) // 2)
-    split = q ** half
-    neg = field._vneg(np.array(state_rows[:half] + [coef[0][i] for i in order[k0:]] + state_rows[half:]))
-    want_lo = codeword_table(field, neg[:half])
-    want_hi = codeword_table(field, neg[half:]).reshape(-1, runs, n)
-    moved_lo, moved_hi = _digit_sums(q, shift_w[:half]), _digit_sums(q, shift_w[half:])
+    # a class with digit row ds outputs ds @ state_rows and moves to
+    # ds @ shift_w, so run r wants neg_runs[r] - ds @ state_rows, that is
+    # -out_s - r G0,mem, and reaches next_states[r] + ds @ shift_w
+    neg_runs = codeword_table(field, field._vneg(coef[0][order[k0:]]))
+    place = q ** np.arange(gamma, dtype=np.int64)
     rep = _class_representatives(field, gamma)
 
     size, msgs = q ** gamma, q ** k
@@ -256,27 +249,27 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
         steps = [divmod(int(best[0]) % (size * msgs), msgs)]
         while steps[-1][0]:
             steps.append(divmod(int(best[steps[-1][0]]) % (size * msgs), msgs))
-        out = np.zeros((len(steps), 1, n), dtype=np.int32)
-        c = 1
-        for j, (s, m) in enumerate(reversed(steps)):
-            r, u_free = divmod(m, run_len)
-            hi, lo = divmod(s, split)
-            want = field._vadd(want_lo[lo], want_hi[hi, r])
-            out[j, 0] = field._vmul(c, field._vsub(table[:, u_free].astype(np.int32), want))
-            t = int(next_states[r] + moved_lo[lo] + moved_hi[hi])
+        s, m = np.array(steps[::-1]).T
+        r, u_free = np.divmod(m, run_len)
+        ds = (s[:, None] // place) % q
+        want = field._vsub(neg_runs[r], field._vmatmul(ds, state_rows))
+        out = field._vsub(table[:, u_free].T.astype(np.int32), want)
+        c = [1]
+        for t in (next_states[r] + ds @ shift_w).tolist():
             while t and not t % q:
                 t //= q
-            c = field.mul(c, t % q or 1)  # rep(t) is t over its lowest nonzero digit
-        return PolyMatrix._wrap(field, out).e[0]
+            c.append(field.mul(c[-1], t % q or 1))  # rep(t) is t over its lowest nonzero digit
+        out = field._vmul(np.array(c[:-1], dtype=np.int32)[:, None], out)
+        return PolyMatrix._wrap(field, out[:, None, :]).e[0]
 
-    def scored(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        # the weights of C0' against -out_s - r G0,mem for the classes s = lo
-        # + split * hi, one row per (class, run): their q**k message weights
-        want = field._vadd(want_lo[lo][:, None, :], want_hi[hi])
+    def scored(ds: np.ndarray) -> np.ndarray:
+        # the weights of C0' against -out_s - r G0,mem for the classes of
+        # digit rows ds, one row per (class, run): their q**k message weights
+        want = field._vsub(neg_runs, field._vmatmul(ds, state_rows)[:, None, :])
         return mismatches(table, want.reshape(-1, n))
 
     zero = np.zeros(1, dtype=np.int64)
-    w0 = scored(zero, zero).astype(np.int64)
+    w0 = mismatches(table, neg_runs).astype(np.int64)  # the zero state wants -r G0,mem
     w0[0, 0] = n + 1  # the zero message never leaves the zero state
     relax(0, zero, zero, w0)
 
@@ -295,7 +288,7 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
         popped = np.flatnonzero(pending < (d + 1) * radix)
         settled[popped] = True
         states += len(popped)
-        hi, lo = np.divmod(popped, split)
-        bases = moved_lo[lo] + moved_hi[hi]
+        ds = (popped[:, None] // place) % q
+        bases = ds @ shift_w
         for j in range(0, len(popped), step):
-            relax(d, popped[j:j + step], bases[j:j + step], scored(lo[j:j + step], hi[j:j + step]))
+            relax(d, popped[j:j + step], bases[j:j + step], scored(ds[j:j + step]))

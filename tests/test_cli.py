@@ -23,6 +23,10 @@ def run(*argv):
     return rc, out.getvalue(), err.getvalue()
 
 
+def out_of_memory(*args):
+    raise MemoryError
+
+
 class TestEnumerate:
     def test_t3a_grid_contains_reference_row(self):
         rc, out, _ = run("enumerate", "--family", "II-T3a", "--q", "16")
@@ -216,6 +220,29 @@ class TestCertify:
         assert rc == 2
         assert "--partition" in err
 
+    @pytest.mark.parametrize("n, partition, fragment", [
+        ("8", "2,1,1,1", "main block sizes [2, 1] must all equal 2"),
+        ("3", "1,1,1,1", "4 independent rows cannot fit in length 3"),
+    ])
+    def test_family_i_bad_partition_exits_two(self, n, partition, fragment):
+        rc, out, err = run("certify", "--family", "I", "--q", "2", "--n", n,
+                           "--partition", partition)
+        assert rc == 2 and out == ""
+        assert err == f"parameter error: {fragment}\n"
+
+    def test_family_i_fault_injection_exits_three(self):
+        rc, out, err = run("certify", "--family", "I", "--q", "2", "--n", "8",
+                           "--partition", "1,1,1,1", "--inject-fault", "rank-condition")
+        assert rc == 3 and out == ""
+        assert "certification failed" in err and "degree-0 block" in err
+
+    def test_search_out_of_memory_exits_four(self, monkeypatch):
+        monkeypatch.setattr("aqcc.trellis._dijkstra", out_of_memory)
+        rc, out, err = run("certify", "--family", "III-T6", "--q", "5", "--n", "5",
+                           "--k", "1", "--t", "1", "--effort", "desk")
+        assert rc == 4 and out == ""
+        assert "distance refused" in err and "--state-budget" in err and "--work-budget" in err
+
 
 class TestDistance:
     def write(self, tmp_path, text):
@@ -228,6 +255,12 @@ class TestDistance:
         assert rc == 0
         assert "free distance: exact 2 (dijkstra)" in out
         assert "witness: (1) (0,1)" in out
+
+    def test_search_out_of_memory_exits_four(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("aqcc.trellis._dijkstra", out_of_memory)
+        rc, out, err = run("distance", self.write(tmp_path, "q=2\n(1) (0,1)\n"))
+        assert rc == 4 and out == ""
+        assert "distance refused" in err and "--state-budget" in err and "--work-budget" in err
 
     def test_non_basic_exits_four(self, tmp_path):
         # square with determinant 1 + D

@@ -838,3 +838,23 @@ def test_search_builds_no_message_table(monkeypatch, run_gens):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 11 ** 5 * 10
+
+
+def test_search_builds_two_tables(monkeypatch, heavy_gens):
+    # the codewords of C0' and the run offsets -r G0,mem, whether C0' is
+    # large (III-T5a q=11 i=6, k0 = 3) or a single word (GF(4), nu = (2, 2, 2));
+    # a bucket's wanted symbols come from its classes' digit rows, with no
+    # table over the state digits
+    built = []
+
+    def recorded(field, gen):
+        built.append(len(gen))
+        return codeword_table(field, gen)
+
+    monkeypatch.setattr(trellis, "codeword_table", recorded)
+    gf4 = heavy_gens[1]
+    assert gf4.field.q == 4 and degree_accounting(reduce(gf4)).row_degrees == (2, 2, 2)
+    for g, k0 in ((t5a_outer_encoder(), 3), (gf4, 0)):
+        built.clear()
+        assert free_distance(g).method == "dijkstra"
+        assert built == [k0, g.rows - k0]
