@@ -547,9 +547,9 @@ def is_reduced(m: PolyMatrix) -> bool:
 
 def reduce(m: PolyMatrix) -> PolyMatrix:
     """Row-equivalent reduced matrix (greedy leading-row cancellation); the
-    rank test, raising RankDeficient on a zero row.  A reduced m is
-    returned as it is."""
-    return _reduce(m)[0]
+    rank test, raising RankDeficient on a zero row.  A reduced m, which its
+    leading echelon shows, is returned as it is, with no transform built."""
+    return m if m.leading_echelon is not None else _reduce(m)[0]
 
 
 def _reduce(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:

@@ -23,10 +23,11 @@ weight of message u_free + q**k0 * r from state s is the number of
 columns c with C0'[u_free, c] != -out_s[c] - (r G0,mem)[c].  A bucket's
 wanted symbols come from one product: the base-q digit rows of its
 classes times the state rows give every out_s, subtracted from the table
-of offsets -r G0,mem.  block.mismatches scores each (class, run) pair
-against the q**k0 codewords of C0', a few classes at a time, at most
-_SCORE_CHUNK message weights and wanted symbols per call; the search
-keeps those two tables only, and none of all q**k messages.
+of offsets -r G0,mem.  Only the (class, run) pairs into classes still
+open are scored, since a settled class takes no branch: block.mismatches
+weighs them against the q**k0 codewords of C0', at most _SCORE_CHUNK
+message weights and wanted symbols per call, and the search keeps those
+two tables only, none of all q**k messages.
 
 Each class keeps the branch that gave it its distance, by a rule that does
 not depend on the order of the relaxations: among equal distances the
@@ -37,10 +38,12 @@ the witness u(D) @ g is read off its branches' outputs, each scaled back
 from the class representative to the path's state.
 
 Feasibility is gated three times: q**gamma states must fit the state
-budget, q**(gamma + k) scanned edges the work budget, and one class's
-q**k message weights over n columns _MEM_ELEMENTS.  Outside the budget
-the result degrades to a certified bracket, "bounded": the caller's lower
-bound and floor, and a short probe's least codeword as the upper bound.
+budget, q**(gamma + k) scanned edges the work budget, and q**k message
+weights over n columns _MEM_ELEMENTS; no scoring call holds those, but
+the gate fixes which rows take the search, and so the certificates.
+Outside the budget the result degrades to a certified bracket,
+"bounded": the caller's lower bound and floor, and a short probe's least
+codeword as the upper bound.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .errors import AqccError, CatastrophicEncoder
 
 DEFAULT_STATE_BUDGET = 1 << 20
 DEFAULT_WORK_BUDGET = 1 << 26
-# bounds one class's scoring batch: its q**k message weights, over n columns
+# q**k message weights over n columns: no call holds them; the gate picks the searched rows
 _MEM_ELEMENTS = 1 << 24
 
 
@@ -120,25 +123,29 @@ def _probe_upper(g: PolyMatrix) -> tuple[int, tuple]:
 
     The candidates are each row i, then row_i + c * D**s * row_j over
     (i, j, s, c) in that loop order, leaving out (i, i, 0, c); the first
-    candidate of least nonzero weight wins.
+    candidate of least nonzero weight wins.  Where both terms are nonzero,
+    the combination vanishes for c = -row_i / D**s row_j alone, so each
+    weight is the union of the two supports less one histogram count.
     """
-    f = g.field
-    q = f.q
+    f, q = g.field, g.field.q
     k, n = g.shape
     mu = max(g.max_degree, 0)
     span = 2 * mu + 1
     a = g.coefficients(span).transpose(1, 2, 0)
     row_w = (a != 0).sum(axis=(1, 2))
-    neg_a = f._vneg(a)
-    combo_w = np.empty((k, k, mu + 1, q - 1), dtype=np.int64)
+    shifted = np.zeros((k, mu + 1, n, span), dtype=a.dtype)  # [j, s] is D**s * row_j
     for s in range(mu + 1):
-        shifted = np.zeros_like(a)
-        shifted[:, :, s:] = a[:, :, : span - s]
-        # scaled[c - 1, j] = c * D**s * row_j
-        scaled = f._vmul(np.arange(1, q, dtype=np.int32)[:, None, None, None], shifted[None])
-        for i in range(k):
-            # row_i + scaled is nonzero exactly where scaled != -row_i
-            combo_w[i, :, s, :] = (scaled != neg_a[i]).sum(axis=(2, 3)).T
+        shifted[:, s, :, s:] = a[:, :, : span - s]
+    x, y = a.reshape(k, -1), shifted.reshape(k * (mu + 1), -1)
+    hits = np.zeros((k, k, mu + 1, q), dtype=np.int64)  # [i, j, s, c]: common positions of ratio c
+    rows = max(1, _SCORE_CHUNK // y.size)  # passes of at most _SCORE_CHUNK (i, j, s, position) entries
+    for lo in range(0, k, rows):  # the common positions of rows lo.. with each D**s * row_j
+        ijs, p = np.divmod(np.flatnonzero((x[lo:lo + rows, None] != 0) & (y != 0)), y.shape[1])
+        ratio = f._vmul(f._vneg(x[lo + ijs // len(y), p]), f._vinv(y[ijs % len(y), p]))
+        h = hits[lo:lo + rows]
+        h += np.bincount(ijs * q + ratio, minlength=h.size).reshape(h.shape)
+    # D**s row_j fits the span: |supp row_i U supp D**s row_j| = row_w[i] + row_w[j] - common
+    combo_w = (row_w[:, None] + row_w)[:, :, None, None] - hits.sum(axis=3, keepdims=True) - hits[..., 1:]
     none = n * span + 1
     combo_w[np.arange(k), np.arange(k), 0, :] = none
     combo_w[combo_w == 0] = none
@@ -230,18 +237,12 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
         raise AqccError(f"{size} states of {msgs} branches over {n} columns overflow the search key")
     best = np.full(size, INF, dtype=np.int64)
     settled = np.zeros(size, dtype=bool)
-    run_start = np.arange(runs) * run_len
 
-    def relax(d: int, sources: np.ndarray, bases: np.ndarray, weights: np.ndarray):
-        # every run of the classes sources, at distance d, whose state parts
-        # move to bases and whose messages weigh weights
-        w = weights.reshape(len(sources), runs, run_len)
-        least = w.min(axis=2).astype(np.int64)
-        key = ((((d + least) * (n + 1) + n - least) * size + sources[:, None]) * msgs
-               + run_start + w.argmin(axis=2)).ravel()
-        targets = rep((next_states + bases[:, None]).ravel())
-        keep = (least.ravel() <= n) & ~settled[targets]
-        np.minimum.at(best, targets[keep], key[keep])
+    def relax(d: int, sources: np.ndarray, targets: np.ndarray, r: np.ndarray, w: np.ndarray):
+        # per (class, run) pair: run r of class sources, at d, reaches targets
+        least = w.min(axis=1).astype(np.int64)
+        key = (((d + least) * (n + 1) + n - least) * size + sources) * msgs + r * run_len + w.argmin(axis=1)
+        np.minimum.at(best, targets[least <= n], key[least <= n])
 
     def witness() -> tuple:
         # branch (s, m) outputs C0'[u_free] - want, scaled by the c that
@@ -262,20 +263,13 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
         out = field._vmul(np.array(c[:-1], dtype=np.int32)[:, None], out)
         return PolyMatrix._wrap(field, out[:, None, :]).e[0]
 
-    def scored(ds: np.ndarray) -> np.ndarray:
-        # the weights of C0' against -out_s - r G0,mem for the classes of
-        # digit rows ds, one row per (class, run): their q**k message weights
-        want = field._vsub(neg_runs, field._vmatmul(ds, state_rows)[:, None, :])
-        return mismatches(table, want.reshape(-1, n))
-
-    zero = np.zeros(1, dtype=np.int64)
     w0 = mismatches(table, neg_runs).astype(np.int64)  # the zero state wants -r G0,mem
     w0[0, 0] = n + 1  # the zero message never leaves the zero state
-    relax(0, zero, zero, w0)
+    relax(0, 0, rep(next_states), np.arange(runs), w0)
 
-    # a few classes per kernel call: at most _SCORE_CHUNK message weights,
-    # and as many wanted symbols, which outnumber them when k0 = 0
-    step = max(1, _SCORE_CHUNK // max(msgs, runs * n))
+    # a bucket's (class, run) pairs go to the kernel a range at a time: at
+    # most _SCORE_CHUNK targets, message weights and wanted symbols per call
+    step = max(1, _SCORE_CHUNK // max(run_len, n))
     states = 0
     while True:
         pending = np.where(settled, INF, best)
@@ -289,6 +283,12 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
         settled[popped] = True
         states += len(popped)
         ds = (popped[:, None] // place) % q
-        bases = ds @ shift_w
-        for j in range(0, len(popped), step):
-            relax(d, popped[j:j + step], bases[j:j + step], scored(ds[j:j + step]))
+        bases, outs = ds @ shift_w, field._vmatmul(ds, state_rows)
+        for j in range(0, len(popped) * runs, step):
+            i, r = np.divmod(np.arange(j, min(j + step, len(popped) * runs)), runs)
+            targets = rep(next_states[r] + bases[i])
+            # settled is fixed while the bucket is scored: weigh only open targets
+            o = np.flatnonzero(~settled[targets])
+            if len(o):  # C0' against -out_s - r G0,mem, one row a pair
+                w = mismatches(table, field._vsub(neg_runs[r[o]], outs[i[o]]))
+                relax(d, popped[i[o]], targets[o], r[o], w)

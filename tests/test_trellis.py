@@ -19,7 +19,7 @@ from aqcc.convo import (
     reduce,
     split_to_generator,
 )
-from aqcc.families import layout
+from aqcc.families import FAMILIES, enumerate_family, layout
 from aqcc.gf import FiniteField
 from aqcc.matrix import MatrixGF, field_from_order
 from aqcc.trellis import _class_representatives, _digit_sums, _dijkstra, _probe_upper, free_distance
@@ -452,6 +452,43 @@ def odd_gens():
 
 
 @pytest.fixture(scope="module")
+def sparse_gens():
+    """Generators over GF(9), GF(16) and GF(17) with k <= 4 rows of degree
+    at most 2, about half of whose coefficients are zero."""
+    rng = random.Random(25)
+    out = []
+    for q in (9, 16, 17):
+        f = field_from_order(q)
+        for _ in range(20):
+            k, n, mu = rng.randint(1, 4), rng.randint(2, 5), rng.randint(0, 2)
+            out.append(PolyMatrix(f, [
+                [tuple(rng.randrange(q) * (rng.random() < 0.5) for _ in range(rng.randint(1, mu + 1)))
+                 for _ in range(n)]
+                for _ in range(k)
+            ]))
+    return out
+
+
+def support_overlaps(g: PolyMatrix) -> tuple[bool, bool]:
+    """Over the probe's (i, j, s): whether some row_i and D**s * row_j
+    share part of their supports, and whether on some common support the
+    ratio -row_i / D**s * row_j takes one value twice."""
+    f = g.field
+    k, n = g.shape
+    rows = [{(t, e): c for t in range(n) for e, c in enumerate(g.e[i][t]) if c} for i in range(k)]
+    part = collide = False
+    for i, j, s in itertools.product(range(k), range(k), range(max(g.max_degree, 0) + 1)):
+        if i == j and not s:
+            continue
+        x, y = rows[i], {(t, e + s): c for (t, e), c in rows[j].items()}
+        both = x.keys() & y.keys()
+        part |= bool(both) and both != x.keys() | y.keys()
+        ratios = [f.mul(f.neg(x[p]), f.inv(y[p])) for p in both]
+        collide |= len(set(ratios)) < len(ratios)
+    return part, collide
+
+
+@pytest.fixture(scope="module")
 def multi_row_gens():
     """Basic encoders over GF(4), GF(7), GF(8) and GF(9) with k >= 2 rows of
     mixed degrees, most with a memory-free row, and gamma >= 2.
@@ -554,9 +591,17 @@ class TestAgainstScalarSearch:
             assert r.lower == scalar_free_distance(reduce(g))
             assert r.states <= (g.field.q ** gamma(g) - 1) // (g.field.q - 1)
 
-    def test_probe_against_loops(self, split_gens, odd_gens):
-        for g in split_gens + odd_gens:
+    def test_probe_against_loops(self, monkeypatch, split_gens, odd_gens, sparse_gens):
+        for g in split_gens + odd_gens + sparse_gens:
             assert _probe_upper(g) == loop_probe(g)
+        # one row i per pass of the histogram
+        monkeypatch.setattr(trellis, "_SCORE_CHUNK", 1)
+        for g in sparse_gens:
+            assert _probe_upper(g) == loop_probe(g)
+        # the sparse rows are the ones whose supports meet in part, and
+        # whose ratios -row_i / D**s * row_j repeat on the common support
+        seen = [support_overlaps(g) for g in sparse_gens]
+        assert any(part for part, _ in seen) and any(collide for _, collide in seen)
 
     @pytest.mark.parametrize("gens,d", TEXTBOOK, ids=[f"m{m}" for m in range(2, 7)])
     def test_textbook_encoders(self, gf2, gens, d):
@@ -613,20 +658,58 @@ class TestAgainstAllStatesSearch:
         for g in heavy_gens:
             assert_same_search(g)
 
+    def test_family_generators(self):
+        # G1 and dual(G2) of every grid row at q <= 9 whose search has
+        # state digits and at most 2**20 edges
+        rows = searches = 0
+        for q in (4, 5, 7, 8, 9):
+            for fam in [f for f in FAMILIES if f != "I"]:  # I has no grid
+                for p, _ in enumerate_family(fam, q):
+                    g1, g2 = layout(p).generators()
+                    rows += 1
+                    for g in (reduce(g1), reduce(dual_generator(g2))):
+                        info = degree_accounting(g)
+                        if info.gamma and q ** (info.gamma + g.rows) <= 2 ** 20:
+                            assert_same_search(g)
+                            searches += 1
+        assert (rows, searches) == (214, 273)
 
-@pytest.mark.parametrize("classes", [1, 3])
-def test_bucket_scored_in_chunks(monkeypatch, multi_row_gens, heavy_gens, classes):
-    # a bucket scored a few classes per kernel call, against one call for
-    # the whole bucket: the same distance, classes settled and witness,
-    # since every class of a bucket is settled before any is relaxed
+
+@pytest.mark.parametrize("pairs", [1, 3])
+def test_bucket_scored_in_chunks(monkeypatch, multi_row_gens, heavy_gens, pairs):
+    # a bucket's (class, run) pairs scored a few per kernel call, against
+    # one call for the whole bucket: the same distance, classes settled and
+    # witness, since every class of a bucket is settled before any is relaxed
+    kernel = block.mismatches
     for g in multi_row_gens + heavy_gens:
         g = reduce(g)
         info = degree_accounting(g)
-        whole = _dijkstra(g.field, g, info)
-        runs = g.field.q ** (g.rows - memory_free_rows(g))
+        run_len = g.field.q ** memory_free_rows(g)
+        calls = []
         with monkeypatch.context() as mp:
-            mp.setattr(trellis, "_SCORE_CHUNK", classes * max(g.field.q ** g.rows, runs * g.cols))
+            mp.setattr(trellis, "mismatches", lambda t, w: calls.append(len(w)) or kernel(t, w))
+            mp.setattr(trellis, "_SCORE_CHUNK", 1 << 40)
+            whole = _dijkstra(g.field, g, info)
+            whole_calls = len(calls)
+            calls.clear()
+            mp.setattr(trellis, "_SCORE_CHUNK", pairs * max(run_len, g.cols))
             assert _dijkstra(g.field, g, info) == whole
+        # the zero state's runs go in one call; every later call holds at
+        # most the chunk's pairs, so a bucket of more pairs takes several
+        assert max(calls[1:], default=0) <= pairs
+        assert len(calls) >= whole_calls
+
+
+def test_search_scores_only_branches_into_open_classes(monkeypatch):
+    # III-T5a q=11 i=6's G1: the zero state's 11**2 runs, then of its 12
+    # classes' 12 * 11**2 (class, run) pairs only the 122 that reach a class
+    # still open; scoring every pair would weigh 1573 rows
+    rows = []
+    kernel = block.mismatches
+    monkeypatch.setattr(trellis, "mismatches", lambda t, w: rows.append(len(w)) or kernel(t, w))
+    g1, _ = layout(FamilyParams("III-T5a", 11, i=6, t=1)).generators()
+    r = free_distance(g1)
+    assert (r.lower, r.states, sum(rows)) == (8, 12, 243)
 
 
 def test_kernel_batches_stay_small(monkeypatch):
