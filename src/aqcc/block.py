@@ -32,7 +32,7 @@ a visited block, and the visited block's own counts locate it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -65,10 +65,10 @@ class DistanceBound:
     proved an exact value, "designed" for a bound the constructor carries,
     "d_dual" or "chain" for the certifier's bounds on the two side codes,
     and "none" for 1.  upper is None when nothing was searched; witness,
-    when present, is a codeword of weight upper: a row of integers from
-    BlockCode.min_distance, a row of coefficient tuples, one per column and
-    () for zero, from every route of trellis.free_distance.  states counts
-    the trellis states an exact search settled.  The one text form of a
+    when present, is a codeword of weight upper on every route: one
+    read-only int32 (L, n) array, row d for D**d, its last row nonzero and
+    L == 1 for a block code; == and hash leave it out.  states counts the
+    trellis states an exact search settled.  The one text form of a
     bracket is the line aqcc distance prints.
     """
 
@@ -76,12 +76,13 @@ class DistanceBound:
     upper: int | None
     method: str
     floor: str
-    witness: tuple | None = None
+    witness: np.ndarray | None = dataclass_field(default=None, compare=False)
     states: int = 0
 
     def __post_init__(self):
         if self.witness is not None:
-            w = sum(c != 0 for e in self.witness for c in (e if isinstance(e, tuple) else (e,)))
+            self.witness.setflags(write=False)
+            w = np.count_nonzero(self.witness)
             if w != self.upper:
                 raise AqccError(f"witness of weight {w} does not prove the upper bound {self.upper}")
 
@@ -148,7 +149,8 @@ class BlockCode:
         q = self.field.q
         if q ** self.k <= budget:
             _, d, wit = _enumerate_weights(self.field, self.generator.a)
-            return DistanceBound(d, d, "enumeration", "enumeration", tuple(int(v) for v in wit))
+            # copied, since wit may be a row of the whole low table
+            return DistanceBound(d, d, "enumeration", "enumeration", np.array(wit, ndmin=2))
         if q ** (self.n - self.k) <= budget:
             counts, _, _ = _enumerate_weights(self.field, self.parity.a)
             dist = macwilliams_transform([int(c) for c in counts], self.n, q)
@@ -157,11 +159,9 @@ class BlockCode:
         upper, wit = self._witness_upper()
         lower, floor = (1, "none") if self.designed_lower is None else (self.designed_lower, "designed")
         if lower > upper:
-            raise AqccError(
-                f"designed bound {lower} exceeds witness weight {upper}; "
-                "the carried bound is wrong"
-            )
-        return DistanceBound(lower, upper, "bounded", floor, tuple(int(v) for v in wit))
+            raise AqccError(f"designed bound {lower} exceeds witness weight {upper}; "
+                            "the carried bound is wrong")
+        return DistanceBound(lower, upper, "bounded", floor, wit)
 
     def _witness_upper(self) -> tuple[int, np.ndarray]:
         # rref rows vanish on the other pivot positions, so each has
@@ -169,7 +169,7 @@ class BlockCode:
         red, piv = self.generator.rref()
         weights = (red.a != 0).sum(axis=1)
         i = int(np.argmin(weights))
-        return int(weights[i]), red.a[i]
+        return int(weights[i]), red.a[i:i + 1]
 
 
 def codeword_table(field: FiniteField, gen: np.ndarray) -> np.ndarray:

@@ -153,7 +153,7 @@ def cmd_distance(args) -> int:
             f"free distance: bounds [{res.lower}, {res.upper}] ({res.method})"
         )
     if res.witness is not None:
-        row = PolyMatrix(g.field, [res.witness])
+        row = PolyMatrix.from_coefficients(g.field, res.witness[:, None])
         lines.append(f"witness: {format_poly_matrix(row, header=False)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -805,24 +805,26 @@ def _symbol_strings(q: int) -> np.ndarray:
 
 
 def parse_poly_matrix(text: str):
-    """Inverse of format_poly_matrix for headered text."""
+    """Inverse of format_poly_matrix for headered text.  q and every coefficient
+    are ASCII decimal digits; int() would also take "+1", "1_0" and non-ASCII digits."""
     field = None
     rows = []
-    width = None
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("q="):
+            order = line[2:].strip()
             if field is not None:
                 raise ValueError(f"line {ln}: duplicate q= header")
-            field = field_from_order(int(line[2:].strip()))
+            if not (order.isascii() and order.isdigit()):
+                raise ValueError(f"line {ln}: bad header {line!r}, expected q=<decimal prime power>")
+            field = field_from_order(int(order))
             continue
         if field is None:
             raise ValueError(f"line {ln}: matrix text must start with a q= header")
         row = []
         for tok in line.split():
-            # plain decimal digits only: int() would also take "", "+1" and "1_0"
             digits = tok[1:-1].split(",")
             if not (tok.startswith("(") and tok.endswith(")")
                     and all(c.isascii() and c.isdigit() for c in digits)):
@@ -831,10 +833,8 @@ def parse_poly_matrix(text: str):
             if any(not 0 <= c < field.q for c in coeffs):
                 raise ValueError(f"line {ln}: coefficient out of range in {tok!r}")
             row.append(coeffs)
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError(f"line {ln}: expected {width} entries, got {len(row)}")
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"line {ln}: expected {len(rows[0])} entries, got {len(row)}")
         rows.append(row)
     if field is None or not rows:
         raise ValueError("matrix text needs a q= header and at least one row")

@@ -110,7 +110,8 @@ def assemble_stabilizer(h1: PolyMatrix, g2: PolyMatrix) -> StabilizerMatrix:
     res = symplectic_residual(x_part, z_part)
     if not res.is_zero():
         i, j = np.argwhere(res.c.any(axis=0))[0].tolist()
-        raise SymplecticViolation(f"rows {i} and {j} have pairing {list(res.entry(i, j))}")
+        pairing = np.trim_zeros(res.c[:, i, j], "b").tolist()
+        raise SymplecticViolation(f"rows {i} and {j} have pairing {pairing}")
     return StabilizerMatrix(x_part, z_part)
 
 

@@ -73,8 +73,8 @@ def free_distance(
     lower_hint, when given, is a bracket whose lower bound and floor a
     bounded result keeps; a result whose upper bound lies below it raises,
     whatever its route.  The witness, on every route, is a codeword as one
-    row of coefficient tuples: u(D) @ g, or the block codeword of g(0) for
-    gamma = 0, each symbol c as (c,).
+    (L, n) coefficient array, row d for D**d: u(D) @ g, or for gamma = 0
+    the block codeword of g(0) as it is, L == 1.
 
     g must be basic (delay-free invertible); a catastrophic encoder would
     put zero-weight cycles in the state graph.  g is reduced first, which
@@ -102,8 +102,7 @@ def free_distance(
     states = q ** gamma
     if gamma == 0 and q ** k <= work_budget:
         b = BlockCode.from_generator(f, g.coefficient(0)).min_distance(budget=work_budget)
-        wit = tuple((v,) if v else () for v in b.witness)
-        res = DistanceBound(b.lower, b.upper, "block", "block", wit)
+        res = DistanceBound(b.lower, b.upper, "block", "block", b.witness)
     elif gamma == 0 or states > state_budget or states * q ** k > work_budget or q ** k * n > _MEM_ELEMENTS:
         upper, wit = _probe_upper(g)
         hint = lower_hint or DistanceBound(1, None, "designed", "none")
@@ -117,7 +116,7 @@ def free_distance(
     return res
 
 
-def _probe_upper(g: PolyMatrix) -> tuple[int, tuple]:
+def _probe_upper(g: PolyMatrix) -> tuple[int, np.ndarray]:
     """Least weight over rows and two-row combinations with small delays,
     the upper bound of the bounded route.
 
@@ -154,11 +153,11 @@ def _probe_upper(g: PolyMatrix) -> tuple[int, tuple]:
     best_i = int(np.argmin(row_w))
     best = int(np.argmin(combo_w))
     if row_w[best_i] <= combo_w.flat[best]:
-        return int(row_w[best_i]), tuple(g.e[best_i])
+        return int(row_w[best_i]), g.c[: g.row_degrees[best_i] + 1, best_i]
     i, j, s, c = (int(x) for x in np.unravel_index(best, combo_w.shape))
     x = np.zeros((s + 1, 1, k), dtype=np.int32)  # row_i + (c + 1) * D**s * row_j
     x[0, 0, i], x[s, 0, j] = 1, c + 1
-    return int(combo_w.flat[best]), (PolyMatrix.from_coefficients(f, x) @ g).e[0]
+    return int(combo_w.flat[best]), (PolyMatrix.from_coefficients(f, x) @ g).c[:, 0]
 
 
 def _digit_sums(q: int, weights) -> np.ndarray:
@@ -188,7 +187,7 @@ def _class_representatives(field, gamma: int):
     return rep
 
 
-def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
+def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, np.ndarray]:
     q = field.q
     k, n = g.shape
     nu = info.row_degrees
@@ -244,7 +243,7 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
         key = (((d + least) * (n + 1) + n - least) * size + sources) * msgs + r * run_len + w.argmin(axis=1)
         np.minimum.at(best, targets[least <= n], key[least <= n])
 
-    def witness() -> tuple:
+    def witness() -> np.ndarray:
         # branch (s, m) outputs C0'[u_free] - want, scaled by the c that
         # turns its representative s into the path's state
         steps = [divmod(int(best[0]) % (size * msgs), msgs)]
@@ -260,8 +259,7 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
             while t and not t % q:
                 t //= q
             c.append(field.mul(c[-1], t % q or 1))  # rep(t) is t over its lowest nonzero digit
-        out = field._vmul(np.array(c[:-1], dtype=np.int32)[:, None], out)
-        return PolyMatrix._wrap(field, out[:, None, :]).e[0]
+        return field._vmul(np.array(c[:-1], dtype=np.int32)[:, None], out)
 
     w0 = mismatches(table, neg_runs).astype(np.int64)  # the zero state wants -r G0,mem
     w0[0, 0] = n + 1  # the zero message never leaves the zero state

@@ -31,17 +31,19 @@ def plans():
 
 
 def assert_block_codeword(code: BlockCode, b):
-    w = MatrixGF(code.field, np.array([b.witness], dtype=np.int32))
+    assert b.witness.shape == (1, code.n)
+    w = MatrixGF(code.field, b.witness)
     assert (w @ code.parity.T).is_zero()
     assert np.count_nonzero(w.a) == b.upper
 
 
 def assert_convolutional_codeword(g: PolyMatrix, b):
     """The witness times the minimal dual h, w(D) h(1/D)^T, vanishes."""
-    w = PolyMatrix(g.field, [b.witness])
+    w = PolyMatrix.from_coefficients(g.field, b.witness[:, None])
+    assert np.array_equal(w.c[:, 0], b.witness)  # its last row is nonzero
     h = dual_generator(g)
     assert (w @ h.reverse(max(h.max_degree, 0)).T).is_zero()
-    assert sum(c != 0 for p in w.e[0] for c in p) == b.upper
+    assert np.count_nonzero(b.witness) == b.upper
 
 
 @pytest.fixture(scope="module")

@@ -309,6 +309,12 @@ class TestDistance:
         assert rc == 2 and out == ""
         assert "prime power" in err or "table size" in err
 
+    @pytest.mark.parametrize("order", ["1_6", "+5", "\u0665"])
+    def test_header_of_other_digits_exits_two(self, tmp_path, order):
+        rc, out, err = run("distance", self.write(tmp_path, f"q={order}\n(1) (0,1)\n"))
+        assert rc == 2 and out == ""
+        assert "bad matrix file: line 1: bad header" in err
+
     @pytest.mark.parametrize("entry", ["()", "(1,)", "(,1)", "(1,,2)", "(x)", "(+1)", "(1_0)", "(-1)"])
     def test_bad_coefficient_names_its_line(self, tmp_path, entry):
         rc, out, err = run("distance", self.write(tmp_path, f"q=2\n(1) (0,1)\n(1) {entry}\n"))

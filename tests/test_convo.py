@@ -129,6 +129,16 @@ class TestPolyMatrix:
         assert parse_poly_matrix(text) == m
         assert format_poly_matrix(parse_poly_matrix(text)) == text
 
+    @pytest.mark.parametrize("order", ["1_6", "+5", "\u0665"])  # the last is Arabic-Indic five
+    def test_header_takes_ascii_digits_only(self, order):
+        # the rule the entries follow; int() alone reads these as 16, 5, 5
+        with pytest.raises(ValueError, match="line 1: bad header"):
+            parse_poly_matrix(f"q={order}\n(1) (0,1)\n")
+
+    def test_header_digits_may_be_padded(self):
+        m = parse_poly_matrix("q= 5 \n(1) (0,1)\n")
+        assert m.field.q == 5 and m.shape == (1, 2)
+
     def test_leading_row_matrix(self, gf3):
         m = PolyMatrix(gf3, [[(1, 1), (0, 1)], [(1,), (2,)]])
         assert m.leading_row_matrix() == MatrixGF(gf3, [[1, 1], [1, 2]])

@@ -9,8 +9,10 @@ regenerated only together with an explanation of the diff:
 
 tests/golden/probe.json holds, for the outer generator G1 and the inner
 dual dual(G2) of every reference row, the (weight, witness) pair of the
-trellis upper-bound probe.  A bounded free distance takes its upper bound
-and witness from it (an exact search rebuilds its own), so it is pinned the
+trellis upper-bound probe, the witness written one list per column: the
+coefficients of that column, constant term first, with trailing zeros
+dropped ([] for zero).  A bounded free distance takes its upper bound and
+witness from it (an exact search rebuilds its own), so it is pinned the
 same way and rewritten by the same command.
 
 tests/golden/block_distance.txt is the ``aqcc distance`` output for the
@@ -34,12 +36,15 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aqcc import FamilyParams, certify_params
+from aqcc.block import bch_parity, rs_parity
 from aqcc.cli import main
 from aqcc.convo import PolyMatrix, dual_generator, format_poly_matrix, parse_poly_matrix
 from aqcc.families import layout
+from aqcc.matrix import field_from_order
 from aqcc.selftest import REFERENCE_ROWS
 from aqcc.trellis import _probe_upper, free_distance
 
@@ -90,7 +95,9 @@ def probe_text() -> str:
         g1, g2 = layout(FamilyParams(family, q, **kw)).generators()
         label = golden_path("probe", family, q, kw).stem
         for side, g in (("g1", g1), ("v2_dual", dual_generator(g2))):
-            out[f"{label} {side}"] = json.dumps(_probe_upper(g))
+            weight, witness = _probe_upper(g)
+            columns = [np.trim_zeros(c, "b").tolist() for c in witness.T]
+            out[f"{label} {side}"] = json.dumps([weight, columns])
     # one entry per line, so that a diff names the generator that moved
     return "{\n" + ",\n".join(f'"{key}": {out[key]}' for key in sorted(out)) + "\n}\n"
 
@@ -120,16 +127,36 @@ def test_block_distance_matches_golden():
     assert block_distance_text() == BLOCK_DISTANCE.read_text()
 
 
-def test_block_route_witness_is_a_row_of_coefficient_tuples():
-    # the gamma = 0 route gives its witness the shape of the trellis routes,
-    # and the CLI prints it with the one matrix text format
+def test_every_route_witness_is_one_coefficient_array():
+    # min_distance by enumeration and by echelon row, free_distance by the
+    # block route, the exact search and the bounded probe: each witness is
+    # a read-only int32 (L, n) array, row d for D**d, of weight upper with
+    # its last row nonzero, and L == 1 for a block code
+    rs = rs_parity(field_from_order(7), 6, 4, b=1).code
+    bch = bch_parity(field_from_order(16), 17, 5).code
     g = parse_poly_matrix(BLOCK_ENCODER.read_text())
-    b = free_distance(g)
-    assert b.method == "block"
-    assert all(isinstance(e, tuple) for e in b.witness)
-    assert len(b.witness) == g.cols
-    row = format_poly_matrix(PolyMatrix(g.field, [b.witness]), header=False)
-    assert f"witness: {row}\n" in block_distance_text()
+    memory_two = PolyMatrix(field_from_order(2), [[(1, 0, 1), (1, 1, 1)]])
+    routes = [  # (bracket, route, n, a block code)
+        (rs.min_distance(), "enumeration", 6, True),
+        (bch.min_distance(budget=1000), "bounded", 17, True),
+        (free_distance(g), "block", 10, True),
+        (free_distance(memory_two), "dijkstra", 2, False),
+        (free_distance(memory_two, state_budget=1), "bounded", 2, False),
+    ]
+    for b, method, n, block in routes:
+        w = b.witness
+        assert b.method == method
+        assert w.ndim == 2 and w.dtype == np.int32 and w.shape[1] == n
+        assert w[-1].any() and np.count_nonzero(w) == b.upper
+        assert len(w) == 1 or not block
+        with pytest.raises(ValueError, match="read-only"):
+            w[0, 0] = 1
+    # the block route's one row, in the matrix text format aqcc distance prints
+    row = PolyMatrix.from_coefficients(g.field, routes[2][0].witness[:, None])
+    assert f"witness: {format_poly_matrix(row, header=False)}\n" in block_distance_text()
+    # MacWilliams counts the dual's codewords and keeps none of the code's
+    b = rs_parity(field_from_order(11), 10, 4, b=1).code.min_distance(budget=2000)
+    assert b.method == "macwilliams" and b.witness is None
 
 
 def test_encoders_distance_matches_golden():

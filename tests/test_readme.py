@@ -1,7 +1,12 @@
-"""The library snippets in README.md run and show what their comments say."""
+"""The library snippets in README.md run and show what their comments say,
+and its console example prints what it shows."""
 
+import contextlib
+import io
 import re
 from pathlib import Path
+
+from aqcc.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,3 +29,18 @@ def test_layers_snippet():
     g, h = ns["g"], ns["h"]
     assert g.max_degree == 1  # constant block, delay block
     assert (g.reverse() @ h.T).is_zero()  # pairs to zero under D -> 1/D
+
+
+def test_distance_console_example(tmp_path):
+    # the encoder.txt shown, then the three lines aqcc distance prints for it
+    encoder, shown = re.search(
+        r"```\n\$ cat encoder.txt\n(.*?)\$ aqcc distance encoder.txt\n(.*?)```",
+        README.read_text(), re.S,
+    ).groups()
+    assert encoder == "q=2\n(1) (0,1)\n" and len(shown.splitlines()) == 3
+    path = tmp_path / "encoder.txt"
+    path.write_text(encoder)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["distance", str(path)]) == 0
+    assert out.getvalue() == shown

@@ -61,7 +61,8 @@ class TestExactSearch:
         # generators 1 + D**2 and 1 + D + D**2
         r = free_distance(PolyMatrix(gf2, [[(1, 0, 1), (1, 1, 1)]]))
         assert r.exact and r.lower == 5
-        assert r.witness == ((1, 0, 1), (1, 1, 1))
+        # columns 1 + D**2 and 1 + D + D**2, one row per degree
+        assert np.array_equal(r.witness, [[1, 1], [0, 1], [1, 1]])
 
     def test_unit_delay_pair_gf3(self, gf3):
         r = free_distance(PolyMatrix(gf3, [[(1,), (0, 1)]]))
@@ -284,7 +285,7 @@ def all_states_dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
     raise AqccError("zero state unreachable; the encoder graph is disconnected")
 
 
-def heap_dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
+def heap_dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, np.ndarray]:
     """The search over scalar classes one heap pop at a time: (free
     distance, classes settled before the zero class, witness).  Each
     expansion weighs its q**k messages by plain comparison; a relaxation
@@ -345,7 +346,7 @@ def heap_dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
         for d, t in set(zip(cand[least].tolist(), targets[least].tolist())):
             heapq.heappush(heap, (d, t))
 
-    def witness() -> tuple:
+    def witness() -> np.ndarray:
         # c turns the representative s of each branch into the path's state
         steps = [divmod(int(via[0]), q ** k)]
         while steps[-1][0]:
@@ -359,7 +360,7 @@ def heap_dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
             while t and not t % q:
                 t //= q
             c = field.mul(c, t % q or 1)  # rep(t) is t over its lowest nonzero digit
-        return (PolyMatrix.from_coefficients(field, u) @ g).e[0]
+        return (PolyMatrix.from_coefficients(field, u) @ g).c[:, 0]
 
     w0 = (out0 != 0).sum(axis=1).astype(np.int64)
     w0[0] = INF  # leaving the zero state needs a nonzero message
@@ -395,7 +396,8 @@ def test_vector_weight():
 
 
 def loop_probe(g: PolyMatrix):
-    """The trellis probe as plain loops: rows, then row_i + c * D**s * row_j."""
+    """The trellis probe as plain loops: rows, then row_i + c * D**s * row_j.
+    Returns (weight, witness), the witness as the probe's (L, n) array."""
     f = g.field
     k, n = g.shape
     best = (None, None)
@@ -411,7 +413,13 @@ def loop_probe(g: PolyMatrix):
         w = poly_vector_weight(vec)
         if w and (best[0] is None or w < best[0]):
             best = (w, vec)
-    return best
+    return best[0], PolyMatrix(f, [best[1]]).c[:, 0]
+
+
+def assert_same_result(got, want):
+    """Equal results whose last entry, a witness array, is equal as an array."""
+    assert got[:-1] == want[:-1]
+    assert np.array_equal(got[-1], want[-1])
 
 
 @pytest.fixture(scope="module")
@@ -547,12 +555,15 @@ def heavy_gens():
 
 def assert_same_search(g):
     """The bucketed search settles the classes the heap search settles
-    before the zero class, and agrees with the search over every state."""
+    before the zero class, and agrees with the search over every state;
+    the heap search's witness, by its own tie rule, has weight d."""
     g = reduce(g)
     info = degree_accounting(g)
     q = g.field.q
     d, states, _ = _dijkstra(g.field, g, info)
-    assert (d, states) == heap_dijkstra(g.field, g, info)[:2]
+    heap_d, heap_states, heap_witness = heap_dijkstra(g.field, g, info)
+    assert (d, states) == (heap_d, heap_states)
+    assert np.count_nonzero(heap_witness) == d and heap_witness[-1].any()
     assert d == all_states_dijkstra(g.field, g, info)[0]
     assert states <= (q ** info.gamma - 1) // (q - 1)
     return states
@@ -593,11 +604,11 @@ class TestAgainstScalarSearch:
 
     def test_probe_against_loops(self, monkeypatch, split_gens, odd_gens, sparse_gens):
         for g in split_gens + odd_gens + sparse_gens:
-            assert _probe_upper(g) == loop_probe(g)
+            assert_same_result(_probe_upper(g), loop_probe(g))
         # one row i per pass of the histogram
         monkeypatch.setattr(trellis, "_SCORE_CHUNK", 1)
         for g in sparse_gens:
-            assert _probe_upper(g) == loop_probe(g)
+            assert_same_result(_probe_upper(g), loop_probe(g))
         # the sparse rows are the ones whose supports meet in part, and
         # whose ratios -row_i / D**s * row_j repeat on the common support
         seen = [support_overlaps(g) for g in sparse_gens]
@@ -626,8 +637,8 @@ def test_search_witness_is_a_codeword(split_gens, odd_gens, multi_row_gens, heav
     for g in split_gens + odd_gens + multi_row_gens + heavy_gens:
         r = free_distance(g)
         assert r.exact and r.witness is not None
-        w = PolyMatrix(g.field, [r.witness])
-        assert poly_vector_weight(w.e[0]) == r.lower
+        w = PolyMatrix.from_coefficients(g.field, r.witness[:, None])
+        assert np.count_nonzero(r.witness) == r.lower
         h = dual_generator(g)
         assert (w @ h.reverse(max(h.max_degree, 0)).T).is_zero()
 
@@ -693,7 +704,7 @@ def test_bucket_scored_in_chunks(monkeypatch, multi_row_gens, heavy_gens, pairs)
             whole_calls = len(calls)
             calls.clear()
             mp.setattr(trellis, "_SCORE_CHUNK", pairs * max(run_len, g.cols))
-            assert _dijkstra(g.field, g, info) == whole
+            assert_same_result(_dijkstra(g.field, g, info), whole)
         # the zero state's runs go in one call; every later call holds at
         # most the chunk's pairs, so a bucket of more pairs takes several
         assert max(calls[1:], default=0) <= pairs
@@ -731,7 +742,7 @@ def test_kernel_batches_stay_small(monkeypatch):
     assert max(b * rows for b, rows in entries) <= 1 << 20
 
 
-def table_dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
+def table_dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, np.ndarray]:
     """The bucketed search scoring every class against one table of all
     q**k messages' degree-0 codewords, free rows the fastest digits: the
     scoring the run-by-run search replaced, with the same packed key, so
@@ -793,7 +804,7 @@ def table_dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, tuple]:
             while t and not t % q:
                 t //= q
             c = field.mul(c, t % q or 1)
-        return (PolyMatrix.from_coefficients(field, u) @ g).e[0]
+        return (PolyMatrix.from_coefficients(field, u) @ g).c[:, 0]
 
     def weighed(want):
         w = np.zeros((len(want), msgs), dtype=np.int64)
@@ -873,7 +884,7 @@ def test_run_scoring_matches_table_scoring(run_gens):
     for g in run_gens:
         info = degree_accounting(g)
         seen.add((g.field.q, min(memory_free_rows(g), 2)))
-        assert _dijkstra(g.field, g, info) == table_dijkstra(g.field, g, info)
+        assert_same_result(_dijkstra(g.field, g, info), table_dijkstra(g.field, g, info))
     assert seen == {(q, k0) for q in RUN_FIELDS for k0 in (0, 1, 2)}
 
 
@@ -882,7 +893,7 @@ def test_run_scoring_matches_table_scoring_on_reference_row():
     g = t5a_outer_encoder()
     info = degree_accounting(g)
     assert memory_free_rows(g) == 3 and g.shape == (5, 10)
-    assert _dijkstra(g.field, g, info) == table_dijkstra(g.field, g, info)
+    assert_same_result(_dijkstra(g.field, g, info), table_dijkstra(g.field, g, info))
 
 
 def test_search_builds_no_message_table(monkeypatch, run_gens):
