@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import selftest
@@ -62,6 +63,14 @@ def _rows_text(rows, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def decimal(text: str) -> int:
+    """ASCII decimal digits after an optional "-", as in parse_poly_matrix;
+    int() alone would also take "+5", "1_6", " 5" and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _parse_ranges(pairs) -> dict | None:
     if not pairs:
         return None
@@ -72,7 +81,7 @@ def _parse_ranges(pairs) -> dict | None:
         if name not in GRID_NAMES or not colon:
             raise ParamOutOfRange(f"range must look like i=3:5, got {item!r}")
         try:
-            out[name] = (int(lo), int(hi))
+            out[name] = (decimal(lo), decimal(hi))
         except ValueError:
             raise ParamOutOfRange(f"range bounds must be integers, got {item!r}") from None
     return out
@@ -90,7 +99,7 @@ def cmd_enumerate(args) -> int:
 
 def _interleaved_certificate(args, budgets):
     field = field_from_order(args.q)
-    partition = [int(s) for s in args.partition.split(",")]
+    partition = [decimal(s) for s in args.partition.split(",")]  # ValueError exits 2
     try:
         vectors = demo_vectors(field, args.n, partition, seed=args.seed)
         plan = construction_i_plan(field, vectors, partition)
@@ -176,9 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     budgets = argparse.ArgumentParser(add_help=False)
-    budgets.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET,
+    budgets.add_argument("--state-budget", type=decimal, default=DEFAULT_STATE_BUDGET,
                          help="trellis state cap (default %(default)s)")
-    budgets.add_argument("--work-budget", type=int, default=DEFAULT_WORK_BUDGET,
+    budgets.add_argument("--work-budget", type=decimal, default=DEFAULT_WORK_BUDGET,
                          help="trellis edge cap (default %(default)s)")
 
     output = argparse.ArgumentParser(add_help=False)
@@ -187,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[output],
                        help="list expected tuples for a family grid")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=decimal, required=True)
     p.add_argument("--range", action="append", metavar="NAME=LO:HI",
                    help="narrow one parameter, e.g. --range i=3:5")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -196,18 +205,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", parents=[budgets, output],
                        help="build one instance and emit its certificate")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--i", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--q", type=decimal, required=True)
+    p.add_argument("--i", type=decimal)
+    p.add_argument("--t", type=decimal)
+    p.add_argument("--n", type=decimal)
+    p.add_argument("--k", type=decimal)
     p.add_argument("--partition", metavar="K0,P0,K1,P1,...",
                    help="interleaved row counts (family I)")
     p.add_argument("--effort", choices=EFFORTS, default="desk")
     p.add_argument("--inject-fault", nargs="?", const="mutate-row",
                    choices=FAULTS, help="deliberately break one build step")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--enum-budget", type=int, default=DESK_ENUM_BUDGET,
+    p.add_argument("--seed", type=decimal, default=0)
+    p.add_argument("--enum-budget", type=decimal, default=DESK_ENUM_BUDGET,
                    help="codeword enumeration cap (default %(default)s)")
     p.set_defaults(func=cmd_certify)
 

@@ -33,11 +33,11 @@ field holds the O(q) negation and inverse arrays alone, GF(2**l) adds the
 q by q product table _MUL, and an odd extension field both _MUL and the
 q by q sum table _ADD.
 
-Two list kernels (_lnormed and _lcleared) do the row operations of an
-elimination on Python lists of ints, for prime fields and GF(2**l) only.
-They read the int path's O(q) log/exp lists, whose zero padding lets a
-product with zero go through the lists without a branch; an odd extension
-field would need the q by q sum table, so its rows stay on the arrays.
+matrix eliminates rows held as bytes over GF(2**l) and prime fields with
+q <= 256 and p <= 127.  For them _row_tables holds, built on first use,
+a 256-byte translate table per element f for x -> x / f and for
+x -> -f * x, and over a prime field the table s -> s % p: no byte sum
+2(p - 1) <= 252 of two rows added as big ints carries into the next byte.
 
 Every FiniteField uses the canonical modulus for GF(p**l): the monic
 irreducible polynomial of degree l whose own packed index is smallest.
@@ -282,11 +282,10 @@ class FiniteField:
         inv[exp] = exp[(-np.arange(q - 1)) % (q - 1)]
         self._INV = inv
 
-        # the int path and the list kernels: exp doubled, so a sum of two logs
-        # needs no mod, then q - 1 zeros; log 0 = 2(q - 1) points into them, so
-        # a nonzero log plus the log of any element needs no zero test
-        self._exp_list = exp.tolist() * 2 + [0] * (q - 1)
-        self._log_list = [2 * (q - 1)] + log[1:].tolist()
+        # the int path: exp doubled, so a sum of two logs needs no mod; it
+        # reads no log of 0
+        self._exp_list = exp.tolist() * 2
+        self._log_list = log.tolist()
         self._neg_list = self._NEG.tolist()
 
     # --- arithmetic --------------------------------------------------------
@@ -417,29 +416,22 @@ class FiniteField:
             acc = self._vadd(acc, self._vmul(a[:, s, None], b[None, s, :]))
         return acc
 
-    # --- list kernels: rows as lists of in-range ints, prime fields and GF(2**l)
+    # --- byte-row tables: matrix's row reduction over small fields --------
 
-    def _lnormed(self, row):
-        """row divided by its first entry, which is nonzero."""
-        exp, log = self._exp_list, self._log_list
-        if self.l == 1:
-            p = self.p
-            inv = exp[self.q - 1 - log[row[0]]]
-            return [x * inv % p for x in row]
-        s = -log[row[0]] % (self.q - 1)
-        return [exp[s + log[x]] for x in row]
-
-    def _lcleared(self, x, y):
-        """x minus x[0] times y, for rows of one length with x[0] nonzero."""
-        f = x[0]
-        if self.p == 2:
-            if f == 1:
-                return [a ^ b for a, b in zip(x, y)]
-            exp, log = self._exp_list, self._log_list
-            lf = log[f]
-            return [a ^ exp[lf + log[b]] for a, b in zip(x, y)]
-        p = self.p
-        return [(a - f * b) % p for a, b in zip(x, y)]
+    @functools.cached_property
+    def _row_tables(self) -> tuple[tuple[bytes, ...], tuple[bytes, ...], bytes | None] | None:
+        """(norm, negmul, mod_p), mod_p None for p = 2, or None for a field
+        without them (see the module docstring)."""
+        p, q = self.p, self.q
+        if q > 256 or (p != 2 and (self.l > 1 or p > 127)):
+            return None
+        elems = np.arange(q, dtype=np.int32)
+        tables = np.zeros((2, q, 256), dtype=np.uint8)
+        tables[0, 1:, :q] = self._vmul(self._vinv(elems[1:])[:, None], elems[None, :])
+        tables[1, :, :q] = self._vneg(self._vmul(elems[:, None], elems[None, :]))
+        norm, negmul = (tuple(row.tobytes() for row in t) for t in tables)
+        mod_p = None if p == 2 else (np.arange(256) % p).astype(np.uint8).tobytes()
+        return norm, negmul, mod_p
 
     def pow(self, a, k: int) -> int:
         a = int(self._index(a))

@@ -4,8 +4,8 @@ Entries are packed field indices (see gf).  MatrixGF instances are
 immutable; every operation returns a new matrix.  Sums, products, kernels
 and left-division run on the field's array kernels (gf), so results are
 exact.  Row reduction has one entry point, _rref, and two kernels behind
-it: a small matrix over a prime field or GF(2**l) is eliminated on Python
-lists by gf's list kernels, anything else on the array kernels.  The
+it: a matrix of up to _BYTES_RREF_MAX entries over a field with gf's row
+tables is eliminated on rows of bytes, any other on the array kernels.  The
 public constructor checks and copies its input; results of the methods
 here come from the kernels as fresh in-range int32 arrays and are wrapped
 by _wrap without either.
@@ -201,11 +201,12 @@ class MatrixGF:
         return out
 
 
-# Entries up to which _rref eliminates on Python lists.  Measured on the
-# eliminations of the three benchmark workloads (sums of best-of-5 call
-# times, 2-vCPU Intel Xeon): any cut from 192 to 300 came within 2 ms of
-# the best, and the median matrix of a small-many pass has 48 entries.
-_LIST_RREF_MAX = 256
+# Entries up to which _rref eliminates on byte rows.  Measured on the
+# eliminations of the three benchmark workloads (sums of best-of-7 call
+# times, 2-vCPU Intel Xeon): any cut from 1280 to 2048 came within 1 ms of
+# the best.  Dense random square matrices break even lower (about 600
+# entries over GF(16)), wide ones higher (3000 at two columns a row).
+_BYTES_RREF_MAX = 1536
 
 
 def _rref(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -213,13 +214,13 @@ def _rref(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...
     and the pivot columns.
 
     Both kernels do the same row operations in the same order.  Up to
-    _LIST_RREF_MAX entries over a prime field or GF(2**l) the list kernel
-    runs, since a few dozen entries cost less in Python ints than the ten or
-    so numpy calls of each array pivot.  Larger matrices, and odd extension
-    fields, whose sums need the q by q table, take the array kernel.
+    _BYTES_RREF_MAX entries over a field with byte row tables the byte
+    kernel runs: its row operation is two C calls on the whole row, where
+    each array pivot makes about ten numpy calls.  Other matrices and
+    fields take the array kernel.
     """
-    if a.size <= _LIST_RREF_MAX and (field.p == 2 or field.l == 1):
-        return _rref_lists(field, a)
+    if a.size <= _BYTES_RREF_MAX and field._row_tables is not None:
+        return _rref_bytes(field, a)
     return _rref_arrays(field, a)
 
 
@@ -253,12 +254,15 @@ def _rref_arrays(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[i
     return m, tuple(piv)
 
 
-def _rref_lists(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The steps of _rref_arrays on a list of row lists, for a prime field
-    or GF(2**l): each hit row is rewritten from column c on by one call to
-    the field's list kernel."""
+def _rref_bytes(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The steps of _rref_arrays on rows of bytes, by gf's row tables.  The
+    pivot row is zero left of column c, so each operation runs on whole
+    rows: one translate gives the multiple of the pivot row, added as a big
+    int by XOR (p = 2) or by a carry-free sum and a translate mod p."""
+    norm, negmul, mod_p = field._row_tables
     rows, cols = a.shape
-    m = a.tolist()
+    flat = a.astype(np.uint8).tobytes()
+    m = [flat[i * cols:(i + 1) * cols] for i in range(rows)]
     piv = []
     r = 0
     for c in range(cols):
@@ -270,16 +274,19 @@ def _rref_lists(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[in
         else:
             continue
         prow = m[p0]
-        m[p0], m[r] = m[r], prow
         if prow[c] != 1:
-            prow[c:] = field._lnormed(prow[c:])
-        tail = prow[c:]
-        for row in m:
-            if row[c] and row is not prow:
-                row[c:] = field._lcleared(row[c:], tail)
+            prow = prow.translate(norm[prow[c]])
+        m[p0], m[r] = m[r], prow
+        for i, row in enumerate(m):
+            if (f := row[c]) and i != r:
+                t = int.from_bytes(prow.translate(negmul[f]), "little")
+                if mod_p is None:
+                    m[i] = (int.from_bytes(row, "little") ^ t).to_bytes(cols, "little")
+                else:
+                    m[i] = (int.from_bytes(row, "little") + t).to_bytes(cols, "little").translate(mod_p)
         piv.append(c)
         r += 1
-    return np.array(m, dtype=np.int32).reshape(rows, cols), tuple(piv)
+    return np.frombuffer(b"".join(m), np.uint8).reshape(rows, cols).astype(np.int32), tuple(piv)
 
 
 def vstack(mats: list[MatrixGF]) -> MatrixGF:

@@ -172,17 +172,30 @@ def _digit_sums(q: int, weights) -> np.ndarray:
 def _class_representatives(field, gamma: int):
     """rep(states): each state scaled digit by digit so that its lowest
     nonzero digit is 1, the member of its class GF(q)* * s that the search
-    settles."""
+    settles.
+
+    A state is lo + split * hi, lo its low half of the digits.  The scale
+    is the inverse of the lowest nonzero digit of lo, or of hi when lo is
+    0, and each half is scaled by one lookup in a table of all scales."""
     q = field.q
     if q == 2:
         return lambda states: states
-    place = q ** np.arange(gamma, dtype=np.int64)
+    half = gamma - gamma // 2
+    split = q ** half
+    elems = np.arange(q, dtype=np.int32)
+    prod = field._vmul(elems[:, None], elems[None, :]).astype(np.int64)
+    # for widths 0 to half: x = d + q * x' has lowest nonzero digit d, or
+    # that of x' when d = 0, and scales to c * d + q * (x' scaled by c)
+    low, scaled = [np.zeros(1, dtype=np.int32)], [np.zeros((q, 1), dtype=np.int64)]
+    for _ in range(half):
+        low.append(np.where(elems != 0, elems, low[-1][:, None]).ravel())
+        scaled.append((q * scaled[-1][:, :, None] + prod[:, None, :]).reshape(q, -1))
+    lam = [np.where(d == 0, 0, field._vinv(d)) for d in low]  # 0 for a zero half
 
     def rep(states):
-        digits = ((states[:, None] // place) % q).astype(np.int32)
-        low = digits[np.arange(len(digits)), (digits != 0).argmax(axis=1)]
-        lam = field._vinv(np.where(low == 0, 1, low))  # the zero state stays
-        return field._vmul(lam[:, None], digits) @ place
+        lo, hi = states % split, states // split
+        c = np.where(lo == 0, lam[gamma - half][hi], lam[half][lo])  # 0 keeps the zero state
+        return scaled[half][c, lo] + split * scaled[gamma - half][c, hi]
 
     return rep
 

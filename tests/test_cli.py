@@ -384,3 +384,45 @@ class TestParsing:
     def test_unknown_flag_exits_two(self):
         rc, _, _ = run("table", "--nope")
         assert rc == 2
+
+
+class TestIntegerOptions:
+    # every integer the command line takes is ASCII decimal digits after an
+    # optional "-", as in the matrix text; int() alone takes all of these
+    NOT_DECIMAL = ("+5", "1_6", "٥", " 5", "")
+    CERTIFY = ("certify", "--family", "III-T6", "--q", "5", "--n", "5", "--k", "1", "--t", "1")
+
+    @pytest.mark.parametrize("spelling", NOT_DECIMAL)
+    @pytest.mark.parametrize("option", ["--q", "--i", "--t", "--n", "--k", "--seed", "--enum-budget",
+                                        "--state-budget", "--work-budget"])
+    def test_certify_options_take_decimal_digits_only(self, option, spelling):
+        rc, out, err = run(*self.CERTIFY, option, spelling)
+        assert rc == 2 and out == ""
+        assert f"argument {option}: invalid decimal value" in err
+
+    @pytest.mark.parametrize("spelling", NOT_DECIMAL)
+    def test_enumerate_and_distance_take_decimal_digits_only(self, spelling, tmp_path):
+        rc, out, err = run("enumerate", "--family", "III-T6", "--q", spelling, "--range", "n=5:5")
+        assert rc == 2 and out == "" and "argument --q: invalid decimal value" in err
+        for bounds in (f"{spelling}:5", f"5:{spelling}"):
+            rc, out, err = run("enumerate", "--family", "III-T6", "--q", "5", "--range", f"n={bounds}")
+            assert rc == 2 and out == "" and "range bounds must be integers" in err
+        path = tmp_path / "g.txt"
+        path.write_text("q=2\n(1,1) (1)\n")
+        for option in ("--state-budget", "--work-budget"):
+            rc, out, err = run("distance", str(path), option, spelling)
+            assert rc == 2 and out == "" and f"argument {option}: invalid decimal value" in err
+
+    @pytest.mark.parametrize("spelling", NOT_DECIMAL)
+    def test_partition_entries_take_decimal_digits_only(self, spelling):
+        rc, out, err = run("certify", "--family", "I", "--q", "5", "--n", "4",
+                           "--partition", f"1,1,1,{spelling}")
+        assert rc == 2 and out == ""
+        assert f"parameter error: not a decimal integer: {spelling!r}" in err
+
+    def test_leading_zeros_and_minus_are_decimal(self):
+        rc, out, _ = run("enumerate", "--family", "III-T6", "--q", "05", "--range", "n=005:5")
+        assert rc == 0 and out.splitlines()[1].startswith("III-T6,5,n=5 ")
+        # a minus sign is read, and the value then meets the range checks
+        rc, out, err = run("enumerate", "--family", "III-T6", "--q", "-5")
+        assert rc == 2 and out == "" and "parameter error" in err

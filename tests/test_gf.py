@@ -396,29 +396,32 @@ def test_array_kernels_match_reference_arithmetic(q):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 17, 32, 2039])
-def test_list_kernels_match_reference_arithmetic(q):
-    # the row operations of matrix's list elimination, on every lead and
-    # every entry of the field
+@pytest.mark.parametrize("q", [2, 3, 4, 17, 32, 127, 256, 2039])
+def test_row_tables_match_reference_arithmetic(q):
+    # matrix's byte elimination reads x / f, -f * x and s % p off these
+    # tables: every entry a row of field elements or a sum of two can
+    # index, against table-free arithmetic
     f = field_from_order(q)
-    rng = np.random.default_rng(q)
+    if q == 2039:  # past a byte, as any p > 127 whose sums could carry
+        assert f._row_tables is None
+        return
+    norm, negmul, mod_p = f._row_tables
+    assert len(norm) == len(negmul) == q and {len(t) for t in (*norm[1:], *negmul)} == {256}
     elems = np.arange(q)
-    for lead in (1, q - 1, int(rng.integers(1, q))):
-        row = np.concatenate(([lead], elems)).astype(np.int32)
-        want = ref.mul(f, row, ref.inv(f, lead))
-        assert f._lnormed(row.tolist()) == want.tolist()
-    y = np.concatenate(([1], rng.permutation(q))).astype(np.int32)
-    for lead in range(1, q):
-        x = np.concatenate(([lead], elems)).astype(np.int32)
-        want = ref.sub(f, x, ref.mul(f, lead, y))
-        got = f._lcleared(x.tolist(), y.tolist())
-        assert got == want.tolist() and got[0] == 0
-        assert all(type(v) is int for v in got)
+    for lead, inv in zip(range(1, q), ref.inv(f, elems[1:]).tolist()):
+        assert np.array_equal(np.frombuffer(norm[lead], np.uint8)[:q], ref.mul(f, inv, elems))
+    for lead in range(q):
+        want = ref.neg(f, ref.mul(f, lead, elems))
+        assert np.array_equal(np.frombuffer(negmul[lead], np.uint8)[:q], want)
+    if f.p == 2:
+        assert mod_p is None
+    else:
+        assert np.array_equal(np.frombuffer(mod_p, np.uint8)[:2 * f.p - 1], np.arange(2 * f.p - 1) % f.p)
 
 
 @pytest.mark.parametrize("q", [2048, 2039])
 def test_int_path_lists_stay_linear_in_q(q):
-    # the int path and the list kernels read flat int lists of O(q) length:
+    # the int path reads flat int lists of O(q) length:
     # no q by q Python table
     f = field_from_order(q)
     lists = {k: v for k, v in vars(f).items() if isinstance(v, list)}

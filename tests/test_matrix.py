@@ -183,7 +183,7 @@ def _rref_reference_loop(field, a):
 
 
 def _reference_cases(f, rng):
-    """Shapes on both sides of the list cut, with zero columns and with
+    """Shapes on both sides of the byte cut, with zero columns and with
     rows that combine two earlier ones."""
     q = f.q
     shapes = [(0, 4), (4, 0), (1, 1), (3, 8), (8, 3), (6, 6), (4, 11), (5, 12), (12, 5),
@@ -203,15 +203,17 @@ def _reference_cases(f, rng):
             yield m
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 7, 9, 16, 17, 27, 32, 2039])
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16, 17, 27, 32, 64, 127, 128, 256, 2039])
 def test_rref_matches_reference_loop(q):
     # the entry point and each kernel it can pick, called directly whatever
     # the size: the echelon and pivots of the reference loop, as a fresh
-    # int32 array that _wrap may make read-only
+    # int32 array that _wrap may make read-only.  p = 127 has the largest
+    # byte sums, 2 * 126; q = 128 and 256 the longest GF(2**l) tables
     f = field_from_order(q)
     kernels = [_rref, matrix._rref_arrays]
-    if f.p == 2 or f.l == 1:
-        kernels.append(matrix._rref_lists)
+    if f._row_tables is not None:
+        kernels.append(matrix._rref_bytes)
+    assert (len(kernels) == 3) == (q not in (9, 27, 2039))
     rng = np.random.default_rng(q)
     for m in _reference_cases(f, rng):
         want_red, want_piv = _rref_reference_loop(f, m)
@@ -223,23 +225,48 @@ def test_rref_matches_reference_loop(q):
             assert red.flags.writeable and not np.shares_memory(red, m)
 
 
-@pytest.mark.parametrize("q, cut_routes_to_lists", [(2, True), (7, True), (16, True), (2039, True),
-                                                    (9, False), (27, False)])
-def test_rref_picks_the_kernel_by_entry_count_and_field(monkeypatch, q, cut_routes_to_lists):
+@pytest.mark.parametrize("q, cut_routes_to_bytes", [(2, True), (7, True), (16, True), (127, True),
+                                                    (256, True), (9, False), (27, False),
+                                                    (131, False), (512, False), (2039, False)])
+def test_rref_picks_the_kernel_by_entry_count_and_field(monkeypatch, q, cut_routes_to_bytes):
+    # bytes for GF(2**l) up to q = 256 and prime fields up to p = 127; odd
+    # extension fields, p >= 131 and q > 256 always take the arrays
     f = field_from_order(q)
     taken = []
-    for name in ("_rref_lists", "_rref_arrays"):
+    for name in ("_rref_bytes", "_rref_arrays"):
         def record(field, a, name=name, kernel=getattr(matrix, name)):
             taken.append(name)
             return kernel(field, a)
         monkeypatch.setattr(matrix, name, record)
-    cut = matrix._LIST_RREF_MAX
+    cut = matrix._BYTES_RREF_MAX
     rng = np.random.default_rng(q)
     for shape in [(1, 1), (4, cut // 4), (1, cut + 1), (cut + 1, 1), (36, 66)]:
         taken.clear()
         red, piv = _rref(f, rng.integers(0, q, shape).astype(np.int32))
         small = shape[0] * shape[1] <= cut
-        assert taken == ["_rref_lists" if small and cut_routes_to_lists else "_rref_arrays"]
+        assert taken == ["_rref_bytes" if small and cut_routes_to_bytes else "_rref_arrays"]
+
+
+def test_certification_eliminates_on_byte_rows(monkeypatch):
+    # a field or a cut that silently sent these to the arrays would only
+    # show as a slower benchmark: every elimination of a structure
+    # certificate and of 20 split plans, over GF(16) and GF(2..5) and none
+    # past the cut, takes the byte kernel
+    from aqcc import FamilyParams, certify_params, selftest
+
+    taken = []
+    for name in ("_rref_bytes", "_rref_arrays"):
+        def record(field, a, name=name, kernel=getattr(matrix, name)):
+            taken.append(name)
+            return kernel(field, a)
+        monkeypatch.setattr(matrix, name, record)
+    monkeypatch.setattr(selftest, "SPLIT_PLANS", 20)
+    runs = (lambda: certify_params(FamilyParams("II-T3a", 16, i=5, t=1), effort="structure"),
+            selftest.check_split_plans)
+    for run in runs:
+        taken.clear()
+        run()
+        assert len(taken) > 10 and set(taken) == {"_rref_bytes"}
 
 
 def test_only_matrix_names_the_rref_kernels():
@@ -248,7 +275,7 @@ def test_only_matrix_names_the_rref_kernels():
     from pathlib import Path
 
     root = Path(__file__).resolve().parents[1]
-    kernels = ("_rref_lists", "_rref_arrays", "_LIST_RREF_MAX")
+    kernels = ("_rref_bytes", "_rref_arrays", "_BYTES_RREF_MAX")
     files = [*sorted((root / "src" / "aqcc").glob("*.py")), *sorted((root / "perfbench").glob("*.py")),
              *sorted((root / "tests").glob("*.py"))]
     assert len(files) > 20
@@ -260,41 +287,41 @@ def test_only_matrix_names_the_rref_kernels():
 
 def test_only_gf_indexes_the_field_tables():
     import ast
-    import re
     from pathlib import Path
 
     import aqcc
 
     tables = ("_ADD", "_MUL", "_NEG", "_INV")
     lists = ("_exp_list", "_log_list", "_neg_list")
-    table = re.compile(r"\._(ADD|MUL|NEG|INV|exp_list|log_list|neg_list)\b")
-    src = Path(aqcc.__file__).parent
-    offenders = [
-        f"{path.name}:{n}"
-        for path in sorted(src.glob("*.py")) if path.name != "gf.py"
-        for n, line in enumerate(path.read_text().splitlines(), 1) if table.search(line)
-    ]
     # inside gf.py: the builder and the array kernels read the tables, as do
     # add and sub of the int path, which gather sums over odd extension
-    # fields; the builder, the int path and the list kernels read the lists
+    # fields; the builder and the int path read the lists.  gf.py builds
+    # the byte-row tables and reads none; matrix's entry point asks whether
+    # a field has them and its byte kernel reads them.  No other reader.
     readers = {
-        **dict.fromkeys(tables, {"_build_tables", "_vadd", "_vsub", "_vneg", "_vinv", "_vmul",
-                                 "_vmatmul", "add", "sub"}),
-        **dict.fromkeys(lists, {"_build_tables", "sub", "neg", "mul", "inv", "pow", "exp",
-                                "_lnormed", "_lcleared"}),
+        "gf.py": {
+            **dict.fromkeys(tables, {"_build_tables", "_vadd", "_vsub", "_vneg", "_vinv", "_vmul",
+                                     "_vmatmul", "add", "sub"}),
+            **dict.fromkeys(lists, {"_build_tables", "sub", "neg", "mul", "inv", "pow", "exp"}),
+        },
+        "matrix.py": {"_row_tables": {"_rref", "_rref_bytes"}},
     }
+    names = {*tables, *lists, "_row_tables"}
+    offenders = []
 
-    def visit(node, owner):
+    def visit(path, node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.Lambda)):
-                visit(child, getattr(child, "name", "<lambda>"))
+                visit(path, child, getattr(child, "name", "<lambda>"))
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr in readers
-                    and owner not in readers[child.attr]):
-                offenders.append(f"gf.py:{child.lineno} in {owner}")
-            visit(child, owner)
+            if (isinstance(child, ast.Attribute) and child.attr in names
+                    and owner not in readers.get(path.name, {}).get(child.attr, ())):
+                offenders.append(f"{path.name}:{child.lineno} in {owner}")
+            visit(path, child, owner)
 
-    visit(ast.parse((src / "gf.py").read_text()), "<module>")
+    src = Path(aqcc.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        visit(path, ast.parse(path.read_text()), "<module>")
     assert offenders == []
 
 

@@ -395,6 +395,31 @@ def test_vector_weight():
     assert poly_vector_weight(((1, 0, 2), (), (3,))) == 3
 
 
+def digitwise_representatives(field, gamma: int, states: np.ndarray) -> np.ndarray:
+    """Each state expanded into its gamma digits, all of them divided by the
+    lowest nonzero one and packed again; the zero state stays."""
+    q = field.q
+    place = q ** np.arange(gamma, dtype=np.int64)
+    digits = ((states[:, None] // place) % q).astype(np.int32)
+    low = digits[np.arange(len(digits)), (digits != 0).argmax(axis=1)]
+    lam = field._vinv(np.where(low == 0, 1, low))
+    return field._vmul(lam[:, None], digits) @ place
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8])
+@pytest.mark.parametrize("gamma", [1, 2, 3, 4])
+def test_class_representatives_match_digitwise_scaling(q, gamma):
+    field = field_from_order(q)
+    states = np.arange(q ** gamma, dtype=np.int64)
+    got = _class_representatives(field, gamma)(states)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, digitwise_representatives(field, gamma, states))
+    # in any order, with repeats, as the search hands them over
+    mixed = np.random.default_rng(q * gamma).permutation(np.concatenate([states, states[::3]]))
+    assert np.array_equal(_class_representatives(field, gamma)(mixed),
+                          digitwise_representatives(field, gamma, mixed))
+
+
 def loop_probe(g: PolyMatrix):
     """The trellis probe as plain loops: rows, then row_i + c * D**s * row_j.
     Returns (weight, witness), the witness as the probe's (L, n) array."""
