@@ -121,6 +121,9 @@ def cmd_certify(args) -> int:
     if args.family == "I":
         if args.n is None or args.partition is None:
             raise ParamOutOfRange("family I needs --n and --partition")
+        extra = [f"--{name}" for name in ("i", "t", "k") if getattr(args, name) is not None]
+        if extra:
+            raise ParamOutOfRange(f"family I takes only --n and --partition, got {', '.join(extra)}")
         cert = _interleaved_certificate(args, budgets)
     else:
         if args.partition is not None:

@@ -4,11 +4,20 @@ Every family follows the same recipe: take the parity-check matrix of a
 block code whose rows come in per-exponent groups, assign each group to a
 delay power, and split the result into an outer/inner generator pair.
 layout (or construction_i_plan, from explicit rows) returns the
-LayoutPlan that certify.certify_plan consumes.  The pair layouts below fix
-which group lands where; the counting facts they rely on (group sizes,
-window coverage, containment of the inner row set in the outer one) are
-all re-verified downstream by the certifier, so a layout here is a plan,
-not a trusted claim.
+LayoutPlan that certify.certify_plan consumes.
+
+One split rule serves every grid family.  It is written in offsets
+j = 0..i from a centre exponent: offset j is parity group a - j of a BCH
+source (a = n // 2) or an RS source (a = i), and row j of a GRS source
+(i = n - k - 1).  Rule a (II-T3a, II-T4a, III-T5a, III-T6) pairs a
+constant group with the delay group i, then 0 with t, in the outer code;
+rule b (II-T3b, II-T4b, III-T5b, III-T8) pairs 0 with t alone; II-T2
+pairs i - 2 with i - 1, then 0 with i.  The inner code pairs 0 with t
+and takes the singles 1..t-1, or for II-T2 pairs i - 2 with i - 1 alone;
+layout states the details.  The counting facts a layout relies on (group
+sizes, window coverage, containment of the inner row set in the outer
+one) are all re-verified downstream by the certifier, so a layout here is
+a plan, not a trusted claim.
 """
 
 from __future__ import annotations
@@ -138,6 +147,12 @@ def _field_need(family: str, q: int) -> str | None:
     return None if q >= q_min else f"a prime power q >= {q_min}"
 
 
+def _rule_a(family: str) -> bool:
+    """Whether the outer code pairs a second group before (0, t): the
+    families whose t stops two short of i (see layout)."""
+    return family.endswith("a") or family == "III-T6"
+
+
 def _grid(family: str, q: int):
     """The family's parameters in grid order, as (name, bounds) pairs.
 
@@ -147,7 +162,7 @@ def _grid(family: str, q: int):
     """
     # t <= i - gap (or n - k - gap - 1, the last t that leaves a logical
     # qudit) and i >= gap + 1
-    gap = 2 if family.endswith("a") or family == "III-T6" else 1
+    gap = 2 if _rule_a(family) else 1
     if family in ("III-T6", "III-T8"):
         return (
             ("n", lambda: (5, q)),
@@ -320,33 +335,6 @@ def _as_blocks(field: FiniteField, stacks: list[list[np.ndarray]]) -> tuple[Matr
     return tuple(MatrixGF(field, np.concatenate(rows, axis=0)) for rows in stacks)
 
 
-def _pair_layout(params, expected, source, groups, outer, inner, *, v1_designed,
-                 chain_designed) -> LayoutPlan:
-    """Plan of the standard layout: paired groups first, then singles.
-
-    outer and inner are (pairs, singles) for G1 and G2; pairs are
-    (constant exponent, delay exponent).  The default placement already
-    lines each delay group up with its partner because the paired
-    constant groups sit at the top of the generator.
-    """
-    def blocks(pairs, singles):
-        return _as_blocks(source.field, [
-            [groups[c] for c, _ in pairs] + [groups[s] for s in singles],
-            [groups[d] for _, d in pairs],
-        ])
-
-    return LayoutPlan(
-        params=params,
-        expected=expected,
-        field=source.field,
-        source=source,
-        blocks1=blocks(*outer),
-        blocks2=blocks(*inner),
-        v1_designed=v1_designed,
-        chain_designed=chain_designed,
-    )
-
-
 def _everywhere_nonzero(row: np.ndarray) -> bool:
     return bool(np.all(row != 0))
 
@@ -368,73 +356,91 @@ def _split_degenerate_partner(field: FiniteField, group: np.ndarray):
     return np.array(r0), np.array(r1), ("top-degree slice of the merged row has a zero coordinate",)
 
 
-def _layout_bch_pairs(params: FamilyParams, expected: ExpectedTuple) -> LayoutPlan:
-    """Families II-T2, II-T3a, II-T3b over GF(2^s), length q + 1."""
-    fam, q, i, t = params.family, params.q, params.i, params.t
-    n, a = q + 1, q // 2
-    struct = build_source(source_key(params))
-    groups = struct.row_groups
-    if fam == "II-T2":
-        pairs1 = [(a - i + 2, a - i + 1), (a, a - i)]
-        singles1 = list(range(a - 1, a - i + 2, -1))
-        pairs2, singles2 = [(a - i + 2, a - i + 1)], []
-        chain = (2, 2, 3)
-    elif fam == "II-T3a":
-        pairs1 = [(a - t - 1, a - i), (a, a - t)]
-        singles1 = list(range(a - 1, a - t, -1)) + list(range(a - t - 2, a - i, -1))
-        pairs2 = [(a, a - t)]
-        singles2 = list(range(a - 1, a - t, -1))
-        chain = (2 * t + 1, 2, 2 * t + 3)
-    else:
-        pairs1 = [(a, a - t)]
-        singles1 = list(range(a - 1, a - t, -1)) + list(range(a - t - 1, a - i - 1, -1))
-        pairs2 = [(a, a - t)]
-        singles2 = list(range(a - 1, a - t, -1))
-        chain = (2 * t + 1, 2, 2 * t + 3)
-    return _pair_layout(params, expected, struct.code, groups, (pairs1, singles1),
-                        (pairs2, singles2), v1_designed=n - 2 * i - 1, chain_designed=chain)
+def default_grs_points(field: FiniteField, n: int) -> tuple[int, ...]:
+    """Zero followed by the first n - 1 powers of the field generator."""
+    return (0,) + tuple(field.exp(j) for j in range(n - 1))
 
 
-def _layout_bch_merged(params: FamilyParams, expected: ExpectedTuple) -> LayoutPlan:
-    """Families II-T4a, II-T4b over odd GF(p^l), length q + 1.
+def layout(params: FamilyParams) -> LayoutPlan:
+    """Split plan for a validated parameter point; every grid point has a
+    logical dimension of at least 1.
 
-    n is even here, so the exponent a = n/2 contributes a single parity
-    row; its pair partner is spread over delays one and two instead,
-    giving one generator row of degree two in both the outer and inner
-    matrices.
+    Offset j = 0..i names parity group a - j of a BCH source (a = n // 2)
+    or an RS source (a = i), and row j of a GRS source (i = n - k - 1).
+    Pairs are (constant offset, delay offset); the outer code takes the
+    remaining offsets 0..i as constant singles in ascending order:
+
+    - rule a (II-T3a, II-T4a, III-T5a, III-T6): the outer code pairs
+      (p, i), then (0, t); p = t + 1, and for III-T6 p = i - 2, or i - 1
+      when t = i - 2.  The inner code pairs (0, t) with singles 1..t-1.
+    - rule b (II-T3b, II-T4b, III-T5b, III-T8): the outer code pairs
+      (0, t) alone; the inner code is as in rule a.
+    - II-T2: the outer code pairs (i - 2, i - 1), then (0, i); the inner
+      code pairs (i - 2, i - 1) only.
+
+    Paired constant groups sit at the top of the generator, so the
+    default placement lines each delay group up with its partner.  When
+    group 0 is a single row under a two-row partner (II-T4, odd q), the
+    partner is spread over delays one and two instead, giving one
+    generator row of degree two in both codes.
     """
-    fam, q, i, t = params.family, params.q, params.i, params.t
-    n = q + 1
-    a = n // 2
-    struct = build_source(source_key(params))
-    field = struct.field
-    groups = struct.row_groups
-    if groups[a].shape[0] != 1:
-        raise AssertionError("exponent n/2 should expand to a single row")
-    p0, p1, notes = _split_degenerate_partner(field, groups[a - t])
-    merged_const = groups[a]
-    if fam == "II-T4a":
-        head = [groups[a - t - 1], merged_const]
-        singles1 = list(range(a - 1, a - t, -1)) + list(range(a - t - 2, a - i, -1))
-        d_rows = [groups[a - i], p0[None, :]]
-        merged_at = 2  # after the two rows of the leading pair
+    validate_params(params)
+    fam, t = params.family, params.t
+    if fam == "I":
+        raise ValueError("construction I builds from explicit vectors, not a grid point")
+    expected = _closed_form(params)
+    key = source_key(params)
+    struct = build_source(key)
+    field, groups, n = struct.field, struct.row_groups, expected.n
+    if key[0] == "grs":
+        i = n - params.k - 1
+        group = [groups[j] for j in range(i + 1)]
     else:
-        head = [merged_const]
-        singles1 = list(range(a - 1, a - t, -1)) + list(range(a - t - 1, a - i - 1, -1))
-        d_rows = [p0[None, :]]
-        merged_at = 0
-    const1 = head + [groups[s] for s in singles1]
-    k1 = sum(m.shape[0] for m in const1)
-    blocks1 = _as_blocks(field, [const1, d_rows, [p1[None, :]]])
-    placements1 = (
-        tuple(range(k1)),
-        tuple(range(sum(m.shape[0] for m in d_rows))),
-        (merged_at,),
-    )
-    singles2 = list(range(a - 1, a - t, -1))
-    const2 = [merged_const] + [groups[s] for s in singles2]
-    blocks2 = _as_blocks(field, [const2, [p0[None, :]], [p1[None, :]]])
-    d2_top = 2 if _everywhere_nonzero(p1) else 1
+        i = params.i
+        a = n // 2 if key[0] == "bch" else i
+        group = [groups[a - j] for j in range(i + 1)]
+    if fam == "II-T2":
+        outer, inner, inner_singles = [(i - 2, i - 1), (0, i)], [(i - 2, i - 1)], []
+    else:
+        inner, inner_singles = [(0, t)], range(1, t)
+        partner = t + 1 if fam != "III-T6" else i - 1 if t == i - 2 else i - 2
+        outer = [(partner, i), (0, t)] if _rule_a(fam) else inner
+    paired = {j for pair in outer for j in pair}
+    outer_singles = [j for j in range(i + 1) if j not in paired]
+    # every rule's last outer pair is (0, d0)
+    d0 = outer[-1][1]
+    merged = group[0].shape[0] < group[d0].shape[0]
+    notes, placements1 = (), None
+    if merged:
+        p0, p1, notes = _split_degenerate_partner(field, group[d0])
+        notes = ("layout-reconstructed",) + notes
+
+    def blocks(pairs, singles):
+        const = [group[c] for c, _ in pairs] + [group[s] for s in singles]
+        delay = [group[d] for _, d in pairs]
+        if not merged:
+            return _as_blocks(field, [const, delay])
+        delay[-1] = p0[None, :]
+        return _as_blocks(field, [const, delay, [p1[None, :]]])
+
+    blocks1, blocks2 = blocks(outer, outer_singles), blocks(inner, inner_singles)
+    if merged:
+        merged_at = sum(group[c].shape[0] for c, _ in outer[:-1])
+        placements1 = (tuple(range(blocks1[0].rows)), tuple(range(blocks1[1].rows)), (merged_at,))
+    # the inner code's top-degree slice (p1, or the lone GRS row t) has
+    # distance two exactly when it has no zero coordinate; for GRS the
+    # point zero kills it for t >= 1, which the chain bound absorbs
+    top = 2 if _everywhere_nonzero(blocks2[-1].a) else 1
+    if fam == "II-T2":
+        v1, chain = n - 2 * i - 1, (2, 2, 3)
+    elif fam.startswith("II-T3"):
+        v1, chain = n - 2 * i - 1, (2 * t + 1, 2, 2 * t + 3)
+    elif fam.startswith("II-T4"):
+        v1, chain = n - 2 * i, (2 * t, top, 2 * t + 2)
+    elif fam.startswith("III-T5"):
+        v1, chain = n - i, (t + 1, 2, t + 2)
+    else:
+        v1, chain = params.k + 1, (t + 1, top, t + 2)
     return LayoutPlan(
         params=params,
         expected=expected,
@@ -442,76 +448,11 @@ def _layout_bch_merged(params: FamilyParams, expected: ExpectedTuple) -> LayoutP
         source=struct.code,
         blocks1=blocks1,
         blocks2=blocks2,
-        v1_designed=n - 2 * i,
-        chain_designed=(2 * t, d2_top, 2 * t + 2),
+        v1_designed=v1,
+        chain_designed=chain,
         placements1=placements1,
-        notes=("layout-reconstructed",) + notes,
+        notes=notes,
     )
-
-
-def _layout_rs_pairs(params: FamilyParams, expected: ExpectedTuple) -> LayoutPlan:
-    """Families III-T5a, III-T5b: Reed-Solomon rows, length q - 1."""
-    fam, i, t = params.family, params.i, params.t
-    n = params.q - 1
-    struct = build_source(source_key(params))
-    groups = struct.row_groups
-    if fam == "III-T5a":
-        pairs1 = [(i - t - 1, 0), (i, i - t)]
-        singles1 = list(range(i - 1, i - t, -1)) + list(range(i - t - 2, 0, -1))
-    else:
-        pairs1 = [(i, i - t)]
-        singles1 = list(range(i - 1, i - t, -1)) + list(range(i - t - 1, -1, -1))
-    pairs2 = [(i, i - t)]
-    singles2 = list(range(i - 1, i - t, -1))
-    return _pair_layout(params, expected, struct.code, groups, (pairs1, singles1),
-                        (pairs2, singles2), v1_designed=n - i, chain_designed=(t + 1, 2, t + 2))
-
-
-def default_grs_points(field: FiniteField, n: int) -> tuple[int, ...]:
-    """Zero followed by the first n - 1 powers of the field generator."""
-    return (0,) + tuple(field.exp(j) for j in range(n - 1))
-
-
-def _layout_grs(params: FamilyParams, expected: ExpectedTuple) -> LayoutPlan:
-    """Families III-T6, III-T8: GRS parity rows, one per degree r."""
-    fam, n, k, t = params.family, params.n, params.k, params.t
-    grs = build_source(source_key(params))
-    groups = grs.row_groups
-    r_top = n - k - 1
-    if fam == "III-T6":
-        lead = n - k - 3 if t != n - k - 3 else n - k - 2
-        pairs1 = [(lead, r_top), (0, t)]
-        singles1 = list(range(1, t)) + [r for r in range(t + 1, r_top) if r != lead]
-    else:
-        pairs1 = [(0, t)]
-        singles1 = list(range(1, t)) + list(range(t + 1, r_top + 1))
-    pairs2 = [(0, t)]
-    singles2 = list(range(1, t))
-    # the slice through delay one is the lone row t; its distance is two
-    # exactly when that row has no zero coordinate (point zero kills it
-    # for t >= 1, which the chain bound absorbs without loss)
-    row_t = grs.code.parity.a[t]
-    d_mid = 2 if _everywhere_nonzero(row_t) else 1
-    return _pair_layout(params, expected, grs.code, groups, (pairs1, singles1),
-                        (pairs2, singles2), v1_designed=k + 1,
-                        chain_designed=(t + 1, d_mid, t + 2))
-
-
-def layout(params: FamilyParams) -> LayoutPlan:
-    """Split plan for a validated parameter point; every grid point has a
-    logical dimension of at least 1."""
-    validate_params(params)
-    fam = params.family
-    if fam == "I":
-        raise ValueError("construction I builds from explicit vectors, not a grid point")
-    expected = _closed_form(params)
-    if fam in ("II-T2", "II-T3a", "II-T3b"):
-        return _layout_bch_pairs(params, expected)
-    if fam in ("II-T4a", "II-T4b"):
-        return _layout_bch_merged(params, expected)
-    if fam in ("III-T5a", "III-T5b"):
-        return _layout_rs_pairs(params, expected)
-    return _layout_grs(params, expected)
 
 
 def construction_i_plan(field: FiniteField, vectors, partition) -> LayoutPlan:

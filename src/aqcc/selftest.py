@@ -24,6 +24,7 @@ from .errors import (
     SymplecticViolation,
 )
 from .families import (
+    FAMILIES,
     FamilyParams,
     build_source,
     construction_i_plan,
@@ -227,8 +228,7 @@ def check_mds_sources():
             continue
         prime_powers.append(q)
     keys = {}  # source key -> the first grid point with it, for messages
-    for family in ("II-T2", "II-T3a", "II-T3b", "II-T4a", "II-T4b",
-                   "III-T5a", "III-T5b", "III-T6", "III-T8"):
+    for family in FAMILIES[1:]:
         for q in prime_powers:
             for params, _ in enumerate_family(family, q):
                 keys.setdefault(source_key(params), params)

@@ -220,6 +220,13 @@ class TestCertify:
         assert rc == 2
         assert "--partition" in err
 
+    def test_family_i_refuses_grid_options(self):
+        # --i, --t and --k were dropped without a word
+        rc, out, err = run("certify", "--family", "I", "--q", "5", "--n", "9",
+                           "--partition", "2,1,2,1", "--i", "3", "--t", "7", "--k", "2")
+        assert rc == 2 and out == ""
+        assert err == "parameter error: family I takes only --n and --partition, got --i, --t, --k\n"
+
     @pytest.mark.parametrize("n, partition, fragment", [
         ("8", "2,1,1,1", "main block sizes [2, 1] must all equal 2"),
         ("3", "1,1,1,1", "4 independent rows cannot fit in length 3"),

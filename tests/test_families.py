@@ -197,22 +197,17 @@ class TestEnumeration:
             assert enumerate_family(family, q) == want, q
 
 
+# every grid point of every family at these orders, 1450 in all
+LAYOUT_POINTS = [
+    p
+    for family in FAMILIES[1:]
+    for q in (4, 5, 7, 8, 9, 11, 16)
+    for p, _ in enumerate_family(family, q)
+]
+
+
 class TestLayouts:
-    @pytest.mark.parametrize(
-        "params",
-        [
-            FamilyParams("II-T2", 16, i=4),
-            FamilyParams("II-T3a", 16, i=5, t=2),
-            FamilyParams("II-T3b", 16, i=4, t=3),
-            FamilyParams("II-T4a", 9, i=4, t=2),
-            FamilyParams("II-T4b", 9, i=2, t=1),
-            FamilyParams("III-T5a", 8, i=4, t=1),
-            FamilyParams("III-T5b", 9, i=3, t=2),
-            FamilyParams("III-T6", 8, n=8, k=2, t=1),
-            FamilyParams("III-T8", 8, n=7, k=1, t=4),
-        ],
-        ids=lambda p: p.label(),
-    )
+    @pytest.mark.parametrize("params", LAYOUT_POINTS, ids=lambda p: p.label())
     def test_generators_match_closed_forms(self, params):
         plan = layout(params)
         g1, g2 = plan.generators()

@@ -1,7 +1,10 @@
 """Golden certificates: every reference row must certify to the same bytes.
 
 tests/golden/<effort>/ holds the JSON of the 25 reference rows at
-``structure`` effort and of the rows with q <= 8 at ``desk`` effort.  A
+``structure`` effort, of the rows with q <= 8 at ``desk`` effort, and of
+the 8 selftest extra stabilizers at ``structure`` effort, which reach the
+grid families II-T2, II-T4a, II-T4b and III-T5b that no reference row
+does.  A
 change to any byte is a change to what aqcc certifies, so the files may be
 regenerated only together with an explanation of the diff:
 
@@ -45,7 +48,7 @@ from aqcc.cli import main
 from aqcc.convo import PolyMatrix, dual_generator, format_poly_matrix, parse_poly_matrix
 from aqcc.families import layout
 from aqcc.matrix import field_from_order
-from aqcc.selftest import REFERENCE_ROWS
+from aqcc.selftest import EXTRA_STABILIZERS, REFERENCE_ROWS
 from aqcc.trellis import _probe_upper, free_distance
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -67,9 +70,11 @@ ENUMERATE_CASES = [
     for q in orders
 ]
 
-CASES = [("structure", row[:3]) for row in REFERENCE_ROWS] + [
-    ("desk", row[:3]) for row in REFERENCE_ROWS if row[1] <= 8
-]
+CASES = (
+    [("structure", row[:3]) for row in REFERENCE_ROWS]
+    + [("desk", row[:3]) for row in REFERENCE_ROWS if row[1] <= 8]
+    + [("structure", row) for row in EXTRA_STABILIZERS]
+)
 
 
 def golden_path(effort: str, family: str, q: int, kw: dict) -> Path:
@@ -198,7 +203,7 @@ def test_golden_distances_respect_singleton(path):
 
 
 def test_golden_set_is_complete():
-    assert len(CASES) == 32
+    assert len(CASES) == 40
     on_disk = {p.relative_to(GOLDEN_DIR) for p in GOLDEN_DIR.glob("*/*.json")}
     assert on_disk == {golden_path(e, *r).relative_to(GOLDEN_DIR) for e, r in CASES}
 
