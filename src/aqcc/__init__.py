@@ -43,10 +43,8 @@ from .css import (
     StabilizerMatrix,
     assemble_stabilizer,
     build_nested_pair,
-    check_symplectic,
     derive_aqcc,
     semi_infinite_expand,
-    symplectic_residual,
 )
 from .errors import AqccError
 from .families import (
@@ -91,7 +89,6 @@ __all__ = [
     "build_nested_pair",
     "certify_params",
     "certify_plan",
-    "check_symplectic",
     "construction_i_plan",
     "contains",
     "cyclic_structure",
@@ -115,7 +112,6 @@ __all__ = [
     "semi_infinite_expand",
     "smith_form",
     "split_to_generator",
-    "symplectic_residual",
     "validate_params",
     "__version__",
 ]

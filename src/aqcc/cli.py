@@ -80,6 +80,8 @@ def _parse_ranges(pairs) -> dict | None:
         lo, colon, hi = span.partition(":")
         if name not in GRID_NAMES or not colon:
             raise ParamOutOfRange(f"range must look like i=3:5, got {item!r}")
+        if name in out:
+            raise ParamOutOfRange(f"--range gives {name} twice")
         try:
             out[name] = (decimal(lo), decimal(hi))
         except ValueError:

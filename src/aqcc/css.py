@@ -5,7 +5,9 @@ quantum convolutional code: one block of stabilizer rows carries a
 parity check of V1 on the X side, the other carries a generator of V2 on
 the Z side.  Symplectic self-orthogonality of the assembled matrix is
 equivalent to the containment V2 <= V1, and this module verifies it
-explicitly instead of assuming it.
+explicitly instead of assuming it.  For X = [H1; 0] and Z = [0; G2] the
+residual X rev(Z)^T - Z rev(X)^T is zero but for the blocks A = H1 rev(G2)^T
+and -D^(2 mu) A(1/D)^T, so it vanishes exactly when the one product A does.
 
 derive_aqcc builds the minimal duals of both generators once per pair:
 the dual of V1 is the parity check on the X side, and the dual of V2 is
@@ -27,26 +29,6 @@ from .errors import (
     ZeroLogicalDimension,
 )
 from .matrix import MatrixGF
-
-
-def symplectic_residual(x_part: PolyMatrix, z_part: PolyMatrix) -> PolyMatrix:
-    """X(D) rev(Z)^T - Z(D) rev(X)^T, both reversed at a common degree.
-
-    The result is zero exactly when every pair of rows of (X|Z) is
-    orthogonal under the symplectic pairing summed over all time shifts.
-    """
-    if x_part.field != z_part.field:
-        raise FieldMismatch("X and Z parts live over different fields")
-    if x_part.shape != z_part.shape:
-        raise ValueError(
-            f"X part is {x_part.shape}, Z part is {z_part.shape}"
-        )
-    mu = max(x_part.max_degree, z_part.max_degree, 0)
-    return x_part @ z_part.reverse(mu).T - z_part @ x_part.reverse(mu).T
-
-
-def check_symplectic(x_part: PolyMatrix, z_part: PolyMatrix) -> bool:
-    return symplectic_residual(x_part, z_part).is_zero()
 
 
 @dataclass(frozen=True)
@@ -94,25 +76,24 @@ def assemble_stabilizer(h1: PolyMatrix, g2: PolyMatrix) -> StabilizerMatrix:
 
     h1 goes on the X side and g2 on the Z side.  Raises SymplecticViolation
     when the two inputs fail the orthogonality check, which happens exactly
-    when the code g2 generates is not inside the code h1 checks.
+    when the code g2 generates is not inside the code h1 checks.  Of the
+    residual's nonzero blocks A = h1 rev(g2)^T and -D^(2 mu) A(1/D)^T only
+    A is computed; its entry (i, j) pairs rows i and h1.rows + j.
     """
     if h1.field != g2.field:
         raise FieldMismatch("parity check and generator fields differ")
     if h1.cols != g2.cols:
         raise ValueError(f"column counts differ: {h1.cols} vs {g2.cols}")
-    f = h1.field
-    n = h1.cols
-    x = np.zeros((max(len(h1.c), len(g2.c)), h1.rows + g2.rows, n), dtype=np.int32)
-    z = x.copy()
-    x[: len(h1.c), : h1.rows] = h1.c
-    z[: len(g2.c), h1.rows :] = g2.c
-    x_part, z_part = PolyMatrix.from_coefficients(f, x), PolyMatrix.from_coefficients(f, z)
-    res = symplectic_residual(x_part, z_part)
+    mu = max(h1.max_degree, g2.max_degree, 0)
+    res = h1 @ g2.reverse(mu).T
     if not res.is_zero():
         i, j = np.argwhere(res.c.any(axis=0))[0].tolist()
         pairing = np.trim_zeros(res.c[:, i, j], "b").tolist()
-        raise SymplecticViolation(f"rows {i} and {j} have pairing {pairing}")
-    return StabilizerMatrix(x_part, z_part)
+        raise SymplecticViolation(f"rows {i} and {h1.rows + j} have pairing {pairing}")
+    parts = np.zeros((2, mu + 1, h1.rows + g2.rows, h1.cols), dtype=np.int32)
+    parts[0, : len(h1.c), : h1.rows] = h1.c
+    parts[1, : len(g2.c), h1.rows :] = g2.c
+    return StabilizerMatrix(*(PolyMatrix.from_coefficients(h1.field, c) for c in parts))
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,10 @@ the witness u(D) @ g is read off its branches' outputs, each scaled back
 from the class representative to the path's state.
 
 Feasibility is gated three times: q**gamma states must fit the state
-budget, q**(gamma + k) scanned edges the work budget, and q**k message
-weights over n columns _MEM_ELEMENTS; no scoring call holds those, but
-the gate fixes which rows take the search, and so the certificates.
+budget, q**(gamma + k) scanned edges the work budget, and q**k * n
+_MEM_ELEMENTS.  The last gate bounds the search's two tables, C0'
+(q**k0 x n) and the run offsets (q**(k - k0) x n), to q**k * n entries
+each; the work budget alone would admit 2**25 runs, as q**gamma >= 2.
 Outside the budget the result degrades to a certified bracket,
 "bounded": the caller's lower bound and floor, and a short probe's least
 codeword as the upper bound.
@@ -57,7 +58,7 @@ from .errors import AqccError, CatastrophicEncoder
 
 DEFAULT_STATE_BUDGET = 1 << 20
 DEFAULT_WORK_BUDGET = 1 << 26
-# q**k message weights over n columns: no call holds them; the gate picks the searched rows
+# q**k * n bounds _dijkstra's tables C0' (q**k0 x n) and run offsets (q**(k - k0) x n)
 _MEM_ELEMENTS = 1 << 24
 
 

@@ -66,6 +66,13 @@ class TestEnumerate:
         assert rc == 2
         assert "range" in err
 
+    def test_repeated_range_exits_two(self):
+        # the second range replaced the first, and the i = 6 rows printed
+        rc, out, err = run("enumerate", "--family", "II-T3a", "--q", "16",
+                           "--range", "i=5:5", "--range", "i=6:6")
+        assert rc == 2 and out == ""
+        assert "--range gives i twice" in err
+
     def test_range_outside_the_grid_exits_two(self):
         # III-T6 has no i: a range on it narrowed nothing and printed 16 rows
         rc, out, err = run("enumerate", "--family", "III-T6", "--q", "7",

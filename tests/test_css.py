@@ -12,10 +12,8 @@ from aqcc.convo import PolyMatrix
 from aqcc.css import (
     assemble_stabilizer,
     build_nested_pair,
-    check_symplectic,
     derive_aqcc,
     semi_infinite_expand,
-    symplectic_residual,
 )
 from aqcc.errors import (
     ContainmentFailed,
@@ -45,25 +43,95 @@ def pair(f2):
     return build_nested_pair(outer, inner)
 
 
+def full_residual(x_part: PolyMatrix, z_part: PolyMatrix) -> PolyMatrix:
+    """X(D) rev(Z)^T - Z(D) rev(X)^T, both reversed at a common degree: the
+    general residual, zero exactly when the rows of (X|Z) pairwise commute
+    over all time shifts.  The reference for assemble_stabilizer's one block."""
+    mu = max(x_part.max_degree, z_part.max_degree, 0)
+    return x_part @ z_part.reverse(mu).T - z_part @ x_part.reverse(mu).T
+
+
+def full_residual_refusal(h1: PolyMatrix, g2: PolyMatrix) -> str | None:
+    """The refusal the full residual of [h1; 0] and [0; g2] gives: its
+    first nonzero entry (i, j) and that entry's coefficients, or None."""
+    x = np.zeros((max(len(h1.c), len(g2.c)), h1.rows + g2.rows, h1.cols), dtype=np.int32)
+    z = x.copy()
+    x[: len(h1.c), : h1.rows] = h1.c
+    z[: len(g2.c), h1.rows :] = g2.c
+    f = h1.field
+    res = full_residual(PolyMatrix.from_coefficients(f, x), PolyMatrix.from_coefficients(f, z))
+    if res.is_zero():
+        return None
+    i, j = np.argwhere(res.c.any(axis=0))[0].tolist()
+    return f"rows {i} and {j} have pairing {np.trim_zeros(res.c[:, i, j], 'b').tolist()}"
+
+
+def one_block_refusal(h1: PolyMatrix, g2: PolyMatrix) -> str | None:
+    try:
+        assemble_stabilizer(h1, g2)
+    except SymplecticViolation as exc:
+        return str(exc)
+    return None
+
+
 class TestSymplectic:
     def test_row_commutes_with_itself(self, f2):
         one = PolyMatrix(f2, [[(1,)]])
-        assert check_symplectic(one, one)
+        assert full_residual(one, one).is_zero()
 
     def test_shifted_pair_fails(self, f2):
         x = PolyMatrix(f2, [[(1,)]])
         z = PolyMatrix(f2, [[(0, 1)]])
-        assert not check_symplectic(x, z)
-        assert symplectic_residual(x, z).entry(0, 0) == (1, 0, 1)
+        assert full_residual(x, z).entry(0, 0) == (1, 0, 1)
+        with pytest.raises(SymplecticViolation, match=r"^rows 0 and 1 have pairing \[1\]$"):
+            assemble_stabilizer(x, z)
 
     def test_field_mismatch(self, f2):
         other = PolyMatrix(FiniteField.get(3, 1), [[(1,)]])
         with pytest.raises(FieldMismatch):
-            symplectic_residual(PolyMatrix(f2, [[(1,)]]), other)
+            assemble_stabilizer(PolyMatrix(f2, [[(1,)]]), other)
 
     def test_shape_mismatch(self, f2):
         with pytest.raises(ValueError):
-            symplectic_residual(PolyMatrix(f2, [[(1,)]]), PolyMatrix.zeros(f2, 1, 2))
+            assemble_stabilizer(PolyMatrix(f2, [[(1,)]]), PolyMatrix.zeros(f2, 1, 2))
+
+
+SWAPS_PER_PLAN = 5
+
+
+def differential_pairs():
+    """(h1, g2) as derive_aqcc assembles them, for the reference rows, the
+    extra stabilizers and the seeded split plans, each with its reduced G2
+    and SWAPS_PER_PLAN copies with two columns swapped."""
+    (seed,) = selftest.check_split_plans.__defaults__
+    rng = random.Random(seed)
+    rows = [row[:3] for row in selftest.REFERENCE_ROWS] + list(selftest.EXTRA_STABILIZERS)
+    plans = [layout(FamilyParams(family, q, **kw)) for family, q, kw in rows]
+    plans += [selftest._random_plan(rng) for _ in range(selftest.SPLIT_PLANS)]
+    swaps = random.Random(seed)
+    for plan in plans:
+        g1, g2 = plan.generators()
+        h1, g2 = convo.dual_generator(g1), convo.reduce(g2)
+        yield h1, g2
+        for _ in range(SWAPS_PER_PLAN):
+            cols = list(range(g2.cols))
+            j1, j2 = swaps.sample(cols, 2)
+            cols[j1], cols[j2] = j2, j1
+            yield h1, PolyMatrix.from_coefficients(g2.field, g2.c[:, :, cols])
+
+
+def test_one_block_refuses_as_the_full_residual():
+    """assemble_stabilizer computes one block of the residual; it refuses
+    exactly the pairs the full residual refuses, with the same text."""
+    verdicts = []
+    for h1, g2 in differential_pairs():
+        want = full_residual_refusal(h1, g2)
+        assert one_block_refusal(h1, g2) == want
+        verdicts.append(want)
+    refused = [v for v in verdicts if v is not None]
+    assert (len(verdicts), len(refused)) == (1398, 1140)
+    # every unswapped pair is accepted
+    assert verdicts[:: SWAPS_PER_PLAN + 1] == [None] * 233
 
 
 class TestAssembly:
