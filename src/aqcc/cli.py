@@ -16,16 +16,17 @@ import sys
 
 from . import selftest
 from .block import DESK_ENUM_BUDGET
-from .certify import Budgets, EFFORTS, FAULTS, certify_params, certify_plan
+from .certify import Budgets, EFFORTS, FAULTS, certify_plan
 from .convo import PolyMatrix, degree_accounting, format_poly_matrix, parse_poly_matrix, reduce
 from .errors import AqccError, CatastrophicEncoder, ParamOutOfRange, PartitionInvalid, RankDeficient
 from .families import (
     FAMILIES,
-    GRID_NAMES,
     FamilyParams,
     construction_i_plan,
     demo_vectors,
     enumerate_family,
+    layout,
+    validate_params,
 )
 from .matrix import field_from_order
 from .trellis import DEFAULT_STATE_BUDGET, DEFAULT_WORK_BUDGET, free_distance
@@ -72,13 +73,14 @@ def decimal(text: str) -> int:
 
 
 def _parse_ranges(pairs) -> dict | None:
+    """NAME=LO:HI items as {name: (lo, hi)}; enumerate_family judges them."""
     if not pairs:
         return None
     out = {}
     for item in pairs:
         name, _, span = item.partition("=")
         lo, colon, hi = span.partition(":")
-        if name not in GRID_NAMES or not colon:
+        if not name or not colon:
             raise ParamOutOfRange(f"range must look like i=3:5, got {item!r}")
         if name in out:
             raise ParamOutOfRange(f"--range gives {name} twice")
@@ -99,47 +101,27 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _interleaved_certificate(args, budgets):
-    field = field_from_order(args.q)
-    partition = [decimal(s) for s in args.partition.split(",")]  # ValueError exits 2
-    try:
-        vectors = demo_vectors(field, args.n, partition, seed=args.seed)
-        plan = construction_i_plan(field, vectors, partition)
-    except PartitionInvalid as exc:  # a request no plan fits, not a failed check
-        raise ParamOutOfRange(str(exc)) from None
-    return certify_plan(
-        plan,
-        effort=args.effort,
-        budgets=budgets,
-        fault=args.inject_fault,
-        seed=args.seed,
-    )
-
-
 def cmd_certify(args) -> int:
-    budgets = Budgets(
-        enum=args.enum_budget, state=args.state_budget, work=args.work_budget
+    budgets = Budgets(enum=args.enum_budget, state=args.state_budget, work=args.work_budget)
+    partition = None
+    if args.partition is not None:
+        partition = tuple(decimal(s) for s in args.partition.split(","))  # ValueError exits 2
+    params = FamilyParams(
+        args.family, args.q, i=args.i, t=args.t, n=args.n, k=args.k, partition=partition
     )
-    if args.family == "I":
-        if args.n is None or args.partition is None:
-            raise ParamOutOfRange("family I needs --n and --partition")
-        extra = [f"--{name}" for name in ("i", "t", "k") if getattr(args, name) is not None]
-        if extra:
-            raise ParamOutOfRange(f"family I takes only --n and --partition, got {', '.join(extra)}")
-        cert = _interleaved_certificate(args, budgets)
+    validate_params(params)
+    if params.family == "I":
+        field = field_from_order(params.q)
+        try:
+            vectors = demo_vectors(field, params.n, partition, seed=args.seed)
+            plan = construction_i_plan(field, vectors, partition)
+        except PartitionInvalid as exc:  # a request no plan fits, not a failed check
+            raise ParamOutOfRange(str(exc)) from None
     else:
-        if args.partition is not None:
-            raise ParamOutOfRange("--partition only applies to family I")
-        params = FamilyParams(
-            args.family, args.q, i=args.i, t=args.t, n=args.n, k=args.k
-        )
-        cert = certify_params(
-            params,
-            effort=args.effort,
-            budgets=budgets,
-            fault=args.inject_fault,
-            seed=args.seed,
-        )
+        plan = layout(params)
+    cert = certify_plan(
+        plan, effort=args.effort, budgets=budgets, fault=args.inject_fault, seed=args.seed
+    )
     _emit(cert.to_json(), args.out)
     return 0
 

@@ -143,7 +143,8 @@ def _field_need(family: str, q: int) -> str | None:
         return None if p == 2 and l >= 4 else "q = 2^s with s >= 4"
     if family.startswith("II-T4"):
         return None if p != 2 and l >= 2 else "q = p^l with p odd and l >= 2"
-    q_min = 8 if family.startswith("III-T5") else 5
+    # construction I takes any prime power
+    q_min = 8 if family.startswith("III-T5") else 5 if family.startswith("III-") else 2
     return None if q >= q_min else f"a prime power q >= {q_min}"
 
 
@@ -177,17 +178,18 @@ def _grid(family: str, q: int):
 
 
 def validate_params(params: FamilyParams) -> None:
-    """Raise ParamOutOfRange naming the first violated precondition."""
+    """Raise ParamOutOfRange naming the first violated precondition: a grid
+    family takes exactly its grid's parameters, within their bounds, and
+    construction I exactly n and partition (construction_i_plan checks the
+    sizes against its rows)."""
     fam, q = params.family, params.q
     if fam not in FAMILIES:
         raise ValueError(f"unknown family {fam!r}")
-    if fam == "I":
-        return  # construction I is validated against its explicit partition
     need = _field_need(fam, q)
     if need is not None:
         raise ParamOutOfRange(f"{fam} needs {need}, got q = {q}")
-    grid = _grid(fam, q)
-    names = [name for name, _ in grid]
+    grid = () if fam == "I" else _grid(fam, q)
+    names = ["n", "partition"] if fam == "I" else [name for name, _ in grid]
     values = [getattr(params, name) for name in names]
     if any(v is None for v in values):
         raise ParamOutOfRange(f"{fam} needs {', '.join(names)}")
@@ -242,13 +244,14 @@ def expected_tuple(params: FamilyParams) -> ExpectedTuple:
 def enumerate_family(family: str, q: int, ranges: dict | None = None):
     """All (params, expected) points of a family over GF(q).
 
-    Returns an empty list when q falls outside the family's field
-    assumption, and raises ParamOutOfRange only when q is not a prime
-    power at all, a range names a parameter outside the grid, or the
-    ranges select more than MAX_GRID_ROWS points, which is counted before
-    any point is built.  Every point has a logical qudit: for III-T6 and
-    III-T8 the paper's hypotheses admit one more t, where the closed form
-    gives k = 0, and the grid stops before it.
+    ranges maps grid parameters to inclusive (lo, hi) bounds.  Returns an
+    empty list when q falls outside the family's field assumption, and
+    raises ParamOutOfRange when q is not a prime power at all, a range
+    names a parameter outside the grid or has lo > hi, the ranges select
+    no point of the grid, or more than MAX_GRID_ROWS points, which is
+    counted before any point is built.  Every point has a logical qudit:
+    for III-T6 and III-T8 the paper's hypotheses admit one more t, where
+    the closed form gives k = 0, and the grid stops before it.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -262,6 +265,9 @@ def enumerate_family(family: str, q: int, ranges: dict | None = None):
         raise ParamOutOfRange(
             f"{family} ranges over {', '.join(names)} only, got {', '.join(stray)}"
         )
+    for name, (lo, hi) in ranges.items():
+        if lo > hi:
+            raise ParamOutOfRange(f"range {name}={lo}:{hi} is empty: {lo} > {hi}")
     if _field_need(family, q) is not None:
         return []
 
@@ -289,10 +295,14 @@ def enumerate_family(family: str, q: int, ranges: dict | None = None):
         for x in span(prefix):
             yield from walk(prefix + (x,))
 
-    if count(()) > MAX_GRID_ROWS:
+    selected = count(())
+    if selected > MAX_GRID_ROWS:
         raise ParamOutOfRange(
             f"{family} over GF({q}) selects more than {MAX_GRID_ROWS} points; narrow the ranges"
         )
+    if not selected and ranges:
+        shown = ", ".join(f"{name}={lo}:{hi}" for name, (lo, hi) in ranges.items())
+        raise ParamOutOfRange(f"{family} over GF({q}) has no point in range {shown}")
     out = []
     for kw in walk(()):
         p = FamilyParams(family, q, **kw)

@@ -30,6 +30,7 @@ from .families import (
     construction_i_plan,
     demo_vectors,
     enumerate_family,
+    expected_tuple,
     source_key,
 )
 from .gf import prime_power
@@ -82,22 +83,17 @@ EXTRA_STABILIZERS = (
 
 
 def check_reference_tuples():
-    """Reproduce every printed tuple through enumeration plus certification."""
-    grids: dict = {}
+    """Reproduce every printed tuple through its closed form plus certification.
+
+    expected_tuple refuses a point off the family's grid, the grid that
+    enumerate_family walks."""
     for family, q, kw, n, k, gamma, dz, dx in REFERENCE_ROWS:
-        key = (family, q)
-        if key not in grids:
-            grids[key] = {
-                (p.i, p.t, p.n, p.k): e for p, e in enumerate_family(family, q)
-            }
         params = FamilyParams(family, q, **kw)
         want = (n, k, gamma, dz, dx)
-        e = grids[key].get((params.i, params.t, params.n, params.k))
-        if e is None:
-            raise AssertionError(f"{params.label()} missing from enumeration")
+        e = expected_tuple(params)
         got = (e.n, e.k_formula, e.gamma_formula, e.dz_bound, e.dx_bound)
         if got != want:
-            raise AssertionError(f"{params.label()}: enumerated {got}, expected {want}")
+            raise AssertionError(f"{params.label()}: closed form {got}, expected {want}")
         cert = certify_params(params, effort="structure")
         got = (cert.n, cert.logical, cert.gamma, cert.dz_bound, cert.dx_bound)
         if got != want:

@@ -49,6 +49,8 @@ codeword as the upper bound.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .block import _SCORE_CHUNK, BlockCode, DistanceBound, by_column, codeword_table, mismatches
@@ -170,17 +172,20 @@ def _digit_sums(q: int, weights) -> np.ndarray:
     return sums
 
 
+@functools.cache
 def _class_representatives(field, gamma: int):
-    """rep(states): each state scaled digit by digit so that its lowest
-    nonzero digit is 1, the member of its class GF(q)* * s that the search
-    settles.
+    """(rep, lowest) over states of gamma digits: rep(states) scales each
+    state digit by digit so that its lowest nonzero digit is 1, the member
+    of its class GF(q)* * s that the search settles, and lowest(states) is
+    that digit, 0 for the zero state, so a state is lowest * rep.
 
     A state is lo + split * hi, lo its low half of the digits.  The scale
     is the inverse of the lowest nonzero digit of lo, or of hi when lo is
-    0, and each half is scaled by one lookup in a table of all scales."""
+    0, and each half is scaled by one lookup in a table of all scales.
+    The tables depend on (field, gamma) alone and are built once."""
     q = field.q
     if q == 2:
-        return lambda states: states
+        return (lambda states: states), (lambda states: np.minimum(states, 1))
     half = gamma - gamma // 2
     split = q ** half
     elems = np.arange(q, dtype=np.int32)
@@ -198,7 +203,11 @@ def _class_representatives(field, gamma: int):
         c = np.where(lo == 0, lam[gamma - half][hi], lam[half][lo])  # 0 keeps the zero state
         return scaled[half][c, lo] + split * scaled[gamma - half][c, hi]
 
-    return rep
+    def lowest(states):
+        lo, hi = states % split, states // split
+        return np.where(lo == 0, low[gamma - half][hi], low[half][lo])
+
+    return rep, lowest
 
 
 def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, np.ndarray]:
@@ -236,7 +245,7 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, np.ndarray]:
     # -out_s - r G0,mem, and reaches next_states[r] + ds @ shift_w
     neg_runs = codeword_table(field, field._vneg(coef[0][order[k0:]]))
     place = q ** np.arange(gamma, dtype=np.int64)
-    rep = _class_representatives(field, gamma)
+    rep, lowest = _class_representatives(field, gamma)
 
     size, msgs = q ** gamma, q ** k
     run_len = msgs // runs
@@ -269,10 +278,8 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, np.ndarray]:
         want = field._vsub(neg_runs[r], field._vmatmul(ds, state_rows))
         out = field._vsub(table[:, u_free].T.astype(np.int32), want)
         c = [1]
-        for t in (next_states[r] + ds @ shift_w).tolist():
-            while t and not t % q:
-                t //= q
-            c.append(field.mul(c[-1], t % q or 1))  # rep(t) is t over its lowest nonzero digit
+        for x in lowest(next_states[r] + ds @ shift_w).tolist():
+            c.append(field.mul(c[-1], x or 1))  # a state is lowest * rep
         return field._vmul(np.array(c[:-1], dtype=np.int32)[:, None], out)
 
     w0 = mismatches(table, neg_runs).astype(np.int64)  # the zero state wants -r G0,mem

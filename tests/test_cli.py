@@ -2,12 +2,14 @@
 
 import contextlib
 import io
+import itertools
 import json
 
 import pytest
 
-from aqcc import Budgets
+from aqcc import Budgets, FamilyParams, validate_params
 from aqcc.cli import main
+from aqcc.errors import ParamOutOfRange
 
 
 # field orders that are no prime power or pass the table size; a parser
@@ -27,6 +29,23 @@ def out_of_memory(*args):
     raise MemoryError
 
 
+# one valid point of each family, and a filler for each parameter the
+# command line can set that a point does not take
+INTAKE_POINTS = (
+    ("I", 5, {"n": 8, "partition": (2, 1, 2, 1)}),
+    ("II-T2", 16, {"i": 3}),
+    ("II-T3a", 16, {"i": 5, "t": 1}),
+    ("II-T3b", 16, {"i": 5, "t": 1}),
+    ("II-T4a", 9, {"i": 4, "t": 1}),
+    ("II-T4b", 9, {"i": 3, "t": 2}),
+    ("III-T5a", 8, {"i": 4, "t": 1}),
+    ("III-T5b", 9, {"i": 3, "t": 2}),
+    ("III-T6", 5, {"n": 5, "k": 1, "t": 1}),
+    ("III-T8", 5, {"n": 5, "k": 1, "t": 2}),
+)
+FILLERS = {"n": 6, "k": 2, "i": 3, "t": 1, "partition": (1, 1, 1, 1)}
+
+
 class TestEnumerate:
     def test_t3a_grid_contains_reference_row(self):
         rc, out, _ = run("enumerate", "--family", "II-T3a", "--q", "16")
@@ -38,6 +57,8 @@ class TestEnumerate:
         rc, out, _ = run("enumerate", "--family", "II-T2", "--q", "8")
         assert rc == 0
         assert out == "family,q,params,n,k,gamma,dz,dx\n"
+        # a range on it selects nothing, but the field, not the range, is why
+        assert run("enumerate", "--family", "II-T2", "--q", "8", "--range", "i=3:5") == (rc, out, "")
 
     def test_t8_q7_row(self):
         rc, out, _ = run("enumerate", "--family", "III-T8", "--q", "7")
@@ -72,6 +93,17 @@ class TestEnumerate:
                            "--range", "i=5:5", "--range", "i=6:6")
         assert rc == 2 and out == ""
         assert "--range gives i twice" in err
+
+    @pytest.mark.parametrize("span, fragment", [
+        ("6:5", "range i=6:5 is empty: 6 > 5"),
+        ("100:200", "II-T3a over GF(16) has no point in range i=100:200"),
+        ("-5:-1", "II-T3a over GF(16) has no point in range i=-5:-1"),
+    ])
+    def test_range_selecting_no_row_exits_two(self, span, fragment):
+        # each printed the CSV header alone and exited 0
+        rc, out, err = run("enumerate", "--family", "II-T3a", "--q", "16", "--range", f"i={span}")
+        assert rc == 2 and out == ""
+        assert err == f"parameter error: {fragment}\n"
 
     def test_range_outside_the_grid_exits_two(self):
         # III-T6 has no i: a range on it narrowed nothing and printed 16 rows
@@ -222,17 +254,37 @@ class TestCertify:
         assert rc == 2 and out == ""
         assert "prime power" in err or "table size" in err
 
+    @pytest.mark.parametrize("family, q, point", INTAKE_POINTS, ids=[p[0] for p in INTAKE_POINTS])
+    def test_certify_refuses_what_validate_params_refuses(self, family, q, point):
+        # every subset of the five options, each set to the point's value or the filler
+        refused = 0
+        for size in range(len(FILLERS) + 1):
+            for names in itertools.combinations(FILLERS, size):
+                kw = {name: point.get(name, FILLERS[name]) for name in names}
+                argv = ["certify", "--family", family, "--q", str(q), "--effort", "structure"]
+                for name, value in kw.items():
+                    argv += [f"--{name}", ",".join(map(str, value)) if name == "partition" else str(value)]
+                rc, out, err = run(*argv)
+                try:
+                    validate_params(FamilyParams(family, q, **kw))
+                except ParamOutOfRange as exc:
+                    assert (rc, out, err) == (2, "", f"parameter error: {exc}\n"), names
+                    refused += 1
+                else:
+                    assert rc == 0 and err == "", names
+        assert refused == 2 ** len(FILLERS) - 1
+
     def test_family_i_requires_partition(self):
-        rc, _, err = run("certify", "--family", "I", "--q", "5", "--n", "6")
-        assert rc == 2
-        assert "--partition" in err
+        rc, out, err = run("certify", "--family", "I", "--q", "5", "--n", "6")
+        assert rc == 2 and out == ""
+        assert err == "parameter error: I needs n, partition\n"
 
     def test_family_i_refuses_grid_options(self):
         # --i, --t and --k were dropped without a word
         rc, out, err = run("certify", "--family", "I", "--q", "5", "--n", "9",
                            "--partition", "2,1,2,1", "--i", "3", "--t", "7", "--k", "2")
         assert rc == 2 and out == ""
-        assert err == "parameter error: family I takes only --n and --partition, got --i, --t, --k\n"
+        assert err == "parameter error: I takes only n, partition, got k, i, t\n"
 
     @pytest.mark.parametrize("n, partition, fragment", [
         ("8", "2,1,1,1", "main block sizes [2, 1] must all equal 2"),

@@ -44,3 +44,15 @@ def test_distance_console_example(tmp_path):
     with contextlib.redirect_stdout(out):
         assert main(["distance", str(path)]) == 0
     assert out.getvalue() == shown
+
+
+def test_construction_i_console_example():
+    # the command shown prints a certificate with the tuple shown
+    argv, tuple_line = re.search(
+        r"```\n\$ aqcc (certify --family I .*?)\n.*?\n(  \"tuple\": .*?)\n}\n```",
+        README.read_text(), re.S,
+    ).groups()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv.split()) == 0
+    assert tuple_line in out.getvalue().splitlines()

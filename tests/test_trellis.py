@@ -322,7 +322,7 @@ def heap_dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, np.ndarray]:
     neg_lo, neg_hi = codeword_table(field, neg_rows[:half]), codeword_table(field, neg_rows[half:])
     moved_lo = _digit_sums(q, shift_w[:half]).tolist()
     moved_hi = _digit_sums(q, shift_w[half:]).tolist()
-    rep = _class_representatives(field, gamma)
+    rep, _ = _class_representatives(field, gamma)
 
     INF = np.iinfo(np.int64).max
     dist = np.full(q ** gamma, INF, dtype=np.int64)
@@ -406,18 +406,27 @@ def digitwise_representatives(field, gamma: int, states: np.ndarray) -> np.ndarr
     return field._vmul(lam[:, None], digits) @ place
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 8])
+def loop_lowest_digit(q: int, state: int) -> int:
+    """The lowest nonzero base-q digit of state, 0 for the zero state."""
+    while state and not state % q:
+        state //= q
+    return state % q
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
 @pytest.mark.parametrize("gamma", [1, 2, 3, 4])
 def test_class_representatives_match_digitwise_scaling(q, gamma):
     field = field_from_order(q)
+    rep, lowest = _class_representatives(field, gamma)
+    assert _class_representatives(field_from_order(q), gamma)[0] is rep  # built once
     states = np.arange(q ** gamma, dtype=np.int64)
-    got = _class_representatives(field, gamma)(states)
+    got = rep(states)
     assert got.dtype == np.int64
     assert np.array_equal(got, digitwise_representatives(field, gamma, states))
     # in any order, with repeats, as the search hands them over
     mixed = np.random.default_rng(q * gamma).permutation(np.concatenate([states, states[::3]]))
-    assert np.array_equal(_class_representatives(field, gamma)(mixed),
-                          digitwise_representatives(field, gamma, mixed))
+    assert np.array_equal(rep(mixed), digitwise_representatives(field, gamma, mixed))
+    assert lowest(mixed).tolist() == [loop_lowest_digit(q, s) for s in mixed.tolist()]
 
 
 def loop_probe(g: PolyMatrix):
@@ -796,7 +805,7 @@ def table_dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, np.ndarray]:
     neg_rows = field._vneg(state_rows.reshape(gamma, n))
     neg_lo, neg_hi = codeword_table(field, neg_rows[:half]), codeword_table(field, neg_rows[half:])
     moved_lo, moved_hi = _digit_sums(q, shift_w[:half]), _digit_sums(q, shift_w[half:])
-    rep = _class_representatives(field, gamma)
+    rep, _ = _class_representatives(field, gamma)
 
     size, msgs = q ** gamma, q ** k
     runs = len(next_states)
