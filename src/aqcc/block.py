@@ -10,8 +10,8 @@ Minimum distances come from one of three certified routes:
   * direct codeword enumeration when q**k fits the budget,
   * the dual distribution plus an exact integer MacWilliams transform
     when q**(n-k) fits,
-  * otherwise a carried lower bound (from the construction) and a short
-    codeword witness for the upper bound.
+  * otherwise a short codeword witness for the upper bound, over the
+    trivial lower bound 1; a caller that carries a bound meets it in.
 The result always states which route produced it.
 
 Enumeration splits the rows into low rows, whose q**a codewords are
@@ -68,8 +68,8 @@ class DistanceBound:
     when present, is a codeword of weight upper on every route: one
     read-only int32 (L, n) array, row d for D**d, its last row nonzero and
     L == 1 for a block code; == and hash leave it out.  states counts the
-    trellis states an exact search settled.  The one text form of a
-    bracket is the line aqcc distance prints.
+    trellis states an exact search settled.  An empty bracket, lower < 1
+    or lower > upper, is refused.  aqcc distance prints its one text form.
     """
 
     lower: int
@@ -80,6 +80,11 @@ class DistanceBound:
     states: int = 0
 
     def __post_init__(self):
+        if self.lower < 1:
+            raise AqccError(f"lower bound {self.lower} is below 1")
+        if self.upper is not None and self.lower > self.upper:
+            what = "the weight of a codeword" if self.witness is not None else "an upper bound"
+            raise AqccError(f"lower bound {self.lower} exceeds {self.upper}, {what}")
         if self.witness is not None:
             self.witness.setflags(write=False)
             w = np.count_nonzero(self.witness)
@@ -90,18 +95,29 @@ class DistanceBound:
     def exact(self) -> bool:
         return self.lower == self.upper
 
+    def meet(self, other: "DistanceBound") -> "DistanceBound":
+        """What self and other, brackets of one distance, prove together:
+        the larger lower bound with its floor, the smaller upper bound with
+        its witness, self's method and states.  On a tie self's floor and
+        witness stay, except that a floor "none" yields to the other's."""
+        lo = other if other.lower > self.lower or (other.lower == self.lower and self.floor == "none") else self
+        up = other if other.upper is not None and (self.upper is None or other.upper < self.upper) else self
+        return DistanceBound(lo.lower, up.upper, self.method, lo.floor, up.witness, self.states)
+
+    @staticmethod
+    def min_sum(a, b, c, floor: str) -> "DistanceBound":
+        """The lower-only bracket min(a.lower + b.lower, c.lower) named floor."""
+        return DistanceBound(min(a.lower + b.lower, c.lower), None, "designed", floor)
+
 
 class BlockCode:
     """An [n, k] linear code over GF(q), presented by a parity-check matrix.
 
     The parity matrix is normalized to full row rank on construction.
-    designed_lower is an optional distance lower bound the constructor can
-    vouch for; min_distance only uses it when enumeration is out of budget.
     """
 
-    def __init__(self, field: FiniteField, parity: MatrixGF, *, name: str = "",
-                 designed_lower: int | None = None):
-        self._set(field, parity.remove_dependent_rows(), None, name, designed_lower)
+    def __init__(self, field: FiniteField, parity: MatrixGF, *, name: str = ""):
+        self._set(field, parity.remove_dependent_rows(), None, name)
 
     @classmethod
     def _independent(cls, field: FiniteField, parity: MatrixGF,
@@ -113,13 +129,12 @@ class BlockCode:
         code._set(field, parity, generator, **kw)
         return code
 
-    def _set(self, field, parity, generator, name="", designed_lower=None):
+    def _set(self, field, parity, generator, name=""):
         self.field = field
         self.parity = parity
         self.name = name
         self.n = parity.cols
         self.k = self.n - parity.rows
-        self.designed_lower = designed_lower
         self._generator = generator
 
     @classmethod
@@ -156,20 +171,12 @@ class BlockCode:
             dist = macwilliams_transform([int(c) for c in counts], self.n, q)
             d = next(i for i in range(1, self.n + 1) if dist[i])
             return DistanceBound(d, d, "macwilliams", "macwilliams")
-        upper, wit = self._witness_upper()
-        lower, floor = (1, "none") if self.designed_lower is None else (self.designed_lower, "designed")
-        if lower > upper:
-            raise AqccError(f"designed bound {lower} exceeds witness weight {upper}; "
-                            "the carried bound is wrong")
-        return DistanceBound(lower, upper, "bounded", floor, wit)
-
-    def _witness_upper(self) -> tuple[int, np.ndarray]:
-        # rref rows vanish on the other pivot positions, so each has
-        # weight at most n - k + 1
-        red, piv = self.generator.rref()
+        # out of budget only a witness is searched: rref rows vanish on the
+        # other pivot positions, so each has weight at most n - k + 1
+        red, _ = self.generator.rref()
         weights = (red.a != 0).sum(axis=1)
         i = int(np.argmin(weights))
-        return int(weights[i]), red.a[i:i + 1]
+        return DistanceBound(1, int(weights[i]), "bounded", "none", red.a[i:i + 1])
 
 
 def codeword_table(field: FiniteField, gen: np.ndarray) -> np.ndarray:
@@ -361,8 +368,7 @@ def cyclic_structure(field: FiniteField, n: int, exponents) -> CyclicStructure:
         if min(_closure(n, q, {c})) == c:  # the smallest member of its coset
             groups[c] = expand_row(basis, zpow[(c * np.arange(n)) % n])
     parity = MatrixGF(field, np.concatenate(list(groups.values()), axis=0))
-    code = BlockCode._independent(field, parity, designed_lower=designed,
-                                  name=f"cyclic(n={n}, D={list(defining)})")
+    code = BlockCode._independent(field, parity, name=f"cyclic(n={n}, D={list(defining)})")
     return CyclicStructure(field, n, ext, zeta, m, defining, designed, groups, code)
 
 
@@ -409,6 +415,10 @@ class GrsCode:
         return len(self.points)
 
     @property
+    def designed(self) -> int:  # the Singleton bound, which a GRS code attains
+        return self.n - self.k + 1
+
+    @property
     def row_groups(self) -> dict[int, np.ndarray]:
         return {r: self.code.parity.a[r:r + 1] for r in range(self.n - self.k)}
 
@@ -451,5 +461,5 @@ def grs_build(field: FiniteField, points, multipliers, k: int) -> GrsCode:
     h_m = MatrixGF(f, par)
     if not (g_m @ h_m.T).is_zero():
         raise AqccError("dual multiplier identity failed; GRS parity is wrong")
-    code = BlockCode._independent(f, h_m, g_m, designed_lower=n - k + 1, name=f"GRS(n={n}, k={k})")
+    code = BlockCode._independent(f, h_m, g_m, name=f"GRS(n={n}, k={k})")
     return GrsCode(f, points, tuple(multipliers), k, tuple(w.tolist()), code)

@@ -26,10 +26,11 @@ Effort levels:
   desk       block and free distances within the given budgets
 
 Every distance is a block.DistanceBound, and the certificate's provenance
-copies its route and floor.  Unless a search proves it exact, the free
-distance of G1 has floor d_dual, the distance of its coefficient span, and
-that of the inner dual has floor chain, min(d0 + dm, ds) over the slices
-of G2.  A stated bound above an upper bound, a codeword's weight, is refused.
+copies its route and floor.  Each search returns only what it proved and
+is met (DistanceBound.meet) with its floor: a bound the construction
+carries, d_dual for the free distance of G1, or chain, min(d0 + dm, ds)
+over the slices of G2, for that of the inner dual.  A carried or stated
+bound above an upper bound, a codeword's weight, is refused.
 
 Fault injection (for negative testing) corrupts the pipeline at three
 distinct stages and must surface as three distinct exceptions:
@@ -162,6 +163,12 @@ def _bound_json(b) -> dict:
     }
 
 
+def _designed(lower: int | None) -> DistanceBound:
+    if lower is None:
+        return DistanceBound(1, None, "designed", "none")
+    return DistanceBound(lower, None, "designed", "designed")
+
+
 def _provenance(b: DistanceBound) -> dict:
     return {"route": b.method, "floor": b.floor}
 
@@ -221,33 +228,24 @@ def certify_plan(
     # block-level distances: the source code and the span of the outer
     # coefficient rows (whose distance floors the outer free distance)
     enum_budget = 0 if effort == "structure" else budgets.enum
-    source_d = plan.source.min_distance(budget=enum_budget)
+    source_d = plan.source.min_distance(budget=enum_budget).meet(_designed(plan.source_designed))
     # g1.stack carries the echelon split_to_generator proved independence
     # on, which the kernel and any witness row read in turn
-    s1 = BlockCode.from_generator(field, g1.stack, designed_lower=plan.v1_designed)
-    d_dual = s1.min_distance(budget=enum_budget)
+    s1 = BlockCode.from_generator(field, g1.stack)
+    d_dual = s1.min_distance(budget=enum_budget).meet(_designed(plan.v1_designed))
 
     # chain pieces for the inner dual: first slice, top slice, full stack
-    ch = plan.chain_designed
-    if effort == "structure":
-        chain_lo = min(ch[0] + ch[1], ch[2])
-    else:
-        c0 = BlockCode(field, g2.coefficient(0), designed_lower=ch[0])
-        cm = BlockCode(field, g2.coefficient(g2.max_degree), designed_lower=ch[1])
-        cs = BlockCode(field, g2.stack, designed_lower=ch[2])
-        d0 = c0.min_distance(budget=budgets.enum)
-        dm = cm.min_distance(budget=budgets.enum)
-        ds = cs.min_distance(budget=budgets.enum)
-        chain_lo = min(d0.lower + dm.lower, ds.lower)
-    if chain_lo < min(ch[0] + ch[1], ch[2]):
-        raise AqccError("computed chain bound fell below its designed floor")
-
-    d1f = DistanceBound(max(d_dual.lower, 1), None, "designed", "d_dual")
-    d2f = DistanceBound(chain_lo, None, "designed", "chain")
+    pieces = [_designed(c) for c in plan.chain_designed]
+    if effort != "structure":
+        slices = (g2.coefficient(0), g2.coefficient(g2.max_degree), g2.stack)
+        pieces = [BlockCode(field, m).min_distance(budget=budgets.enum).meet(p)
+                  for m, p in zip(slices, pieces)]
+    d1f = DistanceBound(d_dual.lower, None, "designed", "d_dual")
+    d2f = DistanceBound.min_sum(*pieces, "chain")
     if effort != "structure":
         kw = {"state_budget": budgets.state, "work_budget": budgets.work}
-        d1f = free_distance(g1, lower_hint=d1f, **kw)
-        d2f = free_distance(par.v2_dual, lower_hint=d2f, **kw)
+        d1f = free_distance(g1, **kw).meet(d1f)
+        d2f = free_distance(par.v2_dual, **kw).meet(d2f)
 
     # closed-form cross checks; any miss means the layout or the formula
     # table is wrong, and certifying anyway would hide the defect

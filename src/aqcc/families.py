@@ -104,13 +104,13 @@ class ExpectedTuple:
 class LayoutPlan:
     """Split plan for one family instance, ready for split_to_generator.
 
-    chain_designed holds certified lower bounds for the three slice codes
-    of the inner generator (degree-0 slice, top-degree slice, and the
-    stack of all slices); v1_designed is a certified lower bound for the
-    code spanned by every outer coefficient row.  Both feed the free
-    distance search as trusted floors.  placements1 places the outer
-    blocks' rows when the default placement does not; the inner blocks
-    always take the default.
+    source_designed is the source's designed distance (None for seed
+    rows), v1_designed a certified lower bound for the code spanned by
+    every outer coefficient row, and chain_designed those for the three
+    slice codes of the inner generator (degree-0 slice, top-degree slice,
+    and the stack of all slices); the certifier meets each with its code's
+    search.  placements1 places the outer blocks' rows when the default
+    placement does not; the inner blocks always take the default.
     """
 
     params: FamilyParams
@@ -119,6 +119,7 @@ class LayoutPlan:
     source: BlockCode
     blocks1: tuple[MatrixGF, ...]
     blocks2: tuple[MatrixGF, ...]
+    source_designed: int | None
     v1_designed: int
     chain_designed: tuple[int, int, int]
     placements1: tuple[tuple[int, ...], ...] | None = None
@@ -458,6 +459,7 @@ def layout(params: FamilyParams) -> LayoutPlan:
         source=struct.code,
         blocks1=blocks1,
         blocks2=blocks2,
+        source_designed=struct.designed,
         v1_designed=v1,
         chain_designed=chain,
         placements1=placements1,
@@ -527,6 +529,7 @@ def construction_i_plan(field: FiniteField, vectors, partition) -> LayoutPlan:
         source=BlockCode._independent(field, m, name=f"seed rows ({m.rows} x {m.cols})"),
         blocks1=blocks1,
         blocks2=blocks2,
+        source_designed=None,
         v1_designed=1,
         chain_designed=(1, 1, 1),
         placements1=placements1,

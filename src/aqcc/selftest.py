@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .block import BlockCode
+from .block import BlockCode, DistanceBound
 from .certify import certify_params, certify_plan
 from .convo import degree_accounting, dual_generator, is_basic, is_reduced
 from .errors import (
@@ -183,18 +183,15 @@ def check_duality_chain():
             gamma = degree_accounting(g).gamma
             if q**gamma > 2**16:
                 raise AssertionError(f"instance {q} {partition} {n} exceeds 2**16 states")
-            mu = g.max_degree
-            stack = g.stack
-            d0 = BlockCode(field, g.coefficient(0)).min_distance()
-            dmu = BlockCode(field, g.coefficient(mu)).min_distance()
-            d = BlockCode(field, stack).min_distance()
-            d_span = BlockCode.from_generator(field, stack).min_distance()
+            d0, dmu, d = (BlockCode(field, m).min_distance()
+                          for m in (g.coefficient(0), g.coefficient(g.max_degree), g.stack))
+            d_span = BlockCode.from_generator(field, g.stack).min_distance()
             df = free_distance(g)
             dfd = free_distance(dual_generator(g))
             for b in (d0, dmu, d, d_span, df, dfd):
                 if not b.exact:
                     raise AssertionError("oracle or trellis result is not exact")
-            lo = min(d0.lower + dmu.lower, d.lower)
+            lo = DistanceBound.min_sum(d0, dmu, d, "chain").lower
             if not lo <= dfd.lower <= d.lower:
                 raise AssertionError(
                     f"dual chain {lo} <= {dfd.lower} <= {d.lower} fails for "

@@ -42,9 +42,9 @@ budget, q**(gamma + k) scanned edges the work budget, and q**k * n
 _MEM_ELEMENTS.  The last gate bounds the search's two tables, C0'
 (q**k0 x n) and the run offsets (q**(k - k0) x n), to q**k * n entries
 each; the work budget alone would admit 2**25 runs, as q**gamma >= 2.
-Outside the budget the result degrades to a certified bracket,
-"bounded": the caller's lower bound and floor, and a short probe's least
-codeword as the upper bound.
+Outside the budget the result degrades to the bracket the search proved,
+"bounded": 1 with floor "none" below a short probe's least codeword; a
+caller meets in any better lower bound it carries (DistanceBound.meet).
 """
 
 from __future__ import annotations
@@ -69,15 +69,13 @@ def free_distance(
     *,
     state_budget: int = DEFAULT_STATE_BUDGET,
     work_budget: int = DEFAULT_WORK_BUDGET,
-    lower_hint: DistanceBound | None = None,
 ) -> DistanceBound:
-    """Free distance of the code generated by g.
+    """Free distance of the code generated by g, or the bracket the search
+    proved within its budgets.
 
-    lower_hint, when given, is a bracket whose lower bound and floor a
-    bounded result keeps; a result whose upper bound lies below it raises,
-    whatever its route.  The witness, on every route, is a codeword as one
-    (L, n) coefficient array, row d for D**d: u(D) @ g, or for gamma = 0
-    the block codeword of g(0) as it is, L == 1.
+    The witness, on every route, is a codeword as one (L, n) coefficient
+    array, row d for D**d: u(D) @ g, or for gamma = 0 the block codeword
+    of g(0) as it is, L == 1.
 
     g must be basic (delay-free invertible); a catastrophic encoder would
     put zero-weight cycles in the state graph.  g is reduced first, which
@@ -105,18 +103,12 @@ def free_distance(
     states = q ** gamma
     if gamma == 0 and q ** k <= work_budget:
         b = BlockCode.from_generator(f, g.coefficient(0)).min_distance(budget=work_budget)
-        res = DistanceBound(b.lower, b.upper, "block", "block", b.witness)
-    elif gamma == 0 or states > state_budget or states * q ** k > work_budget or q ** k * n > _MEM_ELEMENTS:
+        return DistanceBound(b.lower, b.upper, "block", "block", b.witness)
+    if gamma == 0 or states > state_budget or states * q ** k > work_budget or q ** k * n > _MEM_ELEMENTS:
         upper, wit = _probe_upper(g)
-        hint = lower_hint or DistanceBound(1, None, "designed", "none")
-        res = DistanceBound(hint.lower, upper, "bounded", hint.floor, wit)
-    else:
-        d, settled, wit = _dijkstra(f, g, info)
-        res = DistanceBound(d, d, "dijkstra", "dijkstra", wit, settled)
-    if lower_hint is not None and lower_hint.lower > res.upper:
-        raise AqccError(f"caller lower bound {lower_hint.lower} exceeds {res.upper}, "
-                        "the weight of a codeword")
-    return res
+        return DistanceBound(1, upper, "bounded", "none", wit)
+    d, settled, wit = _dijkstra(f, g, info)
+    return DistanceBound(d, d, "dijkstra", "dijkstra", wit, settled)
 
 
 def _probe_upper(g: PolyMatrix) -> tuple[int, np.ndarray]:

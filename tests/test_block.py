@@ -29,6 +29,10 @@ from aqcc.gf import FiniteField, SubfieldBasis
 from aqcc.matrix import MatrixGF, field_from_order
 
 
+def designed(lower: int) -> DistanceBound:
+    return DistanceBound(lower, None, "designed", "designed")
+
+
 def contains_vector(code: BlockCode, v) -> bool:
     syn = MatrixGF(code.field, np.asarray(v, dtype=np.int32).reshape(1, -1)) @ code.parity.T
     return syn.is_zero()
@@ -90,11 +94,14 @@ class TestBch:
         assert (s.code.n, s.code.k) == (17, 10)
 
     def test_out_of_budget_distance_closed_by_witness(self):
-        code = bch_parity(FiniteField.get(2, 4), 17, 5, b=0).code
-        d = code.min_distance(budget=1000)
-        assert d.method == "bounded"
+        s = bch_parity(FiniteField.get(2, 4), 17, 5, b=0)
+        d = s.code.min_distance(budget=1000)
+        # the search proves only its witness's weight; the run closes it
+        assert (d.lower, d.upper, d.method, d.floor) == (1, 8, "bounded", "none")
+        d = d.meet(designed(s.designed))
+        assert d.method == "bounded" and d.floor == "designed"
         assert d.exact and d.lower == 8
-        assert contains_vector(code, d.witness)
+        assert contains_vector(s.code, d.witness)
 
     def test_gf9_length_10_structure(self):
         # conjugate pairs {3,7} and {4,6} each span two rows, 5 is degenerate
@@ -423,6 +430,71 @@ def test_witness_weight_must_be_the_upper_bound():
         DistanceBound(3, 3, "enumeration", "enumeration", np.array([[1, 0, 2]]))
     with pytest.raises(AqccError, match="weight 4"):
         DistanceBound(3, 3, "dijkstra", "dijkstra", np.array([[1, 1], [1, 1]]))
+
+
+@pytest.mark.parametrize("lower,upper", [(5, 3), (0, 3), (0, None), (-1, None)])
+def test_empty_bracket_is_refused(lower, upper):
+    with pytest.raises(AqccError, match="lower bound"):
+        DistanceBound(lower, upper, "bounded", "none")
+
+
+W2 = np.array([[0, 0, 2, 1]], dtype=np.int32)
+W3 = np.array([[1, 0, 2, 1]], dtype=np.int32)
+
+MEET_TABLE = [
+    # a bounded search's 1 under floor none meets a designed bound
+    (DistanceBound(1, 5, "bounded", "none"), designed(3), (3, 5, "bounded", "designed")),
+    (DistanceBound(1, 5, "bounded", "none"), designed(5), (5, 5, "bounded", "designed")),
+    # ... and a named floor beats none at an equal lower bound of 1
+    (DistanceBound(1, 5, "bounded", "none"), DistanceBound(1, None, "designed", "d_dual"),
+     (1, 5, "bounded", "d_dual")),
+    # an exact search keeps its route floor at an equal designed bound
+    (DistanceBound(4, 4, "enumeration", "enumeration"), designed(4), (4, 4, "enumeration", "enumeration")),
+    # ... and above a lower one
+    (DistanceBound(6, 6, "dijkstra", "dijkstra", states=17), designed(4), (6, 6, "dijkstra", "dijkstra")),
+    # a larger lower bound wins over a bounded search's named floor
+    (DistanceBound(3, 8, "bounded", "d_dual"), DistanceBound(5, None, "designed", "chain"),
+     (5, 8, "bounded", "chain")),
+]
+
+
+@pytest.mark.parametrize("a,b,want", MEET_TABLE)
+def test_meet_table(a, b, want):
+    m = a.meet(b)
+    assert (m.lower, m.upper, m.method, m.floor) == want
+    assert m.states == a.states
+    # swapping the operands leaves the bracket itself unchanged
+    swapped = b.meet(a)
+    assert (swapped.lower, swapped.upper) == want[:2]
+
+
+def test_meet_refuses_a_crossing_pair():
+    with pytest.raises(AqccError, match="lower bound 4 exceeds 3, the weight of a codeword"):
+        DistanceBound(1, 3, "bounded", "none", W3).meet(designed(4))
+    with pytest.raises(AqccError, match="lower bound 4 exceeds 3, an upper bound"):
+        DistanceBound(3, 3, "macwilliams", "macwilliams").meet(designed(4))
+    with pytest.raises(AqccError, match="exceeds 2, the weight of a codeword"):
+        DistanceBound(3, None, "designed", "chain").meet(DistanceBound(1, 2, "bounded", "none", W2))
+
+
+def test_meet_witness_follows_the_smaller_upper_bound():
+    a = DistanceBound(1, 3, "bounded", "none", W3)
+    b = DistanceBound(2, 2, "enumeration", "enumeration", W2)
+    for m in (a.meet(b), b.meet(a)):
+        assert (m.lower, m.upper) == (2, 2) and m.witness is W2
+    # an upper bound of None is infinite, so the other's witness stays
+    assert designed(2).meet(a).witness is W3 and a.meet(designed(2)).witness is W3
+    # of two equal upper bounds the receiver keeps its own witness
+    c = DistanceBound(3, 3, "dijkstra", "dijkstra", np.array([[1, 1, 0, 1]], dtype=np.int32))
+    assert a.meet(c).witness is W3 and c.meet(a).witness is c.witness
+
+
+def test_min_sum_composes_piece_lower_bounds():
+    exact3 = DistanceBound(3, 3, "enumeration", "enumeration", W3)
+    b = DistanceBound.min_sum(designed(2), exact3, DistanceBound(1, 9, "bounded", "none").meet(designed(7)), "chain")
+    assert (b.lower, b.upper, b.method, b.floor) == (5, None, "designed", "chain")
+    b = DistanceBound.min_sum(designed(2), exact3, designed(4), "chain")
+    assert (b.lower, b.upper) == (4, None)
 
 
 def test_witness_comes_from_the_first_block_in_message_order():

@@ -2,21 +2,24 @@
 its upper bound with a codeword.
 
 A bracket's floor says where its lower bound came from: the route's own
-search, a designed bound the constructor carries, d_dual (the hint of the
-outer free distance), chain (the hint of the inner dual's) or none.  Each
-test here recomputes that source and checks it holds exactly that lower
-bound; the witness tests multiply each witness by a parity check.
+search, a designed bound the constructor carries, d_dual (the floor the
+certifier meets the outer free distance with), chain (the one it meets the
+inner dual's with) or none.  Each test here recomputes that source and
+checks it holds exactly that lower bound; the witness tests multiply each
+witness by a parity check.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aqcc import FamilyParams, certify
-from aqcc.block import DESK_ENUM_BUDGET, BlockCode
+from aqcc.block import DESK_ENUM_BUDGET, BlockCode, DistanceBound
 from aqcc.certify import EFFORTS, certify_plan
 from aqcc.convo import PolyMatrix, dual_generator, parse_poly_matrix
+from aqcc.errors import AqccError
 from aqcc.families import layout
 from aqcc.matrix import MatrixGF
 from aqcc.selftest import REFERENCE_ROWS
@@ -96,17 +99,20 @@ def test_encoder_witnesses_are_codewords():
             assert b.upper == 12
 
 
+def designed(lower: int) -> DistanceBound:
+    return DistanceBound(lower, None, "designed", "designed")
+
+
 def chain_bound(plan, effort: str) -> int:
     """min(d0 + dm, ds) over the inner generator's first slice, top slice
     and stack, recomputed as the certifier states it."""
-    ch = plan.chain_designed
-    if effort == "structure":
-        return min(ch[0] + ch[1], ch[2])
-    g2 = plan.generators()[1]
-    slices = (g2.coefficient(0), g2.coefficient(g2.max_degree), g2.stack)
-    d0, dm, ds = (BlockCode(plan.field, m, designed_lower=c).min_distance(budget=DESK_ENUM_BUDGET).lower
-                  for m, c in zip(slices, ch))
-    return min(d0 + dm, ds)
+    pieces = [designed(c) for c in plan.chain_designed]
+    if effort == "desk":
+        g2 = plan.generators()[1]
+        slices = (g2.coefficient(0), g2.coefficient(g2.max_degree), g2.stack)
+        pieces = [BlockCode(plan.field, m).min_distance(budget=DESK_ENUM_BUDGET).meet(p)
+                  for m, p in zip(slices, pieces)]
+    return DistanceBound.min_sum(*pieces, "chain").lower
 
 
 @pytest.mark.parametrize("effort", EFFORTS)
@@ -116,7 +122,7 @@ def test_each_floor_holds_the_lower_bound(effort):
         dist = certify_plan(plan, effort=effort).data["distances"]
         bounds = {name: dist[side][name] for side in ("block", "convo")
                   for name in dist[side] if name != "provenance"}
-        designed = {"d": plan.source.designed_lower, "d_dual": plan.v1_designed}
+        carried = {"d": plan.source_designed, "d_dual": plan.v1_designed}
         for name, prov in {**dist["block"]["provenance"], **dist["convo"]["provenance"]}.items():
             route, floor, lower = prov["route"], prov["floor"], bounds[name]["lower"]
             assert floor == route or floor in FLOORS, (plan.params, name, prov)
@@ -125,13 +131,41 @@ def test_each_floor_holds_the_lower_bound(effort):
                 assert bounds[name]["exact"]
             elif floor == "designed":
                 # a carried bound, never one a search computed
-                assert name in designed and route == "bounded"
-                assert lower == designed[name]
+                assert name in carried and route == "bounded"
+                assert lower == carried[name]
             elif floor == "d_dual":
-                assert name == "d1f" and lower == max(bounds["d_dual"]["lower"], 1)
+                assert name == "d1f" and lower == bounds["d_dual"]["lower"]
             elif floor == "chain":
                 assert name == "d2f_dual" and lower == chain_bound(plan, effort)
             else:
                 assert lower == 1
     want = {"designed", "d_dual", "chain"} | ({"enumeration", "dijkstra"} if effort == "desk" else set())
     assert want <= floors
+
+
+WRONG_BOUND_ROW = FamilyParams("III-T6", 7, n=7, k=2, t=2)
+
+
+@pytest.mark.parametrize("field", ["v1_designed", "chain_designed"])
+def test_raised_carried_bound_is_refused_on_exact_routes(field):
+    """At desk effort d_dual and the chain's first slice are enumerated
+    exactly; a carried bound 5 above either is met with that search and
+    refused, where the search's own route used to ignore it."""
+    plan = layout(WRONG_BOUND_ROW)
+    dist = certify_plan(plan, effort="desk").data["distances"]
+    assert dist["block"]["provenance"]["d_dual"]["route"] == "enumeration"
+    raised = {"v1_designed": plan.v1_designed + 5,
+              "chain_designed": (plan.chain_designed[0] + 5,) + plan.chain_designed[1:]}[field]
+    with pytest.raises(AqccError, match="the weight of a codeword"):
+        certify_plan(replace(plan, **{field: raised}), effort="desk")
+
+
+def test_raised_chain_bound_is_accepted_at_structure():
+    """structure effort searches none of the chain's pieces, so nothing it
+    computes can contradict a raised chain_designed: the bound is carried
+    into d2f_dual as it stands."""
+    plan = layout(WRONG_BOUND_ROW)
+    c0, cm, cs = plan.chain_designed
+    raised = replace(plan, chain_designed=(c0 + 5, cm + 5, cs + 5))
+    d2f = certify_plan(raised, effort="structure").data["distances"]["convo"]["d2f_dual"]
+    assert d2f["lower"] == min(c0 + cm + 10, cs + 5) > min(c0 + cm, cs)

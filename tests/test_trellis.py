@@ -74,7 +74,7 @@ class TestExactSearch:
         assert r.method == "block" and gamma(g) == 0
         assert r.exact and r.lower == 2
         with pytest.raises(AqccError, match="exceeds 2, the weight of a codeword"):
-            free_distance(g, lower_hint=designed(3))
+            r.meet(designed(3))
 
     def test_reduction_happens_first(self, gf2):
         # rows [1+D, D], [1, 1] reduce to memory zero
@@ -106,11 +106,12 @@ class TestSplitOracles:
         b0 = MatrixGF(f, np.concatenate([s.row_groups[1], s.row_groups[2]]))
         b1 = MatrixGF(f, s.row_groups[3])
         g = split_to_generator([b0, b1])
-        hint = s.code.dual().min_distance()
-        assert hint.lower == 4
-        r = free_distance(g, lower_hint=hint)
+        span = s.code.dual().min_distance()
+        assert span.lower == 4
+        # the span's distance is a lower bound only, as the certifier states it
+        r = free_distance(g).meet(DistanceBound(span.lower, None, "designed", "d_dual"))
         assert r.exact and r.lower == 6
-        assert r.method == "dijkstra"
+        assert r.method == "dijkstra" and r.floor == "dijkstra"
 
     def test_single_row_blocks(self, structure):
         s = structure
@@ -120,14 +121,14 @@ class TestSplitOracles:
         assert r.exact and r.lower == 18
         assert gamma(g) == 2
 
-    def test_lower_hint_is_respected(self, structure):
+    def test_carried_bound_is_respected(self, structure):
         s = structure
         f = s.field
         b0 = MatrixGF(f, np.concatenate([s.row_groups[1], s.row_groups[2]]))
         b1 = MatrixGF(f, s.row_groups[3])
         g = split_to_generator([b0, b1])
-        with pytest.raises(AqccError):
-            free_distance(g, lower_hint=designed(7))  # exact answer is 6
+        with pytest.raises(AqccError, match="exceeds 6, the weight of a codeword"):
+            free_distance(g).meet(designed(7))  # exact answer is 6
 
 
 class TestGuards:
@@ -152,14 +153,14 @@ class TestGuards:
 
     def test_budget_fallback_can_close(self, gf2):
         g = PolyMatrix(gf2, [[(1, 0, 1), (1, 1, 1)]])
-        r = free_distance(g, state_budget=1, lower_hint=designed(5))
+        r = free_distance(g, state_budget=1).meet(designed(5))
         assert r.method == "bounded" and r.exact and r.lower == 5
         assert r.floor == "designed"
 
     def test_inconsistent_hint_detected_in_bounded_mode(self, gf2):
         g = PolyMatrix(gf2, [[(1, 0, 1), (1, 1, 1)]])
-        with pytest.raises(AqccError):
-            free_distance(g, state_budget=1, lower_hint=designed(6))
+        with pytest.raises(AqccError, match="exceeds 5, the weight of a codeword"):
+            free_distance(g, state_budget=1).meet(designed(6))
 
     @pytest.mark.parametrize("budgets", [{"state_budget": 0}, {"work_budget": -1}])
     def test_budgets_below_one_rejected(self, gf2, budgets):
