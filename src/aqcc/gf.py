@@ -33,11 +33,12 @@ field holds the O(q) negation and inverse arrays alone, GF(2**l) adds the
 q by q product table _MUL, and an odd extension field both _MUL and the
 q by q sum table _ADD.
 
-matrix eliminates rows held as bytes over GF(2**l) and prime fields with
-q <= 256 and p <= 127.  For them _row_tables holds, built on first use,
-a 256-byte translate table per element f for x -> x / f and for
-x -> -f * x, and over a prime field the table s -> s % p: no byte sum
-2(p - 1) <= 252 of two rows added as big ints carries into the next byte.
+matrix eliminates rows held as Python ints, one byte an entry, over
+GF(2**l) and prime fields with q <= 256 and p <= 127.  For them _row_tables
+holds, built on first use, a 256-byte translate table per element f for
+x -> x / f and for x -> -f * x.  A prime field's rows are summed as big
+ints and reduced mod p in every byte at once, and no byte of that step
+exceeds 2(p - 1) + 128 - p <= 253, so no carry crosses an entry.
 
 Every FiniteField uses the canonical modulus for GF(p**l): the monic
 irreducible polynomial of degree l whose own packed index is smallest.
@@ -416,12 +417,12 @@ class FiniteField:
             acc = self._vadd(acc, self._vmul(a[:, s, None], b[None, s, :]))
         return acc
 
-    # --- byte-row tables: matrix's row reduction over small fields --------
+    # --- row tables: matrix's integer-row reduction over small fields ----
 
     @functools.cached_property
-    def _row_tables(self) -> tuple[tuple[bytes, ...], tuple[bytes, ...], bytes | None] | None:
-        """(norm, negmul, mod_p), mod_p None for p = 2, or None for a field
-        without them (see the module docstring)."""
+    def _row_tables(self) -> tuple[tuple[bytes, ...], tuple[bytes, ...]] | None:
+        """(norm, negmul), or None for a field without them (see the
+        module docstring)."""
         p, q = self.p, self.q
         if q > 256 or (p != 2 and (self.l > 1 or p > 127)):
             return None
@@ -430,8 +431,7 @@ class FiniteField:
         tables[0, 1:, :q] = self._vmul(self._vinv(elems[1:])[:, None], elems[None, :])
         tables[1, :, :q] = self._vneg(self._vmul(elems[:, None], elems[None, :]))
         norm, negmul = (tuple(row.tobytes() for row in t) for t in tables)
-        mod_p = None if p == 2 else (np.arange(256) % p).astype(np.uint8).tobytes()
-        return norm, negmul, mod_p
+        return norm, negmul
 
     def pow(self, a, k: int) -> int:
         a = int(self._index(a))

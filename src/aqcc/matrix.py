@@ -4,11 +4,12 @@ Entries are packed field indices (see gf).  MatrixGF instances are
 immutable; every operation returns a new matrix.  Sums, products, kernels
 and left-division run on the field's array kernels (gf), so results are
 exact.  Row reduction has one entry point, _rref, and two kernels behind
-it: a matrix of up to _BYTES_RREF_MAX entries over a field with gf's row
-tables is eliminated on rows of bytes, any other on the array kernels.  The
-public constructor checks and copies its input; results of the methods
-here come from the kernels as fresh in-range int32 arrays and are wrapped
-by _wrap without either.
+it, picked by the field alone: over a field with gf's row tables (GF(2**l)
+with q <= 256, prime fields with p <= 127) a matrix of any size is
+eliminated on rows held as Python ints, one byte an entry, and over any
+other field on the array kernels.  The public constructor checks and
+copies its input; results of the methods here come from the kernels as
+fresh in-range int32 arrays and are wrapped by _wrap without either.
 """
 
 from __future__ import annotations
@@ -201,26 +202,19 @@ class MatrixGF:
         return out
 
 
-# Entries up to which _rref eliminates on byte rows.  Measured on the
-# eliminations of the three benchmark workloads (sums of best-of-7 call
-# times, 2-vCPU Intel Xeon): any cut from 1280 to 2048 came within 1 ms of
-# the best.  Dense random square matrices break even lower (about 600
-# entries over GF(16)), wide ones higher (3000 at two columns a row).
-_BYTES_RREF_MAX = 1536
-
-
 def _rref(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """Gauss-Jordan elimination: the reduced echelon as a fresh int32 array
     and the pivot columns.
 
-    Both kernels do the same row operations in the same order.  Up to
-    _BYTES_RREF_MAX entries over a field with byte row tables the byte
-    kernel runs: its row operation is two C calls on the whole row, where
-    each array pivot makes about ten numpy calls.  Other matrices and
-    fields take the array kernel.
+    Both kernels do the same row operations in the same order, and the
+    field alone picks one: over a field with gf's row tables (GF(2**l) with
+    q <= 256, prime fields with p <= 127) the integer-row kernel runs at any
+    size, since its row operation is a few big-int ops on the whole row,
+    where each array pivot makes about ten numpy calls.  Other fields take
+    the array kernel.
     """
-    if a.size <= _BYTES_RREF_MAX and field._row_tables is not None:
-        return _rref_bytes(field, a)
+    if field._row_tables is not None:
+        return _rref_ints(field, a)
     return _rref_arrays(field, a)
 
 
@@ -254,39 +248,56 @@ def _rref_arrays(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[i
     return m, tuple(piv)
 
 
-def _rref_bytes(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The steps of _rref_arrays on rows of bytes, by gf's row tables.  The
-    pivot row is zero left of column c, so each operation runs on whole
-    rows: one translate gives the multiple of the pivot row, added as a big
-    int by XOR (p = 2) or by a carry-free sum and a translate mod p."""
-    norm, negmul, mod_p = field._row_tables
+def _rref_ints(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The steps of _rref_arrays on rows held as Python ints, entry c in
+    bits 8c to 8c + 7, by gf's row tables.  Zero rows are set aside at
+    intake and come back after the pivot rows, where the reduced form puts
+    them.  The pivot row is zero left of column c, so each operation runs
+    on whole rows: the pivot row is normalized by one translate, each
+    factor f of a pivot costs one translate to -f times it, and a row
+    clears by XOR (p = 2) or by a sum reduced mod p in every byte at once.
+    A byte of the sum s is at most 2(p - 1), so s + (128 - p) sets bit 7
+    of exactly the bytes that hold p or more, and stays at most 253: no
+    carry crosses an entry."""
+    norm, negmul = field._row_tables
+    p = field.p
     rows, cols = a.shape
     flat = a.astype(np.uint8).tobytes()
-    m = [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+    from_bytes = int.from_bytes
+    m = [row for i in range(rows) if (row := from_bytes(flat[i * cols:(i + 1) * cols], "little"))]
+    if p != 2:
+        high = from_bytes(b"\x80" * cols, "little")
+        offset = from_bytes(bytes([128 - p]) * cols, "little")
+    n = len(m)
     piv = []
     r = 0
     for c in range(cols):
-        if r == rows:
+        if r == n:
             break
-        for p0 in range(r, rows):
-            if m[p0][c]:
+        shift = 8 * c
+        for p0 in range(r, n):
+            if (m[p0] >> shift) & 255:
                 break
         else:
             continue
-        prow = m[p0]
+        prow = m[p0].to_bytes(cols, "little")
         if prow[c] != 1:
             prow = prow.translate(norm[prow[c]])
-        m[p0], m[r] = m[r], prow
+        m[p0], m[r] = m[r], from_bytes(prow, "little")
+        multiples = {}
         for i, row in enumerate(m):
-            if (f := row[c]) and i != r:
-                t = int.from_bytes(prow.translate(negmul[f]), "little")
-                if mod_p is None:
-                    m[i] = (int.from_bytes(row, "little") ^ t).to_bytes(cols, "little")
+            if i != r and (f := (row >> shift) & 255):
+                if (t := multiples.get(f)) is None:
+                    t = multiples[f] = from_bytes(prow.translate(negmul[f]), "little")
+                if p == 2:
+                    m[i] = row ^ t
                 else:
-                    m[i] = (int.from_bytes(row, "little") + t).to_bytes(cols, "little").translate(mod_p)
+                    s = row + t
+                    m[i] = s - (((s + offset) & high) >> 7) * p
         piv.append(c)
         r += 1
-    return np.frombuffer(b"".join(m), np.uint8).reshape(rows, cols).astype(np.int32), tuple(piv)
+    body = b"".join([row.to_bytes(cols, "little") for row in m[:r]]) + bytes((rows - r) * cols)
+    return np.frombuffer(body, np.uint8).reshape(rows, cols).astype(np.int32), tuple(piv)
 
 
 def vstack(mats: list[MatrixGF]) -> MatrixGF:
@@ -305,9 +316,8 @@ def solve_left(a: MatrixGF, b: MatrixGF) -> MatrixGF | None:
     f = a.field
     aug = np.concatenate([a.a.T, b.a.T], axis=1)
     red, piv = _rref(f, aug)
+    if piv and piv[-1] >= a.rows:  # pivots increase: only the last can be in b
+        return None
     x = np.zeros((a.rows, b.rows), dtype=np.int32)
-    for i, pc in enumerate(piv):
-        if pc >= a.rows:
-            return None
-        x[pc] = red[i, a.rows:]
+    x[list(piv)] = red[: len(piv), a.rows:]
     return MatrixGF._wrap(f, x.T)

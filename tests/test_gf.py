@@ -398,14 +398,14 @@ def test_array_kernels_match_reference_arithmetic(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 17, 32, 127, 256, 2039])
 def test_row_tables_match_reference_arithmetic(q):
-    # matrix's byte elimination reads x / f, -f * x and s % p off these
-    # tables: every entry a row of field elements or a sum of two can
-    # index, against table-free arithmetic
+    # matrix's integer-row elimination reads x / f and -f * x off these
+    # tables: every entry a row of field elements can index, against
+    # table-free arithmetic
     f = field_from_order(q)
-    if q == 2039:  # past a byte, as any p > 127 whose sums could carry
+    if q == 2039:  # past a byte, as any p > 127 whose row steps could carry
         assert f._row_tables is None
         return
-    norm, negmul, mod_p = f._row_tables
+    norm, negmul = f._row_tables
     assert len(norm) == len(negmul) == q and {len(t) for t in (*norm[1:], *negmul)} == {256}
     elems = np.arange(q)
     for lead, inv in zip(range(1, q), ref.inv(f, elems[1:]).tolist()):
@@ -413,10 +413,6 @@ def test_row_tables_match_reference_arithmetic(q):
     for lead in range(q):
         want = ref.neg(f, ref.mul(f, lead, elems))
         assert np.array_equal(np.frombuffer(negmul[lead], np.uint8)[:q], want)
-    if f.p == 2:
-        assert mod_p is None
-    else:
-        assert np.array_equal(np.frombuffer(mod_p, np.uint8)[:2 * f.p - 1], np.arange(2 * f.p - 1) % f.p)
 
 
 @pytest.mark.parametrize("q", [2048, 2039])

@@ -183,36 +183,46 @@ def _rref_reference_loop(field, a):
 
 
 def _reference_cases(f, rng):
-    """Shapes on both sides of the byte cut, with zero columns and with
-    rows that combine two earlier ones."""
+    """Shapes from 0 to 5544 entries, with zero columns, with rows that
+    combine two earlier ones, with zero rows at the top, in the middle and
+    at the bottom, and an all-zero matrix.  The two largest have the shapes
+    of the d = 1 block-Toeplitz kernels of the q = 32 duals, with a third
+    of their rows zero as there."""
     q = f.q
+    zero = np.zeros((5, 7), dtype=np.int32)
+    zero.setflags(write=False)
+    yield zero
     shapes = [(0, 4), (4, 0), (1, 1), (3, 8), (8, 3), (6, 6), (4, 11), (5, 12), (12, 5),
-              (16, 16), (4, 60), (60, 4), (17, 16), (36, 66)]
+              (16, 16), (4, 60), (60, 4), (17, 16), (36, 66), (56, 33), (84, 66)]
     for shape in shapes:
-        for _ in range(6):
+        for k in range(6):
             m = rng.integers(0, q, shape).astype(np.int32)
             if shape[1] > 2:
                 m[:, rng.integers(0, shape[1], 1 + shape[1] // 6)] = 0  # zero columns
             rows = shape[0]
             if rows > 2:  # rank deficient: the last quarter (at least one row)
-                for k in range(rows - max(1, rows // 4), rows):
+                for j in range(rows - max(1, rows // 4), rows):
                     x, y = (int(v) for v in rng.integers(1, q, 2))
-                    i, j = rng.permutation(k)[:2]
-                    m[k] = ref.add(f, ref.mul(f, x, m[i]), ref.mul(f, y, m[j]))
+                    i, i2 = rng.permutation(j)[:2]
+                    m[j] = ref.add(f, ref.mul(f, x, m[i]), ref.mul(f, y, m[i2]))
+            if shape in ((56, 33), (84, 66)):
+                m[rng.permutation(rows)[: rows // 3]] = 0
+            elif rows > 2 and k < 3:  # a zero row at the top, in the middle or at the bottom
+                m[(0, rows // 2, rows - 1)[k]] = 0
             m.setflags(write=False)  # as MatrixGF.a hands it over
             yield m
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16, 17, 27, 32, 64, 127, 128, 256, 2039])
 def test_rref_matches_reference_loop(q):
-    # the entry point and each kernel it can pick, called directly whatever
-    # the size: the echelon and pivots of the reference loop, as a fresh
-    # int32 array that _wrap may make read-only.  p = 127 has the largest
-    # byte sums, 2 * 126; q = 128 and 256 the longest GF(2**l) tables
+    # the entry point and each kernel it can pick, called directly: the
+    # echelon and pivots of the reference loop, as a fresh int32 array that
+    # _wrap may make read-only.  p = 127 reaches the largest byte of a row
+    # step, 2 * 126 + 1 = 253; q = 128 and 256 the longest GF(2**l) tables
     f = field_from_order(q)
     kernels = [_rref, matrix._rref_arrays]
     if f._row_tables is not None:
-        kernels.append(matrix._rref_bytes)
+        kernels.append(matrix._rref_ints)
     assert (len(kernels) == 3) == (q not in (9, 27, 2039))
     rng = np.random.default_rng(q)
     for m in _reference_cases(f, rng):
@@ -225,48 +235,50 @@ def test_rref_matches_reference_loop(q):
             assert red.flags.writeable and not np.shares_memory(red, m)
 
 
-@pytest.mark.parametrize("q, cut_routes_to_bytes", [(2, True), (7, True), (16, True), (127, True),
-                                                    (256, True), (9, False), (27, False),
-                                                    (131, False), (512, False), (2039, False)])
-def test_rref_picks_the_kernel_by_entry_count_and_field(monkeypatch, q, cut_routes_to_bytes):
-    # bytes for GF(2**l) up to q = 256 and prime fields up to p = 127; odd
-    # extension fields, p >= 131 and q > 256 always take the arrays
-    f = field_from_order(q)
+def _record_kernels(monkeypatch):
+    """The names of the elimination kernels _rref calls, in call order."""
     taken = []
-    for name in ("_rref_bytes", "_rref_arrays"):
+    for name in ("_rref_ints", "_rref_arrays"):
         def record(field, a, name=name, kernel=getattr(matrix, name)):
             taken.append(name)
             return kernel(field, a)
         monkeypatch.setattr(matrix, name, record)
-    cut = matrix._BYTES_RREF_MAX
+    return taken
+
+
+@pytest.mark.parametrize("q, on_ints", [(2, True), (7, True), (16, True), (127, True), (256, True),
+                                        (9, False), (27, False), (131, False), (512, False),
+                                        (2039, False)])
+def test_rref_picks_the_kernel_by_entry_count_and_field(monkeypatch, q, on_ints):
+    # the field alone decides, whatever the entry count or shape: integer
+    # rows for GF(2**l) up to q = 256 and prime fields up to p = 127, the
+    # arrays for odd extension fields, p >= 131 and q > 256
+    f = field_from_order(q)
+    taken = _record_kernels(monkeypatch)
     rng = np.random.default_rng(q)
-    for shape in [(1, 1), (4, cut // 4), (1, cut + 1), (cut + 1, 1), (36, 66)]:
+    for shape in [(1, 1), (1, 2000), (2000, 1), (84, 66)]:
         taken.clear()
-        red, piv = _rref(f, rng.integers(0, q, shape).astype(np.int32))
-        small = shape[0] * shape[1] <= cut
-        assert taken == ["_rref_bytes" if small and cut_routes_to_bytes else "_rref_arrays"]
+        _rref(f, rng.integers(0, q, shape).astype(np.int32))
+        assert taken == ["_rref_ints" if on_ints else "_rref_arrays"]
 
 
 def test_certification_eliminates_on_byte_rows(monkeypatch):
-    # a field or a cut that silently sent these to the arrays would only
-    # show as a slower benchmark: every elimination of a structure
-    # certificate and of 20 split plans, over GF(16) and GF(2..5) and none
-    # past the cut, takes the byte kernel
+    # a field that silently sent these to the arrays would only show as a
+    # slower benchmark: every elimination of two structure certificates,
+    # over GF(16) and over GF(32) with the d = 1 block-Toeplitz kernels of
+    # its duals (up to 84 by 66), and of 20 split plans over GF(2..5)
+    # takes the integer-row kernel, one byte an entry
     from aqcc import FamilyParams, certify_params, selftest
 
-    taken = []
-    for name in ("_rref_bytes", "_rref_arrays"):
-        def record(field, a, name=name, kernel=getattr(matrix, name)):
-            taken.append(name)
-            return kernel(field, a)
-        monkeypatch.setattr(matrix, name, record)
+    taken = _record_kernels(monkeypatch)
     monkeypatch.setattr(selftest, "SPLIT_PLANS", 20)
     runs = (lambda: certify_params(FamilyParams("II-T3a", 16, i=5, t=1), effort="structure"),
+            lambda: certify_params(FamilyParams("II-T3a", 32, i=14, t=1), effort="structure"),
             selftest.check_split_plans)
     for run in runs:
         taken.clear()
         run()
-        assert len(taken) > 10 and set(taken) == {"_rref_bytes"}
+        assert len(taken) > 10 and set(taken) == {"_rref_ints"}
 
 
 def test_only_matrix_names_the_rref_kernels():
@@ -275,7 +287,7 @@ def test_only_matrix_names_the_rref_kernels():
     from pathlib import Path
 
     root = Path(__file__).resolve().parents[1]
-    kernels = ("_rref_bytes", "_rref_arrays", "_BYTES_RREF_MAX")
+    kernels = ("_rref_ints", "_rref_arrays")
     files = [*sorted((root / "src" / "aqcc").glob("*.py")), *sorted((root / "perfbench").glob("*.py")),
              *sorted((root / "tests").glob("*.py"))]
     assert len(files) > 20
@@ -296,15 +308,15 @@ def test_only_gf_indexes_the_field_tables():
     # inside gf.py: the builder and the array kernels read the tables, as do
     # add and sub of the int path, which gather sums over odd extension
     # fields; the builder and the int path read the lists.  gf.py builds
-    # the byte-row tables and reads none; matrix's entry point asks whether
-    # a field has them and its byte kernel reads them.  No other reader.
+    # the row tables and reads none; matrix's entry point asks whether a
+    # field has them and its integer-row kernel reads them.  No other reader.
     readers = {
         "gf.py": {
             **dict.fromkeys(tables, {"_build_tables", "_vadd", "_vsub", "_vneg", "_vinv", "_vmul",
                                      "_vmatmul", "add", "sub"}),
             **dict.fromkeys(lists, {"_build_tables", "sub", "neg", "mul", "inv", "pow", "exp"}),
         },
-        "matrix.py": {"_row_tables": {"_rref", "_rref_bytes"}},
+        "matrix.py": {"_row_tables": {"_rref", "_rref_ints"}},
     }
     names = {*tables, *lists, "_row_tables"}
     offenders = []
