@@ -295,8 +295,10 @@ class CyclicStructure:
 
     row_groups[c], for c the smallest member of each cyclotomic coset of
     the defining set, is the base-field expansion of the parity row built
-    from zeta**c, zero and dependent rows removed, in basis coordinate
-    order.  designed is the longest-circular-run distance bound.
+    from zeta**c in basis coordinate order: all L = m rows of it for a
+    coset of m members, which span exactly m dimensions, and for a shorter
+    coset the rows left after zero and dependent rows are removed.
+    designed is the longest-circular-run distance bound.
     """
 
     field: FiniteField
@@ -335,24 +337,20 @@ def _longest_circular_run(defining: tuple[int, ...], n: int) -> int:
     return best
 
 
-def expand_row(basis: SubfieldBasis, row_ext: np.ndarray) -> np.ndarray:
-    """Base-field rows of one extension-field row, dependent rows removed."""
-    coords = basis.expand_array(row_ext).T  # (L, n)
-    keep = [r for r in range(coords.shape[0]) if np.any(coords[r])]
-    coords = coords[keep]
-    if coords.shape[0] > 1:
-        coords = MatrixGF(basis.sub, coords).remove_dependent_rows().a
-    return coords
-
-
 def cyclic_structure(field: FiniteField, n: int, exponents) -> CyclicStructure:
     """Parity structure with rows zeta**(c*j) for each requested exponent c.
 
     The exponent set is first closed under multiplication by q mod n,
     which is what makes the result a code over GF(q) with the usual run
-    bound.  The rows of a coset's members c*q**j span one GF(q) space, so
-    the parity stacks one group per coset, its smallest member's.  Distinct
-    cosets span independent spaces, so the stack has full row rank.
+    bound.  The rows of a coset's members c*q**j span one GF(q) space of
+    dimension |coset| (MacWilliams and Sloane, ch. 7), so the parity
+    stacks one group per coset, its smallest member's.  Each coset is
+    closed once, and the rows zeta**(c*j) of all smallest members are
+    expanded over GF(q) in one array pass.  A coset of m = [GF(q**m) :
+    GF(q)] members keeps its m coordinate rows as they are; only a shorter
+    coset is eliminated.  Distinct cosets span independent spaces, so the
+    stack has full row rank, which the certifier's rank test on the outer
+    generator's stack re-proves.
     """
     q = field.q
     m = multiplicative_order(q, n)
@@ -362,11 +360,22 @@ def cyclic_structure(field: FiniteField, n: int, exponents) -> CyclicStructure:
     defining = _closure(n, q, set(exponents))
     designed = _longest_circular_run(defining, n) + 1
 
-    zpow = np.array([ext.pow(zeta, i) for i in range(n)], dtype=np.int64)
+    cosets, seen = [], set()
+    for c in defining:  # ascending, so c is the smallest member of a new coset
+        if c not in seen:
+            cosets.append(_closure(n, q, {c}))
+            seen.update(cosets[-1])
+    reps = np.array([coset[0] for coset in cosets], dtype=np.int64)
+    zpow = ext.powers(zeta, n)
+    # coords[r, i, j]: coordinate i of zeta**(c*j) for the r-th representative c
+    coords = basis.expand_array(zpow[np.outer(reps, np.arange(n)) % n]).transpose(0, 2, 1)
     groups: dict[int, np.ndarray] = {}
-    for c in defining:
-        if min(_closure(n, q, {c})) == c:  # the smallest member of its coset
-            groups[c] = expand_row(basis, zpow[(c * np.arange(n)) % n])
+    for coset, rows in zip(cosets, coords):
+        if len(coset) < m:
+            rows = rows[rows.any(axis=1)]
+            if len(rows) > 1:
+                rows = MatrixGF(field, rows).remove_dependent_rows().a
+        groups[coset[0]] = rows
     parity = MatrixGF(field, np.concatenate(list(groups.values()), axis=0))
     code = BlockCode._independent(field, parity, name=f"cyclic(n={n}, D={list(defining)})")
     return CyclicStructure(field, n, ext, zeta, m, defining, designed, groups, code)

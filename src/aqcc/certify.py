@@ -10,8 +10,9 @@ JSON certificate.  certify_params is layout followed by certify_plan.
 Each claim has one witness.  The leading echelons, one elimination per
 generator that every later step reads, prove G1 and G2 reduced and hence
 of full rank, and the containment witness proves V2 <= V1.  G1's
-coefficient stack is eliminated once, by split_to_generator's
-independence check; the span code's kernel and witness row read that
+coefficient stack holds the source parity's rows and shares its echelon,
+eliminated once for split_to_generator's independence check; the
+source's kernel and the span code's kernel and witness row read that
 echelon.  derive_aqcc builds the minimal duals once, each recording its
 generator's degree gap, which is 0 exactly when the generator is basic
 (Forney 1975); the dual of G1 is the parity check of the stabilizer.
@@ -229,8 +230,8 @@ def certify_plan(
     # coefficient rows (whose distance floors the outer free distance)
     enum_budget = 0 if effort == "structure" else budgets.enum
     source_d = plan.source.min_distance(budget=enum_budget).meet(_designed(plan.source_designed))
-    # g1.stack carries the echelon split_to_generator proved independence
-    # on, which the kernel and any witness row read in turn
+    # g1.stack and the source parity carry the echelon split_to_generator
+    # proved independence on, which both kernels and any witness row read
     s1 = BlockCode.from_generator(field, g1.stack)
     d_dual = s1.min_distance(budget=enum_budget).meet(_designed(plan.v1_designed))
 

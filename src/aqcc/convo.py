@@ -722,8 +722,11 @@ def split_to_generator(blocks, placements=None) -> PolyMatrix:
 
 
 def _split(blocks, placements, seed: MatrixGF | None) -> PolyMatrix:
-    """split_to_generator, where seed, when G's stack is its rows and zero
-    rows, lends the stack its echelon with the zero rows at the bottom."""
+    """split_to_generator, where seed, when the nonzero rows of G's stack
+    are its rows in any order, lends the stack its echelon with the zero
+    rows at the bottom: the reduced echelon depends only on the row space,
+    so the independence test and every later reader of either matrix share
+    one elimination."""
     blocks = list(blocks)
     field = blocks[0].field
     n = blocks[0].cols
@@ -744,12 +747,24 @@ def _split(blocks, placements, seed: MatrixGF | None) -> PolyMatrix:
     # G's stack holds the block rows and zero padding, so it has rank total
     # exactly when the blocks are independent; its echelon stays on G
     stack = g.stack
-    if seed is not None and np.array_equal(stack.a[stack.a.any(axis=1)], seed.a):
-        red, piv = seed._reduced()  # cached when the rows were ranked
+    if seed is not None and _same_rows(stack.a[stack.a.any(axis=1)], seed.a):
+        red, piv = seed._reduced()  # cached when the rows were ranked, else eliminated here
         pad = np.zeros((stack.rows - seed.rows, n), dtype=np.int32)
         stack._echelon = MatrixGF._wrap(field, np.concatenate([red.a, pad])), piv
     require_independent(stack)
     return g
+
+
+def _same_rows(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a and b hold the same rows, counted with multiplicity, in
+    any order: rows in one order compare directly, others as sorted arrays
+    of one byte string a row."""
+    if a.shape != b.shape:
+        return False
+    if np.array_equal(a, b):
+        return True
+    row = np.dtype((np.void, a.dtype.itemsize * a.shape[1]))
+    return np.array_equal(*(np.sort(np.ascontiguousarray(m).view(row).ravel()) for m in (a, b)))
 
 
 def _placed_blocks(blocks, placements) -> np.ndarray:

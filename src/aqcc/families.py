@@ -126,10 +126,13 @@ class LayoutPlan:
     notes: tuple[str, ...] = ()
 
     def generators(self) -> tuple[PolyMatrix, PolyMatrix]:
-        # construction I stacks its seed rows in G1, whose stack takes the
-        # echelon that proved them independent
-        g1 = (_split(self.blocks1, self.placements1, self.source.parity) if self.params.family == "I"
-              else split_to_generator(self.blocks1, self.placements1))
+        """G1 and G2 split from the blocks.  G1's stack holds the source's
+        parity rows in another order (every grid family) or in the same one
+        (construction I), so it shares the source parity's echelon: one
+        elimination proves G1 independent and gives the source its kernel.
+        Outer blocks with other rows, as in a corrupted plan, eliminate
+        their own stack."""
+        g1 = _split(self.blocks1, self.placements1, self.source.parity)
         g2 = split_to_generator(self.blocks2)
         return g1, g2
 
@@ -475,7 +478,8 @@ def construction_i_plan(field: FiniteField, vectors, partition) -> LayoutPlan:
     generator keeps only the auxiliary band.  Requires equal |H_i|,
     nonincreasing |H_i'| with at least one row each, and independent rows
     overall.  A MatrixGF keeps its echelon, so rows that demo_vectors
-    ranked are not eliminated again here, nor in G1's stack.
+    ranked are not eliminated again here; the rows become the plan's
+    source parity, whose echelon G1's stack borrows as every family's does.
     """
     m = vectors if isinstance(vectors, MatrixGF) else MatrixGF(field, np.asarray(vectors))
     sizes = [int(s) for s in partition]

@@ -12,7 +12,8 @@ skip numpy: addition is XOR for p = 2 and (a + b) % p over a prime field,
 multiplication and inversion go through log/exp lists of O(q) length.
 Every other operand passes one range check, which raises IndexError for
 anything outside range(q), negatives included, and then goes through the
-array kernels below.  Only the kernels and the int path read the tables.
+array kernels below.  Only the kernels and the int path read the tables;
+powers lists a**0 .. a**(n - 1) by doubling on the kernels.
 
 The other modules do their array work through one private set of kernels
 (_vadd, _vsub, _vneg, _vinv, _vmul and the matrix product _vmatmul) on
@@ -440,6 +441,18 @@ class FiniteField:
                 raise ZeroDivisionError("0 to a negative power")
             return 0 if k else 1
         return self._exp_list[self._log_list[a] * k % (self.q - 1)]
+
+    def powers(self, a, n: int) -> np.ndarray:
+        """a**0, ..., a**(n - 1) as an int32 array, by doubling: the first
+        k powers times a**k are the next k."""
+        step = int(self._index(a))
+        out = np.ones(n, dtype=np.int32)
+        k = 1
+        while k < n:
+            out[k:2 * k] = self._vmul(step, out[:min(k, n - k)])
+            step = self.mul(step, step)
+            k *= 2
+        return out
 
     def exp(self, i: int) -> int:
         """generator**i, exponent taken mod q - 1."""

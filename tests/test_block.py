@@ -52,6 +52,14 @@ def weight_distribution(code: BlockCode, budget: int = 1 << 22) -> list[int] | N
     return None
 
 
+def expanded_row(s, c: int) -> np.ndarray:
+    """The base-field rows of the parity row zeta**(c*j), zero and dependent
+    rows removed by one elimination: the reference for a coset's group."""
+    row = np.array([s.ext.pow(s.zeta, c * j % s.n) for j in range(s.n)])
+    coords = SubfieldBasis(s.field, s.ext).expand_array(row).T
+    return MatrixGF(s.field, coords).remove_dependent_rows().a
+
+
 class TestReedSolomon:
     def test_rs_6_3_4_over_gf7(self):
         s = rs_parity(FiniteField.get(7, 1), 6, 4, b=1)
@@ -121,15 +129,43 @@ class TestBch:
         s = bch_parity(FiniteField.get(3, 2), 10, 4, b=3)
         assert s.defining_set == (3, 4, 5, 6, 7)
         assert sorted(s.row_groups) == [3, 4, 5]
-        row7 = [s.ext.pow(s.zeta, 7 * j % s.n) for j in range(s.n)]
         a = MatrixGF(s.field, s.row_groups[3])
-        b = MatrixGF(s.field, block.expand_row(SubfieldBasis(s.field, s.ext), np.array(row7)))
+        b = MatrixGF(s.field, expanded_row(s, 7))
         both = MatrixGF(s.field, np.concatenate([a.a, b.a]))
         assert a.rank() == b.rank() == both.rank() == 2
 
     def test_parity_rows_annihilate_generator(self):
         s = bch_parity(FiniteField.get(2, 4), 17, 5, b=0)
         assert (s.code.generator @ s.code.parity.T).is_zero()
+
+
+def test_counted_cosets_match_eliminated_ones():
+    # every BCH and RS source of the grid up to q = 32, one per source_key:
+    # each coset's group holds exactly |coset| rows and is the eliminated
+    # expansion, row for row, so the parity is the same bytes
+    from aqcc.families import FAMILIES, build_source, enumerate_family, source_key
+    from aqcc.gf import prime_factors
+
+    keys = {source_key(params)
+            for family in FAMILIES if family.startswith(("II-", "III-T5"))
+            for q in range(2, 33) if len(prime_factors(q)) == 1
+            for params, _ in enumerate_family(family, q)}
+    assert {k[0] for k in keys} == {"bch", "rs"} and {k[1] for k in keys} >= {9, 16, 25, 27, 32}
+    short = 0
+    for key in sorted(keys):
+        s = build_source(key)
+        want = {}
+        for c in s.defining_set:
+            coset = block._closure(s.n, s.field.q, {c})
+            if coset[0] == c:
+                want[c] = expanded_row(s, c)
+                assert len(s.row_groups[c]) == len(coset), key
+                short += len(coset) < s.m
+        assert list(s.row_groups) == list(want), key
+        for c, rows in want.items():
+            assert np.array_equal(s.row_groups[c], rows), (key, c)
+        assert s.code.parity.a.tobytes() == np.concatenate(list(want.values())).astype(np.int32).tobytes()
+    assert len(keys) > 200 and short > 0
 
 
 BCH_CASES = st.tuples(

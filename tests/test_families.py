@@ -442,8 +442,12 @@ def test_source_parities_need_no_elimination():
 
 @pytest.mark.parametrize("effort", ["structure", "desk"])
 def test_outer_stack_is_eliminated_once(effort, monkeypatch):
-    # split_to_generator proves independence on G1's coefficient stack;
-    # the span code's kernel and its witness row read that same echelon
+    # split_to_generator proves independence on G1's coefficient stack,
+    # whose nonzero rows are the source parity's in another order; the
+    # stack borrows the source's echelon, and the source's kernel, the span
+    # code's kernel and its witness row all read that one elimination
+    params = FamilyParams("II-T3a", 16, i=5, t=1)
+    source = layout(params).source.parity.a
     eliminated = []
     rref = matrix._rref
 
@@ -452,16 +456,43 @@ def test_outer_stack_is_eliminated_once(effort, monkeypatch):
         return rref(field, a)
 
     monkeypatch.setattr(matrix, "_rref", counted)
-    cert = certify_params(FamilyParams("II-T3a", 16, i=5, t=1), effort=effort)
+    cert = certify_params(params, effort=effort)
 
     def nonzero_rows(a):
-        return a[a.any(axis=1)].tolist()
+        return sorted(a[a.any(axis=1)].tolist())
 
-    stack = nonzero_rows(cert.g1.c.reshape(-1, cert.g1.cols))
+    rows = cert.g1.c.reshape(-1, cert.g1.cols)
+    stack = nonzero_rows(rows)
+    assert stack == nonzero_rows(source) and not np.array_equal(rows[rows.any(axis=1)], source)
     # 16**k and 16**(17 - k) both pass the desk budget, so the span code's
     # distance takes the witness row from the echelon at either effort
     assert min(len(stack), 17 - len(stack)) >= 5
+    # once, as the source parity itself, not again as the stack
     assert sum(nonzero_rows(a) == stack for a in eliminated) == 1
+    assert sum(np.array_equal(a, source) for a in eliminated) == 1
+
+
+@pytest.mark.parametrize("effort, rows", [
+    ("structure", REFERENCE_ROWS),
+    ("desk", [row for row in REFERENCE_ROWS if row[1] <= 17]),
+], ids=["structure", "desk"])
+def test_no_certificate_eliminates_a_row_space_twice(effort, rows, monkeypatch):
+    # the reduced echelon names the row space: each space a certificate
+    # needs is eliminated once, and every later reader takes that echelon
+    keys = []
+    rref = matrix._rref
+
+    def counted(field, a):
+        red, piv = rref(field, a)
+        keys.append((field.q, np.shape(a)[1], red[:len(piv)].tobytes()))
+        return red, piv
+
+    monkeypatch.setattr(matrix, "_rref", counted)
+    assert len(rows) == (25 if effort == "structure" else 19)
+    for family, q, kw, *_ in rows:
+        keys.clear()
+        certify_params(FamilyParams(family, q, **kw), effort=effort)
+        assert keys and len(set(keys)) == len(keys), f"{family} q={q} {kw}"
 
 
 @pytest.mark.parametrize("effort", ["structure", "desk"])
@@ -485,9 +516,10 @@ def test_seed_rows_are_eliminated_once(effort, monkeypatch):
     assert sum(a[a.any(axis=1)].tolist() == vec.a.tolist() for a in eliminated) == 1
 
 
-def test_outer_stack_takes_no_echelon_of_other_rows():
+def test_outer_stack_takes_no_echelon_of_other_rows(monkeypatch):
     # G1's stack borrows the seed's echelon only when it holds the seed's
-    # rows: a plan whose outer blocks repeat a row still fails the split
+    # rows, in any order: a plan whose outer blocks repeat a row still
+    # fails the split, and one with a changed row eliminates its own stack
     f5 = field_from_order(5)
     vec = demo_vectors(f5, 9, [2, 2, 2, 1], seed=3)
     plan = construction_i_plan(f5, vec, [2, 2, 2, 1])
@@ -495,6 +527,29 @@ def test_outer_stack_takes_no_echelon_of_other_rows():
     repeated = MatrixGF(f5, np.concatenate([b1.a[:-1], b0.a[:1]]))
     with pytest.raises(RankDeficient):
         replace(plan, blocks1=(b0, repeated)).generators()
+
+    eliminated = []
+    rref = matrix._rref
+
+    def counted(field, a):
+        eliminated.append(np.array(a))
+        return rref(field, a)
+
+    monkeypatch.setattr(matrix, "_rref", counted)
+    # the seed's echelon is cached from ranking it; G2's stack has 4 rows
+    changed = b1.a.copy()
+    changed[2] = f5._vadd(changed[2], b0.a[0])  # the same row space
+    for blocks1, own in (((MatrixGF(f5, b0.a[::-1]), b1), False),
+                         ((b0, MatrixGF(f5, changed)), True)):
+        eliminated.clear()
+        g1, _ = replace(plan, blocks1=blocks1).generators()
+        live = g1.stack.a[g1.stack.a.any(axis=1)]
+        assert live.tolist() != vec.a.tolist()
+        assert (sorted(live.tolist()) == sorted(vec.a.tolist())) is not own
+        assert [len(a) for a in eliminated] == ([8, 4] if own else [4])
+        red, piv = g1.stack.rref()
+        want_red, want_piv = rref(f5, g1.stack.a)
+        assert np.array_equal(red.a, want_red) and piv == want_piv
 
 
 def test_source_key_fixes_the_source():

@@ -396,6 +396,22 @@ def test_array_kernels_match_reference_arithmetic(q):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("q", [2, 7, 9, 16, 1024])
+def test_powers_match_repeated_products(q):
+    # a**j for j < n by the table-free polynomial product, one factor at a
+    # time; n runs past q, over powers of two and the lengths between them
+    f = field_from_order(q)
+    for a in sorted({0, 1, f.generator, q - 1}):
+        want = [1]
+        for _ in range(max(33, q + 3)):
+            want.append(f._mul_raw(want[-1], a))
+        for n in (0, 1, 2, 3, 4, 5, 8, 33, q + 3):
+            got = f.powers(a, n)
+            assert got.dtype == np.int32 and got.tolist() == want[:n], (a, n)
+    with pytest.raises(IndexError):
+        f.powers(q, 3)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 17, 32, 127, 256, 2039])
 def test_row_tables_match_reference_arithmetic(q):
     # matrix's integer-row elimination reads x / f and -f * x off these

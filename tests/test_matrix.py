@@ -267,18 +267,20 @@ def test_certification_eliminates_on_byte_rows(monkeypatch):
     # slower benchmark: every elimination of two structure certificates,
     # over GF(16) and over GF(32) with the d = 1 block-Toeplitz kernels of
     # its duals (up to 84 by 66), and of 20 split plans over GF(2..5)
-    # takes the integer-row kernel, one byte an entry
+    # takes the integer-row kernel, one byte an entry; each run makes
+    # exactly the eliminations it needs, the source parity shared with
+    # G1's stack and no full-size coset expanded by elimination
     from aqcc import FamilyParams, certify_params, selftest
 
     taken = _record_kernels(monkeypatch)
     monkeypatch.setattr(selftest, "SPLIT_PLANS", 20)
-    runs = (lambda: certify_params(FamilyParams("II-T3a", 16, i=5, t=1), effort="structure"),
-            lambda: certify_params(FamilyParams("II-T3a", 32, i=14, t=1), effort="structure"),
-            selftest.check_split_plans)
-    for run in runs:
+    runs = ((lambda: certify_params(FamilyParams("II-T3a", 16, i=5, t=1), effort="structure"), 7),
+            (lambda: certify_params(FamilyParams("II-T3a", 32, i=14, t=1), effort="structure"), 7),
+            (selftest.check_split_plans, 120))
+    for run, count in runs:
         taken.clear()
         run()
-        assert len(taken) > 10 and set(taken) == {"_rref_ints"}
+        assert len(taken) == count and set(taken) == {"_rref_ints"}
 
 
 def test_only_matrix_names_the_rref_kernels():
