@@ -7,13 +7,14 @@ orthogonality, basicness, degree accounting), attaches whatever distance
 statements the requested effort can certify, and emits a deterministic
 JSON certificate.  certify_params is layout followed by certify_plan.
 
-Each claim has one witness.  The leading echelons, one elimination per
-generator that every later step reads, prove G1 and G2 reduced and hence
-of full rank, and the containment witness proves V2 <= V1.  G1's
-coefficient stack holds the source parity's rows and shares its echelon,
-eliminated once for split_to_generator's independence check; the
-source's kernel and the span code's kernel and witness row read that
-echelon.  derive_aqcc builds the minimal duals once, each recording its
+Each claim has one witness.  The source parity H is eliminated once, as
+[H | I], for its echelon and a right inverse R.  G1's and G2's stacks
+hold rows of H, which R proves independent, and the leading echelons,
+right inverses of the leading-row matrices read from R and each
+confirmed by one product, prove G1 and G2 reduced and hence of full
+rank; the containment witness proves V2 <= V1.  G1's coefficient stack
+holds all of H's rows and shares H's echelon, which the source's kernel
+and the span code's kernel and witness row read.  derive_aqcc builds the minimal duals once, each recording its
 generator's degree gap, which is 0 exactly when the generator is basic
 (Forney 1975); the dual of G1 is the parity check of the stabilizer.
 Basicness also settles the rank of the stabilizer's truncations, so none
@@ -230,8 +231,8 @@ def certify_plan(
     # coefficient rows (whose distance floors the outer free distance)
     enum_budget = 0 if effort == "structure" else budgets.enum
     source_d = plan.source.min_distance(budget=enum_budget).meet(_designed(plan.source_designed))
-    # g1.stack and the source parity carry the echelon split_to_generator
-    # proved independence on, which both kernels and any witness row read
+    # g1.stack and the source parity carry the echelon of the parity's one
+    # elimination, which both kernels and any witness row read
     s1 = BlockCode.from_generator(field, g1.stack)
     d_dual = s1.min_distance(budget=enum_budget).meet(_designed(plan.v1_designed))
 

@@ -18,19 +18,21 @@ degree accounting, duals, membership witnesses for code containment, and
 Smith normal form with unimodular transforms u and v (u @ m @ v == s).
 
 Each fact has one route, and none takes a Smith form.  Every PolyMatrix
-eliminates its leading-row matrix L once, on first use, into its pivot
-columns P and E = L[:, P]**-1 (leading_echelon); that elimination is the
-reducedness test, and reduce returns a reduced matrix as it is.  reduce
-is also the rank test: on a matrix that is not reduced its row steps
-raise RankDeficient on a zero row.  A constant right inverse R with
-G @ R == I proves G basic, confirmed by one scalar product of the stacked
-coefficients [G_0; ...; G_mu] with R; without one, G is basic exactly
-when reduce(G) and its minimal dual have the same external degree
-(Forney 1975).  The gap is kept on the matrix, and a minimal dual carries
-gap 0 from its construction.  For a reduced outer generator the
+finds, once and on first use, a right inverse R_L of its leading-row
+matrix L (leading_echelon), confirmed by the one product L @ R_L == I;
+finding one is the reducedness test, and reduce returns a reduced matrix
+as it is.  reduce is also the rank test: on a matrix that is not reduced
+its row steps raise RankDeficient on a zero row.  A constant right
+inverse R with G @ R == I proves G basic, confirmed by one scalar product
+of the stacked coefficients [G_0; ...; G_mu] with R; without one, G is
+basic exactly when reduce(G) and its minimal dual have the same external
+degree (Forney 1975).  The gap is kept on the matrix, and a minimal dual
+carries gap 0 from its construction.  A generator split from the rows of
+a seed matrix that has a right inverse reads both R and R_L from it, with
+no elimination of its own (_split).  For a reduced outer generator the
 predictable-degree property (Forney 1970, "Convolutional codes I:
 algebraic structure") makes containment a division, top degree first, by
-L through E, for all inner rows at once; other outer generators are
+L through R_L, for all inner rows at once; other outer generators are
 reduced first, with their unimodular transform.  One product
 X @ outer == inner confirms the witness.  The Smith form is only the
 reference the tests compare with.
@@ -141,11 +143,14 @@ class PolyMatrix:
     Arithmetic runs on the field's array kernels: a sum adds coefficient
     arrays, a product is one scalar product with a block-Toeplitz matrix.
     e is a grid of coefficient tuples, stack the coefficient matrices as
-    one MatrixGF (whose echelon it then keeps) and leading_echelon the
-    inverted pivot block of the leading-row matrix, each built on first use.
+    one MatrixGF (whose echelon it then keeps) and leading_echelon a right
+    inverse of the leading-row matrix, each built on first use.  A
+    generator split from a seed's rows also keeps a right inverse of its
+    stack, _right, from which both constant_right_inverse and
+    leading_echelon read their witness.
     """
 
-    __slots__ = ("field", "c", "_e", "_stack", "_lead", "_gap")
+    __slots__ = ("field", "c", "_e", "_stack", "_lead", "_gap", "_right")
 
     def __init__(self, field: FiniteField, entries, cols: int | None = None):
         """From a grid of coefficient tuples, constant term first."""
@@ -178,7 +183,7 @@ class PolyMatrix:
         c.setflags(write=False)
         self.field = field
         self.c = c
-        self._e = self._stack = self._lead = self._gap = None
+        self._e = self._stack = self._lead = self._gap = self._right = None
 
     @classmethod
     def from_coefficients(cls, field: FiniteField, mats) -> "PolyMatrix":
@@ -329,25 +334,31 @@ class PolyMatrix:
         return MatrixGF._wrap(self.field, self.c[degs, np.arange(self.rows)])
 
     @property
-    def leading_echelon(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(P, E) with E = L[:, P]**-1 for the leading-row matrix L and its
-        pivot columns P, or None when L lacks full row rank; computed on
-        first use."""
+    def leading_echelon(self) -> np.ndarray | None:
+        """R_L with L @ R_L == I for the leading-row matrix L, or None when
+        L lacks full row rank; computed on first use."""
         if self._lead is None:
             self._lead = _leading_echelon(self)
-        return self._lead or None
+        return None if self._lead is False else self._lead
 
 
-def _leading_echelon(m: PolyMatrix) -> tuple:
-    """One elimination of [L | I]: when L has full row rank its pivots all
-    fall left of I, and the right half of the reduced form is the T with
-    T @ L[:, P] == I.  The empty tuple stands for a rank-deficient L."""
-    k, n = m.shape
-    aug = np.concatenate([m.leading_row_matrix().a, np.eye(k, dtype=np.int32)], axis=1)
-    red, piv = MatrixGF._wrap(m.field, aug).rref()
-    if any(p >= n for p in piv):
-        return ()
-    return np.array(piv, dtype=np.intp), red.a[:, n:]
+def _leading_echelon(m: PolyMatrix) -> np.ndarray | bool:
+    """R_L, or False for a rank-deficient L.  Row i of L, the leading-row
+    matrix, is stack row deg_i * k + i, so a stack right inverse gives R_L
+    as its columns there; otherwise L's right_inverse eliminates [L | I].
+    Either is confirmed by the one product L @ R_L == I."""
+    f, k = m.field, m.rows
+    degs = np.maximum(_row_degrees(m.c), 0)
+    lead = MatrixGF._wrap(f, m.c[degs, np.arange(k)])
+    if m._right is not None:
+        r = m._right[:, degs * k + np.arange(k)]
+    elif (inv := lead.right_inverse()) is not None:
+        r = inv.a
+    else:
+        return False
+    if not np.array_equal(f._vmatmul(lead.a, r), np.eye(k, dtype=np.int32)):
+        raise AssertionError("leading inverse witness failed to reproduce the identity")
+    return r
 
 
 def block_toeplitz(c: np.ndarray, blocks: int, width: int) -> np.ndarray:
@@ -495,22 +506,25 @@ def constant_right_inverse(m: PolyMatrix) -> PolyMatrix | None:
     """Constant R with m @ R == I, or None when no constant one exists.
 
     m @ R == I asks m_0 @ R == I and m_i @ R == 0 for i >= 1, one scalar
-    system on the stacked coefficient matrices.  Coefficient i of m @ R is
-    m_i @ R, so one scalar product of the stack with R confirms the
-    solution before it is returned.
+    system on the stacked coefficient matrices.  A generator that keeps a
+    right inverse of its stack reads R as its first k columns, since m_0
+    is the top of the stack; any other solves the system.  Coefficient i
+    of m @ R is m_i @ R, so one scalar product of the stack with R confirms
+    the solution before it is returned.
     """
     f = m.field
     k = m.rows
     stacked = m.stack
-    target = np.zeros((k, len(m.c) * k), dtype=np.int32)
-    target[:, :k] = np.eye(k, dtype=np.int32)
-    eye = MatrixGF._wrap(f, target)
-    x = solve_left(stacked.T, eye)
-    if x is None:
-        return None
-    if stacked @ x.T != eye.T:
+    if m._right is not None:
+        r = m._right[:, :k]
+    else:
+        x = solve_left(stacked.T, MatrixGF._wrap(f, np.eye(k, stacked.rows, dtype=np.int32)))
+        if x is None:
+            return None
+        r = x.a.T
+    if not np.array_equal(f._vmatmul(stacked.a, r), np.eye(stacked.rows, k, dtype=np.int32)):
         raise AssertionError("right inverse witness failed to reproduce the identity")
-    return PolyMatrix._wrap(f, x.a.T[None])
+    return PolyMatrix._wrap(f, r[None])
 
 
 def is_basic(m: PolyMatrix) -> bool:
@@ -524,13 +538,14 @@ def is_basic(m: PolyMatrix) -> bool:
 def degree_gap(m: PolyMatrix) -> int:
     """Degree of the gcd of the k x k minors of m; 0 exactly when m is basic.
 
-    A constant right inverse proves the gap 0.  Without one, reduce(m) has
-    the largest degree of the minors as its external degree, and its
-    minimal dual has the degree of a basic generator of the same code
-    (Forney 1975), so their difference is the degree of the gcd; building
-    the dual records it.  Raises RankDeficient when the rows of m are
-    dependent.  The gap is kept on m, so a matrix whose dual was built
-    already, and every minimal basis dual_generator returns, reads it.
+    A constant right inverse proves the gap 0; a generator split from a
+    seed's rows reads one from its stack right inverse.  Without one,
+    reduce(m) has the largest degree of the minors as its external
+    degree, and its minimal dual has the degree of a basic generator of
+    the same code (Forney 1975), so their difference is the degree of the
+    gcd; building the dual records it.  Raises RankDeficient when the rows
+    of m are dependent.  The gap is kept on m, so a matrix whose dual was
+    built already, and every minimal basis dual_generator returns, reads it.
     """
     if m._gap is None:
         if constant_right_inverse(m) is not None:
@@ -674,13 +689,14 @@ def _membership_reduced(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
     max_j(deg x_j + nu_j), so the coefficient of D**delta in any residual
     of degree <= delta is y @ L with y_j the coefficient of D**(delta -
     nu_j) in x_j and L the leading-row matrix.  Division therefore runs
-    from the top inner degree down, for all inner rows at once: y is read
-    off the pivot columns through the leading echelon, and a row fails when
-    y needs a negative power of D or y @ L leaves part of the coefficient.
+    from the top inner degree down, for all inner rows at once: y is the
+    coefficient times R_L, the leading echelon, which is the unique y when
+    the coefficient is y @ L, and a row fails when y needs a negative power
+    of D or y @ L leaves part of the coefficient.
     """
     f = outer.field
     k, n = outer.shape
-    piv, inv = outer.leading_echelon
+    inv = outer.leading_echelon
     nu = _row_degrees(outer.c)
     top = max(inner.max_degree, 0)
     res = np.array(inner.coefficients(top + 1))
@@ -689,7 +705,7 @@ def _membership_reduced(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
     tail = np.where((s_idx <= nu)[:, :, None], outer.c[np.maximum(nu - s_idx, 0), np.arange(k)], 0)
     x = np.zeros((top + 1, inner.rows, k), dtype=np.int32)
     for delta in range(top, -1, -1):
-        y = f._vmatmul(res[delta][:, piv], inv)
+        y = f._vmatmul(res[delta], inv)
         bad = y[:, nu > delta].any(axis=1)
         if bad.any():
             raise ContainmentFailed(f"row {int(bad.argmax())} has residue outside the module")
@@ -722,11 +738,19 @@ def split_to_generator(blocks, placements=None) -> PolyMatrix:
 
 
 def _split(blocks, placements, seed: MatrixGF | None) -> PolyMatrix:
-    """split_to_generator, where seed, when the nonzero rows of G's stack
-    are its rows in any order, lends the stack its echelon with the zero
-    rows at the bottom: the reduced echelon depends only on the row space,
-    so the independence test and every later reader of either matrix share
-    one elimination."""
+    """split_to_generator, reading what it can from a seed matrix: its one
+    right_inverse R, found with its echelon by eliminating [S | I].
+
+    When the nonzero rows of G's stack are distinct rows of a seed that
+    has R, they are independent, so no rank test runs, and G keeps the
+    stack right inverse R_S: column j is R's column for the seed row that
+    stack row j is, zero for a zero row.  constant_right_inverse and
+    leading_echelon read their witnesses from R_S and confirm each by one
+    product.  When the stack holds every seed row, in any order, it also
+    borrows the seed's echelon with the zero rows at the bottom: the
+    reduced echelon depends only on the row space, so every later reader
+    of either matrix shares the seed's one elimination.
+    """
     blocks = list(blocks)
     field = blocks[0].field
     n = blocks[0].cols
@@ -744,27 +768,26 @@ def _split(blocks, placements, seed: MatrixGF | None) -> PolyMatrix:
         # dependent blocks are reported before any layout error
         require_independent(MatrixGF._wrap(field, np.concatenate([b.a for b in blocks])))
         raise
+    stack = g.stack
+    right = seed.right_inverse() if seed is not None else None
+    if right is not None:
+        # stack row i is seed row at[i]; a zero row is none, since R exists
+        index = {row: j for j, row in enumerate(map(tuple, seed.a.tolist()))}
+        at = {i: index[row] for i, row in enumerate(map(tuple, stack.a.tolist())) if row in index}
+        if len(set(at.values())) == total:
+            r = np.zeros((n, stack.rows), dtype=np.int32)
+            r[:, list(at)] = right.a[:, list(at.values())]
+            r.setflags(write=False)
+            g._right = r
+            if total == seed.rows:
+                red, piv = seed._reduced()
+                pad = np.zeros((stack.rows - seed.rows, n), dtype=np.int32)
+                stack._echelon = MatrixGF._wrap(field, np.concatenate([red.a, pad])), piv
+            return g
     # G's stack holds the block rows and zero padding, so it has rank total
     # exactly when the blocks are independent; its echelon stays on G
-    stack = g.stack
-    if seed is not None and _same_rows(stack.a[stack.a.any(axis=1)], seed.a):
-        red, piv = seed._reduced()  # cached when the rows were ranked, else eliminated here
-        pad = np.zeros((stack.rows - seed.rows, n), dtype=np.int32)
-        stack._echelon = MatrixGF._wrap(field, np.concatenate([red.a, pad])), piv
     require_independent(stack)
     return g
-
-
-def _same_rows(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether a and b hold the same rows, counted with multiplicity, in
-    any order: rows in one order compare directly, others as sorted arrays
-    of one byte string a row."""
-    if a.shape != b.shape:
-        return False
-    if np.array_equal(a, b):
-        return True
-    row = np.dtype((np.void, a.dtype.itemsize * a.shape[1]))
-    return np.array_equal(*(np.sort(np.ascontiguousarray(m).view(row).ravel()) for m in (a, b)))
 
 
 def _placed_blocks(blocks, placements) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .block import BlockCode, bch_parity, grs_build, rs_parity
-from .convo import PolyMatrix, _split, split_to_generator
+from .convo import PolyMatrix, _split
 from .errors import IndependenceViolated, ParamOutOfRange, PartitionInvalid
 from .gf import FiniteField, field_order
 from .matrix import MatrixGF, field_from_order
@@ -102,7 +102,7 @@ class ExpectedTuple:
 
 @dataclass(frozen=True)
 class LayoutPlan:
-    """Split plan for one family instance, ready for split_to_generator.
+    """Split plan for one family instance, ready to split into generators.
 
     source_designed is the source's designed distance (None for seed
     rows), v1_designed a certified lower bound for the code spanned by
@@ -126,14 +126,17 @@ class LayoutPlan:
     notes: tuple[str, ...] = ()
 
     def generators(self) -> tuple[PolyMatrix, PolyMatrix]:
-        """G1 and G2 split from the blocks.  G1's stack holds the source's
-        parity rows in another order (every grid family) or in the same one
-        (construction I), so it shares the source parity's echelon: one
-        elimination proves G1 independent and gives the source its kernel.
-        Outer blocks with other rows, as in a corrupted plan, eliminate
-        their own stack."""
+        """G1 and G2 split from the blocks, both with the source parity as
+        their seed.  The parity's one elimination, of [H | I], gives its
+        echelon and a right inverse R.  G1's stack holds all of the parity
+        rows, in another order (every grid family) or in the same one
+        (construction I), and G2's stack some of them, so both are
+        independent without a rank test and read their basic and reduced
+        witnesses from R; G1's stack also shares the parity's echelon,
+        which gives the source its kernel.  Blocks with other rows, as in a
+        corrupted plan, eliminate their own stack."""
         g1 = _split(self.blocks1, self.placements1, self.source.parity)
-        g2 = split_to_generator(self.blocks2)
+        g2 = _split(self.blocks2, None, self.source.parity)
         return g1, g2
 
 
@@ -345,8 +348,11 @@ def build_source(key: tuple):
 
 
 def _as_blocks(field: FiniteField, stacks: list[list[np.ndarray]]) -> tuple[MatrixGF, ...]:
-    """Each list of row arrays stacked into one block."""
-    return tuple(MatrixGF(field, np.concatenate(rows, axis=0)) for rows in stacks)
+    """Each list of row arrays stacked into one block.  The rows are cut
+    from checked matrices or computed by the field, so they are in range,
+    and astype gives each block a fresh int32 array to wrap."""
+    return tuple(MatrixGF._wrap(field, np.concatenate(rows, axis=0).astype(np.int32))
+                 for rows in stacks)
 
 
 def _everywhere_nonzero(row: np.ndarray) -> bool:
@@ -477,9 +483,10 @@ def construction_i_plan(field: FiniteField, vectors, partition) -> LayoutPlan:
     outer generator stacks sum(H_i D^i) over sum(H_i' D^i) and the inner
     generator keeps only the auxiliary band.  Requires equal |H_i|,
     nonincreasing |H_i'| with at least one row each, and independent rows
-    overall.  A MatrixGF keeps its echelon, so rows that demo_vectors
-    ranked are not eliminated again here; the rows become the plan's
-    source parity, whose echelon G1's stack borrows as every family's does.
+    overall, which a right inverse of the rows proves.  A MatrixGF keeps
+    its right_inverse, so rows that demo_vectors drew are not eliminated
+    again here; the rows become the plan's source parity, the seed from
+    which both generators read their witnesses as every family's do.
     """
     m = vectors if isinstance(vectors, MatrixGF) else MatrixGF(field, np.asarray(vectors))
     sizes = [int(s) for s in partition]
@@ -505,7 +512,7 @@ def construction_i_plan(field: FiniteField, vectors, partition) -> LayoutPlan:
         raise PartitionInvalid("every auxiliary block needs at least one row")
     if any(primes[j] < primes[j + 1] for j in range(mu)):
         raise PartitionInvalid(f"auxiliary sizes {primes} must be nonincreasing")
-    if m.rank() != m.rows:
+    if m.right_inverse() is None:
         raise IndependenceViolated("the supplied rows are linearly dependent")
     cuts = np.cumsum([0] + sizes)
     part = [m.a[cuts[j]:cuts[j + 1]] for j in range(len(sizes))]
@@ -541,7 +548,9 @@ def construction_i_plan(field: FiniteField, vectors, partition) -> LayoutPlan:
 
 
 def demo_vectors(field: FiniteField, n: int, partition, seed: int = 0) -> MatrixGF:
-    """Deterministic independent rows for construction I demonstrations."""
+    """Deterministic independent rows for construction I demonstrations:
+    the first draw whose rows have a right inverse, which the returned
+    matrix keeps with its echelon."""
     import random
 
     total = sum(int(s) for s in partition)
@@ -559,6 +568,6 @@ def demo_vectors(field: FiniteField, n: int, partition, seed: int = 0) -> Matrix
                 r = draw(bits)
             entries.append(r)
         m = MatrixGF(field, np.array(entries, dtype=np.int32).reshape(total, n))
-        if m.rank() == total:
+        if m.right_inverse() is not None:
             return m
     raise IndependenceViolated(f"could not draw {total} independent rows of length {n}")

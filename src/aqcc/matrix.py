@@ -46,10 +46,12 @@ class MatrixGF:
     pivot columns are computed on first use and kept, and rref, rank,
     kernel and the independent rows all read them.  A matrix of some of
     the rows that span the same space inherits them, since the reduced
-    form depends only on the row space.
+    form depends only on the row space.  right_inverse eliminates [A | I]
+    instead, which gives that echelon and a right inverse at once, and
+    keeps both.
     """
 
-    __slots__ = ("field", "a", "_echelon")
+    __slots__ = ("field", "a", "_echelon", "_right")
 
     def __init__(self, field: FiniteField, rows):
         arr = checked_entries(field, rows)
@@ -59,7 +61,7 @@ class MatrixGF:
         arr.setflags(write=False)
         self.field = field
         self.a = arr
-        self._echelon = None
+        self._echelon = self._right = None
 
     @classmethod
     def _wrap(cls, field: FiniteField, arr: np.ndarray) -> "MatrixGF":
@@ -69,7 +71,7 @@ class MatrixGF:
         arr.setflags(write=False)
         out.field = field
         out.a = arr
-        out._echelon = None
+        out._echelon = out._right = None
         return out
 
     @classmethod
@@ -178,6 +180,30 @@ class MatrixGF:
         out[np.arange(len(free)), free] = 1
         out[:, piv] = f._vneg(red.a[: len(piv), free].T)
         return MatrixGF._wrap(f, out)
+
+    def right_inverse(self) -> "MatrixGF | None":
+        """R with self @ R == I, or None when the rows are dependent.
+
+        One elimination of [A | I], kept with its result.  Its left block is
+        the reduced echelon of A, with the zero rows at the bottom, and
+        becomes the cached echelon unless one is cached already.  When A has
+        full row rank its pivots P all fall left of I, and the right block
+        is the T with T @ A[:, P] == I, so R, holding T at rows P and zero
+        elsewhere, has A @ R == A[:, P] @ T == I.
+        """
+        if self._right is None:
+            f = self.field
+            k, n = self.shape
+            red, piv = _rref(f, np.concatenate([self.a, np.eye(k, dtype=np.int32)], axis=1))
+            lead = tuple(c for c in piv if c < n)
+            if self._echelon is None:
+                self._echelon = MatrixGF._wrap(f, np.ascontiguousarray(red[:, :n])), lead
+            self._right = False
+            if len(lead) == k:
+                r = np.zeros((n, k), dtype=np.int32)
+                r[list(lead)] = red[:, n:]
+                self._right = MatrixGF._wrap(f, r)
+        return self._right or None
 
     def independent_row_indices(self) -> tuple[int, ...]:
         """First maximal set of linearly independent rows, in order.

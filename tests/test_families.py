@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -442,10 +443,11 @@ def test_source_parities_need_no_elimination():
 
 @pytest.mark.parametrize("effort", ["structure", "desk"])
 def test_outer_stack_is_eliminated_once(effort, monkeypatch):
-    # split_to_generator proves independence on G1's coefficient stack,
-    # whose nonzero rows are the source parity's in another order; the
-    # stack borrows the source's echelon, and the source's kernel, the span
-    # code's kernel and its witness row all read that one elimination
+    # G1's coefficient stack holds the source parity's rows in another
+    # order, which the parity's right inverse proves independent; the one
+    # elimination of [H | I] for the parity H gives that inverse and the
+    # echelon the stack borrows, and the source's kernel, the span code's
+    # kernel and its witness row all read it
     params = FamilyParams("II-T3a", 16, i=5, t=1)
     source = layout(params).source.parity.a
     eliminated = []
@@ -467,9 +469,10 @@ def test_outer_stack_is_eliminated_once(effort, monkeypatch):
     # 16**k and 16**(17 - k) both pass the desk budget, so the span code's
     # distance takes the witness row from the echelon at either effort
     assert min(len(stack), 17 - len(stack)) >= 5
-    # once, as the source parity itself, not again as the stack
-    assert sum(nonzero_rows(a) == stack for a in eliminated) == 1
-    assert sum(np.array_equal(a, source) for a in eliminated) == 1
+    # once, as [H | I], and not again as the stack
+    aug = np.concatenate([source, np.eye(len(source), dtype=np.int32)], axis=1)
+    assert sum(np.array_equal(a, aug) for a in eliminated) == 1
+    assert not any(nonzero_rows(a) == stack for a in eliminated)
 
 
 @pytest.mark.parametrize("effort, rows", [
@@ -497,9 +500,9 @@ def test_no_certificate_eliminates_a_row_space_twice(effort, rows, monkeypatch):
 
 @pytest.mark.parametrize("effort", ["structure", "desk"])
 def test_seed_rows_are_eliminated_once(effort, monkeypatch):
-    # construction I's G1 stacks the seed rows, with a zero row where the
+    # construction I's G1 stacks the seed rows S, with a zero row where the
     # second auxiliary block is shorter; it takes the echelon that drawing
-    # and ranking the rows computed
+    # the rows computed by eliminating [S | I] once
     eliminated = []
     rref = matrix._rref
 
@@ -513,13 +516,43 @@ def test_seed_rows_are_eliminated_once(effort, monkeypatch):
     cert = certify_plan(construction_i_plan(f5, vec, [2, 2, 2, 1]), effort=effort)
     stack = cert.g1.c.reshape(-1, cert.g1.cols)
     assert len(stack) == 8 and stack.any(axis=1).sum() == 7
-    assert sum(a[a.any(axis=1)].tolist() == vec.a.tolist() for a in eliminated) == 1
+    assert sum(np.array_equal(a[:, :vec.cols], vec.a) for a in eliminated) == 1
+    aug = np.concatenate([vec.a, np.eye(vec.rows, dtype=np.int32)], axis=1)
+    assert sum(np.array_equal(a, aug) for a in eliminated) == 1
+
+
+def test_split_plan_eliminates_its_rows_once(monkeypatch):
+    # drawing a plan's rows S eliminates [S | I], drawing again while the
+    # rows are dependent; the last draw's elimination proves both
+    # generators basic and reduced, with no other elimination
+    calls = []
+    rref = matrix._rref
+
+    def counted(field, a):
+        red, piv = rref(field, a)
+        calls.append((np.shape(a), sum(p < a.shape[1] - a.shape[0] for p in piv)))
+        return red, piv
+
+    monkeypatch.setattr(matrix, "_rref", counted)
+    rng = random.Random(20260817)
+    redraws = 0
+    for _ in range(selftest.SPLIT_PLANS):
+        calls.clear()
+        plan = selftest._random_plan(rng)
+        for g in plan.generators():
+            assert is_basic(g) and is_reduced(g)
+        rows, n = plan.source.parity.shape
+        assert all(shape == (rows, n + rows) for shape, _ in calls)
+        assert [rank == rows for _, rank in calls] == [False] * (len(calls) - 1) + [True]
+        redraws += len(calls) - 1
+    assert redraws > 0
 
 
 def test_outer_stack_takes_no_echelon_of_other_rows(monkeypatch):
-    # G1's stack borrows the seed's echelon only when it holds the seed's
-    # rows, in any order: a plan whose outer blocks repeat a row still
-    # fails the split, and one with a changed row eliminates its own stack
+    # G1's stack borrows the seed's echelon and right inverse only when it
+    # holds the seed's rows, in any order: a plan whose outer blocks repeat
+    # a row still fails the split, and one with a changed row eliminates
+    # its own stack and keeps no stack right inverse
     f5 = field_from_order(5)
     vec = demo_vectors(f5, 9, [2, 2, 2, 1], seed=3)
     plan = construction_i_plan(f5, vec, [2, 2, 2, 1])
@@ -536,7 +569,8 @@ def test_outer_stack_takes_no_echelon_of_other_rows(monkeypatch):
         return rref(field, a)
 
     monkeypatch.setattr(matrix, "_rref", counted)
-    # the seed's echelon is cached from ranking it; G2's stack has 4 rows
+    # the seed's echelon and right inverse are cached from drawing it, and
+    # G2's stack holds seed rows, so it is not eliminated
     changed = b1.a.copy()
     changed[2] = f5._vadd(changed[2], b0.a[0])  # the same row space
     for blocks1, own in (((MatrixGF(f5, b0.a[::-1]), b1), False),
@@ -546,7 +580,8 @@ def test_outer_stack_takes_no_echelon_of_other_rows(monkeypatch):
         live = g1.stack.a[g1.stack.a.any(axis=1)]
         assert live.tolist() != vec.a.tolist()
         assert (sorted(live.tolist()) == sorted(vec.a.tolist())) is not own
-        assert [len(a) for a in eliminated] == ([8, 4] if own else [4])
+        assert [len(a) for a in eliminated] == ([8] if own else [])
+        assert (g1._right is None) is own
         red, piv = g1.stack.rref()
         want_red, want_piv = rref(f5, g1.stack.a)
         assert np.array_equal(red.a, want_red) and piv == want_piv

@@ -268,15 +268,17 @@ def test_certification_eliminates_on_byte_rows(monkeypatch):
     # over GF(16) and over GF(32) with the d = 1 block-Toeplitz kernels of
     # its duals (up to 84 by 66), and of 20 split plans over GF(2..5)
     # takes the integer-row kernel, one byte an entry; each run makes
-    # exactly the eliminations it needs, the source parity shared with
-    # G1's stack and no full-size coset expanded by elimination
+    # exactly the eliminations it needs: the source parity's [H | I] gives
+    # G1's stack its echelon and both generators their right inverses, no
+    # full-size coset is expanded by elimination, and a split plan whose
+    # rows are drawn at the first try eliminates them once
     from aqcc import FamilyParams, certify_params, selftest
 
     taken = _record_kernels(monkeypatch)
     monkeypatch.setattr(selftest, "SPLIT_PLANS", 20)
-    runs = ((lambda: certify_params(FamilyParams("II-T3a", 16, i=5, t=1), effort="structure"), 7),
-            (lambda: certify_params(FamilyParams("II-T3a", 32, i=14, t=1), effort="structure"), 7),
-            (selftest.check_split_plans, 120))
+    runs = ((lambda: certify_params(FamilyParams("II-T3a", 16, i=5, t=1), effort="structure"), 5),
+            (lambda: certify_params(FamilyParams("II-T3a", 32, i=14, t=1), effort="structure"), 5),
+            (selftest.check_split_plans, 20))
     for run, count in runs:
         taken.clear()
         run()
@@ -432,3 +434,16 @@ def test_cached_echelon_matches_fresh_elimination(q):
         assert np.array_equal(kept.kernel().a, _kernel_from(f, kept.a))
         for arr in (red.a, m.kernel().a, kept.a, kept_red.a, kept.kernel().a):
             assert arr.dtype == np.int32 and not arr.flags.writeable
+        # right_inverse's one elimination of [A | I] gives the same echelon,
+        # or keeps the cached one, and an R with A @ R == I exactly when the
+        # rows are independent
+        for mat in (MatrixGF(f, a), m):
+            r = mat.right_inverse()
+            assert mat.right_inverse() is r
+            assert (r is None) == (len(want_piv) < a.shape[0])
+            if r is not None:
+                assert mat @ r == MatrixGF.identity(f, a.shape[0])
+                assert r.a.dtype == np.int32 and not r.a.flags.writeable
+            got_red, got_piv = mat.rref()
+            assert got_piv == want_piv and np.array_equal(got_red.a, want_red)
+        assert m.rref()[0] is red

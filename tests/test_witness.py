@@ -170,7 +170,16 @@ def test_is_basic_agrees_with_smith(plans):
     assert witnessed >= 2 * PLAN_COUNT
 
 
+def column_zeroed(r: np.ndarray, j: int) -> np.ndarray:
+    bad = np.array(r)
+    bad[:, j] = 0
+    return bad
+
+
 def test_mutated_right_inverse_is_rejected(plans, monkeypatch):
+    # a split generator reads R from the stack right inverse it carries, a
+    # seedless copy solves for it: with column 0 zeroed, either fails the
+    # one product that confirms it
     solve = convo.solve_left
 
     def first_column_zeroed(a, b):
@@ -184,8 +193,61 @@ def test_mutated_right_inverse_is_rejected(plans, monkeypatch):
     monkeypatch.setattr(convo, "solve_left", first_column_zeroed)
     for plan in plans[:10]:
         for g in plan.generators():
-            with pytest.raises(AssertionError, match="right inverse witness failed"):
-                constant_right_inverse(g)
+            copy = PolyMatrix.from_coefficients(g.field, g.c)
+            g._right = column_zeroed(g._right, 0)
+            for m in (g, copy):
+                with pytest.raises(AssertionError, match="right inverse witness failed"):
+                    constant_right_inverse(m)
+
+
+def test_mutated_leading_inverse_is_rejected(plans, monkeypatch):
+    # R_L is read from the stack right inverse at the stack row
+    # deg_i * k + i of each row i, or on a seedless copy is the right
+    # inverse of L: with column k - 1 zeroed, either fails L @ R_L == I
+    gens = [g for plan in plans[:10] for g in plan.generators()]
+    inverse = MatrixGF.right_inverse
+
+    def last_column_zeroed(self):
+        r = inverse(self)
+        return None if r is None else MatrixGF(self.field, column_zeroed(r.a, -1))
+
+    monkeypatch.setattr(MatrixGF, "right_inverse", last_column_zeroed)
+    for g in gens:
+        k = g.rows
+        copy = PolyMatrix.from_coefficients(g.field, g.c)
+        g._right = column_zeroed(g._right, g.row_degrees[-1] * k + k - 1)
+        for m in (g, copy):
+            with pytest.raises(AssertionError, match="leading inverse witness failed"):
+                is_reduced(m)
+
+
+def test_seed_route_agrees_with_seedless_copies(plans):
+    # split generators read basic and reduced from their seed's right
+    # inverse; copies from their coefficients take the elimination routes,
+    # as does a mutated generator, and every fact and witness agrees
+    pairs = [layout(FamilyParams(family, q, **kw)).generators()
+             for family, q, kw in (row[:3] for row in selftest.REFERENCE_ROWS)]
+    pairs += [plan.generators() for plan in plans]
+    rng = random.Random(4)
+    for g1, g2 in pairs:
+        copies = [PolyMatrix.from_coefficients(g.field, g.c) for g in (g1, g2)]
+        for g, copy in zip((g1, g2), copies):
+            mutated = mutate_constant(g, rng)
+            assert g._right is not None and copy._right is None and mutated._right is None
+            for m in (g, copy, mutated):
+                f, k = m.field, m.rows
+                r = constant_right_inverse(m)
+                assert r is None or m @ r == PolyMatrix.identity(f, k)
+                lead = m.leading_echelon
+                assert lead is None or (m.leading_row_matrix() @ MatrixGF(f, lead)
+                                        == MatrixGF.identity(f, k))
+            assert constant_right_inverse(g) is not None and is_reduced(g)
+            assert is_basic(g) == is_basic(copy) and is_reduced(g) == is_reduced(copy)
+            assert convo.degree_gap(g) == convo.degree_gap(copy) == 0
+            assert dual_generator(g).c.tobytes() == dual_generator(copy).c.tobytes()
+            image = random_unimodular(g.field, g.rows, rng)
+            assert contains(g, image @ g) == contains(copy, image @ g) == image
+        assert contains(g1, g2) == contains(*copies)
 
 
 def test_containment_agrees_with_smith(plans):
