@@ -349,8 +349,8 @@ def cyclic_structure(field: FiniteField, n: int, exponents) -> CyclicStructure:
     expanded over GF(q) in one array pass.  A coset of m = [GF(q**m) :
     GF(q)] members keeps its m coordinate rows as they are; only a shorter
     coset is eliminated.  Distinct cosets span independent spaces, so the
-    stack has full row rank, which the certifier's rank test on the outer
-    generator's stack re-proves.
+    stack has full row rank, which its one right inverse, the seed of the
+    split generators, re-proves.
     """
     q = field.q
     m = multiplicative_order(q, n)

@@ -31,7 +31,9 @@ Every distance is a block.DistanceBound, and the certificate's provenance
 copies its route and floor.  Each search returns only what it proved and
 is met (DistanceBound.meet) with its floor: a bound the construction
 carries, d_dual for the free distance of G1, or chain, min(d0 + dm, ds)
-over the slices of G2, for that of the inner dual.  A carried or stated
+over the slices of G2, for that of the inner dual.  At structure no
+slice is searched, and each chain piece meets the weight of the source
+distance's witness, a codeword of every slice code.  A carried or stated
 bound above an upper bound, a codeword's weight, is refused.
 
 Fault injection (for negative testing) corrupts the pipeline at three
@@ -242,6 +244,15 @@ def certify_plan(
         slices = (g2.coefficient(0), g2.coefficient(g2.max_degree), g2.stack)
         pieces = [BlockCode(field, m).min_distance(budget=budgets.enum).meet(p)
                   for m, p in zip(slices, pieces)]
+    else:
+        # G2's rows are source parity rows, so source_d's witness, of weight
+        # w, lies in each slice code, which one product with G2's stack
+        # shows degree by degree; a piece there is then at most w
+        w = source_d.witness
+        missed = field._vmatmul(g2.stack.a, w.T).reshape(len(g2.c), g2.rows).any(axis=1)
+        upper = DistanceBound(1, source_d.upper, "bounded", "none", w)
+        pieces = [p if miss else p.meet(upper)
+                  for p, miss in zip(pieces, (missed[0], missed[-1], missed.any()))]
     d1f = DistanceBound(d_dual.lower, None, "designed", "d_dual")
     d2f = DistanceBound.min_sum(*pieces, "chain")
     if effort != "structure":

@@ -22,20 +22,21 @@ finds, once and on first use, a right inverse R_L of its leading-row
 matrix L (leading_echelon), confirmed by the one product L @ R_L == I;
 finding one is the reducedness test, and reduce returns a reduced matrix
 as it is.  reduce is also the rank test: on a matrix that is not reduced
-its row steps raise RankDeficient on a zero row.  A constant right
-inverse R with G @ R == I proves G basic, confirmed by one scalar product
-of the stacked coefficients [G_0; ...; G_mu] with R; without one, G is
-basic exactly when reduce(G) and its minimal dual have the same external
-degree (Forney 1975).  The gap is kept on the matrix, and a minimal dual
-carries gap 0 from its construction.  A generator split from the rows of
-a seed matrix that has a right inverse reads both R and R_L from it, with
-no elimination of its own (_split).  For a reduced outer generator the
-predictable-degree property (Forney 1970, "Convolutional codes I:
-algebraic structure") makes containment a division, top degree first, by
-L through R_L, for all inner rows at once; other outer generators are
-reduced first, with their unimodular transform.  One product
-X @ outer == inner confirms the witness.  The Smith form is only the
-reference the tests compare with.
+its row steps raise RankDeficient on a zero row.  A generator split from
+parity rows (_split) keeps a right inverse R_S of its coefficient stack
+[G_0; ...; G_mu], read from the one right inverse of a seed holding its
+rows, or of the blocks' own rows: R_S proves the rows independent, its
+first k columns are a constant R with G @ R == I, which proves G basic
+by one product with the stack, and its columns at the leading rows are
+R_L.  Any other G is basic exactly when reduce(G) and its minimal dual
+have the same external degree (Forney 1975).  The gap is kept on the
+matrix, and a minimal dual carries gap 0 from its construction.  For a
+reduced outer generator the predictable-degree property (Forney 1970,
+"Convolutional codes I: algebraic structure") makes containment a
+division, top degree first, by L through R_L, for all inner rows at
+once; other outer generators are reduced first, with their unimodular
+transform.  One product X @ outer == inner confirms the witness.  The
+Smith form is only the reference the tests compare with.
 
 The dual is a minimal basis of a polynomial kernel, built from scalar
 kernels of block-Toeplitz matrices, in the Popov form fixed by the code.
@@ -63,7 +64,7 @@ from .errors import (
     RankDeficient,
 )
 from .gf import FiniteField
-from .matrix import MatrixGF, checked_entries, field_from_order, solve_left
+from .matrix import MatrixGF, checked_entries, field_from_order
 
 Poly = tuple[int, ...]
 
@@ -145,9 +146,9 @@ class PolyMatrix:
     e is a grid of coefficient tuples, stack the coefficient matrices as
     one MatrixGF (whose echelon it then keeps) and leading_echelon a right
     inverse of the leading-row matrix, each built on first use.  A
-    generator split from a seed's rows also keeps a right inverse of its
-    stack, _right, from which both constant_right_inverse and
-    leading_echelon read their witness.
+    generator split from parity rows also keeps a right inverse of its
+    stack, _right, from which degree_gap and leading_echelon read their
+    witnesses.
     """
 
     __slots__ = ("field", "c", "_e", "_stack", "_lead", "_gap", "_right")
@@ -245,7 +246,8 @@ class PolyMatrix:
     def stack(self) -> MatrixGF:
         """The coefficient matrices stacked top to bottom, [c[0]; c[1]; ...]."""
         if self._stack is None:
-            self._stack = MatrixGF._wrap(self.field, self.c.reshape(-1, self.cols))
+            self._stack = MatrixGF._wrap(
+                self.field, self.c.reshape(len(self.c) * self.rows, self.cols))
         return self._stack
 
     def coefficient(self, i: int) -> MatrixGF:
@@ -348,10 +350,9 @@ def _leading_echelon(m: PolyMatrix) -> np.ndarray | bool:
     as its columns there; otherwise L's right_inverse eliminates [L | I].
     Either is confirmed by the one product L @ R_L == I."""
     f, k = m.field, m.rows
-    degs = np.maximum(_row_degrees(m.c), 0)
-    lead = MatrixGF._wrap(f, m.c[degs, np.arange(k)])
+    lead = m.leading_row_matrix()
     if m._right is not None:
-        r = m._right[:, degs * k + np.arange(k)]
+        r = m._right[:, np.maximum(_row_degrees(m.c), 0) * k + np.arange(k)]
     elif (inv := lead.right_inverse()) is not None:
         r = inv.a
     else:
@@ -502,33 +503,10 @@ def rank_poly(m: PolyMatrix) -> int:
     return smith_form(m).rank
 
 
-def constant_right_inverse(m: PolyMatrix) -> PolyMatrix | None:
-    """Constant R with m @ R == I, or None when no constant one exists.
-
-    m @ R == I asks m_0 @ R == I and m_i @ R == 0 for i >= 1, one scalar
-    system on the stacked coefficient matrices.  A generator that keeps a
-    right inverse of its stack reads R as its first k columns, since m_0
-    is the top of the stack; any other solves the system.  Coefficient i
-    of m @ R is m_i @ R, so one scalar product of the stack with R confirms
-    the solution before it is returned.
-    """
-    f = m.field
-    k = m.rows
-    stacked = m.stack
-    if m._right is not None:
-        r = m._right[:, :k]
-    else:
-        x = solve_left(stacked.T, MatrixGF._wrap(f, np.eye(k, stacked.rows, dtype=np.int32)))
-        if x is None:
-            return None
-        r = x.a.T
-    if not np.array_equal(f._vmatmul(stacked.a, r), np.eye(stacked.rows, k, dtype=np.int32)):
-        raise AssertionError("right inverse witness failed to reproduce the identity")
-    return PolyMatrix._wrap(f, r[None])
-
-
 def is_basic(m: PolyMatrix) -> bool:
-    """Full row rank with all invariant factors equal to 1: a zero degree gap."""
+    """Full row rank with all invariant factors equal to 1: a zero degree
+    gap, read from a split generator's stack right inverse or else from
+    the minimal dual."""
     try:
         return degree_gap(m) == 0
     except RankDeficient:
@@ -538,20 +516,26 @@ def is_basic(m: PolyMatrix) -> bool:
 def degree_gap(m: PolyMatrix) -> int:
     """Degree of the gcd of the k x k minors of m; 0 exactly when m is basic.
 
-    A constant right inverse proves the gap 0; a generator split from a
-    seed's rows reads one from its stack right inverse.  Without one,
-    reduce(m) has the largest degree of the minors as its external
-    degree, and its minimal dual has the degree of a basic generator of
-    the same code (Forney 1975), so their difference is the degree of the
-    gcd; building the dual records it.  Raises RankDeficient when the rows
-    of m are dependent.  The gap is kept on m, so a matrix whose dual was
-    built already, and every minimal basis dual_generator returns, reads it.
+    A split generator proves the gap 0 from its stack right inverse R_S:
+    its first k columns are a constant R with m @ R == I, since m_0 is the
+    top of the stack and coefficient i of m @ R is m_i @ R, and the one
+    product stack @ R == [I; 0] confirms it.  Any other m builds its
+    minimal dual, which records the gap: reduce(m) has the largest degree
+    of the minors as its external degree, and the dual has the degree of a
+    basic generator of the same code (Forney 1975), so their difference is
+    the degree of the gcd.  Raises RankDeficient when the rows of m are
+    dependent.  The gap is kept on m, so a matrix whose dual was built
+    already, and every minimal basis dual_generator returns, reads it.
     """
     if m._gap is None:
-        if constant_right_inverse(m) is not None:
-            m._gap = 0
-        else:
+        if m._right is None:
             dual_generator(m)  # records the gap on m
+        else:
+            stack, k = m.stack, m.rows
+            if not np.array_equal(m.field._vmatmul(stack.a, m._right[:, :k]),
+                                  np.eye(stack.rows, k, dtype=np.int32)):
+                raise AssertionError("right inverse witness failed to reproduce the identity")
+            m._gap = 0
     return m._gap
 
 
@@ -738,56 +722,53 @@ def split_to_generator(blocks, placements=None) -> PolyMatrix:
 
 
 def _split(blocks, placements, seed: MatrixGF | None) -> PolyMatrix:
-    """split_to_generator, reading what it can from a seed matrix: its one
-    right_inverse R, found with its echelon by eliminating [S | I].
+    """split_to_generator, reading its witnesses from a seed matrix S: its
+    one right_inverse R, found with its echelon by eliminating [S | I].
 
     When the nonzero rows of G's stack are distinct rows of a seed that
-    has R, they are independent, so no rank test runs, and G keeps the
-    stack right inverse R_S: column j is R's column for the seed row that
-    stack row j is, zero for a zero row.  constant_right_inverse and
-    leading_echelon read their witnesses from R_S and confirm each by one
-    product.  When the stack holds every seed row, in any order, it also
-    borrows the seed's echelon with the zero rows at the bottom: the
-    reduced echelon depends only on the row space, so every later reader
-    of either matrix shares the seed's one elimination.
+    has R, they are independent, and G keeps the stack right inverse R_S:
+    column j is R's column for the seed row that stack row j is, zero for
+    a zero row.  degree_gap and leading_echelon read their witnesses from
+    R_S and confirm each by one product.  When no seed is given or it does
+    not cover the stack, the blocks' own rows, concatenated, are the seed,
+    and their one elimination is the independence test.  When the stack
+    holds every seed row, in any order, it also borrows the seed's echelon
+    with the zero rows at the bottom: the reduced echelon depends only on
+    the row space, so every later reader of either matrix shares the
+    seed's one elimination.
     """
     blocks = list(blocks)
     field = blocks[0].field
     n = blocks[0].cols
     if any(b.cols != n for b in blocks):
         raise PartitionInvalid("blocks must share the code length")
-    total = sum(b.rows for b in blocks)
-
-    def require_independent(stack: MatrixGF):
-        if stack.rank() != total:
-            raise RankDeficient("stacked split blocks must be linearly independent")
-
+    own = MatrixGF._wrap(field, np.concatenate([b.a for b in blocks]))
+    dependent = RankDeficient("stacked split blocks must be linearly independent")
     try:
         g = PolyMatrix._wrap(field, _placed_blocks(blocks, placements))
     except (PartitionInvalid, RankConditionViolated):
         # dependent blocks are reported before any layout error
-        require_independent(MatrixGF._wrap(field, np.concatenate([b.a for b in blocks])))
+        if own.right_inverse() is None:
+            raise dependent
         raise
     stack = g.stack
-    right = seed.right_inverse() if seed is not None else None
-    if right is not None:
+    for s in (own,) if seed is None else (seed, own):
+        if (right := s.right_inverse()) is None:
+            continue
         # stack row i is seed row at[i]; a zero row is none, since R exists
-        index = {row: j for j, row in enumerate(map(tuple, seed.a.tolist()))}
+        index = {row: j for j, row in enumerate(map(tuple, s.a.tolist()))}
         at = {i: index[row] for i, row in enumerate(map(tuple, stack.a.tolist())) if row in index}
-        if len(set(at.values())) == total:
+        if len(set(at.values())) == own.rows:
             r = np.zeros((n, stack.rows), dtype=np.int32)
             r[:, list(at)] = right.a[:, list(at.values())]
             r.setflags(write=False)
             g._right = r
-            if total == seed.rows:
-                red, piv = seed._reduced()
-                pad = np.zeros((stack.rows - seed.rows, n), dtype=np.int32)
+            if own.rows == s.rows:
+                red, piv = s._reduced()
+                pad = np.zeros((stack.rows - s.rows, n), dtype=np.int32)
                 stack._echelon = MatrixGF._wrap(field, np.concatenate([red.a, pad])), piv
             return g
-    # G's stack holds the block rows and zero padding, so it has rank total
-    # exactly when the blocks are independent; its echelon stays on G
-    require_independent(stack)
-    return g
+    raise dependent
 
 
 def _placed_blocks(blocks, placements) -> np.ndarray:

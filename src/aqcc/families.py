@@ -104,13 +104,14 @@ class ExpectedTuple:
 class LayoutPlan:
     """Split plan for one family instance, ready to split into generators.
 
-    source_designed is the source's designed distance (None for seed
-    rows), v1_designed a certified lower bound for the code spanned by
-    every outer coefficient row, and chain_designed those for the three
-    slice codes of the inner generator (degree-0 slice, top-degree slice,
-    and the stack of all slices); the certifier meets each with its code's
-    search.  placements1 places the outer blocks' rows when the default
-    placement does not; the inner blocks always take the default.
+    source_designed is the source's designed distance, v1_designed a
+    certified lower bound for the code spanned by every outer coefficient
+    row, and chain_designed those for the three slice codes of the inner
+    generator (degree-0 slice, top-degree slice, and the stack of all
+    slices); each is None where the construction carries none, as for
+    seed rows.  The certifier meets each with its code's search.
+    placements1 places the outer blocks' rows when the default placement
+    does not; the inner blocks always take the default.
     """
 
     params: FamilyParams
@@ -120,8 +121,8 @@ class LayoutPlan:
     blocks1: tuple[MatrixGF, ...]
     blocks2: tuple[MatrixGF, ...]
     source_designed: int | None
-    v1_designed: int
-    chain_designed: tuple[int, int, int]
+    v1_designed: int | None
+    chain_designed: tuple[int | None, int | None, int | None]
     placements1: tuple[tuple[int, ...], ...] | None = None
     notes: tuple[str, ...] = ()
 
@@ -134,7 +135,8 @@ class LayoutPlan:
         independent without a rank test and read their basic and reduced
         witnesses from R; G1's stack also shares the parity's echelon,
         which gives the source its kernel.  Blocks with other rows, as in a
-        corrupted plan, eliminate their own stack."""
+        corrupted plan, eliminate their own rows as [S | I] and read their
+        witnesses from that instead."""
         g1 = _split(self.blocks1, self.placements1, self.source.parity)
         g2 = _split(self.blocks2, None, self.source.parity)
         return g1, g2
@@ -541,8 +543,8 @@ def construction_i_plan(field: FiniteField, vectors, partition) -> LayoutPlan:
         blocks1=blocks1,
         blocks2=blocks2,
         source_designed=None,
-        v1_designed=1,
-        chain_designed=(1, 1, 1),
+        v1_designed=None,
+        chain_designed=(None, None, None),
         placements1=placements1,
     )
 

@@ -20,8 +20,8 @@ from aqcc.block import DESK_ENUM_BUDGET, BlockCode, DistanceBound
 from aqcc.certify import EFFORTS, certify_plan
 from aqcc.convo import PolyMatrix, dual_generator, parse_poly_matrix
 from aqcc.errors import AqccError
-from aqcc.families import layout
-from aqcc.matrix import MatrixGF
+from aqcc.families import construction_i_plan, demo_vectors, layout
+from aqcc.matrix import MatrixGF, field_from_order
 from aqcc.selftest import REFERENCE_ROWS
 from aqcc.trellis import free_distance
 
@@ -160,12 +160,24 @@ def test_raised_carried_bound_is_refused_on_exact_routes(field):
         certify_plan(replace(plan, **{field: raised}), effort="desk")
 
 
-def test_raised_chain_bound_is_accepted_at_structure():
-    """structure effort searches none of the chain's pieces, so nothing it
-    computes can contradict a raised chain_designed: the bound is carried
-    into d2f_dual as it stands."""
+def test_raised_chain_bound_is_refused_at_structure():
+    """structure effort searches none of the chain's pieces, but the source
+    distance's witness lies in every slice code of G2, whose rows are
+    source parity rows: a raised chain_designed above its weight is
+    refused, as desk refuses it against the slice's own search."""
     plan = layout(WRONG_BOUND_ROW)
     c0, cm, cs = plan.chain_designed
     raised = replace(plan, chain_designed=(c0 + 5, cm + 5, cs + 5))
-    d2f = certify_plan(raised, effort="structure").data["distances"]["convo"]["d2f_dual"]
-    assert d2f["lower"] == min(c0 + cm + 10, cs + 5) > min(c0 + cm, cs)
+    with pytest.raises(AqccError, match="lower bound 8 exceeds 6, the weight of a codeword"):
+        certify_plan(raised, effort="structure")
+
+
+def test_construction_i_carries_no_designed_bound():
+    """Seed rows carry no designed distance, so a construction-I bracket
+    whose lower bound is 1 names floor none, not designed."""
+    f5 = field_from_order(5)
+    plan = construction_i_plan(f5, demo_vectors(f5, 8, [2, 1, 2, 1], seed=0), [2, 1, 2, 1])
+    assert plan.v1_designed is None and plan.chain_designed == (None, None, None)
+    block = certify_plan(plan, effort="structure").data["distances"]["block"]
+    assert block["d_dual"]["lower"] == 1
+    assert block["provenance"]["d_dual"] == {"route": "bounded", "floor": "none"}

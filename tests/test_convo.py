@@ -16,9 +16,9 @@ from aqcc.convo import (
     DegreeInfo,
     PolyMatrix,
     block_toeplitz,
-    constant_right_inverse,
     contains,
     degree_accounting,
+    degree_gap,
     dual_generator,
     format_poly_matrix,
     is_basic,
@@ -212,19 +212,36 @@ class TestBasic:
         assert not is_basic(PolyMatrix(f2, [[(0, 1), (0, 0, 1)]]))
 
     def test_right_inverse(self, gf3):
-        g = PolyMatrix(gf3, [[(1,), (0, 1)]])
-        r = constant_right_inverse(g)
+        # [1, D] split from the rows e_0 and e_1 keeps its stack's right
+        # inverse R_S, whose first column is a constant right inverse
+        g = split_to_generator([MatrixGF(gf3, [[1, 0]]), MatrixGF(gf3, [[0, 1]])])
+        assert g == PolyMatrix(gf3, [[(1,), (0, 1)]])
+        r = PolyMatrix.from_coefficients(gf3, [g._right[:, :1]])
         assert g @ r == PolyMatrix.identity(gf3, 1)
         assert r.shape == (2, 1)
+        assert degree_gap(g) == 0
 
     def test_right_inverse_rejects_catastrophic(self):
+        # no split witness: the minimal dual records the gap, deg gcd(D, D^2)
         f2 = FiniteField.get(2, 1)
-        assert constant_right_inverse(PolyMatrix(f2, [[(0, 1), (0, 0, 1)]])) is None
+        g = PolyMatrix(f2, [[(0, 1), (0, 0, 1)]])
+        assert g._right is None
+        assert degree_gap(g) == 1 and not is_basic(g)
 
     def test_right_inverse_rejects_rank_deficient(self, gf3):
         g = PolyMatrix(gf3, [[(1,), (0, 1)], [(2,), (0, 2)]])
         assert not is_basic(g)
-        assert constant_right_inverse(g) is None
+        with pytest.raises(RankDeficient):
+            degree_gap(g)
+        with pytest.raises(RankDeficient):
+            split_to_generator([MatrixGF(gf3, [[1, 0], [2, 0]])])
+
+    def test_zero_columns_are_rank_deficient(self, gf3):
+        m = PolyMatrix.zeros(gf3, 2, 0)
+        assert m.stack.shape == (2, 0)
+        assert not is_basic(m)
+        with pytest.raises(RankDeficient):
+            reduce(m)
 
 
 class TestReduced:

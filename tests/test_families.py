@@ -552,7 +552,7 @@ def test_outer_stack_takes_no_echelon_of_other_rows(monkeypatch):
     # G1's stack borrows the seed's echelon and right inverse only when it
     # holds the seed's rows, in any order: a plan whose outer blocks repeat
     # a row still fails the split, and one with a changed row eliminates
-    # its own stack and keeps no stack right inverse
+    # its own 7 rows once, as [S | I], and reads R_S from that instead
     f5 = field_from_order(5)
     vec = demo_vectors(f5, 9, [2, 2, 2, 1], seed=3)
     plan = construction_i_plan(f5, vec, [2, 2, 2, 1])
@@ -576,12 +576,12 @@ def test_outer_stack_takes_no_echelon_of_other_rows(monkeypatch):
     for blocks1, own in (((MatrixGF(f5, b0.a[::-1]), b1), False),
                          ((b0, MatrixGF(f5, changed)), True)):
         eliminated.clear()
-        g1, _ = replace(plan, blocks1=blocks1).generators()
+        g1, g2 = replace(plan, blocks1=blocks1).generators()
         live = g1.stack.a[g1.stack.a.any(axis=1)]
         assert live.tolist() != vec.a.tolist()
         assert (sorted(live.tolist()) == sorted(vec.a.tolist())) is not own
-        assert [len(a) for a in eliminated] == ([8] if own else [])
-        assert (g1._right is None) is own
+        assert [a.shape for a in eliminated] == ([(7, 9 + 7)] if own else [])
+        assert g1._right is not None and g2._right is not None
         red, piv = g1.stack.rref()
         want_red, want_piv = rref(f5, g1.stack.a)
         assert np.array_equal(red.a, want_red) and piv == want_piv

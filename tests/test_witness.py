@@ -19,13 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aqcc import FamilyParams, certify_params, convo, free_distance, selftest
+from aqcc import FamilyParams, certify_params, convo, free_distance, matrix, selftest
 from aqcc.cli import main
 from aqcc.convo import (
     PolyMatrix,
     _reduce,
     block_toeplitz,
-    constant_right_inverse,
     contains,
     dual_generator,
     format_poly_matrix,
@@ -36,6 +35,7 @@ from aqcc.convo import (
     pmul,
     reduce,
     smith_form,
+    split_to_generator,
 )
 from aqcc.errors import AqccError, ContainmentFailed, NotBasic
 from aqcc.families import LayoutPlan, layout
@@ -101,6 +101,14 @@ def duplicate_row(m: PolyMatrix) -> PolyMatrix:
     return PolyMatrix.from_coefficients(m.field, np.concatenate([m.c, m.c[:, :1]], axis=1))
 
 
+def split_right_inverse(m: PolyMatrix) -> PolyMatrix | None:
+    """The constant right inverse a split generator carries: the first k
+    columns of its stack right inverse R_S, or None without one."""
+    if m._right is None:
+        return None
+    return PolyMatrix.from_coefficients(m.field, [m._right[:, : m.rows]])
+
+
 def membership_smith(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
     """The membership oracle: X with X @ outer == inner from the Smith
     form of outer, dividing inner @ v through the invariant factors."""
@@ -161,13 +169,13 @@ def test_is_basic_agrees_with_smith(plans):
                       duplicate_row(g), duplicate_row(image)):
                 want = smith_is_basic(m)
                 assert is_basic(m) == want
-                r = constant_right_inverse(m)
+                r = split_right_inverse(m)
                 if r is not None:
                     assert want
                     assert m @ r == PolyMatrix.identity(m.field, m.rows)
                     witnessed += 1
-    # every split generator has a constant right inverse
-    assert witnessed >= 2 * PLAN_COUNT
+    # every split generator carries R_S, and no other matrix does
+    assert witnessed == 2 * PLAN_COUNT
 
 
 def column_zeroed(r: np.ndarray, j: int) -> np.ndarray:
@@ -176,28 +184,17 @@ def column_zeroed(r: np.ndarray, j: int) -> np.ndarray:
     return bad
 
 
-def test_mutated_right_inverse_is_rejected(plans, monkeypatch):
-    # a split generator reads R from the stack right inverse it carries, a
-    # seedless copy solves for it: with column 0 zeroed, either fails the
-    # one product that confirms it
-    solve = convo.solve_left
-
-    def first_column_zeroed(a, b):
-        x = solve(a, b)
-        if x is None:
-            return None
-        bad = x.a.copy()
-        bad[0] = 0  # row 0 of the solution is column 0 of R
-        return MatrixGF(x.field, bad)
-
-    monkeypatch.setattr(convo, "solve_left", first_column_zeroed)
+def test_mutated_right_inverse_is_rejected(plans):
+    # a split generator reads R from the stack right inverse it carries:
+    # with column 0 zeroed it fails the one product that confirms it, while
+    # a seedless copy, which carries none, reads its gap from its dual
     for plan in plans[:10]:
         for g in plan.generators():
             copy = PolyMatrix.from_coefficients(g.field, g.c)
             g._right = column_zeroed(g._right, 0)
-            for m in (g, copy):
-                with pytest.raises(AssertionError, match="right inverse witness failed"):
-                    constant_right_inverse(m)
+            with pytest.raises(AssertionError, match="right inverse witness failed"):
+                convo.degree_gap(g)
+            assert convo.degree_gap(copy) == 0
 
 
 def test_mutated_leading_inverse_is_rejected(plans, monkeypatch):
@@ -236,12 +233,12 @@ def test_seed_route_agrees_with_seedless_copies(plans):
             assert g._right is not None and copy._right is None and mutated._right is None
             for m in (g, copy, mutated):
                 f, k = m.field, m.rows
-                r = constant_right_inverse(m)
+                r = split_right_inverse(m)
                 assert r is None or m @ r == PolyMatrix.identity(f, k)
                 lead = m.leading_echelon
                 assert lead is None or (m.leading_row_matrix() @ MatrixGF(f, lead)
                                         == MatrixGF.identity(f, k))
-            assert constant_right_inverse(g) is not None and is_reduced(g)
+            assert is_basic(g) and is_reduced(g)
             assert is_basic(g) == is_basic(copy) and is_reduced(g) == is_reduced(copy)
             assert convo.degree_gap(g) == convo.degree_gap(copy) == 0
             assert dual_generator(g).c.tobytes() == dual_generator(copy).c.tobytes()
@@ -357,7 +354,7 @@ def test_certifier_runs_without_the_smith_form(monkeypatch, tmp_path):
         assert text == golden.read_text()
 
     g = parse_poly_matrix((REPO / "perfbench" / "encoders" / "r2m2.txt").read_text())
-    assert constant_right_inverse(g) is None
+    assert g._right is None  # basic by its dual, not by a split witness
     assert free_distance(g).lower == 5
 
     f = g.field
@@ -374,10 +371,11 @@ def test_certifier_runs_without_the_smith_form(monkeypatch, tmp_path):
 
 
 def count_calls(monkeypatch, names) -> dict:
-    """Count calls to the named convo functions under every aqcc binding."""
+    """Count calls to the named convo or matrix functions under every aqcc
+    binding."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        fn = getattr(convo, name)
+        fn = getattr(convo, name, None) or getattr(matrix, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             calls[_name] += 1
@@ -390,13 +388,15 @@ def count_calls(monkeypatch, names) -> dict:
 
 @pytest.mark.parametrize("effort", ["structure", "desk"])
 def test_structure_certificate_builds_two_duals_and_no_right_inverse(monkeypatch, effort):
-    calls = count_calls(monkeypatch, ("dual_generator", "constant_right_inverse", "solve_left"))
+    calls = count_calls(monkeypatch, ("dual_generator", "solve_left"))
     family, q, kw = SMALL_ROW
-    certify_params(FamilyParams(family, q, **kw), effort=effort)
+    cert = certify_params(FamilyParams(family, q, **kw), effort=effort)
     # the minimal duals of G1 and G2 are built once and record the degree
     # gaps that basicness reads, at desk also the free distance of G1, and
-    # containment divides by G1's leading echelon with no scalar solve
-    assert calls == {"dual_generator": 2, "constant_right_inverse": 0, "solve_left": 0}
+    # containment divides by G1's leading echelon with no scalar solve;
+    # both generators carry the stack right inverse R_S of their split
+    assert calls == {"dual_generator": 2, "solve_left": 0}
+    assert cert.g1._right is not None and cert.g2._right is not None
 
 
 @pytest.mark.parametrize("effort", ["structure", "desk"])
@@ -421,13 +421,73 @@ def test_free_distance_of_a_dual_reads_its_basicness(monkeypatch):
     family, q, kw = SMALL_ROW
     g1, g2 = layout(FamilyParams(family, q, **kw)).generators()
     duals = [dual_generator(g1), dual_generator(g2)]
-    calls = count_calls(monkeypatch, ("dual_generator", "constant_right_inverse"))
+    calls = count_calls(monkeypatch, ("dual_generator", "solve_left"))
     results = [free_distance(h) for h in duals]
-    assert calls == {"dual_generator": 0, "constant_right_inverse": 0}
-    # an equal matrix built from the coefficients carries no recorded fact
+    assert calls == {"dual_generator": 0, "solve_left": 0}
+    # an equal matrix built from the coefficients carries no recorded fact,
+    # so each builds its own dual once, with no scalar solve
     copies = [PolyMatrix.from_coefficients(h.field, h.c) for h in duals]
     assert [free_distance(h) for h in copies] == results
-    assert calls["constant_right_inverse"] == 2
+    assert calls == {"dual_generator": 2, "solve_left": 0}
+
+
+def test_free_distance_of_seedless_encoders_builds_one_dual_each(monkeypatch):
+    # an encoder read from text carries no split witness: its basicness is
+    # the gap its one minimal dual records, with no scalar solve
+    paths = sorted((REPO / "perfbench" / "encoders").glob("*.txt"))
+    assert len(paths) == 14
+    gens = [parse_poly_matrix(path.read_text()) for path in paths]
+    copies = [PolyMatrix.from_coefficients(g.field, g.c) for g in gens]
+    calls = count_calls(monkeypatch, ("dual_generator", "solve_left"))
+    for copy in copies:
+        assert copy._right is None
+        free_distance(copy)
+    assert calls == {"dual_generator": 14, "solve_left": 0}
+
+
+def count_eliminations(monkeypatch) -> list:
+    """The shape of every matrix matrix._rref eliminates from now on."""
+    shapes = []
+    rref = matrix._rref
+
+    def counted(field, a):
+        shapes.append(np.shape(a))
+        return rref(field, a)
+
+    monkeypatch.setattr(matrix, "_rref", counted)
+    return shapes
+
+
+def test_split_to_generator_carries_its_stack_right_inverse(monkeypatch):
+    # with no seed, the blocks' own rows S are the seed: one elimination of
+    # [S | I] proves them independent and gives R_S, from which G reads
+    # basic and reduced with no elimination of its own
+    family, q, kw = SMALL_ROW
+    plans = (layout(FamilyParams(family, q, **kw)), selftest._random_plan(random.Random(5)))
+    shapes = count_eliminations(monkeypatch)
+    for plan in plans:
+        for blocks, placements in ((plan.blocks1, plan.placements1), (plan.blocks2, None)):
+            shapes.clear()
+            g = split_to_generator(blocks, placements)
+            rows = sum(b.rows for b in blocks)
+            assert shapes == [(rows, g.cols + rows)]
+            stack = g.stack.a
+            live = stack.any(axis=1)
+            assert live.sum() == rows
+            product = g.field._vmatmul(stack, g._right)
+            assert np.array_equal(product, np.diag(live).astype(np.int32))
+            assert is_basic(g) and is_reduced(g)
+            assert len(shapes) == 1
+
+
+def test_zeroed_split_witness_fails_degree_gap():
+    family, q, kw = SMALL_ROW
+    plan = layout(FamilyParams(family, q, **kw))
+    for blocks, placements in ((plan.blocks1, plan.placements1), (plan.blocks2, None)):
+        g = split_to_generator(blocks, placements)
+        g._right = column_zeroed(g._right, 0)
+        with pytest.raises(AssertionError, match="right inverse witness failed"):
+            convo.degree_gap(g)
 
 
 def times_one_plus_d_all(m: PolyMatrix) -> PolyMatrix:
