@@ -14,14 +14,16 @@ right inverses of the leading-row matrices read from R and each
 confirmed by one product, prove G1 and G2 reduced and hence of full
 rank; the containment witness proves V2 <= V1.  G1's coefficient stack
 holds all of H's rows and shares H's echelon, which the source's kernel
-and the span code's kernel and witness row read.  derive_aqcc builds the minimal duals once, each recording its
-generator's degree gap, which is 0 exactly when the generator is basic
-(Forney 1975); the dual of G1 is the parity check of the stabilizer.
-Basicness also settles the rank of the stabilizer's truncations, so none
-is expanded here: a basic G has a polynomial right inverse, so G(0) has
-full row rank (Forney 1970), and the window of css.semi_infinite_expand is
-block upper triangular with diagonal blocks [H1(0) 0; 0 G2(0)], H1 being
-a minimal basis.
+and the span code's kernel and witness row read.  A zero degree gap
+proves a generator basic (Forney 1975): building H1 = dual(G1), the
+parity check of the stabilizer, records G1's, and G2 reads its own from
+its stack right inverse R_S with one product.  G2's minimal dual is
+built only at desk effort, for the free distance of V2-perp.  Basicness
+also settles the rank of the stabilizer's truncations, so none is
+expanded here: a basic G has a polynomial right inverse, so G(0) has
+full row rank (Forney 1970), and the window of css.semi_infinite_expand
+is block upper triangular with diagonal blocks [H1(0) 0; 0 G2(0)], H1
+being a minimal basis.
 
 Effort levels:
   structure  no distance enumeration; designed bounds and witness rows only
@@ -31,10 +33,12 @@ Every distance is a block.DistanceBound, and the certificate's provenance
 copies its route and floor.  Each search returns only what it proved and
 is met (DistanceBound.meet) with its floor: a bound the construction
 carries, d_dual for the free distance of G1, or chain, min(d0 + dm, ds)
-over the slices of G2, for that of the inner dual.  At structure no
-slice is searched, and each chain piece meets the weight of the source
-distance's witness, a codeword of every slice code.  A carried or stated
-bound above an upper bound, a codeword's weight, is refused.
+over the slices of G2, for that of the inner dual.  The stated bounds on
+V1 and V2-perp, the designed distances of those codes, floor d_dual and
+ds.  At structure no slice is searched, and each chain piece meets the
+weight of the source distance's witness, a codeword of every slice code.
+A carried or stated bound above an upper bound, a codeword's weight, is
+refused.
 
 Fault injection (for negative testing) corrupts the pipeline at three
 distinct stages and must surface as three distinct exceptions:
@@ -53,7 +57,8 @@ from typing import NoReturn
 
 from . import families
 from .block import DESK_ENUM_BUDGET, BlockCode, DistanceBound
-from .convo import PolyMatrix, contains, degree_accounting, degree_gap, format_poly_matrix, is_reduced
+from .convo import (PolyMatrix, contains, degree_accounting, degree_gap, dual_generator,
+                    format_poly_matrix, is_reduced)
 from .css import AqccParameters, assemble_stabilizer, build_nested_pair, derive_aqcc
 from .errors import AqccError, ContainmentFailed, NotBasic
 from .matrix import MatrixGF, vstack
@@ -223,8 +228,10 @@ def certify_plan(
     kappa1, kappa2 = g1.rows, g2.rows
     deg1 = degree_accounting(g1)
     deg2 = degree_accounting(g2)
+    # G1's gap was recorded when derive_aqcc built H1; G2 reads its own from
+    # R_S with one product
     for name, g in (("outer", g1), ("inner", g2)):
-        gap = degree_gap(g)  # recorded when derive_aqcc built its dual
+        gap = degree_gap(g)
         if gap:
             raise NotBasic(f"{name} generator is not basic: degree gap {gap}")
     mu = max(g1.max_degree, g2.max_degree, 0)
@@ -236,10 +243,10 @@ def certify_plan(
     # g1.stack and the source parity carry the echelon of the parity's one
     # elimination, which both kernels and any witness row read
     s1 = BlockCode.from_generator(field, g1.stack)
-    d_dual = s1.min_distance(budget=enum_budget).meet(_designed(plan.v1_designed))
+    d_dual = s1.min_distance(budget=enum_budget).meet(_designed(expected.v1_stated))
 
     # chain pieces for the inner dual: first slice, top slice, full stack
-    pieces = [_designed(c) for c in plan.chain_designed]
+    pieces = [_designed(c) for c in (*plan.chain_designed, expected.v2perp_stated)]
     if effort != "structure":
         slices = (g2.coefficient(0), g2.coefficient(g2.max_degree), g2.stack)
         pieces = [BlockCode(field, m).min_distance(budget=budgets.enum).meet(p)
@@ -258,7 +265,7 @@ def certify_plan(
     if effort != "structure":
         kw = {"state_budget": budgets.state, "work_budget": budgets.work}
         d1f = free_distance(g1, **kw).meet(d1f)
-        d2f = free_distance(par.v2_dual, **kw).meet(d2f)
+        d2f = free_distance(dual_generator(g2), **kw).meet(d2f)
 
     # closed-form cross checks; any miss means the layout or the formula
     # table is wrong, and certifying anyway would hide the defect
@@ -270,12 +277,13 @@ def certify_plan(
         raise AqccError(
             f"total degree {par.gamma} differs from the closed form {expected.gamma_formula}"
         )
-    for name, b, stated in (("outer", d1f, expected.v1_stated),
-                            ("inner-dual", d2f, expected.v2perp_stated)):
-        if b.upper is not None and stated is not None and b.upper < stated:
-            raise AqccError(
-                f"{name} free distance is at most {b.upper}, below the stated bound {stated}"
-            )
+    # d1f is at least d_dual, which the stated v1 floors; the chain floors
+    # d2f by less than the stated v2perp when d0 + dm is smaller
+    stated = expected.v2perp_stated
+    if d2f.upper is not None and stated is not None and d2f.upper < stated:
+        raise AqccError(
+            f"inner-dual free distance is at most {d2f.upper}, below the stated bound {stated}"
+        )
 
     # dz, the larger side distance, lies between the larger lower and upper
     # bound, dx between the smaller ones; no upper bound counts as infinite

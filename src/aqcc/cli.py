@@ -161,7 +161,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    return selftest.run_tier(args.tier)
+    return selftest.run_battery()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("selftest", help="run the acceptance battery")
-    p.add_argument("--tier", choices=sorted(selftest.TIERS), default="desk")
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -547,17 +547,14 @@ def is_reduced(m: PolyMatrix) -> bool:
 def reduce(m: PolyMatrix) -> PolyMatrix:
     """Row-equivalent reduced matrix (greedy leading-row cancellation); the
     rank test, raising RankDeficient on a zero row.  A reduced m, which its
-    leading echelon shows, is returned as it is, with no transform built."""
+    leading echelon shows, is returned as it is."""
     return m if m.leading_echelon is not None else _reduce(m)[0]
 
 
 def _reduce(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
     """reduce(m) and the unimodular U with U @ m == reduce(m), built by the
-    same row steps on an identity array that grows with the shifts.  A
-    reduced m, which its leading echelon shows, is its own reduction."""
+    same row steps on an identity array that grows with the shifts."""
     f = m.field
-    if m.leading_echelon is not None:
-        return m, PolyMatrix.identity(f, m.rows)
     c = np.array(m.c)
     u = np.eye(m.rows, dtype=np.int32)[None]
     rows = np.arange(m.rows)
@@ -648,19 +645,21 @@ def contains(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
 
     Raises ContainmentFailed when some inner row is not a polynomial
     combination of outer rows, and RankDeficient when the outer rows are
-    dependent.  With U @ outer == reduce(outer), the predictable-degree
-    division finds X_r @ reduce(outer) == inner and X = X_r @ U (a reduced
-    outer is its own reduction, so no product).  ContainmentUnverified
+    dependent.  The predictable-degree division divides by a reduced
+    outer, which its leading echelon shows, directly; any other outer is
+    reduced first, with U @ outer == reduce(outer), and the division's
+    X_r @ reduce(outer) == inner gives X = X_r @ U.  ContainmentUnverified
     reports a witness that does not reproduce the inner rows in the one
     check.
     """
     outer._check(inner)
     if outer.cols != inner.cols:
         raise ValueError("column counts differ")
-    g, u = _reduce(outer)
-    x = _membership_reduced(g, inner)
-    if g is not outer:
-        x = x @ u
+    if outer.leading_echelon is not None:
+        x = _membership_reduced(outer, inner)
+    else:
+        g, u = _reduce(outer)
+        x = _membership_reduced(g, inner) @ u
     if x @ outer != inner:
         raise ContainmentUnverified("witness does not reproduce the inner generator")
     return x

@@ -9,10 +9,10 @@ explicitly instead of assuming it.  For X = [H1; 0] and Z = [0; G2] the
 residual X rev(Z)^T - Z rev(X)^T is zero but for the blocks A = H1 rev(G2)^T
 and -D^(2 mu) A(1/D)^T, so it vanishes exactly when the one product A does.
 
-derive_aqcc builds the minimal duals of both generators once per pair:
-the dual of V1 is the parity check on the X side, and the dual of V2 is
-the code whose free distance bounds the other side.  Callers read them
-from the result instead of building their own.
+derive_aqcc builds one minimal dual, H1 = dual(V1), the parity check on
+the X side; building it also records G1's degree gap.  V2-perp matters
+only through its free distance, so its dual is built where that distance
+is searched (certify.certify_plan at desk effort), not here.
 """
 
 from __future__ import annotations
@@ -171,18 +171,17 @@ class AqccParameters:
     mu_star: int
     stabilizer: StabilizerMatrix
     h1: PolyMatrix
-    v2_dual: PolyMatrix
 
 
 def derive_aqcc(pair: NestedPair) -> AqccParameters:
-    """Build both minimal duals and the stabilizer of a nested pair.
+    """Build the minimal dual of the outer generator and the stabilizer.
 
     h1, the dual of the outer generator, goes on the X side of the
-    stabilizer and the reduced inner generator on the Z side; v2_dual is
-    the dual of the inner generator.  gamma is the external degree of the
-    stabilizer.  The free distances of the outer generator and of v2_dual
-    bound the two sides; certify.certify_plan computes them and reads dz
-    and dx from the two brackets.
+    stabilizer and the reduced inner generator on the Z side.  gamma is
+    the external degree of the stabilizer.  The free distances of the
+    outer generator and of the inner generator's dual bound the two
+    sides; certify.certify_plan computes them and reads dz and dx from
+    the two brackets.
     """
     k1, k2 = pair.outer.rows, pair.inner.rows
     logical = k1 - k2
@@ -197,5 +196,4 @@ def derive_aqcc(pair: NestedPair) -> AqccParameters:
         mu_star=stab.mu_star,
         stabilizer=stab,
         h1=h1,
-        v2_dual=dual_generator(pair.inner),
     )

@@ -82,7 +82,9 @@ class ExpectedTuple:
     v1_stated and v2perp_stated are the paper's free-distance bounds for
     the outer code V1 and the inner dual V2-perp, by side; dz_bound and
     dx_bound apply the convention that the larger bound is reported as
-    the Z distance.  Construction I states neither; every family both.
+    the Z distance.  They are also the designed distances of the span of
+    every outer coefficient row and of the code whose parity is the inner
+    generator's stack.  Construction I states neither; every family both.
     """
 
     n: int
@@ -104,12 +106,10 @@ class ExpectedTuple:
 class LayoutPlan:
     """Split plan for one family instance, ready to split into generators.
 
-    source_designed is the source's designed distance, v1_designed a
-    certified lower bound for the code spanned by every outer coefficient
-    row, and chain_designed those for the three slice codes of the inner
-    generator (degree-0 slice, top-degree slice, and the stack of all
-    slices); each is None where the construction carries none, as for
-    seed rows.  The certifier meets each with its code's search.
+    source_designed is the source's designed distance, and chain_designed
+    those of two slice codes of the inner generator (degree-0 slice and
+    top-degree slice); each is None where the construction carries none,
+    as for seed rows.  The certifier meets each with its code's search.
     placements1 places the outer blocks' rows when the default placement
     does not; the inner blocks always take the default.
     """
@@ -121,8 +121,7 @@ class LayoutPlan:
     blocks1: tuple[MatrixGF, ...]
     blocks2: tuple[MatrixGF, ...]
     source_designed: int | None
-    v1_designed: int | None
-    chain_designed: tuple[int | None, int | None, int | None]
+    chain_designed: tuple[int | None, int | None]
     placements1: tuple[tuple[int, ...], ...] | None = None
     notes: tuple[str, ...] = ()
 
@@ -454,15 +453,15 @@ def layout(params: FamilyParams) -> LayoutPlan:
     # point zero kills it for t >= 1, which the chain bound absorbs
     top = 2 if _everywhere_nonzero(blocks2[-1].a) else 1
     if fam == "II-T2":
-        v1, chain = n - 2 * i - 1, (2, 2, 3)
+        chain = (2, 2)
     elif fam.startswith("II-T3"):
-        v1, chain = n - 2 * i - 1, (2 * t + 1, 2, 2 * t + 3)
+        chain = (2 * t + 1, 2)
     elif fam.startswith("II-T4"):
-        v1, chain = n - 2 * i, (2 * t, top, 2 * t + 2)
+        chain = (2 * t, top)
     elif fam.startswith("III-T5"):
-        v1, chain = n - i, (t + 1, 2, t + 2)
+        chain = (t + 1, 2)
     else:
-        v1, chain = params.k + 1, (t + 1, top, t + 2)
+        chain = (t + 1, top)
     return LayoutPlan(
         params=params,
         expected=expected,
@@ -471,7 +470,6 @@ def layout(params: FamilyParams) -> LayoutPlan:
         blocks1=blocks1,
         blocks2=blocks2,
         source_designed=struct.designed,
-        v1_designed=v1,
         chain_designed=chain,
         placements1=placements1,
         notes=notes,
@@ -523,10 +521,6 @@ def construction_i_plan(field: FiniteField, vectors, partition) -> LayoutPlan:
     blocks1 = _as_blocks(
         field, [[mains[j]] + ([auxes[j]] if auxes[j].shape[0] else []) for j in range(mu + 1)]
     )
-    placements1 = tuple(
-        tuple(range(kappa)) + tuple(range(kappa, kappa + primes[j]))
-        for j in range(mu + 1)
-    )
     blocks2 = _as_blocks(field, [[a] for a in auxes])
     aux_total = sum(primes[1:])
     expected = ExpectedTuple(
@@ -543,9 +537,7 @@ def construction_i_plan(field: FiniteField, vectors, partition) -> LayoutPlan:
         blocks1=blocks1,
         blocks2=blocks2,
         source_designed=None,
-        v1_designed=None,
-        chain_designed=(None, None, None),
-        placements1=placements1,
+        chain_designed=(None, None),
     )
 
 

@@ -2,10 +2,8 @@
 
 Each check is a plain function that returns a one-line summary and raises
 on the first violation, so they can run under pytest or from the CLI.
-Two tiers trade coverage for time:
-
-  desk   the full battery at documented scales
-  full   desk plus a structure-certified sweep of the q = 32 grids
+run_battery runs them all, at documented scales, ending with a
+structure-certified sweep of the q = 32 grids.
 """
 
 from __future__ import annotations
@@ -347,25 +345,23 @@ class CheckOutcome:
     detail: str
 
 
-TIERS = {
-    "desk": (
-        ("reference-tuples", check_reference_tuples),
-        ("split-plans", check_split_plans),
-        ("duality-chain", check_duality_chain),
-        ("mds-sources", check_mds_sources),
-        ("symplectic-extras", check_symplectic_extras),
-        ("degree-formulas", check_degree_formulas),
-        ("fault-injection", check_fault_injection),
-    ),
-}
-TIERS["full"] = TIERS["desk"] + (("q32-sweep", check_q32_sweep),)
+CHECKS = (
+    ("reference-tuples", check_reference_tuples),
+    ("split-plans", check_split_plans),
+    ("duality-chain", check_duality_chain),
+    ("mds-sources", check_mds_sources),
+    ("symplectic-extras", check_symplectic_extras),
+    ("degree-formulas", check_degree_formulas),
+    ("fault-injection", check_fault_injection),
+    ("q32-sweep", check_q32_sweep),
+)
 
 
-def run_tier(tier, stream=None):
-    """Run one tier, print a summary table, return a process exit code."""
+def run_battery(stream=None):
+    """Run every check, print a summary table, return a process exit code."""
     stream = stream if stream is not None else sys.stdout
     outcomes = []
-    for name, fn in TIERS[tier]:
+    for name, fn in CHECKS:
         t0 = time.perf_counter()
         try:
             detail = fn()
@@ -379,5 +375,5 @@ def run_tier(tier, stream=None):
         print(f"{o.name:<{width}}  {mark}  {o.seconds:7.2f}s  {o.detail}", file=stream)
     passed = sum(o.passed for o in outcomes)
     total_s = sum(o.seconds for o in outcomes)
-    print(f"tier {tier}: {passed}/{len(outcomes)} checks passed in {total_s:.1f}s", file=stream)
+    print(f"selftest: {passed}/{len(outcomes)} checks passed in {total_s:.1f}s", file=stream)
     return 0 if passed == len(outcomes) else 1

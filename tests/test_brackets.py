@@ -105,8 +105,9 @@ def designed(lower: int) -> DistanceBound:
 
 def chain_bound(plan, effort: str) -> int:
     """min(d0 + dm, ds) over the inner generator's first slice, top slice
-    and stack, recomputed as the certifier states it."""
-    pieces = [designed(c) for c in plan.chain_designed]
+    and stack, recomputed as the certifier states it: the stack's floor is
+    the stated bound on the inner dual."""
+    pieces = [designed(c) for c in (*plan.chain_designed, plan.expected.v2perp_stated)]
     if effort == "desk":
         g2 = plan.generators()[1]
         slices = (g2.coefficient(0), g2.coefficient(g2.max_degree), g2.stack)
@@ -122,7 +123,7 @@ def test_each_floor_holds_the_lower_bound(effort):
         dist = certify_plan(plan, effort=effort).data["distances"]
         bounds = {name: dist[side][name] for side in ("block", "convo")
                   for name in dist[side] if name != "provenance"}
-        carried = {"d": plan.source_designed, "d_dual": plan.v1_designed}
+        carried = {"d": plan.source_designed, "d_dual": plan.expected.v1_stated}
         for name, prov in {**dist["block"]["provenance"], **dist["convo"]["provenance"]}.items():
             route, floor, lower = prov["route"], prov["floor"], bounds[name]["lower"]
             assert floor == route or floor in FLOORS, (plan.params, name, prov)
@@ -146,18 +147,20 @@ def test_each_floor_holds_the_lower_bound(effort):
 WRONG_BOUND_ROW = FamilyParams("III-T6", 7, n=7, k=2, t=2)
 
 
-@pytest.mark.parametrize("field", ["v1_designed", "chain_designed"])
+@pytest.mark.parametrize("field", ["v1_stated", "chain_designed"])
 def test_raised_carried_bound_is_refused_on_exact_routes(field):
     """At desk effort d_dual and the chain's first slice are enumerated
-    exactly; a carried bound 5 above either is met with that search and
-    refused, where the search's own route used to ignore it."""
+    exactly; a stated or carried bound 5 above either is met with that
+    search and refused, where the search's own route used to ignore it."""
     plan = layout(WRONG_BOUND_ROW)
     dist = certify_plan(plan, effort="desk").data["distances"]
     assert dist["block"]["provenance"]["d_dual"]["route"] == "enumeration"
-    raised = {"v1_designed": plan.v1_designed + 5,
-              "chain_designed": (plan.chain_designed[0] + 5,) + plan.chain_designed[1:]}[field]
+    if field == "v1_stated":
+        raised = replace(plan, expected=replace(plan.expected, v1_stated=plan.expected.v1_stated + 5))
+    else:
+        raised = replace(plan, chain_designed=(plan.chain_designed[0] + 5, plan.chain_designed[1]))
     with pytest.raises(AqccError, match="the weight of a codeword"):
-        certify_plan(replace(plan, **{field: raised}), effort="desk")
+        certify_plan(raised, effort="desk")
 
 
 def test_raised_chain_bound_is_refused_at_structure():
@@ -166,8 +169,8 @@ def test_raised_chain_bound_is_refused_at_structure():
     source parity rows: a raised chain_designed above its weight is
     refused, as desk refuses it against the slice's own search."""
     plan = layout(WRONG_BOUND_ROW)
-    c0, cm, cs = plan.chain_designed
-    raised = replace(plan, chain_designed=(c0 + 5, cm + 5, cs + 5))
+    c0, cm = plan.chain_designed
+    raised = replace(plan, chain_designed=(c0 + 5, cm + 5))
     with pytest.raises(AqccError, match="lower bound 8 exceeds 6, the weight of a codeword"):
         certify_plan(raised, effort="structure")
 
@@ -177,7 +180,7 @@ def test_construction_i_carries_no_designed_bound():
     whose lower bound is 1 names floor none, not designed."""
     f5 = field_from_order(5)
     plan = construction_i_plan(f5, demo_vectors(f5, 8, [2, 1, 2, 1], seed=0), [2, 1, 2, 1])
-    assert plan.v1_designed is None and plan.chain_designed == (None, None, None)
+    assert plan.expected.v1_stated is None and plan.chain_designed == (None, None)
     block = certify_plan(plan, effort="structure").data["distances"]["block"]
     assert block["d_dual"]["lower"] == 1
     assert block["provenance"]["d_dual"] == {"route": "bounded", "floor": "none"}

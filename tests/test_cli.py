@@ -426,16 +426,17 @@ class TestTable:
 
 
 class TestSelftest:
-    def test_desk_tier_is_the_default_and_passes(self, capsys):
+    def test_one_battery_runs_every_check_and_passes(self, capsys):
         rc = main(["selftest"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "tier desk: 7/7 checks passed" in out
+        assert "selftest: 8/8 checks passed" in out
+        assert "q32-sweep" in out
 
     def test_quick_tier_is_gone(self):
         rc, out, err = run("selftest", "--tier", "quick")
         assert rc == 2 and out == ""
-        assert "invalid choice: 'quick'" in err
+        assert "unrecognized arguments: --tier quick" in err
 
 
 class TestParsing:

@@ -678,7 +678,8 @@ def test_reference_duals_eliminate_once_each(monkeypatch):
     # G1's stack borrowed the source parity's echelon, so degree 0 of its
     # dual reads it; G2's stack, proved independent by the parity's right
     # inverse, is eliminated once, at degree 0 of its own dual.  Both duals
-    # stop at degree 1, whose block-Toeplitz matrix has 2n columns
+    # stop at degree 1, whose block-Toeplitz matrix has 2n columns, and
+    # derive_aqcc builds H1 alone
     g1, g2 = layout(FamilyParams("II-T3a", 16, i=5, t=1)).generators()
     pair = build_nested_pair(g1, g2)
     eliminated = []
@@ -690,7 +691,8 @@ def test_reference_duals_eliminate_once_each(monkeypatch):
 
     monkeypatch.setattr(matrix, "_rref", counted)
     par = derive_aqcc(pair)
-    assert par.h1.max_degree == par.v2_dual.max_degree == 1
+    assert [cols for _, cols in eliminated] == [2 * pair.n]
+    assert par.h1.max_degree == dual_generator(g2).max_degree == 1
     assert [cols for _, cols in eliminated] == [2 * pair.n, pair.n, 2 * pair.n]
     assert eliminated[1] == g2.stack.shape
 

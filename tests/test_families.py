@@ -236,7 +236,7 @@ class TestLayouts:
         assert degree_accounting(g2).row_degrees[0] == 2
         # the top-degree slice row must have no zero coordinate, which is
         # what keeps the chain bound at 2t + 2
-        assert plan.chain_designed == (2, 2, 4)
+        assert plan.chain_designed == (2, 2) and plan.expected.v2perp_stated == 4
 
     def test_t6_lead_exponent_moves_when_it_would_collide(self):
         # t = n - k - 3 would make the lead pair reuse the t row
@@ -321,16 +321,18 @@ class TestCertificates:
         assert conv["provenance"]["d2f_dual"] == {"route": "designed", "floor": "chain"}
 
     def test_stated_bound_above_a_witness_is_refused(self):
-        # at desk d1f is the open bracket [4, 8]: a codeword of weight 8
-        # refutes any stated bound above 8, though nothing is exact
+        # the stated V1 bound floors d_dual, which d1f's lower bound reads:
+        # at desk d1f is the open bracket [4, 8], but d_dual is exactly 4,
+        # by a codeword of weight 4 at structure and by MacWilliams at desk,
+        # so either effort refutes any stated bound above 4
         plan = layout(FamilyParams("III-T6", 17, n=17, k=3, t=5))
         conv = certify_plan(plan).data["distances"]["convo"]
         assert (conv["d1f"]["lower"], conv["d1f"]["upper"]) == (4, 8)
         stated = lambda v1: replace(plan, expected=replace(plan.expected, v1_stated=v1))
-        certify_plan(stated(8))
-        with pytest.raises(AqccError, match="at most 8, below the stated bound 9"):
-            certify_plan(stated(9))
-        certify_plan(stated(9), effort="structure")  # no upper bound to refute it
+        for effort, proof in (("structure", "the weight of a codeword"), ("desk", "an upper bound")):
+            certify_plan(stated(4), effort=effort)
+            with pytest.raises(AqccError, match=f"lower bound 5 exceeds 4, {proof}"):
+                certify_plan(stated(5), effort=effort)
 
     def test_zero_logical_dimension_certify(self):
         with pytest.raises(ParamOutOfRange):

@@ -30,9 +30,20 @@ written here and never into perfbench/.
 tests/golden/enumerate.txt is the csv ``aqcc enumerate`` output of every
 family at its smallest admissible q and at q = 16, 17, 25, 27 and 32 where
 the field meets the family's assumption.
+
+tests/golden/grid_manifest.txt pins every grid row at q in {4, 5, 7, 8, 9,
+11, 13, 16, 17} at both efforts, one line each: the effort, the row's
+golden-style label and the first 16 hex digits of the SHA-256 of its
+certificate bytes.  The tests recompute the q <= 9 slice; the whole file,
+about 20 s, is recomputed by
+
+    PYTHONPATH=src python tests/test_golden.py --grid
+
+which prints each row whose certificate changed and exits 1 if any did.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -44,9 +55,10 @@ import pytest
 
 from aqcc import FamilyParams, certify_params
 from aqcc.block import bch_parity, rs_parity
+from aqcc.certify import EFFORTS
 from aqcc.cli import main
 from aqcc.convo import PolyMatrix, dual_generator, format_poly_matrix, parse_poly_matrix
-from aqcc.families import layout
+from aqcc.families import FAMILIES, enumerate_family, layout
 from aqcc.matrix import field_from_order
 from aqcc.selftest import EXTRA_STABILIZERS, REFERENCE_ROWS
 from aqcc.trellis import _probe_upper, free_distance
@@ -58,6 +70,8 @@ BLOCK_DISTANCE = GOLDEN_DIR / "block_distance.txt"
 ENCODER_DIR = GOLDEN_DIR.parent.parent / "perfbench" / "encoders"
 ENCODERS_DISTANCE = GOLDEN_DIR / "encoders_distance.txt"
 ENUMERATE = GOLDEN_DIR / "enumerate.txt"
+GRID_MANIFEST = GOLDEN_DIR / "grid_manifest.txt"
+GRID_QS = (4, 5, 7, 8, 9, 11, 13, 16, 17)
 ENUMERATE_CASES = [
     (family, q)
     for families, orders in (
@@ -208,9 +222,63 @@ def test_golden_set_is_complete():
     assert on_disk == {golden_path(e, *r).relative_to(GOLDEN_DIR) for e, r in CASES}
 
 
+def grid_rows(qs) -> list:
+    """(family, q, kw) of every grid row over the given orders, q-major."""
+    return [
+        (family, q, p.coordinates())
+        for q in qs
+        for family in FAMILIES[1:]
+        for p, _ in enumerate_family(family, q)
+    ]
+
+
+def manifest_key(effort: str, row) -> str:
+    return f"{effort} {golden_path(effort, *row).stem}"
+
+
+def manifest_lines(qs, efforts=EFFORTS) -> list[str]:
+    rows = grid_rows(qs)
+    return [
+        f"{manifest_key(effort, row)} "
+        + hashlib.sha256(certificate_text(effort, *row).encode()).hexdigest()[:16]
+        for effort in efforts
+        for row in rows
+    ]
+
+
+def manifest_mismatches(qs, efforts=EFFORTS) -> list[str]:
+    """One entry per row whose certificate hash differs from the manifest."""
+    pinned = dict(line.rsplit(" ", 1) for line in GRID_MANIFEST.read_text().splitlines())
+    out = []
+    for line in manifest_lines(qs, efforts):
+        key, digest = line.rsplit(" ", 1)
+        if pinned.get(key) != digest:
+            out.append(f"{key}: manifest {pinned.get(key)}, certified {digest}")
+    return out
+
+
+def test_grid_manifest_lists_every_row_at_both_efforts():
+    keys = [line.rsplit(" ", 1)[0] for line in GRID_MANIFEST.read_text().splitlines()]
+    rows = grid_rows(GRID_QS)
+    assert keys == [manifest_key(e, row) for e in EFFORTS for row in rows]
+    assert len(keys) == 6152
+
+
+@pytest.mark.parametrize("effort", EFFORTS)
+def test_grid_manifest_small_fields_match(effort):
+    slice_qs = [q for q in GRID_QS if q <= 9]
+    assert len(grid_rows(slice_qs)) == 214
+    mismatches = manifest_mismatches(slice_qs, (effort,))
+    assert not mismatches, "\n".join(mismatches)
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--grid"]:
+        mismatches = manifest_mismatches(GRID_QS)
+        print("\n".join(mismatches) or f"all {len(EFFORTS) * len(grid_rows(GRID_QS))} grid rows match")
+        sys.exit(1 if mismatches else 0)
     if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_golden.py --write")
+        sys.exit("usage: test_golden.py --write | --grid")
     for effort, row in CASES:
         path = golden_path(effort, *row)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -224,3 +292,5 @@ if __name__ == "__main__":
     print(ENCODERS_DISTANCE.relative_to(GOLDEN_DIR))
     ENUMERATE.write_text(enumerate_text())
     print(ENUMERATE.relative_to(GOLDEN_DIR))
+    GRID_MANIFEST.write_text("".join(line + "\n" for line in manifest_lines(GRID_QS)))
+    print(GRID_MANIFEST.relative_to(GOLDEN_DIR))

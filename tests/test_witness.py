@@ -387,15 +387,27 @@ def count_calls(monkeypatch, names) -> dict:
 
 
 @pytest.mark.parametrize("effort", ["structure", "desk"])
-def test_structure_certificate_builds_two_duals_and_no_right_inverse(monkeypatch, effort):
-    calls = count_calls(monkeypatch, ("dual_generator", "solve_left"))
+def test_certificate_builds_each_dual_where_it_is_read(monkeypatch, effort):
+    calls = count_calls(monkeypatch, ("solve_left",))
+    built = []  # (generator, its degree gap when its dual was asked for)
+    dual = convo.dual_generator
+
+    def spy(m):
+        built.append((m, m._gap))
+        return dual(m)
+
+    for mod, name in aqcc_bindings(dual):
+        monkeypatch.setattr(mod, name, spy)
     family, q, kw = SMALL_ROW
     cert = certify_params(FamilyParams(family, q, **kw), effort=effort)
-    # the minimal duals of G1 and G2 are built once and record the degree
-    # gaps that basicness reads, at desk also the free distance of G1, and
-    # containment divides by G1's leading echelon with no scalar solve;
-    # both generators carry the stack right inverse R_S of their split
-    assert calls == {"dual_generator": 2, "solve_left": 0}
+    # derive_aqcc builds H1 = dual(G1), which records G1's gap; G2 reads
+    # its gap from the stack right inverse R_S of its split, and only desk
+    # builds G2's dual, for the free distance search, after that gap is
+    # known; containment divides by G1's leading echelon with no scalar solve
+    want = [(cert.g1, None)] + ([(cert.g2, 0)] if effort == "desk" else [])
+    assert [(id(m), gap) for m, gap in built] == [(id(m), gap) for m, gap in want]
+    assert cert.g1._gap == cert.g2._gap == 0
+    assert calls == {"solve_left": 0}
     assert cert.g1._right is not None and cert.g2._right is not None
 
 
