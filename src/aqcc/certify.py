@@ -9,21 +9,23 @@ JSON certificate.  certify_params is layout followed by certify_plan.
 
 Each claim has one witness.  The source parity H is eliminated once, as
 [H | I], for its echelon and a right inverse R.  G1's and G2's stacks
-hold rows of H, which R proves independent, and the leading echelons,
-right inverses of the leading-row matrices read from R and each
-confirmed by one product, prove G1 and G2 reduced and hence of full
-rank; the containment witness proves V2 <= V1.  G1's coefficient stack
-holds all of H's rows and shares H's echelon, which the source's kernel
-and the span code's kernel and witness row read.  A zero degree gap
-proves a generator basic (Forney 1975): building H1 = dual(G1), the
-parity check of the stabilizer, records G1's, and G2 reads its own from
-its stack right inverse R_S with one product.  G2's minimal dual is
-built only at desk effort, for the free distance of V2-perp.  Basicness
-also settles the rank of the stabilizer's truncations, so none is
-expanded here: a basic G has a polynomial right inverse, so G(0) has
-full row rank (Forney 1970), and the window of css.semi_infinite_expand
-is block upper triangular with diagonal blocks [H1(0) 0; 0 G2(0)], H1
-being a minimal basis.
+hold rows of H, which R proves independent, and each keeps the stack
+right inverse R_S read from R, confirmed on first read by one product
+with its stack.  The leading echelons, read from R_S, prove G1 and G2
+reduced and hence of full rank; the containment witness proves V2 <= V1.
+G1's coefficient stack holds all of H's rows and shares H's echelon,
+which the source's kernel, the span code's kernel and witness row, and
+H1's degree-0 kernel read.  A zero degree gap proves a generator basic
+(Forney 1975): building H1 = dual(G1), the parity check of the
+stabilizer, from kernels in closed form read from R_S, records G1's, and
+G2 reads its own from R_S.  G2's minimal dual is built only at desk
+effort, for the free distance of V2-perp.  The stabilizer's halves are
+[H1; 0] and [0; G2], so their text is H1's and G2's with zero rows, not
+formatted again.  Basicness also settles the rank of the stabilizer's
+truncations, so none is expanded here: a basic G has a polynomial right
+inverse, so G(0) has full row rank (Forney 1970), and the window of
+css.semi_infinite_expand is block upper triangular with diagonal blocks
+[H1(0) 0; 0 G2(0)], H1 being a minimal basis.
 
 Effort levels:
   structure  no distance enumeration; designed bounds and witness rows only
@@ -188,6 +190,11 @@ def _matrix_text(m) -> str:
     return format_poly_matrix(m, header=False).replace("\n", "; ")
 
 
+def _rows_text(*rows: str) -> str:
+    """Matrix text from the text of its row blocks; an empty block adds no row."""
+    return "; ".join(r for r in rows if r)
+
+
 def _params_dict(params: families.FamilyParams) -> dict:
     out = params.coordinates()
     if params.partition is not None:
@@ -297,6 +304,10 @@ def certify_plan(
         f"dz>={dz_val}/dx>={dx_val})]_{field.q}"
     )
 
+    # the stabilizer's halves are [H1; 0] and [0; G2], with G2 as it is,
+    # being reduced; their text is the blocks' rows, a zero entry being (0)
+    h1_text, g2_text = _matrix_text(par.h1), _matrix_text(g2)
+    zero_row = " ".join(["(0)"] * par.n)
     data = {
         "family": plan.params.family,
         "q": field.q,
@@ -309,10 +320,10 @@ def certify_plan(
         "matrices": {
             "source_H": _matrix_text(plan.source.parity),
             "G1": _matrix_text(g1),
-            "G2": _matrix_text(g2),
-            "H1": _matrix_text(par.h1),
-            "stabilizer_X": _matrix_text(par.stabilizer.x_part),
-            "stabilizer_Z": _matrix_text(par.stabilizer.z_part),
+            "G2": g2_text,
+            "H1": h1_text,
+            "stabilizer_X": _rows_text(h1_text, *[zero_row] * kappa2),
+            "stabilizer_Z": _rows_text(*[zero_row] * par.h1.rows, g2_text),
         },
         "checks": {
             "ranks": {

@@ -19,27 +19,35 @@ Smith normal form with unimodular transforms u and v (u @ m @ v == s).
 
 Each fact has one route, and none takes a Smith form.  Every PolyMatrix
 finds, once and on first use, a right inverse R_L of its leading-row
-matrix L (leading_echelon), confirmed by the one product L @ R_L == I;
-finding one is the reducedness test, and reduce returns a reduced matrix
-as it is.  reduce is also the rank test: on a matrix that is not reduced
-its row steps raise RankDeficient on a zero row.  A generator split from
-parity rows (_split) keeps a right inverse R_S of its coefficient stack
-[G_0; ...; G_mu], read from the one right inverse of a seed holding its
-rows, or of the blocks' own rows: R_S proves the rows independent, its
-first k columns are a constant R with G @ R == I, which proves G basic
-by one product with the stack, and its columns at the leading rows are
-R_L.  Any other G is basic exactly when reduce(G) and its minimal dual
-have the same external degree (Forney 1975).  The gap is kept on the
-matrix, and a minimal dual carries gap 0 from its construction.  For a
-reduced outer generator the predictable-degree property (Forney 1970,
-"Convolutional codes I: algebraic structure") makes containment a
-division, top degree first, by L through R_L, for all inner rows at
-once; other outer generators are reduced first, with their unimodular
-transform.  One product X @ outer == inner confirms the witness.  The
-Smith form is only the reference the tests compare with.
+matrix L (leading_echelon); finding one is the reducedness test, and
+reduce returns a reduced matrix as it is.  reduce is also the rank test:
+on a matrix that is not reduced its row steps raise RankDeficient on a
+zero row.  A generator split from parity rows (_split) keeps a right
+inverse R_S of its coefficient stack [G_0; ...; G_mu], read from the one
+right inverse of a seed holding its rows, or of the blocks' own rows.
+On its first read R_S is confirmed by the one product of the nonzero
+stack rows with their columns of R_S, and every fact read from it
+follows: the rows are independent, the first k columns are a constant R
+with G @ R == I, which proves G basic, the columns at the leading rows
+are R_L, and all of them give the dual's kernels in closed form.  Any
+other matrix confirms its R_L by the one product L @ R_L == I, and is
+basic exactly when its reduced form and its minimal dual have the same
+external degree (Forney 1975).  The gap is kept on the matrix, and a
+minimal dual carries gap 0 from its construction.  For a reduced outer
+generator the predictable-degree property (Forney 1970, "Convolutional
+codes I: algebraic structure") makes containment a division, top degree
+first, by L through R_L, for all inner rows at once; other outer
+generators are reduced first, with their unimodular transform.  One
+product X @ outer == inner confirms the witness.  The Smith form is
+only the reference the tests compare with.
 
-The dual is a minimal basis of a polynomial kernel, built from scalar
-kernels of block-Toeplitz matrices, in the Popov form fixed by the code.
+The dual is a minimal basis of a polynomial kernel, in the Popov form
+fixed by the code, built from the scalar kernels of block-Toeplitz
+matrices, one degree at a time.  A split generator reads each kernel
+from a closed-form basis built from R_S and ker S, and eliminates only
+that basis, at every degree where the basis has no more rows than the
+block-Toeplitz matrix; every other kernel eliminates the block-Toeplitz
+matrix.
 
 Duality convention: the dual pairs sequences in the time domain over all
 shifts, which for generator matrices G and H reads G(D) @ H(1/D).T == 0.
@@ -147,11 +155,12 @@ class PolyMatrix:
     one MatrixGF (whose echelon it then keeps) and leading_echelon a right
     inverse of the leading-row matrix, each built on first use.  A
     generator split from parity rows also keeps a right inverse of its
-    stack, _right, from which degree_gap and leading_echelon read their
-    witnesses.
+    stack, _right, from which degree_gap, leading_echelon and
+    dual_generator read their witnesses once _stack_inverse has confirmed
+    it (_right_ok).
     """
 
-    __slots__ = ("field", "c", "_e", "_stack", "_lead", "_gap", "_right")
+    __slots__ = ("field", "c", "_e", "_stack", "_lead", "_gap", "_right", "_right_ok")
 
     def __init__(self, field: FiniteField, entries, cols: int | None = None):
         """From a grid of coefficient tuples, constant term first."""
@@ -185,6 +194,7 @@ class PolyMatrix:
         self.field = field
         self.c = c
         self._e = self._stack = self._lead = self._gap = self._right = None
+        self._right_ok = False
 
     @classmethod
     def from_coefficients(cls, field: FiniteField, mats) -> "PolyMatrix":
@@ -346,20 +356,42 @@ class PolyMatrix:
 
 def _leading_echelon(m: PolyMatrix) -> np.ndarray | bool:
     """R_L, or False for a rank-deficient L.  Row i of L, the leading-row
-    matrix, is stack row deg_i * k + i, so a stack right inverse gives R_L
-    as its columns there; otherwise L's right_inverse eliminates [L | I].
-    Either is confirmed by the one product L @ R_L == I."""
+    matrix, is stack row deg_i * k + i, so a confirmed stack right inverse
+    gives R_L as its columns there; otherwise L's right_inverse eliminates
+    [L | I], confirmed by the one product L @ R_L == I."""
     f, k = m.field, m.rows
+    if (right := _stack_inverse(m)) is not None:
+        return right[:, _row_degrees(m.c) * k + np.arange(k)]
     lead = m.leading_row_matrix()
-    if m._right is not None:
-        r = m._right[:, np.maximum(_row_degrees(m.c), 0) * k + np.arange(k)]
-    elif (inv := lead.right_inverse()) is not None:
-        r = inv.a
-    else:
+    if (inv := lead.right_inverse()) is None:
         return False
-    if not np.array_equal(f._vmatmul(lead.a, r), np.eye(k, dtype=np.int32)):
+    if not np.array_equal(f._vmatmul(lead.a, inv.a), np.eye(k, dtype=np.int32)):
         raise AssertionError("leading inverse witness failed to reproduce the identity")
-    return r
+    return inv.a
+
+
+def _stack_inverse(m: PolyMatrix) -> np.ndarray | None:
+    """R_S, the stack right inverse of a split generator, or None for any
+    other matrix.
+
+    On first read the one product of the nonzero stack rows with their R_S
+    columns confirms it, and the result is kept: the product must be the
+    identity, and the rows of m_0 must be nonzero.  Every fact read from
+    R_S follows, since each reads columns at nonzero stack rows only.  Its
+    first k columns are a constant R with m @ R == I, since coefficient i
+    of m @ R is m_i @ R; its columns at the leading rows are R_L, since
+    L's rows are stack rows; and dual_generator reads the columns of every
+    nonzero stack row.
+    """
+    if m._right is not None and not m._right_ok:
+        stack = m.stack.a
+        live = np.flatnonzero(stack.any(axis=1))
+        product = m.field._vmatmul(stack[live], m._right[:, live])
+        if not (np.array_equal(live[: m.rows], np.arange(m.rows))
+                and np.array_equal(product, np.eye(len(live), dtype=np.int32))):
+            raise AssertionError("right inverse witness failed to reproduce the identity")
+        m._right_ok = True
+    return m._right
 
 
 def block_toeplitz(c: np.ndarray, blocks: int, width: int) -> np.ndarray:
@@ -516,25 +548,21 @@ def is_basic(m: PolyMatrix) -> bool:
 def degree_gap(m: PolyMatrix) -> int:
     """Degree of the gcd of the k x k minors of m; 0 exactly when m is basic.
 
-    A split generator proves the gap 0 from its stack right inverse R_S:
-    its first k columns are a constant R with m @ R == I, since m_0 is the
-    top of the stack and coefficient i of m @ R is m_i @ R, and the one
-    product stack @ R == [I; 0] confirms it.  Any other m builds its
-    minimal dual, which records the gap: reduce(m) has the largest degree
-    of the minors as its external degree, and the dual has the degree of a
-    basic generator of the same code (Forney 1975), so their difference is
-    the degree of the gcd.  Raises RankDeficient when the rows of m are
-    dependent.  The gap is kept on m, so a matrix whose dual was built
-    already, and every minimal basis dual_generator returns, reads it.
+    A split generator proves the gap 0 from its stack right inverse R_S,
+    confirmed once by the product with the stack (_stack_inverse): its
+    first k columns are a constant R with m @ R == I.  Any other m builds
+    its minimal dual, which records the gap: reduce(m) has the largest
+    degree of the minors as its external degree, and the dual has the
+    degree of a basic generator of the same code (Forney 1975), so their
+    difference is the degree of the gcd.  Raises RankDeficient when the
+    rows of m are dependent.  The gap is kept on m, so a matrix whose dual
+    was built already, and every minimal basis dual_generator returns,
+    reads it.
     """
     if m._gap is None:
-        if m._right is None:
+        if _stack_inverse(m) is None:
             dual_generator(m)  # records the gap on m
         else:
-            stack, k = m.stack, m.rows
-            if not np.array_equal(m.field._vmatmul(stack.a, m._right[:, :k]),
-                                  np.eye(stack.rows, k, dtype=np.int32)):
-                raise AssertionError("right inverse witness failed to reproduce the identity")
             m._gap = 0
     return m._gap
 
@@ -600,29 +628,31 @@ def dual_generator(m: PolyMatrix) -> PolyMatrix:
     """Generator of the dual code in Popov form.
 
     Rows h satisfy m(D) @ h(1/D).T == 0: they span the polynomial kernel of
-    rev(m).  Its vectors of degree <= d are the left kernel of a
-    block-Toeplitz matrix (Forney 1975, "Minimal bases of rational vector
-    spaces"), taken for d = 0, 1, ... up to gamma of the reduced m, which
-    bounds the dual row degrees.  At d = 0 its rows are those of the
-    reduced m's coefficient stack in reverse block order, so the kernel is
-    the stack's, read from the stack's cached echelon; each d >= 1 is
-    eliminated afresh.  With the coefficient of D**t e_j at
-    position (t, j), kernel() returns the echelon basis whose vectors end
-    in a 1 at their own leading term and vanish at the others'.  Those
-    whose leading term is not D times another are the Popov basis (Kailath
-    1980, "Linear Systems", 6.7): minimal, hence basic and reduced, with
-    monic pivots and normalized pivot columns, the same for every
-    generator of the code.  The external degree of the reduced m less that
-    of the dual is the degree gap of m, recorded on m when it has none yet.
+    rev(m).  Its vectors of degree <= d are the kernel of a block-Toeplitz
+    matrix T_d (Forney 1975, "Minimal bases of rational vector spaces"),
+    taken for d = 0, 1, ... up to gamma of the reduced m, which bounds the
+    dual row degrees.  At d = 0 the rows of T_d are those of the reduced
+    m's coefficient stack in reverse block order, so the kernel is the
+    stack's, read from the stack's cached echelon.  For d >= 1 a reduced m
+    with a stack right inverse builds a basis of the kernel in closed form
+    (_stack_kernel_basis) when it has no more rows than T_d, and eliminates
+    that basis with its columns reversed; any other d eliminates T_d.
+    Either way, with the coefficient of D**t e_j at position (t, j), the
+    kernel is the echelon basis kernel() returns, whose vectors end in a 1
+    at their own leading term and vanish at the others'.  Those whose
+    leading term is not D times another are the Popov basis (Kailath 1980,
+    "Linear Systems", 6.7): minimal, hence basic and reduced, with monic
+    pivots and normalized pivot columns, the same for every generator of
+    the code.  The external degree of the reduced m less that of the dual
+    is the degree gap of m, recorded on m when it has none yet.
     """
     f = m.field
     n = m.cols
     g = reduce(m)  # raises RankDeficient on a rank-deficient m
     extra = n - g.rows
-    band = g.reverse().T.c
+    null = g.stack.kernel().a
     for d in range(sum(g.row_degrees) + 1):
-        toeplitz = MatrixGF._wrap(f, block_toeplitz(band, d + 1, len(band) + d)).T if d else g.stack
-        ker = toeplitz.kernel().a
+        ker = _dual_kernel(g, null, d)
         lead = ker.shape[1] - 1 - np.argmax(ker[:, ::-1] != 0, axis=1)
         shifted = np.zeros(n + ker.shape[1], dtype=bool)
         shifted[lead + n] = True  # shifted[j]: j - n is a leading term
@@ -638,6 +668,61 @@ def dual_generator(m: PolyMatrix) -> PolyMatrix:
     if m._gap is None:
         m._gap = sum(g.row_degrees) - sum(h.row_degrees)
     return h
+
+
+def _dual_kernel(g: PolyMatrix, null: np.ndarray, d: int) -> np.ndarray:
+    """The kernel of T_d as kernel() returns it, for a reduced g whose stack
+    has the kernel null.  That basis is the reduced echelon form of any
+    basis read from the last column, whose pivots are the free columns of
+    T_d, so a closed-form basis is eliminated with its columns reversed and
+    read back in reverse."""
+    f = g.field
+    if d == 0:
+        return null
+    if (basis := _stack_kernel_basis(g, null, d)) is not None:
+        red, piv = MatrixGF._wrap(f, basis[:, ::-1]).rref()
+        return red.a[: len(piv)][::-1, ::-1]
+    band = g.reverse().T.c
+    return MatrixGF._wrap(f, block_toeplitz(band, d + 1, len(band) + d)).T.kernel().a
+
+
+def _stack_kernel_basis(g: PolyMatrix, null: np.ndarray, d: int) -> np.ndarray | None:
+    """A basis of the kernel of dual_generator's T_d, d >= 1, read from the
+    stack right inverse R_S of g, with null the kernel of its stack S; None
+    when g has no R_S or T_d, with (mu + 1 + d) * k rows, has fewer rows.
+
+    Write x = (x_0, ..., x_d) in blocks of n and y_t = S @ x_t.  T_d @ x ==
+    0 says, for each row i and offset c, that the entries y_t[(t + c) * k +
+    i] sum to zero over t.  S @ R_S is the identity on the nonzero stack
+    rows, so the x_t with a given y_t are R_S @ y_t plus ker S.  The basis
+    is therefore d + 1 shifted copies of ker S, and along each chain (i, c)
+    of nonzero stack rows, for each pair of consecutive members, the R_S
+    column of the first at its block t less that of the second at its
+    block t'.
+    """
+    right = _stack_inverse(g)
+    if right is None:
+        return None
+    k, n = g.shape
+    depth = len(g.c)
+    # every nonzero stack row (j, i) at every block t, sorted by its chain
+    # (i, j - t) and then by t; consecutive members of a chain pair up
+    t, j, i = np.nonzero(np.broadcast_to(g.c.any(axis=2), (d + 1, depth, k)))
+    chain = i * (depth + d) + j - t
+    order = np.lexsort((t, chain))
+    t, col, chain = t[order], (j * k + i)[order], chain[order]
+    pair = np.flatnonzero(chain[1:] == chain[:-1])
+    copies = (d + 1) * len(null)
+    size = copies + len(pair)
+    if (depth + d) * k < size:
+        return None
+    out = np.zeros((size, d + 1, n), dtype=np.int32)
+    for s in range(d + 1):
+        out[s * len(null) : (s + 1) * len(null), s] = null
+    rows = np.arange(copies, size)
+    out[rows, t[pair]] = right.T[col[pair]]
+    out[rows, t[pair + 1]] = g.field._vneg(right.T[col[pair + 1]])
+    return out.reshape(size, (d + 1) * n)
 
 
 def contains(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:

@@ -11,7 +11,7 @@ from aqcc.errors import (
     RankConditionViolated,
     RankDeficient,
 )
-from aqcc import matrix
+from aqcc import convo, matrix, selftest
 from aqcc.convo import (
     DegreeInfo,
     PolyMatrix,
@@ -36,7 +36,7 @@ from aqcc.convo import (
     split_to_generator,
 )
 from aqcc.css import build_nested_pair, derive_aqcc
-from aqcc.families import FamilyParams, layout
+from aqcc.families import FAMILIES, FamilyParams, enumerate_family, layout
 from aqcc.gf import FiniteField
 from aqcc.matrix import MatrixGF
 
@@ -609,15 +609,21 @@ def test_array_reduce_matches_tuple_grid(seed):
 # --- minimal duals against a fresh elimination at every degree ----------------
 
 
+def kernel_by_degree(g: PolyMatrix, d: int) -> np.ndarray:
+    """The kernel of the degree-d block-Toeplitz matrix of a reduced g,
+    eliminated afresh."""
+    band = g.reverse().T.c
+    return MatrixGF._wrap(g.field, block_toeplitz(band, d + 1, len(band) + d)).T.kernel().a
+
+
 def dual_by_degree(m: PolyMatrix) -> PolyMatrix:
     """Reference Popov dual: every block-Toeplitz kernel eliminated afresh,
     d = 0 included, and the Popov rows picked with np.isin."""
     f, n = m.field, m.cols
     g = reduce(m)
     extra = n - g.rows
-    band = g.reverse().T.c
     for d in range(sum(g.row_degrees) + 1):
-        ker = MatrixGF._wrap(f, block_toeplitz(band, d + 1, len(band) + d)).T.kernel().a
+        ker = kernel_by_degree(g, d)
         lead = ker.shape[1] - 1 - np.argmax(ker[:, ::-1] != 0, axis=1)
         popov = ker[~np.isin(lead - n, lead)]
         if len(popov) == extra:
@@ -625,7 +631,15 @@ def dual_by_degree(m: PolyMatrix) -> PolyMatrix:
     return PolyMatrix._wrap(f, popov.reshape(extra, d + 1, n).transpose(1, 0, 2))
 
 
-@pytest.mark.parametrize("pl", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3)])
+def split_generators(f: FiniteField, rng: random.Random) -> list:
+    """G1 and G2 of every grid row over f, then of 40 random construction-I
+    plans; each carries the stack right inverse of its split."""
+    plans = [layout(p) for family in FAMILIES[1:] for p, _ in enumerate_family(family, f.q)]
+    plans += [selftest._random_plan(rng, (f.q,)) for _ in range(40)]
+    return [g for plan in plans for g in plan.generators()]
+
+
+@pytest.mark.parametrize("pl", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (7, 1), (3, 2)])
 def test_dual_matches_per_degree_elimination(pl):
     f = FiniteField.get(*pl)
     rng = random.Random(f.q)
@@ -657,6 +671,18 @@ def test_dual_matches_per_degree_elimination(pl):
         assert dual_generator(m) == want
         seen[reduced] += 1
     assert seen[True] >= 10 and seen[False] >= 8, seen
+    # split generators: at every degree up to gamma, the kernel in closed
+    # form, where it has no more rows than the block-Toeplitz matrix, and
+    # the block-Toeplitz kernel elsewhere, against a fresh elimination
+    routes = {True: 0, False: 0}
+    for g in split_generators(f, rng):
+        assert g._right is not None
+        null = g.stack.kernel().a
+        for d in range(1, sum(g.row_degrees) + 1):
+            routes[convo._stack_kernel_basis(g, null, d) is not None] += 1
+            assert np.array_equal(convo._dual_kernel(g, null, d), kernel_by_degree(g, d))
+        assert dual_generator(g) == dual_by_degree(g)
+    assert routes[True] and routes[False], routes
 
 
 def test_dual_of_identity_matches_per_degree_elimination(gf3):
@@ -678,10 +704,14 @@ def test_reference_duals_eliminate_once_each(monkeypatch):
     # G1's stack borrowed the source parity's echelon, so degree 0 of its
     # dual reads it; G2's stack, proved independent by the parity's right
     # inverse, is eliminated once, at degree 0 of its own dual.  Both duals
-    # stop at degree 1, whose block-Toeplitz matrix has 2n columns, and
-    # derive_aqcc builds H1 alone
+    # stop at degree 1, whose kernel has 2n columns.  G1 eliminates its
+    # closed-form basis there, one row per kernel dimension, fewer than the
+    # (mu + 2) * k rows of its block-Toeplitz matrix, and G2, with fewer
+    # rows, that block-Toeplitz matrix; derive_aqcc builds H1 alone
     g1, g2 = layout(FamilyParams("II-T3a", 16, i=5, t=1)).generators()
     pair = build_nested_pair(g1, g2)
+    toeplitz = [(len(g.c) + 1) * g.rows for g in (g1, g2)]
+    dims = [len(kernel_by_degree(g, 1)) for g in (g1, g2)]
     eliminated = []
     rref = matrix._rref
 
@@ -691,10 +721,11 @@ def test_reference_duals_eliminate_once_each(monkeypatch):
 
     monkeypatch.setattr(matrix, "_rref", counted)
     par = derive_aqcc(pair)
-    assert [cols for _, cols in eliminated] == [2 * pair.n]
+    assert eliminated == [(dims[0], 2 * pair.n)]
+    assert dims[0] < toeplitz[0]
     assert par.h1.max_degree == dual_generator(g2).max_degree == 1
-    assert [cols for _, cols in eliminated] == [2 * pair.n, pair.n, 2 * pair.n]
-    assert eliminated[1] == g2.stack.shape
+    assert eliminated == [(dims[0], 2 * pair.n), g2.stack.shape, (toeplitz[1], 2 * pair.n)]
+    assert toeplitz[1] < dims[1]
 
 
 # --- matrix text against one string per entry ---------------------------------

@@ -200,7 +200,8 @@ def test_mutated_right_inverse_is_rejected(plans):
 def test_mutated_leading_inverse_is_rejected(plans, monkeypatch):
     # R_L is read from the stack right inverse at the stack row
     # deg_i * k + i of each row i, or on a seedless copy is the right
-    # inverse of L: with column k - 1 zeroed, either fails L @ R_L == I
+    # inverse of L: with column k - 1 zeroed, the split generator fails the
+    # one product that confirms R_S, and the copy fails L @ R_L == I
     gens = [g for plan in plans[:10] for g in plan.generators()]
     inverse = MatrixGF.right_inverse
 
@@ -213,9 +214,30 @@ def test_mutated_leading_inverse_is_rejected(plans, monkeypatch):
         k = g.rows
         copy = PolyMatrix.from_coefficients(g.field, g.c)
         g._right = column_zeroed(g._right, g.row_degrees[-1] * k + k - 1)
-        for m in (g, copy):
-            with pytest.raises(AssertionError, match="leading inverse witness failed"):
+        for m, witness in ((g, "right"), (copy, "leading")):
+            with pytest.raises(AssertionError, match=f"{witness} inverse witness failed"):
                 is_reduced(m)
+
+
+def test_right_inverse_column_read_by_the_dual_alone_is_rejected(plans):
+    # a nonzero stack row of degree 0 < j < deg_i in row i has an R_S column
+    # that neither the constant right inverse (the first k) nor R_L (the
+    # leading rows) reads, only the dual's closed-form kernel; zeroed, it
+    # fails the one product that confirms R_S on its first read
+    refused = 0
+    for plan in plans:
+        for g in plan.generators():
+            k = g.rows
+            live = np.flatnonzero(g.stack.a.any(axis=1))
+            lead = np.array(g.row_degrees) * k + np.arange(k)
+            inner = np.setdiff1d(live[live >= k], lead)
+            if not inner.size:
+                continue
+            g._right = column_zeroed(g._right, int(inner[0]))
+            with pytest.raises(AssertionError, match="right inverse witness failed"):
+                dual_generator(g)
+            refused += 1
+    assert refused >= 20
 
 
 def test_seed_route_agrees_with_seedless_copies(plans):
