@@ -8,18 +8,18 @@ statements the requested effort can certify, and emits a deterministic
 JSON certificate.  certify_params is layout followed by certify_plan.
 
 Each claim has one witness.  The source parity H is eliminated once, as
-[H | I], for its echelon and a right inverse R.  G1's and G2's stacks
-hold rows of H, which R proves independent, and each keeps the stack
-right inverse R_S read from R, confirmed on first read by one product
-with its stack.  The leading echelons, read from R_S, prove G1 and G2
-reduced and hence of full rank; the containment witness proves V2 <= V1.
-G1's coefficient stack holds all of H's rows and shares H's echelon,
-which the source's kernel, the span code's kernel and witness row, and
-H1's degree-0 kernel read.  A zero degree gap proves a generator basic
-(Forney 1975): building H1 = dual(G1), the parity check of the
-stabilizer, from kernels in closed form read from R_S, records G1's, and
-G2 reads its own from R_S.  G2's minimal dual is built only at desk
-effort, for the free distance of V2-perp.  The stabilizer's halves are
+[H | I], for its echelon and a right inverse R, confirmed there by one
+product.  G1's and G2's stacks hold rows of H, which R proves
+independent, and each keeps the stack right inverse R_S read from R's
+columns.  Each split records what R_S proves: a leading echelon, which
+proves the generator reduced and hence of full rank, and a zero degree
+gap, which proves it basic (Forney 1975).  The containment witness
+proves V2 <= V1.  G1's coefficient stack holds all of H's rows and
+shares H's echelon, which the source's kernel, the span code's kernel
+and witness row, and H1's degree-0 kernel read.  H1 = dual(G1), the
+parity check of the stabilizer, is built from kernels in closed form
+read from R_S.  G2's minimal dual is built only at desk effort, for the
+free distance of V2-perp.  The stabilizer's halves are
 [H1; 0] and [0; G2], so their text is H1's and G2's with zero rows, not
 formatted again.  Basicness also settles the rank of the stabilizer's
 truncations, so none is expanded here: a basic G has a polynomial right
@@ -235,8 +235,8 @@ def certify_plan(
     kappa1, kappa2 = g1.rows, g2.rows
     deg1 = degree_accounting(g1)
     deg2 = degree_accounting(g2)
-    # G1's gap was recorded when derive_aqcc built H1; G2 reads its own from
-    # R_S with one product
+    # a split generator carries gap 0 from its split; any other matrix
+    # reads its gap from its minimal dual
     for name, g in (("outer", g1), ("inner", g2)):
         gap = degree_gap(g)
         if gap:

@@ -17,21 +17,22 @@ reduced generator matrices, row reduction to a reduced form, external
 degree accounting, duals, membership witnesses for code containment, and
 Smith normal form with unimodular transforms u and v (u @ m @ v == s).
 
-Each fact has one route, and none takes a Smith form.  Every PolyMatrix
-finds, once and on first use, a right inverse R_L of its leading-row
-matrix L (leading_echelon); finding one is the reducedness test, and
-reduce returns a reduced matrix as it is.  reduce is also the rank test:
-on a matrix that is not reduced its row steps raise RankDeficient on a
-zero row.  A generator split from parity rows (_split) keeps a right
-inverse R_S of its coefficient stack [G_0; ...; G_mu], read from the one
-right inverse of a seed holding its rows, or of the blocks' own rows.
-On its first read R_S is confirmed by the one product of the nonzero
-stack rows with their columns of R_S, and every fact read from it
-follows: the rows are independent, the first k columns are a constant R
-with G @ R == I, which proves G basic, the columns at the leading rows
-are R_L, and all of them give the dual's kernels in closed form.  Any
-other matrix confirms its R_L by the one product L @ R_L == I, and is
-basic exactly when its reduced form and its minimal dual have the same
+Each fact has one route, and none takes a Smith form.  A right inverse
+is confirmed where it is formed, by the one product in
+MatrixGF.right_inverse.  A generator split from parity rows (_split)
+reads a right inverse R_S of its coefficient stack [G_0; ...; G_mu]
+from the right inverse R of a seed holding its rows, or of the blocks'
+own rows: each nonzero stack row is a seed row, and its column of R_S
+is R's column for that row.  The split records what R_S proves: the
+rows are independent, the first k columns are a constant R with G @ R
+== I, which proves G basic (gap 0), and the columns at the leading rows
+are R_L, which proves G reduced; all of them give the dual's kernels in
+closed form.  Any other matrix finds, on first use, R_L as the
+right_inverse of its leading-row matrix L (leading_echelon); finding
+one is the reducedness test, and reduce returns a reduced matrix as it
+is.  reduce is also the rank test: on a matrix that is not reduced its
+row steps raise RankDeficient on a zero row.  Such a matrix is basic
+exactly when its reduced form and its minimal dual have the same
 external degree (Forney 1975).  The gap is kept on the matrix, and a
 minimal dual carries gap 0 from its construction.  For a reduced outer
 generator the predictable-degree property (Forney 1970, "Convolutional
@@ -154,13 +155,12 @@ class PolyMatrix:
     e is a grid of coefficient tuples, stack the coefficient matrices as
     one MatrixGF (whose echelon it then keeps) and leading_echelon a right
     inverse of the leading-row matrix, each built on first use.  A
-    generator split from parity rows also keeps a right inverse of its
-    stack, _right, from which degree_gap, leading_echelon and
-    dual_generator read their witnesses once _stack_inverse has confirmed
-    it (_right_ok).
+    generator split from parity rows leaves _split with a right inverse of
+    its stack, _right, which dual_generator reads, and with the leading
+    echelon, _lead, and the degree gap 0, _gap, that it proves.
     """
 
-    __slots__ = ("field", "c", "_e", "_stack", "_lead", "_gap", "_right", "_right_ok")
+    __slots__ = ("field", "c", "_e", "_stack", "_lead", "_gap", "_right")
 
     def __init__(self, field: FiniteField, entries, cols: int | None = None):
         """From a grid of coefficient tuples, constant term first."""
@@ -194,7 +194,6 @@ class PolyMatrix:
         self.field = field
         self.c = c
         self._e = self._stack = self._lead = self._gap = self._right = None
-        self._right_ok = False
 
     @classmethod
     def from_coefficients(cls, field: FiniteField, mats) -> "PolyMatrix":
@@ -348,50 +347,12 @@ class PolyMatrix:
     @property
     def leading_echelon(self) -> np.ndarray | None:
         """R_L with L @ R_L == I for the leading-row matrix L, or None when
-        L lacks full row rank; computed on first use."""
+        L lacks full row rank.  A split generator has it from its split;
+        any other matrix takes L's right_inverse on first use."""
         if self._lead is None:
-            self._lead = _leading_echelon(self)
+            inv = self.leading_row_matrix().right_inverse()
+            self._lead = False if inv is None else inv.a
         return None if self._lead is False else self._lead
-
-
-def _leading_echelon(m: PolyMatrix) -> np.ndarray | bool:
-    """R_L, or False for a rank-deficient L.  Row i of L, the leading-row
-    matrix, is stack row deg_i * k + i, so a confirmed stack right inverse
-    gives R_L as its columns there; otherwise L's right_inverse eliminates
-    [L | I], confirmed by the one product L @ R_L == I."""
-    f, k = m.field, m.rows
-    if (right := _stack_inverse(m)) is not None:
-        return right[:, _row_degrees(m.c) * k + np.arange(k)]
-    lead = m.leading_row_matrix()
-    if (inv := lead.right_inverse()) is None:
-        return False
-    if not np.array_equal(f._vmatmul(lead.a, inv.a), np.eye(k, dtype=np.int32)):
-        raise AssertionError("leading inverse witness failed to reproduce the identity")
-    return inv.a
-
-
-def _stack_inverse(m: PolyMatrix) -> np.ndarray | None:
-    """R_S, the stack right inverse of a split generator, or None for any
-    other matrix.
-
-    On first read the one product of the nonzero stack rows with their R_S
-    columns confirms it, and the result is kept: the product must be the
-    identity, and the rows of m_0 must be nonzero.  Every fact read from
-    R_S follows, since each reads columns at nonzero stack rows only.  Its
-    first k columns are a constant R with m @ R == I, since coefficient i
-    of m @ R is m_i @ R; its columns at the leading rows are R_L, since
-    L's rows are stack rows; and dual_generator reads the columns of every
-    nonzero stack row.
-    """
-    if m._right is not None and not m._right_ok:
-        stack = m.stack.a
-        live = np.flatnonzero(stack.any(axis=1))
-        product = m.field._vmatmul(stack[live], m._right[:, live])
-        if not (np.array_equal(live[: m.rows], np.arange(m.rows))
-                and np.array_equal(product, np.eye(len(live), dtype=np.int32))):
-            raise AssertionError("right inverse witness failed to reproduce the identity")
-        m._right_ok = True
-    return m._right
 
 
 def block_toeplitz(c: np.ndarray, blocks: int, width: int) -> np.ndarray:
@@ -537,8 +498,8 @@ def rank_poly(m: PolyMatrix) -> int:
 
 def is_basic(m: PolyMatrix) -> bool:
     """Full row rank with all invariant factors equal to 1: a zero degree
-    gap, read from a split generator's stack right inverse or else from
-    the minimal dual."""
+    gap, which a split generator has from its split and any other matrix
+    reads from its minimal dual."""
     try:
         return degree_gap(m) == 0
     except RankDeficient:
@@ -548,22 +509,16 @@ def is_basic(m: PolyMatrix) -> bool:
 def degree_gap(m: PolyMatrix) -> int:
     """Degree of the gcd of the k x k minors of m; 0 exactly when m is basic.
 
-    A split generator proves the gap 0 from its stack right inverse R_S,
-    confirmed once by the product with the stack (_stack_inverse): its
-    first k columns are a constant R with m @ R == I.  Any other m builds
-    its minimal dual, which records the gap: reduce(m) has the largest
-    degree of the minors as its external degree, and the dual has the
-    degree of a basic generator of the same code (Forney 1975), so their
-    difference is the degree of the gcd.  Raises RankDeficient when the
-    rows of m are dependent.  The gap is kept on m, so a matrix whose dual
-    was built already, and every minimal basis dual_generator returns,
-    reads it.
+    m's minimal dual records the gap: reduce(m) has the largest degree of
+    the minors as its external degree, and the dual has the degree of a
+    basic generator of the same code (Forney 1975), so their difference is
+    the degree of the gcd.  Raises RankDeficient when the rows of m are
+    dependent.  The gap is kept on m, so a matrix whose dual was built
+    already, every minimal basis dual_generator returns, and every split
+    generator, which _split proves basic, reads it.
     """
     if m._gap is None:
-        if _stack_inverse(m) is None:
-            dual_generator(m)  # records the gap on m
-        else:
-            m._gap = 0
+        dual_generator(m)  # records the gap on m
     return m._gap
 
 
@@ -694,13 +649,14 @@ def _stack_kernel_basis(g: PolyMatrix, null: np.ndarray, d: int) -> np.ndarray |
     Write x = (x_0, ..., x_d) in blocks of n and y_t = S @ x_t.  T_d @ x ==
     0 says, for each row i and offset c, that the entries y_t[(t + c) * k +
     i] sum to zero over t.  S @ R_S is the identity on the nonzero stack
-    rows, so the x_t with a given y_t are R_S @ y_t plus ker S.  The basis
+    rows, as _split read R_S from a confirmed right inverse, so the x_t
+    with a given y_t are R_S @ y_t plus ker S.  The basis
     is therefore d + 1 shifted copies of ker S, and along each chain (i, c)
     of nonzero stack rows, for each pair of consecutive members, the R_S
     column of the first at its block t less that of the second at its
     block t'.
     """
-    right = _stack_inverse(g)
+    right = g._right
     if right is None:
         return None
     k, n = g.shape
@@ -812,9 +768,12 @@ def _split(blocks, placements, seed: MatrixGF | None) -> PolyMatrix:
     When the nonzero rows of G's stack are distinct rows of a seed that
     has R, they are independent, and G keeps the stack right inverse R_S:
     column j is R's column for the seed row that stack row j is, zero for
-    a zero row.  degree_gap and leading_echelon read their witnesses from
-    R_S and confirm each by one product.  When no seed is given or it does
-    not cover the stack, the blocks' own rows, concatenated, are the seed,
+    a zero row.  Stack row i times column j is the entry of S @ R == I at
+    their two seed rows, so R_S needs no product of its own, and G records
+    what it proves: its columns at the leading rows are R_L, and the gap
+    is 0, since G_0's rows are seed rows and the first k columns are a
+    constant R with G @ R == I.  When no seed is given or it does not
+    cover the stack, the blocks' own rows, concatenated, are the seed,
     and their one elimination is the independence test.  When the stack
     holds every seed row, in any order, it also borrows the seed's echelon
     with the zero rows at the bottom: the reduced echelon depends only on
@@ -846,7 +805,8 @@ def _split(blocks, placements, seed: MatrixGF | None) -> PolyMatrix:
             r = np.zeros((n, stack.rows), dtype=np.int32)
             r[:, list(at)] = right.a[:, list(at.values())]
             r.setflags(write=False)
-            g._right = r
+            g._right, g._gap = r, 0
+            g._lead = r[:, _row_degrees(g.c) * g.rows + np.arange(g.rows)]
             if own.rows == s.rows:
                 red, piv = s._reduced()
                 pad = np.zeros((stack.rows - s.rows, n), dtype=np.int32)

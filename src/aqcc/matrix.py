@@ -47,8 +47,8 @@ class MatrixGF:
     kernel and the independent rows all read them.  A matrix of some of
     the rows that span the same space inherits them, since the reduced
     form depends only on the row space.  right_inverse eliminates [A | I]
-    instead, which gives that echelon and a right inverse at once, and
-    keeps both.
+    instead, which gives that echelon and a right inverse at once, confirms
+    the right inverse by one product, and keeps both.
     """
 
     __slots__ = ("field", "a", "_echelon", "_right")
@@ -189,20 +189,26 @@ class MatrixGF:
         becomes the cached echelon unless one is cached already.  When A has
         full row rank its pivots P all fall left of I, and the right block
         is the T with T @ A[:, P] == I, so R, holding T at rows P and zero
-        elsewhere, has A @ R == A[:, P] @ T == I.
+        elsewhere, has A @ R == A[:, P] @ T == I.  The one product A @ R
+        confirms that where R is formed, and every reader of R, or of a
+        right inverse read from its columns, relies on it.
         """
         if self._right is None:
             f = self.field
             k, n = self.shape
-            red, piv = _rref(f, np.concatenate([self.a, np.eye(k, dtype=np.int32)], axis=1))
+            eye = np.eye(k, dtype=np.int32)
+            red, piv = _rref(f, np.concatenate([self.a, eye], axis=1))
             lead = tuple(c for c in piv if c < n)
             if self._echelon is None:
                 self._echelon = MatrixGF._wrap(f, np.ascontiguousarray(red[:, :n])), lead
-            self._right = False
-            if len(lead) == k:
-                r = np.zeros((n, k), dtype=np.int32)
-                r[list(lead)] = red[:, n:]
-                self._right = MatrixGF._wrap(f, r)
+            if len(lead) < k:
+                self._right = False
+                return None
+            r = np.zeros((n, k), dtype=np.int32)
+            r[list(lead)] = red[:, n:]
+            if not np.array_equal(f._vmatmul(self.a, r), eye):
+                raise AssertionError("right inverse witness failed to reproduce the identity")
+            self._right = MatrixGF._wrap(f, r)
         return self._right or None
 
     def independent_row_indices(self) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from aqcc import families, matrix, selftest
-from aqcc.block import bch_parity, grs_build, rs_parity
+from aqcc.block import BlockCode, bch_parity, grs_build, rs_parity
 from aqcc.certify import (
     Budgets,
     certify_params,
@@ -333,6 +333,27 @@ class TestCertificates:
             certify_plan(stated(4), effort=effort)
             with pytest.raises(AqccError, match=f"lower bound 5 exceeds 4, {proof}"):
                 certify_plan(stated(5), effort=effort)
+
+    @pytest.mark.parametrize("q, n, partition, seed",
+                             [(2, 10, (1, 2, 1, 2, 1, 2), 0), (3, 9, (1, 2, 1, 2), 8)])
+    def test_stated_inner_dual_bound_above_its_free_distance_is_refused(self, q, n, partition,
+                                                                         seed):
+        # the chain floors d2f by min(d0 + dm, ds) over G2's first slice,
+        # top slice and stack; here d0 + dm = 2 is below ds = 3, so a stated
+        # v2perp of 3 passes the stack piece, and only desk's free distance
+        # search, which finds d2f = 2 exactly, refutes it
+        f = field_from_order(q)
+        plan = construction_i_plan(f, demo_vectors(f, n, partition, seed=seed), partition)
+        g2 = plan.generators()[1]
+        slices = (g2.coefficient(0), g2.coefficient(g2.max_degree), g2.stack)
+        assert [BlockCode(f, m).min_distance().upper for m in slices] == [1, 1, 3]
+        conv = certify_plan(plan, effort="desk").data["distances"]["convo"]
+        assert (conv["d2f_dual"]["lower"], conv["d2f_dual"]["upper"]) == (2, 2)
+        stated = lambda v: replace(plan, expected=replace(plan.expected, v2perp_stated=v))
+        certify_plan(stated(2), effort="desk")
+        with pytest.raises(AqccError, match="inner-dual free distance is at most 2, "
+                                            "below the stated bound 3"):
+            certify_plan(stated(3), effort="desk")
 
     def test_zero_logical_dimension_certify(self):
         with pytest.raises(ParamOutOfRange):

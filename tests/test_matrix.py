@@ -262,6 +262,37 @@ def test_rref_picks_the_kernel_by_entry_count_and_field(monkeypatch, q, on_ints)
         assert taken == ["_rref_ints" if on_ints else "_rref_arrays"]
 
 
+@pytest.mark.parametrize("q, on_ints", [(2, True), (5, True), (16, True), (9, False), (2039, False)])
+def test_right_inverse_refuses_a_corrupted_right_block(monkeypatch, q, on_ints):
+    # right_inverse confirms A @ R == I by one product where it forms R: a
+    # right block of [A | I] with any one entry moved, on either
+    # elimination kernel, is refused, and the honest block passes
+    f = field_from_order(q)
+    rng = np.random.default_rng(q)
+    a = rng.integers(0, q, (3, 7)).astype(np.int32)
+    while len(_rref(f, a)[1]) < 3:
+        a = rng.integers(0, q, (3, 7)).astype(np.int32)
+    taken = _record_kernels(monkeypatch)
+    assert MatrixGF(f, a) @ MatrixGF(f, a).right_inverse() == MatrixGF.identity(f, 3)
+    assert taken == ["_rref_ints" if on_ints else "_rref_arrays"]
+    rref = matrix._rref
+    for i in range(3):
+        for j in range(3):
+            def corrupted(field, arr, i=i, j=j):
+                red, piv = rref(field, arr)
+                red[i, 7 + j] = f.add(int(red[i, 7 + j]), 1)
+                return red, piv
+
+            with monkeypatch.context() as mp:
+                mp.setattr(matrix, "_rref", corrupted)
+                with pytest.raises(AssertionError, match="right inverse witness failed"):
+                    MatrixGF(f, a).right_inverse()
+    # the empty product needs no identity check to pass: no rows have the
+    # empty R, and rows of no columns are dependent
+    assert MatrixGF.zeros(f, 0, 4).right_inverse().shape == (4, 0)
+    assert MatrixGF.zeros(f, 3, 0).right_inverse() is None
+
+
 def test_certification_eliminates_on_byte_rows(monkeypatch):
     # a field that silently sent these to the arrays would only show as a
     # slower benchmark: every elimination of two structure certificates,

@@ -11,6 +11,7 @@ certificate builds and that a non-basic generator is still refused.
 """
 
 import contextlib
+import dataclasses
 import io
 import random
 import sys
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from aqcc import FamilyParams, certify_params, convo, free_distance, matrix, selftest
+from aqcc.block import BlockCode
 from aqcc.cli import main
 from aqcc.convo import (
     PolyMatrix,
@@ -178,65 +180,85 @@ def test_is_basic_agrees_with_smith(plans):
     assert witnessed == 2 * PLAN_COUNT
 
 
-def column_zeroed(r: np.ndarray, j: int) -> np.ndarray:
-    bad = np.array(r)
-    bad[:, j] = 0
-    return bad
+def zeroed_right_block(monkeypatch, rows: np.ndarray, j: int):
+    """Zero column j of the right block whenever matrix._rref eliminates
+    [A | I] for an A equal to rows, so the R that right_inverse forms for
+    such an A has column j zero and A @ R is not the identity."""
+    rref = matrix._rref
+    k, n = rows.shape
+
+    def corrupted(field, a):
+        red, piv = rref(field, a)
+        if (a.shape == (k, n + k) and np.array_equal(a[:, :n], rows)
+                and np.array_equal(a[:, n:], np.eye(k))):
+            red[:, n:][:, j] = 0
+        return red, piv
+
+    monkeypatch.setattr(matrix, "_rref", corrupted)
 
 
-def test_mutated_right_inverse_is_rejected(plans):
-    # a split generator reads R from the stack right inverse it carries:
-    # with column 0 zeroed it fails the one product that confirms it, while
-    # a seedless copy, which carries none, reads its gap from its dual
+def fresh_seed(plan: LayoutPlan) -> LayoutPlan:
+    """plan with its source parity rebuilt from its entries, so the seed
+    forms its right inverse again on the next split."""
+    parity = MatrixGF(plan.field, plan.source.parity.a)
+    source = BlockCode._independent(plan.field, parity, name=plan.source.name)
+    return dataclasses.replace(plan, source=source)
+
+
+def test_mutated_right_inverse_is_rejected(plans, monkeypatch):
+    # the seed's right inverse R is confirmed by one product where it is
+    # formed: with column 0 of its right block zeroed, the split refuses
+    # it, while a seedless copy of either generator, which carries no
+    # split witness, reads its gap from its dual
     for plan in plans[:10]:
-        for g in plan.generators():
-            copy = PolyMatrix.from_coefficients(g.field, g.c)
-            g._right = column_zeroed(g._right, 0)
+        copies = [PolyMatrix.from_coefficients(g.field, g.c) for g in plan.generators()]
+        fresh = fresh_seed(plan)
+        with monkeypatch.context() as mp:
+            zeroed_right_block(mp, fresh.source.parity.a, 0)
             with pytest.raises(AssertionError, match="right inverse witness failed"):
-                convo.degree_gap(g)
-            assert convo.degree_gap(copy) == 0
+                fresh.generators()
+            assert [convo.degree_gap(copy) for copy in copies] == [0, 0]
 
 
 def test_mutated_leading_inverse_is_rejected(plans, monkeypatch):
-    # R_L is read from the stack right inverse at the stack row
-    # deg_i * k + i of each row i, or on a seedless copy is the right
-    # inverse of L: with column k - 1 zeroed, the split generator fails the
-    # one product that confirms R_S, and the copy fails L @ R_L == I
-    gens = [g for plan in plans[:10] for g in plan.generators()]
-    inverse = MatrixGF.right_inverse
-
-    def last_column_zeroed(self):
-        r = inverse(self)
-        return None if r is None else MatrixGF(self.field, column_zeroed(r.a, -1))
-
-    monkeypatch.setattr(MatrixGF, "right_inverse", last_column_zeroed)
-    for g in gens:
-        k = g.rows
-        copy = PolyMatrix.from_coefficients(g.field, g.c)
-        g._right = column_zeroed(g._right, g.row_degrees[-1] * k + k - 1)
-        for m, witness in ((g, "right"), (copy, "leading")):
-            with pytest.raises(AssertionError, match=f"{witness} inverse witness failed"):
-                is_reduced(m)
+    # a split generator has R_L from its split, with no elimination of its
+    # own; a seedless copy forms R_L as the right inverse of its leading-row
+    # matrix L: with column k - 1 of the right block of [L | I] zeroed, the
+    # one product that confirms it there refuses the copy
+    for plan in plans[:10]:
+        for g in plan.generators():
+            copy = PolyMatrix.from_coefficients(g.field, g.c)
+            with monkeypatch.context() as mp:
+                zeroed_right_block(mp, copy.leading_row_matrix().a, -1)
+                assert is_reduced(g)
+                with pytest.raises(AssertionError, match="right inverse witness failed"):
+                    is_reduced(copy)
 
 
-def test_right_inverse_column_read_by_the_dual_alone_is_rejected(plans):
+def test_right_inverse_column_read_by_the_dual_alone_is_rejected(plans, monkeypatch):
     # a nonzero stack row of degree 0 < j < deg_i in row i has an R_S column
     # that neither the constant right inverse (the first k) nor R_L (the
-    # leading rows) reads, only the dual's closed-form kernel; zeroed, it
-    # fails the one product that confirms R_S on its first read
+    # leading rows) reads, only the dual's closed-form kernel; R_S takes it
+    # from the seed's R, so each column of R, zeroed in turn, is refused
+    # where R is formed, before any generator is split from it
     refused = 0
     for plan in plans:
+        seed = plan.source.parity.a
+        seed_row = {row: j for j, row in enumerate(map(tuple, seed.tolist()))}
+        dual_alone = set()
         for g in plan.generators():
             k = g.rows
             live = np.flatnonzero(g.stack.a.any(axis=1))
             lead = np.array(g.row_degrees) * k + np.arange(k)
             inner = np.setdiff1d(live[live >= k], lead)
-            if not inner.size:
-                continue
-            g._right = column_zeroed(g._right, int(inner[0]))
-            with pytest.raises(AssertionError, match="right inverse witness failed"):
-                dual_generator(g)
-            refused += 1
+            dual_alone.update(seed_row[tuple(g.stack.a[i].tolist())] for i in inner)
+        for j in range(len(seed)):
+            fresh = fresh_seed(plan)
+            with monkeypatch.context() as mp:
+                zeroed_right_block(mp, seed, j)
+                with pytest.raises(AssertionError, match="right inverse witness failed"):
+                    fresh.generators()
+            refused += j in dual_alone
     assert refused >= 20
 
 
@@ -422,11 +444,11 @@ def test_certificate_builds_each_dual_where_it_is_read(monkeypatch, effort):
         monkeypatch.setattr(mod, name, spy)
     family, q, kw = SMALL_ROW
     cert = certify_params(FamilyParams(family, q, **kw), effort=effort)
-    # derive_aqcc builds H1 = dual(G1), which records G1's gap; G2 reads
-    # its gap from the stack right inverse R_S of its split, and only desk
-    # builds G2's dual, for the free distance search, after that gap is
-    # known; containment divides by G1's leading echelon with no scalar solve
-    want = [(cert.g1, None)] + ([(cert.g2, 0)] if effort == "desk" else [])
+    # G1 and G2 leave their splits with gap 0, proved by the stack right
+    # inverse R_S; derive_aqcc builds H1 = dual(G1), and only desk builds
+    # G2's dual, for the free distance search; containment divides by G1's
+    # leading echelon with no scalar solve
+    want = [(cert.g1, 0)] + ([(cert.g2, 0)] if effort == "desk" else [])
     assert [(id(m), gap) for m, gap in built] == [(id(m), gap) for m, gap in want]
     assert cert.g1._gap == cert.g2._gap == 0
     assert calls == {"solve_left": 0}
@@ -435,20 +457,34 @@ def test_certificate_builds_each_dual_where_it_is_read(monkeypatch, effort):
 
 @pytest.mark.parametrize("effort", ["structure", "desk"])
 def test_leading_echelon_is_computed_once_per_generator(monkeypatch, effort):
-    seen = []
-    compute = convo._leading_echelon
+    # G1 and G2 leave their splits with R_L, so neither eliminates [L | I];
+    # desk adds the inner dual's, read by its free distance
+    owners, leads = [], []
+    leading_row_matrix = PolyMatrix.leading_row_matrix
 
-    def counted(m):
-        seen.append(m)
-        return compute(m)
+    def spy(m):
+        out = leading_row_matrix(m)
+        owners.append(m)
+        leads.append(out.a)
+        return out
 
-    monkeypatch.setattr(convo, "_leading_echelon", counted)
+    monkeypatch.setattr(PolyMatrix, "leading_row_matrix", spy)
+    inputs = []
+    rref = matrix._rref
+
+    def recorded(field, a):
+        inputs.append(np.array(a))
+        return rref(field, a)
+
+    monkeypatch.setattr(matrix, "_rref", recorded)
     family, q, kw = SMALL_ROW
     cert = certify_params(FamilyParams(family, q, **kw), effort=effort)
-    assert len({id(m) for m in seen}) == len(seen)
-    assert seen[:2] == [cert.g1, cert.g2]
-    # desk adds the inner dual's, read by its free distance
-    assert len(seen) == (2 if effort == "structure" else 3)
+    eliminated = [a for a in inputs for lead in leads
+                  if np.array_equal(a, np.concatenate([lead, np.eye(len(lead), dtype=np.int32)], 1))]
+    assert len(eliminated) == len(owners) == (0 if effort == "structure" else 1)
+    assert len({id(m) for m in owners}) == len(owners)
+    assert not any(m is cert.g1 or m is cert.g2 for m in owners)
+    assert all(isinstance(g._lead, np.ndarray) for g in (cert.g1, cert.g2))
 
 
 def test_free_distance_of_a_dual_reads_its_basicness(monkeypatch):
@@ -514,14 +550,17 @@ def test_split_to_generator_carries_its_stack_right_inverse(monkeypatch):
             assert len(shapes) == 1
 
 
-def test_zeroed_split_witness_fails_degree_gap():
+def test_zeroed_split_witness_fails_degree_gap(monkeypatch):
+    # with no seed, the blocks' own rows S are the seed, and the right
+    # inverse of S is confirmed where it is formed: with column 0 of its
+    # right block zeroed, split_to_generator refuses it
     family, q, kw = SMALL_ROW
     plan = layout(FamilyParams(family, q, **kw))
     for blocks, placements in ((plan.blocks1, plan.placements1), (plan.blocks2, None)):
-        g = split_to_generator(blocks, placements)
-        g._right = column_zeroed(g._right, 0)
-        with pytest.raises(AssertionError, match="right inverse witness failed"):
-            convo.degree_gap(g)
+        with monkeypatch.context() as mp:
+            zeroed_right_block(mp, np.concatenate([b.a for b in blocks]), 0)
+            with pytest.raises(AssertionError, match="right inverse witness failed"):
+                split_to_generator(blocks, placements)
 
 
 def times_one_plus_d_all(m: PolyMatrix) -> PolyMatrix:
