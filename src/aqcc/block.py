@@ -137,11 +137,6 @@ class BlockCode:
         self.k = self.n - parity.rows
         self._generator = generator
 
-    @classmethod
-    def from_generator(cls, field: FiniteField, gen: MatrixGF, **kw) -> "BlockCode":
-        gen = gen.remove_dependent_rows()
-        return cls._independent(field, gen.kernel(), gen, **kw)
-
     @property
     def generator(self) -> MatrixGF:
         if self._generator is None:

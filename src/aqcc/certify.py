@@ -15,8 +15,11 @@ columns.  Each split records what R_S proves: a leading echelon, which
 proves the generator reduced and hence of full rank, and a zero degree
 gap, which proves it basic (Forney 1975).  The containment witness
 proves V2 <= V1.  G1's coefficient stack holds all of H's rows and
-shares H's echelon, which the source's kernel, the span code's kernel
-and witness row, and H1's degree-0 kernel read.  H1 = dual(G1), the
+shares H's echelon, which the source's kernel, the dual's witness row
+and H1's degree-0 kernel read.  d_dual is the distance of the source's
+dual, which G1's coefficient rows span: one product with the source's
+generator puts them in it, and the shared echelon gives their rank, its
+dimension; a plan whose rows fail either is refused.  H1 = dual(G1), the
 parity check of the stabilizer, is built from kernels in closed form
 read from R_S.  G2's minimal dual is built only at desk effort, for the
 free distance of V2-perp.  The stabilizer's halves are
@@ -243,14 +246,14 @@ def certify_plan(
             raise NotBasic(f"{name} generator is not basic: degree gap {gap}")
     mu = max(g1.max_degree, g2.max_degree, 0)
 
-    # block-level distances: the source code and the span of the outer
-    # coefficient rows (whose distance floors the outer free distance)
+    # block-level distances: the source code and its dual, whose distance
+    # floors the outer free distance when G1's coefficient rows span it
+    source = plan.source
+    if not (g1.stack @ source.generator.T).is_zero() or g1.stack.rank() != source.parity.rows:
+        raise AqccError("the outer coefficient rows do not span the dual of the source code")
     enum_budget = 0 if effort == "structure" else budgets.enum
-    source_d = plan.source.min_distance(budget=enum_budget).meet(_designed(plan.source_designed))
-    # g1.stack and the source parity carry the echelon of the parity's one
-    # elimination, which both kernels and any witness row read
-    s1 = BlockCode.from_generator(field, g1.stack)
-    d_dual = s1.min_distance(budget=enum_budget).meet(_designed(expected.v1_stated))
+    source_d = source.min_distance(budget=enum_budget).meet(_designed(plan.source_designed))
+    d_dual = source.dual().min_distance(budget=enum_budget).meet(_designed(expected.v1_stated))
 
     # chain pieces for the inner dual: first slice, top slice, full stack
     pieces = [_designed(c) for c in (*plan.chain_designed, expected.v2perp_stated)]
@@ -297,8 +300,8 @@ def certify_plan(
     lowers = (d1f.lower, d2f.lower)
     uppers = tuple(math.inf if b.upper is None else b.upper for b in (d1f, d2f))
     dz_b, dx_b = expected.dz_bound, expected.dx_bound
-    dz_val = dz_b if dz_b is not None else (1 if effort == "structure" else max(lowers))
-    dx_val = dx_b if dx_b is not None else (1 if effort == "structure" else min(lowers))
+    dz_val = dz_b if dz_b is not None else max(lowers)
+    dx_val = dx_b if dx_b is not None else min(lowers)
     tuple_str = (
         f"[({par.n},{par.logical},{par.mu_star};{par.gamma},"
         f"dz>={dz_val}/dx>={dx_val})]_{field.q}"
@@ -318,7 +321,7 @@ def certify_plan(
             "modulus": [int(c) for c in field.modulus],
         },
         "matrices": {
-            "source_H": _matrix_text(plan.source.parity),
+            "source_H": _matrix_text(source.parity),
             "G1": _matrix_text(g1),
             "G2": g2_text,
             "H1": h1_text,
@@ -329,7 +332,7 @@ def certify_plan(
             "ranks": {
                 "G1": kappa1,
                 "G2": kappa2,
-                "source": plan.source.parity.rows,
+                "source": source.parity.rows,
             },
             "basic": {"G1": True, "G2": True},
             "reduced": {"G1": True, "G2": True},

@@ -183,7 +183,7 @@ def check_duality_chain():
                 raise AssertionError(f"instance {q} {partition} {n} exceeds 2**16 states")
             d0, dmu, d = (BlockCode(field, m).min_distance()
                           for m in (g.coefficient(0), g.coefficient(g.max_degree), g.stack))
-            d_span = BlockCode.from_generator(field, g.stack).min_distance()
+            d_span = BlockCode(field, g.stack).dual().min_distance()
             df = free_distance(g)
             dfd = free_distance(dual_generator(g))
             for b in (d0, dmu, d, d_span, df, dfd):

@@ -102,7 +102,7 @@ def free_distance(
 
     states = q ** gamma
     if gamma == 0 and q ** k <= work_budget:
-        b = BlockCode.from_generator(f, g.coefficient(0)).min_distance(budget=work_budget)
+        b = BlockCode(f, g.coefficient(0)).dual().min_distance(budget=work_budget)
         return DistanceBound(b.lower, b.upper, "block", "block", b.witness)
     if gamma == 0 or states > state_budget or states * q ** k > work_budget or q ** k * n > _MEM_ELEMENTS:
         upper, wit = _probe_upper(g)

@@ -292,7 +292,7 @@ class TestDistributions:
         for q, k, n in ((2, 4, 9), (3, 3, 7), (4, 2, 12), (5, 3, 6), (16, 2, 5), (17, 2, 20)):
             f = field_from_order(q)
             gen = rng.integers(0, q, size=(k, n)).astype(np.int32)
-            codes.append(BlockCode.from_generator(f, MatrixGF(f, gen)))
+            codes.append(BlockCode(f, MatrixGF(f, gen)).dual())
         for code in codes:
             for side in (code, code.dual()):
                 a = self.enumerated(side)
@@ -341,11 +341,12 @@ class TestBlockCode:
         w[0] = f.add(int(w[0]), 1)
         assert not contains_vector(code, w)
 
-    def test_from_generator_roundtrip(self):
+    def test_dual_of_a_parity_is_generated_by_its_rows(self):
         f = FiniteField.get(2, 2)
         gen = MatrixGF(f, [[1, 0, 1, 2], [0, 1, 3, 1]])
-        code = BlockCode.from_generator(f, gen)
+        code = BlockCode(f, gen).dual()
         assert (code.n, code.k) == (4, 2)
+        assert code.generator == gen
         assert (code.generator @ code.parity.T).is_zero()
 
     def test_zero_code_distance_rejected(self):
@@ -406,7 +407,7 @@ def enumeration_inputs(q, k, n, seed):
     rng = np.random.default_rng(seed)
     gen = rng.integers(0, q, size=(k, n)).astype(np.int32)
     out = [gen]
-    code = BlockCode.from_generator(f, MatrixGF(f, gen))
+    code = BlockCode(f, MatrixGF(f, gen)).dual()
     if 0 < code.parity.rows and q ** code.parity.rows <= 1 << 17:
         out.append(code.parity.a)
     if k > 1:
@@ -590,7 +591,7 @@ def test_enumeration_of_no_rows():
 def test_weight_distribution_macwilliams_round_trip(q, k, n):
     f = field_from_order(q)
     gen = np.random.default_rng(q + k + n).integers(0, q, size=(k, n)).astype(np.int32)
-    code = BlockCode.from_generator(f, MatrixGF(f, gen))
+    code = BlockCode(f, MatrixGF(f, gen)).dual()
     r = n - code.k
     assert code.k > r  # the parity side is the smaller one
     direct = weight_distribution(code, budget=q ** code.k)

@@ -260,14 +260,16 @@ class TestDerivation:
     def test_golden_exact_distances_follow_the_sides(self, path):
         side_rule(json.loads(path.read_text()))
 
-    @pytest.mark.parametrize("state, exact", [
-        (Budgets().state, {"dz_exact": 6, "dx_exact": 2}),
-        (1, {}),  # d1f is [1, 6] and d2f_dual [2, 2]: both sides stay open
-    ])
-    def test_construction_i_tuple_states_the_side_lowers(self, state, exact):
+    @pytest.mark.parametrize("effort, state, exact, sides", [
+        ("desk", Budgets().state, {"dz_exact": 6, "dx_exact": 2}, (6, 2)),
+        ("desk", 1, {}, (2, 1)),  # d1f is [1, 6] and d2f_dual [2, 2]: both sides stay open
+        ("structure", Budgets().state, {}, (1, 1)),  # nothing searched: both lowers are 1
+    ], ids=[f"{Budgets().state}-exact0", "1-exact1", "structure"])
+    def test_construction_i_tuple_states_the_side_lowers(self, effort, state, exact, sides):
         f5 = field_from_order(5)
         plan = construction_i_plan(f5, demo_vectors(f5, 9, [2, 2, 2, 1], seed=3), [2, 2, 2, 1])
-        data = certify_plan(plan, effort="desk", budgets=Budgets(state=state)).data
+        data = certify_plan(plan, effort=effort, budgets=Budgets(state=state)).data
         dz, dx = side_rule(data)
+        assert (dz, dx) == sides
         assert data["tuple"] == f"[(9,2,1;4,dz>={dz}/dx>={dx})]_5"
         assert {k: v for k, v in data["distances"]["aqcc"].items() if k.endswith("_exact")} == exact

@@ -355,6 +355,34 @@ class TestCertificates:
                                             "below the stated bound 3"):
             certify_plan(stated(3), effort="desk")
 
+    @pytest.mark.parametrize("effort", ["structure", "desk"])
+    def test_outer_rows_off_the_source_dual_are_refused(self, effort):
+        # d_dual is the distance of the source's dual, which floors d1f only
+        # when G1's coefficient rows span it: a main outer row moved off the
+        # parity's span leaves G2, and so containment, as it is, and a
+        # source with one more parity row than G1's stack spans a larger
+        # dual; either plan is refused before any distance is read
+        f5 = field_from_order(5)
+        vec = demo_vectors(f5, 9, [2, 2, 2, 1], seed=3)
+        plan = construction_i_plan(f5, vec, [2, 2, 2, 1])
+        b0, b1 = plan.blocks1
+        codeword = plan.source.generator.a[0]
+        moved = b0.a.copy()
+        moved[0] = f5._vadd(moved[0], codeword)
+        off_span = replace(plan, blocks1=(MatrixGF(f5, moved), b1))
+        g1 = off_span.generators()[0]
+        assert not (g1.stack @ plan.source.generator.T).is_zero()
+        assert g1.stack.rank() == plan.source.parity.rows
+        wider = MatrixGF(f5, np.concatenate([vec.a, codeword[None]]))
+        assert wider.right_inverse() is not None
+        larger_dual = replace(plan, source=BlockCode(f5, wider))
+        assert larger_dual.generators()[0].stack.rank() == vec.rows < wider.rows
+        certify_plan(plan, effort=effort)
+        for doctored in (off_span, larger_dual):
+            with pytest.raises(AqccError, match="outer coefficient rows do not span "
+                                                "the dual of the source code"):
+                certify_plan(doctored, effort=effort)
+
     def test_zero_logical_dimension_certify(self):
         with pytest.raises(ParamOutOfRange):
             certify_params(FamilyParams("III-T6", 5, n=5, k=1, t=2))
@@ -469,8 +497,8 @@ def test_outer_stack_is_eliminated_once(effort, monkeypatch):
     # G1's coefficient stack holds the source parity's rows in another
     # order, which the parity's right inverse proves independent; the one
     # elimination of [H | I] for the parity H gives that inverse and the
-    # echelon the stack borrows, and the source's kernel, the span code's
-    # kernel and its witness row all read it
+    # echelon the stack borrows, and the source's kernel, the stack's rank
+    # and the dual's witness row all read it
     params = FamilyParams("II-T3a", 16, i=5, t=1)
     source = layout(params).source.parity.a
     eliminated = []
@@ -489,7 +517,7 @@ def test_outer_stack_is_eliminated_once(effort, monkeypatch):
     rows = cert.g1.c.reshape(-1, cert.g1.cols)
     stack = nonzero_rows(rows)
     assert stack == nonzero_rows(source) and not np.array_equal(rows[rows.any(axis=1)], source)
-    # 16**k and 16**(17 - k) both pass the desk budget, so the span code's
+    # 16**k and 16**(17 - k) both pass the desk budget, so the dual's
     # distance takes the witness row from the echelon at either effort
     assert min(len(stack), 17 - len(stack)) >= 5
     # once, as [H | I], and not again as the stack

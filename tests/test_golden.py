@@ -35,7 +35,7 @@ tests/golden/grid_manifest.txt pins every grid row at q in {4, 5, 7, 8, 9,
 11, 13, 16, 17} at both efforts, one line each: the effort, the row's
 golden-style label and the first 16 hex digits of the SHA-256 of its
 certificate bytes.  The tests recompute the q <= 9 slice; the whole file,
-about 20 s, is recomputed by
+about 15 s on a 2-vCPU Xeon, is recomputed by
 
     PYTHONPATH=src python tests/test_golden.py --grid
 
