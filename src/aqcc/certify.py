@@ -22,13 +22,13 @@ generator puts them in it, and the shared echelon gives their rank, its
 dimension; a plan whose rows fail either is refused.  H1 = dual(G1), the
 parity check of the stabilizer, is built from kernels in closed form
 read from R_S.  G2's minimal dual is built only at desk effort, for the
-free distance of V2-perp.  The stabilizer's halves are
-[H1; 0] and [0; G2], so their text is H1's and G2's with zero rows, not
-formatted again.  Basicness also settles the rank of the stabilizer's
-truncations, so none is expanded here: a basic G has a polynomial right
-inverse, so G(0) has full row rank (Forney 1970), and the window of
-css.semi_infinite_expand is block upper triangular with diagonal blocks
-[H1(0) 0; 0 G2(0)], H1 being a minimal basis.
+free distance of V2-perp.  The stabilizer is held as its two blocks, H1
+and G2; the text of its halves [H1; 0] and [0; G2] is the blocks' text
+with zero rows, not formatted again.  Basicness also settles the rank
+of the stabilizer's truncations, so none is expanded here: a basic G has
+a polynomial right inverse, so G(0) has full row rank (Forney 1970), and
+the window of css.semi_infinite_expand is block upper triangular with
+diagonal blocks [H1(0) 0; 0 G2(0)], H1 being a minimal basis.
 
 Effort levels:
   structure  no distance enumeration; designed bounds and witness rows only
@@ -93,9 +93,7 @@ class AqccCertificate:
 
     data: dict
     aqcc: AqccParameters
-    expected: families.ExpectedTuple
     g1: PolyMatrix
-    g2: PolyMatrix
 
     def to_json(self) -> str:
         return json.dumps(self.data, indent=2) + "\n"
@@ -106,7 +104,7 @@ class AqccCertificate:
 
     @property
     def n(self) -> int:
-        return self.aqcc.n
+        return self.aqcc.stabilizer.n
 
     @property
     def logical(self) -> int:
@@ -114,11 +112,11 @@ class AqccCertificate:
 
     @property
     def gamma(self) -> int:
-        return self.aqcc.gamma
+        return self.aqcc.stabilizer.gamma
 
     @property
     def mu_star(self) -> int:
-        return self.aqcc.mu_star
+        return self.aqcc.stabilizer.mu_star
 
     @property
     def dz_bound(self):
@@ -219,7 +217,7 @@ def certify_plan(
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"fault must be one of {FAULTS}, got {fault!r}")
     budgets = budgets or Budgets()
-    field = plan.field
+    field = plan.source.field
     expected = plan.expected
 
     if fault == "rank-condition":
@@ -232,8 +230,9 @@ def certify_plan(
     if fault == "mutate-row":
         g2 = _fault_mutate_row(g1, g2, seed)
     par = derive_aqcc(build_nested_pair(g1, g2))
+    stab = par.stabilizer
     if fault == "swap-blocks":
-        _fault_swap_columns(par.h1, g2, seed)
+        _fault_swap_columns(stab.h1, g2, seed)
 
     kappa1, kappa2 = g1.rows, g2.rows
     deg1 = degree_accounting(g1)
@@ -283,9 +282,9 @@ def certify_plan(
         raise AqccError(
             f"logical dimension {par.logical} differs from the closed form {expected.k_formula}"
         )
-    if par.gamma != expected.gamma_formula:
+    if stab.gamma != expected.gamma_formula:
         raise AqccError(
-            f"total degree {par.gamma} differs from the closed form {expected.gamma_formula}"
+            f"total degree {stab.gamma} differs from the closed form {expected.gamma_formula}"
         )
     # d1f is at least d_dual, which the stated v1 floors; the chain floors
     # d2f by less than the stated v2perp when d0 + dm is smaller
@@ -303,14 +302,14 @@ def certify_plan(
     dz_val = dz_b if dz_b is not None else max(lowers)
     dx_val = dx_b if dx_b is not None else min(lowers)
     tuple_str = (
-        f"[({par.n},{par.logical},{par.mu_star};{par.gamma},"
+        f"[({stab.n},{par.logical},{stab.mu_star};{stab.gamma},"
         f"dz>={dz_val}/dx>={dx_val})]_{field.q}"
     )
 
-    # the stabilizer's halves are [H1; 0] and [0; G2], with G2 as it is,
-    # being reduced; their text is the blocks' rows, a zero entry being (0)
-    h1_text, g2_text = _matrix_text(par.h1), _matrix_text(g2)
-    zero_row = " ".join(["(0)"] * par.n)
+    # the stabilizer's halves are [H1; 0] and [0; G2], so their text is its
+    # two blocks' rows and zero rows, a zero entry being (0)
+    h1_text, g2_text = _matrix_text(stab.h1), _matrix_text(stab.g2)
+    zero_row = " ".join(["(0)"] * stab.n)
     data = {
         "family": plan.params.family,
         "q": field.q,
@@ -326,7 +325,7 @@ def certify_plan(
             "G2": g2_text,
             "H1": h1_text,
             "stabilizer_X": _rows_text(h1_text, *[zero_row] * kappa2),
-            "stabilizer_Z": _rows_text(*[zero_row] * par.h1.rows, g2_text),
+            "stabilizer_Z": _rows_text(*[zero_row] * stab.h1.rows, g2_text),
         },
         "checks": {
             "ranks": {
@@ -341,9 +340,9 @@ def certify_plan(
             "degrees": {
                 "gamma1": deg1.gamma,
                 "gamma2": deg2.gamma,
-                "gamma": par.gamma,
+                "gamma": stab.gamma,
                 "mu": mu,
-                "mu_star": par.mu_star,
+                "mu_star": stab.mu_star,
             },
         },
         "distances": {
@@ -370,7 +369,7 @@ def certify_plan(
         data["distances"]["aqcc"]["dx_exact"] = int(min(lowers))
     if plan.notes:
         data["notes"] = list(plan.notes)
-    return AqccCertificate(data=data, aqcc=par, expected=expected, g1=g1, g2=g2)
+    return AqccCertificate(data=data, aqcc=par, g1=g1)
 
 
 def certify_params(

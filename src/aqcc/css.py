@@ -5,9 +5,11 @@ quantum convolutional code: one block of stabilizer rows carries a
 parity check of V1 on the X side, the other carries a generator of V2 on
 the Z side.  Symplectic self-orthogonality of the assembled matrix is
 equivalent to the containment V2 <= V1, and this module verifies it
-explicitly instead of assuming it.  For X = [H1; 0] and Z = [0; G2] the
-residual X rev(Z)^T - Z rev(X)^T is zero but for the blocks A = H1 rev(G2)^T
-and -D^(2 mu) A(1/D)^T, so it vanishes exactly when the one product A does.
+explicitly instead of assuming it.  The stabilizer [H1 0; 0 G2] is held
+as its two blocks H1 and G2, its only content.  For its halves X = [H1; 0]
+and Z = [0; G2] the residual X rev(Z)^T - Z rev(X)^T is zero but for the
+blocks A = H1 rev(G2)^T and -D^(2 mu) A(1/D)^T, so it vanishes exactly
+when the one product A does.
 
 derive_aqcc builds one minimal dual, H1 = dual(V1), the parity check on
 the X side; building it also records G1's degree gap.  V2-perp matters
@@ -33,38 +35,37 @@ from .matrix import MatrixGF
 
 @dataclass(frozen=True)
 class StabilizerMatrix:
-    """Polynomial stabilizer matrix split into its X and Z halves."""
+    """Polynomial stabilizer matrix [h1 0; 0 g2], held as its two blocks:
+    h1 on the X side of the first h1.rows rows, g2 on the Z side of the rest."""
 
-    x_part: PolyMatrix
-    z_part: PolyMatrix
+    h1: PolyMatrix
+    g2: PolyMatrix
 
     def __post_init__(self):
-        if self.x_part.shape != self.z_part.shape:
-            raise ValueError("X and Z parts must share a shape")
-        if self.x_part.field != self.z_part.field:
-            raise FieldMismatch("X and Z parts live over different fields")
+        if self.h1.field != self.g2.field:
+            raise FieldMismatch("parity check and generator fields differ")
+        if self.h1.cols != self.g2.cols:
+            raise ValueError(f"column counts differ: {self.h1.cols} vs {self.g2.cols}")
 
     @property
     def field(self):
-        return self.x_part.field
+        return self.h1.field
 
     @property
     def n(self) -> int:
-        return self.x_part.cols
+        return self.h1.cols
 
     @property
     def rows(self) -> int:
-        return self.x_part.rows
+        return self.h1.rows + self.g2.rows
 
     @property
     def mu_star(self) -> int:
-        return max(self.x_part.max_degree, self.z_part.max_degree, 0)
+        return max(self.h1.max_degree, self.g2.max_degree, 0)
 
     @property
     def row_degrees(self) -> tuple[int, ...]:
-        xd = self.x_part.row_degrees
-        zd = self.z_part.row_degrees
-        return tuple(max(a, b, 0) for a, b in zip(xd, zd))
+        return tuple(max(d, 0) for d in self.h1.row_degrees + self.g2.row_degrees)
 
     @property
     def gamma(self) -> int:
@@ -80,20 +81,13 @@ def assemble_stabilizer(h1: PolyMatrix, g2: PolyMatrix) -> StabilizerMatrix:
     residual's nonzero blocks A = h1 rev(g2)^T and -D^(2 mu) A(1/D)^T only
     A is computed; its entry (i, j) pairs rows i and h1.rows + j.
     """
-    if h1.field != g2.field:
-        raise FieldMismatch("parity check and generator fields differ")
-    if h1.cols != g2.cols:
-        raise ValueError(f"column counts differ: {h1.cols} vs {g2.cols}")
-    mu = max(h1.max_degree, g2.max_degree, 0)
-    res = h1 @ g2.reverse(mu).T
+    stab = StabilizerMatrix(h1, g2)
+    res = h1 @ g2.reverse(stab.mu_star).T
     if not res.is_zero():
         i, j = np.argwhere(res.c.any(axis=0))[0].tolist()
         pairing = np.trim_zeros(res.c[:, i, j], "b").tolist()
         raise SymplecticViolation(f"rows {i} and {h1.rows + j} have pairing {pairing}")
-    parts = np.zeros((2, mu + 1, h1.rows + g2.rows, h1.cols), dtype=np.int32)
-    parts[0, : len(h1.c), : h1.rows] = h1.c
-    parts[1, : len(g2.c), h1.rows :] = g2.c
-    return StabilizerMatrix(*(PolyMatrix.from_coefficients(h1.field, c) for c in parts))
+    return stab
 
 
 @dataclass(frozen=True)
@@ -117,9 +111,10 @@ def semi_infinite_expand(stab: StabilizerMatrix, frames: int) -> ExpandedStabili
     mu = stab.mu_star
     if frames < mu + 1:
         raise TooFewFrames(f"window of {frames} frames cannot hold degree {mu}")
-    coeffs = np.concatenate(
-        [stab.x_part.coefficients(mu + 1), stab.z_part.coefficients(mu + 1)], axis=2
-    )
+    h1, g2, n = stab.h1, stab.g2, stab.n
+    coeffs = np.zeros((mu + 1, stab.rows, 2 * n), dtype=np.int32)
+    coeffs[:, : h1.rows, :n] = h1.coefficients(mu + 1)
+    coeffs[:, h1.rows :, n:] = g2.coefficients(mu + 1)
     m = MatrixGF(stab.field, block_toeplitz(coeffs, frames, frames))
     rk = m.rank()
     return ExpandedStabilizer(m, frames, rk, frames * stab.rows - rk)
@@ -132,14 +127,6 @@ class NestedPair:
     outer: PolyMatrix
     inner: PolyMatrix
     witness: PolyMatrix
-
-    @property
-    def field(self):
-        return self.outer.field
-
-    @property
-    def n(self) -> int:
-        return self.outer.cols
 
 
 def build_nested_pair(outer: PolyMatrix, inner: PolyMatrix) -> NestedPair:
@@ -165,35 +152,23 @@ def build_nested_pair(outer: PolyMatrix, inner: PolyMatrix) -> NestedPair:
 class AqccParameters:
     """Derived data of the quantum code attached to a nested pair."""
 
-    n: int
     logical: int
-    gamma: int
-    mu_star: int
     stabilizer: StabilizerMatrix
-    h1: PolyMatrix
 
 
 def derive_aqcc(pair: NestedPair) -> AqccParameters:
     """Build the minimal dual of the outer generator and the stabilizer.
 
-    h1, the dual of the outer generator, goes on the X side of the
-    stabilizer and the reduced inner generator on the Z side.  gamma is
-    the external degree of the stabilizer.  The free distances of the
-    outer generator and of the inner generator's dual bound the two
-    sides; certify.certify_plan computes them and reads dz and dx from
-    the two brackets.
+    The stabilizer holds two blocks: h1, the dual of the outer generator,
+    on the X side and the reduced inner generator g2 on the Z side; it
+    computes n, gamma (its external degree) and mu_star from them.  The
+    free distances of the outer generator and of the inner generator's
+    dual bound the two sides; certify.certify_plan computes them and
+    reads dz and dx from the two brackets.
     """
     k1, k2 = pair.outer.rows, pair.inner.rows
     logical = k1 - k2
     if logical <= 0:
         raise ZeroLogicalDimension(f"k1 = {k1} and k2 = {k2} leave no logical stream")
-    h1 = dual_generator(pair.outer)
-    stab = assemble_stabilizer(h1, reduce(pair.inner))
-    return AqccParameters(
-        n=pair.n,
-        logical=logical,
-        gamma=stab.gamma,
-        mu_star=stab.mu_star,
-        stabilizer=stab,
-        h1=h1,
-    )
+    stab = assemble_stabilizer(dual_generator(pair.outer), reduce(pair.inner))
+    return AqccParameters(logical, stab)

@@ -116,7 +116,6 @@ class LayoutPlan:
 
     params: FamilyParams
     expected: ExpectedTuple
-    field: FiniteField
     source: BlockCode
     blocks1: tuple[MatrixGF, ...]
     blocks2: tuple[MatrixGF, ...]
@@ -465,7 +464,6 @@ def layout(params: FamilyParams) -> LayoutPlan:
     return LayoutPlan(
         params=params,
         expected=expected,
-        field=field,
         source=struct.code,
         blocks1=blocks1,
         blocks2=blocks2,
@@ -532,7 +530,6 @@ def construction_i_plan(field: FiniteField, vectors, partition) -> LayoutPlan:
     return LayoutPlan(
         params=params,
         expected=expected,
-        field=field,
         source=BlockCode._independent(field, m, name=f"seed rows ({m.rows} x {m.cols})"),
         blocks1=blocks1,
         blocks2=blocks2,

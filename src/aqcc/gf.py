@@ -83,12 +83,15 @@ def prime_factors(m: int) -> list[int]:
     return out
 
 
-def prime_power(q: int) -> tuple[int, int]:
-    """(p, l) with q == p**l, p prime and l >= 1.
+def field_order(q: int) -> tuple[int, int]:
+    """(p, l) with q == p**l, p prime and l >= 1, for a q the tables can hold.
 
-    Raises ValueError for q < 2 and for any q with two distinct prime
-    factors.  Trial division stops at the square root of q.
+    Raises ValueError for q < 2, for any q with two distinct prime factors,
+    and for a q past MAX_Q, which is refused before it is factored, so a
+    huge order costs no trial division.
     """
+    if q > MAX_Q:
+        raise ValueError(f"q = {q} exceeds the supported table size {MAX_Q}")
     factors = prime_factors(q)
     if len(factors) != 1:
         raise ValueError(f"q = {q} is not a prime power")
@@ -98,17 +101,6 @@ def prime_power(q: int) -> tuple[int, int]:
         q //= p
         l += 1
     return p, l
-
-
-def field_order(q: int) -> tuple[int, int]:
-    """prime_power(q) for a q the tables can hold.
-
-    A q past MAX_Q is refused with ValueError before it is factored, so a
-    huge order costs no trial division.
-    """
-    if q > MAX_Q:
-        raise ValueError(f"q = {q} exceeds the supported table size {MAX_Q}")
-    return prime_power(q)
 
 
 def multiplicative_order(q: int, n: int) -> int:

@@ -31,7 +31,7 @@ from .families import (
     expected_tuple,
     source_key,
 )
-from .gf import prime_power
+from .gf import field_order
 from .matrix import field_from_order
 from .trellis import free_distance
 
@@ -214,7 +214,7 @@ def check_mds_sources():
     prime_powers = []
     for q in range(2, 12):
         try:
-            prime_power(q)
+            field_order(q)
         except ValueError:
             continue
         prime_powers.append(q)

@@ -37,11 +37,14 @@ branches lead back to the zero state; the path is rebuilt from there, and
 the witness u(D) @ g is read off its branches' outputs, each scaled back
 from the class representative to the path's state.
 
-Feasibility is gated three times: q**gamma states must fit the state
-budget, q**(gamma + k) scanned edges the work budget, and q**k * n
-_MEM_ELEMENTS.  The last gate bounds the search's two tables, C0'
-(q**k0 x n) and the run offsets (q**(k - k0) x n), to q**k * n entries
-each; the work budget alone would admit 2**25 runs, as q**gamma >= 2.
+Feasibility is gated four times: q**gamma states must fit the state
+budget, q**(gamma + k) scanned edges the work budget, q**k * n
+_MEM_ELEMENTS, and the search key of a branch an int64.  The third gate
+bounds the search's two tables, C0' (q**k0 x n) and the run offsets
+(q**(k - k0) x n), to q**k * n entries each; the work budget alone would
+admit 2**25 runs, as q**gamma >= 2.  The fourth bounds the packed key
+(distance, weight, source class, message) that _dijkstra keeps per class:
+(n * (max nu + 1) + 1) * (n + 1) * q**gamma * q**k must fit in an int64.
 Outside the budget the result degrades to the bracket the search proved,
 "bounded": 1 with floor "none" below a short probe's least codeword; a
 caller meets in any better lower bound it carries (DistanceBound.meet).
@@ -100,11 +103,14 @@ def free_distance(
     k, n = g.shape
     q = f.q
 
-    states = q ** gamma
-    if gamma == 0 and q ** k <= work_budget:
+    states, msgs = q ** gamma, q ** k
+    if gamma == 0 and msgs <= work_budget:
         b = BlockCode(f, g.coefficient(0)).dual().min_distance(budget=work_budget)
         return DistanceBound(b.lower, b.upper, "block", "block", b.witness)
-    if gamma == 0 or states > state_budget or states * q ** k > work_budget or q ** k * n > _MEM_ELEMENTS:
+    # the range of _dijkstra's search key, which must fit an int64
+    key_range = (n * (max(info.row_degrees) + 1) + 1) * (n + 1) * states * msgs
+    if (gamma == 0 or states > state_budget or states * msgs > work_budget
+            or msgs * n > _MEM_ELEMENTS or key_range > np.iinfo(np.int64).max):
         upper, wit = _probe_upper(g)
         return DistanceBound(1, upper, "bounded", "none", wit)
     d, settled, wit = _dijkstra(f, g, info)
@@ -244,11 +250,10 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, np.ndarray]:
     # best[t] packs the branch that gave class t its distance d as
     # ((d * (n + 1) + n - w) * size + s) * msgs + u: its weight w, settled
     # source class s and message u.  Every state is at most max(nu) steps
-    # of weight <= n from zero, so d <= n * (max(nu) + 1)
+    # of weight <= n from zero, so d <= n * (max(nu) + 1), and free_distance
+    # sends a search whose keys would overflow to the bounded route
     INF = np.iinfo(np.int64).max
     radix = (n + 1) * size * msgs
-    if (n * (max(nu) + 1) + 1) * radix > INF:
-        raise AqccError(f"{size} states of {msgs} branches over {n} columns overflow the search key")
     best = np.full(size, INF, dtype=np.int64)
     settled = np.zeros(size, dtype=bool)
 

@@ -111,7 +111,7 @@ def chain_bound(plan, effort: str) -> int:
     if effort == "desk":
         g2 = plan.generators()[1]
         slices = (g2.coefficient(0), g2.coefficient(g2.max_degree), g2.stack)
-        pieces = [BlockCode(plan.field, m).min_distance(budget=DESK_ENUM_BUDGET).meet(p)
+        pieces = [BlockCode(plan.source.field, m).min_distance(budget=DESK_ENUM_BUDGET).meet(p)
                   for m, p in zip(slices, pieces)]
     return DistanceBound.min_sum(*pieces, "chain").lower
 

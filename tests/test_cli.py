@@ -398,6 +398,15 @@ class TestDistance:
         assert "bounds [1," in out
         assert "(bounded)" in out
 
+    def test_search_key_overflow_reports_bounds(self, tmp_path):
+        # 16**10 states of 16 branches fit both budgets, but a search key,
+        # about (220 * 11 + 1) * 221 * 16**11 > 2**63, does not fit an int64
+        entries = ["(1,0,0,0,0,0,0,0,0,0,3)"] + [f"({1 + i % 15})" for i in range(1, 220)]
+        path = self.write(tmp_path, "q=16\n" + " ".join(entries) + "\n")
+        rc, out, err = run("distance", path, "--state-budget", str(1 << 40),
+                           "--work-budget", str(1 << 44))
+        assert rc == 0 and err == ""
+        assert "free distance: bounds [1, 221] (bounded)" in out
 
     def test_zero_work_budget_exits_two(self, tmp_path):
         path = self.write(tmp_path, "q=2\n(1) (0,1)\n")

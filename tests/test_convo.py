@@ -721,10 +721,10 @@ def test_reference_duals_eliminate_once_each(monkeypatch):
 
     monkeypatch.setattr(matrix, "_rref", counted)
     par = derive_aqcc(pair)
-    assert eliminated == [(dims[0], 2 * pair.n)]
+    assert eliminated == [(dims[0], 2 * pair.outer.cols)]
     assert dims[0] < toeplitz[0]
-    assert par.h1.max_degree == dual_generator(g2).max_degree == 1
-    assert eliminated == [(dims[0], 2 * pair.n), g2.stack.shape, (toeplitz[1], 2 * pair.n)]
+    assert par.stabilizer.h1.max_degree == dual_generator(g2).max_degree == 1
+    assert eliminated == [(dims[0], 2 * pair.outer.cols), g2.stack.shape, (toeplitz[1], 2 * pair.outer.cols)]
     assert toeplitz[1] < dims[1]
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -8,7 +9,7 @@ import pytest
 
 from aqcc import FamilyParams, convo, selftest
 from aqcc.certify import Budgets, certify_plan
-from aqcc.convo import PolyMatrix
+from aqcc.convo import PolyMatrix, block_toeplitz
 from aqcc.css import (
     assemble_stabilizer,
     build_nested_pair,
@@ -166,13 +167,28 @@ class TestAssembly:
         g2 = PolyMatrix(f2, [[(1,), (1,), (1, 1)]])
         stab = assemble_stabilizer(h1, g2)
         assert stab.rows == 2 and stab.n == 3
-        assert stab.x_part.e[0] == h1.e[0]
-        assert all(p == () for p in stab.x_part.e[1])
-        assert stab.z_part.e[1] == g2.e[0]
-        assert all(p == () for p in stab.z_part.e[0])
+        # row 0 is h1 on the X side, row 1 g2 on the Z side; the first block
+        # row of a window holds both rows' whole band, each frame X before Z,
+        # and the other side of each row is zero
+        band = semi_infinite_expand(stab, 2).matrix.a[:2].reshape(2, 2, 2, 3)  # row, frame, side, col
+        assert stab.h1.e[0] == h1.e[0]
+        assert not band[1, :, 0].any()
+        assert stab.g2.e[0] == g2.e[0]
+        assert not band[0, :, 1].any()
         assert stab.mu_star == 1
         assert stab.row_degrees == (1, 1)
         assert stab.gamma == 2
+
+    def test_blocks_are_kept_as_given(self, f2, monkeypatch):
+        h1 = PolyMatrix(f2, [[(0, 1), (1,), (0, 1)]])
+        g2 = PolyMatrix(f2, [[(1,), (1,), (1, 1)]])
+
+        def refused(*args):
+            raise AssertionError("assemble_stabilizer built a padded half")
+
+        monkeypatch.setattr(PolyMatrix, "from_coefficients", refused)
+        stab = assemble_stabilizer(h1, g2)
+        assert stab.h1 is h1 and stab.g2 is g2
 
     def test_violation_detected(self, f2):
         h1 = PolyMatrix(f2, [[(0, 1), (1,), (0, 1)]])
@@ -197,7 +213,9 @@ class TestExpansion:
         par = derive_aqcc(pair)
         stab = par.stabilizer
         exp = semi_infinite_expand(stab, 3)
-        c1 = np.hstack([stab.x_part.coefficient(1).a, stab.z_part.coefficient(1).a])
+        c1 = np.zeros((stab.rows, 2 * stab.n), dtype=np.int32)
+        c1[: stab.h1.rows, : stab.n] = stab.h1.coefficient(1).a
+        c1[stab.h1.rows :, stab.n :] = stab.g2.coefficient(1).a
         assert np.array_equal(exp.matrix.a[0:2, 6:12], c1)
         # block below the band stays zero
         assert not exp.matrix.a[2:4, 0:6].any()
@@ -208,18 +226,48 @@ class TestExpansion:
             semi_infinite_expand(par.stabilizer, 1)
 
 
-def test_certified_stabilizers_expand_without_defect():
-    """The certifier ranks no expansion: its window is block upper
-    triangular with diagonal blocks [H1(0) 0; 0 G2(0)], of full row rank
-    because H1 is a minimal basis and G2 is basic.  The stabilizer does
-    not depend on effort, so structure certificates show it."""
+@functools.cache
+def certified_stabilizers() -> tuple:
+    """(label, stabilizer) of the structure certificates of the reference
+    rows and the seeded split plans.  The stabilizer does not depend on
+    effort, so structure certificates show it."""
     (seed,) = selftest.check_split_plans.__defaults__
     rng = random.Random(seed)
     plans = [layout(FamilyParams(family, q, **kw)) for family, q, kw, *_ in selftest.REFERENCE_ROWS]
     plans += [selftest._random_plan(rng) for _ in range(selftest.SPLIT_PLANS)]
-    for plan in plans:
-        par = certify_plan(plan, effort="structure").aqcc
-        assert semi_infinite_expand(par.stabilizer, par.mu_star + 2).defect == 0, plan.params.label()
+    return tuple((plan.params.label(), certify_plan(plan, effort="structure").aqcc.stabilizer)
+                 for plan in plans)
+
+
+def test_certified_stabilizers_expand_without_defect():
+    """The certifier ranks no expansion: its window is block upper
+    triangular with diagonal blocks [H1(0) 0; 0 G2(0)], of full row rank
+    because H1 is a minimal basis and G2 is basic."""
+    for label, stab in certified_stabilizers():
+        assert semi_infinite_expand(stab, stab.mu_star + 2).defect == 0, label
+
+
+def padded_window(stab, frames: int) -> np.ndarray:
+    """The window of the stabilizer's halves X = [H1; 0] and Z = [0; G2],
+    each zero-padded to (mu* + 1, rows, n) and made a PolyMatrix, their
+    coefficients side by side in each frame: the reference expansion."""
+    h1, g2 = stab.h1, stab.g2
+    mu = max(h1.max_degree, g2.max_degree, 0)
+    parts = np.zeros((2, mu + 1, h1.rows + g2.rows, h1.cols), dtype=np.int32)
+    parts[0, : len(h1.c), : h1.rows] = h1.c
+    parts[1, : len(g2.c), h1.rows :] = g2.c
+    x, z = (PolyMatrix.from_coefficients(h1.field, c) for c in parts)
+    coeffs = np.concatenate([x.coefficients(mu + 1), z.coefficients(mu + 1)], axis=2)
+    return block_toeplitz(coeffs, frames, frames)
+
+
+def test_expansion_from_the_blocks_matches_the_padded_halves():
+    stabs = certified_stabilizers()
+    assert len(stabs) == len(selftest.REFERENCE_ROWS) + selftest.SPLIT_PLANS == 225
+    for label, stab in stabs:
+        got = semi_infinite_expand(stab, stab.mu_star + 2).matrix.a
+        want = padded_window(stab, stab.mu_star + 2)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), label
 
 
 def side_rule(data) -> tuple[int, int]:
@@ -243,8 +291,9 @@ def side_rule(data) -> tuple[int, int]:
 class TestDerivation:
     def test_parameters(self, pair):
         par = derive_aqcc(pair)
-        assert (par.n, par.logical, par.gamma, par.mu_star) == (3, 1, 2, 1)
-        assert par.h1.e == (((0, 1), (1,), (0, 1)),)
+        stab = par.stabilizer
+        assert (stab.n, par.logical, stab.gamma, stab.mu_star) == (3, 1, 2, 1)
+        assert stab.h1.e == (((0, 1), (1,), (0, 1)),)
         # the inner dual is built where its free distance is searched
         assert not hasattr(par, "v2_dual")
 

@@ -200,8 +200,9 @@ def zeroed_right_block(monkeypatch, rows: np.ndarray, j: int):
 def fresh_seed(plan: LayoutPlan) -> LayoutPlan:
     """plan with its source parity rebuilt from its entries, so the seed
     forms its right inverse again on the next split."""
-    parity = MatrixGF(plan.field, plan.source.parity.a)
-    source = BlockCode._independent(plan.field, parity, name=plan.source.name)
+    field = plan.source.field
+    parity = MatrixGF(field, plan.source.parity.a)
+    source = BlockCode._independent(field, parity, name=plan.source.name)
     return dataclasses.replace(plan, source=source)
 
 
@@ -448,11 +449,12 @@ def test_certificate_builds_each_dual_where_it_is_read(monkeypatch, effort):
     # inverse R_S; derive_aqcc builds H1 = dual(G1), and only desk builds
     # G2's dual, for the free distance search; containment divides by G1's
     # leading echelon with no scalar solve
-    want = [(cert.g1, 0)] + ([(cert.g2, 0)] if effort == "desk" else [])
+    g2 = cert.aqcc.stabilizer.g2
+    want = [(cert.g1, 0)] + ([(g2, 0)] if effort == "desk" else [])
     assert [(id(m), gap) for m, gap in built] == [(id(m), gap) for m, gap in want]
-    assert cert.g1._gap == cert.g2._gap == 0
+    assert cert.g1._gap == g2._gap == 0
     assert calls == {"solve_left": 0}
-    assert cert.g1._right is not None and cert.g2._right is not None
+    assert cert.g1._right is not None and g2._right is not None
 
 
 @pytest.mark.parametrize("effort", ["structure", "desk"])
@@ -483,8 +485,9 @@ def test_leading_echelon_is_computed_once_per_generator(monkeypatch, effort):
                   if np.array_equal(a, np.concatenate([lead, np.eye(len(lead), dtype=np.int32)], 1))]
     assert len(eliminated) == len(owners) == (0 if effort == "structure" else 1)
     assert len({id(m) for m in owners}) == len(owners)
-    assert not any(m is cert.g1 or m is cert.g2 for m in owners)
-    assert all(isinstance(g._lead, np.ndarray) for g in (cert.g1, cert.g2))
+    g2 = cert.aqcc.stabilizer.g2
+    assert not any(m is cert.g1 or m is g2 for m in owners)
+    assert all(isinstance(g._lead, np.ndarray) for g in (cert.g1, g2))
 
 
 def test_free_distance_of_a_dual_reads_its_basicness(monkeypatch):
