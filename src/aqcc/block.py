@@ -113,7 +113,11 @@ class DistanceBound:
 class BlockCode:
     """An [n, k] linear code over GF(q), presented by a parity-check matrix.
 
-    The parity matrix is normalized to full row rank on construction.
+    The parity matrix is normalized to full row rank on construction.  A
+    code and its dual() hold the same two matrices, each one's generator
+    the other's parity, and share the one weight enumeration of each that
+    min_distance runs: its counts, least weight and a copy of its first
+    codeword of that weight, never the codeword table.
     """
 
     def __init__(self, field: FiniteField, parity: MatrixGF, *, name: str = ""):
@@ -129,13 +133,17 @@ class BlockCode:
         code._set(field, parity, generator, **kw)
         return code
 
-    def _set(self, field, parity, generator, name=""):
+    def _set(self, field, parity, generator, name="", weights=None, side=0):
         self.field = field
         self.parity = parity
         self.name = name
         self.n = parity.cols
         self.k = self.n - parity.rows
         self._generator = generator
+        # the enumerations of this code's generator and parity, slots side
+        # and 1 - side of a list its duals share
+        self._weights = [None, None] if weights is None else weights
+        self._side = side
 
     @property
     def generator(self) -> MatrixGF:
@@ -149,20 +157,31 @@ class BlockCode:
 
     def dual(self) -> "BlockCode":
         return BlockCode._independent(self.field, self.generator, self.parity,
-                                      name=f"dual({self.name})" if self.name else "")
+                                      name=f"dual({self.name})" if self.name else "",
+                                      weights=self._weights, side=1 - self._side)
 
     # --- distance machinery ---------------------------------------------
+
+    def _enumerated(self, of_dual: bool):
+        """_enumerate_weights of the generator, the code's codewords, or of
+        the parity, its dual's, run once for the code and its duals; the
+        witness is copied, since it may be a row of the whole low table."""
+        slot = self._side ^ of_dual
+        if self._weights[slot] is None:
+            counts, d, wit = _enumerate_weights(
+                self.field, (self.parity if of_dual else self.generator).a)
+            self._weights[slot] = counts, d, None if wit is None else np.array(wit, ndmin=2)
+        return self._weights[slot]
 
     def min_distance(self, budget: int = DESK_ENUM_BUDGET) -> DistanceBound:
         if self.k == 0:
             raise ValueError("the zero code has no minimum distance")
         q = self.field.q
         if q ** self.k <= budget:
-            _, d, wit = _enumerate_weights(self.field, self.generator.a)
-            # copied, since wit may be a row of the whole low table
-            return DistanceBound(d, d, "enumeration", "enumeration", np.array(wit, ndmin=2))
+            _, d, wit = self._enumerated(False)
+            return DistanceBound(d, d, "enumeration", "enumeration", wit)
         if q ** (self.n - self.k) <= budget:
-            counts, _, _ = _enumerate_weights(self.field, self.parity.a)
+            counts, _, _ = self._enumerated(True)
             dist = macwilliams_transform([int(c) for c in counts], self.n, q)
             d = next(i for i in range(1, self.n + 1) if dist[i])
             return DistanceBound(d, d, "macwilliams", "macwilliams")

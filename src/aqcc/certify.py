@@ -13,22 +13,24 @@ product.  G1's and G2's stacks hold rows of H, which R proves
 independent, and each keeps the stack right inverse R_S read from R's
 columns.  Each split records what R_S proves: a leading echelon, which
 proves the generator reduced and hence of full rank, and a zero degree
-gap, which proves it basic (Forney 1975).  The containment witness
-proves V2 <= V1.  G1's coefficient stack holds all of H's rows and
-shares H's echelon, which the source's kernel, the dual's witness row
-and H1's degree-0 kernel read.  d_dual is the distance of the source's
-dual, which G1's coefficient rows span: one product with the source's
-generator puts them in it, and the shared echelon gives their rank, its
-dimension; a plan whose rows fail either is refused.  H1 = dual(G1), the
-parity check of the stabilizer, is built from kernels in closed form
-read from R_S.  G2's minimal dual is built only at desk effort, for the
-free distance of V2-perp.  The stabilizer is held as its two blocks, H1
-and G2; the text of its halves [H1; 0] and [0; G2] is the blocks' text
-with zero rows, not formatted again.  Basicness also settles the rank
-of the stabilizer's truncations, so none is expanded here: a basic G has
-a polynomial right inverse, so G(0) has full row rank (Forney 1970), and
-the window of css.semi_infinite_expand is block upper triangular with
-diagonal blocks [H1(0) 0; 0 G2(0)], H1 being a minimal basis.
+gap, which proves it basic (Forney 1975).  Every G2 row is a G1 row, so
+the containment witness that proves V2 <= V1 is the 0/1 selection of
+them, which the rows' equal bytes prove.  G1's coefficient stack holds
+all of H's rows and shares H's echelon, which the source's kernel, the
+dual's witness row and H1's degree-0 kernel read.  d_dual is the
+distance of the source's dual, which G1's coefficient rows span: one
+product with the source's generator puts them in it, and the shared
+echelon gives their rank, its dimension; a plan whose rows fail either
+is refused.  H1 = dual(G1), the parity check of the stabilizer, is
+built from kernels in closed form read from R_S.  G2's minimal dual is
+built only at desk effort, for the free distance of V2-perp.  The
+stabilizer is held as its two blocks, H1 and G2; the text of its halves
+[H1; 0] and [0; G2] is the blocks' text with zero rows, not formatted
+again.  Basicness also settles the rank of the stabilizer's
+truncations, so none is expanded here: a basic G has a polynomial right
+inverse, so G(0) has full row rank (Forney 1970), and the window of
+css.semi_infinite_expand is block upper triangular with diagonal blocks
+[H1(0) 0; 0 G2(0)], H1 being a minimal basis.
 
 Effort levels:
   structure  no distance enumeration; designed bounds and witness rows only
@@ -40,8 +42,12 @@ is met (DistanceBound.meet) with its floor: a bound the construction
 carries, d_dual for the free distance of G1, or chain, min(d0 + dm, ds)
 over the slices of G2, for that of the inner dual.  The stated bounds on
 V1 and V2-perp, the designed distances of those codes, floor d_dual and
-ds.  At structure no slice is searched, and each chain piece meets the
-weight of the source distance's witness, a codeword of every slice code.
+ds.  The source and its dual share one enumeration of whichever matrix
+the budget admits, and the code of G2's first slice is the source's
+dual when that slice's rows span the source code, which one product and
+one rank show; its piece then reads d_dual's search.  At structure no
+slice is searched, and each chain piece meets the weight of the source
+distance's witness, a codeword of every slice code.
 A carried or stated bound above an upper bound, a codeword's weight, is
 refused.
 
@@ -252,14 +258,22 @@ def certify_plan(
         raise AqccError("the outer coefficient rows do not span the dual of the source code")
     enum_budget = 0 if effort == "structure" else budgets.enum
     source_d = source.min_distance(budget=enum_budget).meet(_designed(plan.source_designed))
-    d_dual = source.dual().min_distance(budget=enum_budget).meet(_designed(expected.v1_stated))
+    dual_search = source.dual().min_distance(budget=enum_budget)
+    d_dual = dual_search.meet(_designed(expected.v1_stated))
 
     # chain pieces for the inner dual: first slice, top slice, full stack
     pieces = [_designed(c) for c in (*plan.chain_designed, expected.v2perp_stated)]
     if effort != "structure":
-        slices = (g2.coefficient(0), g2.coefficient(g2.max_degree), g2.stack)
-        pieces = [BlockCode(field, m).min_distance(budget=budgets.enum).meet(p)
-                  for m, p in zip(slices, pieces)]
+        g2_0 = g2.coefficient(0)
+        slices = (g2_0, g2.coefficient(g2.max_degree), g2.stack)
+        # the first slice checks the source's dual when its rows span the
+        # source code, which one product and one rank show; its piece is
+        # then the search d_dual ran
+        spans = (g2_0 @ source.parity.T).is_zero() and g2_0.rank() == source.k
+        searched = [dual_search] if spans else []
+        searched += [BlockCode(field, m).min_distance(budget=budgets.enum)
+                     for m in slices[len(searched):]]
+        pieces = [b.meet(p) for b, p in zip(searched, pieces)]
     else:
         # G2's rows are source parity rows, so source_d's witness, of weight
         # w, lies in each slice code, which one product with G2's stack

@@ -34,13 +34,15 @@ is.  reduce is also the rank test: on a matrix that is not reduced its
 row steps raise RankDeficient on a zero row.  Such a matrix is basic
 exactly when its reduced form and its minimal dual have the same
 external degree (Forney 1975).  The gap is kept on the matrix, and a
-minimal dual carries gap 0 from its construction.  For a reduced outer
-generator the predictable-degree property (Forney 1970, "Convolutional
-codes I: algebraic structure") makes containment a division, top degree
-first, by L through R_L, for all inner rows at once; other outer
-generators are reduced first, with their unimodular transform.  One
-product X @ outer == inner confirms the witness.  The Smith form is
-only the reference the tests compare with.
+minimal dual carries gap 0 from its construction.  Containment in a
+reduced outer generator whose rows include every inner row is the 0/1
+selection of those rows, proved by their equal bytes.  Otherwise the
+predictable-degree property (Forney 1970, "Convolutional codes I:
+algebraic structure") makes it a division, top degree first, by L
+through R_L, for all inner rows at once; other outer generators are
+reduced first, with their unimodular transform.  One product X @ outer
+== inner confirms a division's witness.  The Smith form is only the
+reference the tests compare with.
 
 The dual is a minimal basis of a polynomial kernel, in the Popov form
 fixed by the code, built from the scalar kernels of block-Toeplitz
@@ -585,10 +587,15 @@ def dual_generator(m: PolyMatrix) -> PolyMatrix:
     Rows h satisfy m(D) @ h(1/D).T == 0: they span the polynomial kernel of
     rev(m).  Its vectors of degree <= d are the kernel of a block-Toeplitz
     matrix T_d (Forney 1975, "Minimal bases of rational vector spaces"),
-    taken for d = 0, 1, ... up to gamma of the reduced m, which bounds the
-    dual row degrees.  At d = 0 the rows of T_d are those of the reduced
-    m's coefficient stack in reverse block order, so the kernel is the
-    stack's, read from the stack's cached echelon.  For d >= 1 a reduced m
+    taken for d = d0, d0 + 1, ... up to gamma of the reduced m, which bounds
+    the dual row degrees, until the Popov rows below are complete.  The
+    start d0 = ceil(gamma / (n - k)) skips no answer: a basic m has a
+    minimal dual of external degree gamma over n - k rows, so no smaller d
+    completes its rows, and every d at or above the largest dual degree,
+    for a basic m or any other, gives the same rows.  At d = 0 the rows of
+    T_d are those of the reduced m's coefficient stack in reverse block
+    order, so the kernel is the stack's, read from the stack's cached
+    echelon.  For d >= 1 a reduced m
     with a stack right inverse builds a basis of the kernel in closed form
     (_stack_kernel_basis) when it has no more rows than T_d, and eliminates
     that basis with its columns reversed; any other d eliminates T_d.
@@ -606,7 +613,8 @@ def dual_generator(m: PolyMatrix) -> PolyMatrix:
     g = reduce(m)  # raises RankDeficient on a rank-deficient m
     extra = n - g.rows
     null = g.stack.kernel().a
-    for d in range(sum(g.row_degrees) + 1):
+    gamma = sum(g.row_degrees)
+    for d in range(-(-gamma // extra) if extra else 0, gamma + 1):
         ker = _dual_kernel(g, null, d)
         lead = ker.shape[1] - 1 - np.argmax(ker[:, ::-1] != 0, axis=1)
         shifted = np.zeros(n + ker.shape[1], dtype=bool)
@@ -621,7 +629,7 @@ def dual_generator(m: PolyMatrix) -> PolyMatrix:
         raise AssertionError("dual residual is nonzero")
     h._gap = 0  # a minimal basis is basic
     if m._gap is None:
-        m._gap = sum(g.row_degrees) - sum(h.row_degrees)
+        m._gap = gamma - sum(h.row_degrees)
     return h
 
 
@@ -686,17 +694,23 @@ def contains(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
 
     Raises ContainmentFailed when some inner row is not a polynomial
     combination of outer rows, and RankDeficient when the outer rows are
-    dependent.  The predictable-degree division divides by a reduced
-    outer, which its leading echelon shows, directly; any other outer is
-    reduced first, with U @ outer == reduce(outer), and the division's
-    X_r @ reduce(outer) == inner gives X = X_r @ U.  ContainmentUnverified
-    reports a witness that does not reproduce the inner rows in the one
-    check.
+    dependent.  A reduced outer, which its leading echelon shows, has
+    independent rows, so X is unique.  When every inner row is an outer
+    row, as every G2 row is a G1 row in a layout, X is the 0/1 selection
+    of those rows (_selection), and the rows' equal bytes are its exact
+    check.  Otherwise the predictable-degree division divides by a
+    reduced outer directly; any other outer is reduced first, with U @
+    outer == reduce(outer), and the division's X_r @ reduce(outer) ==
+    inner gives X = X_r @ U.  One product X @ outer == inner confirms a
+    division, and ContainmentUnverified reports a witness that does not
+    reproduce the inner rows.
     """
     outer._check(inner)
     if outer.cols != inner.cols:
         raise ValueError("column counts differ")
     if outer.leading_echelon is not None:
+        if (x := _selection(outer, inner)) is not None:
+            return x
         x = _membership_reduced(outer, inner)
     else:
         g, u = _reduce(outer)
@@ -704,6 +718,25 @@ def contains(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
     if x @ outer != inner:
         raise ContainmentUnverified("witness does not reproduce the inner generator")
     return x
+
+
+def _selection(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix | None:
+    """The 0/1 X whose row i selects the outer row equal to inner row i,
+    or None when some inner row is no outer row.  Rows are compared by the
+    bytes of all their coefficients, padded to a common depth, so X @ outer
+    == inner holds entry for entry."""
+    depth = max(len(outer.c), len(inner.c))
+
+    def rows(m):
+        return m.coefficients(depth).transpose(1, 0, 2).reshape(m.rows, -1)
+
+    index = {row.tobytes(): j for j, row in enumerate(rows(outer))}
+    at = [index.get(row.tobytes()) for row in rows(inner)]
+    if None in at:
+        return None
+    x = np.zeros((1, inner.rows, outer.rows), dtype=np.int32)
+    x[0, np.arange(inner.rows), at] = 1
+    return PolyMatrix._wrap(outer.field, x)
 
 
 def _membership_reduced(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:

@@ -122,7 +122,10 @@ def semi_infinite_expand(stab: StabilizerMatrix, frames: int) -> ExpandedStabili
 
 @dataclass(frozen=True)
 class NestedPair:
-    """Two full-rank generators with rowspace(inner) inside rowspace(outer)."""
+    """Two full-rank generators with rowspace(inner) inside rowspace(outer).
+
+    witness is X with X @ outer == inner; for a layout it is a 0/1
+    selection, whose row i marks the outer row that inner row i is."""
 
     outer: PolyMatrix
     inner: PolyMatrix
@@ -136,7 +139,10 @@ def build_nested_pair(outer: PolyMatrix, inner: PolyMatrix) -> NestedPair:
     outer one inside contains: a reduced generator has full row rank,
     which its leading echelon shows, and on any other one the row steps
     raise RankDeficient on dependent rows.  The containment witness X
-    satisfies X @ outer == inner; contains checks that product.
+    satisfies X @ outer == inner.  When every inner row is an outer row,
+    as in every layout, X is the 0/1 selection of them, the map from
+    inner rows to outer rows, proved by the rows' equal bytes; any other
+    pair takes the division, whose X contains checks by that product.
     """
     if outer.field != inner.field:
         raise FieldMismatch("outer and inner generators live over different fields")

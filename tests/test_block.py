@@ -15,7 +15,7 @@ from aqcc.errors import (
     RootOfUnityUnavailable,
     ZeroMultiplier,
 )
-from aqcc import block
+from aqcc import FamilyParams, block, selftest
 from aqcc.block import (
     BlockCode,
     DistanceBound,
@@ -25,6 +25,7 @@ from aqcc.block import (
     macwilliams_transform,
     rs_parity,
 )
+from aqcc.certify import certify_params
 from aqcc.gf import FiniteField, SubfieldBasis
 from aqcc.matrix import MatrixGF, field_from_order
 
@@ -349,6 +350,34 @@ class TestBlockCode:
         assert code.generator == gen
         assert (code.generator @ code.parity.T).is_zero()
 
+    @pytest.mark.parametrize("first", ["code", "dual"])
+    def test_code_and_dual_share_one_enumeration(self, monkeypatch, first):
+        # q**k = 17**13 is over the budget and q**(n - k) = 17**4 fits: the
+        # code takes the MacWilliams route and its dual enumerates, both on
+        # the one enumeration of the parity, whichever of them asks first
+        f = FiniteField.get(17, 1)
+        code = grs_build(f, list(range(17)), [1] * 17, k=13).code
+        budget = 100_000
+        # codes on the same two matrices that share nothing
+        alone = [BlockCode._independent(f, code.parity, code.generator).min_distance(budget),
+                 BlockCode._independent(f, code.generator, code.parity).min_distance(budget)]
+        calls = []
+        enumerate_weights = block._enumerate_weights
+
+        def counted(field, gen):
+            calls.append(len(gen))
+            return enumerate_weights(field, gen)
+
+        monkeypatch.setattr(block, "_enumerate_weights", counted)
+        dual = code.dual()
+        got = {c: c.min_distance(budget) for c in ((code, dual) if first == "code" else (dual, code))}
+        assert calls == [4]
+        assert [got[code], got[dual]] == alone
+        assert [got[code].method, got[dual].method] == ["macwilliams", "enumeration"]
+        assert np.array_equal(got[dual].witness, alone[1].witness)
+        # the dual of the dual shares them too
+        assert dual.dual().min_distance(budget) == alone[0] and calls == [4]
+
     def test_zero_code_distance_rejected(self):
         f = FiniteField.get(2, 1)
         code = BlockCode(f, MatrixGF.identity(f, 3))
@@ -599,3 +628,28 @@ def test_weight_distribution_macwilliams_round_trip(q, k, n):
     assert direct == via_dual
     assert sum(direct) == q ** code.k and direct[0] == 1
     assert macwilliams_transform(via_dual, n, q) == weight_distribution(code.dual(), budget=q ** r)
+
+
+def test_desk_pass_enumerates_each_code_once(monkeypatch):
+    """The 19 reference rows with q <= 17 at desk, as the desk-mix bench
+    runs them: 72 enumerations of 2,126,451 codewords.  No certificate
+    enumerates one code twice, a code being the rref of the enumerated
+    matrix: a code and its dual share one enumeration, and a degree-0
+    chain piece that checks the source's dual reads d_dual's search."""
+    rows = [row[:3] for row in selftest.REFERENCE_ROWS if row[1] <= 17]
+    assert len(rows) == 19
+    calls = []
+    enumerate_weights = block._enumerate_weights
+
+    def counted(field, gen):
+        calls[-1].append((field.q ** len(gen), MatrixGF(field, gen).rref()[0].a.tobytes()))
+        return enumerate_weights(field, gen)
+
+    monkeypatch.setattr(block, "_enumerate_weights", counted)
+    for family, q, kw in rows:
+        calls.append([])
+        certify_params(FamilyParams(family, q, **kw), effort="desk")
+        codes = [code for _, code in calls[-1]]
+        assert len(set(codes)) == len(codes), (family, q, kw)
+    assert sum(map(len, calls)) == 72
+    assert sum(size for cert in calls for size, _ in cert) == 2_126_451

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -726,6 +727,67 @@ def test_reference_duals_eliminate_once_each(monkeypatch):
     assert par.stabilizer.h1.max_degree == dual_generator(g2).max_degree == 1
     assert eliminated == [(dims[0], 2 * pair.outer.cols), g2.stack.shape, (toeplitz[1], 2 * pair.outer.cols)]
     assert toeplitz[1] < dims[1]
+
+
+def test_high_degree_dual_starts_at_gamma_over_n_minus_k(gf16, monkeypatch):
+    # a seeded GF(16) 4 x 8 encoder of degree 40, reduced and basic, so
+    # gamma = 160 and its dual's largest row degree is at least 160 / 4:
+    # the loop starts at d = 40, where the Popov rows are complete, and
+    # eliminates L for R_L, the stack for its kernel and the one closed-form
+    # kernel basis at d = 40, where a loop from d = 0 eliminated 42 times
+    rng = np.random.default_rng(1)
+    g = PolyMatrix.from_coefficients(gf16, rng.integers(0, 16, size=(41, 4, 8), dtype=np.int32))
+    eliminated = []
+    rref = matrix._rref
+
+    def counted(field, a):
+        eliminated.append(np.shape(a))
+        return rref(field, a)
+
+    monkeypatch.setattr(matrix, "_rref", counted)
+    h = dual_generator(g)
+    assert len(eliminated) == 3
+    assert degree_gap(g) == 0 and sum(g.row_degrees) == sum(h.row_degrees) == 160
+    # the bytes of the dual the loop from d = 0 builds
+    assert h.c.shape == (41, 4, 8)
+    assert hashlib.sha256(h.c.tobytes()).hexdigest() == (
+        "9b7de5208f694160de659d4b91f4163c9c2852d5bc55c29e8d5c22629fa2b491")
+
+
+class TestDualChecks:
+    """A doctored kernel trips each of dual_generator's two checks."""
+
+    @pytest.fixture(params=["unit-delay", "split"])
+    def g(self, request, gf3):
+        if request.param == "unit-delay":
+            return PolyMatrix(gf3, [[(1,), (0, 1)]])
+        return layout(FamilyParams("II-T3a", 16, i=5, t=1)).generators()[0]
+
+    def test_a_dropped_kernel_row_leaves_the_basis_incomplete(self, g, monkeypatch):
+        # the first row goes with every row that leads in its column, its
+        # shifts among them, which would take its place as a Popov row
+        kernel = convo._dual_kernel
+
+        def dropped(g, null, d):
+            ker = kernel(g, null, d)
+            lead = (ker.shape[1] - 1 - np.argmax(ker[:, ::-1] != 0, axis=1)) % g.cols
+            return ker[lead != lead[0]]
+
+        monkeypatch.setattr(convo, "_dual_kernel", dropped)
+        with pytest.raises(AssertionError, match="^dual basis incomplete at the degree bound$"):
+            dual_generator(g)
+
+    def test_a_flipped_kernel_entry_leaves_a_residual(self, g, monkeypatch):
+        kernel = convo._dual_kernel
+
+        def flipped(g, null, d):
+            ker = kernel(g, null, d).copy()
+            ker[0, 0] = g.field.add(int(ker[0, 0]), 1)
+            return ker
+
+        monkeypatch.setattr(convo, "_dual_kernel", flipped)
+        with pytest.raises(AssertionError, match="^dual residual is nonzero$"):
+            dual_generator(g)
 
 
 # --- matrix text against one string per entry ---------------------------------

@@ -154,6 +154,8 @@ class TestAssembly:
             build_nested_pair(pair.outer, pair.inner)
 
     def test_rank_deficient_outer(self, f2):
+        # the inner row is an outer row, but the dependent outer rows are
+        # refused before any row selection
         outer = PolyMatrix(f2, [[(1,), (1,)], [(1,), (1,)]])
         with pytest.raises(RankDeficient):
             build_nested_pair(outer, PolyMatrix(f2, [[(1,), (1,)]]))
@@ -224,6 +226,61 @@ class TestExpansion:
         par = derive_aqcc(pair)
         with pytest.raises(TooFewFrames):
             semi_infinite_expand(par.stabilizer, 1)
+
+
+def reference_and_split_pairs():
+    """(G1, G2) of the reference rows, then of the seeded split plans."""
+    (seed,) = selftest.check_split_plans.__defaults__
+    rng = random.Random(seed)
+    plans = [layout(FamilyParams(family, q, **kw)) for family, q, kw, *_ in selftest.REFERENCE_ROWS]
+    plans += [selftest._random_plan(rng) for _ in range(selftest.SPLIT_PLANS)]
+    return [plan.generators() for plan in plans]
+
+
+class TestSelectionWitness:
+    """Every G2 row is a G1 row, so contains returns the 0/1 selection of
+    them, the same X that the predictable-degree division finds."""
+
+    def test_selection_is_the_division_witness(self):
+        pairs = reference_and_split_pairs()
+        assert len(pairs) == 225
+        for g1, g2 in pairs:
+            x = build_nested_pair(g1, g2).witness
+            assert x == convo._membership_reduced(g1, g2)
+            assert x.max_degree == 0 and set(np.unique(x.c)) <= {0, 1}
+            assert (x.c[0].sum(axis=1) == 1).all() and x @ g1 == g2
+
+    def test_permuted_rows_give_the_permuted_selection(self):
+        rng = random.Random(5)
+        for g1, _ in reference_and_split_pairs()[::9]:
+            perm = rng.sample(range(g1.rows), g1.rows)
+            inner = PolyMatrix.from_coefficients(g1.field, g1.c[:, perm])
+            want = np.zeros((1, g1.rows, g1.rows), dtype=np.int32)
+            want[0, range(g1.rows), perm] = 1
+            assert convo.contains(g1, inner) == PolyMatrix.from_coefficients(g1.field, want)
+
+    def test_reference_rows_run_no_division(self, monkeypatch):
+        def refused(outer, inner):
+            raise AssertionError("the containment division ran")
+
+        monkeypatch.setattr(convo, "_membership_reduced", refused)
+        for family, q, kw, *_ in selftest.REFERENCE_ROWS:
+            cert = certify_plan(layout(FamilyParams(family, q, **kw)), effort="structure")
+            assert cert.data["checks"]["containment"] == "verified"
+
+    def test_a_mutated_row_fails_through_the_division(self, monkeypatch):
+        divisions = []
+        division = convo._membership_reduced
+
+        def counted(outer, inner):
+            divisions.append(inner.rows)
+            return division(outer, inner)
+
+        monkeypatch.setattr(convo, "_membership_reduced", counted)
+        plan = layout(FamilyParams("III-T8", 7, n=7, k=2, t=2))
+        with pytest.raises(ContainmentFailed):
+            certify_plan(plan, effort="structure", fault="mutate-row")
+        assert divisions
 
 
 @functools.cache
