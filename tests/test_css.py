@@ -228,13 +228,12 @@ class TestExpansion:
             semi_infinite_expand(par.stabilizer, 1)
 
 
-def reference_and_split_pairs():
-    """(G1, G2) of the reference rows, then of the seeded split plans."""
+def reference_and_split_plans() -> list:
+    """The plans of the reference rows, then the seeded split plans."""
     (seed,) = selftest.check_split_plans.__defaults__
     rng = random.Random(seed)
     plans = [layout(FamilyParams(family, q, **kw)) for family, q, kw, *_ in selftest.REFERENCE_ROWS]
-    plans += [selftest._random_plan(rng) for _ in range(selftest.SPLIT_PLANS)]
-    return [plan.generators() for plan in plans]
+    return plans + [selftest._random_plan(rng) for _ in range(selftest.SPLIT_PLANS)]
 
 
 class TestSelectionWitness:
@@ -242,17 +241,17 @@ class TestSelectionWitness:
     them, the same X that the predictable-degree division finds."""
 
     def test_selection_is_the_division_witness(self):
-        pairs = reference_and_split_pairs()
-        assert len(pairs) == 225
-        for g1, g2 in pairs:
+        plans = reference_and_split_plans()
+        assert len(plans) == 225
+        for g1, g2 in (plan.generators() for plan in plans):
             x = build_nested_pair(g1, g2).witness
-            assert x == convo._membership_reduced(g1, g2)
+            assert x == convo._selection(g1, g2) == convo._membership_reduced(g1, g2)
             assert x.max_degree == 0 and set(np.unique(x.c)) <= {0, 1}
             assert (x.c[0].sum(axis=1) == 1).all() and x @ g1 == g2
 
     def test_permuted_rows_give_the_permuted_selection(self):
         rng = random.Random(5)
-        for g1, _ in reference_and_split_pairs()[::9]:
+        for g1, _ in (plan.generators() for plan in reference_and_split_plans()[::9]):
             perm = rng.sample(range(g1.rows), g1.rows)
             inner = PolyMatrix.from_coefficients(g1.field, g1.c[:, perm])
             want = np.zeros((1, g1.rows, g1.rows), dtype=np.int32)
@@ -288,12 +287,8 @@ def certified_stabilizers() -> tuple:
     """(label, stabilizer) of the structure certificates of the reference
     rows and the seeded split plans.  The stabilizer does not depend on
     effort, so structure certificates show it."""
-    (seed,) = selftest.check_split_plans.__defaults__
-    rng = random.Random(seed)
-    plans = [layout(FamilyParams(family, q, **kw)) for family, q, kw, *_ in selftest.REFERENCE_ROWS]
-    plans += [selftest._random_plan(rng) for _ in range(selftest.SPLIT_PLANS)]
     return tuple((plan.params.label(), certify_plan(plan, effort="structure").aqcc.stabilizer)
-                 for plan in plans)
+                 for plan in reference_and_split_plans())
 
 
 def test_certified_stabilizers_expand_without_defect():
