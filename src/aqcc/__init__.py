@@ -26,7 +26,6 @@ from .certify import (
 from .convo import (
     PolyMatrix,
     contains,
-    degree_accounting,
     dual_generator,
     format_poly_matrix,
     is_basic,
@@ -38,7 +37,6 @@ from .convo import (
     split_to_generator,
 )
 from .css import (
-    AqccParameters,
     NestedPair,
     StabilizerMatrix,
     assemble_stabilizer,
@@ -68,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AqccCertificate",
     "AqccError",
-    "AqccParameters",
     "BlockCode",
     "Budgets",
     "CyclicStructure",
@@ -92,7 +89,6 @@ __all__ = [
     "construction_i_plan",
     "contains",
     "cyclic_structure",
-    "degree_accounting",
     "demo_vectors",
     "derive_aqcc",
     "dual_generator",

@@ -120,8 +120,8 @@ class BlockCode:
     codeword of that weight, never the codeword table.
     """
 
-    def __init__(self, field: FiniteField, parity: MatrixGF, *, name: str = ""):
-        self._set(field, parity.remove_dependent_rows(), None, name)
+    def __init__(self, field: FiniteField, parity: MatrixGF):
+        self._set(field, parity.remove_dependent_rows(), None)
 
     @classmethod
     def _independent(cls, field: FiniteField, parity: MatrixGF,
@@ -133,10 +133,9 @@ class BlockCode:
         code._set(field, parity, generator, **kw)
         return code
 
-    def _set(self, field, parity, generator, name="", weights=None, side=0):
+    def _set(self, field, parity, generator, weights=None, side=0):
         self.field = field
         self.parity = parity
-        self.name = name
         self.n = parity.cols
         self.k = self.n - parity.rows
         self._generator = generator
@@ -152,12 +151,10 @@ class BlockCode:
         return self._generator
 
     def __repr__(self):
-        tag = f" {self.name}" if self.name else ""
-        return f"<[{self.n}, {self.k}] code over {self.field!r}{tag}>"
+        return f"<[{self.n}, {self.k}] code over {self.field!r}>"
 
     def dual(self) -> "BlockCode":
         return BlockCode._independent(self.field, self.generator, self.parity,
-                                      name=f"dual({self.name})" if self.name else "",
                                       weights=self._weights, side=1 - self._side)
 
     # --- distance machinery ---------------------------------------------
@@ -391,7 +388,7 @@ def cyclic_structure(field: FiniteField, n: int, exponents) -> CyclicStructure:
                 rows = MatrixGF(field, rows).remove_dependent_rows().a
         groups[coset[0]] = rows
     parity = MatrixGF(field, np.concatenate(list(groups.values()), axis=0))
-    code = BlockCode._independent(field, parity, name=f"cyclic(n={n}, D={list(defining)})")
+    code = BlockCode._independent(field, parity)
     return CyclicStructure(field, n, ext, zeta, m, defining, designed, groups, code)
 
 
@@ -406,12 +403,9 @@ def rs_parity(field: FiniteField, n: int, delta: int, b: int = 0) -> CyclicStruc
     """Reed-Solomon parity rows; needs a primitive n-th root in GF(q) itself."""
     if not 2 <= delta <= n:
         raise InvalidDesignedDistance(f"need 2 <= delta <= n, got {delta}")
-    if n > 1 and (field.q - 1) % n:
+    if (field.q - 1) % n:
         raise RootOfUnityUnavailable(f"{n} does not divide q - 1 = {field.q - 1}")
-    s = cyclic_structure(field, n, range(b, b + delta - 1))
-    if s.m != 1:
-        raise AqccError("unreachable: n | q - 1 forces extension degree 1")
-    return s
+    return cyclic_structure(field, n, range(b, b + delta - 1))
 
 
 # --- generalized Reed-Solomon codes ------------------------------------------
@@ -484,5 +478,5 @@ def grs_build(field: FiniteField, points, multipliers, k: int) -> GrsCode:
     h_m = MatrixGF(f, par)
     if not (g_m @ h_m.T).is_zero():
         raise AqccError("dual multiplier identity failed; GRS parity is wrong")
-    code = BlockCode._independent(f, h_m, g_m, name=f"GRS(n={n}, k={k})")
+    code = BlockCode._independent(f, h_m, g_m)
     return GrsCode(f, points, tuple(multipliers), k, tuple(w.tolist()), code)

@@ -24,13 +24,14 @@ echelon gives their rank, its dimension; a plan whose rows fail either
 is refused.  H1 = dual(G1), the parity check of the stabilizer, is
 built from kernels in closed form read from R_S.  G2's minimal dual is
 built only at desk effort, for the free distance of V2-perp.  The
-stabilizer is held as its two blocks, H1 and G2; the text of its halves
-[H1; 0] and [0; G2] is the blocks' text with zero rows, not formatted
-again.  Basicness also settles the rank of the stabilizer's
-truncations, so none is expanded here: a basic G has a polynomial right
-inverse, so G(0) has full row rank (Forney 1970), and the window of
-css.semi_infinite_expand is block upper triangular with diagonal blocks
-[H1(0) 0; 0 G2(0)], H1 being a minimal basis.
+stabilizer css.derive_aqcc returns is held as H1 and G2, and its
+logical, n less its rows, is k1 - k2; the text of its halves [H1; 0] and
+[0; G2] is the blocks' text with zero rows, not formatted again.
+Basicness also settles the rank of the stabilizer's truncations, so none
+is expanded here: a basic G has a polynomial right inverse, so G(0) has
+full row rank (Forney 1970), and the window of css.semi_infinite_expand
+is block upper triangular with diagonal blocks [H1(0) 0; 0 G2(0)], H1
+being a minimal basis.
 
 Effort levels:
   structure  no distance enumeration; designed bounds and witness rows only
@@ -68,10 +69,9 @@ from typing import NoReturn
 
 from . import families
 from .block import DESK_ENUM_BUDGET, BlockCode, DistanceBound
-from .convo import (PolyMatrix, contains, degree_accounting, degree_gap, dual_generator,
-                    format_poly_matrix, is_reduced)
-from .css import AqccParameters, assemble_stabilizer, build_nested_pair, derive_aqcc
-from .errors import AqccError, ContainmentFailed, NotBasic
+from .convo import PolyMatrix, contains, degree_gap, dual_generator, format_poly_matrix, is_reduced
+from .css import StabilizerMatrix, assemble_stabilizer, build_nested_pair, derive_aqcc
+from .errors import AqccError, NotBasic
 from .matrix import MatrixGF, vstack
 from .trellis import DEFAULT_STATE_BUDGET, DEFAULT_WORK_BUDGET, free_distance
 
@@ -98,7 +98,7 @@ class AqccCertificate:
     """Verified instance data plus the JSON document describing it."""
 
     data: dict
-    aqcc: AqccParameters
+    stabilizer: StabilizerMatrix
     g1: PolyMatrix
 
     def to_json(self) -> str:
@@ -110,19 +110,19 @@ class AqccCertificate:
 
     @property
     def n(self) -> int:
-        return self.aqcc.stabilizer.n
+        return self.stabilizer.n
 
     @property
     def logical(self) -> int:
-        return self.aqcc.logical
+        return self.stabilizer.logical
 
     @property
     def gamma(self) -> int:
-        return self.aqcc.stabilizer.gamma
+        return self.stabilizer.gamma
 
     @property
     def mu_star(self) -> int:
-        return self.aqcc.stabilizer.mu_star
+        return self.stabilizer.mu_star
 
     @property
     def dz_bound(self):
@@ -142,9 +142,9 @@ def _fault_rank_condition(plan: families.LayoutPlan) -> families.LayoutPlan:
     return replace(plan, blocks2=(empty, grown) + tuple(blocks[2:]))
 
 
-def _fault_mutate_row(g1: PolyMatrix, g2: PolyMatrix, seed: int) -> PolyMatrix:
-    """Perturb one constant coefficient of the inner generator until it
-    leaves the outer row space."""
+def _fault_mutate_row(g1: PolyMatrix, g2: PolyMatrix, seed: int) -> NoReturn:
+    """Perturb one constant coefficient of the inner generator until
+    containment raises ContainmentFailed: it has left the outer row space."""
     field = g2.field
     rng = random.Random(seed)
     for _ in range(64):
@@ -153,11 +153,7 @@ def _fault_mutate_row(g1: PolyMatrix, g2: PolyMatrix, seed: int) -> PolyMatrix:
         delta = 1 + rng.randrange(field.q - 1)
         coeffs = g2.c.copy()
         coeffs[0, r, c] = field.add(int(coeffs[0, r, c]), delta)
-        cand = PolyMatrix.from_coefficients(field, coeffs)
-        try:
-            contains(g1, cand)
-        except ContainmentFailed:
-            return cand
+        contains(g1, PolyMatrix.from_coefficients(field, coeffs))
     raise AqccError("could not push the inner generator out of the outer code")
 
 
@@ -234,15 +230,12 @@ def certify_plan(
         raise AqccError("split generator is not reduced")
 
     if fault == "mutate-row":
-        g2 = _fault_mutate_row(g1, g2, seed)
-    par = derive_aqcc(build_nested_pair(g1, g2))
-    stab = par.stabilizer
+        _fault_mutate_row(g1, g2, seed)
+    stab = derive_aqcc(build_nested_pair(g1, g2))
     if fault == "swap-blocks":
         _fault_swap_columns(stab.h1, g2, seed)
 
     kappa1, kappa2 = g1.rows, g2.rows
-    deg1 = degree_accounting(g1)
-    deg2 = degree_accounting(g2)
     # a split generator carries gap 0 from its split; any other matrix
     # reads its gap from its minimal dual
     for name, g in (("outer", g1), ("inner", g2)):
@@ -292,9 +285,9 @@ def certify_plan(
 
     # closed-form cross checks; any miss means the layout or the formula
     # table is wrong, and certifying anyway would hide the defect
-    if par.logical != expected.k_formula:
+    if stab.logical != expected.k_formula:
         raise AqccError(
-            f"logical dimension {par.logical} differs from the closed form {expected.k_formula}"
+            f"logical dimension {stab.logical} differs from the closed form {expected.k_formula}"
         )
     if stab.gamma != expected.gamma_formula:
         raise AqccError(
@@ -316,7 +309,7 @@ def certify_plan(
     dz_val = dz_b if dz_b is not None else max(lowers)
     dx_val = dx_b if dx_b is not None else min(lowers)
     tuple_str = (
-        f"[({stab.n},{par.logical},{stab.mu_star};{stab.gamma},"
+        f"[({stab.n},{stab.logical},{stab.mu_star};{stab.gamma},"
         f"dz>={dz_val}/dx>={dx_val})]_{field.q}"
     )
 
@@ -352,8 +345,8 @@ def certify_plan(
             "containment": "verified",
             "symplectic": "zero",
             "degrees": {
-                "gamma1": deg1.gamma,
-                "gamma2": deg2.gamma,
+                "gamma1": sum(g1.row_degrees),
+                "gamma2": sum(g2.row_degrees),
                 "gamma": stab.gamma,
                 "mu": mu,
                 "mu_star": stab.mu_star,
@@ -383,7 +376,7 @@ def certify_plan(
         data["distances"]["aqcc"]["dx_exact"] = int(min(lowers))
     if plan.notes:
         data["notes"] = list(plan.notes)
-    return AqccCertificate(data=data, aqcc=par, g1=g1)
+    return AqccCertificate(data=data, stabilizer=stab, g1=g1)
 
 
 def certify_params(

@@ -17,7 +17,7 @@ import sys
 from . import selftest
 from .block import DESK_ENUM_BUDGET
 from .certify import Budgets, EFFORTS, FAULTS, certify_plan
-from .convo import PolyMatrix, degree_accounting, format_poly_matrix, parse_poly_matrix, reduce
+from .convo import PolyMatrix, format_poly_matrix, parse_poly_matrix, reduce
 from .errors import AqccError, CatastrophicEncoder, ParamOutOfRange, PartitionInvalid, RankDeficient
 from .families import (
     FAMILIES,
@@ -141,7 +141,7 @@ def cmd_distance(args) -> int:
     except RankDeficient as exc:
         # dependent rows map a nonzero input to zero: refused as catastrophic
         raise CatastrophicEncoder(str(exc)) from None
-    lines = [f"q={g.field.q} rows={g.rows} cols={g.cols} gamma={degree_accounting(g).gamma}"]
+    lines = [f"q={g.field.q} rows={g.rows} cols={g.cols} gamma={sum(g.row_degrees)}"]
     if res.exact:
         lines.append(f"free distance: exact {res.lower} ({res.method})")
     else:

@@ -13,9 +13,9 @@ is the empty tuple and pdeg returns -1 for it (standing in for degree
 minus infinity).  PolyMatrix.e views the entries as such tuples.
 
 The algebra here is the standard module toolkit: predicates for basic and
-reduced generator matrices, row reduction to a reduced form, external
-degree accounting, duals, membership witnesses for code containment, and
-Smith normal form with unimodular transforms u and v (u @ m @ v == s).
+reduced generator matrices, row reduction to a reduced form, duals,
+membership witnesses for code containment, and Smith normal form with
+unimodular transforms u and v (u @ m @ v == s).
 
 Each fact has one route, and none takes a Smith form.  A right inverse
 is confirmed where it is formed, by the one product in
@@ -291,9 +291,6 @@ class PolyMatrix:
             and np.array_equal(self.c, other.c)
         )
 
-    def __hash__(self):
-        return hash((self.field, self.c.shape, self.c.tobytes()))
-
     def __repr__(self):
         return f"PolyMatrix({self.field!r}, shape={self.shape}, max_degree={self.max_degree})"
 
@@ -565,19 +562,6 @@ def _reduce(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
             u[shift:, j] = f._vadd(u[shift:, j], f._vmul(factor, u[: len(u) - shift, r]))
 
 
-@dataclass(frozen=True)
-class DegreeInfo:
-    row_degrees: tuple[int, ...]
-    gamma: int  # external degree: sum of row degrees
-
-
-def degree_accounting(m: PolyMatrix) -> DegreeInfo:
-    degs = m.row_degrees
-    if any(d < 0 for d in degs):
-        raise RankDeficient("zero rows have no degree")
-    return DegreeInfo(degs, sum(degs))
-
-
 # --- duality and containment ---------------------------------------------------
 
 
@@ -606,7 +590,8 @@ def dual_generator(m: PolyMatrix) -> PolyMatrix:
     "Linear Systems", 6.7): minimal, hence basic and reduced, with monic
     pivots and normalized pivot columns, the same for every generator of
     the code.  The external degree of the reduced m less that of the dual
-    is the degree gap of m, recorded on m when it has none yet.
+    is the degree gap of m, recorded on m when it has none yet; a dual
+    that gives a negative gap, or another gap than m records, is refused.
     """
     f = m.field
     n = m.cols
@@ -627,9 +612,14 @@ def dual_generator(m: PolyMatrix) -> PolyMatrix:
     h = PolyMatrix._wrap(f, popov.reshape(extra, d + 1, n).transpose(1, 0, 2))
     if not (m.reverse() @ h.T).is_zero():
         raise AssertionError("dual residual is nonzero")
+    # reduced rows in the dual whose external degree is gamma less the gap
+    # are a minimal basis of it (Forney 1975), so they span it
+    ext = sum(h.row_degrees)
+    if ext > gamma or m._gap not in (None, gamma - ext):
+        raise AssertionError(f"dual external degree {ext} against gamma {gamma}, gap {m._gap}")
     h._gap = 0  # a minimal basis is basic
     if m._gap is None:
-        m._gap = gamma - sum(h.row_degrees)
+        m._gap = gamma - ext
     return h
 
 
@@ -707,7 +697,7 @@ def contains(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
     """
     outer._check(inner)
     if outer.cols != inner.cols:
-        raise ValueError("column counts differ")
+        raise ValueError(f"column counts differ: {outer.cols} vs {inner.cols}")
     if outer.leading_echelon is not None:
         if (x := _selection(outer, inner)) is not None:
             return x
@@ -730,13 +720,19 @@ def _selection(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix | None:
     def rows(m):
         return m.coefficients(depth).transpose(1, 0, 2).reshape(m.rows, -1)
 
-    index = {row.tobytes(): j for j, row in enumerate(rows(outer))}
-    at = [index.get(row.tobytes()) for row in rows(inner)]
+    at = _row_index(rows(inner), rows(outer))
     if None in at:
         return None
     x = np.zeros((1, inner.rows, outer.rows), dtype=np.int32)
     x[0, np.arange(inner.rows), at] = 1
     return PolyMatrix._wrap(outer.field, x)
+
+
+def _row_index(rows: np.ndarray, among: np.ndarray) -> list[int | None]:
+    """For each of rows, the index of the row of among with the same bytes,
+    None when there is none; among's rows are distinct in every caller."""
+    index = {row.tobytes(): j for j, row in enumerate(among)}
+    return [index.get(row.tobytes()) for row in rows]
 
 
 def _membership_reduced(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
@@ -832,8 +828,7 @@ def _split(blocks, placements, seed: MatrixGF | None) -> PolyMatrix:
         if (right := s.right_inverse()) is None:
             continue
         # stack row i is seed row at[i]; a zero row is none, since R exists
-        index = {row: j for j, row in enumerate(map(tuple, s.a.tolist()))}
-        at = {i: index[row] for i, row in enumerate(map(tuple, stack.a.tolist())) if row in index}
+        at = {i: j for i, j in enumerate(_row_index(stack.a, s.a)) if j is not None}
         if len(set(at.values())) == own.rows:
             r = np.zeros((n, stack.rows), dtype=np.int32)
             r[:, list(at)] = right.a[:, list(at.values())]

@@ -12,9 +12,10 @@ blocks A = H1 rev(G2)^T and -D^(2 mu) A(1/D)^T, so it vanishes exactly
 when the one product A does.
 
 derive_aqcc builds one minimal dual, H1 = dual(V1), the parity check on
-the X side; building it also records G1's degree gap.  V2-perp matters
-only through its free distance, so its dual is built where that distance
-is searched (certify.certify_plan at desk effort), not here.
+the X side, recording G1's degree gap, and returns the stabilizer; its
+logical, n - rows, is k1 - k2.  V2-perp matters only through its free
+distance, so its dual is built where that distance is searched
+(certify.certify_plan at desk effort), not here.
 """
 
 from __future__ import annotations
@@ -70,6 +71,11 @@ class StabilizerMatrix:
     @property
     def gamma(self) -> int:
         return sum(self.row_degrees)
+
+    @property
+    def logical(self) -> int:
+        """k1 - k2: h1 has n - k1 rows and g2 has k2."""
+        return self.n - self.rows
 
 
 def assemble_stabilizer(h1: PolyMatrix, g2: PolyMatrix) -> StabilizerMatrix:
@@ -143,38 +149,25 @@ def build_nested_pair(outer: PolyMatrix, inner: PolyMatrix) -> NestedPair:
     as in every layout, X is the 0/1 selection of them, the map from
     inner rows to outer rows, proved by the rows' equal bytes; any other
     pair takes the division, whose X contains checks by that product.
+    contains also refuses generators of different fields or lengths.
     """
-    if outer.field != inner.field:
-        raise FieldMismatch("outer and inner generators live over different fields")
-    if outer.cols != inner.cols:
-        raise ValueError(f"column counts differ: {outer.cols} vs {inner.cols}")
     if inner.rows == 0:
         raise ValueError("inner generator needs at least one row")
     reduce(inner)
     return NestedPair(outer, inner, contains(outer, inner))
 
 
-@dataclass(frozen=True)
-class AqccParameters:
-    """Derived data of the quantum code attached to a nested pair."""
-
-    logical: int
-    stabilizer: StabilizerMatrix
-
-
-def derive_aqcc(pair: NestedPair) -> AqccParameters:
+def derive_aqcc(pair: NestedPair) -> StabilizerMatrix:
     """Build the minimal dual of the outer generator and the stabilizer.
 
     The stabilizer holds two blocks: h1, the dual of the outer generator,
     on the X side and the reduced inner generator g2 on the Z side; it
-    computes n, gamma (its external degree) and mu_star from them.  The
-    free distances of the outer generator and of the inner generator's
-    dual bound the two sides; certify.certify_plan computes them and
-    reads dz and dx from the two brackets.
+    computes n, gamma (its external degree), mu_star and logical, n less
+    its rows, from them.  The free distances of the outer generator and of
+    the inner generator's dual bound the two sides; certify.certify_plan
+    computes them and reads dz and dx from the two brackets.
     """
     k1, k2 = pair.outer.rows, pair.inner.rows
-    logical = k1 - k2
-    if logical <= 0:
+    if k1 <= k2:
         raise ZeroLogicalDimension(f"k1 = {k1} and k2 = {k2} leave no logical stream")
-    stab = assemble_stabilizer(dual_generator(pair.outer), reduce(pair.inner))
-    return AqccParameters(logical, stab)
+    return assemble_stabilizer(dual_generator(pair.outer), reduce(pair.inner))

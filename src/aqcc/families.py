@@ -530,7 +530,7 @@ def construction_i_plan(field: FiniteField, vectors, partition) -> LayoutPlan:
     return LayoutPlan(
         params=params,
         expected=expected,
-        source=BlockCode._independent(field, m, name=f"seed rows ({m.rows} x {m.cols})"),
+        source=BlockCode._independent(field, m),
         blocks1=blocks1,
         blocks2=blocks2,
         source_designed=None,

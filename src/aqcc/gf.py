@@ -171,12 +171,10 @@ def poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 
 
 def default_modulus(p: int, l: int) -> tuple[int, ...]:
-    """Monic irreducible of degree l with the smallest packed index."""
-    for m in range(p ** l, 2 * p ** l):
-        cand = _unpack(m, p, l + 1)
-        if poly_is_irreducible(cand, p):
-            return cand
-    raise AssertionError("unreachable: irreducibles exist in every degree")
+    """Monic irreducible of degree l with the smallest packed index; every
+    degree has one."""
+    cands = (_unpack(m, p, l + 1) for m in range(p ** l, 2 * p ** l))
+    return next(c for c in cands if poly_is_irreducible(c, p))
 
 
 class FiniteField:

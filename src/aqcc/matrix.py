@@ -96,9 +96,6 @@ class MatrixGF:
     def shape(self) -> tuple[int, int]:
         return self.a.shape
 
-    def __getitem__(self, key):
-        return self.a[key]
-
     def row(self, i: int) -> np.ndarray:
         return self.a[i]
 

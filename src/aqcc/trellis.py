@@ -57,9 +57,9 @@ import functools
 import numpy as np
 
 from .block import _SCORE_CHUNK, BlockCode, DistanceBound, by_column, codeword_table, mismatches
-from .convo import PolyMatrix, degree_accounting, degree_gap
+from .convo import PolyMatrix, degree_gap
 from .convo import reduce as reduce_matrix
-from .errors import AqccError, CatastrophicEncoder
+from .errors import CatastrophicEncoder
 
 DEFAULT_STATE_BUDGET = 1 << 20
 DEFAULT_WORK_BUDGET = 1 << 26
@@ -98,8 +98,7 @@ def free_distance(
             f"degree gap {gap}: the gcd of the {g.rows}x{g.rows} minors has "
             f"degree {gap}, so the encoder is not basic"
         )
-    info = degree_accounting(g)
-    gamma = info.gamma
+    gamma = sum(g.row_degrees)
     k, n = g.shape
     q = f.q
 
@@ -108,12 +107,12 @@ def free_distance(
         b = BlockCode(f, g.coefficient(0)).dual().min_distance(budget=work_budget)
         return DistanceBound(b.lower, b.upper, "block", "block", b.witness)
     # the range of _dijkstra's search key, which must fit an int64
-    key_range = (n * (max(info.row_degrees) + 1) + 1) * (n + 1) * states * msgs
+    key_range = (n * (max(g.row_degrees) + 1) + 1) * (n + 1) * states * msgs
     if (gamma == 0 or states > state_budget or states * msgs > work_budget
             or msgs * n > _MEM_ELEMENTS or key_range > np.iinfo(np.int64).max):
         upper, wit = _probe_upper(g)
         return DistanceBound(1, upper, "bounded", "none", wit)
-    d, settled, wit = _dijkstra(f, g, info)
+    d, settled, wit = _dijkstra(g)
     return DistanceBound(d, d, "dijkstra", "dijkstra", wit, settled)
 
 
@@ -208,11 +207,11 @@ def _class_representatives(field, gamma: int):
     return rep, lowest
 
 
-def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, np.ndarray]:
-    q = field.q
+def _dijkstra(g: PolyMatrix) -> tuple[int, int, np.ndarray]:
+    field, q = g.field, g.field.q
     k, n = g.shape
-    nu = info.row_degrees
-    gamma = info.gamma
+    nu = g.row_degrees
+    gamma = sum(nu)
     coef = g.c
 
     starts = [sum(nu[:i]) for i in range(k)]  # row i's first state digit
@@ -287,12 +286,11 @@ def _dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, np.ndarray]:
     # most _SCORE_CHUNK targets, message weights and wanted symbols per call
     step = max(1, _SCORE_CHUNK // max(run_len, n))
     states = 0
+    # zero inputs lead each settled class within max(nu) steps to state 0,
+    # which is never settled, so best[0] is finite while a class is pending
     while True:
         pending = np.where(settled, INF, best)
-        least = int(pending.min())
-        if least == INF:
-            raise AqccError("zero state unreachable; the encoder graph is disconnected")
-        d = least // radix
+        d = int(pending.min()) // radix
         if best[0] < (d + 1) * radix:
             return d, states, witness()
         popped = np.flatnonzero(pending < (d + 1) * radix)

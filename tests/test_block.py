@@ -213,6 +213,22 @@ class TestGrs:
         assert (g.code.n, g.code.k) == (8, 3)
         assert g.code.min_distance().lower == 6
 
+    def test_a_wrong_dual_multiplier_is_refused(self, monkeypatch):
+        # w is a closed form, right for every input, so only a doctored
+        # inverse, on a field of its own, moves an entry of it; the one
+        # product G @ H.T then refuses the parity
+        f = FiniteField(7)
+        inverse = f._vinv
+
+        def moved(a):
+            out = np.array(inverse(a))
+            out[0] = f.add(int(out[0]), 1)
+            return out
+
+        monkeypatch.setattr(f, "_vinv", moved)
+        with pytest.raises(AqccError, match="^dual multiplier identity failed; GRS parity is wrong$"):
+            grs_build(f, list(range(6)), [1] * 6, k=3)
+
     @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 16, 17])
     def test_dual_multipliers_match_the_scalar_loop(self, q):
         f = field_from_order(q)

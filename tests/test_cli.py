@@ -289,6 +289,9 @@ class TestCertify:
     @pytest.mark.parametrize("n, partition, fragment", [
         ("8", "2,1,1,1", "main block sizes [2, 1] must all equal 2"),
         ("3", "1,1,1,1", "4 independent rows cannot fit in length 3"),
+        ("8", "1,-1,1,1", "partition sizes must be nonnegative"),
+        ("8", "0,1,0,1", "the main blocks need at least one row"),
+        ("8", "1,0,1,0", "every auxiliary block needs at least one row"),
     ])
     def test_family_i_bad_partition_exits_two(self, n, partition, fragment):
         rc, out, err = run("certify", "--family", "I", "--q", "2", "--n", n,
@@ -386,6 +389,18 @@ class TestDistance:
         rc, out, err = run("distance", self.write(tmp_path, f"q=2\n(1) (0,1)\n(1) {entry}\n"))
         assert rc == 2 and out == ""
         assert f"bad matrix file: line 3: bad entry '{entry}'" in err
+
+    @pytest.mark.parametrize("text, fragment", [
+        ("q=2\nq=3\n(1) (0,1)\n", "line 2: duplicate q= header"),
+        ("q=2\n(1) (0,2)\n", "line 2: coefficient out of range in '(0,2)'"),
+        ("q=2\n(1) (0,1)\n(1)\n", "line 3: expected 2 entries, got 1"),
+        ("", "matrix text needs a q= header and at least one row"),
+        ("q=2\n# no rows\n", "matrix text needs a q= header and at least one row"),
+    ])
+    def test_malformed_matrix_text_exits_two(self, tmp_path, text, fragment):
+        rc, out, err = run("distance", self.write(tmp_path, text))
+        assert rc == 2 and out == ""
+        assert err == f"parameter error: bad matrix file: {fragment}\n"
 
     def test_missing_file_exits_two(self, tmp_path):
         rc, _, err = run("distance", str(tmp_path / "missing.txt"))

@@ -14,11 +14,9 @@ from aqcc.errors import (
 )
 from aqcc import convo, matrix, selftest
 from aqcc.convo import (
-    DegreeInfo,
     PolyMatrix,
     block_toeplitz,
     contains,
-    degree_accounting,
     degree_gap,
     dual_generator,
     format_poly_matrix,
@@ -88,6 +86,19 @@ class TestPolyMatrix:
         assert m.coefficient(5) == MatrixGF.zeros(gf3, 2, 2)
         assert m.max_degree == 1
         assert m.row_degrees == (1, 0)
+
+    def test_malformed_input_is_refused(self, gf3):
+        with pytest.raises(ValueError, match="^ragged rows$"):
+            PolyMatrix(gf3, [[(1,), (0, 1)], [(1,)]])
+        with pytest.raises(ValueError, match="^declared column count does not match rows$"):
+            PolyMatrix(gf3, [[(1,)]], cols=2)
+        with pytest.raises(ValueError, match=r"^need a \(degree, rows, cols\) coefficient array$"):
+            PolyMatrix.from_coefficients(gf3, [np.zeros(2, dtype=np.int32)])
+        row, col = PolyMatrix(gf3, [[(1,), (0, 1)]]), PolyMatrix(gf3, [[(1,)], [(2,)]])
+        with pytest.raises(ValueError, match=r"^shape mismatch \(1, 2\) vs \(2, 1\)$"):
+            row + col
+        with pytest.raises(ValueError, match=r"^shape mismatch \(1, 2\) @ \(1, 2\)$"):
+            row @ row
 
     def test_matmul_against_hand_product(self, gf3):
         a = PolyMatrix(gf3, [[(1,), (0, 1)]])  # [1, D]
@@ -252,7 +263,7 @@ class TestReduced:
         assert not is_reduced(g)
         red = reduce(g)
         assert is_reduced(red)
-        assert degree_accounting(red).gamma < degree_accounting(g).gamma
+        assert sum(red.row_degrees) < sum(g.row_degrees)
         # same module both ways
         contains(red, g)
         contains(g, red)
@@ -271,10 +282,13 @@ class TestReduced:
 
     def test_degree_accounting(self, gf3):
         g = PolyMatrix(gf3, [[(1,), (0, 1), (0, 0, 1)], [(0, 1), (1,), ()]])
-        info = degree_accounting(g)
-        assert info == DegreeInfo((2, 1), 3)
+        assert g.row_degrees == (2, 1) and sum(g.row_degrees) == 3
+        # a zero row has degree -1, and reduce, the rank test every
+        # external degree is read after, refuses it
+        zero = PolyMatrix.zeros(gf3, 1, 2)
+        assert zero.row_degrees == (-1,)
         with pytest.raises(RankDeficient):
-            degree_accounting(PolyMatrix.zeros(gf3, 1, 2))
+            reduce(zero)
 
 
 class TestDual:
@@ -364,7 +378,7 @@ class TestSplit:
             [(), (1,), (), ()],
         ])
         assert is_basic(g) and is_reduced(g)
-        assert degree_accounting(g) == DegreeInfo((2, 0), 2)
+        assert g.row_degrees == (2, 0)
 
     def test_placement_moves_partner_rows(self):
         f = FiniteField.get(5, 1)
@@ -721,10 +735,10 @@ def test_reference_duals_eliminate_once_each(monkeypatch):
         return rref(field, a)
 
     monkeypatch.setattr(matrix, "_rref", counted)
-    par = derive_aqcc(pair)
+    stab = derive_aqcc(pair)
     assert eliminated == [(dims[0], 2 * pair.outer.cols)]
     assert dims[0] < toeplitz[0]
-    assert par.stabilizer.h1.max_degree == dual_generator(g2).max_degree == 1
+    assert stab.h1.max_degree == dual_generator(g2).max_degree == 1
     assert eliminated == [(dims[0], 2 * pair.outer.cols), g2.stack.shape, (toeplitz[1], 2 * pair.outer.cols)]
     assert toeplitz[1] < dims[1]
 
@@ -788,6 +802,22 @@ class TestDualChecks:
         monkeypatch.setattr(convo, "_dual_kernel", flipped)
         with pytest.raises(AssertionError, match="^dual residual is nonzero$"):
             dual_generator(g)
+
+
+def test_a_dual_missing_one_row_is_refused_by_its_external_degree(monkeypatch):
+    # dropping only the first kernel row of II-T3a q=16 G1 lets its shift
+    # take its place: the rows lie in the dual and lead in every column,
+    # but their external degree is 5 against gamma 4, so they do not span
+    # the dual; the split G1 records gap 0, a fresh copy records none
+    g1 = layout(FamilyParams("II-T3a", 16, i=5, t=1)).generators()[0]
+    copy = PolyMatrix.from_coefficients(g1.field, g1.c)
+    kernel = convo._dual_kernel
+    monkeypatch.setattr(convo, "_dual_kernel", lambda g, null, d: kernel(g, null, d)[1:])
+    with pytest.raises(AssertionError, match="^dual external degree 5 against gamma 4, gap 0$"):
+        dual_generator(g1)
+    with pytest.raises(AssertionError, match="^dual external degree 5 against gamma 4, gap None$"):
+        dual_generator(copy)
+    assert copy._gap is None
 
 
 # --- matrix text against one string per entry ---------------------------------

@@ -140,6 +140,13 @@ class TestAssembly:
         assert pair.witness.e == (((1,), (1,)),)
         assert pair.witness @ pair.outer == pair.inner
 
+    def test_other_fields_and_lengths_are_refused(self, f2, pair):
+        # contains makes build_nested_pair's field and length checks
+        with pytest.raises(FieldMismatch):
+            build_nested_pair(pair.outer, PolyMatrix(FiniteField.get(3, 1), [[(1,), (1,), ()]]))
+        with pytest.raises(ValueError, match="^column counts differ: 3 vs 2$"):
+            build_nested_pair(pair.outer, PolyMatrix(f2, [[(1,), (1,)]]))
+
     def test_containment_failure(self, f2, pair):
         stray = PolyMatrix(f2, [[(1,), (), ()]])
         with pytest.raises(ContainmentFailed):
@@ -201,19 +208,16 @@ class TestAssembly:
 
 class TestExpansion:
     def test_window_shape_and_rank(self, pair):
-        par = derive_aqcc(pair)
-        exp = semi_infinite_expand(par.stabilizer, 3)
+        exp = semi_infinite_expand(derive_aqcc(pair), 3)
         assert exp.matrix.shape == (6, 18)
         assert exp.rank == 6 and exp.defect == 0
 
     def test_longer_window(self, pair):
-        par = derive_aqcc(pair)
-        exp = semi_infinite_expand(par.stabilizer, 4)
+        exp = semi_infinite_expand(derive_aqcc(pair), 4)
         assert exp.rank == 8 and exp.defect == 0
 
     def test_band_placement(self, pair):
-        par = derive_aqcc(pair)
-        stab = par.stabilizer
+        stab = derive_aqcc(pair)
         exp = semi_infinite_expand(stab, 3)
         c1 = np.zeros((stab.rows, 2 * stab.n), dtype=np.int32)
         c1[: stab.h1.rows, : stab.n] = stab.h1.coefficient(1).a
@@ -223,9 +227,8 @@ class TestExpansion:
         assert not exp.matrix.a[2:4, 0:6].any()
 
     def test_too_few_frames(self, pair):
-        par = derive_aqcc(pair)
         with pytest.raises(TooFewFrames):
-            semi_infinite_expand(par.stabilizer, 1)
+            semi_infinite_expand(derive_aqcc(pair), 1)
 
 
 def reference_and_split_plans() -> list:
@@ -287,7 +290,7 @@ def certified_stabilizers() -> tuple:
     """(label, stabilizer) of the structure certificates of the reference
     rows and the seeded split plans.  The stabilizer does not depend on
     effort, so structure certificates show it."""
-    return tuple((plan.params.label(), certify_plan(plan, effort="structure").aqcc.stabilizer)
+    return tuple((plan.params.label(), certify_plan(plan, effort="structure").stabilizer)
                  for plan in reference_and_split_plans())
 
 
@@ -342,12 +345,11 @@ def side_rule(data) -> tuple[int, int]:
 
 class TestDerivation:
     def test_parameters(self, pair):
-        par = derive_aqcc(pair)
-        stab = par.stabilizer
-        assert (stab.n, par.logical, stab.gamma, stab.mu_star) == (3, 1, 2, 1)
+        stab = derive_aqcc(pair)
+        assert (stab.n, stab.logical, stab.gamma, stab.mu_star) == (3, 1, 2, 1)
         assert stab.h1.e == (((0, 1), (1,), (0, 1)),)
         # the inner dual is built where its free distance is searched
-        assert not hasattr(par, "v2_dual")
+        assert not hasattr(stab, "v2_dual")
 
     def test_zero_logical_dimension(self, f2):
         outer = PolyMatrix(f2, [[(1,), (0, 1)]])

@@ -15,7 +15,7 @@ from aqcc.certify import (
     certify_params,
     certify_plan,
 )
-from aqcc.convo import degree_accounting, is_basic, is_reduced
+from aqcc.convo import PolyMatrix, is_basic, is_reduced
 from aqcc.errors import (
     AqccError,
     ContainmentFailed,
@@ -29,6 +29,7 @@ from aqcc.errors import (
 from aqcc.families import (
     FAMILIES,
     FamilyParams,
+    LayoutPlan,
     construction_i_plan,
     demo_vectors,
     enumerate_family,
@@ -216,7 +217,7 @@ class TestLayouts:
         assert g1.rows - g2.rows == e.k_formula
         assert is_basic(g1) and is_reduced(g1)
         assert is_basic(g2) and is_reduced(g2)
-        total = degree_accounting(g1).gamma + degree_accounting(g2).gamma
+        total = sum(g1.row_degrees) + sum(g2.row_degrees)
         assert total == e.gamma_formula
         # inner rows must literally be outer rows for these layouts
         outer_rows = set(g1.e)
@@ -233,7 +234,7 @@ class TestLayouts:
         plan = layout(FamilyParams("II-T4b", 9, i=3, t=1))
         g1, g2 = plan.generators()
         assert g1.max_degree == 2 and g2.max_degree == 2
-        assert degree_accounting(g2).row_degrees[0] == 2
+        assert g2.row_degrees[0] == 2
         # the top-degree slice row must have no zero coordinate, which is
         # what keeps the chain bound at 2t + 2
         assert plan.chain_designed == (2, 2) and plan.expected.v2perp_stated == 4
@@ -383,6 +384,37 @@ class TestCertificates:
                                                 "the dual of the source code"):
                 certify_plan(doctored, effort=effort)
 
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_generators_that_are_not_reduced_are_refused(self, which, monkeypatch):
+        # row i of top degree nu_i gains D**s times row j, s = nu_i - nu_j +
+        # 1: the code is the same, but the row now leads with row j's
+        # leading coefficients, so the leading-row matrix loses rank
+        plan = layout(FamilyParams("II-T3a", 16, i=5, t=1))
+        gens = list(plan.generators())
+        g = gens[which]
+        nu = g.row_degrees
+        i = nu.index(max(nu))
+        j = (i + 1) % g.rows
+        s = nu[i] - nu[j] + 1
+        u = np.zeros((s + 1, g.rows, g.rows), dtype=np.int32)
+        u[0] = np.eye(g.rows, dtype=np.int32)
+        u[s, i, j] = 1
+        gens[which] = PolyMatrix.from_coefficients(g.field, u) @ g
+        assert not is_reduced(gens[which])
+        monkeypatch.setattr(LayoutPlan, "generators", lambda self: tuple(gens))
+        with pytest.raises(AqccError, match="^split generator is not reduced$"):
+            certify_plan(plan, effort="structure")
+
+    def test_closed_forms_that_differ_are_refused(self):
+        plan = layout(FamilyParams("III-T6", 5, n=5, k=1, t=1))
+        e = plan.expected
+        for change, message in (
+            ({"k_formula": e.k_formula + 1}, "logical dimension 1 differs from the closed form 2"),
+            ({"gamma_formula": e.gamma_formula + 1}, "total degree 3 differs from the closed form 4"),
+        ):
+            with pytest.raises(AqccError, match=f"^{message}$"):
+                certify_plan(replace(plan, expected=replace(e, **change)), effort="structure")
+
     def test_zero_logical_dimension_certify(self):
         with pytest.raises(ParamOutOfRange):
             certify_params(FamilyParams("III-T6", 5, n=5, k=1, t=2))
@@ -427,8 +459,8 @@ class TestConstructionI:
         plan = construction_i_plan(f5, vec, [1, 1, 1, 1])
         g1, g2 = plan.generators()
         assert (g1.rows, g2.rows) == (2, 1)
-        assert degree_accounting(g1).gamma == 2
-        assert degree_accounting(g2).gamma == 1
+        assert sum(g1.row_degrees) == 2
+        assert sum(g2.row_degrees) == 1
         cert = certify_plan(plan)
         assert cert.logical == 1 and cert.gamma == 3
         assert cert.data["params"]["partition"] == [1, 1, 1, 1]
@@ -636,6 +668,17 @@ def test_outer_stack_takes_no_echelon_of_other_rows(monkeypatch):
         red, piv = g1.stack.rref()
         want_red, want_piv = rref(f5, g1.stack.a)
         assert np.array_equal(red.a, want_red) and piv == want_piv
+
+
+@pytest.mark.parametrize("fn, message", [
+    (expected_tuple, "no closed-form tuple for family 'I'"),
+    (families.source_key, "I has no family source code"),
+    (layout, "construction I builds from explicit vectors, not a grid point"),
+])
+def test_construction_i_has_no_grid_point(fn, message):
+    # construction I builds from explicit rows through construction_i_plan
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fn(FamilyParams("I", 5, n=8, partition=(2, 1, 2, 1)))
 
 
 def test_source_key_fixes_the_source():

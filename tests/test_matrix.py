@@ -48,6 +48,13 @@ class TestBasics:
         with pytest.raises(FieldMismatch):
             a @ b
 
+    def test_shape_mismatch(self, gf7):
+        a = MatrixGF(gf7, [[1, 2]])
+        with pytest.raises(ValueError, match=r"^shape mismatch \(1, 2\) @ \(1, 2\)$"):
+            a @ a
+        with pytest.raises(ValueError, match="^column counts differ$"):
+            solve_left(a, MatrixGF(gf7, [[1, 2, 3]]))
+
     def test_field_from_order(self):
         assert field_from_order(16) == FiniteField.get(2, 4)
         assert field_from_order(11) == FiniteField.get(11, 1)

@@ -11,7 +11,6 @@ from aqcc.errors import AqccError, CatastrophicEncoder, RankDeficient
 from aqcc.block import _SCORE_CHUNK, DistanceBound, by_column, codeword_table, mismatches, rs_parity
 from aqcc.convo import (
     PolyMatrix,
-    degree_accounting,
     dual_generator,
     padd,
     parse_poly_matrix,
@@ -39,7 +38,7 @@ def gf3():
 
 
 def gamma(g: PolyMatrix) -> int:
-    return degree_accounting(reduce(g)).gamma
+    return sum(reduce(g).row_degrees)
 
 
 def designed(lower: int) -> DistanceBound:
@@ -215,13 +214,13 @@ def scalar_free_distance(g: PolyMatrix) -> int:
     raise AssertionError("zero state unreachable")
 
 
-def all_states_dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
+def all_states_dijkstra(g: PolyMatrix) -> tuple[int, int]:
     """The exact search that settles every nonzero state it reaches, not
     one per scalar class: (free distance, states settled)."""
-    q = field.q
+    field, q = g.field, g.field.q
     k, n = g.shape
-    nu = info.row_degrees
-    gamma = info.gamma
+    nu = g.row_degrees
+    gamma = sum(nu)
     coef = g.c
 
     starts = [sum(nu[:i]) for i in range(k)]  # row i's first state digit
@@ -286,15 +285,15 @@ def all_states_dijkstra(field, g: PolyMatrix, info) -> tuple[int, int]:
     raise AqccError("zero state unreachable; the encoder graph is disconnected")
 
 
-def heap_dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, np.ndarray]:
+def heap_dijkstra(g: PolyMatrix) -> tuple[int, int, np.ndarray]:
     """The search over scalar classes one heap pop at a time: (free
     distance, classes settled before the zero class, witness).  Each
     expansion weighs its q**k messages by plain comparison; a relaxation
     records a class's branch only when it strictly lowers the distance."""
-    q = field.q
+    field, q = g.field, g.field.q
     k, n = g.shape
-    nu = info.row_degrees
-    gamma = info.gamma
+    nu = g.row_degrees
+    gamma = sum(nu)
     coef = g.c
 
     starts = [sum(nu[:i]) for i in range(k)]  # row i's first state digit
@@ -464,7 +463,7 @@ def split_gens():
     out = []
     while len(out) < 100:
         for g in selftest._random_plan(rng).generators():
-            if g.field.q ** (degree_accounting(g).gamma + g.rows) <= 2 ** 12:
+            if g.field.q ** (sum(g.row_degrees) + g.rows) <= 2 ** 12:
                 out.append(g)
     return out[:100]
 
@@ -554,7 +553,7 @@ def multi_row_gens():
                 for d in degs
             ])
             try:
-                nu = degree_accounting(reduce(g)).row_degrees
+                nu = reduce(g).row_degrees
                 free_distance(g, state_budget=1)
             except (CatastrophicEncoder, RankDeficient):
                 continue
@@ -578,7 +577,7 @@ def heavy_gens():
                 for d in degs
             ])
             try:
-                nu = degree_accounting(reduce(g)).row_degrees
+                nu = reduce(g).row_degrees
                 free_distance(g, state_budget=1)
             except (CatastrophicEncoder, RankDeficient):
                 continue
@@ -593,14 +592,13 @@ def assert_same_search(g):
     before the zero class, and agrees with the search over every state;
     the heap search's witness, by its own tie rule, has weight d."""
     g = reduce(g)
-    info = degree_accounting(g)
     q = g.field.q
-    d, states, _ = _dijkstra(g.field, g, info)
-    heap_d, heap_states, heap_witness = heap_dijkstra(g.field, g, info)
+    d, states, _ = _dijkstra(g)
+    heap_d, heap_states, heap_witness = heap_dijkstra(g)
     assert (d, states) == (heap_d, heap_states)
     assert np.count_nonzero(heap_witness) == d and heap_witness[-1].any()
-    assert d == all_states_dijkstra(g.field, g, info)[0]
-    assert states <= (q ** info.gamma - 1) // (q - 1)
+    assert d == all_states_dijkstra(g)[0]
+    assert states <= (q ** sum(g.row_degrees) - 1) // (q - 1)
     return states
 
 
@@ -714,8 +712,8 @@ class TestAgainstAllStatesSearch:
                     g1, g2 = layout(p).generators()
                     rows += 1
                     for g in (reduce(g1), reduce(dual_generator(g2))):
-                        info = degree_accounting(g)
-                        if info.gamma and q ** (info.gamma + g.rows) <= 2 ** 20:
+                        gam = sum(g.row_degrees)
+                        if gam and q ** (gam + g.rows) <= 2 ** 20:
                             assert_same_search(g)
                             searches += 1
         assert (rows, searches) == (214, 273)
@@ -729,17 +727,16 @@ def test_bucket_scored_in_chunks(monkeypatch, multi_row_gens, heavy_gens, pairs)
     kernel = block.mismatches
     for g in multi_row_gens + heavy_gens:
         g = reduce(g)
-        info = degree_accounting(g)
         run_len = g.field.q ** memory_free_rows(g)
         calls = []
         with monkeypatch.context() as mp:
             mp.setattr(trellis, "mismatches", lambda t, w: calls.append(len(w)) or kernel(t, w))
             mp.setattr(trellis, "_SCORE_CHUNK", 1 << 40)
-            whole = _dijkstra(g.field, g, info)
+            whole = _dijkstra(g)
             whole_calls = len(calls)
             calls.clear()
             mp.setattr(trellis, "_SCORE_CHUNK", pairs * max(run_len, g.cols))
-            assert_same_result(_dijkstra(g.field, g, info), whole)
+            assert_same_result(_dijkstra(g), whole)
         # the zero state's runs go in one call; every later call holds at
         # most the chunk's pairs, so a bucket of more pairs takes several
         assert max(calls[1:], default=0) <= pairs
@@ -777,16 +774,16 @@ def test_kernel_batches_stay_small(monkeypatch):
     assert max(b * rows for b, rows in entries) <= 1 << 20
 
 
-def table_dijkstra(field, g: PolyMatrix, info) -> tuple[int, int, np.ndarray]:
+def table_dijkstra(g: PolyMatrix) -> tuple[int, int, np.ndarray]:
     """The bucketed search scoring every class against one table of all
     q**k messages' degree-0 codewords, free rows the fastest digits: the
     scoring the run-by-run search replaced, with the same packed key, so
     the same (free distance, classes settled, witness).  It weighs the
     messages by its own comparison, not by block.mismatches."""
-    q = field.q
+    field, q = g.field, g.field.q
     k, n = g.shape
-    nu = info.row_degrees
-    gamma = info.gamma
+    nu = g.row_degrees
+    gamma = sum(nu)
     coef = g.c
 
     starts = [sum(nu[:i]) for i in range(k)]
@@ -897,14 +894,14 @@ def run_gens():
                 except (CatastrophicEncoder, RankDeficient):
                     continue
                 g = reduce(g)
-                if degree_accounting(g).gamma:
+                if sum(g.row_degrees):
                     out.append(g)
                     break
     return out
 
 
 def memory_free_rows(g: PolyMatrix) -> int:
-    return list(degree_accounting(g).row_degrees).count(0)
+    return g.row_degrees.count(0)
 
 
 def t5a_outer_encoder() -> PolyMatrix:
@@ -917,18 +914,16 @@ def test_run_scoring_matches_table_scoring(run_gens):
     # the table of all q**k messages
     seen = set()
     for g in run_gens:
-        info = degree_accounting(g)
         seen.add((g.field.q, min(memory_free_rows(g), 2)))
-        assert_same_result(_dijkstra(g.field, g, info), table_dijkstra(g.field, g, info))
+        assert_same_result(_dijkstra(g), table_dijkstra(g))
     assert seen == {(q, k0) for q in RUN_FIELDS for k0 in (0, 1, 2)}
 
 
 def test_run_scoring_matches_table_scoring_on_reference_row():
     # III-T5a q=11 i=6: runs of 11**3 messages over 11**2 offsets
     g = t5a_outer_encoder()
-    info = degree_accounting(g)
     assert memory_free_rows(g) == 3 and g.shape == (5, 10)
-    assert_same_result(_dijkstra(g.field, g, info), table_dijkstra(g.field, g, info))
+    assert_same_result(_dijkstra(g), table_dijkstra(g))
 
 
 def test_search_builds_no_message_table(monkeypatch, run_gens):
@@ -952,17 +947,16 @@ def test_search_builds_no_message_table(monkeypatch, run_gens):
     ref = t5a_outer_encoder()
     checked = 0
     for g in run_gens + [ref]:
-        if not memory_free_rows(g) or degree_accounting(g).gamma >= g.rows:
+        if not memory_free_rows(g) or sum(g.row_degrees) >= g.rows:
             continue  # with k0 = 0 the offsets are the messages' codewords
         shapes.clear()
-        _dijkstra(g.field, g, degree_accounting(g))
+        _dijkstra(g)
         assert shapes and max(rows for rows, _ in shapes) < g.field.q ** g.rows
         checked += 1
     assert checked > len(RUN_FIELDS) * 2
-    info = degree_accounting(ref)
     tracemalloc.start()
     try:
-        _dijkstra(ref.field, ref, info)
+        _dijkstra(ref)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -982,7 +976,7 @@ def test_search_builds_two_tables(monkeypatch, heavy_gens):
 
     monkeypatch.setattr(trellis, "codeword_table", recorded)
     gf4 = heavy_gens[1]
-    assert gf4.field.q == 4 and degree_accounting(reduce(gf4)).row_degrees == (2, 2, 2)
+    assert gf4.field.q == 4 and reduce(gf4).row_degrees == (2, 2, 2)
     for g, k0 in ((t5a_outer_encoder(), 3), (gf4, 0)):
         built.clear()
         assert free_distance(g).method == "dijkstra"

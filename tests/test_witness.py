@@ -202,7 +202,7 @@ def fresh_seed(plan: LayoutPlan) -> LayoutPlan:
     forms its right inverse again on the next split."""
     field = plan.source.field
     parity = MatrixGF(field, plan.source.parity.a)
-    source = BlockCode._independent(field, parity, name=plan.source.name)
+    source = BlockCode._independent(field, parity)
     return dataclasses.replace(plan, source=source)
 
 
@@ -449,7 +449,7 @@ def test_certificate_builds_each_dual_where_it_is_read(monkeypatch, effort):
     # inverse R_S; derive_aqcc builds H1 = dual(G1), and only desk builds
     # G2's dual, for the free distance search; containment divides by G1's
     # leading echelon with no scalar solve
-    g2 = cert.aqcc.stabilizer.g2
+    g2 = cert.stabilizer.g2
     want = [(cert.g1, 0)] + ([(g2, 0)] if effort == "desk" else [])
     assert [(id(m), gap) for m, gap in built] == [(id(m), gap) for m, gap in want]
     assert cert.g1._gap == g2._gap == 0
@@ -485,7 +485,7 @@ def test_leading_echelon_is_computed_once_per_generator(monkeypatch, effort):
                   if np.array_equal(a, np.concatenate([lead, np.eye(len(lead), dtype=np.int32)], 1))]
     assert len(eliminated) == len(owners) == (0 if effort == "structure" else 1)
     assert len({id(m) for m in owners}) == len(owners)
-    g2 = cert.aqcc.stabilizer.g2
+    g2 = cert.stabilizer.g2
     assert not any(m is cert.g1 or m is g2 for m in owners)
     assert all(isinstance(g._lead, np.ndarray) for g in (cert.g1, g2))
 
