@@ -284,36 +284,29 @@ def enumerate_family(family: str, q: int, ranges: dict | None = None):
         lo2, hi2 = ranges.get(name, (lo, hi))
         return range(max(lo, lo2), min(hi, hi2) + 1)
 
-    def count(prefix):
-        """Points below prefix, or a number past MAX_GRID_ROWS."""
+    def heads(prefix=()):
+        """Every prefix of all but the last parameter, in grid order."""
         if len(prefix) == len(grid) - 1:
-            return len(span(prefix))
-        total = 0
-        for x in span(prefix):
-            total += count(prefix + (x,))
-            if total > MAX_GRID_ROWS:
-                break
-        return total
-
-    def walk(prefix):
-        if len(prefix) == len(grid):
-            yield dict(zip(names, prefix))
+            yield prefix
             return
         for x in span(prefix):
-            yield from walk(prefix + (x,))
+            yield from heads(prefix + (x,))
 
-    selected = count(())
-    if selected > MAX_GRID_ROWS:
-        raise ParamOutOfRange(
-            f"{family} over GF({q}) selects more than {MAX_GRID_ROWS} points; narrow the ranges"
-        )
+    selected = 0
+    for head in heads():
+        selected += len(span(head))
+        if selected > MAX_GRID_ROWS:
+            raise ParamOutOfRange(
+                f"{family} over GF({q}) selects more than {MAX_GRID_ROWS} points; narrow the ranges"
+            )
     if not selected and ranges:
         shown = ", ".join(f"{name}={lo}:{hi}" for name, (lo, hi) in ranges.items())
         raise ParamOutOfRange(f"{family} over GF({q}) has no point in range {shown}")
     out = []
-    for kw in walk(()):
-        p = FamilyParams(family, q, **kw)
-        out.append((p, _closed_form(p)))
+    for head in heads():
+        for x in span(head):
+            p = FamilyParams(family, q, **dict(zip(names, head + (x,))))
+            out.append((p, _closed_form(p)))
     return out
 
 

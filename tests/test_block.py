@@ -21,6 +21,7 @@ from aqcc.block import (
     DistanceBound,
     _enumerate_weights,
     bch_parity,
+    cyclic_structure,
     grs_build,
     macwilliams_transform,
     rs_parity,
@@ -134,6 +135,17 @@ class TestBch:
         b = MatrixGF(s.field, expanded_row(s, 7))
         both = MatrixGF(s.field, np.concatenate([a.a, b.a]))
         assert a.rank() == b.rank() == both.rank() == 2
+
+    def test_short_coset_rows_are_eliminated(self):
+        # 2 has order m = 4 mod 15, but the coset {5, 10} has two members:
+        # zeta**5 lies in GF(4), so its 3 nonzero coordinate rows span 2
+        s = cyclic_structure(FiniteField.get(2, 1), 15, [5])
+        assert s.m == 4 and s.defining_set == (5, 10)
+        row = np.array([s.ext.pow(s.zeta, 5 * j % 15) for j in range(15)])
+        coords = SubfieldBasis(s.field, s.ext).expand_array(row).T
+        assert np.count_nonzero(coords.any(axis=1)) == 3
+        assert s.code.parity.a.shape == (2, 15)
+        assert np.array_equal(s.row_groups[5], expanded_row(s, 5))
 
     def test_parity_rows_annihilate_generator(self):
         s = bch_parity(FiniteField.get(2, 4), 17, 5, b=0)
@@ -254,6 +266,8 @@ class TestGrs:
             grs_build(f, [0, 1, 2], [1, 0, 1], k=1)
         with pytest.raises(ValueError):
             grs_build(f, [0, 1, 2], [1, 1, 1], k=3)
+        with pytest.raises(ValueError, match="^need one multiplier per point$"):
+            grs_build(f, [0, 1, 2], [1, 1], k=1)
         # the array kernels check no range, so grs_build refuses non-elements
         for points, multipliers in (([0, 1, 5], [1, 1, 1]), ([-1, 1, 2], [1, 1, 1]),
                                     ([0, 1, 2], [1, 7, 1])):

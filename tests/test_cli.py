@@ -4,10 +4,11 @@ import contextlib
 import io
 import itertools
 import json
+import re
 
 import pytest
 
-from aqcc import Budgets, FamilyParams, validate_params
+from aqcc import Budgets, FamilyParams, selftest, validate_params
 from aqcc.cli import main
 from aqcc.errors import ParamOutOfRange
 
@@ -456,6 +457,20 @@ class TestSelftest:
         assert rc == 0
         assert "selftest: 8/8 checks passed" in out
         assert "q32-sweep" in out
+
+    def test_a_failing_check_fails_the_battery(self, capsys, monkeypatch):
+        def broken():
+            raise AssertionError("doctored source")
+
+        checks = dict(selftest.CHECKS)
+        checks["mds-sources"] = broken
+        monkeypatch.setattr(selftest, "CHECKS", tuple(checks.items()))
+        rc = main(["selftest"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert re.search(r"^mds-sources +FAIL +\d+\.\d\ds  AssertionError: doctored source$", out, re.M)
+        assert out.count("  PASS  ") == 7
+        assert re.search(r"^selftest: 7/8 checks passed in \d+\.\ds$", out, re.M)
 
     def test_quick_tier_is_gone(self):
         rc, out, err = run("selftest", "--tier", "quick")

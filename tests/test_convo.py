@@ -441,6 +441,11 @@ class TestSplit:
                 placements=[(1, 0), (0,)],
             )
 
+    def test_blocks_of_different_lengths_rejected(self):
+        f = FiniteField.get(5, 1)
+        with pytest.raises(PartitionInvalid, match="^blocks must share the code length$"):
+            split_to_generator([MatrixGF(f, [[1, 0, 0]]), MatrixGF(f, [[0, 1]])])
+
 
 # --- tuple-grid references for the coefficient-array storage -------------
 #
