@@ -190,7 +190,7 @@ def _provenance(b: DistanceBound) -> dict:
 def _matrix_text(m) -> str:
     if isinstance(m, MatrixGF):
         m = PolyMatrix._wrap(m.field, m.a[None])
-    return format_poly_matrix(m, header=False).replace("\n", "; ")
+    return format_poly_matrix(m).replace("\n", "; ")
 
 
 def _rows_text(*rows: str) -> str:

@@ -150,7 +150,7 @@ def cmd_distance(args) -> int:
         )
     if res.witness is not None:
         row = PolyMatrix.from_coefficients(g.field, res.witness[:, None])
-        lines.append(f"witness: {format_poly_matrix(row, header=False)}")
+        lines.append(f"witness: {format_poly_matrix(row)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

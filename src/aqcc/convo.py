@@ -109,8 +109,6 @@ def psub(f: FiniteField, a: Poly, b: Poly) -> Poly:
 
 
 def pscale(f: FiniteField, a: Poly, c: int) -> Poly:
-    if c == 0:
-        return ()
     return ptrim(f.mul(np.array(a, dtype=np.int64), c)) if a else ()
 
 
@@ -867,15 +865,13 @@ def _placed_blocks(blocks, placements) -> np.ndarray:
     return coeffs
 
 
-def format_poly_matrix(m: PolyMatrix, *, header: bool = True) -> str:
+def format_poly_matrix(m: PolyMatrix) -> str:
     """Plain-text form: one row per line, entries as (c0,c1,...) tuples.
 
-    The optional q= header line makes the text self-contained for files;
-    leave it off when the field is recorded elsewhere.  The entries are
-    built a degree at a time from the field's table of symbol strings, so
-    a zero entry is its constant term alone, (0).
+    The entries are built a degree at a time from the field's table of
+    symbol strings, so a zero entry is its constant term alone, (0).  The
+    text names no field; parse_poly_matrix reads it after a q= line.
     """
-    lines = [f"q={m.field.q}"] if header else []
     # each entry's length: one past its last nonzero degree, 0 when zero
     live = m.c[::-1] != 0
     ends = np.where(live.any(axis=0), len(m.c) - live.argmax(axis=0), 0)
@@ -883,8 +879,7 @@ def format_poly_matrix(m: PolyMatrix, *, header: bool = True) -> str:
     text = opening[m.c[0]]
     for d in range(1, len(m.c)):
         text = np.char.add(text, np.where(ends > d, continued[m.c[d]], ""))
-    lines.extend(" ".join(row) for row in np.char.add(text, ")").tolist())
-    return "\n".join(lines)
+    return "\n".join(" ".join(row) for row in np.char.add(text, ")").tolist())
 
 
 @functools.cache
@@ -896,7 +891,8 @@ def _symbol_strings(q: int) -> np.ndarray:
 
 
 def parse_poly_matrix(text: str):
-    """Inverse of format_poly_matrix for headered text.  q and every coefficient
+    """Read a matrix file: a q= line, then rows as format_poly_matrix writes
+    them.  Blank lines and # comments are skipped.  q and every coefficient
     are ASCII decimal digits; int() would also take "+1", "1_0" and non-ASCII digits."""
     field = None
     rows = []

@@ -5,11 +5,12 @@ quantum convolutional code: one block of stabilizer rows carries a
 parity check of V1 on the X side, the other carries a generator of V2 on
 the Z side.  Symplectic self-orthogonality of the assembled matrix is
 equivalent to the containment V2 <= V1, and this module verifies it
-explicitly instead of assuming it.  The stabilizer [H1 0; 0 G2] is held
-as its two blocks H1 and G2, its only content.  For its halves X = [H1; 0]
-and Z = [0; G2] the residual X rev(Z)^T - Z rev(X)^T is zero but for the
-blocks A = H1 rev(G2)^T and -D^(2 mu) A(1/D)^T, so it vanishes exactly
-when the one product A does.
+explicitly instead of assuming it.  assemble_stabilizer builds the
+stabilizer [H1 0; 0 G2], a StabilizerMatrix held as its two blocks.  For
+its halves X = [H1; 0] and Z = [0; G2] the residual X rev(Z)^T - Z rev(X)^T
+is zero but for the blocks A = H1 rev(G2)^T and -D^(2 mu) A(1/D)^T, so it
+vanishes exactly when the one product A does, which also refuses blocks
+of different fields or lengths.
 
 derive_aqcc builds one minimal dual, H1 = dual(V1), the parity check on
 the X side, recording G1's degree gap, and returns the stabilizer; its
@@ -25,12 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convo import PolyMatrix, block_toeplitz, contains, dual_generator, reduce
-from .errors import (
-    FieldMismatch,
-    SymplecticViolation,
-    TooFewFrames,
-    ZeroLogicalDimension,
-)
+from .errors import SymplecticViolation, TooFewFrames, ZeroLogicalDimension
 from .matrix import MatrixGF
 
 
@@ -41,12 +37,6 @@ class StabilizerMatrix:
 
     h1: PolyMatrix
     g2: PolyMatrix
-
-    def __post_init__(self):
-        if self.h1.field != self.g2.field:
-            raise FieldMismatch("parity check and generator fields differ")
-        if self.h1.cols != self.g2.cols:
-            raise ValueError(f"column counts differ: {self.h1.cols} vs {self.g2.cols}")
 
     @property
     def field(self):

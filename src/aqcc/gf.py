@@ -45,6 +45,11 @@ Every FiniteField uses the canonical modulus for GF(p**l): the monic
 irreducible polynomial of degree l whose own packed index is smallest.
 For GF(16) that is x**4 + x + 1, for GF(256) it is
 x**8 + x**4 + x**3 + x + 1.
+Its generator is the least element of order q - 1 (1 for GF(2)): the
+powers of g = 1, 2, ... are walked by raw products until they return to
+1, and the first walk with q - 1 elements is exp.  exp fixes the discrete
+logs, root_of_unity and the default GRS points, so every certificate
+byte depends on this rule.
 """
 
 from __future__ import annotations
@@ -221,15 +226,6 @@ class FiniteField:
         rem = _poly_mod(tuple(prod), self.modulus, p)
         return sum(c * p ** i for i, c in enumerate(rem))
 
-    def _pow_raw(self, a: int, k: int) -> int:
-        r = 1
-        while k:
-            if k & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            k >>= 1
-        return r
-
     def _build_tables(self) -> None:
         p, l, q = self.p, self.l, self.q
         idx = np.arange(q, dtype=np.int64)
@@ -244,20 +240,17 @@ class FiniteField:
             self._ADD = add
         self._NEG = ((((-digits) % p) @ weights)).astype(np.int32)
 
-        # Multiplication comes from discrete logs over a generator, which
-        # needs raw products first.
-        for g in range(2, q):
-            if all(self._pow_raw(g, (q - 1) // r) != 1 for r in prime_factors(q - 1)):
-                self.generator = g
+        # products come from discrete logs over the generator, whose walk
+        # of powers is exp (see the module docstring)
+        for g in range(1, q):
+            walk, cur = [1], g
+            while cur != 1:
+                walk.append(cur)
+                cur = self._mul_raw(cur, g)
+            if len(walk) == q - 1:
                 break
-        else:
-            # q = 2 has the empty factor list and generator 1
-            self.generator = 1
-        exp = np.empty(q - 1, dtype=np.int32)
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            cur = self._mul_raw(cur, self.generator)
+        self.generator = g
+        exp = np.array(walk, dtype=np.int32)
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1)
 

@@ -52,7 +52,7 @@ def mul(field, a, b):
 
 def inv(field, a):
     """a**(q - 2), which is a**-1 for a != 0, by the raw product."""
-    return np.vectorize(lambda x: field._pow_raw(int(x), field.q - 2), otypes=[np.int32])(a)
+    return np.vectorize(lambda x: power(field, int(x), field.q - 2), otypes=[np.int32])(a)
 
 
 def div(field, a, b):
@@ -60,11 +60,15 @@ def div(field, a, b):
 
 
 def power(field, a, k):
-    """a**k for one element; k < 0 inverts first."""
+    """a**k for one element by square and multiply; k < 0 inverts first."""
     base = int(inv(field, a)) if k < 0 else a
     out = 1
-    for _ in range(abs(k)):
-        out = int(mul(field, out, base))
+    k = abs(k)
+    while k:
+        if k & 1:
+            out = int(mul(field, out, base))
+        base = int(mul(field, base, base))
+        k >>= 1
     return out
 
 

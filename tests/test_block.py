@@ -355,6 +355,10 @@ class TestDistributions:
 
 
 class TestBlockCode:
+    def test_repr(self):
+        f = FiniteField.get(3, 1)
+        assert repr(BlockCode(f, MatrixGF(f, [[1, 1, 1]]))) == "<[3, 2] code over GF(3)>"
+
     def test_dual_swaps_matrices(self):
         code = rs_parity(FiniteField.get(7, 1), 6, 4, b=1).code
         dual = code.dual()

@@ -30,6 +30,7 @@ from aqcc.convo import (
     pscale,
     psub,
     ptrim,
+    rank_poly,
     reduce,
     smith_form,
     split_to_generator,
@@ -77,6 +78,10 @@ class TestPolyOps:
 
 
 class TestPolyMatrix:
+    def test_repr(self, gf3):
+        m = PolyMatrix(gf3, [[(1,), (0, 1)], [(1, 1), (2,)]])
+        assert repr(m) == "PolyMatrix(GF(3), shape=(2, 2), max_degree=1)"
+
     def test_coefficient_roundtrip(self, gf3):
         c0 = MatrixGF(gf3, [[1, 0], [2, 1]])
         c1 = MatrixGF(gf3, [[0, 1], [0, 0]])
@@ -137,9 +142,9 @@ class TestPolyMatrix:
     def test_text_roundtrip_byte_identical(self, gf3):
         m = PolyMatrix(gf3, [[(1, 2), ()], [(0, 1), (2,)]])
         text = format_poly_matrix(m)
-        assert text == "q=3\n(1,2) (0)\n(0,1) (2)"
-        assert parse_poly_matrix(text) == m
-        assert format_poly_matrix(parse_poly_matrix(text)) == text
+        assert text == "(1,2) (0)\n(0,1) (2)"
+        parsed = parse_poly_matrix(f"q=3\n{text}")
+        assert parsed == m and format_poly_matrix(parsed) == text
 
     @pytest.mark.parametrize("order", ["1_6", "+5", "\u0665"])  # the last is Arabic-Indic five
     def test_header_takes_ascii_digits_only(self, order):
@@ -192,6 +197,11 @@ class TestSmith:
         sf = assert_smith_invariants(PolyMatrix.zeros(gf3, 2, 3))
         assert sf.invariant_factors == ()
         assert sf.rank == 0
+
+    def test_rank_poly(self, gf3):
+        row = [(1,), (0, 1)]
+        assert rank_poly(PolyMatrix(gf3, [row])) == 1
+        assert rank_poly(PolyMatrix(gf3, [row, row])) == 1
 
 
 @st.composite
@@ -828,9 +838,9 @@ def test_a_dual_missing_one_row_is_refused_by_its_external_degree(monkeypatch):
 # --- matrix text against one string per entry ---------------------------------
 
 
-def format_per_entry(m: PolyMatrix, *, header: bool = True) -> str:
+def format_per_entry(m: PolyMatrix) -> str:
     """Reference text built with one Python string per entry."""
-    lines = [f"q={m.field.q}"] if header else []
+    lines = []
     live = m.c[::-1] != 0
     ends = np.where(live.any(axis=0), len(m.c) - live.argmax(axis=0), 0).tolist()
     for row, row_ends in zip(m.c.transpose(1, 2, 0).tolist(), ends):
@@ -851,9 +861,8 @@ def test_text_matches_per_entry_format(pl):
     if f.q > 3:
         top = f.q - 1
         cases.append(PolyMatrix(f, [[(0, 3), (1, 0, 2), ()], [(top,), (), (0, 0, 0, top)]]))
-        assert format_poly_matrix(cases[-1], header=False) == f"(0,3) (1,0,2) (0)\n({top}) (0) (0,0,0,{top})"
+        assert format_poly_matrix(cases[-1]) == f"(0,3) (1,0,2) (0)\n({top}) (0) (0,0,0,{top})"
     for m in cases:
-        for header in (True, False):
-            assert format_poly_matrix(m, header=header) == format_per_entry(m, header=header)
+        assert format_poly_matrix(m) == format_per_entry(m)
         if m.rows and m.cols:
-            assert parse_poly_matrix(format_poly_matrix(m)) == m
+            assert parse_poly_matrix(f"q={f.q}\n{format_poly_matrix(m)}") == m

@@ -239,6 +239,13 @@ class TestLayouts:
         # what keeps the chain bound at 2t + 2
         assert plan.chain_designed == (2, 2) and plan.expected.v2perp_stated == 4
 
+    def test_degenerate_partner_falls_back_with_a_note(self):
+        # both rows are zero in column 2, and so is every r0 + c*r1
+        f3 = field_from_order(3)
+        p0, p1, notes = families._split_degenerate_partner(f3, np.array([[1, 0, 0], [0, 1, 0]]))
+        assert p0.tolist() == [1, 0, 0] and p1.tolist() == [0, 1, 0]
+        assert notes == ("top-degree slice of the merged row has a zero coordinate",)
+
     def test_t6_lead_exponent_moves_when_it_would_collide(self):
         # t = n - k - 3 would make the lead pair reuse the t row
         plan = layout(FamilyParams("III-T6", 17, n=17, k=3, t=11))
@@ -453,6 +460,12 @@ class TestFaultInjection:
 
 
 class TestConstructionI:
+    def test_demo_vectors_give_up_when_no_draw_is_independent(self, monkeypatch):
+        monkeypatch.setattr(MatrixGF, "right_inverse", lambda self: None)
+        with pytest.raises(IndependenceViolated,
+                           match=r"^could not draw 4 independent rows of length 6$"):
+            demo_vectors(field_from_order(5), 6, [1, 1, 1, 1])
+
     def test_reference_partition(self):
         f5 = field_from_order(5)
         vec = demo_vectors(f5, 6, [1, 1, 1, 1], seed=3)

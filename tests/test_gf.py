@@ -82,6 +82,10 @@ class TestConstruction:
         with pytest.raises(NonPrimeCharacteristic):
             FiniteField(15, 1)
 
+    def test_rejects_zero_extension_degree(self):
+        with pytest.raises(ValueError, match=r"^extension degree must be >= 1$"):
+            FiniteField(2, 0)
+
     def test_get_shares_instances(self, gf16):
         assert FiniteField.get(2, 4) is gf16
         assert FiniteField(2, 4) == gf16
@@ -133,6 +137,14 @@ class TestGeneratorAndLogs:
     def test_known_generators(self, gf11):
         assert gf11.generator == 2
         assert FiniteField.get(3, 2).generator == 4  # x + 1 mod x**2 + 1
+        for q, g in ((256, 3), (512, 7), (625, 6), (1331, 11), (43 ** 2, 45)):
+            assert FiniteField(*field_order(q)).generator == g, q
+        # the rule: the least element of order q - 1, whose powers are exp
+        for q in (q for q in range(2, 65) if len(prime_factors(q)) == 1):
+            f = field_from_order(q)
+            assert f.generator == next(a for a in range(1, q) if order_of(f, a) == q - 1), q
+            for i in range(q - 1):
+                assert f.exp(i + 1) == f._mul_raw(f.exp(i), f.generator), (q, i)
 
     def test_exp_log_roundtrip(self, gf16):
         # exp walks every nonzero element once, so it has an inverse, log
@@ -169,6 +181,10 @@ class TestOrders:
         assert multiplicative_order(9, 10) == 2
         assert multiplicative_order(2, 7) == 3
         assert multiplicative_order(5, 1) == 1
+
+    def test_multiplicative_order_rejects_nonpositive_modulus(self):
+        with pytest.raises(ValueError, match=r"^n must be positive$"):
+            multiplicative_order(2, 0)
 
     def test_multiplicative_order_rejects_shared_factor(self):
         with pytest.raises(NotCoprime):

@@ -172,7 +172,7 @@ def test_every_route_witness_is_one_coefficient_array():
             w[0, 0] = 1
     # the block route's one row, in the matrix text format aqcc distance prints
     row = PolyMatrix.from_coefficients(g.field, routes[2][0].witness[:, None])
-    assert f"witness: {format_poly_matrix(row, header=False)}\n" in block_distance_text()
+    assert f"witness: {format_poly_matrix(row)}\n" in block_distance_text()
     # MacWilliams counts the dual's codewords and keeps none of the code's
     b = rs_parity(field_from_order(11), 10, 4, b=1).code.min_distance(budget=2000)
     assert b.method == "macwilliams" and b.witness is None

@@ -14,6 +14,9 @@ def gf7():
 
 
 class TestBasics:
+    def test_repr(self):
+        assert repr(MatrixGF(FiniteField.get(3, 1), [[1, 2]])) == "MatrixGF(GF(3), [[1, 2]])"
+
     def test_entry_validation(self, gf7):
         with pytest.raises(ValueError):
             MatrixGF(gf7, [[7, 0]])

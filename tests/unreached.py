@@ -52,8 +52,17 @@ def body_statements(path: Path) -> set[int]:
     return out
 
 
-def traced_run(args: list[str]) -> tuple[int, set[tuple[str, int]]]:
-    """pytest's exit status and the (file, line) pairs run in src/aqcc."""
+def traced(fn):
+    """fn() run in this process under sys.settrace: its result and each
+    function-body statement of src/aqcc whose first line it never ran, as
+    "path:line: text".  The statements are read before fn runs, so a
+    source file edited during the run does not shift them."""
+    statements = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        real = os.path.realpath(path)
+        text = path.read_text().splitlines()
+        statements += [((real, line), f"{path.relative_to(ROOT)}:{line}: {text[line - 1].strip()}")
+                       for line in sorted(body_statements(path))]
     executed: set[tuple[str, int]] = set()
     inside: dict[str, str | None] = {}
     prefix = str(PACKAGE) + os.sep
@@ -73,23 +82,18 @@ def traced_run(args: list[str]) -> tuple[int, set[tuple[str, int]]]:
     threading.settrace(call)
     sys.settrace(call)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), *args])
+        result = fn()
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return int(status), executed
+    return result, [where for key, where in statements if key not in executed]
 
 
 def main(args: list[str]) -> int:
-    status, executed = traced_run(args)
-    missed = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        real = os.path.realpath(path)
-        text = path.read_text().splitlines()
-        missed += [(path.relative_to(ROOT), line, text[line - 1].strip())
-                   for line in sorted(body_statements(path)) if (real, line) not in executed]
-    for path, line, src in missed:
-        print(f"{path}:{line}: {src}")
+    status, missed = traced(lambda: int(pytest.main(
+        ["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), *args])))
+    for where in missed:
+        print(where)
     print(f"{len(missed)} unreached statements in src/aqcc function bodies "
           f"(pytest exit status {status})")
     return 0
