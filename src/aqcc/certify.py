@@ -67,12 +67,14 @@ import random
 from dataclasses import dataclass, replace
 from typing import NoReturn
 
+import numpy as np
+
 from . import families
 from .block import DESK_ENUM_BUDGET, BlockCode, DistanceBound
 from .convo import PolyMatrix, contains, degree_gap, dual_generator, format_poly_matrix, is_reduced
 from .css import StabilizerMatrix, assemble_stabilizer, build_nested_pair, derive_aqcc
 from .errors import AqccError, NotBasic
-from .matrix import MatrixGF, vstack
+from .matrix import MatrixGF
 from .trellis import DEFAULT_STATE_BUDGET, DEFAULT_WORK_BUDGET, free_distance
 
 EFFORTS = ("structure", "desk")
@@ -138,7 +140,7 @@ def _fault_rank_condition(plan: families.LayoutPlan) -> families.LayoutPlan:
     blocks = plan.blocks2
     b0 = blocks[0]
     empty = MatrixGF(b0.field, b0.a[:0])
-    grown = vstack([blocks[1], b0]) if len(blocks) > 1 else b0
+    grown = MatrixGF(b0.field, np.concatenate([blocks[1].a, b0.a])) if len(blocks) > 1 else b0
     return replace(plan, blocks2=(empty, grown) + tuple(blocks[2:]))
 
 

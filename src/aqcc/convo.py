@@ -248,9 +248,6 @@ class PolyMatrix:
             )
         return self._e
 
-    def entry(self, i: int, j: int) -> Poly:
-        return self.e[i][j]
-
     @property
     def stack(self) -> MatrixGF:
         """The coefficient matrices stacked top to bottom, [c[0]; c[1]; ...]."""
@@ -387,7 +384,7 @@ class SmithForm:
     def invariant_factors(self) -> tuple[Poly, ...]:
         out = []
         for t in range(min(self.s.rows, self.s.cols)):
-            p = self.s.entry(t, t)
+            p = self.s.e[t][t]
             if p:
                 out.append(p)
         return tuple(out)
@@ -400,7 +397,7 @@ class SmithForm:
 def smith_form(m: PolyMatrix) -> SmithForm:
     f = m.field
     rows, cols = m.shape
-    a = [[m.entry(i, j) for j in range(cols)] for i in range(rows)]
+    a = [[m.e[i][j] for j in range(cols)] for i in range(rows)]
     u = [[(1,) if i == j else () for j in range(rows)] for i in range(rows)]
     v = [[(1,) if i == j else () for j in range(cols)] for i in range(cols)]
 
@@ -545,7 +542,7 @@ def _reduce(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
         ker = MatrixGF._wrap(f, c[degs, rows]).T.kernel()
         if ker.rows == 0:
             return PolyMatrix._wrap(f, c), PolyMatrix._wrap(f, u)
-        coefs = ker.row(0)
+        coefs = ker.a[0]
         support = np.flatnonzero(coefs).tolist()
         j = max(support, key=lambda r: (degs[r], r))
         cj_inv = f.inv(int(coefs[j]))
@@ -574,10 +571,9 @@ def dual_generator(m: PolyMatrix) -> PolyMatrix:
     start d0 = ceil(gamma / (n - k)) skips no answer: a basic m has a
     minimal dual of external degree gamma over n - k rows, so no smaller d
     completes its rows, and every d at or above the largest dual degree,
-    for a basic m or any other, gives the same rows.  At d = 0 the rows of
-    T_d are those of the reduced m's coefficient stack in reverse block
-    order, so the kernel is the stack's, read from the stack's cached
-    echelon.  For d >= 1 a reduced m
+    for a basic m or any other, gives the same rows.  The loop reaches
+    d = 0 only when gamma = 0 (or k = n, when the dual is empty), and
+    takes there the same two routes as at every other d: a reduced m
     with a stack right inverse builds a basis of the kernel in closed form
     (_stack_kernel_basis) when it has no more rows than T_d, and eliminates
     that basis with its columns reversed; any other d eliminates T_d.
@@ -628,8 +624,6 @@ def _dual_kernel(g: PolyMatrix, null: np.ndarray, d: int) -> np.ndarray:
     T_d, so a closed-form basis is eliminated with its columns reversed and
     read back in reverse."""
     f = g.field
-    if d == 0:
-        return null
     if (basis := _stack_kernel_basis(g, null, d)) is not None:
         red, piv = MatrixGF._wrap(f, basis[:, ::-1]).rref()
         return red.a[: len(piv)][::-1, ::-1]
@@ -638,7 +632,7 @@ def _dual_kernel(g: PolyMatrix, null: np.ndarray, d: int) -> np.ndarray:
 
 
 def _stack_kernel_basis(g: PolyMatrix, null: np.ndarray, d: int) -> np.ndarray | None:
-    """A basis of the kernel of dual_generator's T_d, d >= 1, read from the
+    """A basis of the kernel of dual_generator's T_d, d >= 0, read from the
     stack right inverse R_S of g, with null the kernel of its stack S; None
     when g has no R_S or T_d, with (mu + 1 + d) * k rows, has fewer rows.
 

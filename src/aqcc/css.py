@@ -39,10 +39,6 @@ class StabilizerMatrix:
     g2: PolyMatrix
 
     @property
-    def field(self):
-        return self.h1.field
-
-    @property
     def n(self) -> int:
         return self.h1.cols
 
@@ -55,12 +51,8 @@ class StabilizerMatrix:
         return max(self.h1.max_degree, self.g2.max_degree, 0)
 
     @property
-    def row_degrees(self) -> tuple[int, ...]:
-        return tuple(max(d, 0) for d in self.h1.row_degrees + self.g2.row_degrees)
-
-    @property
     def gamma(self) -> int:
-        return sum(self.row_degrees)
+        return sum(max(d, 0) for d in self.h1.row_degrees + self.g2.row_degrees)
 
     @property
     def logical(self) -> int:
@@ -111,7 +103,7 @@ def semi_infinite_expand(stab: StabilizerMatrix, frames: int) -> ExpandedStabili
     coeffs = np.zeros((mu + 1, stab.rows, 2 * n), dtype=np.int32)
     coeffs[:, : h1.rows, :n] = h1.coefficients(mu + 1)
     coeffs[:, h1.rows :, n:] = g2.coefficients(mu + 1)
-    m = MatrixGF(stab.field, block_toeplitz(coeffs, frames, frames))
+    m = MatrixGF(h1.field, block_toeplitz(coeffs, frames, frames))
     rk = m.rank()
     return ExpandedStabilizer(m, frames, rk, frames * stab.rows - rk)
 

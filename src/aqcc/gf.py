@@ -304,13 +304,7 @@ class FiniteField:
         return self._out(self._vadd(self._index(a), self._index(b)))
 
     def sub(self, a, b):
-        if type(a) is int and type(b) is int and 0 <= a < self.q and 0 <= b < self.q:
-            if self.p == 2:
-                return a ^ b
-            if self.l == 1:
-                return (a - b) % self.p
-            return self._ADD.item(a, self._neg_list[b])
-        return self._out(self._vsub(self._index(a), self._index(b)))
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
         if type(a) is int and 0 <= a < self.q:

@@ -1,8 +1,8 @@
 """Dense matrices over a small finite field.
 
 Entries are packed field indices (see gf).  MatrixGF instances are
-immutable; every operation returns a new matrix.  Sums, products, kernels
-and left-division run on the field's array kernels (gf), so results are
+immutable; every operation returns a new matrix.  Products, kernels and
+left-division run on the field's array kernels (gf), so results are
 exact.  Row reduction has one entry point, _rref, and two kernels behind
 it, picked by the field alone: over a field with gf's row tables (GF(2**l)
 with q <= 256, prime fields with p <= 127) a matrix of any size is
@@ -96,9 +96,6 @@ class MatrixGF:
     def shape(self) -> tuple[int, int]:
         return self.a.shape
 
-    def row(self, i: int) -> np.ndarray:
-        return self.a[i]
-
     def __eq__(self, other):
         return (
             isinstance(other, MatrixGF)
@@ -106,9 +103,6 @@ class MatrixGF:
             and self.a.shape == other.a.shape
             and np.array_equal(self.a, other.a)
         )
-
-    def __hash__(self):
-        return hash((self.field, self.a.tobytes(), self.a.shape))
 
     def __repr__(self):
         return f"MatrixGF({self.field!r}, {self.a.tolist()!r})"
@@ -121,17 +115,6 @@ class MatrixGF:
     def _check_field(self, other: "MatrixGF"):
         if self.field != other.field:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-
-    def __add__(self, other: "MatrixGF") -> "MatrixGF":
-        self._check_field(other)
-        return MatrixGF._wrap(self.field, self.field._vadd(self.a, other.a))
-
-    def __sub__(self, other: "MatrixGF") -> "MatrixGF":
-        self._check_field(other)
-        return MatrixGF._wrap(self.field, self.field._vsub(self.a, other.a))
-
-    def __neg__(self) -> "MatrixGF":
-        return MatrixGF._wrap(self.field, self.field._vneg(self.a))
 
     def __matmul__(self, other: "MatrixGF") -> "MatrixGF":
         self._check_field(other)
@@ -327,11 +310,6 @@ def _rref_ints(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, tuple[int
         r += 1
     body = b"".join([row.to_bytes(cols, "little") for row in m[:r]]) + bytes((rows - r) * cols)
     return np.frombuffer(body, np.uint8).reshape(rows, cols).astype(np.int32), tuple(piv)
-
-
-def vstack(mats: list[MatrixGF]) -> MatrixGF:
-    field = mats[0].field
-    return MatrixGF._wrap(field, np.concatenate([m.a for m in mats], axis=0))
 
 
 def solve_left(a: MatrixGF, b: MatrixGF) -> MatrixGF | None:

@@ -108,7 +108,7 @@ def free_distance(
         return DistanceBound(b.lower, b.upper, "block", "block", b.witness)
     # the range of _dijkstra's search key, which must fit an int64
     key_range = (n * (max(g.row_degrees) + 1) + 1) * (n + 1) * states * msgs
-    if (gamma == 0 or states > state_budget or states * msgs > work_budget
+    if (states > state_budget or states * msgs > work_budget
             or msgs * n > _MEM_ELEMENTS or key_range > np.iinfo(np.int64).max):
         upper, wit = _probe_upper(g)
         return DistanceBound(1, upper, "bounded", "none", wit)

@@ -370,7 +370,7 @@ class TestBlockCode:
         code = rs_parity(FiniteField.get(7, 1), 6, 4, b=1).code
         f = code.field
         gen = code.generator
-        v = f.add(gen.row(0), f.mul(3, gen.row(1)))
+        v = f.add(gen.a[0], f.mul(3, gen.a[1]))
         assert contains_vector(code, v)
         w = np.array(v).copy()
         w[0] = f.add(int(w[0]), 1)

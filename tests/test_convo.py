@@ -114,7 +114,7 @@ class TestPolyMatrix:
         m = PolyMatrix(gf3, [[(0, 1), (1,)]])
         assert m.reverse() == PolyMatrix(gf3, [[(1,), (0, 1)]])
         rev2 = m.reverse(2)
-        assert rev2.entry(0, 0) == (0, 1) and rev2.entry(0, 1) == (0, 0, 1)
+        assert rev2.e[0][0] == (0, 1) and rev2.e[0][1] == (0, 0, 1)
         with pytest.raises(ValueError):
             PolyMatrix(gf3, [[(0, 0, 1)]]).reverse(1)
 
@@ -174,7 +174,7 @@ def assert_smith_invariants(m):
     for i in range(sf.s.rows):
         for j in range(sf.s.cols):
             if i != j:
-                assert sf.s.entry(i, j) == ()
+                assert sf.s.e[i][j] == ()
     return sf
 
 
@@ -397,7 +397,7 @@ class TestSplit:
             [MatrixGF(f, eye.a[:2]), MatrixGF(f, eye.a[2:3])],
             placements=[(0, 1), (1,)],
         )
-        assert g.entry(1, 2) == (0, 1)
+        assert g.e[1][2] == (0, 1)
         assert g.row_degrees == (0, 1)
 
     def test_oversized_block_rejected(self):
@@ -543,7 +543,7 @@ def tuple_reduce(m: PolyMatrix) -> PolyMatrix:
         ker = MatrixGF(f, lead).T.kernel()
         if ker.rows == 0:
             return PolyMatrix(f, rows, cols=m.cols)
-        coefs = ker.row(0)
+        coefs = ker.a[0]
         support = [r for r in range(len(rows)) if coefs[r]]
         j = max(support, key=lambda r: (row_deg(r), r))
         dj = row_deg(j)
@@ -695,7 +695,7 @@ def test_dual_matches_per_degree_elimination(pl):
             continue
         reduced = is_reduced(m)
         if not reduced:
-            # degree 0 then eliminates the stack of a fresh reduction
+            # the dual then eliminates the stack of a fresh reduction
             g = reduce(m)
             assert g is not m and g != m and g.stack._echelon is None
         assert dual_generator(m) == want
@@ -721,6 +721,34 @@ def test_dual_of_identity_matches_per_degree_elimination(gf3):
     assert dual_generator(g).shape == (0, 3)
 
 
+@pytest.mark.parametrize("split", [True, False])
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 2, 1], [0, 1, 1, 2], [1, 1, 1, 0]],
+    [[1, 0, 2, 1], [0, 1, 1, 2]],
+    [[1, 2, 0]],
+])
+def test_degree_zero_dual_takes_the_same_two_routes(gf3, monkeypatch, rows, split):
+    # gamma = 0, so the loop starts and stops at d = 0: a split generator
+    # with k >= n - k builds the kernel of T_0 in closed form, and one with
+    # k < n - k, whose T_0 has fewer rows, or an unsplit one eliminates T_0
+    b = MatrixGF(gf3, rows)
+    g = split_to_generator([b]) if split else PolyMatrix.from_coefficients(gf3, [b.a])
+    routes = []
+    basis = convo._stack_kernel_basis
+
+    def recorded(g, null, d):
+        out = basis(g, null, d)
+        routes.append((d, out is not None))
+        return out
+
+    monkeypatch.setattr(convo, "_stack_kernel_basis", recorded)
+    h = dual_generator(g)
+    assert routes == [(0, split and b.rows >= b.cols - b.rows)]
+    assert h.c.shape == (1, b.cols - b.rows, b.cols)
+    assert np.array_equal(h.c[0], b.kernel().a)
+    assert degree_gap(g) == 0
+
+
 def test_dual_of_a_rate_half_encoder_reaches_degree_six():
     # the (171, 133) octal encoder of memory 6
     f = FiniteField.get(2, 1)
@@ -731,9 +759,9 @@ def test_dual_of_a_rate_half_encoder_reaches_degree_six():
 
 
 def test_reference_duals_eliminate_once_each(monkeypatch):
-    # G1's stack borrowed the source parity's echelon, so degree 0 of its
-    # dual reads it; G2's stack, proved independent by the parity's right
-    # inverse, is eliminated once, at degree 0 of its own dual.  Both duals
+    # G1's stack borrowed the source parity's echelon, so its dual reads
+    # the stack's kernel from it; G2's stack, proved independent by the
+    # parity's right inverse, is eliminated once, for its own dual.  Both duals
     # stop at degree 1, whose kernel has 2n columns.  G1 eliminates its
     # closed-form basis there, one row per kernel dimension, fewer than the
     # (mu + 2) * k rows of its block-Toeplitz matrix, and G2, with fewer

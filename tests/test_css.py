@@ -83,7 +83,7 @@ class TestSymplectic:
     def test_shifted_pair_fails(self, f2):
         x = PolyMatrix(f2, [[(1,)]])
         z = PolyMatrix(f2, [[(0, 1)]])
-        assert full_residual(x, z).entry(0, 0) == (1, 0, 1)
+        assert full_residual(x, z).e[0][0] == (1, 0, 1)
         with pytest.raises(SymplecticViolation, match=r"^rows 0 and 1 have pairing \[1\]$"):
             assemble_stabilizer(x, z)
 
@@ -185,7 +185,7 @@ class TestAssembly:
         assert stab.g2.e[0] == g2.e[0]
         assert not band[0, :, 1].any()
         assert stab.mu_star == 1
-        assert stab.row_degrees == (1, 1)
+        assert assemble_stabilizer(h1, PolyMatrix.zeros(f2, 1, 3)).gamma == 1  # a zero row adds 0
         assert stab.gamma == 2
 
     def test_blocks_are_kept_as_given(self, f2, monkeypatch):

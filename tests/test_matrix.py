@@ -5,7 +5,7 @@ import field_reference as ref
 from aqcc.errors import FieldMismatch
 from aqcc.gf import FiniteField
 from aqcc import matrix
-from aqcc.matrix import MatrixGF, _rref, field_from_order, solve_left, vstack
+from aqcc.matrix import MatrixGF, _rref, field_from_order, solve_left
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,9 @@ class TestBasics:
     def test_equality_and_hash(self, gf7):
         a = MatrixGF(gf7, [[1, 2], [3, 4]])
         b = MatrixGF(gf7, [[1, 2], [3, 4]])
-        assert a == b and hash(a) == hash(b)
+        assert a == b
+        with pytest.raises(TypeError):  # == compares values; nothing hashes a matrix
+            hash(a)
         assert a != MatrixGF(gf7, [[1, 2], [3, 5]])
         assert a != MatrixGF(FiniteField.get(11, 1), [[1, 2], [3, 4]])
 
@@ -86,13 +88,6 @@ class TestAlgebra:
             b = MatrixGF(f, rng.integers(0, 9, (4, 2)))
             c = MatrixGF(f, rng.integers(0, 9, (2, 5)))
             assert (a @ b) @ c == a @ (b @ c)
-
-    def test_add_sub_neg(self, gf7):
-        a = MatrixGF(gf7, [[1, 6]])
-        b = MatrixGF(gf7, [[3, 3]])
-        assert a + b == MatrixGF(gf7, [[4, 2]])
-        assert (a + b) - b == a
-        assert a + (-a) == MatrixGF.zeros(gf7, 1, 2)
 
 
 class TestReduction:
@@ -156,13 +151,6 @@ class TestSolveLeft:
         x1 = solve_left(a, b)
         x2 = solve_left(a, b)
         assert x1 == x2 and x1 @ a == b
-
-
-class TestStackingAndText:
-    def test_stacks(self, gf7):
-        a = MatrixGF(gf7, [[1, 2]])
-        b = MatrixGF(gf7, [[3, 4]])
-        assert vstack([a, b]) == MatrixGF(gf7, [[1, 2], [3, 4]])
 
 
 def _rref_reference_loop(field, a):
@@ -407,8 +395,8 @@ def test_kernel_results_are_read_only_int32(q):
     b = MatrixGF(f, rng.integers(0, q, size=(3, 5)))
     square = MatrixGF(f, rng.integers(0, q, size=(5, 5)))
     results = [
-        a + b, a - b, -a, a @ square, a.T, a.rref()[0], a.kernel(),
-        vstack([a, b, a]).remove_dependent_rows(), vstack([a, b]),
+        a @ square, a.T, a.rref()[0], a.kernel(),
+        MatrixGF(f, np.concatenate([a.a, b.a, a.a])).remove_dependent_rows(),
         solve_left(square, a @ square),
     ]
     g = PolyMatrix.from_coefficients(f, rng.integers(0, q, size=(3, 2, 4)))

@@ -121,9 +121,9 @@ def membership_smith(outer: PolyMatrix, inner: PolyMatrix) -> PolyMatrix:
     xp = [[() for _ in range(outer.rows)] for _ in range(inner.rows)]
     for j in range(outer.cols):
         for i in range(inner.rows):
-            entry = w.entry(i, j)
+            entry = w.e[i][j]
             if j < r:
-                q, rem = pdivmod(f, entry, sf.s.entry(j, j))
+                q, rem = pdivmod(f, entry, sf.s.e[j][j])
                 if rem:
                     raise ContainmentFailed(
                         f"row {i} is not divisible through invariant factor {j}"

@@ -14,8 +14,9 @@ All of it runs in this process under sys.settrace.  The script prints
 each function-body statement of src/aqcc (as unreached.py counts them)
 whose first line none of this ran, then their count, the number of
 workload items whose run or check failed and the number of console
-examples that exited nonzero.  A statement that unreached.py does not
-list but this script does runs only under the tests.
+examples that exited nonzero; it exits 1 when either number is not 0.
+A statement that unreached.py does not list but this script does runs
+only under the tests.  tests/test_traffic.py runs the same pass untraced.
 """
 
 from __future__ import annotations
@@ -48,17 +49,24 @@ def load_workloads():
     return module
 
 
-def run_workloads(workloads) -> int:
-    """One checked pass of every workload; the number of failed items."""
-    failed = 0
+def run_workloads(workloads) -> dict[str, tuple[int, int, int]]:
+    """One checked pass of every workload: for each, the number of failed
+    items and its exact distance statements out of all, as the benchmark
+    counts them for decided_frac."""
+    out = {}
     for name in WORKLOADS:
+        failed = decided = statements = 0
         for item in workloads.build_items(name, SEED):
             try:
-                item.check(item.run())
+                outcome = item.check(item.run())
             except Exception as exc:  # one broken item must not hide the others
                 print(f"{name}: {item.name} failed: {type(exc).__name__}: {exc}")
                 failed += 1
-    return failed
+                continue
+            decided += outcome.decided
+            statements += outcome.statements
+        out[name] = (failed, decided, statements)
+    return out
 
 
 def console_examples() -> list[tuple[list[str], str]]:
@@ -92,14 +100,17 @@ def run_console_examples() -> int:
 
 
 def main() -> int:
+    """0 when every workload item passed its check and every console
+    example exited 0, else 1."""
     workloads = load_workloads()
-    (items_failed, examples_failed), missed = traced(
+    (runs, examples_failed), missed = traced(
         lambda: (run_workloads(workloads), run_console_examples()))
+    items_failed = sum(failed for failed, _, _ in runs.values())
     for where in missed:
         print(where)
     print(f"{len(missed)} statements in src/aqcc function bodies that the traffic never runs "
           f"({items_failed} workload items failed, {examples_failed} console examples exited nonzero)")
-    return 0
+    return 1 if items_failed or examples_failed else 0
 
 
 if __name__ == "__main__":
