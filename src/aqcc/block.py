@@ -60,7 +60,9 @@ class DistanceBound:
 
     method names the route that produced the bracket: "enumeration",
     "macwilliams" or "bounded" for a block code, "dijkstra", "block" or
-    "bounded" for a convolutional code, and "designed" when no search ran.
+    "bounded" for a convolutional code, "chain" for min_sum's bracket on
+    a dual from the codes its generator's slices check, and "designed"
+    when no search ran.
     floor names where lower came from: the route itself when its search
     proved an exact value, "designed" for a bound the constructor carries,
     "d_dual" or "chain" for the certifier's bounds on the two side codes,
@@ -106,8 +108,12 @@ class DistanceBound:
 
     @staticmethod
     def min_sum(a, b, c, floor: str) -> "DistanceBound":
-        """The lower-only bracket min(a.lower + b.lower, c.lower) named floor."""
-        return DistanceBound(min(a.lower + b.lower, c.lower), None, "designed", floor)
+        """[min(a.lower + b.lower, c.lower), c.upper] with c's witness, named
+        floor, its route "designed" if c has no upper bound: the chain on the
+        free distance of a split generator's dual from the codes its first
+        slice, top slice and stack check, whose words lie in that dual."""
+        return DistanceBound(min(a.lower + b.lower, c.lower), c.upper,
+                             floor if c.upper is not None else "designed", floor, c.witness)
 
 
 class BlockCode:

@@ -23,10 +23,11 @@ product with the source's generator puts them in it, and the shared
 echelon gives their rank, its dimension; a plan whose rows fail either
 is refused.  H1 = dual(G1), the parity check of the stabilizer, is
 built from kernels in closed form read from R_S.  G2's minimal dual is
-built only at desk effort, for the free distance of V2-perp.  The
-stabilizer css.derive_aqcc returns is held as H1 and G2, and its
-logical, n less its rows, is k1 - k2; the text of its halves [H1; 0] and
-[0; G2] is the blocks' text with zero rows, not formatted again.
+built only at desk effort, where the chain leaves the free distance of
+V2-perp open.  The stabilizer css.derive_aqcc returns is held as H1 and
+G2, and its logical, n less its rows, is k1 - k2; the text of its halves
+[H1; 0] and [0; G2] is the blocks' text with zero rows, not formatted
+again.
 Basicness also settles the rank of the stabilizer's truncations, so none
 is expanded here: a basic G has a polynomial right inverse, so G(0) has
 full row rank (Forney 1970), and the window of css.semi_infinite_expand
@@ -46,9 +47,12 @@ V1 and V2-perp, the designed distances of those codes, floor d_dual and
 ds.  The source and its dual share one enumeration of whichever matrix
 the budget admits, and the code of G2's first slice is the source's
 dual when that slice's rows span the source code, which one product and
-one rank show; its piece then reads d_dual's search.  At structure no
-slice is searched, and each chain piece meets the weight of the source
-distance's witness, a codeword of every slice code.
+one rank show; its piece then reads d_dual's search.  A constant word
+that G2's stack checks lies in V2-perp, so at desk the chain is [min(d0 +
+dm, ds), ds], and only an open one is met with a search of dual(G2).  At
+structure no slice is searched, and each chain piece is refused above
+the weight of the source distance's witness, a codeword of every slice
+code, which the lower-only chain there does not keep.
 A carried or stated bound above an upper bound, a codeword's weight, is
 refused.
 
@@ -272,18 +276,20 @@ def certify_plan(
     else:
         # G2's rows are source parity rows, so source_d's witness, of weight
         # w, lies in each slice code, which one product with G2's stack
-        # shows degree by degree; a piece there is then at most w
+        # shows degree by degree; a piece above w is refused
         w = source_d.witness
         missed = field._vmatmul(g2.stack.a, w.T).reshape(len(g2.c), g2.rows).any(axis=1)
         upper = DistanceBound(1, source_d.upper, "bounded", "none", w)
-        pieces = [p if miss else p.meet(upper)
-                  for p, miss in zip(pieces, (missed[0], missed[-1], missed.any()))]
+        for p, miss in zip(pieces, (missed[0], missed[-1], missed.any())):
+            if not miss:
+                p.meet(upper)
     d1f = DistanceBound(d_dual.lower, None, "designed", "d_dual")
     d2f = DistanceBound.min_sum(*pieces, "chain")
     if effort != "structure":
         kw = {"state_budget": budgets.state, "work_budget": budgets.work}
         d1f = free_distance(g1, **kw).meet(d1f)
-        d2f = free_distance(dual_generator(g2), **kw).meet(d2f)
+        if not d2f.exact:
+            d2f = free_distance(dual_generator(g2), **kw).meet(d2f)
 
     # closed-form cross checks; any miss means the layout or the formula
     # table is wrong, and certifying anyway would hide the defect

@@ -16,7 +16,8 @@ derive_aqcc builds one minimal dual, H1 = dual(V1), the parity check on
 the X side, recording G1's degree gap, and returns the stabilizer; its
 logical, n - rows, is k1 - k2.  V2-perp matters only through its free
 distance, so its dual is built where that distance is searched
-(certify.certify_plan at desk effort), not here.
+(certify.certify_plan at desk effort, where the chain of G2's slice
+codes leaves it open), not here.
 """
 
 from __future__ import annotations

@@ -241,14 +241,19 @@ class FiniteField:
         self._NEG = ((((-digits) % p) @ weights)).astype(np.int32)
 
         # products come from discrete logs over the generator, whose walk
-        # of powers is exp (see the module docstring)
+        # of powers is exp (see the module docstring); a power of an earlier
+        # candidate has order below q - 1, so it is not walked
+        seen = np.zeros(q, dtype=bool)
         for g in range(1, q):
+            if seen[g]:
+                continue
             walk, cur = [1], g
             while cur != 1:
                 walk.append(cur)
                 cur = self._mul_raw(cur, g)
             if len(walk) == q - 1:
                 break
+            seen[walk] = True
         self.generator = g
         exp = np.array(walk, dtype=np.int32)
         log = np.full(q, -1, dtype=np.int64)

@@ -193,10 +193,10 @@ def check_duality_chain():
             for b in (d0, dmu, d, d_span, df, dfd):
                 if not b.exact:
                     raise AssertionError("oracle or trellis result is not exact")
-            lo = DistanceBound.min_sum(d0, dmu, d, "chain").lower
-            if not lo <= dfd.lower <= d.lower:
+            chain = DistanceBound.min_sum(d0, dmu, d, "chain")
+            if not chain.lower <= dfd.lower <= chain.upper:
                 raise AssertionError(
-                    f"dual chain {lo} <= {dfd.lower} <= {d.lower} fails for "
+                    f"dual chain {chain.lower} <= {dfd.lower} <= {chain.upper} fails for "
                     f"q={q} partition={partition} n={n}"
                 )
             if df.lower < d_span.lower:

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from aqcc.errors import (
     RootOfUnityUnavailable,
     ZeroMultiplier,
 )
-from aqcc import FamilyParams, block, selftest
+from aqcc import FamilyParams, block, convo, selftest, trellis
 from aqcc.block import (
     BlockCode,
     DistanceBound,
@@ -592,9 +593,12 @@ def test_meet_witness_follows_the_smaller_upper_bound():
 def test_min_sum_composes_piece_lower_bounds():
     exact3 = DistanceBound(3, 3, "enumeration", "enumeration", W3)
     b = DistanceBound.min_sum(designed(2), exact3, DistanceBound(1, 9, "bounded", "none").meet(designed(7)), "chain")
-    assert (b.lower, b.upper, b.method, b.floor) == (5, None, "designed", "chain")
+    assert (b.lower, b.upper, b.method, b.floor) == (5, 9, "chain", "chain")
+    # the stack piece's upper bound and witness are the bracket's
+    b = DistanceBound.min_sum(designed(2), designed(2), exact3, "chain")
+    assert (b.lower, b.upper, b.method) == (3, 3, "chain") and b.witness is W3
     b = DistanceBound.min_sum(designed(2), exact3, designed(4), "chain")
-    assert (b.lower, b.upper) == (4, None)
+    assert (b.lower, b.upper, b.method, b.floor) == (4, None, "designed", "chain")
 
 
 def test_witness_comes_from_the_first_block_in_message_order():
@@ -687,3 +691,22 @@ def test_desk_pass_enumerates_each_code_once(monkeypatch):
         assert len(set(codes)) == len(codes), (family, q, kw)
     assert sum(map(len, calls)) == 72
     assert sum(size for cert in calls for size, _ in cert) == 2_126_451
+
+
+def test_desk_pass_builds_and_searches_each_inner_dual_only_when_open(monkeypatch):
+    """The same 19 rows: each builds H1 = dual(G1) and searches G1's free
+    distance, and the chain of G2's slice codes closes every d2f, so no
+    row builds or searches dual(G2): 19 minimal duals and 19 searches."""
+    rows = [row[:3] for row in selftest.REFERENCE_ROWS if row[1] <= 17]
+    calls = {"dual_generator": 0, "free_distance": 0}
+    for fn in (convo.dual_generator, trellis.free_distance):
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for key, mod in list(sys.modules.items()):
+            if key.split(".")[0] == "aqcc" and getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, counted)
+    for family, q, kw in rows:
+        certify_params(FamilyParams(family, q, **kw), effort="desk")
+    assert calls == {"dual_generator": 19, "free_distance": 19}

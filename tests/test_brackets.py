@@ -22,7 +22,7 @@ from aqcc.convo import PolyMatrix, dual_generator, parse_poly_matrix
 from aqcc.errors import AqccError
 from aqcc.families import construction_i_plan, demo_vectors, layout
 from aqcc.matrix import MatrixGF, field_from_order
-from aqcc.selftest import REFERENCE_ROWS
+from aqcc.selftest import DUALITY_SPECS, REFERENCE_ROWS
 from aqcc.trellis import free_distance
 
 ENCODER_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "encoders"
@@ -103,17 +103,18 @@ def designed(lower: int) -> DistanceBound:
     return DistanceBound(lower, None, "designed", "designed")
 
 
-def chain_bound(plan, effort: str) -> int:
-    """min(d0 + dm, ds) over the inner generator's first slice, top slice
-    and stack, recomputed as the certifier states it: the stack's floor is
-    the stated bound on the inner dual."""
-    pieces = [designed(c) for c in (*plan.chain_designed, plan.expected.v2perp_stated)]
+def chain_bound(plan, effort: str) -> DistanceBound:
+    """[min(d0 + dm, ds), ds] over the inner generator's first slice, top
+    slice and stack, recomputed as the certifier states it: the stack's
+    floor is the stated bound on the inner dual, and structure searches no
+    slice, so its chain has no upper bound."""
+    pieces = [certify._designed(c) for c in (*plan.chain_designed, plan.expected.v2perp_stated)]
     if effort == "desk":
         g2 = plan.generators()[1]
         slices = (g2.coefficient(0), g2.coefficient(g2.max_degree), g2.stack)
         pieces = [BlockCode(plan.source.field, m).min_distance(budget=DESK_ENUM_BUDGET).meet(p)
                   for m, p in zip(slices, pieces)]
-    return DistanceBound.min_sum(*pieces, "chain").lower
+    return DistanceBound.min_sum(*pieces, "chain")
 
 
 @pytest.mark.parametrize("effort", EFFORTS)
@@ -128,7 +129,16 @@ def test_each_floor_holds_the_lower_bound(effort):
             route, floor, lower = prov["route"], prov["floor"], bounds[name]["lower"]
             assert floor == route or floor in FLOORS, (plan.params, name, prov)
             floors.add(floor)
-            if floor == route:
+            if floor == "chain":
+                chain = chain_bound(plan, effort)
+                assert name == "d2f_dual" and lower == chain.lower
+                # the chain's own route states its whole bracket, and
+                # any other route searched an open one
+                if route == "chain":
+                    assert bounds[name]["upper"] == chain.upper and bounds[name]["exact"]
+                else:
+                    assert not chain.exact
+            elif floor == route:
                 assert bounds[name]["exact"]
             elif floor == "designed":
                 # a carried bound, never one a search computed
@@ -136,8 +146,6 @@ def test_each_floor_holds_the_lower_bound(effort):
                 assert lower == carried[name]
             elif floor == "d_dual":
                 assert name == "d1f" and lower == bounds["d_dual"]["lower"]
-            elif floor == "chain":
-                assert name == "d2f_dual" and lower == chain_bound(plan, effort)
             else:
                 assert lower == 1
     want = {"designed", "d_dual", "chain"} | ({"enumeration", "dijkstra"} if effort == "desk" else set())
@@ -184,3 +192,46 @@ def test_construction_i_carries_no_designed_bound():
     block = certify_plan(plan, effort="structure").data["distances"]["block"]
     assert block["d_dual"]["lower"] == 1
     assert block["provenance"]["d_dual"] == {"route": "bounded", "floor": "none"}
+
+
+def chain_plans():
+    """The desk golden rows and the seeded construction-I plans of the
+    duality-chain check."""
+    golden = [layout(FamilyParams(family, q, **kw)) for family, q, kw, *_ in REFERENCE_ROWS if q <= 8]
+    seeded = []
+    for q, partition, n, seed in DUALITY_SPECS:
+        f = field_from_order(q)
+        seeded.append(construction_i_plan(f, demo_vectors(f, n, partition, seed=seed), partition))
+    return golden + seeded
+
+
+def test_chain_bracket_contains_the_inner_dual_free_distance():
+    """The chain's bracket holds the free distance of dual(G2), and its
+    witness, a constant word that G2's stack checks, has weight its upper
+    bound.  On the grid rows it lies outside V1-perp, G1's stack not
+    checking it; a construction-I witness may lie inside."""
+    plans = chain_plans()
+    assert len(plans) == 23
+    inside = []
+    for plan in plans:
+        g1, g2 = plan.generators()
+        chain = chain_bound(plan, "desk")
+        dfd = free_distance(dual_generator(g2))
+        assert dfd.exact and chain.lower <= dfd.lower <= chain.upper, plan.params
+        w = MatrixGF(g2.field, chain.witness)
+        assert (g2.stack @ w.T).is_zero() and np.count_nonzero(w.a) == chain.upper
+        if (g1.stack @ w.T).is_zero():
+            inside.append((plan.params.q, plan.params.n, plan.params.partition))
+    assert inside == [(2, 7, (1, 2, 1, 1))]
+
+
+def test_open_chain_is_met_with_the_inner_dual_search():
+    """At q = 32 the chain leaves d2f open on II-T2 i = 4 and i = 8; the
+    search of dual(G2) closes i = 4 and tightens i = 8."""
+    for i, opened, want in ((4, (3, 4), [3, 3]), (8, (3, 5), [3, 4])):
+        plan = layout(FamilyParams("II-T2", 32, i=i))
+        chain = chain_bound(plan, "desk")
+        assert (chain.lower, chain.upper) == opened
+        convo = certify_plan(plan, effort="desk").data["distances"]["convo"]
+        assert [convo["d2f_dual"]["lower"], convo["d2f_dual"]["upper"]] == want
+        assert convo["provenance"]["d2f_dual"] == {"route": "bounded", "floor": "chain"}

@@ -146,6 +146,30 @@ class TestGeneratorAndLogs:
             for i in range(q - 1):
                 assert f.exp(i + 1) == f._mul_raw(f.exp(i), f.generator), (q, i)
 
+    def test_generator_walk_skips_powers_of_earlier_candidates(self, monkeypatch):
+        # a power of a walked candidate has order below q - 1, so the walk
+        # passes over it, and the generators stay those pinned above
+        walked = []
+        mul_raw = FiniteField._mul_raw
+
+        def spy(self, a, b):
+            if not walked or walked[-1] != b:
+                walked.append(b)
+            return mul_raw(self, a, b)
+
+        monkeypatch.setattr(FiniteField, "_mul_raw", spy)
+        for q, g in ((11, 2), (9, 4), (256, 3), (512, 7), (625, 6), (1331, 11), (43 ** 2, 45)):
+            walked.clear()
+            f = FiniteField(*field_order(q))
+            assert f.generator == walked[-1] == g, q
+            powers = {1}
+            for c in range(2, g + 1):
+                assert (c in walked) == (c not in powers), (q, c)
+                cur = c
+                while cur != 1:
+                    powers.add(cur)
+                    cur = f.mul(cur, c)
+
     def test_exp_log_roundtrip(self, gf16):
         # exp walks every nonzero element once, so it has an inverse, log
         log = {gf16.exp(i): i for i in range(15)}

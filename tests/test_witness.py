@@ -446,12 +446,12 @@ def test_certificate_builds_each_dual_where_it_is_read(monkeypatch, effort):
     family, q, kw = SMALL_ROW
     cert = certify_params(FamilyParams(family, q, **kw), effort=effort)
     # G1 and G2 leave their splits with gap 0, proved by the stack right
-    # inverse R_S; derive_aqcc builds H1 = dual(G1), and only desk builds
-    # G2's dual, for the free distance search; containment divides by G1's
-    # leading echelon with no scalar solve
+    # inverse R_S; derive_aqcc builds H1 = dual(G1), and G2's dual is built
+    # only where the chain leaves d2f open, which at desk it does not here;
+    # containment divides by G1's leading echelon with no scalar solve
     g2 = cert.stabilizer.g2
-    want = [(cert.g1, 0)] + ([(g2, 0)] if effort == "desk" else [])
-    assert [(id(m), gap) for m, gap in built] == [(id(m), gap) for m, gap in want]
+    assert cert.data["distances"]["convo"]["d2f_dual"]["exact"] == (effort == "desk")
+    assert [(id(m), gap) for m, gap in built] == [(id(cert.g1), 0)]
     assert cert.g1._gap == g2._gap == 0
     assert calls == {"solve_left": 0}
     assert cert.g1._right is not None and g2._right is not None
@@ -460,7 +460,8 @@ def test_certificate_builds_each_dual_where_it_is_read(monkeypatch, effort):
 @pytest.mark.parametrize("effort", ["structure", "desk"])
 def test_leading_echelon_is_computed_once_per_generator(monkeypatch, effort):
     # G1 and G2 leave their splits with R_L, so neither eliminates [L | I];
-    # desk adds the inner dual's, read by its free distance
+    # the inner dual's would be read by its free distance, which the chain
+    # closes here at desk without building that dual
     owners, leads = [], []
     leading_row_matrix = PolyMatrix.leading_row_matrix
 
@@ -483,7 +484,7 @@ def test_leading_echelon_is_computed_once_per_generator(monkeypatch, effort):
     cert = certify_params(FamilyParams(family, q, **kw), effort=effort)
     eliminated = [a for a in inputs for lead in leads
                   if np.array_equal(a, np.concatenate([lead, np.eye(len(lead), dtype=np.int32)], 1))]
-    assert len(eliminated) == len(owners) == (0 if effort == "structure" else 1)
+    assert len(eliminated) == len(owners) == 0
     assert len({id(m) for m in owners}) == len(owners)
     g2 = cert.stabilizer.g2
     assert not any(m is cert.g1 or m is g2 for m in owners)
