@@ -2,7 +2,7 @@
 
 PolyMatrix stores one read-only coefficient array c of shape (L, rows,
 cols), with c[d] the constant matrix multiplying D**d and trailing zero
-degrees trimmed (L == 1 for the zero matrix).  Sums, products, transposes,
+degrees trimmed (L == 1 for the zero matrix).  Products, transposes,
 reversal and leading-row matrices are array operations on the field's
 array kernels; a product is one scalar product with a block-Toeplitz
 matrix.  The text format reads c directly.
@@ -150,8 +150,8 @@ class PolyMatrix:
     c is a read-only int32 array of shape (L, rows, cols) whose slice c[d]
     is the constant matrix multiplying D**d.  Trailing zero degrees are
     trimmed, so L - 1 == max_degree, and the zero matrix keeps L == 1.
-    Arithmetic runs on the field's array kernels: a sum adds coefficient
-    arrays, a product is one scalar product with a block-Toeplitz matrix.
+    A product runs on the field's array kernels, as one scalar product
+    with a block-Toeplitz matrix.
     e is a grid of coefficient tuples, stack the coefficient matrices as
     one MatrixGF (whose echelon it then keeps) and leading_echelon a right
     inverse of the leading-row matrix, each built on first use.  A
@@ -292,21 +292,6 @@ class PolyMatrix:
     def _check(self, other: "PolyMatrix"):
         if self.field != other.field:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-
-    def _pair(self, other: "PolyMatrix") -> tuple[np.ndarray, np.ndarray]:
-        self._check(other)
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        depth = max(len(self.c), len(other.c))
-        return self.coefficients(depth), other.coefficients(depth)
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        a, b = self._pair(other)
-        return PolyMatrix._wrap(self.field, self.field._vadd(a, b))
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        a, b = self._pair(other)
-        return PolyMatrix._wrap(self.field, self.field._vsub(a, b))
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         """[A_0 | A_1 | ...] times the block-Toeplitz stack whose block

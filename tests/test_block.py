@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -30,10 +29,7 @@ from aqcc.block import (
 from aqcc.certify import certify_params
 from aqcc.gf import FiniteField, SubfieldBasis
 from aqcc.matrix import MatrixGF, field_from_order
-
-
-def designed(lower: int) -> DistanceBound:
-    return DistanceBound(lower, None, "designed", "designed")
+from helpers import count_calls, designed
 
 
 def contains_vector(code: BlockCode, v) -> bool:
@@ -698,15 +694,7 @@ def test_desk_pass_builds_and_searches_each_inner_dual_only_when_open(monkeypatc
     distance, and the chain of G2's slice codes closes every d2f, so no
     row builds or searches dual(G2): 19 minimal duals and 19 searches."""
     rows = [row[:3] for row in selftest.REFERENCE_ROWS if row[1] <= 17]
-    calls = {"dual_generator": 0, "free_distance": 0}
-    for fn in (convo.dual_generator, trellis.free_distance):
-        def counted(*args, _fn=fn, **kwargs):
-            calls[_fn.__name__] += 1
-            return _fn(*args, **kwargs)
-
-        for key, mod in list(sys.modules.items()):
-            if key.split(".")[0] == "aqcc" and getattr(mod, fn.__name__, None) is fn:
-                monkeypatch.setattr(mod, fn.__name__, counted)
+    calls = count_calls(monkeypatch, (convo.dual_generator, trellis.free_distance))
     for family, q, kw in rows:
         certify_params(FamilyParams(family, q, **kw), effort="desk")
     assert calls == {"dual_generator": 19, "free_distance": 19}

@@ -24,6 +24,7 @@ from aqcc.families import construction_i_plan, demo_vectors, layout
 from aqcc.matrix import MatrixGF, field_from_order
 from aqcc.selftest import DUALITY_SPECS, REFERENCE_ROWS
 from aqcc.trellis import free_distance
+from helpers import designed
 
 ENCODER_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "encoders"
 FLOORS = {"designed", "d_dual", "chain", "none"}
@@ -97,10 +98,6 @@ def test_encoder_witnesses_are_codewords():
         assert_convolutional_codeword(g, b)
         if path.name == "r2m9.txt":
             assert b.upper == 12
-
-
-def designed(lower: int) -> DistanceBound:
-    return DistanceBound(lower, None, "designed", "designed")
 
 
 def chain_bound(plan, effort: str) -> DistanceBound:

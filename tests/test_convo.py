@@ -12,7 +12,7 @@ from aqcc.errors import (
     RankConditionViolated,
     RankDeficient,
 )
-from aqcc import convo, matrix, selftest
+from aqcc import convo, selftest
 from aqcc.convo import (
     PolyMatrix,
     block_toeplitz,
@@ -28,7 +28,6 @@ from aqcc.convo import (
     pdivmod,
     pmul,
     pscale,
-    psub,
     ptrim,
     rank_poly,
     reduce,
@@ -39,16 +38,7 @@ from aqcc.css import build_nested_pair, derive_aqcc
 from aqcc.families import FAMILIES, FamilyParams, enumerate_family, layout
 from aqcc.gf import FiniteField
 from aqcc.matrix import MatrixGF
-
-
-def pshift(a, s):
-    """Multiply the coefficient tuple a by D**s."""
-    return (0,) * s + a if a else ()
-
-
-@pytest.fixture(scope="module")
-def gf3():
-    return FiniteField.get(3, 1)
+from helpers import pshift
 
 
 class TestPolyOps:
@@ -99,9 +89,7 @@ class TestPolyMatrix:
             PolyMatrix(gf3, [[(1,)]], cols=2)
         with pytest.raises(ValueError, match=r"^need a \(degree, rows, cols\) coefficient array$"):
             PolyMatrix.from_coefficients(gf3, [np.zeros(2, dtype=np.int32)])
-        row, col = PolyMatrix(gf3, [[(1,), (0, 1)]]), PolyMatrix(gf3, [[(1,)], [(2,)]])
-        with pytest.raises(ValueError, match=r"^shape mismatch \(1, 2\) vs \(2, 1\)$"):
-            row + col
+        row = PolyMatrix(gf3, [[(1,), (0, 1)]])
         with pytest.raises(ValueError, match=r"^shape mismatch \(1, 2\) @ \(1, 2\)$"):
             row @ row
 
@@ -477,20 +465,6 @@ def tuple_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(f, out, cols=b.cols)
 
 
-def tuple_add(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    f = a.field
-    return PolyMatrix(
-        f, [[padd(f, x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.e, b.e)], cols=a.cols
-    )
-
-
-def tuple_sub(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    f = a.field
-    return PolyMatrix(
-        f, [[psub(f, x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.e, b.e)], cols=a.cols
-    )
-
-
 def tuple_transpose(m: PolyMatrix) -> PolyMatrix:
     if m.rows == 0 or m.cols == 0:
         return PolyMatrix.zeros(m.field, m.cols, m.rows)
@@ -573,8 +547,8 @@ def random_polymatrix(rng, field, rows, cols, depth, density=0.6):
 
 
 def diff_cases(seed):
-    """(field, a, b, c) with a: r x m, b: m x n, c shaped like a, over every
-    field of DIFF_FIELDS, including empty and all-zero shapes."""
+    """(field, a, b) with a: r x m and b: m x n, over every field of
+    DIFF_FIELDS, including empty and all-zero shapes."""
     rng = random.Random(seed)
     out = []
     for pl in DIFF_FIELDS:
@@ -586,19 +560,15 @@ def diff_cases(seed):
             depth = rng.randrange(0, 4)
             out.append((f,
                         random_polymatrix(rng, f, r, m, depth),
-                        random_polymatrix(rng, f, m, n, rng.randrange(0, 4)),
-                        random_polymatrix(rng, f, r, m, rng.randrange(0, 4))))
-        out.append((f, PolyMatrix.zeros(f, 2, 3), PolyMatrix.zeros(f, 3, 2),
-                    PolyMatrix.zeros(f, 2, 3)))
+                        random_polymatrix(rng, f, m, n, rng.randrange(0, 4))))
+        out.append((f, PolyMatrix.zeros(f, 2, 3), PolyMatrix.zeros(f, 3, 2)))
     return out
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_array_arithmetic_matches_tuple_grid(seed):
-    for f, a, b, c in diff_cases(seed):
+    for f, a, b in diff_cases(seed):
         assert a @ b == tuple_matmul(a, b)
-        assert a + c == tuple_add(a, c)
-        assert a - c == tuple_sub(a, c)
         assert a.T == tuple_transpose(a)
         assert a.T.T == a
         mu = max(a.max_degree, 0)
@@ -758,7 +728,7 @@ def test_dual_of_a_rate_half_encoder_reaches_degree_six():
     assert h == dual_by_degree(g)
 
 
-def test_reference_duals_eliminate_once_each(monkeypatch):
+def test_reference_duals_eliminate_once_each(eliminations):
     # G1's stack borrowed the source parity's echelon, so its dual reads
     # the stack's kernel from it; G2's stack, proved independent by the
     # parity's right inverse, is eliminated once, for its own dual.  Both duals
@@ -770,23 +740,17 @@ def test_reference_duals_eliminate_once_each(monkeypatch):
     pair = build_nested_pair(g1, g2)
     toeplitz = [(len(g.c) + 1) * g.rows for g in (g1, g2)]
     dims = [len(kernel_by_degree(g, 1)) for g in (g1, g2)]
-    eliminated = []
-    rref = matrix._rref
-
-    def counted(field, a):
-        eliminated.append(np.shape(a))
-        return rref(field, a)
-
-    monkeypatch.setattr(matrix, "_rref", counted)
+    eliminations.clear()
     stab = derive_aqcc(pair)
-    assert eliminated == [(dims[0], 2 * pair.outer.cols)]
+    assert [e.a.shape for e in eliminations] == [(dims[0], 2 * pair.outer.cols)]
     assert dims[0] < toeplitz[0]
     assert stab.h1.max_degree == dual_generator(g2).max_degree == 1
-    assert eliminated == [(dims[0], 2 * pair.outer.cols), g2.stack.shape, (toeplitz[1], 2 * pair.outer.cols)]
+    assert [e.a.shape for e in eliminations] == [
+        (dims[0], 2 * pair.outer.cols), g2.stack.shape, (toeplitz[1], 2 * pair.outer.cols)]
     assert toeplitz[1] < dims[1]
 
 
-def test_high_degree_dual_starts_at_gamma_over_n_minus_k(gf16, monkeypatch):
+def test_high_degree_dual_starts_at_gamma_over_n_minus_k(gf16, eliminations):
     # a seeded GF(16) 4 x 8 encoder of degree 40, reduced and basic, so
     # gamma = 160 and its dual's largest row degree is at least 160 / 4:
     # the loop starts at d = 40, where the Popov rows are complete, and
@@ -794,16 +758,8 @@ def test_high_degree_dual_starts_at_gamma_over_n_minus_k(gf16, monkeypatch):
     # kernel basis at d = 40, where a loop from d = 0 eliminated 42 times
     rng = np.random.default_rng(1)
     g = PolyMatrix.from_coefficients(gf16, rng.integers(0, 16, size=(41, 4, 8), dtype=np.int32))
-    eliminated = []
-    rref = matrix._rref
-
-    def counted(field, a):
-        eliminated.append(np.shape(a))
-        return rref(field, a)
-
-    monkeypatch.setattr(matrix, "_rref", counted)
     h = dual_generator(g)
-    assert len(eliminated) == 3
+    assert len(eliminations) == 3
     assert degree_gap(g) == 0 and sum(g.row_degrees) == sum(h.row_degrees) == 160
     # the bytes of the dual the loop from d = 0 builds
     assert h.c.shape == (41, 4, 8)

@@ -28,19 +28,15 @@ from aqcc.errors import (
 from aqcc.families import construction_i_plan, demo_vectors, layout
 from aqcc.gf import FiniteField
 from aqcc.matrix import field_from_order
+from helpers import tuple_sub
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
-def f2():
-    return FiniteField.get(2, 1)
-
-
-@pytest.fixture(scope="module")
-def pair(f2):
-    outer = PolyMatrix(f2, [[(1,), (), (1,)], [(), (1,), (0, 1)]])
-    inner = PolyMatrix(f2, [[(1,), (1,), (1, 1)]])
+def pair(gf2):
+    outer = PolyMatrix(gf2, [[(1,), (), (1,)], [(), (1,), (0, 1)]])
+    inner = PolyMatrix(gf2, [[(1,), (1,), (1, 1)]])
     return build_nested_pair(outer, inner)
 
 
@@ -49,7 +45,7 @@ def full_residual(x_part: PolyMatrix, z_part: PolyMatrix) -> PolyMatrix:
     general residual, zero exactly when the rows of (X|Z) pairwise commute
     over all time shifts.  The reference for assemble_stabilizer's one block."""
     mu = max(x_part.max_degree, z_part.max_degree, 0)
-    return x_part @ z_part.reverse(mu).T - z_part @ x_part.reverse(mu).T
+    return tuple_sub(x_part @ z_part.reverse(mu).T, z_part @ x_part.reverse(mu).T)
 
 
 def full_residual_refusal(h1: PolyMatrix, g2: PolyMatrix) -> str | None:
@@ -76,25 +72,25 @@ def one_block_refusal(h1: PolyMatrix, g2: PolyMatrix) -> str | None:
 
 
 class TestSymplectic:
-    def test_row_commutes_with_itself(self, f2):
-        one = PolyMatrix(f2, [[(1,)]])
+    def test_row_commutes_with_itself(self, gf2):
+        one = PolyMatrix(gf2, [[(1,)]])
         assert full_residual(one, one).is_zero()
 
-    def test_shifted_pair_fails(self, f2):
-        x = PolyMatrix(f2, [[(1,)]])
-        z = PolyMatrix(f2, [[(0, 1)]])
+    def test_shifted_pair_fails(self, gf2):
+        x = PolyMatrix(gf2, [[(1,)]])
+        z = PolyMatrix(gf2, [[(0, 1)]])
         assert full_residual(x, z).e[0][0] == (1, 0, 1)
         with pytest.raises(SymplecticViolation, match=r"^rows 0 and 1 have pairing \[1\]$"):
             assemble_stabilizer(x, z)
 
-    def test_field_mismatch(self, f2):
+    def test_field_mismatch(self, gf2):
         other = PolyMatrix(FiniteField.get(3, 1), [[(1,)]])
         with pytest.raises(FieldMismatch):
-            assemble_stabilizer(PolyMatrix(f2, [[(1,)]]), other)
+            assemble_stabilizer(PolyMatrix(gf2, [[(1,)]]), other)
 
-    def test_shape_mismatch(self, f2):
+    def test_shape_mismatch(self, gf2):
         with pytest.raises(ValueError):
-            assemble_stabilizer(PolyMatrix(f2, [[(1,)]]), PolyMatrix.zeros(f2, 1, 2))
+            assemble_stabilizer(PolyMatrix(gf2, [[(1,)]]), PolyMatrix.zeros(gf2, 1, 2))
 
 
 SWAPS_PER_PLAN = 5
@@ -140,40 +136,40 @@ class TestAssembly:
         assert pair.witness.e == (((1,), (1,)),)
         assert pair.witness @ pair.outer == pair.inner
 
-    def test_other_fields_and_lengths_are_refused(self, f2, pair):
+    def test_other_fields_and_lengths_are_refused(self, gf2, pair):
         # contains makes build_nested_pair's field and length checks
         with pytest.raises(FieldMismatch):
             build_nested_pair(pair.outer, PolyMatrix(FiniteField.get(3, 1), [[(1,), (1,), ()]]))
         with pytest.raises(ValueError, match="^column counts differ: 3 vs 2$"):
-            build_nested_pair(pair.outer, PolyMatrix(f2, [[(1,), (1,)]]))
+            build_nested_pair(pair.outer, PolyMatrix(gf2, [[(1,), (1,)]]))
 
-    def test_containment_failure(self, f2, pair):
-        stray = PolyMatrix(f2, [[(1,), (), ()]])
+    def test_containment_failure(self, gf2, pair):
+        stray = PolyMatrix(gf2, [[(1,), (), ()]])
         with pytest.raises(ContainmentFailed):
             build_nested_pair(pair.outer, stray)
 
-    def test_wrong_witness_is_unverified(self, f2, pair, monkeypatch):
-        wrong = PolyMatrix(f2, [[(1,), ()]])
+    def test_wrong_witness_is_unverified(self, gf2, pair, monkeypatch):
+        wrong = PolyMatrix(gf2, [[(1,), ()]])
         monkeypatch.setattr(convo, "_membership_reduced", lambda outer, inner: wrong)
         with pytest.raises(ContainmentUnverified):
             convo.contains(pair.outer, pair.inner)
         with pytest.raises(ContainmentUnverified):
             build_nested_pair(pair.outer, pair.inner)
 
-    def test_rank_deficient_outer(self, f2):
+    def test_rank_deficient_outer(self, gf2):
         # the inner row is an outer row, but the dependent outer rows are
         # refused before any row selection
-        outer = PolyMatrix(f2, [[(1,), (1,)], [(1,), (1,)]])
+        outer = PolyMatrix(gf2, [[(1,), (1,)], [(1,), (1,)]])
         with pytest.raises(RankDeficient):
-            build_nested_pair(outer, PolyMatrix(f2, [[(1,), (1,)]]))
+            build_nested_pair(outer, PolyMatrix(gf2, [[(1,), (1,)]]))
 
-    def test_empty_inner_rejected(self, f2, pair):
+    def test_empty_inner_rejected(self, gf2, pair):
         with pytest.raises(ValueError):
-            build_nested_pair(pair.outer, PolyMatrix.zeros(f2, 0, 3))
+            build_nested_pair(pair.outer, PolyMatrix.zeros(gf2, 0, 3))
 
-    def test_block_layout(self, f2):
-        h1 = PolyMatrix(f2, [[(0, 1), (1,), (0, 1)]])
-        g2 = PolyMatrix(f2, [[(1,), (1,), (1, 1)]])
+    def test_block_layout(self, gf2):
+        h1 = PolyMatrix(gf2, [[(0, 1), (1,), (0, 1)]])
+        g2 = PolyMatrix(gf2, [[(1,), (1,), (1, 1)]])
         stab = assemble_stabilizer(h1, g2)
         assert stab.rows == 2 and stab.n == 3
         # row 0 is h1 on the X side, row 1 g2 on the Z side; the first block
@@ -185,12 +181,12 @@ class TestAssembly:
         assert stab.g2.e[0] == g2.e[0]
         assert not band[0, :, 1].any()
         assert stab.mu_star == 1
-        assert assemble_stabilizer(h1, PolyMatrix.zeros(f2, 1, 3)).gamma == 1  # a zero row adds 0
+        assert assemble_stabilizer(h1, PolyMatrix.zeros(gf2, 1, 3)).gamma == 1  # a zero row adds 0
         assert stab.gamma == 2
 
-    def test_blocks_are_kept_as_given(self, f2, monkeypatch):
-        h1 = PolyMatrix(f2, [[(0, 1), (1,), (0, 1)]])
-        g2 = PolyMatrix(f2, [[(1,), (1,), (1, 1)]])
+    def test_blocks_are_kept_as_given(self, gf2, monkeypatch):
+        h1 = PolyMatrix(gf2, [[(0, 1), (1,), (0, 1)]])
+        g2 = PolyMatrix(gf2, [[(1,), (1,), (1, 1)]])
 
         def refused(*args):
             raise AssertionError("assemble_stabilizer built a padded half")
@@ -199,9 +195,9 @@ class TestAssembly:
         stab = assemble_stabilizer(h1, g2)
         assert stab.h1 is h1 and stab.g2 is g2
 
-    def test_violation_detected(self, f2):
-        h1 = PolyMatrix(f2, [[(0, 1), (1,), (0, 1)]])
-        stray = PolyMatrix(f2, [[(1,), (), ()]])
+    def test_violation_detected(self, gf2):
+        h1 = PolyMatrix(gf2, [[(0, 1), (1,), (0, 1)]])
+        stray = PolyMatrix(gf2, [[(1,), (), ()]])
         with pytest.raises(SymplecticViolation):
             assemble_stabilizer(h1, stray)
 
@@ -351,9 +347,9 @@ class TestDerivation:
         # the inner dual is built where its free distance is searched
         assert not hasattr(stab, "v2_dual")
 
-    def test_zero_logical_dimension(self, f2):
-        outer = PolyMatrix(f2, [[(1,), (0, 1)]])
-        inner = PolyMatrix(f2, [[(0, 1), (0, 0, 1)]])
+    def test_zero_logical_dimension(self, gf2):
+        outer = PolyMatrix(gf2, [[(1,), (0, 1)]])
+        inner = PolyMatrix(gf2, [[(0, 1), (0, 0, 1)]])
         p = build_nested_pair(outer, inner)
         with pytest.raises(ZeroLogicalDimension):
             derive_aqcc(p)

@@ -538,7 +538,7 @@ def test_source_parities_need_no_elimination():
 
 
 @pytest.mark.parametrize("effort", ["structure", "desk"])
-def test_outer_stack_is_eliminated_once(effort, monkeypatch):
+def test_outer_stack_is_eliminated_once(effort, eliminations):
     # G1's coefficient stack holds the source parity's rows in another
     # order, which the parity's right inverse proves independent; the one
     # elimination of [H | I] for the parity H gives that inverse and the
@@ -546,15 +546,9 @@ def test_outer_stack_is_eliminated_once(effort, monkeypatch):
     # and the dual's witness row all read it
     params = FamilyParams("II-T3a", 16, i=5, t=1)
     source = layout(params).source.parity.a
-    eliminated = []
-    rref = matrix._rref
-
-    def counted(field, a):
-        eliminated.append(np.array(a))
-        return rref(field, a)
-
-    monkeypatch.setattr(matrix, "_rref", counted)
+    eliminations.clear()
     cert = certify_params(params, effort=effort)
+    eliminated = [e.a for e in eliminations]
 
     def nonzero_rows(a):
         return sorted(a[a.any(axis=1)].tolist())
@@ -575,41 +569,26 @@ def test_outer_stack_is_eliminated_once(effort, monkeypatch):
     ("structure", REFERENCE_ROWS),
     ("desk", [row for row in REFERENCE_ROWS if row[1] <= 17]),
 ], ids=["structure", "desk"])
-def test_no_certificate_eliminates_a_row_space_twice(effort, rows, monkeypatch):
+def test_no_certificate_eliminates_a_row_space_twice(effort, rows, eliminations):
     # the reduced echelon names the row space: each space a certificate
     # needs is eliminated once, and every later reader takes that echelon
-    keys = []
-    rref = matrix._rref
-
-    def counted(field, a):
-        red, piv = rref(field, a)
-        keys.append((field.q, np.shape(a)[1], red[:len(piv)].tobytes()))
-        return red, piv
-
-    monkeypatch.setattr(matrix, "_rref", counted)
     assert len(rows) == (25 if effort == "structure" else 19)
     for family, q, kw, *_ in rows:
-        keys.clear()
+        eliminations.clear()
         certify_params(FamilyParams(family, q, **kw), effort=effort)
+        keys = [(e.field.q, e.a.shape[1], e.red[:len(e.piv)].tobytes()) for e in eliminations]
         assert keys and len(set(keys)) == len(keys), f"{family} q={q} {kw}"
 
 
 @pytest.mark.parametrize("effort", ["structure", "desk"])
-def test_seed_rows_are_eliminated_once(effort, monkeypatch):
+def test_seed_rows_are_eliminated_once(effort, eliminations):
     # construction I's G1 stacks the seed rows S, with a zero row where the
     # second auxiliary block is shorter; it takes the echelon that drawing
     # the rows computed by eliminating [S | I] once
-    eliminated = []
-    rref = matrix._rref
-
-    def counted(field, a):
-        eliminated.append(np.array(a))
-        return rref(field, a)
-
-    monkeypatch.setattr(matrix, "_rref", counted)
     f5 = field_from_order(5)
     vec = demo_vectors(f5, 9, [2, 2, 2, 1], seed=3)
     cert = certify_plan(construction_i_plan(f5, vec, [2, 2, 2, 1]), effort=effort)
+    eliminated = [e.a for e in eliminations]
     stack = cert.g1.c.reshape(-1, cert.g1.cols)
     assert len(stack) == 8 and stack.any(axis=1).sum() == 7
     assert sum(np.array_equal(a[:, :vec.cols], vec.a) for a in eliminated) == 1
@@ -617,26 +596,18 @@ def test_seed_rows_are_eliminated_once(effort, monkeypatch):
     assert sum(np.array_equal(a, aug) for a in eliminated) == 1
 
 
-def test_split_plan_eliminates_its_rows_once(monkeypatch):
+def test_split_plan_eliminates_its_rows_once(eliminations):
     # drawing a plan's rows S eliminates [S | I], drawing again while the
     # rows are dependent; the last draw's elimination proves both
     # generators basic and reduced, with no other elimination
-    calls = []
-    rref = matrix._rref
-
-    def counted(field, a):
-        red, piv = rref(field, a)
-        calls.append((np.shape(a), sum(p < a.shape[1] - a.shape[0] for p in piv)))
-        return red, piv
-
-    monkeypatch.setattr(matrix, "_rref", counted)
     rng = random.Random(20260817)
     redraws = 0
     for _ in range(selftest.SPLIT_PLANS):
-        calls.clear()
+        eliminations.clear()
         plan = selftest._random_plan(rng)
         for g in plan.generators():
             assert is_basic(g) and is_reduced(g)
+        calls = [(e.a.shape, sum(p < e.a.shape[1] - e.a.shape[0] for p in e.piv)) for e in eliminations]
         rows, n = plan.source.parity.shape
         assert all(shape == (rows, n + rows) for shape, _ in calls)
         assert [rank == rows for _, rank in calls] == [False] * (len(calls) - 1) + [True]
@@ -644,7 +615,7 @@ def test_split_plan_eliminates_its_rows_once(monkeypatch):
     assert redraws > 0
 
 
-def test_outer_stack_takes_no_echelon_of_other_rows(monkeypatch):
+def test_outer_stack_takes_no_echelon_of_other_rows(eliminations):
     # G1's stack borrows the seed's echelon and right inverse only when it
     # holds the seed's rows, in any order: a plan whose outer blocks repeat
     # a row still fails the split, and one with a changed row eliminates
@@ -657,29 +628,21 @@ def test_outer_stack_takes_no_echelon_of_other_rows(monkeypatch):
     with pytest.raises(RankDeficient):
         replace(plan, blocks1=(b0, repeated)).generators()
 
-    eliminated = []
-    rref = matrix._rref
-
-    def counted(field, a):
-        eliminated.append(np.array(a))
-        return rref(field, a)
-
-    monkeypatch.setattr(matrix, "_rref", counted)
     # the seed's echelon and right inverse are cached from drawing it, and
     # G2's stack holds seed rows, so it is not eliminated
     changed = b1.a.copy()
     changed[2] = f5._vadd(changed[2], b0.a[0])  # the same row space
     for blocks1, own in (((MatrixGF(f5, b0.a[::-1]), b1), False),
                          ((b0, MatrixGF(f5, changed)), True)):
-        eliminated.clear()
+        eliminations.clear()
         g1, g2 = replace(plan, blocks1=blocks1).generators()
         live = g1.stack.a[g1.stack.a.any(axis=1)]
         assert live.tolist() != vec.a.tolist()
         assert (sorted(live.tolist()) == sorted(vec.a.tolist())) is not own
-        assert [a.shape for a in eliminated] == ([(7, 9 + 7)] if own else [])
+        assert [e.a.shape for e in eliminations] == ([(7, 9 + 7)] if own else [])
         assert g1._right is not None and g2._right is not None
         red, piv = g1.stack.rref()
-        want_red, want_piv = rref(f5, g1.stack.a)
+        want_red, want_piv = matrix._rref(f5, g1.stack.a)
         assert np.array_equal(red.a, want_red) and piv == want_piv
 
 

@@ -401,7 +401,7 @@ def test_kernel_results_are_read_only_int32(q):
     ]
     g = PolyMatrix.from_coefficients(f, rng.integers(0, q, size=(3, 2, 4)))
     h = PolyMatrix.from_coefficients(f, rng.integers(0, q, size=(2, 2, 4)))
-    polys = [g + h, g - h, g @ h.T, g.T, g.reverse(3)]
+    polys = [g @ h.T, g.T, g.reverse(3)]
     arrays = [m.a for m in results] + [m.c for m in polys]
     for arr in arrays:
         assert arr.dtype == np.int32

@@ -22,27 +22,14 @@ from aqcc.families import FAMILIES, enumerate_family, layout
 from aqcc.gf import FiniteField
 from aqcc.matrix import MatrixGF, field_from_order
 from aqcc.trellis import _class_representatives, _digit_sums, _dijkstra, _probe_upper, free_distance
+from helpers import designed, pshift
 
 
 ENCODER_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "encoders"
 
 
-@pytest.fixture(scope="module")
-def gf2():
-    return FiniteField.get(2, 1)
-
-
-@pytest.fixture(scope="module")
-def gf3():
-    return FiniteField.get(3, 1)
-
-
 def gamma(g: PolyMatrix) -> int:
     return sum(reduce(g).row_degrees)
-
-
-def designed(lower: int) -> DistanceBound:
-    return DistanceBound(lower, None, "designed", "designed")
 
 
 class TestExactSearch:
@@ -285,107 +272,6 @@ def all_states_dijkstra(g: PolyMatrix) -> tuple[int, int]:
     raise AqccError("zero state unreachable; the encoder graph is disconnected")
 
 
-def heap_dijkstra(g: PolyMatrix) -> tuple[int, int, np.ndarray]:
-    """The search over scalar classes one heap pop at a time: (free
-    distance, classes settled before the zero class, witness).  Each
-    expansion weighs its q**k messages by plain comparison; a relaxation
-    records a class's branch only when it strictly lowers the distance."""
-    field, q = g.field, g.field.q
-    k, n = g.shape
-    nu = g.row_degrees
-    gamma = sum(nu)
-    coef = g.c
-
-    starts = [sum(nu[:i]) for i in range(k)]  # row i's first state digit
-    # state digit p, the input of row i from d steps back, adds coef[d][i]
-    state_rows = np.array([coef[d][i] for i in range(k) for d in range(1, nu[i] + 1)])
-
-    # the rows with nu_i = 0 are the fastest message digits, so the messages
-    # that differ only in them, which reach one next state, are contiguous:
-    # run r of q**k0 messages feeds the memory rows the digits of r
-    order = sorted(range(k), key=lambda i: nu[i] > 0)
-    out0 = codeword_table(field, coef[0][order])
-    next_states = _digit_sums(q, [q ** starts[i] for i in order if nu[i] > 0])
-
-    shift_w = np.zeros(gamma, dtype=np.int64)
-    for i in range(k):
-        for d in range(1, nu[i]):  # digit (i, d) moves one delay deeper
-            p = starts[i] + d - 1
-            shift_w[p] = q ** (p + 1)
-
-    # -out_s and the shifted next state are sums over the state digits, so
-    # both are tabulated for the low and the high half of the digits; state
-    # s = lo + split * hi then needs one lookup in each half
-    half = gamma // 2
-    split = q ** half
-    neg_rows = field._vneg(state_rows.reshape(gamma, n))
-    neg_lo, neg_hi = codeword_table(field, neg_rows[:half]), codeword_table(field, neg_rows[half:])
-    moved_lo = _digit_sums(q, shift_w[:half]).tolist()
-    moved_hi = _digit_sums(q, shift_w[half:]).tolist()
-    rep, _ = _class_representatives(field, gamma)
-
-    INF = np.iinfo(np.int64).max
-    dist = np.full(q ** gamma, INF, dtype=np.int64)
-    settled = np.zeros(q ** gamma, dtype=bool)
-    # via[t] = s * q**k + u: the settled class s and the message u of the
-    # branch that last lowered dist[t]
-    via = np.zeros(q ** gamma, dtype=np.int64)
-    heap: list[tuple[int, int]] = []
-    run_len = len(out0) // len(next_states)
-
-    def relax(base_dist: int, source: int, base_state: int, weights: np.ndarray):
-        w = weights.reshape(len(next_states), run_len)
-        cand = w.min(axis=1) + base_dist
-        targets = rep(next_states + base_state)
-        better = np.flatnonzero(cand < dist[targets])
-        targets, cand = targets[better], cand[better]
-        np.minimum.at(dist, targets, cand)  # runs may land in one class
-        least = cand == dist[targets]
-        won = better[least]  # the runs that set dist; their argmin is the message
-        via[targets[least]] = source * q ** k + won * run_len + w[won].argmin(axis=1)
-        for d, t in set(zip(cand[least].tolist(), targets[least].tolist())):
-            heapq.heappush(heap, (d, t))
-
-    def witness() -> np.ndarray:
-        # c turns the representative s of each branch into the path's state
-        steps = [divmod(int(via[0]), q ** k)]
-        while steps[-1][0]:
-            steps.append(divmod(int(via[steps[-1][0]]), q ** k))
-        u = np.zeros((len(steps), 1, k), dtype=np.int32)
-        c = 1
-        for j, (s, m) in enumerate(reversed(steps)):
-            u[j, 0, order] = field._vmul(c, (m // q ** np.arange(k)) % q)
-            hi, lo = divmod(s, split)
-            t = int(next_states[m // run_len]) + moved_lo[lo] + moved_hi[hi]
-            while t and not t % q:
-                t //= q
-            c = field.mul(c, t % q or 1)  # rep(t) is t over its lowest nonzero digit
-        return (PolyMatrix.from_coefficients(field, u) @ g).c[:, 0]
-
-    w0 = (out0 != 0).sum(axis=1).astype(np.int64)
-    w0[0] = INF  # leaving the zero state needs a nonzero message
-    relax(0, 0, 0, w0)
-
-    states = 0
-    while heap:
-        dcur, s = heapq.heappop(heap)
-        if s == 0:
-            return dcur, states, witness()
-        if settled[s]:
-            continue
-        settled[s] = True
-        states += 1
-        hi, lo = divmod(s, split)
-        want = field._vadd(neg_lo[lo], neg_hi[hi])
-        relax(dcur, s, moved_lo[lo] + moved_hi[hi], (out0 != want).sum(axis=1))
-    raise AqccError("zero state unreachable; the encoder graph is disconnected")
-
-
-def pshift(a, s):
-    """Multiply the coefficient tuple a by D**s."""
-    return (0,) * s + a if a else ()
-
-
 def poly_vector_weight(row) -> int:
     """Hamming weight of a polynomial vector across all coefficients."""
     return sum(1 for p in row for c in p if c)
@@ -588,18 +474,15 @@ def heavy_gens():
 
 
 def assert_same_search(g):
-    """The bucketed search settles the classes the heap search settles
-    before the zero class, and agrees with the search over every state;
-    the heap search's witness, by its own tie rule, has weight d."""
+    """The bucketed search settles the scalar classes below the free
+    distance d, and each class holds q - 1 states, so the search over every
+    state, which pops the zero state first among those at d, settles
+    exactly q - 1 times as many before it."""
     g = reduce(g)
     q = g.field.q
     d, states, _ = _dijkstra(g)
-    heap_d, heap_states, heap_witness = heap_dijkstra(g)
-    assert (d, states) == (heap_d, heap_states)
-    assert np.count_nonzero(heap_witness) == d and heap_witness[-1].any()
-    assert d == all_states_dijkstra(g)[0]
+    assert all_states_dijkstra(g) == (d, states * (q - 1))
     assert states <= (q ** sum(g.row_degrees) - 1) // (q - 1)
-    return states
 
 
 def octal_row(*gens):
@@ -677,8 +560,8 @@ def test_search_witness_is_a_codeword(split_gens, odd_gens, multi_row_gens, heav
 
 
 class TestAgainstAllStatesSearch:
-    """The bucketed search over scalar classes against the heap search over
-    them and the search over every state."""
+    """The bucketed search over scalar classes against the search over
+    every state: the same distance, and q - 1 states settled per class."""
 
     def test_split_and_odd_generators(self, split_gens, odd_gens):
         for g in split_gens + odd_gens:

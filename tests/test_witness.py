@@ -14,7 +14,6 @@ import contextlib
 import dataclasses
 import io
 import random
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +41,7 @@ from aqcc.convo import (
 from aqcc.errors import AqccError, ContainmentFailed, NotBasic
 from aqcc.families import LayoutPlan, layout
 from aqcc.matrix import MatrixGF, solve_left
+from helpers import aqcc_bindings, count_calls
 
 PLAN_COUNT = 200
 
@@ -375,15 +375,6 @@ REFUSED_ENCODERS = (
 )
 
 
-def aqcc_bindings(fn):
-    """Every (module, name) of the aqcc package that binds fn."""
-    return [
-        (mod, name)
-        for key, mod in sorted(sys.modules.items()) if key.split(".")[0] == "aqcc"
-        for name, value in list(vars(mod).items()) if value is fn
-    ]
-
-
 def test_certifier_runs_without_the_smith_form(monkeypatch, tmp_path):
     def forbidden(*args, **kwargs):
         raise AssertionError("the Smith form was called")
@@ -415,25 +406,9 @@ def test_certifier_runs_without_the_smith_form(monkeypatch, tmp_path):
             assert main(["distance", str(path)]) == 4
 
 
-def count_calls(monkeypatch, names) -> dict:
-    """Count calls to the named convo or matrix functions under every aqcc
-    binding."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        fn = getattr(convo, name, None) or getattr(matrix, name)
-
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        for mod, attr in aqcc_bindings(fn):
-            monkeypatch.setattr(mod, attr, counted)
-    return calls
-
-
 @pytest.mark.parametrize("effort", ["structure", "desk"])
 def test_certificate_builds_each_dual_where_it_is_read(monkeypatch, effort):
-    calls = count_calls(monkeypatch, ("solve_left",))
+    calls = count_calls(monkeypatch, (solve_left,))
     built = []  # (generator, its degree gap when its dual was asked for)
     dual = convo.dual_generator
 
@@ -458,7 +433,7 @@ def test_certificate_builds_each_dual_where_it_is_read(monkeypatch, effort):
 
 
 @pytest.mark.parametrize("effort", ["structure", "desk"])
-def test_leading_echelon_is_computed_once_per_generator(monkeypatch, effort):
+def test_leading_echelon_is_computed_once_per_generator(monkeypatch, eliminations, effort):
     # G1 and G2 leave their splits with R_L, so neither eliminates [L | I];
     # the inner dual's would be read by its free distance, which the chain
     # closes here at desk without building that dual
@@ -472,18 +447,10 @@ def test_leading_echelon_is_computed_once_per_generator(monkeypatch, effort):
         return out
 
     monkeypatch.setattr(PolyMatrix, "leading_row_matrix", spy)
-    inputs = []
-    rref = matrix._rref
-
-    def recorded(field, a):
-        inputs.append(np.array(a))
-        return rref(field, a)
-
-    monkeypatch.setattr(matrix, "_rref", recorded)
     family, q, kw = SMALL_ROW
     cert = certify_params(FamilyParams(family, q, **kw), effort=effort)
-    eliminated = [a for a in inputs for lead in leads
-                  if np.array_equal(a, np.concatenate([lead, np.eye(len(lead), dtype=np.int32)], 1))]
+    eliminated = [e.a for e in eliminations for lead in leads
+                  if np.array_equal(e.a, np.concatenate([lead, np.eye(len(lead), dtype=np.int32)], 1))]
     assert len(eliminated) == len(owners) == 0
     assert len({id(m) for m in owners}) == len(owners)
     g2 = cert.stabilizer.g2
@@ -495,7 +462,7 @@ def test_free_distance_of_a_dual_reads_its_basicness(monkeypatch):
     family, q, kw = SMALL_ROW
     g1, g2 = layout(FamilyParams(family, q, **kw)).generators()
     duals = [dual_generator(g1), dual_generator(g2)]
-    calls = count_calls(monkeypatch, ("dual_generator", "solve_left"))
+    calls = count_calls(monkeypatch, (dual_generator, solve_left))
     results = [free_distance(h) for h in duals]
     assert calls == {"dual_generator": 0, "solve_left": 0}
     # an equal matrix built from the coefficients carries no recorded fact,
@@ -512,46 +479,32 @@ def test_free_distance_of_seedless_encoders_builds_one_dual_each(monkeypatch):
     assert len(paths) == 14
     gens = [parse_poly_matrix(path.read_text()) for path in paths]
     copies = [PolyMatrix.from_coefficients(g.field, g.c) for g in gens]
-    calls = count_calls(monkeypatch, ("dual_generator", "solve_left"))
+    calls = count_calls(monkeypatch, (dual_generator, solve_left))
     for copy in copies:
         assert copy._right is None
         free_distance(copy)
     assert calls == {"dual_generator": 14, "solve_left": 0}
 
 
-def count_eliminations(monkeypatch) -> list:
-    """The shape of every matrix matrix._rref eliminates from now on."""
-    shapes = []
-    rref = matrix._rref
-
-    def counted(field, a):
-        shapes.append(np.shape(a))
-        return rref(field, a)
-
-    monkeypatch.setattr(matrix, "_rref", counted)
-    return shapes
-
-
-def test_split_to_generator_carries_its_stack_right_inverse(monkeypatch):
+def test_split_to_generator_carries_its_stack_right_inverse(eliminations):
     # with no seed, the blocks' own rows S are the seed: one elimination of
     # [S | I] proves them independent and gives R_S, from which G reads
     # basic and reduced with no elimination of its own
     family, q, kw = SMALL_ROW
     plans = (layout(FamilyParams(family, q, **kw)), selftest._random_plan(random.Random(5)))
-    shapes = count_eliminations(monkeypatch)
     for plan in plans:
         for blocks, placements in ((plan.blocks1, plan.placements1), (plan.blocks2, None)):
-            shapes.clear()
+            eliminations.clear()
             g = split_to_generator(blocks, placements)
             rows = sum(b.rows for b in blocks)
-            assert shapes == [(rows, g.cols + rows)]
+            assert [e.a.shape for e in eliminations] == [(rows, g.cols + rows)]
             stack = g.stack.a
             live = stack.any(axis=1)
             assert live.sum() == rows
             product = g.field._vmatmul(stack, g._right)
             assert np.array_equal(product, np.diag(live).astype(np.int32))
             assert is_basic(g) and is_reduced(g)
-            assert len(shapes) == 1
+            assert len(eliminations) == 1
 
 
 def test_zeroed_split_witness_fails_degree_gap(monkeypatch):
