@@ -83,7 +83,7 @@ Poly = tuple[int, ...]
 
 
 def ptrim(c) -> Poly:
-    c = tuple(int(x) for x in c)
+    c = tuple(c)
     k = len(c)
     while k and c[k - 1] == 0:
         k -= 1
@@ -109,7 +109,7 @@ def psub(f: FiniteField, a: Poly, b: Poly) -> Poly:
 
 
 def pscale(f: FiniteField, a: Poly, c: int) -> Poly:
-    return ptrim(f.mul(np.array(a, dtype=np.int64), c)) if a else ()
+    return ptrim([f.mul(x, c) for x in a])
 
 
 def pmul(f: FiniteField, a: Poly, b: Poly) -> Poly:

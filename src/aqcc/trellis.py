@@ -13,21 +13,24 @@ the classes it settled, those below d.
 The encoder is linear, so for every scalar lam != 0 the inputs lam * u
 drive the state path lam * s with the same output weights, and the search
 runs on the classes GF(q)* * s.  Each relaxation lands on the member whose
-lowest nonzero digit is 1, so at most (q**gamma - 1)/(q - 1) states are
-settled.  The rows with nu_i = 0 are the fastest message digits, so the
-messages that reach one next state form one contiguous run of q**k0, and
-each run offers its target class its least weight.  A run's messages
-output the codewords of C0', the span of those rows' degree-0
-coefficients, each plus one offset r G0,mem from the other rows, so the
-weight of message u_free + q**k0 * r from state s is the number of
-columns c with C0'[u_free, c] != -out_s[c] - (r G0,mem)[c].  A bucket's
-wanted symbols come from one product: the base-q digit rows of its
-classes times the state rows give every out_s, subtracted from the table
-of offsets -r G0,mem.  Only the (class, run) pairs into classes still
-open are scored, since a settled class takes no branch: block.mismatches
-weighs them against the q**k0 codewords of C0', at most _SCORE_CHUNK
-message weights and wanted symbols per call, and the search keeps those
-two tables only, none of all q**k messages.
+lowest nonzero digit is 1, the state's base-q digit row divided by that
+digit and packed again (over GF(2), the state itself), so at most
+(q**gamma - 1)/(q - 1) states are settled.  One digit expansion, _digits,
+serves the popped classes, the representatives of their targets, the
+witness's scale factors and the run offsets.  The rows with nu_i = 0 are
+the fastest message digits, so the messages that reach one next state form
+one contiguous run of q**k0, and each run offers its target class its
+least weight.  A run's messages output the codewords of C0', the span of
+those rows' degree-0 coefficients, each plus one offset r G0,mem from the
+other rows, so the weight of message u_free + q**k0 * r from state s is
+the number of columns c with C0'[u_free, c] != -out_s[c] - (r G0,mem)[c].
+A bucket's wanted symbols come from one product: the base-q digit rows of
+its classes times the state rows give every out_s, subtracted from the
+table of offsets -r G0,mem.  Only the (class, run) pairs into classes
+still open are scored, since a settled class takes no branch:
+block.mismatches weighs them against the q**k0 codewords of C0', at most
+_SCORE_CHUNK message weights and wanted symbols per call, and the search
+keeps those two tables only, none of all q**k messages.
 
 Each class keeps the branch that gave it its distance, by a rule that does
 not depend on the order of the relaxations: among equal distances the
@@ -51,8 +54,6 @@ caller meets in any better lower bound it carries (DistanceBound.meet).
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -160,51 +161,22 @@ def _probe_upper(g: PolyMatrix) -> tuple[int, np.ndarray]:
     return int(combo_w.flat[best]), (PolyMatrix.from_coefficients(f, x) @ g).c[:, 0]
 
 
-def _digit_sums(q: int, weights) -> np.ndarray:
-    """sums[u] = sum_t u_t * weights[t] over the base-q digits of u, in the
-    order of block.codeword_table (digit t weighs q**t)."""
-    sums = np.zeros(1, dtype=np.int64)
-    for w in weights:
-        sums = (np.arange(q)[:, None] * w + sums[None, :]).reshape(-1)
-    return sums
+def _digits(x: np.ndarray, place: np.ndarray, q: int) -> np.ndarray:
+    """The base-q digit rows of x, digit t weighing place[t] = q**t."""
+    return (x[..., None] // place) % q
 
 
-@functools.cache
-def _class_representatives(field, gamma: int):
-    """(rep, lowest) over states of gamma digits: rep(states) scales each
-    state digit by digit so that its lowest nonzero digit is 1, the member
-    of its class GF(q)* * s that the search settles, and lowest(states) is
-    that digit, 0 for the zero state, so a state is lowest * rep.
-
-    A state is lo + split * hi, lo its low half of the digits.  The scale
-    is the inverse of the lowest nonzero digit of lo, or of hi when lo is
-    0, and each half is scaled by one lookup in a table of all scales.
-    The tables depend on (field, gamma) alone and are built once."""
-    q = field.q
-    if q == 2:
-        return (lambda states: states), (lambda states: np.minimum(states, 1))
-    half = gamma - gamma // 2
-    split = q ** half
-    elems = np.arange(q, dtype=np.int32)
-    prod = field._vmul(elems[:, None], elems[None, :]).astype(np.int64)
-    # for widths 0 to half: x = d + q * x' has lowest nonzero digit d, or
-    # that of x' when d = 0, and scales to c * d + q * (x' scaled by c)
-    low, scaled = [np.zeros(1, dtype=np.int32)], [np.zeros((q, 1), dtype=np.int64)]
-    for _ in range(half):
-        low.append(np.where(elems != 0, elems, low[-1][:, None]).ravel())
-        scaled.append((q * scaled[-1][:, :, None] + prod[:, None, :]).reshape(q, -1))
-    lam = [np.where(d == 0, 0, field._vinv(d)) for d in low]  # 0 for a zero half
-
-    def rep(states):
-        lo, hi = states % split, states // split
-        c = np.where(lo == 0, lam[gamma - half][hi], lam[half][lo])  # 0 keeps the zero state
-        return scaled[half][c, lo] + split * scaled[gamma - half][c, hi]
-
-    def lowest(states):
-        lo, hi = states % split, states // split
-        return np.where(lo == 0, low[gamma - half][hi], low[half][lo])
-
-    return rep, lowest
+def _classes(field, states, place: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rep, scale) per state: scale is its lowest nonzero digit and rep its
+    digit row divided by scale, packed again, the member of its class
+    GF(q)* * s that the search settles, so a state is scale * rep.  The
+    zero state is its own class: rep 0, scale 1."""
+    if field.q == 2:  # every nonzero digit is 1, so every class is one state
+        return states, np.ones_like(states)
+    ds = _digits(states, place, field.q)
+    low = ds[np.arange(len(ds)), (ds != 0).argmax(axis=1)]
+    scale = np.where(low == 0, 1, low)
+    return field._vmul(field._vinv(scale)[:, None], ds) @ place, scale
 
 
 def _dijkstra(g: PolyMatrix) -> tuple[int, int, np.ndarray]:
@@ -228,8 +200,10 @@ def _dijkstra(g: PolyMatrix) -> tuple[int, int, np.ndarray]:
     order = sorted(range(k), key=lambda i: nu[i] > 0)
     k0 = list(nu).count(0)
     table = by_column(codeword_table(field, coef[0][order[:k0]]), q)
-    next_states = _digit_sums(q, [q ** starts[i] for i in order[k0:]])
-    runs = len(next_states)
+    place = q ** np.arange(gamma, dtype=np.int64)
+    # digit t of run r enters the first state digit of memory row order[k0 + t]
+    runs = q ** (k - k0)
+    next_states = _digits(np.arange(runs), place[:k - k0], q) @ place[[starts[i] for i in order[k0:]]]
 
     shift_w = np.zeros(gamma, dtype=np.int64)
     for i in range(k):
@@ -241,8 +215,6 @@ def _dijkstra(g: PolyMatrix) -> tuple[int, int, np.ndarray]:
     # ds @ shift_w, so run r wants neg_runs[r] - ds @ state_rows, that is
     # -out_s - r G0,mem, and reaches next_states[r] + ds @ shift_w
     neg_runs = codeword_table(field, field._vneg(coef[0][order[k0:]]))
-    place = q ** np.arange(gamma, dtype=np.int64)
-    rep, lowest = _class_representatives(field, gamma)
 
     size, msgs = q ** gamma, q ** k
     run_len = msgs // runs
@@ -270,17 +242,17 @@ def _dijkstra(g: PolyMatrix) -> tuple[int, int, np.ndarray]:
             steps.append(divmod(int(best[steps[-1][0]]) % (size * msgs), msgs))
         s, m = np.array(steps[::-1]).T
         r, u_free = np.divmod(m, run_len)
-        ds = (s[:, None] // place) % q
+        ds = _digits(s, place, q)
         want = field._vsub(neg_runs[r], field._vmatmul(ds, state_rows))
         out = field._vsub(table[:, u_free].T.astype(np.int32), want)
         c = [1]
-        for x in lowest(next_states[r] + ds @ shift_w).tolist():
-            c.append(field.mul(c[-1], x or 1))  # a state is lowest * rep
+        for x in _classes(field, next_states[r] + ds @ shift_w, place)[1].tolist():
+            c.append(field.mul(c[-1], x))  # a state is scale * rep
         return field._vmul(np.array(c[:-1], dtype=np.int32)[:, None], out)
 
     w0 = mismatches(table, neg_runs).astype(np.int64)  # the zero state wants -r G0,mem
     w0[0, 0] = n + 1  # the zero message never leaves the zero state
-    relax(0, 0, rep(next_states), np.arange(runs), w0)
+    relax(0, 0, _classes(field, next_states, place)[0], np.arange(runs), w0)
 
     # a bucket's (class, run) pairs go to the kernel a range at a time: at
     # most _SCORE_CHUNK targets, message weights and wanted symbols per call
@@ -296,11 +268,11 @@ def _dijkstra(g: PolyMatrix) -> tuple[int, int, np.ndarray]:
         popped = np.flatnonzero(pending < (d + 1) * radix)
         settled[popped] = True
         states += len(popped)
-        ds = (popped[:, None] // place) % q
+        ds = _digits(popped, place, q)
         bases, outs = ds @ shift_w, field._vmatmul(ds, state_rows)
         for j in range(0, len(popped) * runs, step):
             i, r = np.divmod(np.arange(j, min(j + step, len(popped) * runs)), runs)
-            targets = rep(next_states[r] + bases[i])
+            targets = _classes(field, next_states[r] + bases[i], place)[0]
             # settled is fixed while the bucket is scored: weigh only open targets
             o = np.flatnonzero(~settled[targets])
             if len(o):  # C0' against -out_s - r G0,mem, one row a pair

@@ -21,7 +21,7 @@ from aqcc.convo import (
 from aqcc.families import FAMILIES, enumerate_family, layout
 from aqcc.gf import FiniteField
 from aqcc.matrix import MatrixGF, field_from_order
-from aqcc.trellis import _class_representatives, _digit_sums, _dijkstra, _probe_upper, free_distance
+from aqcc.trellis import _classes, _digits, _dijkstra, _probe_upper, free_distance
 from helpers import designed, pshift
 
 
@@ -201,6 +201,13 @@ def scalar_free_distance(g: PolyMatrix) -> int:
     raise AssertionError("zero state unreachable")
 
 
+def digit_sums(q: int, weights) -> np.ndarray:
+    """sums[u] = sum_t u_t * weights[t] over the base-q digits of u, digit t
+    weighing q**t, for every u < q**len(weights)."""
+    weights = np.asarray(weights, dtype=np.int64)
+    return _digits(np.arange(q ** len(weights)), q ** np.arange(len(weights)), q) @ weights
+
+
 def all_states_dijkstra(g: PolyMatrix) -> tuple[int, int]:
     """The exact search that settles every nonzero state it reaches, not
     one per scalar class: (free distance, states settled)."""
@@ -215,7 +222,7 @@ def all_states_dijkstra(g: PolyMatrix) -> tuple[int, int]:
     state_rows = np.array([coef[d][i] for i in range(k) for d in range(1, nu[i] + 1)])
 
     out0 = codeword_table(field, coef[0])
-    next0 = _digit_sums(q, [q ** starts[i] if nu[i] > 0 else 0 for i in range(k)])
+    next0 = digit_sums(q, [q ** starts[i] if nu[i] > 0 else 0 for i in range(k)])
 
     # messages in next-state order (message 0 stays first), so that each
     # group of messages reaching one next state is a contiguous run
@@ -236,8 +243,8 @@ def all_states_dijkstra(g: PolyMatrix) -> tuple[int, int]:
     split = q ** half
     neg_rows = field._vneg(state_rows.reshape(gamma, n))
     neg_lo, neg_hi = codeword_table(field, neg_rows[:half]), codeword_table(field, neg_rows[half:])
-    moved_lo = _digit_sums(q, shift_w[:half]).tolist()
-    moved_hi = _digit_sums(q, shift_w[half:]).tolist()
+    moved_lo = digit_sums(q, shift_w[:half]).tolist()
+    moved_hi = digit_sums(q, shift_w[half:]).tolist()
 
     INF = np.iinfo(np.int64).max
     dist = np.full(q ** gamma, INF, dtype=np.int64)
@@ -281,17 +288,6 @@ def test_vector_weight():
     assert poly_vector_weight(((1, 0, 2), (), (3,))) == 3
 
 
-def digitwise_representatives(field, gamma: int, states: np.ndarray) -> np.ndarray:
-    """Each state expanded into its gamma digits, all of them divided by the
-    lowest nonzero one and packed again; the zero state stays."""
-    q = field.q
-    place = q ** np.arange(gamma, dtype=np.int64)
-    digits = ((states[:, None] // place) % q).astype(np.int32)
-    low = digits[np.arange(len(digits)), (digits != 0).argmax(axis=1)]
-    lam = field._vinv(np.where(low == 0, 1, low))
-    return field._vmul(lam[:, None], digits) @ place
-
-
 def loop_lowest_digit(q: int, state: int) -> int:
     """The lowest nonzero base-q digit of state, 0 for the zero state."""
     while state and not state % q:
@@ -299,20 +295,26 @@ def loop_lowest_digit(q: int, state: int) -> int:
     return state % q
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
-@pytest.mark.parametrize("gamma", [1, 2, 3, 4])
+def loop_class(field, gamma: int, state: int) -> tuple[int, int]:
+    """(rep, scale) of one state by scalar steps: its lowest nonzero digit,
+    then one field division per digit; the zero state is rep 0, scale 1."""
+    q = field.q
+    low = loop_lowest_digit(q, state)
+    if not low:
+        return 0, 1
+    return sum(field.div(state // q ** t % q, low) * q ** t for t in range(gamma)), low
+
+
+@pytest.mark.parametrize("gamma, q", [(gamma, q) for gamma in (1, 2, 3, 4) for q in (2, 3, 4, 5, 7, 8)]
+                         + [(5, 3), (6, 3)])
 def test_class_representatives_match_digitwise_scaling(q, gamma):
     field = field_from_order(q)
-    rep, lowest = _class_representatives(field, gamma)
-    assert _class_representatives(field_from_order(q), gamma)[0] is rep  # built once
     states = np.arange(q ** gamma, dtype=np.int64)
-    got = rep(states)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, digitwise_representatives(field, gamma, states))
     # in any order, with repeats, as the search hands them over
     mixed = np.random.default_rng(q * gamma).permutation(np.concatenate([states, states[::3]]))
-    assert np.array_equal(rep(mixed), digitwise_representatives(field, gamma, mixed))
-    assert lowest(mixed).tolist() == [loop_lowest_digit(q, s) for s in mixed.tolist()]
+    rep, scale = _classes(field, mixed, q ** np.arange(gamma, dtype=np.int64))
+    assert rep.dtype == np.int64
+    assert list(zip(rep.tolist(), scale.tolist())) == [loop_class(field, gamma, s) for s in mixed.tolist()]
 
 
 def loop_probe(g: PolyMatrix):
@@ -673,7 +675,7 @@ def table_dijkstra(g: PolyMatrix) -> tuple[int, int, np.ndarray]:
     state_rows = np.array([coef[d][i] for i in range(k) for d in range(1, nu[i] + 1)])
     order = sorted(range(k), key=lambda i: nu[i] > 0)
     out0 = codeword_table(field, coef[0][order])
-    next_states = _digit_sums(q, [q ** starts[i] for i in order if nu[i] > 0])
+    next_states = digit_sums(q, [q ** starts[i] for i in order if nu[i] > 0])
 
     shift_w = np.zeros(gamma, dtype=np.int64)
     for i in range(k):
@@ -685,8 +687,10 @@ def table_dijkstra(g: PolyMatrix) -> tuple[int, int, np.ndarray]:
     split = q ** half
     neg_rows = field._vneg(state_rows.reshape(gamma, n))
     neg_lo, neg_hi = codeword_table(field, neg_rows[:half]), codeword_table(field, neg_rows[half:])
-    moved_lo, moved_hi = _digit_sums(q, shift_w[:half]), _digit_sums(q, shift_w[half:])
-    rep, _ = _class_representatives(field, gamma)
+    moved_lo, moved_hi = digit_sums(q, shift_w[:half]), digit_sums(q, shift_w[half:])
+
+    def rep(states):
+        return _classes(field, states, q ** np.arange(gamma, dtype=np.int64))[0]
 
     size, msgs = q ** gamma, q ** k
     runs = len(next_states)
